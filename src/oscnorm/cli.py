@@ -81,14 +81,12 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _compute_params(args: argparse.Namespace) -> NormParams:
+def _compute_params(args: argparse.Namespace, dimension: int) -> NormParams:
     key = args.norm
-    if key == "jn":
+    if key in ("jn", "v"):
         return NormParams.packing(args.p, args.k, args.q, args.lam)
     if key == "bmo":
         return NormParams.bmo()
-    if key == "v":
-        return NormParams.packing(args.p, args.k, args.q, args.lam)
     if key == "sjn":
         return NormParams.sjn(args.p) if (args.k, args.q, args.lam) == (1, 1, 0.0) \
             else NormParams.sv(args.p, args.k, args.q, args.lam)
@@ -96,7 +94,7 @@ def _compute_params(args: argparse.Namespace) -> NormParams:
         return NormParams.sv(args.p, args.k, args.q, args.lam)
     if key == "svt":
         return NormParams.sv_fractional(args.p, args.k, args.q, args.lam,
-                                        dimension=1)
+                                        dimension)
     raise ValueError(key)
 
 
@@ -104,13 +102,10 @@ def _run_compute(args: argparse.Namespace) -> int:
     f = GridFunction.from_file(args.input)
     payload: dict = {"schema": 1, "norm": args.norm, "input": args.input}
     if args.norm in ("jn", "v", "bmo"):
-        rep = packing_sup_norm(f, _compute_params(args))
+        rep = packing_sup_norm(f, _compute_params(args, f.dimension))
         payload.update(rep.to_json_dict())
     elif args.norm in ("sjn", "sv", "svt"):
-        params = _compute_params(args)
-        if args.norm == "svt":
-            params = NormParams.sv_fractional(args.p, args.k, args.q,
-                                              args.lam, f.dimension)
+        params = _compute_params(args, f.dimension)
         if args.mode == "exact":
             if tree_size(f.depth, f.dimension) > 15:
                 print("error: exact sparse evaluation needs <= 15 tree "

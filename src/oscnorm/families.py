@@ -10,10 +10,17 @@ and *weakly sparse* when each core set ``E_Q = Q minus union(children)`` keeps
 at least half the measure: ``|E_Q| >= |Q|/2``.  Order-1 sparseness implies
 weak sparseness; packings are sparse of every order (no children at all).
 
+Families are arrays over the breadth-first cube numbering of
+:func:`~oscnorm.grid.cube_index`: member numbers, the position of each
+member's nearest member ancestor, and integer core cell counts.  Validation
+is one top-down sweep over the levels, and the Calderon-Zygmund stopping
+time is a level sweep over dyadic averages; :class:`CubeId` appears only at
+the API and JSON edge.
+
 Alongside the object-level API (:func:`validate`, :func:`enumerate_families`,
 :func:`cz_family`) this module provides the flat oracle machinery used by the
-exhaustive norm evaluators: bitmask subset enumeration over a breadth-first
-cube numbering (node counts <= 15), cached per-family measure matrices for
+exhaustive norm evaluators: bitmask subset enumeration over the breadth-first
+numbering (node counts <= 15), cached per-family measure matrices for
 vectorised evaluation, and exhaustive antichain *value* tables via recursive
 cross-sums (node counts <= 63, where streaming every antichain one by one
 would be hopeless but the multiset of achievable totals is small).
@@ -21,19 +28,20 @@ would be hopeless but the multiset of achievable totals is small).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import CubeId, GridFunction, children, cube_index, iter_cubes, tree_size
-from .maximal import level_integrals
+from .grid import (CubeId, GridFunction, children, cube_index, iter_cubes,
+                   level_offsets, tree_size)
+from .maximal import level_integrals, refine
 
 __all__ = [
     "CubeFamily",
     "SparsityViolation",
     "validate",
+    "validate_index",
     "enumerate_families",
     "cz_family",
     "antichain_value_max",
@@ -45,33 +53,67 @@ _ANTICHAIN_NODE_CAP = 63
 _VALUE_TABLE_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CubeFamily:
-    """A validated family with its tree structure precomputed.
+    """A validated family, stored as arrays in breadth-first cube order.
 
-    ``children_map[Q]`` lists the maximal members strictly inside ``Q``;
-    ``core_cells[Q]`` holds the flat finest-cell indices of ``E_Q``.
-    Core sets are pairwise disjoint by construction.
+    ``index`` holds the members' breadth-first cube numbers, ascending and
+    distinct.  ``parent[i]`` is the position in ``index`` of the smallest
+    member strictly containing member ``i``, or -1; the members whose parent
+    is ``i`` are the family-children of member ``i``.  ``core_counts[i]`` is
+    the number of finest cells in its core set ``E_Q``: the cells of ``Q``
+    minus those of its children.  Core sets are pairwise disjoint by
+    construction.
+
+    ``cubes``, ``children_map[Q]`` (the maximal members strictly inside
+    ``Q``) and ``core_cells[Q]`` (the flat finest-cell indices of ``E_Q``)
+    present the same data keyed by :class:`CubeId`; each is built on first
+    access.
     """
 
     dimension: int
     depth: int
     kind: str  # "packing" | "sparse" | "weakly_sparse"
     order: float | None
-    cubes: tuple[CubeId, ...]
-    children_map: dict[CubeId, tuple[CubeId, ...]]
-    core_cells: dict[CubeId, tuple[int, ...]]
+    index: np.ndarray
+    parent: np.ndarray
+    core_counts: np.ndarray
+
+    @cached_property
+    def cubes(self) -> tuple[CubeId, ...]:
+        return tuple(CubeId(lvl, tuple(c)) for lvl, c in zip(
+            *_levels_coords(self.index, self.dimension, self.depth)))
+
+    @cached_property
+    def children_map(self) -> dict[CubeId, tuple[CubeId, ...]]:
+        kids: dict[CubeId, list[CubeId]] = {c: [] for c in self.cubes}
+        for i, p in enumerate(self.parent.tolist()):
+            if p >= 0:
+                kids[self.cubes[p]].append(self.cubes[i])
+        return {c: tuple(k) for c, k in kids.items()}
+
+    @cached_property
+    def core_cells(self) -> dict[CubeId, tuple[int, ...]]:
+        _, owner = _sweep(self.index, self.dimension, self.depth, self.depth)
+        # cells grouped by owning member, ascending within each group
+        cells = np.argsort(owner, kind="stable")[np.count_nonzero(owner < 0):]
+        split = np.split(cells, np.cumsum(self.core_counts)[:-1])
+        return {c: tuple(s.tolist()) for c, s in zip(self.cubes, split)}
+
+    @cached_property
+    def _position(self) -> dict[CubeId, int]:
+        return {c: i for i, c in enumerate(self.cubes)}
 
     def core_measure(self, cube: CubeId) -> float:
-        return len(self.core_cells[cube]) * 2.0 ** (-self.dimension * self.depth)
+        count = int(self.core_counts[self._position[cube]])
+        return count * 2.0 ** (-self.dimension * self.depth)
 
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
             "order": self.order,
-            "cubes": [
-                {"level": c.level, "coords": list(c.coords)} for c in self.cubes
-            ],
+            "cubes": [{"level": lvl, "coords": c} for lvl, c in zip(
+                *_levels_coords(self.index, self.dimension, self.depth))],
         }
 
 
@@ -89,39 +131,41 @@ class SparsityViolation:
                 f"{self.lhs:.12g} > {self.rhs:.12g}")
 
 
-def _cells_of(cube: CubeId, depth: int) -> np.ndarray:
-    """Flat indices (row-major at the finest level) of the cells in ``cube``."""
-    s = 1 << (depth - cube.level)
-    if cube.dimension == 1:
-        start = cube.coords[0] * s
-        return np.arange(start, start + s)
-    side = 1 << depth
-    rows = np.arange(cube.coords[0] * s, (cube.coords[0] + 1) * s)
-    cols = np.arange(cube.coords[1] * s, (cube.coords[1] + 1) * s)
-    return (rows[:, None] * side + cols[None, :]).ravel()
+def _levels_coords(index: np.ndarray, dimension: int,
+                   depth: int) -> tuple[list[int], list[list[int]]]:
+    """Levels and corner coordinates of breadth-first cube numbers, as
+    Python lists."""
+    offsets = level_offsets(depth, dimension)
+    level = np.searchsorted(offsets, index, side="right") - 1
+    rank = index - offsets[level]
+    coords = (rank[:, None] if dimension == 1 else
+              np.stack([rank >> level, rank & ((1 << level) - 1)], axis=1))
+    return level.tolist(), coords.tolist()
 
 
-def _build_structure(cubes, dimension, depth):
-    """children_map and core cells for a deduplicated member list."""
-    members = sorted(set(cubes), key=lambda c: cube_index(c, dimension))
-    member_set = set(members)
-    children_map: dict[CubeId, list[CubeId]] = {c: [] for c in members}
-    for c in members:
-        walk = c
-        while walk.level > 0:
-            walk = walk.parent()
-            if walk in member_set:
-                children_map[walk].append(c)
-                break
-    core_cells = {}
-    for c in members:
-        cells = _cells_of(c, depth)
-        kids = children_map[c]
-        if kids:
-            taken = np.concatenate([_cells_of(k, depth) for k in kids])
-            cells = np.setdiff1d(cells, taken, assume_unique=True)
-        core_cells[c] = tuple(int(i) for i in cells)
-    return members, {c: tuple(k) for c, k in children_map.items()}, core_cells
+def _sweep(index: np.ndarray, dimension: int, depth: int,
+           stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """One top-down pass over levels ``0..stop`` carrying, for every cube,
+    the position of the deepest member containing it (-1 for none).
+
+    Returns each member's parent position (the nearest member strictly
+    containing it; members must lie at levels ``<= stop``) and the carried
+    map at level ``stop``, flat row-major.
+    """
+    offsets = level_offsets(depth, dimension)
+    bounds = np.searchsorted(index, offsets)
+    parent = np.full(index.size, -1, dtype=np.int64)
+    near = np.full((1,) * dimension, -1, dtype=np.int64)
+    for lvl in range(stop + 1):
+        if lvl:
+            near = refine(near, dimension)
+        lo, hi = bounds[lvl], bounds[lvl + 1]
+        if lo < hi:
+            flat = near.reshape(-1)          # a view: writes land in near
+            rank = index[lo:hi] - offsets[lvl]
+            parent[lo:hi] = flat[rank]
+            flat[rank] = np.arange(lo, hi)
+    return parent, near.reshape(-1)
 
 
 def validate(family, order, *, dimension: int,
@@ -130,7 +174,8 @@ def validate(family, order, *, dimension: int,
 
     ``order`` is a sparseness order in (0, 1], or ``"packing"``, or
     ``"weak"``.  Measures are powers of two, so the fractional-power sums are
-    compared in floating point with a 1e-12 tolerance.
+    compared in floating point with a 1e-12 tolerance.  "First" is the
+    breadth-first cube order.
     """
     cubes = list(family)
     if not cubes:
@@ -140,37 +185,66 @@ def validate(family, order, *, dimension: int,
             raise ValueError(f"cube {c} does not match dimension {dimension}")
         if c.level > depth:
             raise ValueError(f"cube {c} is finer than depth {depth}")
-    members, children_map, core_cells = _build_structure(cubes, dimension, depth)
+    index = np.unique(np.array([cube_index(c, dimension) for c in cubes],
+                               dtype=np.int64))
+    return validate_index(index, order, dimension=dimension, depth=depth)
 
-    if order == "packing":
-        for c in members:
-            if children_map[c]:
-                return SparsityViolation(
-                    c, "packing (pairwise non-nested)",
-                    float(len(children_map[c])), 0.0)
-        kind, order_val = "packing", None
-    elif order == "weak":
-        cell_meas = 2.0 ** (-dimension * depth)
-        for c in members:
-            core = len(core_cells[c]) * cell_meas
-            if core < 0.5 * c.measure - COMPARE_TOL:
-                return SparsityViolation(
-                    c, "weak sparseness |E_Q| >= |Q|/2",
-                    0.5 * c.measure, core)
-        kind, order_val = "weakly_sparse", None
-    else:
+
+def validate_index(index: np.ndarray, order, *, dimension: int,
+                   depth: int) -> CubeFamily | SparsityViolation:
+    """:func:`validate` for a nonempty family given as ascending, distinct
+    breadth-first cube numbers (an int64 array), with no per-cube objects.
+
+    Children and their measure sums come from ``np.bincount`` over the
+    members in breadth-first order, the summation order of a loop over the
+    members.
+    """
+    if order not in ("packing", "weak"):
         t = float(order)
         if not 0.0 < t <= 1.0:
             raise ValueError(f"sparseness order must lie in (0, 1], got {order}")
-        for c in members:
-            lhs = sum(k.measure ** t for k in children_map[c])
-            rhs = 0.5 * c.measure ** t
-            if lhs > rhs + COMPARE_TOL:
-                return SparsityViolation(
-                    c, f"sparse(order {t:g})", lhs, rhs)
+    n, m = dimension, index.size
+    level = np.searchsorted(level_offsets(depth, n), index, side="right") - 1
+    parent, _ = _sweep(index, n, depth, int(level[-1]))
+    has = parent >= 0
+    kids = parent[has]
+    size = np.left_shift(1, n * (depth - level))
+    core = size - np.bincount(kids, weights=size[has],
+                              minlength=m).astype(np.int64)
+    meas = [2.0 ** (-n * lvl) for lvl in range(depth + 1)]
+
+    def cube(i: int) -> CubeId:
+        (lvl,), (coords,) = _levels_coords(index[i:i + 1], n, depth)
+        return CubeId(lvl, tuple(coords))
+
+    if order == "packing":
+        if kids.size:
+            first = int(kids.min())
+            return SparsityViolation(
+                cube(first), "packing (pairwise non-nested)",
+                float(np.count_nonzero(kids == first)), 0.0)
+        kind, order_val = "packing", None
+    elif order == "weak":
+        core_meas = core * 2.0 ** (-n * depth)
+        half = 0.5 * np.array(meas)[level]
+        bad = np.flatnonzero(core_meas < half - COMPARE_TOL)
+        if bad.size:
+            i = int(bad[0])
+            return SparsityViolation(
+                cube(i), "weak sparseness |E_Q| >= |Q|/2",
+                float(half[i]), float(core_meas[i]))
+        kind, order_val = "weakly_sparse", None
+    else:
+        pw = np.array([mu ** t for mu in meas])[level]
+        lhs = np.bincount(kids, weights=pw[has], minlength=m)
+        rhs = 0.5 * pw
+        bad = np.flatnonzero(lhs > rhs + COMPARE_TOL)
+        if bad.size:
+            i = int(bad[0])
+            return SparsityViolation(
+                cube(i), f"sparse(order {t:g})", float(lhs[i]), float(rhs[i]))
         kind, order_val = "sparse", t
-    return CubeFamily(dimension, depth, kind, order_val, tuple(members),
-                      children_map, core_cells)
+    return CubeFamily(n, depth, kind, order_val, index, parent, core)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -242,6 +316,11 @@ def cz_family(g: GridFunction, factor: float = 2.0) -> CubeFamily:
     ``factor * average(g, Q)``, then recurses.  Chebyshev gives
     ``sum |Q'| < |Q| / factor``, so ``factor >= 2`` lands in sparse(1).
     The result is validated before being returned.
+
+    A cube is selected exactly when its average beats ``factor`` times the
+    average of its nearest selected ancestor, so one top-down sweep over the
+    level averages, carrying that threshold, finds every member (Lerner and
+    Nazarov, *Intuitive dyadic calculus*, section 6).
     """
     if factor <= 1.0:
         raise ValueError(f"stopping factor must exceed 1, got {factor}")
@@ -249,29 +328,18 @@ def cz_family(g: GridFunction, factor: float = 2.0) -> CubeFamily:
         raise ValueError("stopping-time construction needs a nonnegative density")
     n, depth = g.dimension, g.depth
     integrals = level_integrals(g.values_nd * g.cell_measure, n, depth)
-
-    def avg(cube: CubeId) -> float:
-        if n == 1:
-            return float(integrals[cube.level][cube.coords[0]]) / cube.measure
-        return float(integrals[cube.level][cube.coords]) / cube.measure
-
-    members: list[CubeId] = []
-
-    def select(cube: CubeId) -> None:
-        members.append(cube)
-        threshold = factor * avg(cube)
-        if cube.level >= depth:
-            return
-        queue = list(children(cube, depth))
-        while queue:
-            cand = queue.pop(0)
-            if avg(cand) > threshold:
-                select(cand)
-            elif cand.level < depth:
-                queue.extend(children(cand, depth))
-
-    select(CubeId(0, (0,) * n))
-    result = validate(members, 1.0, dimension=n, depth=depth)
+    offsets = level_offsets(depth, n)
+    picks = []
+    thr = np.full((1,) * n, -np.inf)      # the root is always selected
+    for lvl, integral in enumerate(integrals):
+        avg = integral / 2.0 ** (-n * lvl)
+        if lvl:
+            thr = refine(thr, n)
+        sel = avg > thr
+        thr = np.where(sel, factor * avg, thr)
+        picks.append(np.flatnonzero(sel) + offsets[lvl])
+    result = validate_index(np.concatenate(picks), 1.0, dimension=n,
+                            depth=depth)
     if isinstance(result, SparsityViolation):
         raise ValueError(
             f"stopping-time family failed sparseness validation: {result}")

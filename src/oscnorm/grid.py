@@ -30,6 +30,7 @@ __all__ = [
     "moment",
     "iter_cubes",
     "cube_index",
+    "level_offsets",
     "tree_size",
     "multi_indices",
 ]
@@ -127,6 +128,12 @@ def tree_size(depth: int, dimension: int) -> int:
     return sum(1 << (dimension * l) for l in range(depth + 1))
 
 
+def level_offsets(depth: int, dimension: int) -> np.ndarray:
+    """Breadth-first index of the first cube of each level ``0..depth``,
+    followed by ``tree_size(depth, dimension)``."""
+    return np.cumsum([0] + [1 << (dimension * l) for l in range(depth + 1)])
+
+
 def iter_cubes(depth: int, dimension: int):
     """All cubes in breadth-first order: by level, then row-major coords."""
     for level in range(depth + 1):
@@ -207,7 +214,9 @@ class GridFunction:
         if missing:
             raise ValueError(f"grid JSON is missing keys: {sorted(missing)}")
         dim, depth = payload["dimension"], payload["depth"]
-        if not isinstance(dim, int) or not isinstance(depth, int):
+        # bool is a subclass of int, but true/false are not sizes
+        if any(not isinstance(v, int) or isinstance(v, bool)
+               for v in (dim, depth)):
             raise ValueError("'dimension' and 'depth' must be integers")
         values = payload["values"]
         if not isinstance(values, list):

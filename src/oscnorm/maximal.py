@@ -20,7 +20,7 @@ import numpy as np
 from .grid import GridFunction
 
 __all__ = ["MaximalResult", "fractional_maximal", "lp_norm",
-           "maximal_opnorm_bound"]
+           "maximal_opnorm_bound", "refine"]
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,14 @@ def level_integrals(cell_integrals: np.ndarray, dimension: int,
     return levels
 
 
+def refine(level_vals: np.ndarray, dimension: int) -> np.ndarray:
+    """Copy each cube's entry to its ``2**dimension`` children: the
+    ``(2**l,) * dimension`` array of level ``l`` becomes that of ``l + 1``."""
+    for ax in range(dimension):
+        level_vals = np.repeat(level_vals, 2, axis=ax)
+    return level_vals
+
+
 def chain_max(levels: list[np.ndarray], dimension: int, q: int,
               lam: float) -> np.ndarray:
     """Per finest cell, max over its ancestor chain of
@@ -67,12 +75,7 @@ def chain_max(levels: list[np.ndarray], dimension: int, q: int,
     for l, S in enumerate(levels):
         meas = 2.0 ** (-dimension * l)
         val = (meas ** (lam / dimension - 1.0) * S) ** (1.0 / q)
-        if run is None:
-            run = val
-        else:
-            for ax in range(dimension):
-                run = np.repeat(run, 2, axis=ax)
-            run = np.maximum(run, val)
+        run = val if run is None else np.maximum(refine(run, dimension), val)
     return run
 
 

@@ -35,11 +35,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .families import (CubeFamily, SparsityViolation, cz_family,
-                       family_tables, validate)
-from .grid import CubeId, GridFunction, cube_index, iter_cubes, tree_size
+from .families import CubeFamily, cz_family, family_tables, validate_index
+# imported for its name alone: perfbench/tracer.py binds
+# ``oscnorm.norms.validate``; the code here calls ``validate_index``
+from .families import validate  # noqa: F401
+from .grid import CubeId, GridFunction, iter_cubes, level_offsets, tree_size
 from .local_poly import best_fit, poly_error, residual_cell_integrals
-from .maximal import chain_max, level_integrals, lp_norm
+from .maximal import chain_max, level_integrals, lp_norm, refine
 
 __all__ = [
     "NormParams",
@@ -230,13 +232,12 @@ def packing_sup_norm(f: GridFunction, params: NormParams) -> NormReport:
         raise ValueError("packing_sup_norm needs family_class='packing'")
     n, L = f.dimension, f.depth
     scaled = scaled_error_levels(f, params)
+    offsets = level_offsets(L, n)
     if math.isinf(params.p):
         per_level_max = [lvl.max() for lvl in scaled]
         value = float(max(per_level_max))
         lvl = int(np.argmax(per_level_max))
-        idx = int(np.argmax(scaled[lvl]))
-        cube = _cube_from_rank(lvl, idx, n)
-        witness = validate([cube], "packing", dimension=n, depth=L)
+        members = offsets[lvl:lvl + 1] + np.argmax(scaled[lvl])
     else:
         p = params.p
         weights = [
@@ -250,16 +251,17 @@ def packing_sup_norm(f: GridFunction, params: NormParams) -> NormReport:
             child_sums[lvl] = kids
             best = np.maximum(weights[lvl], kids)
         value = float(best[0]) ** (1.0 / p)
-        members: list[CubeId] = []
-        stack = [(0, 0)]
-        while stack:
-            lvl, idx = stack.pop()
-            kids = child_sums[lvl]
-            if lvl == L or weights[lvl][idx] >= kids[idx]:
-                members.append(_cube_from_rank(lvl, idx, n))
-            else:
-                stack.extend((lvl + 1, j) for j in _child_ranks(lvl, idx, n))
-        witness = validate(members, "packing", dimension=n, depth=L)
+        # witness: top-down over cubes not yet covered, each taking itself
+        # when its own weight ties or beats its children's best
+        picks = []
+        free = np.ones((1,) * n, dtype=bool)
+        for lvl in range(L):
+            take = free & (weights[lvl] >= child_sums[lvl]).reshape(free.shape)
+            picks.append(offsets[lvl] + np.flatnonzero(take))
+            free = refine(free & ~take, n)
+        picks.append(offsets[L] + np.flatnonzero(free))
+        members = np.concatenate(picks)
+    witness = validate_index(members, "packing", dimension=n, depth=L)
     assert isinstance(witness, CubeFamily)
     return NormReport(params, value, value, True, witness)
 
@@ -273,24 +275,6 @@ def _sibling_sums(level_vals: np.ndarray, dimension: int) -> np.ndarray:
     half = side // 2
     nd = level_vals.reshape(half, 2, half, 2)
     return nd.sum(axis=(1, 3)).ravel()
-
-
-def _child_ranks(level: int, rank: int, dimension: int):
-    """Flat row-major ranks (at ``level + 1``) of a cube's children."""
-    if dimension == 1:
-        return (rank << 1, (rank << 1) + 1)
-    side = 1 << level
-    r, c = divmod(rank, side)
-    row0 = (r << 1) * (side << 1) + (c << 1)
-    row1 = row0 + (side << 1)
-    return (row0, row0 + 1, row1, row1 + 1)
-
-
-def _cube_from_rank(level: int, rank: int, dimension: int) -> CubeId:
-    if dimension == 1:
-        return CubeId(level, (rank,))
-    side = 1 << level
-    return CubeId(level, (rank // side, rank % side))
 
 
 def bmo_norm(f: GridFunction) -> float:
@@ -332,8 +316,9 @@ def sparse_sup_exhaustive(f: GridFunction, params: NormParams) -> NormReport:
         fam_weighted = (tables.cube_meas @ sp) ** (1.0 / params.p)
     row = int(np.argmax(fam_core))
     value = float(fam_core[row])
-    witness = validate(tables.family_cubes(row), _order_key(params),
-                       dimension=f.dimension, depth=f.depth)
+    witness = validate_index(np.flatnonzero(tables.cube_meas[row]),
+                             _order_key(params), dimension=f.dimension,
+                             depth=f.depth)
     assert isinstance(witness, CubeFamily)
     return NormReport(params, value, value, True, witness,
                       extras={"weighted_value": float(fam_weighted.max())})
@@ -344,11 +329,10 @@ def family_value(f: GridFunction, family: CubeFamily, params: NormParams,
     """Core-set value of one family: ``(sum scaled(Q)^p |E_Q|)^{1/p}``."""
     if scaled_flat is None:
         scaled_flat = _scaled_flat(f, params)
-    vals = np.array([scaled_flat[cube_index(c, f.dimension)]
-                     for c in family.cubes])
+    vals = scaled_flat[family.index]
     if math.isinf(params.p):
         return float(vals.max())
-    core = np.array([family.core_measure(c) for c in family.cubes])
+    core = family.core_counts * 2.0 ** (-family.dimension * family.depth)
     return float((vals ** params.p @ core) ** (1.0 / params.p))
 
 
@@ -380,11 +364,13 @@ def sparse_norm_bounds(f: GridFunction, params: NormParams) -> NormReport:
         candidates.append(stopping)
     else:
         # the stopping-time family is sparse(1); thinner classes may reject it
-        revalidated = validate(stopping.cubes, order, dimension=n, depth=L)
+        revalidated = validate_index(stopping.index, order, dimension=n,
+                                     depth=L)
         if isinstance(revalidated, CubeFamily):
             candidates.append(revalidated)
-    finest = validate([c for c in iter_cubes(L, n) if c.level == L],
-                      order, dimension=n, depth=L)
+    offsets = level_offsets(L, n)
+    finest = validate_index(np.arange(offsets[L], offsets[L + 1]), order,
+                            dimension=n, depth=L)
     if isinstance(finest, CubeFamily):
         candidates.append(finest)
 
@@ -405,22 +391,14 @@ def sparse_norm_bounds(f: GridFunction, params: NormParams) -> NormReport:
     best_single = int(np.argmax(single_vals))
     if float(single_vals[best_single]) > lower:
         lower = float(single_vals[best_single])
-        cube = _cube_from_bfs(best_single, n)
-        single = validate([cube], order, dimension=n, depth=L)
+        single = validate_index(np.array([best_single]), order, dimension=n,
+                                depth=L)
         assert isinstance(single, CubeFamily)
         witness = single
 
     lower = max(lower, 0.0)
     return NormReport(params, lower, upper, False, witness,
                       extras={"reference_fit_error": fit.error})
-
-
-def _cube_from_bfs(index: int, dimension: int) -> CubeId:
-    lvl = 0
-    while index >= 1 << (dimension * lvl):
-        index -= 1 << (dimension * lvl)
-        lvl += 1
-    return _cube_from_rank(lvl, index, dimension)
 
 
 # -- Garsia-Rodemich functional ----------------------------------------------
@@ -460,33 +438,28 @@ def garo_norm(f: GridFunction, p: float) -> NormReport:
         ratios = nums / dens
         row = int(np.argmax(ratios))
         value = float(ratios[row])
-        witness = validate(tables.family_cubes(row), "packing",
-                           dimension=n, depth=L)
+        witness = validate_index(np.flatnonzero(member[row]), "packing",
+                                 dimension=n, depth=L)
         assert isinstance(witness, CubeFamily)
         return NormReport(params, value, value, True, witness,
                           extras={"jn_value": jn_value})
 
-    best_members: list[CubeId] | None = None
-    best_val = -math.inf
-    for idx in range(errors.size):
-        val = ratio(np.array([idx]))
-        if val > best_val:
-            best_val, best_members = val, [_cube_from_bfs(idx, n)]
-    offset = 0
-    for lvl in range(L + 1):
-        count = 1 << (n * lvl)
-        idxs = np.arange(offset, offset + count)
+    # candidates in order: singletons, full levels, the DP witness; a later
+    # one replaces the best only when strictly larger
+    offsets = level_offsets(L, n)
+    single_den = np.repeat(
+        [(2.0 ** (-n * lvl)) ** pprime_inv for lvl in range(L + 1)],
+        np.diff(offsets))
+    singles = errors / single_den
+    best = int(np.argmax(singles))
+    best_val, best_members = float(singles[best]), np.array([best])
+    levels = [np.arange(offsets[lvl], offsets[lvl + 1])
+              for lvl in range(L + 1)]
+    for idxs in (*levels, jn_report.witness.index):
         val = ratio(idxs)
         if val > best_val:
-            best_val = val
-            best_members = [_cube_from_bfs(i, n) for i in idxs]
-        offset += count
-    dp_witness = jn_report.witness
-    idxs = np.array([cube_index(c, n) for c in dp_witness.cubes])
-    val = ratio(idxs)
-    if val > best_val:
-        best_val, best_members = val, list(dp_witness.cubes)
-    witness = validate(best_members, "packing", dimension=n, depth=L)
+            best_val, best_members = val, idxs
+    witness = validate_index(best_members, "packing", dimension=n, depth=L)
     assert isinstance(witness, CubeFamily)
     # when the best candidate attains the upper bound the sandwich is a proof
     exact = float(best_val) == jn_value
@@ -550,6 +523,8 @@ def ri_functionals(f: GridFunction, p: float) -> RIFunctionals:
     bisection to 1e-10.  bds evaluates ``f**(t) - f*(t+)`` at block endpoints
     and midpoints (f* right-continuous; at t=1 the left limit) -- exhaustive
     for step functions since f** - f* decreases between consecutive jumps.
+    All ``2m`` points come from one prefix sum: ``block`` is a power of two,
+    so every point falls exactly on a block midpoint or right endpoint.
     """
     if p <= 1:
         raise ValueError(f"weak-L^p needs p > 1, got {p}")
@@ -560,14 +535,15 @@ def ri_functionals(f: GridFunction, p: float) -> RIFunctionals:
 
     llogl = _luxemburg_llogl(f)
 
-    pts: list[float] = []
-    for j in range(m):
-        pts.append((j + 0.5) * r.block)
-        pts.append((j + 1.0) * r.block)
-    bds = 0.0
-    for t in pts:
-        fstar_plus = r.star(t) if t < 1.0 else r.star_left(1.0)
-        bds = max(bds, r.starstar(t) - fstar_plus)
+    # f**(t) = (block * (sum of the first j values) + f*(t) * partial) / t
+    b, v = r.block, r.values
+    through = np.cumsum(v)                           # sum of v[:j + 1]
+    before = np.concatenate(([0.0], through[:-1]))   # sum of v[:j]
+    mids = (np.arange(m) + 0.5) * b
+    mid_gap = (before * b + v * (0.5 * b)) / mids - v
+    after = np.append(v[1:], v[-1])     # f*(t+); the left limit at t = 1
+    end_gap = through * b / rights - after
+    bds = max(0.0, float(mid_gap.max()), float(end_gap.max()))
     return RIFunctionals(weak, llogl, bds)
 
 

@@ -86,6 +86,34 @@ def test_compute_svt_uses_grid_dimension(step_file, capsys):
     assert d["params"]["family_order"] == pytest.approx(0.5)
 
 
+def test_compute_svt_bounds_on_2d_grid(tmp_path, capsys):
+    path = tmp_path / "grid2d.json"
+    path.write_text(json.dumps(
+        {"dimension": 2, "depth": 2,
+         "values": np.random.default_rng(3).uniform(0, 1, 16).tolist()}))
+    code, out, _ = _run(capsys, [
+        "compute", "--input", str(path), "--norm", "svt",
+        "--lambda", "0.5", "--mode", "bounds"])
+    assert code == 0
+    d = json.loads(out)
+    assert d["params"]["family_order"] == 0.75      # 1 - lambda / n
+    assert d["value_lower"] <= d["value_upper"]
+
+
+@pytest.mark.parametrize("key,value", [("dimension", True),
+                                       ("depth", False)])
+def test_compute_rejects_boolean_sizes(tmp_path, capsys, key, value):
+    grid = {"dimension": 1, "depth": 1, "values": [0.0, 1.0]}
+    grid[key] = value
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(grid))
+    code, out, err = _run(capsys, [
+        "compute", "--input", str(path), "--norm", "jn"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "integers" in err and "Traceback" not in err
+
+
 def test_compute_ri_functionals(step_file, capsys):
     code, out, _ = _run(capsys, [
         "compute", "--input", step_file, "--norm", "weaklp", "--p", "2"])

@@ -1,0 +1,100 @@
+"""Golden sha256 digests of ``oscnorm compute`` reports.
+
+The digests pin the full JSON bytes (values, witnesses, key order) of five
+functionals on four seeded grids.  They were recorded before the cube
+families became array-native and must not move under refactors that keep
+the mathematics fixed.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from oscnorm.cli import main
+
+GRIDS = {
+    "1d-uniform": (1, 10, "uniform", 101),
+    "1d-lognormal": (1, 10, "lognormal", 102),
+    "2d-uniform": (2, 5, "uniform", 103),
+    "2d-lognormal": (2, 5, "lognormal", 104),
+}
+
+OPS = {
+    "sjn": ["--norm", "sjn", "--p", "2", "--mode", "bounds"],
+    "jn": ["--norm", "jn", "--p", "2"],
+    "bmo": ["--norm", "bmo"],
+    "garo": ["--norm", "garo", "--p", "2", "--mode", "bounds"],
+    "weaklp": ["--norm", "weaklp", "--p", "2"],
+}
+
+GOLDEN = {
+    ('1d-lognormal', 'bmo'):
+        'cc10773374e3926a4bedf9aa24cf68a039eab4eb917131f65093d564ba88842f',
+    ('1d-lognormal', 'garo'):
+        '42172c85d1b6c558ade4d754581ee22a20bf5f8d9c2a4b5be8ea5949ffcd130a',
+    ('1d-lognormal', 'jn'):
+        '9e316a19458be06a000ddc20260c5f2c9f8f7a787a109e50bb6c184c2826a596',
+    ('1d-lognormal', 'sjn'):
+        'b46afe477e2202054c524c2a594733d0c8907a53fcaaa9451d6865d1311b5ef3',
+    ('1d-lognormal', 'weaklp'):
+        '7304c62a7f4a10643dbf8c5d9b6a443ba228648a6d52770854a5dc351a6b6124',
+    ('1d-uniform', 'bmo'):
+        '09d3bb8e4a96e2857d236192439c78bdbd275e260f2d6d7a39f1ed3b33b5ee75',
+    ('1d-uniform', 'garo'):
+        'eaa59d26511650dccef5eb53f64db1c9f0b1149ebb25e1c10d058a92a3b1ed21',
+    ('1d-uniform', 'jn'):
+        '1025c7370bce8b4a8f3885e4fbe2886c1f312b1a68e900eb76f3b6d9248b0d5c',
+    ('1d-uniform', 'sjn'):
+        'e214a19ffdd6a86af4cd7f75c9f79709df311044a4aeced6753fc37f87415c25',
+    ('1d-uniform', 'weaklp'):
+        '9602016c39373853869d7bfca342e56f5e8548922e15945554a98daedf51abe5',
+    ('2d-lognormal', 'bmo'):
+        '19b8f3ff6bcdf3b8e43e28ff94b358096034b4676e817d884258edd21292d5a9',
+    ('2d-lognormal', 'garo'):
+        '4978be2e68260cb48e7e16ab70ecaa95bbf18f4d72cd4ac391f807b867ad246c',
+    ('2d-lognormal', 'jn'):
+        '27cbfd26d612588c4414285f88e855932b49e72130792edc07f2afa8f3fa408e',
+    ('2d-lognormal', 'sjn'):
+        '1a80327a37ab5ba88692509a8e216501fc29bdac4de8164d13e075fdb47af241',
+    ('2d-lognormal', 'weaklp'):
+        '0bf9691974950f357df7a9fbd2c8974dcdc4cb060965e467181761efe0f3db19',
+    ('2d-uniform', 'bmo'):
+        '0021c13ce2d0d8705f8d586cf2bf6b680103ff9d3feec03e152f0faceddcc09a',
+    ('2d-uniform', 'garo'):
+        'ff174ea68afb261cbb529b6e1d87c741d5034034b6c6fed5caec8372f06a68cf',
+    ('2d-uniform', 'jn'):
+        'efdc6486a257578705996ace6f3a9150f150ea7220513ded1ae8ee21615783d4',
+    ('2d-uniform', 'sjn'):
+        'dc09b73cb19f28c29cb9cbbe7df9540bb1118377ebbacf76f3bdabcf7c6a3444',
+    ('2d-uniform', 'weaklp'):
+        '48ce565c9a3aadd9ac5aa773bae40628de02f15e12d3fbe13ede75ef43956e53',
+}
+
+
+def grid_payload(dimension: int, depth: int, dist: str, seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    n = 1 << (dimension * depth)
+    values = (rng.uniform(0.0, 1.0, n) if dist == "uniform"
+              else rng.lognormal(0.0, 1.5, n))
+    return {"dimension": dimension, "depth": depth, "values": values.tolist()}
+
+
+def compute_digest(grid: str, op: str) -> str:
+    """Run ``compute`` in the current directory on a relative input path,
+    so the report's ``input`` field is the same wherever it runs."""
+    with open("grid.json", "w", encoding="utf-8") as fh:
+        json.dump(grid_payload(*GRIDS[grid]), fh)
+    rc = main(["compute", "--input", "grid.json", *OPS[op],
+               "--out", "out.json"])
+    assert rc == 0
+    with open("out.json", "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_compute_report_bytes_pinned(grid, op, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert compute_digest(grid, op) == GOLDEN[grid, op]

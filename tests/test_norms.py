@@ -304,6 +304,34 @@ def test_bds_vanishes_for_constants():
     assert ri_functionals(f, 2.0).bds == pytest.approx(0.0)
 
 
+def _bds_by_points(f):
+    """sup(f** - f*) by one starstar call per block midpoint and right
+    endpoint: the reference for the prefix-sum evaluation."""
+    r = rearrangement(f)
+    bds = 0.0
+    for j in range(r.values.size):
+        for t in ((j + 0.5) * r.block, (j + 1.0) * r.block):
+            fstar_plus = r.star(t) if t < 1.0 else r.star_left(1.0)
+            bds = max(bds, r.starstar(t) - fstar_plus)
+    return bds
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1),
+       st.sampled_from([(1, 0), (1, 1), (1, 5), (1, 8), (2, 3)]),
+       st.sampled_from(["uniform", "lognormal", "ties"]))
+def test_bds_matches_per_point_loop(seed, shape, dist):
+    n, depth = shape
+    rng = np.random.default_rng(seed)
+    size = 1 << (n * depth)
+    values = {"uniform": lambda: rng.uniform(-2, 2, size),
+              "lognormal": lambda: rng.lognormal(0.0, 1.5, size),
+              "ties": lambda: rng.integers(0, 3, size).astype(float)}[dist]()
+    f = GridFunction(n, depth, values)
+    want = _bds_by_points(f)
+    assert abs(ri_functionals(f, 2.0).bds - want) <= 1e-12 * abs(want)
+
+
 def test_lp_norm_values():
     assert lp_norm(STEP, 1.0) == pytest.approx(0.5)
     assert lp_norm(STEP, 2.0) == pytest.approx(math.sqrt(0.5))
