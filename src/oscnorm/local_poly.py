@@ -370,36 +370,33 @@ def _l1_cells_1d(f, c, exps, a) -> np.ndarray:
     a0, a1, a2 = coef[0], coef[1], coef[2]
 
     def antideriv(u):
-        return a0 * u + a1 * u * u / 2.0 + a2 * u ** 3 / 3.0
+        F = a0 * u + a1 * u * u / 2.0
+        # a zero term only flips the sign of a zero; float_power rounds as
+        # the scalar ``**`` does, the array ``**`` may not in the last bit
+        return F + a2 * np.float_power(u, 3) / 3.0 if a2 else F
 
     vals = f.cube_values(c)
     m_cells = vals.size
-    edges = np.linspace(-0.5, 0.5, m_cells + 1)
-    s = c.side
+    # the cell edges, exact since the cell count is a power of two
+    edges = np.arange(-m_cells, m_cells + 1, 2) / (2 * m_cells)
+    u0, u1 = edges[:-1], edges[1:]
     scale = max(abs(a0), abs(a1), abs(a2), 1.0)
-    out = np.empty(m_cells)
-    for i, v in enumerate(vals):
-        u0, u1 = edges[i], edges[i + 1]
-        cuts = [u0, u1]
-        # roots of P(u) = v inside the cell split |v - P| into signed pieces
-        c2, c1, c0 = a2, a1, a0 - v
-        if abs(c2) > 1e-14 * scale:
-            disc = c1 * c1 - 4.0 * c2 * c0
-            if disc >= 0.0:
-                sq = math.sqrt(disc)
-                for r in ((-c1 - sq) / (2 * c2), (-c1 + sq) / (2 * c2)):
-                    if u0 < r < u1:
-                        cuts.append(r)
-        elif abs(c1) > 1e-14 * scale:
-            r = -c0 / c1
-            if u0 < r < u1:
-                cuts.append(r)
-        cuts.sort()
-        acc = 0.0
-        for t0, t1 in zip(cuts[:-1], cuts[1:]):
-            acc += abs(v * (t1 - t0) - (antideriv(t1) - antideriv(t0)))
-        out[i] = acc * s
-    return out
+    # per cell the cuts u0 <= lo <= hi <= u1: the roots of P(u) = v inside
+    # the cell split |v - P| into signed pieces; a root outside the cell is
+    # clamped to its end, where it cuts a zero-width piece worth exactly 0
+    lo = hi = u1
+    if abs(a2) > 1e-14 * scale:
+        with np.errstate(invalid="ignore"):     # no real root: NaN
+            sq = np.sqrt(a1 * a1 - 4.0 * a2 * (a0 - vals))
+        roots = ((-a1 - sq) / (2 * a2), (-a1 + sq) / (2 * a2))
+        lo, hi = (np.fmin(np.fmax(r, u0), u1)       # fmax maps NaN to u0
+                  for r in (roots if a2 > 0 else roots[::-1]))
+    elif abs(a1) > 1e-14 * scale:
+        lo = np.fmin(np.fmax(-(a0 - vals) / a1, u0), u1)
+    cuts = np.array([u0, lo, hi, u1])
+    F = antideriv(cuts)
+    pieces = np.abs(vals * (cuts[1:] - cuts[:-1]) - (F[1:] - F[:-1]))
+    return (pieces[0] + pieces[1] + pieces[2]) * c.side
 
 
 def _clip_halfplane(poly, lfun):
@@ -447,26 +444,31 @@ def _l1_cells_affine_2d(f, c, exps, a) -> np.ndarray:
     m_cells = block.shape[0]
     edges = np.linspace(-0.5, 0.5, m_cells + 1)
     s2 = c.side ** 2
+    cu, cw = -pu, -pw
+
+    def signed(c0, u0, u1, w0, w1):
+        """Integral over the cell of v - P = c0 + cu * u + cw * w."""
+        area = (u1 - u0) * (w1 - w0)
+        return (c0 * area + cu * area * (u0 + u1) / 2
+                + cw * area * (w0 + w1) / 2)
+
+    c0 = block - p0                 # rows along u, columns along w
+    # where the slope is at rounding scale v - P keeps one sign in the cell;
+    # those cells take |integral| in one vector pass, the others clip
+    flat = abs(cu) + abs(cw) < 1e-15 * np.maximum(np.abs(c0), 1.0)
     out = np.empty(block.size)
-    idx = 0
-    for i in range(m_cells):
-        u0, u1 = edges[i], edges[i + 1]
-        for j in range(m_cells):
-            w0, w1 = edges[j], edges[j + 1]
-            v = block[i, j]
-            c0, cu, cw = v - p0, -pu, -pw
-            area = (u1 - u0) * (w1 - w0)
-            full = c0 * area + cu * area * (u0 + u1) / 2 + cw * area * (w0 + w1) / 2
-            if abs(cu) + abs(cw) < 1e-15 * max(abs(c0), 1.0):
-                out[idx] = abs(full) * s2
-            else:
-                poly = [(u0, w0), (u1, w0), (u1, w1), (u0, w1)]
-                clipped = _clip_halfplane(
-                    poly, lambda p: c0 + cu * p[0] + cw * p[1])
-                A, Iu, Iw = _polygon_moments(clipped)
-                pos = c0 * A + cu * Iu + cw * Iw
-                out[idx] = abs(2.0 * pos - full) * s2
-            idx += 1
+    if flat.any():
+        full = signed(c0, edges[:-1, None], edges[1:, None],
+                      edges[None, :-1], edges[None, 1:])
+        out[flat.ravel()] = np.abs(full[flat]) * s2
+    for i, j in zip(*np.nonzero(~flat)):
+        u0, u1, w0, w1 = edges[i], edges[i + 1], edges[j], edges[j + 1]
+        cc = c0[i, j]
+        poly = [(u0, w0), (u1, w0), (u1, w1), (u0, w1)]
+        clipped = _clip_halfplane(poly, lambda p: cc + cu * p[0] + cw * p[1])
+        A, Iu, Iw = _polygon_moments(clipped)
+        pos = cc * A + cu * Iu + cw * Iw
+        out[i * m_cells + j] = abs(2.0 * pos - signed(cc, u0, u1, w0, w1)) * s2
     return out
 
 

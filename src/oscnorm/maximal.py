@@ -8,6 +8,9 @@ The fractional maximal function of order ``lam`` is, per finest cell ``x``,
 The dyadic cubes containing a cell form exactly its ancestor chain, so the
 whole field is computed by one top-down sweep carrying a running maximum:
 O(2^{nL} * L) work.
+
+The kernels here work on the trailing grid axes and accept any leading
+axes, so the verification suites run them on one row per trial.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 
 from .grid import GridFunction
 
-__all__ = ["MaximalResult", "fractional_maximal", "lp_norm",
-           "maximal_opnorm_bound", "refine"]
+__all__ = ["MaximalResult", "fractional_maximal", "lp_norm", "lp_rows",
+           "maximal_opnorm_bound", "refine", "sibling_sums"]
 
 
 @dataclass(frozen=True)
@@ -43,26 +46,32 @@ def fractional_maximal(f: GridFunction, q: int, lam: float) -> MaximalResult:
     return MaximalResult(GridFunction(n, f.depth, out.ravel()), q, lam)
 
 
+def sibling_sums(level_vals: np.ndarray, dimension: int) -> np.ndarray:
+    """Sum every group of ``2**dimension`` siblings: a level-``l`` array,
+    ``(2**l,) * dimension`` on the trailing axes, becomes the level-``l-1``
+    array.  Leading axes (one per trial) are carried along."""
+    lead = level_vals.shape[:level_vals.ndim - dimension]
+    half = level_vals.shape[-1] // 2
+    pairs = level_vals.reshape(*lead, *(half, 2) * dimension)
+    return pairs.sum(axis=(-1, -3)[:dimension])
+
+
 def level_integrals(cell_integrals: np.ndarray, dimension: int,
                     depth: int) -> list[np.ndarray]:
     """Aggregate per-cell integrals up the tree; entry ``l`` holds the
-    integral over each level-``l`` cube, shape ``(2**l,) * dimension``."""
-    levels = [None] * (depth + 1)
-    levels[depth] = cell_integrals
-    for l in range(depth - 1, -1, -1):
-        finer = levels[l + 1]
-        if dimension == 1:
-            levels[l] = finer.reshape(-1, 2).sum(axis=1)
-        else:
-            m = finer.shape[0] // 2
-            levels[l] = finer.reshape(m, 2, m, 2).sum(axis=(1, 3))
-    return levels
+    integral over each level-``l`` cube, shape ``(2**l,) * dimension`` on
+    the trailing axes after any leading trial axes."""
+    levels = [cell_integrals]
+    for _ in range(depth):
+        levels.append(sibling_sums(levels[-1], dimension))
+    return levels[::-1]
 
 
 def refine(level_vals: np.ndarray, dimension: int) -> np.ndarray:
     """Copy each cube's entry to its ``2**dimension`` children: the
-    ``(2**l,) * dimension`` array of level ``l`` becomes that of ``l + 1``."""
-    for ax in range(dimension):
+    ``(2**l,) * dimension`` trailing axes of level ``l`` become those of
+    ``l + 1``."""
+    for ax in range(-dimension, 0):
         level_vals = np.repeat(level_vals, 2, axis=ax)
     return level_vals
 
@@ -70,7 +79,8 @@ def refine(level_vals: np.ndarray, dimension: int) -> np.ndarray:
 def chain_max(levels: list[np.ndarray], dimension: int, q: int,
               lam: float) -> np.ndarray:
     """Per finest cell, max over its ancestor chain of
-    ``(|Q|^{lam/n - 1} * S_Q)^{1/q}`` where ``S_Q`` comes from ``levels``."""
+    ``(|Q|^{lam/n - 1} * S_Q)^{1/q}`` where ``S_Q`` comes from ``levels``
+    (any leading trial axes are kept)."""
     run = None
     for l, S in enumerate(levels):
         meas = 2.0 ** (-dimension * l)
@@ -79,14 +89,22 @@ def chain_max(levels: list[np.ndarray], dimension: int, q: int,
     return run
 
 
+def lp_rows(values: np.ndarray, p: float, cell_measure: float):
+    """``L^p`` norm of cell values along the last axis; ``p = inf`` is the
+    max.  A single flat grid reduces to a NumPy scalar before the root is
+    taken, which rounds like Python's ``**``; stacked rows take the root as
+    an array."""
+    v = np.abs(values)
+    if math.isinf(p):
+        return v.max(axis=-1)
+    return ((v ** p).sum(axis=-1) * cell_measure) ** (1.0 / p)
+
+
 def lp_norm(g: GridFunction, p: float) -> float:
     """Exact ``L^p([0,1)^n)`` norm of a grid function; ``p = inf`` is the max."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    v = np.abs(g.values)
-    if math.isinf(p):
-        return float(v.max())
-    return float((v ** p).sum() * g.cell_measure) ** (1.0 / p)
+    return float(lp_rows(g.values, p, g.cell_measure))
 
 
 def maximal_opnorm_bound(p: float) -> float:

@@ -31,7 +31,8 @@ Luxemburg ``L log L`` norm, and ``sup(f** - f*)`` round out the toolkit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .families import CubeFamily, cz_family, family_tables, validate_index
 from .families import validate  # noqa: F401
 from .grid import CubeId, GridFunction, iter_cubes, level_offsets, tree_size
 from .local_poly import best_fit, poly_error, residual_cell_integrals
-from .maximal import chain_max, level_integrals, lp_norm, refine
+from .maximal import chain_max, level_integrals, lp_norm, refine, sibling_sums
 
 __all__ = [
     "NormParams",
@@ -56,6 +57,8 @@ __all__ = [
     "RIFunctionals",
     "ri_functionals",
     "scaled_error_levels",
+    "median_deviations",
+    "packing_dp",
 ]
 
 
@@ -164,27 +167,27 @@ def _convention_exponent(params: NormParams, dimension: int) -> float:
     raise ValueError(f"unknown convention {params.convention!r}")
 
 
-def _median_rows(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: (lower median, sum |v - median|)."""
-    srt = np.sort(blocks, axis=1)
-    m = srt.shape[1]
+def median_deviations(values: np.ndarray, dimension: int, depth: int,
+                      level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lower median of each level-``level`` cube's cell values and
+    ``sum |v - median|`` over its cells, both ``(..., 2**(n*level))`` flat
+    row-major.  ``values`` holds the cells flat row-major on the last axis,
+    after any leading trial axes."""
+    lead = values.shape[:-1]
+    side, cells = 1 << level, 1 << (depth - level)
+    if dimension == 1:
+        blocks = values.reshape(*lead, side, cells)
+    else:
+        blocks = (values.reshape(*lead, side, cells, side, cells)
+                  .swapaxes(-3, -2).reshape(*lead, side * side, -1))
+    srt = np.sort(blocks, axis=-1)
+    m = srt.shape[-1]
     j0 = (m - 1) // 2
-    med = srt[:, j0]
-    cs = np.cumsum(srt, axis=1)
-    below = cs[:, j0]                      # sum of entries with index <= j0
-    above = cs[:, -1] - below              # index > j0
-    dev = (above - (m - 1 - j0) * med) + ((j0 + 1) * med - below)
-    return med, dev
-
-
-def _level_blocks(f: GridFunction, level: int) -> np.ndarray:
-    """Cell values grouped by level-``level`` cube: (cubes, cells) matrix."""
-    if f.dimension == 1:
-        return f.values.reshape(1 << level, -1)
-    side = 1 << level
-    s = 1 << (f.depth - level)
-    nd = f.values_nd.reshape(side, s, side, s)
-    return nd.transpose(0, 2, 1, 3).reshape(side * side, s * s)
+    med = srt[..., j0]
+    cs = np.cumsum(srt, axis=-1)
+    below = cs[..., j0]                    # sum of entries with index <= j0
+    above = cs[..., -1] - below            # index > j0
+    return med, (above - (m - 1 - j0) * med) + ((j0 + 1) * med - below)
 
 
 def scaled_error_levels(f: GridFunction, params: NormParams) -> list[np.ndarray]:
@@ -192,31 +195,32 @@ def scaled_error_levels(f: GridFunction, params: NormParams) -> list[np.ndarray]
     n, L = f.dimension, f.depth
     e = _convention_exponent(params, n)
     k, q = params.k, params.q
-    out: list[np.ndarray] = []
+    unit = 1.0          # median deviations are cell sums: times |cell|
     if k == 0:
         dens = np.abs(f.values_nd) ** q * f.cell_measure
-        for lvl, S in enumerate(level_integrals(dens, n, L)):
-            meas = 2.0 ** (-n * lvl)
-            out.append((meas ** e) * np.asarray(S).ravel() ** (1.0 / q))
+        errs = [S.ravel() ** (1.0 / q) for S in level_integrals(dens, n, L)]
     elif k == 1 and q == 1:
-        for lvl in range(L + 1):
-            _, dev = _median_rows(_level_blocks(f, lvl))
-            meas = 2.0 ** (-n * lvl)
-            out.append((meas ** e) * dev * f.cell_measure)
+        errs = [median_deviations(f.values, n, L, lvl)[1]
+                for lvl in range(L + 1)]
+        unit = f.cell_measure
     else:
-        for lvl in range(L + 1):
-            meas = 2.0 ** (-n * lvl)
-            vals = np.array([
-                poly_error(f, c, k, q)
-                for c in iter_cubes(L, n) if c.level == lvl
-            ])
-            out.append((meas ** e) * vals)
-    return out
+        flat = np.array([poly_error(f, c, k, q) for c in iter_cubes(L, n)])
+        errs = np.split(flat, level_offsets(L, n)[1:-1])
+    return [(2.0 ** (-n * lvl)) ** e * err * unit
+            for lvl, err in enumerate(errs)]
 
 
 def _scaled_flat(f: GridFunction, params: NormParams) -> np.ndarray:
     """Scaled errors in breadth-first cube order."""
     return np.concatenate(scaled_error_levels(f, params))
+
+
+def _cube_measures(dimension: int, depth: int) -> np.ndarray:
+    """``|Q|`` of every cube in breadth-first order."""
+    return np.concatenate([
+        np.full(1 << (dimension * lvl), 2.0 ** (-dimension * lvl))
+        for lvl in range(depth + 1)
+    ])
 
 
 # -- packing supremum ---------------------------------------------------------
@@ -244,13 +248,8 @@ def packing_sup_norm(f: GridFunction, params: NormParams) -> NormReport:
             lvl_scaled ** p * 2.0 ** (-n * lvl)
             for lvl, lvl_scaled in enumerate(scaled)
         ]
-        best = weights[L].copy()
-        child_sums: list[np.ndarray | None] = [None] * (L + 1)
-        for lvl in range(L - 1, -1, -1):
-            kids = _sibling_sums(best, n)
-            child_sums[lvl] = kids
-            best = np.maximum(weights[lvl], kids)
-        value = float(best[0]) ** (1.0 / p)
+        total, child_sums = packing_dp(weights, n)
+        value = float(total) ** (1.0 / p)
         # witness: top-down over cubes not yet covered, each taking itself
         # when its own weight ties or beats its children's best
         picks = []
@@ -266,15 +265,24 @@ def packing_sup_norm(f: GridFunction, params: NormParams) -> NormReport:
     return NormReport(params, value, value, True, witness)
 
 
-def _sibling_sums(level_vals: np.ndarray, dimension: int) -> np.ndarray:
-    """Sum flat row-major level values over sibling groups (the parent's
-    children), giving the flat row-major array one level up."""
-    if dimension == 1:
-        return level_vals.reshape(-1, 2).sum(axis=1)
-    side = int(math.isqrt(level_vals.size))
-    half = side // 2
-    nd = level_vals.reshape(half, 2, half, 2)
-    return nd.sum(axis=(1, 3)).ravel()
+def packing_dp(weights: list[np.ndarray],
+               dimension: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Max-weight antichain of the cube tree, batched over leading axes.
+
+    ``weights[l]`` holds the level-``l`` cube weights flat row-major,
+    ``(..., 2**(n*l))``.  Returns the best antichain total per tree, before
+    any root is taken, and for each level ``l < L`` the sum of the best
+    totals below every cube's children, shaped like ``weights[l]``.
+    """
+    best = weights[-1]
+    child_sums: list[np.ndarray] = []
+    for lvl in range(len(weights) - 2, -1, -1):
+        w = weights[lvl]
+        grid = best.reshape(*w.shape[:-1], *(2 << lvl,) * dimension)
+        kids = sibling_sums(grid, dimension).reshape(w.shape)
+        child_sums.append(kids)
+        best = np.maximum(w, kids)
+    return best[..., 0], child_sums[::-1]
 
 
 def bmo_norm(f: GridFunction) -> float:
@@ -381,9 +389,7 @@ def sparse_norm_bounds(f: GridFunction, params: NormParams) -> NormReport:
         if val > lower:
             lower, witness = val, fam
     # singletons are sparse of every order: no children at all
-    meas = np.concatenate([
-        np.full(1 << (n * lvl), 2.0 ** (-n * lvl)) for lvl in range(L + 1)
-    ])
+    meas = _cube_measures(n, L)
     if math.isinf(params.p):
         single_vals = scaled
     else:
@@ -417,9 +423,7 @@ def garo_norm(f: GridFunction, p: float) -> NormReport:
     params = NormParams.jn(p)
     # E_1(f;Q)_1 per cube = scaled error of the JN parameters times |Q|
     scaled = _scaled_flat(f, params)
-    meas = np.concatenate([
-        np.full(1 << (n * lvl), 2.0 ** (-n * lvl)) for lvl in range(L + 1)
-    ])
+    meas = _cube_measures(n, L)
     errors = scaled * meas
     pprime_inv = 1.0 if math.isinf(p) else 1.0 - 1.0 / p
 
@@ -510,9 +514,16 @@ def rearrangement(f: GridFunction) -> Rearrangement:
 
 @dataclass(frozen=True)
 class RIFunctionals:
+    """Rearrangement functionals of ``source``; ``llogl`` runs its
+    bisection on first read, so callers that never read it never pay."""
+
     weak_lp: float
-    llogl: float
     bds: float
+    source: GridFunction = field(repr=False, compare=False)
+
+    @cached_property
+    def llogl(self) -> float:
+        return _luxemburg_llogl(self.source)
 
 
 def ri_functionals(f: GridFunction, p: float) -> RIFunctionals:
@@ -520,11 +531,12 @@ def ri_functionals(f: GridFunction, p: float) -> RIFunctionals:
 
     weak_lp = sup_t t^{1/p} f*(t), attained as t approaches block right
     endpoints.  llogl uses the Young function ``Phi(t) = t log(e + t)`` and
-    bisection to 1e-10.  bds evaluates ``f**(t) - f*(t+)`` at block endpoints
-    and midpoints (f* right-continuous; at t=1 the left limit) -- exhaustive
-    for step functions since f** - f* decreases between consecutive jumps.
-    All ``2m`` points come from one prefix sum: ``block`` is a power of two,
-    so every point falls exactly on a block midpoint or right endpoint.
+    bisection to 1e-10, run when ``llogl`` is first read.  bds evaluates
+    ``f**(t) - f*(t+)`` at block endpoints and midpoints (f* right-continuous;
+    at t=1 the left limit) -- exhaustive for step functions since f** - f*
+    decreases between consecutive jumps.  All ``2m`` points come from one
+    prefix sum: ``block`` is a power of two, so every point falls exactly on
+    a block midpoint or right endpoint.
     """
     if p <= 1:
         raise ValueError(f"weak-L^p needs p > 1, got {p}")
@@ -532,8 +544,6 @@ def ri_functionals(f: GridFunction, p: float) -> RIFunctionals:
     m = r.values.size
     rights = (np.arange(m) + 1) * r.block
     weak = float((rights ** (1.0 / p) * r.values).max())
-
-    llogl = _luxemburg_llogl(f)
 
     # f**(t) = (block * (sum of the first j values) + f*(t) * partial) / t
     b, v = r.block, r.values
@@ -544,7 +554,7 @@ def ri_functionals(f: GridFunction, p: float) -> RIFunctionals:
     after = np.append(v[1:], v[-1])     # f*(t+); the left limit at t = 1
     end_gap = through * b / rights - after
     bds = max(0.0, float(mid_gap.max()), float(end_gap.max()))
-    return RIFunctionals(weak, llogl, bds)
+    return RIFunctionals(weak, bds, f)
 
 
 def _luxemburg_llogl(f: GridFunction, tol: float = 1e-10) -> float:

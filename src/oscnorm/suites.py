@@ -5,6 +5,11 @@ relations, and reports aggregates plus named pass/fail assertions.  All the
 heavy lifting runs on stacked value matrices (one row per trial), so suites
 stay fast enough to act as calibration runs with thousands of grids.
 
+The rows go through the library's own kernels (``level_integrals``,
+``chain_max``, ``lp_rows``, ``median_deviations``, ``packing_dp``), which
+take any leading trial axes and give each row the bits of the single-grid
+call; only the final root is taken on arrays here and on scalars there.
+
 Reports serialize with sorted keys; rerunning a suite with the same
 configuration yields a byte-identical file.
 """
@@ -13,17 +18,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .families import family_tables
 from .generate import batch_uniform, log_singularity
 from .grid import GridFunction, tree_size
-from .maximal import lp_norm, maximal_opnorm_bound
-from .norms import (NormParams, _luxemburg_llogl, _median_rows, bmo_norm,
-                    garo_norm, packing_sup_norm, ri_functionals,
-                    sparse_norm_bounds, sparse_sup_exhaustive)
+from .maximal import (chain_max, level_integrals, lp_norm, lp_rows,
+                      maximal_opnorm_bound)
+from .norms import (NormParams, _luxemburg_llogl, bmo_norm, garo_norm,
+                    median_deviations, packing_dp, packing_sup_norm,
+                    ri_functionals, sparse_norm_bounds, sparse_sup_exhaustive)
 
 __all__ = ["SUITE_NAMES", "SuiteConfig", "SuiteReport", "run_suite"]
 
@@ -86,27 +92,13 @@ def _assertion(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-# -- batched primitives (one row per trial) ----------------------------------
+# -- batched helpers (one row per trial) -------------------------------------
 
-def _blocks(V: np.ndarray, n: int, L: int, level: int) -> np.ndarray:
-    """Cell values grouped by level cube: (trials*cubes, cells_per_cube)."""
-    T = V.shape[0]
-    if n == 1:
-        return V.reshape(T * (1 << level), -1)
-    s = 1 << level
-    b = 1 << (L - level)
-    nd = V.reshape(T, s, b, s, b)
-    return nd.transpose(0, 1, 3, 2, 4).reshape(T * s * s, b * b)
-
-
-def _e1_levels(V: np.ndarray, n: int, L: int) -> list[np.ndarray]:
-    """E_1(f;Q)_1 for every cube, one (trials, cubes) matrix per level."""
-    cell_meas = 2.0 ** (-n * L)
-    out = []
-    for lvl in range(L + 1):
-        _, dev = _median_rows(_blocks(V, n, L, lvl))
-        out.append(dev.reshape(V.shape[0], -1) * cell_meas)
-    return out
+def _maximal_rows(resid: np.ndarray, n: int, L: int, lam: float) -> np.ndarray:
+    """Fractional maximal function (q = 1) of each flat row of cells."""
+    T = resid.shape[0]
+    dens = (resid * 2.0 ** (-n * L)).reshape(T, *(1 << L,) * n)
+    return chain_max(level_integrals(dens, n, L), n, 1, lam).reshape(T, -1)
 
 
 def _scaled_flat_e1(e1: list[np.ndarray], n: int, exponent: float) -> np.ndarray:
@@ -115,59 +107,12 @@ def _scaled_flat_e1(e1: list[np.ndarray], n: int, exponent: float) -> np.ndarray
     return np.concatenate(cols, axis=1)
 
 
-def _level_sums(dens: np.ndarray, n: int, L: int) -> list[np.ndarray]:
-    """Integrals over every cube from per-cell integrals (trials leading)."""
-    T = dens.shape[0]
-    levels: list[np.ndarray] = [np.empty(0)] * (L + 1)
-    cur = dens if n == 1 else dens.reshape(T, 1 << L, 1 << L)
-    levels[L] = cur
-    for lvl in range(L - 1, -1, -1):
-        if n == 1:
-            cur = cur.reshape(T, -1, 2).sum(axis=2)
-        else:
-            m = 1 << lvl
-            cur = cur.reshape(T, m, 2, m, 2).sum(axis=(2, 4))
-        levels[lvl] = cur
-    return levels
-
-
-def _chain_max(levels: list[np.ndarray], n: int, q: int,
-               lam: float) -> np.ndarray:
-    """Batched fractional maximal function over ancestor chains."""
-    run: np.ndarray | None = None
-    for lvl, S in enumerate(levels):
-        meas = 2.0 ** (-n * lvl)
-        val = (meas ** (lam / n - 1.0) * S) ** (1.0 / q)
-        if run is None:
-            run = val
-        else:
-            for ax in range(1, n + 1):
-                run = np.repeat(run, 2, axis=ax)
-            run = np.maximum(run, val)
-    assert run is not None
-    return run.reshape(run.shape[0], -1)
-
-
-def _lp_rows(V: np.ndarray, p: float, cell_meas: float) -> np.ndarray:
-    if math.isinf(p):
-        return np.abs(V).max(axis=1)
-    return ((np.abs(V) ** p).sum(axis=1) * cell_meas) ** (1.0 / p)
-
-
-def _packing_dp_rows(weights: list[np.ndarray], n: int, p: float) -> np.ndarray:
-    """Batched max-weight-antichain totals ** (1/p)."""
-    best = weights[-1]
-    for lvl in range(len(weights) - 2, -1, -1):
-        T = best.shape[0]
-        if n == 1:
-            kids = best.reshape(T, -1, 2).sum(axis=2)
-        else:
-            side = int(math.isqrt(best.shape[1]))
-            half = side // 2
-            kids = best.reshape(T, half, 2, half, 2).sum(axis=(2, 4))
-            kids = kids.reshape(T, -1)
-        best = np.maximum(weights[lvl], kids)
-    return best[:, 0] ** (1.0 / p)
+def _packing_rows(errors: list[np.ndarray], n: int, p: float) -> np.ndarray:
+    """Per row, ``(max over packings of sum |Q|^{1-p} E(Q)^p)^{1/p}`` from
+    one (trials, cubes) error matrix per level."""
+    weights = [(2.0 ** (-n * lvl)) ** (1.0 - p) * e ** p
+               for lvl, e in enumerate(errors)]
+    return packing_dp(weights, n)[0] ** (1.0 / p)
 
 
 def _chunks(trials: int, width: int):
@@ -187,14 +132,11 @@ def _suite_riesz(cfg: SuiteConfig) -> SuiteReport:
     p_list = (1.0, 2.0, 4.0)
     max_rel = 0.0
     rows = []
-    dens_levels = _level_sums(np.abs(V) * cell_meas, n, L)
+    dens = (np.abs(V) * cell_meas).reshape(V.shape[0], *(1 << L,) * n)
+    e0 = [S.reshape(V.shape[0], -1) for S in level_integrals(dens, n, L)]
     for p in p_list:
-        weights = [
-            (S.reshape(S.shape[0], -1)) ** p * (2.0 ** (-n * lvl)) ** (1.0 - p)
-            for lvl, S in enumerate(dens_levels)
-        ]
-        packing = _packing_dp_rows(weights, n, p)
-        direct = _lp_rows(V, p, cell_meas)
+        packing = _packing_rows(e0, n, p)
+        direct = lp_rows(V, p, cell_meas)
         rel = np.abs(packing - direct) / np.maximum(direct, 1e-300)
         max_rel = max(max_rel, float(rel.max()))
         for t in range(min(cfg.trials, _MAX_ROWS // len(p_list) + 1)):
@@ -228,11 +170,11 @@ def _suite_sparse_jn(cfg: SuiteConfig) -> SuiteReport:
     cell_meas = 2.0 ** (-n * L)
     tables = family_tables(n, L, 1.0)
     n_fam = tables.core_meas.shape[0]
-    e1 = _e1_levels(V, n, L)
+    med_dev = [median_deviations(V, n, L, lvl) for lvl in range(L + 1)]
+    e1 = [dev * cell_meas for _, dev in med_dev]
     scaled = _scaled_flat_e1(e1, n, -1.0)       # |Q|^{-1} E_1
-    med = np.sort(V, axis=1)[:, (V.shape[1] - 1) // 2]
-    resid = np.abs(V - med[:, None])
-    mx = _chain_max(_level_sums(resid * cell_meas, n, L), n, 1, 0.0)
+    resid = np.abs(V - med_dev[0][0])           # the root median
+    mx = _maximal_rows(resid, n, L, 0.0)
 
     p_list = (1.0, 2.0, 4.0)
     factor_two_viol = 0
@@ -242,7 +184,8 @@ def _suite_sparse_jn(cfg: SuiteConfig) -> SuiteReport:
     sjn_by_p: dict[float, np.ndarray] = {}
     for p in p_list:
         sp = scaled ** p
-        bound = 2.0 * _lp_rows(mx, p, cell_meas)
+        mx_p = lp_rows(mx, p, cell_meas)
+        bound = 2.0 * mx_p
         core_max = np.empty(T)
         for t0, t1 in _chunks(T, n_fam):
             core = (sp[t0:t1] @ tables.core_meas.T) ** (1.0 / p)
@@ -254,8 +197,7 @@ def _suite_sparse_jn(cfg: SuiteConfig) -> SuiteReport:
         excess = core_max - bound
         factor_two_viol += int((excess > 1e-10).sum())
         max_excess = max(max_excess, float(excess.max()))
-        ratio_max[f"p={p:g}"] = float((_lp_rows(mx, p, cell_meas)
-                                       / (p * core_max)).max())
+        ratio_max[f"p={p:g}"] = float((mx_p / (p * core_max)).max())
 
     mean = V.mean(axis=1)
     n_ll = min(T, 500)   # the bisection is per-grid; cap the slow part
@@ -345,7 +287,8 @@ def _suite_fractional_sv(cfg: SuiteConfig) -> SuiteReport:
     V = batch_uniform(n, L, cfg.seed, cfg.trials)
     T = V.shape[0]
     cell_meas = 2.0 ** (-n * L)
-    e1 = _e1_levels(V, n, L)
+    e1 = [median_deviations(V, n, L, lvl)[1] * cell_meas
+          for lvl in range(L + 1)]
     mean = V.mean(axis=1)
     resid = np.abs(V - mean[:, None])
     p_list = (1.0, 2.0, 4.0)
@@ -359,7 +302,7 @@ def _suite_fractional_sv(cfg: SuiteConfig) -> SuiteReport:
         t_frac = family_tables(n, L, order)
         t_full = family_tables(n, L, 1.0)
         scaled = _scaled_flat_e1(e1, n, lam / n - 1.0)
-        mx = _chain_max(_level_sums(resid * cell_meas, n, L), n, 1, lam)
+        mx = _maximal_rows(resid, n, L, lam)
         for p in p_list:
             sp = scaled ** p
             svt = np.empty(T)
@@ -369,7 +312,7 @@ def _suite_fractional_sv(cfg: SuiteConfig) -> SuiteReport:
                               ** (1.0 / p)).max(axis=1)
                 sv[t0:t1] = ((sp[t0:t1] @ t_full.core_meas.T)
                              ** (1.0 / p)).max(axis=1)
-            bound = 2.0 * _lp_rows(mx, p, cell_meas)
+            bound = 2.0 * lp_rows(mx, p, cell_meas)
             viol_nest += int((svt > sv + 1e-12).sum())
             viol_upper += int((svt > bound + 1e-10).sum())
             if lam > 0 and p == 2.0:
@@ -458,16 +401,15 @@ def _suite_sobolev_chain(cfg: SuiteConfig) -> SuiteReport:
     T = V.shape[0]
     cell_meas = 2.0 ** (-n * L)
     tables = family_tables(n, L, 1.0)
-    e1 = _e1_levels(V, n, L)
+    e1 = [median_deviations(V, n, L, lvl)[1] * cell_meas
+          for lvl in range(L + 1)]
     scaled_q = _scaled_flat_e1(e1, n, lam / n - 1.0)   # |Q|^{lam/n - 1} E_1
     scaled_p = _scaled_flat_e1(e1, n, -1.0)            # |Q|^{-1} E_1
     mean = V.mean(axis=1)
     resid = np.abs(V - mean[:, None])
-    m_lam = _chain_max(_level_sums(resid * cell_meas, n, L), n, 1, lam)
-    m_zero = _chain_max(_level_sums(resid * cell_meas, n, L), n, 1, 0.0)
-    m_lam_q = _lp_rows(m_lam, q, cell_meas)
-    m_zero_p = _lp_rows(m_zero, p, cell_meas)
-    fp = _lp_rows(V - mean[:, None], p, cell_meas)
+    m_lam_q = lp_rows(_maximal_rows(resid, n, L, lam), q, cell_meas)
+    m_zero_p = lp_rows(_maximal_rows(resid, n, L, 0.0), p, cell_meas)
+    fp = lp_rows(V - mean[:, None], p, cell_meas)
 
     viol = {name: 0 for name in
             ("core-below-weighted", "sequence-embedding",
@@ -522,7 +464,8 @@ def _suite_embedding_chain(cfg: SuiteConfig) -> SuiteReport:
     sparse = family_tables(n, L, 1.0)
     member = (pack.cube_meas > 0).astype(np.float64)
     fam_meas = pack.cube_meas.sum(axis=1)
-    e1 = _e1_levels(V, n, L)
+    e1 = [median_deviations(V, n, L, lvl)[1] * cell_meas
+          for lvl in range(L + 1)]
     e1_flat = _scaled_flat_e1(e1, n, 0.0)
     scaled = _scaled_flat_e1(e1, n, -1.0)
     mean = V.mean(axis=1)
@@ -538,11 +481,7 @@ def _suite_embedding_chain(cfg: SuiteConfig) -> SuiteReport:
     for p in p_list:
         dens = fam_meas ** (1.0 - 1.0 / p)
         garo = (nums / dens).max(axis=1)
-        weights = [
-            (2.0 ** (-n * lvl)) ** (1.0 - p) * e ** p
-            for lvl, e in enumerate(e1)
-        ]
-        jn = _packing_dp_rows(weights, n, p)
+        jn = _packing_rows(e1, n, p)
         sp = scaled ** p
         sjn = np.empty(T)
         for t0, t1 in _chunks(T, sparse.core_meas.shape[0]):

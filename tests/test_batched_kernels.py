@@ -1,0 +1,100 @@
+"""Each batched kernel on stacked ``(trials, ...)`` input against the
+single-grid call on every row, bit for bit.
+
+The library calls these kernels on one grid and the verification suites on
+one row per trial; suite reports stay byte-identical only while the two
+agree exactly.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oscnorm.grid import GridFunction
+from oscnorm.maximal import chain_max, level_integrals, lp_norm, lp_rows
+from oscnorm.norms import median_deviations, packing_dp
+
+SHAPES = st.sampled_from([(1, 0), (1, 1), (1, 3), (1, 6), (2, 0), (2, 1),
+                          (2, 2), (2, 4)])
+
+
+def _stack(seed, n, depth, trials, dist="uniform"):
+    rng = np.random.default_rng(seed)
+    size = (trials, 1 << (n * depth))
+    if dist == "ties":
+        return rng.integers(-2, 3, size).astype(float)
+    return rng.lognormal(0.0, 1.5, size) * rng.choice([-1.0, 1.0], size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1), SHAPES, st.integers(1, 5),
+       st.sampled_from([1, 2]), st.floats(0.0, 0.99))
+def test_level_sums_and_chain_max_rowwise(seed, shape, trials, q, lam_frac):
+    n, depth = shape
+    lam = lam_frac * n
+    V = _stack(seed, n, depth, trials)
+    dens = np.abs(V.reshape(trials, *(1 << depth,) * n)) ** q
+    batched = level_integrals(dens, n, depth)
+    run = chain_max(batched, n, q, lam)
+    for t in range(trials):
+        single = level_integrals(dens[t], n, depth)
+        assert len(single) == len(batched) == depth + 1
+        for lvl, (b, s) in enumerate(zip(batched, single)):
+            assert b[t].shape == s.shape == (1 << lvl,) * n
+            assert np.array_equal(b[t], s)
+        assert np.array_equal(run[t], chain_max(single, n, q, lam))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1), SHAPES, st.integers(1, 5),
+       st.sampled_from([1.0, 4.0 / 3.0, 2.0, 4.0, math.inf]))
+def test_lp_rows_rowwise(seed, shape, trials, p):
+    n, depth = shape
+    V = _stack(seed, n, depth, trials)
+    cell = 2.0 ** (-n * depth)
+    batched = lp_rows(V, p, cell)
+    assert batched.shape == (trials,)
+    for t in range(trials):
+        # a one-row stack takes the array root, exactly as the batch does
+        assert batched[t] == lp_rows(V[t:t + 1], p, cell)[0]
+        # a single flat grid roots a NumPy scalar, as ``**`` on a Python
+        # float would; the array root may differ from it in the last bit
+        single = lp_norm(GridFunction(n, depth, V[t]), p)
+        assert single == float(lp_rows(V[t], p, cell))
+        assert abs(batched[t] - single) <= np.spacing(single)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1), SHAPES, st.integers(1, 5),
+       st.sampled_from(["uniform", "ties"]))
+def test_median_deviations_rowwise(seed, shape, trials, dist):
+    n, depth = shape
+    V = _stack(seed, n, depth, trials, dist)
+    for lvl in range(depth + 1):
+        med, dev = median_deviations(V, n, depth, lvl)
+        assert med.shape == dev.shape == (trials, 1 << (n * lvl))
+        for t in range(trials):
+            single_med, single_dev = median_deviations(V[t], n, depth, lvl)
+            assert np.array_equal(med[t], single_med)
+            assert np.array_equal(dev[t], single_dev)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1), SHAPES, st.integers(1, 5),
+       st.sampled_from(["uniform", "ties"]))
+def test_packing_dp_rowwise(seed, shape, trials, dist):
+    n, depth = shape
+    rng = np.random.default_rng(seed)
+    weights = [np.abs(_stack(int(rng.integers(2 ** 16)), n, lvl, trials, dist))
+               for lvl in range(depth + 1)]
+    totals, kids = packing_dp(weights, n)
+    assert totals.shape == (trials,)
+    assert len(kids) == depth
+    for t in range(trials):
+        single_total, single_kids = packing_dp([w[t] for w in weights], n)
+        assert totals[t] == single_total
+        for b, s, w in zip(kids, single_kids, weights):
+            assert b.shape == w.shape
+            assert np.array_equal(b[t], s)

@@ -1,9 +1,12 @@
-"""Golden sha256 digests of ``oscnorm compute`` reports.
+"""Golden sha256 digests of ``oscnorm compute`` and suite reports.
 
-The digests pin the full JSON bytes (values, witnesses, key order) of five
-functionals on four seeded grids.  They were recorded before the cube
-families became array-native and must not move under refactors that keep
-the mathematics fixed.
+The compute digests pin the full JSON bytes (values, witnesses, key order)
+of five functionals on four seeded grids.  They were recorded before the
+cube families became array-native.  The suite digests pin the reports of
+the benchmark's oracle-suite configurations at small trial counts plus a
+small ``sv-equivalence`` run; they were recorded before the suites moved
+onto the library's batched kernels.  Neither may move under refactors that
+keep the mathematics fixed.
 """
 
 import hashlib
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 
 from oscnorm.cli import main
+from oscnorm.suites import SuiteConfig, run_suite
 
 GRIDS = {
     "1d-uniform": (1, 10, "uniform", 101),
@@ -98,3 +102,46 @@ def compute_digest(grid: str, op: str) -> str:
 def test_compute_report_bytes_pinned(grid, op, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert compute_digest(grid, op) == GOLDEN[grid, op]
+
+
+SUITES = {
+    "embedding-chain-1d": ("embedding-chain", 1, 3, 40),
+    "fractional-sv-1d": ("fractional-sv", 1, 3, 40),
+    "jn-extrapolation-1d": ("jn-extrapolation", 1, 14, 1),
+    "riesz-1d": ("riesz", 1, 12, 4),
+    "riesz-2d": ("riesz", 2, 6, 4),
+    "sobolev-chain-1d": ("sobolev-chain", 1, 3, 40),
+    "sparse-jn-1d": ("sparse-jn", 1, 3, 40),
+    "sparse-jn-2d": ("sparse-jn", 2, 1, 40),
+    "sv-equivalence-1d": ("sv-equivalence", 1, 2, 8),
+}
+
+SUITE_GOLDEN = {
+    "embedding-chain-1d":
+        "3118a5d416aa50c075c43e08b9d0add6a579e3dff29306caf355ecac88f68d24",
+    "fractional-sv-1d":
+        "fc04e2c763f072c7554274bc2e8c39a47c783562f04b8955c1f34f0c3f76a693",
+    "jn-extrapolation-1d":
+        "6a8467baf3b97b5e19002b4099c001d995a9a51a6984520c5db404097b8f72be",
+    "riesz-1d":
+        "e8123d7c4d9965d4d50688de8dd2c1a3f5fb7a00fdbc8283e5f6e7c374ef7aca",
+    "riesz-2d":
+        "6d9697afc94cce9608fd09a9d6e1267fffa988edb88288e305f983007d7d43a2",
+    "sobolev-chain-1d":
+        "093b2a9f51b5a1af52d1cd12794139dd8e332373bb259b0b77237461216656e3",
+    "sparse-jn-1d":
+        "f90f7729f2a45c2bf1909a563240da5d94439733e6ef588cdfff097c50ec9ae1",
+    "sparse-jn-2d":
+        "e1049bf74a9980a179024d53ee15463dd0c87d2243fd1f1aa607374471288ac5",
+    "sv-equivalence-1d":
+        "f2f6b76e36fe83115a114f3b870dc7da5d657f6f3c08056871492fadc310fc38",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_report_bytes_pinned(name):
+    suite, dimension, depth, trials = SUITES[name]
+    report = run_suite(SuiteConfig(suite=suite, dimension=dimension,
+                                   depth=depth, trials=trials, seed=3))
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == SUITE_GOLDEN[name]

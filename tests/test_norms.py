@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscnorm import norms
 from oscnorm.families import antichain_value_max, validate
 from oscnorm.grid import CubeId, GridFunction, cube_index, iter_cubes
 from oscnorm.norms import (NormParams, NormReport, bmo_norm, family_value,
@@ -288,6 +289,18 @@ def test_llogl_scales_linearly():
     assert b == pytest.approx(3.0 * a, rel=1e-8)
     zero = GridFunction(1, 1, [0.0, 0.0])
     assert ri_functionals(zero, 2.0).llogl == 0.0
+
+
+def test_weak_lp_skips_the_llogl_bisection(monkeypatch):
+    def refuse(f, tol=1e-10):
+        raise AssertionError("the L log L gauge was computed")
+
+    monkeypatch.setattr(norms, "_luxemburg_llogl", refuse)
+    out = ri_functionals(FOUR, 2.0)
+    assert out.weak_lp == pytest.approx(math.sqrt(3.0))
+    assert out.bds == pytest.approx(4.0 / 3.0)
+    with pytest.raises(AssertionError, match="gauge"):
+        out.llogl
 
 
 @settings(max_examples=30, deadline=None)
