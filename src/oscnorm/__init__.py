@@ -7,8 +7,7 @@ rearrangement-invariant functionals, plus seeded verification suites and a
 command-line front end.
 """
 
-from .families import (CubeFamily, SparsityViolation, cz_family,
-                       enumerate_families, validate)
+from .families import CubeFamily, SparsityViolation, cz_family, validate
 from .generate import GENERATOR_NAMES, generate
 from .grid import CubeId, GridFunction, average, children, cube_index, moment
 from .local_poly import (PolyFit, best_fit, mean_oscillation, poly_error,
@@ -26,9 +25,9 @@ __all__ = [
     "CubeFamily", "CubeId", "GENERATOR_NAMES", "GridFunction",
     "MaximalResult", "NormParams", "NormReport", "PolyFit", "Rearrangement",
     "RIFunctionals", "SparsityViolation", "average", "best_fit", "bmo_norm",
-    "children", "cube_index", "cz_family", "enumerate_families",
-    "family_value", "fractional_maximal", "garo_norm", "generate",
-    "lp_norm", "maximal_opnorm_bound", "mean_oscillation", "moment",
+    "children", "cube_index", "cz_family", "family_value",
+    "fractional_maximal", "garo_norm", "generate", "lp_norm",
+    "maximal_opnorm_bound", "mean_oscillation", "moment",
     "packing_sup_norm", "poly_error", "rearrangement", "ri_functionals",
     "scaled_error", "sparse_norm_bounds", "sparse_sup_exhaustive",
     "validate", "__version__",

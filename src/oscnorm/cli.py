@@ -21,6 +21,7 @@ import json
 import math
 import sys
 
+from .families import SUBSET_NODE_CAP
 from .grid import GridFunction, tree_size
 from .maximal import fractional_maximal
 from .norms import (NormParams, garo_norm, packing_sup_norm, ri_functionals,
@@ -107,9 +108,10 @@ def _run_compute(args: argparse.Namespace) -> int:
     elif args.norm in ("sjn", "sv", "svt"):
         params = _compute_params(args, f.dimension)
         if args.mode == "exact":
-            if tree_size(f.depth, f.dimension) > 15:
-                print("error: exact sparse evaluation needs <= 15 tree "
-                      "nodes; rerun with --mode bounds", file=sys.stderr)
+            if tree_size(f.depth, f.dimension) > SUBSET_NODE_CAP:
+                print("error: exact sparse evaluation needs <= "
+                      f"{SUBSET_NODE_CAP} tree nodes; rerun with --mode bounds",
+                      file=sys.stderr)
                 return 2
             rep = sparse_sup_exhaustive(f, params)
         else:
@@ -118,8 +120,8 @@ def _run_compute(args: argparse.Namespace) -> int:
     elif args.norm == "garo":
         rep = garo_norm(f, args.p)
         if args.mode == "exact" and not rep.exact:
-            print("error: exact evaluation needs <= 15 tree nodes; "
-                  "rerun with --mode bounds", file=sys.stderr)
+            print(f"error: exact evaluation needs <= {SUBSET_NODE_CAP} tree "
+                  "nodes; rerun with --mode bounds", file=sys.stderr)
             return 2
         payload.update(rep.to_json_dict())
     else:  # weaklp / llogl

@@ -12,18 +12,16 @@ weak sparseness; packings are sparse of every order (no children at all).
 
 Families are arrays over the breadth-first cube numbering of
 :func:`~oscnorm.grid.cube_index`: member numbers, the position of each
-member's nearest member ancestor, and integer core cell counts.  Validation
-is one top-down sweep over the levels, and the Calderon-Zygmund stopping
-time is a level sweep over dyadic averages; :class:`CubeId` appears only at
-the API and JSON edge.
-
-Alongside the object-level API (:func:`validate`, :func:`enumerate_families`,
-:func:`cz_family`) this module provides the flat oracle machinery used by the
-exhaustive norm evaluators: bitmask subset enumeration over the breadth-first
-numbering (node counts <= 15), cached per-family measure matrices for
-vectorised evaluation, and exhaustive antichain *value* tables via recursive
-cross-sums (node counts <= 63, where streaming every antichain one by one
-would be hopeless but the multiset of achievable totals is small).
+member's nearest member ancestor, and integer core cell counts.  One
+classifier decides all three classes: a top-down sweep over the levels finds
+every member's nearest member ancestor, child sums follow by
+``np.bincount``, and the conditions are checked per member.  It runs on any
+number of member sets at once, each a row: :func:`validate_index` is the
+one-row call, and :func:`family_tables` classifies every nonempty subset of
+a tree of at most ``SUBSET_NODE_CAP`` nodes in a single call, giving the
+cached measure matrices behind the exhaustive norm evaluators.  The
+Calderon-Zygmund stopping time (:func:`cz_family`) is a level sweep over
+dyadic averages; :class:`CubeId` appears only at the API and JSON edge.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import (CubeId, GridFunction, children, cube_index, iter_cubes,
+from .grid import (CubeId, GridFunction, cube_index, cube_measures, iter_cubes,
                    level_offsets, tree_size)
 from .maximal import level_integrals, refine
 
@@ -42,15 +40,13 @@ __all__ = [
     "SparsityViolation",
     "validate",
     "validate_index",
-    "enumerate_families",
     "cz_family",
-    "antichain_value_max",
+    "family_tables",
+    "SUBSET_NODE_CAP",
 ]
 
 COMPARE_TOL = 1e-12
-_SUBSET_NODE_CAP = 15
-_ANTICHAIN_NODE_CAP = 63
-_VALUE_TABLE_CAP = 2_000_000
+SUBSET_NODE_CAP = 15    # tree nodes up to which every subset is classified
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +90,8 @@ class CubeFamily:
 
     @cached_property
     def core_cells(self) -> dict[CubeId, tuple[int, ...]]:
-        _, owner = _sweep(self.index, self.dimension, self.depth, self.depth)
+        _, (owner,) = _sweep(np.zeros_like(self.index), self.index, 1,
+                             self.dimension, self.depth, self.depth)
         # cells grouped by owning member, ascending within each group
         cells = np.argsort(owner, kind="stable")[np.count_nonzero(owner < 0):]
         split = np.split(cells, np.cumsum(self.core_counts)[:-1])
@@ -143,29 +140,76 @@ def _levels_coords(index: np.ndarray, dimension: int,
     return level.tolist(), coords.tolist()
 
 
-def _sweep(index: np.ndarray, dimension: int, depth: int,
-           stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """One top-down pass over levels ``0..stop`` carrying, for every cube,
-    the position of the deepest member containing it (-1 for none).
+def _sweep(rows: np.ndarray, index: np.ndarray, n_rows: int, dimension: int,
+           depth: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """One top-down pass over levels ``0..stop`` carrying, for every row and
+    every cube, the position of the deepest member of that row containing it
+    (-1 for none).
 
-    Returns each member's parent position (the nearest member strictly
+    Member ``i`` is cube ``index[i]`` of row ``rows[i]``; ``index`` is
+    ascending, and a row lists each cube at most once.  Returns each
+    member's parent position (the nearest member of its row strictly
     containing it; members must lie at levels ``<= stop``) and the carried
-    map at level ``stop``, flat row-major.
+    map at level ``stop``, ``(n_rows, cells)`` with the cells flat row-major.
+    The map is indexed by flat keys ``row * cells + rank``.  It holds only
+    -1 down to the first member's level, so the pass starts there and the
+    members of that level have no parent.
     """
     offsets = level_offsets(depth, dimension)
     bounds = np.searchsorted(index, offsets)
+    first = int(np.searchsorted(offsets, index[0], side="right")) - 1
     parent = np.full(index.size, -1, dtype=np.int64)
-    near = np.full((1,) * dimension, -1, dtype=np.int64)
-    for lvl in range(stop + 1):
-        if lvl:
+    near = np.full((n_rows,) + (1 << first,) * dimension, -1, dtype=np.int64)
+    for lvl in range(first, stop + 1):
+        if lvl > first:
             near = refine(near, dimension)
         lo, hi = bounds[lvl], bounds[lvl + 1]
         if lo < hi:
             flat = near.reshape(-1)          # a view: writes land in near
-            rank = index[lo:hi] - offsets[lvl]
-            parent[lo:hi] = flat[rank]
-            flat[rank] = np.arange(lo, hi)
-    return parent, near.reshape(-1)
+            key = rows[lo:hi] << (dimension * lvl)
+            key += index[lo:hi]
+            key -= offsets[lvl]
+            if lvl > first:
+                parent[lo:hi] = flat[key]
+            flat[key] = np.arange(lo, hi)
+    return parent, near.reshape(n_rows, -1)
+
+
+def _classify(rows: np.ndarray, index: np.ndarray, n_rows: int, order,
+              dimension: int, depth: int) -> tuple[np.ndarray, ...]:
+    """The class condition for every member of every row at once.
+
+    Members are laid out as for :func:`_sweep`.  Children and their measure
+    sums come from ``np.bincount`` over the members in order, so each
+    member's children are summed in breadth-first order, as a loop over a
+    row's members would.  Returns the parent positions, the core cell counts
+    and, per member, whether it breaks the condition of ``order`` with the
+    two sides of that condition.
+    """
+    n, m = dimension, index.size
+    per_level = np.diff(np.searchsorted(index, level_offsets(depth, n)))
+    level = np.repeat(np.arange(depth + 1), per_level)
+    parent, _ = _sweep(rows, index, n_rows, n, depth, int(level[-1]))
+    has = parent >= 0
+    kids = parent[has]
+    size = np.left_shift(1, n * (depth - np.arange(depth + 1)))[level]
+    core = size - np.bincount(kids, weights=size[has],
+                              minlength=m).astype(np.int64)
+    meas = [2.0 ** (-n * lvl) for lvl in range(depth + 1)]
+    if order == "packing":
+        lhs = np.bincount(kids, minlength=m)     # children per member
+        rhs = np.zeros(m)
+        bad = core < size                        # any children at all
+    elif order == "weak":
+        lhs = 0.5 * np.array(meas)[level]
+        rhs = core * 2.0 ** (-n * depth)
+        bad = rhs < lhs - COMPARE_TOL
+    else:
+        pw = np.array([mu ** float(order) for mu in meas])[level]
+        lhs = np.bincount(kids, weights=pw[has], minlength=m)
+        rhs = 0.5 * pw
+        bad = lhs > rhs + COMPARE_TOL
+    return parent, core, bad, lhs, rhs
 
 
 def validate(family, order, *, dimension: int,
@@ -193,117 +237,27 @@ def validate(family, order, *, dimension: int,
 def validate_index(index: np.ndarray, order, *, dimension: int,
                    depth: int) -> CubeFamily | SparsityViolation:
     """:func:`validate` for a nonempty family given as ascending, distinct
-    breadth-first cube numbers (an int64 array), with no per-cube objects.
-
-    Children and their measure sums come from ``np.bincount`` over the
-    members in breadth-first order, the summation order of a loop over the
-    members.
-    """
-    if order not in ("packing", "weak"):
-        t = float(order)
-        if not 0.0 < t <= 1.0:
-            raise ValueError(f"sparseness order must lie in (0, 1], got {order}")
-    n, m = dimension, index.size
-    level = np.searchsorted(level_offsets(depth, n), index, side="right") - 1
-    parent, _ = _sweep(index, n, depth, int(level[-1]))
-    has = parent >= 0
-    kids = parent[has]
-    size = np.left_shift(1, n * (depth - level))
-    core = size - np.bincount(kids, weights=size[has],
-                              minlength=m).astype(np.int64)
-    meas = [2.0 ** (-n * lvl) for lvl in range(depth + 1)]
-
-    def cube(i: int) -> CubeId:
-        (lvl,), (coords,) = _levels_coords(index[i:i + 1], n, depth)
-        return CubeId(lvl, tuple(coords))
-
+    breadth-first cube numbers (an int64 array), with no per-cube objects:
+    the one-row call of the family classifier."""
+    order_val = None
     if order == "packing":
-        if kids.size:
-            first = int(kids.min())
-            return SparsityViolation(
-                cube(first), "packing (pairwise non-nested)",
-                float(np.count_nonzero(kids == first)), 0.0)
-        kind, order_val = "packing", None
+        kind, condition = "packing", "packing (pairwise non-nested)"
     elif order == "weak":
-        core_meas = core * 2.0 ** (-n * depth)
-        half = 0.5 * np.array(meas)[level]
-        bad = np.flatnonzero(core_meas < half - COMPARE_TOL)
-        if bad.size:
-            i = int(bad[0])
-            return SparsityViolation(
-                cube(i), "weak sparseness |E_Q| >= |Q|/2",
-                float(half[i]), float(core_meas[i]))
-        kind, order_val = "weakly_sparse", None
+        kind, condition = "weakly_sparse", "weak sparseness |E_Q| >= |Q|/2"
     else:
-        pw = np.array([mu ** t for mu in meas])[level]
-        lhs = np.bincount(kids, weights=pw[has], minlength=m)
-        rhs = 0.5 * pw
-        bad = np.flatnonzero(lhs > rhs + COMPARE_TOL)
-        if bad.size:
-            i = int(bad[0])
-            return SparsityViolation(
-                cube(i), f"sparse(order {t:g})", float(lhs[i]), float(rhs[i]))
-        kind, order_val = "sparse", t
-    return CubeFamily(n, depth, kind, order_val, index, parent, core)
-
-
-# -- enumeration -------------------------------------------------------------
-
-def enumerate_families(depth: int, dimension: int, order):
-    """Yield every nonempty family of the requested class, exactly once.
-
-    Full subset enumeration needs at most 15 tree nodes; families come out in
-    ascending order of their member bitmask over the breadth-first cube
-    numbering.  Packings alone are allowed up to 63 nodes through a recursive
-    antichain generator (deterministic order, documented as such).
-    """
-    nodes = tree_size(depth, dimension)
-    if order == "packing" and nodes > _SUBSET_NODE_CAP:
-        if nodes > _ANTICHAIN_NODE_CAP:
-            raise ValueError(
-                f"oracle scale exceeded: {nodes} nodes > {_ANTICHAIN_NODE_CAP}")
-        yield from _enumerate_antichains(depth, dimension)
-        return
-    if nodes > _SUBSET_NODE_CAP:
-        raise ValueError(
-            f"oracle scale exceeded: {nodes} nodes > {_SUBSET_NODE_CAP} "
-            "for full subset enumeration")
-    cubes = list(iter_cubes(depth, dimension))
-    for mask in range(1, 1 << nodes):
-        family = [cubes[i] for i in range(nodes) if mask >> i & 1]
-        result = validate(family, order, dimension=dimension, depth=depth)
-        if isinstance(result, CubeFamily):
-            yield result
-
-
-def _enumerate_antichains(depth, dimension):
-    root = CubeId(0, (0,) * dimension)
-
-    def walk(cube):
-        """Antichains of the subtree at ``cube``: the singleton, then unions
-        of child-subtree antichains."""
-        yield (cube,)
-        if cube.level >= depth:
-            return
-        kids = children(cube, depth)
-
-        def combos(i):
-            if i == len(kids):
-                yield ()
-                return
-            for rest in combos(i + 1):
-                yield rest
-                for sub in walk(kids[i]):
-                    yield sub + rest
-
-        for combo in combos(0):
-            if combo:
-                yield combo
-
-    for members in walk(root):
-        fam = validate(members, "packing", dimension=dimension, depth=depth)
-        assert isinstance(fam, CubeFamily)
-        yield fam
+        order_val = float(order)
+        if not 0.0 < order_val <= 1.0:
+            raise ValueError(f"sparseness order must lie in (0, 1], got {order}")
+        kind, condition = "sparse", f"sparse(order {order_val:g})"
+    one_row = np.broadcast_to(np.int64(0), index.shape)   # no allocation
+    parent, core, bad, lhs, rhs = _classify(one_row, index, 1, order,
+                                            dimension, depth)
+    if bad.any():
+        i = int(bad.argmax())
+        (lvl,), (coords,) = _levels_coords(index[i:i + 1], dimension, depth)
+        return SparsityViolation(CubeId(lvl, tuple(coords)), condition,
+                                 float(lhs[i]), float(rhs[i]))
+    return CubeFamily(dimension, depth, kind, order_val, index, parent, core)
 
 
 # -- Calderon-Zygmund stopping time ------------------------------------------
@@ -346,56 +300,6 @@ def cz_family(g: GridFunction, factor: float = 2.0) -> CubeFamily:
     return result
 
 
-# -- exhaustive antichain totals ----------------------------------------------
-
-def antichain_value_max(weights: np.ndarray, dimension: int,
-                        depth: int) -> float:
-    """Exact max of ``sum of w`` over all nonempty antichains, by exhausting
-    achievable totals.
-
-    ``weights`` (nonnegative, indexed by the breadth-first cube numbering)
-    are combined bottom-up: each subtree contributes the multiset {take the
-    root} plus {any combination of child-subtree choices}.  When the full
-    multiset would blow past the cap, only *maximal* antichains are kept,
-    which is lossless for the max under nonnegative weights: every antichain
-    extends to a maximal one without decreasing its total.
-    """
-    nodes = tree_size(depth, dimension)
-    if nodes > _ANTICHAIN_NODE_CAP:
-        raise ValueError(
-            f"oracle scale exceeded: {nodes} nodes > {_ANTICHAIN_NODE_CAP}")
-    w = np.asarray(weights, dtype=np.float64)
-    if w.size != nodes:
-        raise ValueError(f"need {nodes} weights, got {w.size}")
-    if np.any(w < 0):
-        raise ValueError("antichain totals need nonnegative weights")
-
-    maximal_only = _count_totals(depth, dimension, False) > _VALUE_TABLE_CAP
-
-    def totals(cube: CubeId) -> np.ndarray:
-        own = w[cube_index(cube, dimension)]
-        if cube.level >= depth:
-            return np.array([own]) if maximal_only else np.array([own, 0.0])
-        acc = None
-        for kid in children(cube, depth):
-            t = totals(kid)
-            acc = t if acc is None else np.add.outer(acc, t).ravel()
-        # full mode: acc keeps the all-children-empty 0, covering every
-        # antichain of the subtree; the overall empty set contributes 0,
-        # harmless under nonnegative weights.
-        return np.concatenate(([own], acc))
-
-    return float(totals(CubeId(0, (0,) * dimension)).max())
-
-
-@lru_cache(maxsize=None)
-def _count_totals(level_to_go: int, dimension: int, maximal_only: bool) -> int:
-    if level_to_go == 0:
-        return 1 if maximal_only else 2
-    sub = _count_totals(level_to_go - 1, dimension, maximal_only)
-    return 1 + sub ** (1 << dimension)
-
-
 # -- cached family tables for vectorised oracles ------------------------------
 
 @dataclass(frozen=True)
@@ -423,57 +327,22 @@ class FamilyTables:
 
 @lru_cache(maxsize=32)
 def family_tables(dimension: int, depth: int, order) -> FamilyTables:
-    """Enumerate once, evaluate many times: subset scan at <= 15 nodes."""
+    """Enumerate once, evaluate many times: every nonempty subset of the
+    tree (at most ``SUBSET_NODE_CAP`` nodes) is a row, and one classifier
+    call keeps the rows of the requested class, in ascending mask order."""
     nodes = tree_size(depth, dimension)
-    if nodes > _SUBSET_NODE_CAP:
+    if nodes > SUBSET_NODE_CAP:
         raise ValueError(
-            f"oracle scale exceeded: {nodes} nodes > {_SUBSET_NODE_CAP}")
-    cubes = list(iter_cubes(depth, dimension))
-    meas = np.array([c.measure for c in cubes])
-    anc: list[list[int]] = []
-    for c in cubes:
-        chain = []
-        walk = c
-        while walk.level > 0:
-            walk = walk.parent()
-            chain.append(cube_index(walk, dimension))
-        anc.append(chain)
-
-    t = None if order in ("packing", "weak") else float(order)
-    pow_meas = meas ** t if t is not None else meas
-
-    masks, core_rows, cube_rows = [], [], []
-    for mask in range(1, 1 << nodes):
-        members = [i for i in range(nodes) if mask >> i & 1]
-        parent = {}
-        for i in members:
-            for a in anc[i]:
-                if mask >> a & 1:
-                    parent[i] = a
-                    break
-        if order == "packing" and parent:
-            continue
-        core = meas.copy()
-        child_pow = np.zeros(nodes)
-        for i, pa in parent.items():
-            core[pa] -= meas[i]
-            child_pow[pa] += pow_meas[i]
-        ok = True
-        if order == "weak":
-            ok = all(core[i] >= 0.5 * meas[i] - COMPARE_TOL for i in members)
-        elif t is not None:
-            ok = all(child_pow[i] <= 0.5 * pow_meas[i] + COMPARE_TOL
-                     for i in members)
-        if not ok:
-            continue
-        row_core = np.zeros(nodes)
-        row_cube = np.zeros(nodes)
-        for i in members:
-            row_core[i] = core[i]
-            row_cube[i] = meas[i]
-        masks.append(mask)
-        core_rows.append(row_core)
-        cube_rows.append(row_cube)
-    return FamilyTables(dimension, depth, order,
-                        np.array(masks, dtype=np.int64),
-                        np.array(core_rows), np.array(cube_rows))
+            f"oracle scale exceeded: {nodes} nodes > {SUBSET_NODE_CAP}")
+    masks = np.arange(1, 1 << nodes, dtype=np.int64)
+    member = (masks >> np.arange(nodes)[:, None]) & 1      # (nodes, rows)
+    index, rows = np.nonzero(member)     # by cube number, then by row
+    _, core, bad, _, _ = _classify(rows, index, masks.size, order, dimension,
+                                   depth)
+    keep = np.ones(masks.size, dtype=bool)
+    keep[rows[bad]] = False
+    core_meas = np.zeros((masks.size, nodes))
+    core_meas[rows, index] = core * 2.0 ** (-dimension * depth)
+    cube_meas = member.T * cube_measures(depth, dimension)
+    return FamilyTables(dimension, depth, order, masks[keep], core_meas[keep],
+                        cube_meas[keep])

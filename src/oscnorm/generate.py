@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import _MAX_CELLS, GridFunction
 
 __all__ = ["GENERATOR_NAMES", "generate", "rng_for", "batch_uniform"]
 
@@ -73,8 +73,14 @@ def log_singularity(depth: int) -> GridFunction:
 def batch_uniform(dimension: int, depth: int, seed: int,
                   trials: int) -> np.ndarray:
     """Matrix of ``trials`` independent uniform-iid grids, row ``t`` equal to
-    ``generate("uniform-iid", ..., trial=t).values``."""
+    ``generate("uniform-iid", ..., trial=t).values``.  The whole batch is
+    held by the same cell limit as a single grid."""
     n_cells = 1 << (dimension * depth)
+    if trials * n_cells > _MAX_CELLS:
+        raise ValueError(
+            f"{trials} grids of {n_cells} cells would need "
+            f"{trials * n_cells} cells (limit {_MAX_CELLS}); reduce the "
+            "trials or the depth")
     out = np.empty((trials, n_cells))
     for t in range(trials):
         out[t] = rng_for(seed, t).uniform(0.0, 1.0, size=n_cells)

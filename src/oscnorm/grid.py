@@ -31,6 +31,7 @@ __all__ = [
     "iter_cubes",
     "cube_index",
     "level_offsets",
+    "cube_measures",
     "tree_size",
     "multi_indices",
 ]
@@ -132,6 +133,14 @@ def level_offsets(depth: int, dimension: int) -> np.ndarray:
     """Breadth-first index of the first cube of each level ``0..depth``,
     followed by ``tree_size(depth, dimension)``."""
     return np.cumsum([0] + [1 << (dimension * l) for l in range(depth + 1)])
+
+
+def cube_measures(depth: int, dimension: int) -> np.ndarray:
+    """``|Q|`` of every cube in breadth-first order."""
+    return np.concatenate([
+        np.full(1 << (dimension * lvl), 2.0 ** (-dimension * lvl))
+        for lvl in range(depth + 1)
+    ])
 
 
 def iter_cubes(depth: int, dimension: int):

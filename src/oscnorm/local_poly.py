@@ -43,7 +43,8 @@ from scipy import optimize
 
 from .grid import CubeId, GridFunction, multi_indices
 
-__all__ = ["PolyFit", "best_fit", "scaled_error", "mean_oscillation"]
+__all__ = ["PolyFit", "best_fit", "scaled_error", "convention_exponent",
+           "mean_oscillation"]
 
 IRLS_WEIGHT_FLOOR = 1e-12
 IRLS_REL_TOL = 1e-10
@@ -128,19 +129,23 @@ def poly_error(f: GridFunction, c: CubeId, k: int, q: int) -> float:
 
 def scaled_error(f: GridFunction, c: CubeId, k: int, q: int, lam: float,
                  convention: str = "SV") -> float:
-    """``|c|^e * E_k(f;c)_q`` with the exponent set by ``convention``.
+    """``|c|^e * E_k(f;c)_q``, ``e`` set by :func:`convention_exponent`."""
+    e = convention_exponent(convention, lam, q, f.dimension)
+    return c.measure ** e * poly_error(f, c, k, q)
+
+
+def convention_exponent(convention: str, lam: float, q: int,
+                        dimension: int) -> float:
+    """The exponent ``e`` of the scaled error ``|Q|^e * E_k(f;Q)_q``.
 
     convention "V":  e = lam/n - 1/q      convention "SV": e = lam/(n*q) - 1/q
     The two agree when q = 1 or lam = 0.
     """
-    n = f.dimension
     if convention == "V":
-        e = lam / n - 1.0 / q
-    elif convention == "SV":
-        e = lam / (n * q) - 1.0 / q
-    else:
-        raise ValueError(f"convention must be 'V' or 'SV', got {convention!r}")
-    return c.measure ** e * poly_error(f, c, k, q)
+        return lam / dimension - 1.0 / q
+    if convention == "SV":
+        return lam / (dimension * q) - 1.0 / q
+    raise ValueError(f"convention must be 'V' or 'SV', got {convention!r}")
 
 
 def mean_oscillation(f: GridFunction, c: CubeId) -> float:

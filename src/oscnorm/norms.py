@@ -36,12 +36,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .families import CubeFamily, cz_family, family_tables, validate_index
+from .families import (SUBSET_NODE_CAP, CubeFamily, cz_family, family_tables,
+                       validate_index)
 # imported for its name alone: perfbench/tracer.py binds
 # ``oscnorm.norms.validate``; the code here calls ``validate_index``
 from .families import validate  # noqa: F401
-from .grid import CubeId, GridFunction, iter_cubes, level_offsets, tree_size
-from .local_poly import best_fit, poly_error, residual_cell_integrals
+from .grid import (CubeId, GridFunction, cube_measures, iter_cubes,
+                   level_offsets, tree_size)
+from .local_poly import (best_fit, convention_exponent, poly_error,
+                         residual_cell_integrals)
 from .maximal import chain_max, level_integrals, lp_norm, refine, sibling_sums
 
 __all__ = [
@@ -159,14 +162,6 @@ class NormReport:
 
 # -- scaled local errors, level by level -------------------------------------
 
-def _convention_exponent(params: NormParams, dimension: int) -> float:
-    if params.convention == "V":
-        return params.lam / dimension - 1.0 / params.q
-    if params.convention == "SV":
-        return params.lam / (dimension * params.q) - 1.0 / params.q
-    raise ValueError(f"unknown convention {params.convention!r}")
-
-
 def median_deviations(values: np.ndarray, dimension: int, depth: int,
                       level: int) -> tuple[np.ndarray, np.ndarray]:
     """The lower median of each level-``level`` cube's cell values and
@@ -193,7 +188,7 @@ def median_deviations(values: np.ndarray, dimension: int, depth: int,
 def scaled_error_levels(f: GridFunction, params: NormParams) -> list[np.ndarray]:
     """``scaled(Q)`` for every cube, one flat array per level."""
     n, L = f.dimension, f.depth
-    e = _convention_exponent(params, n)
+    e = convention_exponent(params.convention, params.lam, params.q, n)
     k, q = params.k, params.q
     unit = 1.0          # median deviations are cell sums: times |cell|
     if k == 0:
@@ -213,14 +208,6 @@ def scaled_error_levels(f: GridFunction, params: NormParams) -> list[np.ndarray]
 def _scaled_flat(f: GridFunction, params: NormParams) -> np.ndarray:
     """Scaled errors in breadth-first cube order."""
     return np.concatenate(scaled_error_levels(f, params))
-
-
-def _cube_measures(dimension: int, depth: int) -> np.ndarray:
-    """``|Q|`` of every cube in breadth-first order."""
-    return np.concatenate([
-        np.full(1 << (dimension * lvl), 2.0 ** (-dimension * lvl))
-        for lvl in range(depth + 1)
-    ])
 
 
 # -- packing supremum ---------------------------------------------------------
@@ -389,7 +376,7 @@ def sparse_norm_bounds(f: GridFunction, params: NormParams) -> NormReport:
         if val > lower:
             lower, witness = val, fam
     # singletons are sparse of every order: no children at all
-    meas = _cube_measures(n, L)
+    meas = cube_measures(L, n)
     if math.isinf(params.p):
         single_vals = scaled
     else:
@@ -423,7 +410,7 @@ def garo_norm(f: GridFunction, p: float) -> NormReport:
     params = NormParams.jn(p)
     # E_1(f;Q)_1 per cube = scaled error of the JN parameters times |Q|
     scaled = _scaled_flat(f, params)
-    meas = _cube_measures(n, L)
+    meas = cube_measures(L, n)
     errors = scaled * meas
     pprime_inv = 1.0 if math.isinf(p) else 1.0 - 1.0 / p
 
@@ -434,7 +421,7 @@ def garo_norm(f: GridFunction, p: float) -> NormReport:
 
     jn_report = packing_sup_norm(f, params)
     jn_value = jn_report.value
-    if tree_size(L, n) <= 15:
+    if tree_size(L, n) <= SUBSET_NODE_CAP:
         tables = family_tables(n, L, "packing")
         member = tables.cube_meas > 0
         nums = member @ errors

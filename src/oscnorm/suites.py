@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import family_tables
+from .families import SUBSET_NODE_CAP, family_tables
 from .generate import batch_uniform, log_singularity
 from .grid import GridFunction, tree_size
 from .maximal import (chain_max, level_integrals, lp_norm, lp_rows,
@@ -53,6 +53,10 @@ class SuiteConfig:
         if self.suite not in SUITE_NAMES:
             raise ValueError(f"unknown suite {self.suite!r}; "
                              f"options: {', '.join(SUITE_NAMES)}")
+        if self.dimension not in (1, 2):
+            raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
+        if self.depth < 0:
+            raise ValueError(f"depth must be >= 0, got {self.depth}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
 
@@ -115,6 +119,13 @@ def _packing_rows(errors: list[np.ndarray], n: int, p: float) -> np.ndarray:
     return packing_dp(weights, n)[0] ** (1.0 / p)
 
 
+def _require_oracle_scale(suite: str, n: int, L: int,
+                          unit: str = "nodes") -> None:
+    if tree_size(L, n) > SUBSET_NODE_CAP:
+        raise ValueError(
+            f"{suite} runs at oracle scale (<= {SUBSET_NODE_CAP} {unit})")
+
+
 def _chunks(trials: int, width: int):
     step = max(1, _CHUNK_BUDGET // max(width, 1))
     for t0 in range(0, trials, step):
@@ -163,8 +174,7 @@ def _suite_sparse_jn(cfg: SuiteConfig) -> SuiteReport:
     """Factor-2 sparse domination, the two-sided core/weighted comparison,
     maximal-over-norm calibration ratios, and the L log L ratio at p=1."""
     n, L = cfg.dimension, cfg.depth
-    if tree_size(L, n) > 15:
-        raise ValueError("sparse-jn runs at oracle scale (<= 15 tree nodes)")
+    _require_oracle_scale("sparse-jn", n, L, "tree nodes")
     V = batch_uniform(n, L, cfg.seed, cfg.trials)
     T = V.shape[0]
     cell_meas = 2.0 ** (-n * L)
@@ -233,8 +243,7 @@ def _suite_sparse_jn(cfg: SuiteConfig) -> SuiteReport:
 def _suite_sv_equivalence(cfg: SuiteConfig) -> SuiteReport:
     """Factor-2 upper bound and packing-below-sparse across (k, q) choices."""
     n, L = cfg.dimension, cfg.depth
-    if tree_size(L, n) > 15:
-        raise ValueError("sv-equivalence runs at oracle scale (<= 15 nodes)")
+    _require_oracle_scale("sv-equivalence", n, L)
     V = batch_uniform(n, L, cfg.seed, cfg.trials)
     kq_list = ((1, 1), (2, 2), (3, 2), (2, 1))
     p_list = (1.0, 2.0, 4.0)
@@ -282,8 +291,7 @@ def _suite_fractional_sv(cfg: SuiteConfig) -> SuiteReport:
     """Order-(1 - lam/n) refinement: thinner families only lower the value,
     and the factor-2 fractional-maximal bound stays exact."""
     n, L = cfg.dimension, cfg.depth
-    if tree_size(L, n) > 15:
-        raise ValueError("fractional-sv runs at oracle scale (<= 15 nodes)")
+    _require_oracle_scale("fractional-sv", n, L)
     V = batch_uniform(n, L, cfg.seed, cfg.trials)
     T = V.shape[0]
     cell_meas = 2.0 ** (-n * L)
@@ -394,8 +402,7 @@ def _suite_sobolev_chain(cfg: SuiteConfig) -> SuiteReport:
     if cfg.dimension != 1:
         raise ValueError("the chain is calibrated in dimension 1")
     n, L = 1, cfg.depth
-    if tree_size(L, n) > 15:
-        raise ValueError("sobolev-chain runs at oracle scale (<= 15 nodes)")
+    _require_oracle_scale("sobolev-chain", n, L)
     lam, p, q = 0.5, 4.0 / 3.0, 4.0
     V = batch_uniform(n, L, cfg.seed, cfg.trials)
     T = V.shape[0]
@@ -455,8 +462,7 @@ def _suite_embedding_chain(cfg: SuiteConfig) -> SuiteReport:
     """garo <= packing JN <= sparse JN exactly, with weak-L^p / garo
     calibration ratios."""
     n, L = cfg.dimension, cfg.depth
-    if tree_size(L, n) > 15:
-        raise ValueError("embedding-chain runs at oracle scale (<= 15 nodes)")
+    _require_oracle_scale("embedding-chain", n, L)
     V = batch_uniform(n, L, cfg.seed, cfg.trials)
     T = V.shape[0]
     cell_meas = 2.0 ** (-n * L)

@@ -14,13 +14,13 @@ from time import perf_counter
 
 import numpy as np
 
-from oscnorm.families import (antichain_value_max, cz_family,
-                              enumerate_families, validate)
+from oscnorm.families import cz_family, validate
 from oscnorm.generate import rng_for
 from oscnorm.grid import CubeId, GridFunction, tree_size
 from oscnorm.maximal import fractional_maximal, lp_norm, maximal_opnorm_bound
 from oscnorm.norms import NormParams, packing_sup_norm, scaled_error_levels
 from oscnorm.suites import SuiteConfig, run_suite
+from oracles import antichain_value_max, enumerate_families
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

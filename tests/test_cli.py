@@ -190,6 +190,19 @@ def test_verify_unknown_suite(capsys):
     assert exc.value.code == 2            # argparse choices failure
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["--depth", "-1"], "depth must be >= 0"),
+    # the guard fires before NumPy is asked for the 13 GB batch
+    (["--dim", "2", "--depth", "12"], "limit 4194304"),
+])
+def test_verify_rejects_bad_sizes(capsys, argv, reason):
+    code, out, err = _run(capsys, ["verify", "--suite", "riesz", *argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and reason in err
+    assert err.count("\n") == 1          # one line, no traceback
+
+
 def test_parser_rejects_bad_p(step_file):
     with pytest.raises(SystemExit):
         main(["compute", "--input", step_file, "--norm", "jn", "--p", "0.5"])

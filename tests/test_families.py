@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscnorm.families import (CubeFamily, SparsityViolation,
-                              _enumerate_antichains, antichain_value_max,
-                              cz_family, enumerate_families, family_tables,
-                              validate)
+from oscnorm.families import (CubeFamily, SparsityViolation, cz_family,
+                              family_tables, validate)
 from oscnorm.grid import CubeId, GridFunction, cube_index, iter_cubes, tree_size
+from oracles import (_enumerate_antichains, antichain_value_max,
+                     enumerate_families)
 
 ROOT = CubeId(0, (0,))
 LEFT = CubeId(1, (0,))

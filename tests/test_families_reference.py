@@ -4,7 +4,8 @@
 per-member checks) and ``loop_cz_members`` (the queue walk of the stopping
 time) are the former implementations, kept as references.  The arithmetic
 is unchanged, so members, children, core cells, core measures and the first
-violation must agree exactly.
+violation must agree exactly, and so must every row of the batched family
+tables.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscnorm.families import (COMPARE_TOL, CubeFamily, SparsityViolation,
-                              cz_family, validate)
+                              cz_family, family_tables, validate)
 from oscnorm.grid import CubeId, GridFunction, children, cube_index, iter_cubes
 from oscnorm.maximal import level_integrals
 
@@ -58,8 +59,14 @@ def _build_structure(cubes, dimension, depth):
 
 def loop_validate(cubes, order, dimension, depth):
     """(members, children_map, core_cells, kind, order) or a violation."""
-    members, children_map, core_cells = _build_structure(
-        cubes, dimension, depth)
+    return loop_classify(_build_structure(cubes, dimension, depth), order,
+                         dimension, depth)
+
+
+def loop_classify(structure, order, dimension, depth):
+    """The per-member checks of :func:`loop_validate` on a built
+    structure."""
+    members, children_map, core_cells = structure
     if order == "packing":
         for c in members:
             if children_map[c]:
@@ -193,3 +200,42 @@ def test_cz_family_matches_queue_reference(seed, shape, dist, factor):
     for order in ORDERS:
         assert_same(validate(got.cubes, order, dimension=n, depth=depth),
                     loop_validate(members, order, n, depth))
+
+
+# -- family tables ---------------------------------------------------------------
+
+TABLE_ORDERS = ("packing", "weak", 1.0, 0.75, 0.5, 0.25)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 3), (2, 1)])
+def test_family_tables_match_loop_classifier(shape):
+    """Every nonempty member set of the tree, classified one at a time by
+    the loop reference (one structure build per mask, checked for each
+    order), rebuilds the batched tables row for row."""
+    n, depth = shape
+    cubes = list(iter_cubes(depth, n))
+    nodes = len(cubes)
+    cell = 2.0 ** (-n * depth)
+    want = {order: ([], [], []) for order in TABLE_ORDERS}
+    for mask in range(1, 1 << nodes):
+        members = [cubes[i] for i in range(nodes) if mask >> i & 1]
+        structure = _build_structure(members, n, depth)
+        for order in TABLE_ORDERS:
+            got = loop_classify(structure, order, n, depth)
+            if isinstance(got, SparsityViolation):
+                continue
+            _, _, core_cells, _, _ = got
+            core, meas = np.zeros(nodes), np.zeros(nodes)
+            for c in members:
+                core[cube_index(c, n)] = len(core_cells[c]) * cell
+                meas[cube_index(c, n)] = c.measure
+            masks, core_rows, cube_rows = want[order]
+            masks.append(mask)
+            core_rows.append(core)
+            cube_rows.append(meas)
+    for order in TABLE_ORDERS:
+        tab = family_tables(n, depth, order)
+        masks, core_rows, cube_rows = want[order]
+        assert tab.masks.tolist() == masks
+        assert np.array_equal(tab.core_meas, np.array(core_rows))
+        assert np.array_equal(tab.cube_meas, np.array(cube_rows))

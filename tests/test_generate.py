@@ -101,6 +101,12 @@ def test_batch_matches_per_trial_generation():
         assert np.array_equal(mat[t], single.values)
 
 
+def test_batch_refuses_past_cell_limit():
+    # 65 grids of 2**16 cells: one grid over the 2**22-cell limit
+    with pytest.raises(ValueError, match="limit 4194304"):
+        batch_uniform(1, 16, 0, 65)
+
+
 def test_rng_stream_independence():
     # distinct trials give distinct streams even with equal seeds
     a = rng_for(0, 1).uniform(size=4)

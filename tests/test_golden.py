@@ -5,8 +5,11 @@ of five functionals on four seeded grids.  They were recorded before the
 cube families became array-native.  The suite digests pin the reports of
 the benchmark's oracle-suite configurations at small trial counts plus a
 small ``sv-equivalence`` run; they were recorded before the suites moved
-onto the library's batched kernels.  Neither may move under refactors that
-keep the mathematics fixed.
+onto the library's batched kernels.  The table digests pin the arrays of
+``family_tables`` for every oracle-scale tree and six family classes; they
+were recorded from the per-mask loop that built the tables before the
+batched classifier.  None may move under refactors that keep the
+mathematics fixed.
 """
 
 import hashlib
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 from oscnorm.cli import main
+from oscnorm.families import family_tables
 from oscnorm.suites import SuiteConfig, run_suite
 
 GRIDS = {
@@ -145,3 +149,71 @@ def test_suite_report_bytes_pinned(name):
                                    depth=depth, trials=trials, seed=3))
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     assert digest == SUITE_GOLDEN[name]
+
+
+TABLE_GOLDEN = {
+    (1, 1, "packing"):
+        "8761075941fc9f0e504473051b9a4d4870598a0407a5a9a5dd354bd9cc3d05d0",
+    (1, 1, "weak"):
+        "627e11da1b49332d76968fa1aa5e671ba39dd86bc82287ac5f78f236f832a24c",
+    (1, 1, 1.0):
+        "627e11da1b49332d76968fa1aa5e671ba39dd86bc82287ac5f78f236f832a24c",
+    (1, 1, 0.75):
+        "8761075941fc9f0e504473051b9a4d4870598a0407a5a9a5dd354bd9cc3d05d0",
+    (1, 1, 0.5):
+        "8761075941fc9f0e504473051b9a4d4870598a0407a5a9a5dd354bd9cc3d05d0",
+    (1, 1, 0.25):
+        "8761075941fc9f0e504473051b9a4d4870598a0407a5a9a5dd354bd9cc3d05d0",
+    (1, 2, "packing"):
+        "aa3369ab47958d608b1407864a355af585cba6c6fd553664dab9db4815c8c37b",
+    (1, 2, "weak"):
+        "05bb13de8419c1fec870d8734b5cb5e195864b02ab7dae7c2f85735ff479d1fa",
+    (1, 2, 1.0):
+        "05bb13de8419c1fec870d8734b5cb5e195864b02ab7dae7c2f85735ff479d1fa",
+    (1, 2, 0.75):
+        "91bea7ed342a310beef205979da5247845d2bc4de79e08c26a6ffc26789ca59b",
+    (1, 2, 0.5):
+        "91bea7ed342a310beef205979da5247845d2bc4de79e08c26a6ffc26789ca59b",
+    (1, 2, 0.25):
+        "aa3369ab47958d608b1407864a355af585cba6c6fd553664dab9db4815c8c37b",
+    (1, 3, "packing"):
+        "7cc9c403336300e6c7bd90c2a93ac846d514c6c15284d246e8c4c11fa2645a10",
+    (1, 3, "weak"):
+        "d919fc1d6cda6d728ec30874d53d601207bfe4b20044c8737ad3fd9ff5bea348",
+    (1, 3, 1.0):
+        "d919fc1d6cda6d728ec30874d53d601207bfe4b20044c8737ad3fd9ff5bea348",
+    (1, 3, 0.75):
+        "6324560d64669044bf6e9e7400bc2f9d340e32cb456aa2bc5f6346add74cfa3e",
+    (1, 3, 0.5):
+        "4f7145ccd747dcbb6e720fe203dcd80dc4946e3ee986cc83f3963e5ca417544c",
+    (1, 3, 0.25):
+        "7cc9c403336300e6c7bd90c2a93ac846d514c6c15284d246e8c4c11fa2645a10",
+    (2, 1, "packing"):
+        "a2a5f6da4f11db71d7fb4e76c984b19808c0c725937452dd0b744906d166d03d",
+    (2, 1, "weak"):
+        "8ca37d19b15d7432d72168426f721b190402da0c94a6373db86f0e16355a19f0",
+    (2, 1, 1.0):
+        "8ca37d19b15d7432d72168426f721b190402da0c94a6373db86f0e16355a19f0",
+    (2, 1, 0.75):
+        "9e313ce70091195350bb544cc1dc339049ab4283756a0adc323276ac5e5c5a02",
+    (2, 1, 0.5):
+        "9e313ce70091195350bb544cc1dc339049ab4283756a0adc323276ac5e5c5a02",
+    (2, 1, 0.25):
+        "a2a5f6da4f11db71d7fb4e76c984b19808c0c725937452dd0b744906d166d03d",
+}
+
+
+def table_digest(dimension: int, depth: int, order) -> str:
+    """sha256 over dtype, shape and bytes of ``masks``, ``core_meas`` and
+    ``cube_meas``, in that order."""
+    tab = family_tables(dimension, depth, order)
+    h = hashlib.sha256()
+    for a in (tab.masks, tab.core_meas, tab.cube_meas):
+        h.update(str((a.dtype.str, a.shape)).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(TABLE_GOLDEN, key=str))
+def test_family_table_bytes_pinned(key):
+    assert table_digest(*key) == TABLE_GOLDEN[key]

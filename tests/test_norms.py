@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscnorm import norms
-from oscnorm.families import antichain_value_max, validate
+from oscnorm.families import validate
 from oscnorm.grid import CubeId, GridFunction, cube_index, iter_cubes
 from oscnorm.norms import (NormParams, NormReport, bmo_norm, family_value,
                            garo_norm, lp_norm, packing_sup_norm, rearrangement,
                            ri_functionals, scaled_error_levels,
                            sparse_norm_bounds, sparse_sup_exhaustive)
 from oscnorm.local_poly import scaled_error
+from oracles import antichain_value_max
 
 STEP = GridFunction(1, 1, [0.0, 1.0])
 ROOT = CubeId(0, (0,))

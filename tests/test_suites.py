@@ -79,6 +79,10 @@ def test_config_validation():
         SuiteConfig(suite="no-such-suite")
     with pytest.raises(ValueError, match="trials"):
         SuiteConfig(suite="riesz", trials=0)
+    with pytest.raises(ValueError, match="dimension must be 1 or 2"):
+        SuiteConfig(suite="riesz", dimension=3)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        SuiteConfig(suite="riesz", depth=-1)
     with pytest.raises(ValueError, match="uniform-iid"):
         run_suite(SuiteConfig(suite="riesz", generator="step"))
 
