@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -333,16 +334,20 @@ class MomentTable:
         ]
 
         cell_meas = 2.0 ** (-n * f.depth)
-        self._prefix: dict[tuple[int, ...], np.ndarray] = {}
-        for alpha in multi_indices(n, max_total_order):
+        alphas = multi_indices(n, max_total_order)
+        # one stack: f^2, then f x^alpha in graded order, so the data of the
+        # L2 fits up to any degree is a leading slice
+        self._row = {alpha: i for i, alpha in enumerate(alphas, start=1)}
+        self._prefix = np.empty((1 + len(alphas),) + (side + 1,) * n)
+        self._prefix[0] = _prefix_sum(v * v * cell_meas)
+        for alpha, i in self._row.items():
             if n == 1:
                 weights = axis_factor[alpha[0]]
             else:
                 weights = np.multiply.outer(axis_factor[alpha[0]],
                                             axis_factor[alpha[1]])
-            self._prefix[alpha] = _prefix_sum(v * weights)
+            self._prefix[i] = _prefix_sum(v * weights)
         self._prefix_abs = _prefix_sum(np.abs(v) * cell_meas)
-        self._prefix_sq = _prefix_sum(v * v * cell_meas)
         self._grid = f
 
     def _rect(self, cube: CubeId) -> tuple[tuple[int, int], ...]:
@@ -364,7 +369,41 @@ class MomentTable:
                 f"moment order {sum(alpha)} exceeds the tabulated maximum "
                 f"{self.max_total_order}"
             )
-        return _rect_sum(self._prefix[alpha], self._rect(cube))
+        return _rect_sum(self._prefix[self._row[alpha]], self._rect(cube))
+
+    def level_l2_sums(self, level: int, max_total: int,
+                      coords: np.ndarray | None = None) -> np.ndarray:
+        """The data of L2 fits on cubes ``Q`` of one ``level``.
+
+        Row 0 is ``integral_Q f^2 dx``, row ``1 + i`` is
+        ``integral_Q f(x) x^alpha dx`` for the ``i``-th ``alpha`` of
+        ``multi_indices(n, max_total)``.  Columns are cubes: ``coords``
+        (shape ``(m, n)``, entries in ``range(2**level)``) picks them, by
+        default every cube of the level in breadth-first order.  Each entry
+        equals the scalar lookup bit for bit.
+        """
+        if not 0 <= max_total <= self.max_total_order:
+            raise ValueError(
+                f"moment order {max_total} outside the tabulated range "
+                f"0..{self.max_total_order}"
+            )
+        if not 0 <= level <= self.depth:
+            raise ValueError(f"level must lie in [0, {self.depth}], got {level}")
+        n = self.dimension
+        prefix = self._prefix[:1 + math.comb(max_total + n, n)]
+        s = 1 << (self.depth - level)
+        if coords is None:
+            prefix = prefix[(...,) + (slice(None, None, s),) * n]
+            lo, hi = [slice(None, -1)] * n, [slice(1, None)] * n
+        else:
+            lo = [coords[:, ax] * s for ax in range(n)]
+            hi = [i + s for i in lo]
+        if n == 1:
+            return prefix[..., hi[0]] - prefix[..., lo[0]]
+        (i0, j0), (i1, j1) = lo, hi
+        out = (prefix[..., i1, j1] - prefix[..., i0, j1]
+               - prefix[..., i1, j0] + prefix[..., i0, j0])
+        return out.reshape(len(prefix), -1)
 
     def integral(self, cube: CubeId) -> float:
         return self.moment(cube, (0,) * self.dimension)
@@ -375,7 +414,7 @@ class MomentTable:
 
     def square_integral(self, cube: CubeId) -> float:
         """``integral_cube f^2 dx``."""
-        return _rect_sum(self._prefix_sq, self._rect(cube))
+        return _rect_sum(self._prefix[0], self._rect(cube))
 
     def abs_pow_integral(self, cube: CubeId, q: int) -> float:
         """``integral_cube |f|^q dx`` for q in {1, 2}."""

@@ -12,8 +12,11 @@ Solvers
 -------
 * ``q = 2``: exact orthogonal projection.  Fits use the scaled monomial basis
   ``u^alpha`` with ``u = (x - center(Q)) / side(Q)``, whose Gram matrix on a
-  cube is ``|Q|`` times a fixed well-conditioned matrix, so one small solve
-  per cube suffices and the error comes out of the Pythagorean identity.
+  cube is ``|Q|`` times a fixed well-conditioned matrix, and the error comes
+  out of the Pythagorean identity.  :func:`l2_level_fits` fits every cube of
+  one level in one pass: right-hand sides from strided rectangle sums of the
+  moment table, one stacked solve against the fixed matrix.  A single cube
+  is its one-row call, with the same bits.
 * ``q = 1, k = 1``: the minimizing constant is a median of the cell values
   (equal weights on a dyadic cube); the LOWER median is taken so results are
   deterministic.  The objective is evaluated exactly.
@@ -34,6 +37,7 @@ rule and is flagged through ``approximate``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,14 +47,18 @@ from scipy import optimize
 
 from .grid import CubeId, GridFunction, multi_indices
 
-__all__ = ["PolyFit", "best_fit", "scaled_error", "convention_exponent",
-           "mean_oscillation"]
+__all__ = ["PolyFit", "best_fit", "l2_level_fits", "scaled_error",
+           "convention_exponent", "mean_oscillation"]
 
 IRLS_WEIGHT_FLOOR = 1e-12
 IRLS_REL_TOL = 1e-10
 IRLS_MAX_ITER = 200
 _POLISH_CELL_CAP = 1024
 _QUAD_RULE = 16  # midpoint subdivisions per cell axis, 2D quadratic corner
+_NOISE = 64.0 * np.finfo(float).eps  # relative size of a zero L2 residual
+# cubes per batched L2 solve: the temporaries take ~400 bytes per cube, so a
+# level of a 4M-cell grid is fitted in blocks of ~27 MB, not at once
+_L2_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -100,15 +108,15 @@ def best_fit(f: GridFunction, c: CubeId, k: int, q: int) -> PolyFit:
     if k == 0:
         err = f.moments().abs_pow_integral(c, q) ** (1.0 / q)
         return PolyFit(c, 0, q, (), np.zeros(0), np.zeros(0), err, 1.0)
-    exps = tuple(multi_indices(f.dimension, k - 1))
+    exps = _exponents(f.dimension, k)
     if q == 2:
-        local, err = _fit_l2(f, c, exps)
+        local, err = _fit_l2(f, c, k)
         factor, approx = 1.0, False
     elif k == 1:
         local, err = _fit_median(f, c)
         factor, approx = 1.0, False
     else:
-        local, err, factor, approx = _fit_l1(f, c, exps, certify=True)
+        local, err, factor, approx = _fit_l1(f, c, k, certify=True)
     return PolyFit(c, k, q, exps, _local_to_global(exps, local, c), local,
                    err, factor, approx)
 
@@ -119,12 +127,11 @@ def poly_error(f: GridFunction, c: CubeId, k: int, q: int) -> float:
     f.check_cube(c)
     if k == 0:
         return f.moments().abs_pow_integral(c, q) ** (1.0 / q)
-    exps = tuple(multi_indices(f.dimension, k - 1))
     if q == 2:
-        return _fit_l2(f, c, exps)[1]
+        return _fit_l2(f, c, k)[1]
     if k == 1:
         return _fit_median(f, c)[1]
-    return _fit_l1(f, c, exps, certify=False)[1]
+    return _fit_l1(f, c, k, certify=False)[1]
 
 
 def scaled_error(f: GridFunction, c: CubeId, k: int, q: int, lam: float,
@@ -154,6 +161,12 @@ def mean_oscillation(f: GridFunction, c: CubeId) -> float:
     return float(np.mean(np.abs(block - block.mean())))
 
 
+@functools.lru_cache(maxsize=None)
+def _exponents(dimension: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The multi-indices of degree ``<= k - 1``, graded order."""
+    return tuple(multi_indices(dimension, k - 1))
+
+
 def _check_kq(k: int, q: int) -> None:
     if not 0 <= k <= 3:
         raise ValueError(f"k must lie in 0..3, got {k}")
@@ -163,6 +176,61 @@ def _check_kq(k: int, q: int) -> None:
 
 # -- exact L2 projection ---------------------------------------------------
 
+def l2_level_fits(f: GridFunction, level: int, k: int,
+                  coords: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ``q = 2`` fits of degree ``k - 1`` (``k`` in 1..3) on cubes of
+    one ``level``, in one pass.
+
+    ``coords`` (shape ``(m, n)``, entries in ``range(2**level)``) picks the
+    cubes, by default every cube of the level in breadth-first order.
+    Returns the coefficients on the local basis ``u^alpha``, ``alpha`` in
+    ``multi_indices(n, k - 1)``, shape ``(m, d)``, and the errors
+    ``E_k(f;Q)_2``, shape ``(m,)``.
+    """
+    if not 1 <= k <= 3:
+        raise ValueError(f"k must lie in 1..3, got {k}")
+    if not 0 <= level <= f.depth:
+        raise ValueError(f"level must lie in [0, {f.depth}], got {level}")
+    n = f.dimension
+    whole_level = coords is None
+    if whole_level:
+        coords = np.indices((1 << level,) * n).reshape(n, -1).T
+    if len(coords) > _L2_BLOCK:
+        fits = [l2_level_fits(f, level, k, coords[i:i + _L2_BLOCK])
+                for i in range(0, len(coords), _L2_BLOCK)]
+        return tuple(np.concatenate(part) for part in zip(*fits))
+    if (coords >> level).any():
+        raise ValueError(f"cube coordinates must lie in range(2**{level})")
+    # a whole level takes its rectangle sums by strided slices
+    sums = f.moments().level_l2_sums(level, k - 1,
+                                      None if whole_level else coords)
+    sq, mom = sums[0], sums[1:]
+    exps = _exponents(n, k)
+    scale, power, order = _expansion(exps, level)
+    pw = _center_powers(coords, level)
+    # b_alpha = integral f u^alpha dx from the raw moments; the terms are
+    # added one at a time in ``order``, never by a reduction that picks its
+    # own order, so a cube's bits do not depend on the batch it is in
+    b = np.zeros((len(coords), len(exps)))
+    for j in order:
+        coef = scale[:, j] * pw[0][:, power[0, :, j]]
+        for ax in range(1, n):
+            coef *= pw[ax][:, power[ax, :, j]]
+        b += coef * mom[j][:, None]
+    B = b[..., None]
+    a = np.linalg.solve(_unit_gram(exps)[None], B / 2.0 ** (-level * n))
+    # a stacked matmul takes each a.b as one BLAS dot, as a 1-D ``a @ b``
+    # does; einsum sums in an order of its own
+    proj = (a.transpose(0, 2, 1) @ B)[:, 0, 0]
+    err_sq = sq - proj
+    # the subtraction cancels completely when f is representable; anything
+    # at rounding scale of the operands is noise, not a residual
+    noise = err_sq <= _NOISE * np.maximum(sq, np.abs(proj))
+    return a[..., 0], np.sqrt(np.where(noise, 0.0, err_sq))
+
+
+@functools.lru_cache(maxsize=None)
 def _unit_gram(exps: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """Gram matrix of u^alpha on the unit box [-1/2, 1/2)^n."""
     def g(m: int) -> float:
@@ -173,59 +241,62 @@ def _unit_gram(exps: tuple[tuple[int, ...], ...]) -> np.ndarray:
     for i, a in enumerate(exps):
         for j, b in enumerate(exps):
             G[i, j] = math.prod(g(ai + bi) for ai, bi in zip(a, b))
+    G.flags.writeable = False
     return G
 
 
-def _local_rhs(f: GridFunction, c: CubeId,
-               exps: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """b_alpha = integral_c f * u^alpha dx, from raw moments of f."""
-    table = f.moments()
-    center, s = c.center, c.side
-    b = np.zeros(len(exps))
+@functools.lru_cache(maxsize=None)
+def _expansion(exps: tuple[tuple[int, ...], ...], level: int):
+    """``prod_a ((x_a - c_a)/s)^{alpha_a}`` in plain monomials ``x^gamma``
+    on cubes of side ``s = 2**-level``, as
+    ``scale[i, j] * prod_a (-c_a)^power[a, i, j]`` with ``alpha = exps[i]``
+    and ``gamma = exps[j]``.
+
+    ``scale`` is the binomial factor over ``s^|alpha|`` (0 unless
+    ``gamma <= alpha``); ``order`` lists the ``gamma`` positions
+    lexicographically, the order of the binomial expansion axis by axis.
+    Every coefficient is exact (dyadic centers, degree <= 2), so only the
+    order of the sums decides the bits of what is built from them.
+    """
+    d, n = len(exps), len(exps[0])
+    scale = np.zeros((d, d))
+    power = np.zeros((n, d, d), dtype=np.intp)
     for i, alpha in enumerate(exps):
-        for gamma, coef in _local_monomial_as_global(alpha, center, s).items():
-            b[i] += coef * table.moment(c, gamma)
-    return b
+        for j, gamma in enumerate(exps):
+            if all(g <= a for g, a in zip(gamma, alpha)):
+                scale[i, j] = (math.prod(map(math.comb, alpha, gamma))
+                               / 2.0 ** (-level * sum(alpha)))
+                power[:, i, j] = np.subtract(alpha, gamma)
+    scale.flags.writeable = power.flags.writeable = False
+    return scale, power, tuple(sorted(range(d), key=exps.__getitem__))
 
 
-def _local_monomial_as_global(alpha: tuple[int, ...], center: tuple[float, ...],
-                              side: float) -> dict[tuple[int, ...], float]:
-    """Expansion of prod_a ((x_a - c_a)/s)^{alpha_a} in plain monomials."""
-    per_axis = []
-    for m, c in zip(alpha, center):
-        terms = {
-            j: math.comb(m, j) * (-c) ** (m - j) / side ** m
-            for j in range(m + 1)
-        }
-        per_axis.append(terms)
-    out: dict[tuple[int, ...], float] = {}
-    for combo in itertools.product(*(ax.items() for ax in per_axis)):
-        gamma = tuple(j for j, _ in combo)
-        coef = math.prod(v for _, v in combo)
-        out[gamma] = out.get(gamma, 0.0) + coef
-    return out
+def _center_powers(coords: np.ndarray, level: int) -> np.ndarray:
+    """``(-center)^e`` for ``e = 0, 1, 2``, shape ``(n, m, 3)``, of the cubes
+    ``coords`` of one level; exact, since the centers are dyadic."""
+    neg = (coords.T + 0.5) * -2.0 ** -level
+    pw = np.empty(neg.shape + (3,))
+    pw[..., 0] = 1.0
+    pw[..., 1] = neg
+    pw[..., 2] = neg * neg
+    return pw
 
 
 def _local_to_global(exps, local_coeffs, c: CubeId) -> np.ndarray:
-    acc: dict[tuple[int, ...], float] = {e: 0.0 for e in exps}
-    for alpha, a in zip(exps, local_coeffs):
-        for gamma, coef in _local_monomial_as_global(alpha, c.center, c.side).items():
-            acc[gamma] = acc.get(gamma, 0.0) + a * coef
-    return np.array([acc[e] for e in exps])
+    """Plain-monomial coefficients, summed over ``alpha`` in ``exps`` order."""
+    scale, power, _ = _expansion(exps, c.level)
+    pw = _center_powers(np.array([c.coords]), c.level)[:, 0]
+    coef = scale * np.prod([p[e] for p, e in zip(pw, power)], axis=0)
+    out = np.zeros(len(exps))
+    for a, row in zip(local_coeffs, coef):
+        out += a * row
+    return out
 
 
-def _fit_l2(f, c, exps):
-    G = _unit_gram(exps)
-    b = _local_rhs(f, c, exps)
-    a = np.linalg.solve(G, b / c.measure)
-    sq = f.moments().square_integral(c)
-    proj = float(a @ b)
-    err_sq = sq - proj
-    # the subtraction cancels completely when f is representable; anything
-    # at rounding scale of the operands is noise, not a residual
-    if err_sq <= 64.0 * np.finfo(float).eps * max(sq, abs(proj)):
-        return a, 0.0
-    return a, math.sqrt(err_sq)
+def _fit_l2(f, c, k):
+    """The one-cube call of :func:`l2_level_fits`."""
+    a, err = l2_level_fits(f, c.level, k, np.array([c.coords]))
+    return a[0], float(err[0])
 
 
 # -- exact L1 constant (lower median) --------------------------------------
@@ -311,7 +382,8 @@ def _lp_lower_bound(Phi, v, mu) -> float:
     return max(float(res.fun), 0.0)
 
 
-def _fit_l1(f, c, exps, certify):
+def _fit_l1(f, c, k, certify):
+    exps = _exponents(f.dimension, k)
     cells = f.cube_values(c).size
     Phi, v, mu = _subcell_design(f, c, exps, refine=1)
 
@@ -321,7 +393,7 @@ def _fit_l1(f, c, exps, certify):
     # candidate fits: previous-degree exact fit keeps E_k monotone in k
     med_local = np.zeros(len(exps))
     med_local[exps.index((0,) * f.dimension)] = _fit_median(f, c)[0][0]
-    l2_local = _fit_l2(f, c, exps)[0]
+    l2_local = _fit_l2(f, c, k)[0]
     irls_local, converged = _irls(Phi, v, mu, l2_local)
     candidates = [med_local, l2_local, irls_local]
     objs = [objective(a) for a in candidates]

@@ -43,8 +43,8 @@ from .families import (SUBSET_NODE_CAP, CubeFamily, cz_family, family_tables,
 from .families import validate  # noqa: F401
 from .grid import (CubeId, GridFunction, cube_measures, iter_cubes,
                    level_offsets, tree_size)
-from .local_poly import (best_fit, convention_exponent, poly_error,
-                         residual_cell_integrals)
+from .local_poly import (best_fit, convention_exponent, l2_level_fits,
+                         poly_error, residual_cell_integrals)
 from .maximal import chain_max, level_integrals, lp_norm, refine, sibling_sums
 
 __all__ = [
@@ -198,6 +198,8 @@ def scaled_error_levels(f: GridFunction, params: NormParams) -> list[np.ndarray]
         errs = [median_deviations(f.values, n, L, lvl)[1]
                 for lvl in range(L + 1)]
         unit = f.cell_measure
+    elif q == 2:
+        errs = [l2_level_fits(f, lvl, k)[1] for lvl in range(L + 1)]
     else:
         flat = np.array([poly_error(f, c, k, q) for c in iter_cubes(L, n)])
         errs = np.split(flat, level_offsets(L, n)[1:-1])

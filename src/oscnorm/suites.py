@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,12 @@ class SuiteConfig:
         if self.suite not in SUITE_NAMES:
             raise ValueError(f"unknown suite {self.suite!r}; "
                              f"options: {', '.join(SUITE_NAMES)}")
+        for name in ("dimension", "depth", "trials"):
+            value = getattr(self, name)
+            # bool is a subclass of int, but True/False are not sizes
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
         if self.depth < 0:

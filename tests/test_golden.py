@@ -2,7 +2,9 @@
 
 The compute digests pin the full JSON bytes (values, witnesses, key order)
 of five functionals on four seeded grids.  They were recorded before the
-cube families became array-native.  The suite digests pin the reports of
+cube families became array-native.  Three more pin the ``q = 2`` fits at
+``k = 2, 3`` (packing ``v`` and the ``sv`` bracket); they were recorded from
+the per-cube solves, before one batched solve per level replaced them.  The suite digests pin the reports of
 the benchmark's oracle-suite configurations at small trial counts plus a
 small ``sv-equivalence`` run; they were recorded before the suites moved
 onto the library's batched kernels.  The table digests pin the arrays of
@@ -35,6 +37,10 @@ OPS = {
     "bmo": ["--norm", "bmo"],
     "garo": ["--norm", "garo", "--p", "2", "--mode", "bounds"],
     "weaklp": ["--norm", "weaklp", "--p", "2"],
+    "v-k2-q2": ["--norm", "v", "--k", "2", "--q", "2", "--p", "2"],
+    "v-k3-q2": ["--norm", "v", "--k", "3", "--q", "2", "--p", "2"],
+    "sv-k2-q2": ["--norm", "sv", "--k", "2", "--q", "2", "--p", "2",
+                 "--mode", "bounds"],
 }
 
 GOLDEN = {
@@ -78,6 +84,30 @@ GOLDEN = {
         'dc09b73cb19f28c29cb9cbbe7df9540bb1118377ebbacf76f3bdabcf7c6a3444',
     ('2d-uniform', 'weaklp'):
         '48ce565c9a3aadd9ac5aa773bae40628de02f15e12d3fbe13ede75ef43956e53',
+    ('1d-lognormal', 'sv-k2-q2'):
+        '04137f0dd891c5c17088566f27cc5ab1b9792d465edd65103b8cf7ea85cbf5ef',
+    ('1d-lognormal', 'v-k2-q2'):
+        '60de28fd5dd471840797148314350b969beeed8c8b060f567021d3595783ccac',
+    ('1d-lognormal', 'v-k3-q2'):
+        'e487a5017199f857aab3976dd0e20c050a35e9f941f898170082237a561cd1be',
+    ('1d-uniform', 'sv-k2-q2'):
+        '647bc9e96d4f37c458fbc1411353ee5c630035c5d6d68d065fbdb637c1b94153',
+    ('1d-uniform', 'v-k2-q2'):
+        '5a52eaa1a521ce5974532aed8ebbc56c140ba9d3d32850cbbc83e63991665e98',
+    ('1d-uniform', 'v-k3-q2'):
+        'c364e7c4884b02103a1381b44ec1430a6ca784f04464fc94ac8dcece64ba0ed0',
+    ('2d-lognormal', 'sv-k2-q2'):
+        '32394bd76d92a40d181c02fc96f32a66d865ef8ec819351fdfe52c683cf7582f',
+    ('2d-lognormal', 'v-k2-q2'):
+        'e714c4d2c855c85d92f5a8a9089dae2ebaa41a21913ee42641385df78d610983',
+    ('2d-lognormal', 'v-k3-q2'):
+        'a01a0b33611552952fdc099a079a575ad8f38e166906b1566b6b33a01056f571',
+    ('2d-uniform', 'sv-k2-q2'):
+        '419ce8cd115ec79c622786dc0667669a680361168182669819d39d0308c1162a',
+    ('2d-uniform', 'v-k2-q2'):
+        '267818f8646a147a41345691107f37158801cf3ff8a66ca1899d7c70814536b8',
+    ('2d-uniform', 'v-k3-q2'):
+        'cb37476bcdbec4760554fcc3af6a96425f7674f1533360975afc9e6ce803673b',
 }
 
 

@@ -113,6 +113,34 @@ def test_moment_additivity_2d(seed):
         assert moment(f, root, alpha) == pytest.approx(total, abs=1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1), st.sampled_from([(1, 5), (2, 3)]),
+       st.integers(0, 4))
+def test_level_l2_sums_match_scalar_lookups(seed, shape, max_total):
+    """Every level at once, and picked cubes, give the bits of the
+    per-cube lookups: row 0 the square integral, then the moments."""
+    n, depth = shape
+    rng = np.random.default_rng(seed)
+    f = GridFunction(n, depth, rng.lognormal(0.0, 1.5, 1 << (n * depth)))
+    table = f.moments()
+    alphas = multi_indices(n, max_total)
+    for level in range(depth + 1):
+        cubes = [c for c in iter_cubes(level, n) if c.level == level]
+        want = np.array([[table.square_integral(c)]
+                         + [table.moment(c, a) for a in alphas]
+                         for c in cubes]).T
+        got = table.level_l2_sums(level, max_total)
+        assert got.tobytes() == want.tobytes()
+        pick = rng.integers(0, len(cubes), 5)
+        coords = np.array([cubes[i].coords for i in pick])
+        picked = table.level_l2_sums(level, max_total, coords)
+        assert picked.tobytes() == np.ascontiguousarray(want[:, pick]).tobytes()
+    with pytest.raises(ValueError, match="level must lie in"):
+        table.level_l2_sums(depth + 1, 0)
+    with pytest.raises(ValueError, match="moment order 5"):
+        table.level_l2_sums(0, 5)
+
+
 def test_multi_indices_graded():
     idx = multi_indices(2, 2)
     assert idx[0] == (0, 0)

@@ -1,21 +1,28 @@
-"""The vectorised exact L^1 residual integrators against the former per-cell
+"""Vectorised local-fit kernels against the former per-cube and per-cell
 loops, kept here as the reference.
 
-The array code must reproduce every cell integral bit for bit: the residual
-feeds the certified upper bound of ``sparse_norm_bounds`` and the L^1
-objective of every ``k >= 2`` fit.
+The exact L^1 residual integrators must reproduce every cell integral bit
+for bit: the residual feeds the certified upper bound of
+``sparse_norm_bounds`` and the L^1 objective of every ``k >= 2`` fit.  The
+batched ``q = 2`` fits of a level must reproduce the coefficients and
+errors of the per-cube solve bit for bit: they feed every packing and
+sparse functional at ``q = 2``.
 """
 
+import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscnorm.grid import CubeId, GridFunction, multi_indices
+from oscnorm import local_poly
+from oscnorm.grid import CubeId, GridFunction, iter_cubes, multi_indices
 from oscnorm.local_poly import (_clip_halfplane, _l1_cells_1d,
                                 _l1_cells_affine_2d, _polygon_moments,
-                                best_fit, residual_cell_integrals)
+                                _unit_gram, best_fit, l2_level_fits,
+                                residual_cell_integrals)
 
 
 def loop_cells_1d(f, c, exps, a):
@@ -152,3 +159,147 @@ def test_fitted_residuals_match_loop(seed, shape):
     loop = loop_cells_1d if n == 1 else loop_cells_affine_2d
     assert np.array_equal(residual_cell_integrals(f, fit, 1),
                           loop(f, root, fit.exponents, fit.local_coeffs))
+
+
+# -- the q = 2 fits: one batched solve per level against the per-cube solve --
+
+def loop_local_monomial_as_global(alpha, center, side):
+    """Expansion of prod_a ((x_a - c_a)/s)^{alpha_a} in plain monomials."""
+    per_axis = []
+    for m, c in zip(alpha, center):
+        terms = {
+            j: math.comb(m, j) * (-c) ** (m - j) / side ** m
+            for j in range(m + 1)
+        }
+        per_axis.append(terms)
+    out = {}
+    for combo in itertools.product(*(ax.items() for ax in per_axis)):
+        gamma = tuple(j for j, _ in combo)
+        coef = math.prod(v for _, v in combo)
+        out[gamma] = out.get(gamma, 0.0) + coef
+    return out
+
+
+def loop_local_to_global(exps, local_coeffs, c):
+    acc = {e: 0.0 for e in exps}
+    for alpha, a in zip(exps, local_coeffs):
+        for gamma, coef in loop_local_monomial_as_global(
+                alpha, c.center, c.side).items():
+            acc[gamma] = acc.get(gamma, 0.0) + a * coef
+    return np.array([acc[e] for e in exps])
+
+
+def loop_local_rhs(f, c, exps):
+    """b_alpha = integral_c f * u^alpha dx, one moment lookup per term."""
+    table = f.moments()
+    center, s = c.center, c.side
+    b = np.zeros(len(exps))
+    for i, alpha in enumerate(exps):
+        for gamma, coef in loop_local_monomial_as_global(alpha, center,
+                                                         s).items():
+            b[i] += coef * table.moment(c, gamma)
+    return b
+
+
+def loop_fit_l2(f, c, exps):
+    G = _unit_gram(exps)
+    b = loop_local_rhs(f, c, exps)
+    a = np.linalg.solve(G, b / c.measure)
+    sq = f.moments().square_integral(c)
+    proj = float(a @ b)
+    err_sq = sq - proj
+    if err_sq <= 64.0 * np.finfo(float).eps * max(sq, abs(proj)):
+        return a, 0.0
+    return a, math.sqrt(err_sq)
+
+
+def _l2_grid(rng, n, depth, dist):
+    """``poly`` is constant on the cubes of a random level, with block
+    values from a quadratic, so every cube at or below that level holds a
+    representable function and takes the zero-residual branch."""
+    size = 1 << (n * depth)
+    if dist == "uniform":
+        return GridFunction(n, depth, rng.uniform(0.0, 1.0, size))
+    if dist == "lognormal":
+        return GridFunction(n, depth, rng.lognormal(0.0, 1.5, size))
+    block = int(rng.integers(0, depth + 1))
+    mids = (np.arange(1 << block) + 0.5) / (1 << block)
+    u = np.stack(np.meshgrid(*(mids,) * n, indexing="ij"), -1).reshape(-1, n)
+    exps = multi_indices(n, 2)
+    coef = rng.integers(-3, 4, len(exps)).astype(float)
+    P = 10.0 + sum(c * np.prod(u ** np.array(alpha), axis=1)
+                   for alpha, c in zip(exps, coef))
+    P = P.reshape((1 << block,) * n)
+    for ax in range(n):
+        P = np.repeat(P, 1 << (depth - block), axis=ax)
+    return GridFunction(n, depth, P.ravel())
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1), st.sampled_from([1, 2]),
+       st.integers(1, 3), st.sampled_from(["uniform", "lognormal", "poly"]),
+       st.data())
+def test_l2_level_fits_match_per_cube_solves(seed, n, k, dist, data):
+    depth = data.draw(st.integers(0, 7 if n == 1 else 4), label="depth")
+    rng = np.random.default_rng(seed)
+    f = _l2_grid(rng, n, depth, dist)
+    exps = tuple(multi_indices(n, k - 1))
+    for level in range(depth + 1):
+        coeffs, errs = l2_level_fits(f, level, k)
+        cubes = [c for c in iter_cubes(level, n) if c.level == level]
+        assert coeffs.shape == (len(cubes), len(exps))
+        for c, a, err in zip(cubes, coeffs, errs):
+            ref_a, ref_err = loop_fit_l2(f, c, exps)
+            assert _bits(a) == _bits(ref_a)
+            assert _bits(err) == _bits(ref_err)
+        # picked cubes and the one-cube call give the same bits
+        pick = rng.integers(0, len(cubes), 3)
+        coords = np.array([cubes[i].coords for i in pick])
+        sub_a, sub_err = l2_level_fits(f, level, k, coords)
+        assert _bits(sub_a) == _bits(coeffs[pick])
+        assert _bits(sub_err) == _bits(errs[pick])
+        fit = best_fit(f, cubes[pick[0]], k, 2)
+        assert _bits(fit.local_coeffs) == _bits(coeffs[pick[0]])
+        assert _bits(fit.error) == _bits(errs[pick[0]])
+        assert _bits(fit.coeffs) == _bits(
+            loop_local_to_global(exps, fit.local_coeffs, fit.cube))
+
+
+def test_l2_level_fits_zero_residual_branch():
+    """Constant blocks of level 2: every cube from level 2 down fits with
+    error exactly 0, coarser cubes do not."""
+    f = _l2_grid(np.random.default_rng(7), 1, 5, "poly")
+    block = next(lvl for lvl in range(6)
+                 if np.all(l2_level_fits(f, lvl, 1)[1] == 0.0))
+    for k in (1, 2, 3):
+        for level in range(block, 6):
+            assert np.all(l2_level_fits(f, level, k)[1] == 0.0)
+    assert block > 0 and np.any(l2_level_fits(f, block - 1, 1)[1] > 0.0)
+
+
+@pytest.mark.parametrize("n, depth", [(1, 6), (2, 3)])
+def test_l2_level_fits_in_blocks(n, depth, monkeypatch):
+    """A level larger than one block is fitted block by block, with the
+    bits of the single pass."""
+    f = _l2_grid(np.random.default_rng(11), n, depth, "lognormal")
+    whole = [l2_level_fits(f, depth, k) for k in (1, 2, 3)]
+    monkeypatch.setattr(local_poly, "_L2_BLOCK", 5)
+    for k, (a, err) in zip((1, 2, 3), whole):
+        a_blocks, err_blocks = l2_level_fits(f, depth, k)
+        assert _bits(a_blocks) == _bits(a)
+        assert _bits(err_blocks) == _bits(err)
+
+
+def test_l2_level_fits_validation():
+    f = GridFunction(1, 3, np.arange(8.0))
+    with pytest.raises(ValueError, match="k must lie in 1..3"):
+        l2_level_fits(f, 1, 0)
+    with pytest.raises(ValueError, match="level must lie in"):
+        l2_level_fits(f, 4, 2)
+    for bad in ([[2]], [[-1]]):
+        with pytest.raises(ValueError, match="must lie in range"):
+            l2_level_fits(f, 1, 2, np.array(bad))

@@ -87,6 +87,13 @@ def test_config_validation():
         run_suite(SuiteConfig(suite="riesz", generator="step"))
 
 
+@pytest.mark.parametrize("field", ["dimension", "depth", "trials"])
+@pytest.mark.parametrize("value", [True, False, 2.0])
+def test_config_rejects_non_integer_sizes(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SuiteConfig(suite="riesz", **{field: value})
+
+
 def test_extrapolation_accepts_log_singularity():
     report = run_suite(SuiteConfig(suite="jn-extrapolation", dimension=1,
                                    depth=4, trials=1,
