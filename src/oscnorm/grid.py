@@ -180,8 +180,13 @@ class GridFunction:
     dimension: int
     depth: int
     values: np.ndarray
+    # derived data, built on first use: never passed in, so a new
+    # ``values`` (``dataclasses.replace``) never inherits them
     _moment_table: "MomentTable | None" = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
+    )
+    _error_levels: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:

@@ -23,16 +23,21 @@ Solvers
 * ``q = 1, k >= 2``: IRLS (weight floor 1e-12, relative objective decrease
   below 1e-10, at most 200 iterations) refined by a direct simplex polish of
   the exact objective, with the best of {median fit, L2 fit, IRLS} as the
-  starting point.  ``near_best_factor`` is certified against a linear-program
-  lower bound: replacing ``|f - m|`` by per-subcell averages can only shrink
-  the objective (Jensen), and the minimum of that relaxation over all
-  polynomials is an LP solved exactly by HiGHS.
+  starting point.  The objective is an integrator prepared once per cube
+  (cell values, edges, quadrature grids), so each simplex step pays for the
+  arithmetic alone.  ``near_best_factor`` is certified against a
+  linear-program lower bound: replacing ``|f - m|`` by per-subcell averages
+  can only shrink the objective (Jensen), and the minimum of that
+  relaxation over all polynomials is an LP solved exactly by HiGHS, given
+  its constraint matrix in sparse form (``O(m)`` memory for ``m``
+  subcells).  The functionals of :mod:`oscnorm.norms` run these fits once
+  per cube of a grid and hold the errors on the grid.
 
 Exactness of objectives: piecewise-constant minus polynomial is integrated in
 closed form (1D: sign changes from root splitting; 2D affine: half-plane
-clipping with polygon moments).  The single non-closed-form corner -- 2D
-residuals against quadratic polynomials -- uses a fixed composite midpoint
-rule and is flagged through ``approximate``.
+clipping with polygon moments, all cells of a cube at once).  The single
+non-closed-form corner -- 2D residuals against quadratic polynomials -- uses
+a fixed composite midpoint rule and is flagged through ``approximate``.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 from .grid import CubeId, GridFunction, multi_indices
 
@@ -55,6 +60,7 @@ IRLS_REL_TOL = 1e-10
 IRLS_MAX_ITER = 200
 _POLISH_CELL_CAP = 1024
 _QUAD_RULE = 16  # midpoint subdivisions per cell axis, 2D quadratic corner
+_CLIP_BLOCK = 4096  # cells per vectorised half-plane clip, 2D affine residual
 _NOISE = 64.0 * np.finfo(float).eps  # relative size of a zero L2 residual
 # cubes per batched L2 solve: the temporaries take ~400 bytes per cube, so a
 # level of a 4M-cell grid is fitted in blocks of ~27 MB, not at once
@@ -371,8 +377,11 @@ def _lp_lower_bound(Phi, v, mu) -> float:
     polynomials -- a certified lower bound for the true infimum."""
     m, d = Phi.shape
     c_vec = np.concatenate([np.zeros(d), mu])
-    eye = np.eye(m)
-    A_ub = np.block([[Phi, -eye], [-Phi, -eye]])
+    # [[Phi, -I], [-Phi, -I]] without its zeros: the matrix linprog makes of
+    # the dense block, in O(m) memory instead of O(m^2)
+    P = sparse.csc_matrix(Phi)
+    eye = sparse.eye(m, format="csc")
+    A_ub = sparse.bmat([[P, -eye], [-P, -eye]], format="csc")
     b_ub = np.concatenate([v, -v])
     bounds = [(None, None)] * d + [(0, None)] * m
     res = optimize.linprog(c_vec, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
@@ -386,9 +395,10 @@ def _fit_l1(f, c, k, certify):
     exps = _exponents(f.dimension, k)
     cells = f.cube_values(c).size
     Phi, v, mu = _subcell_design(f, c, exps, refine=1)
+    integrate = _l1_integrator(f, c, exps)
 
     def objective(a):
-        return _l1_residual_cells(f, c, exps, a).sum()
+        return integrate(a).sum()
 
     # candidate fits: previous-degree exact fit keeps E_k monotone in k
     med_local = np.zeros(len(exps))
@@ -430,142 +440,168 @@ def _fit_l1(f, c, k, certify):
 
 # -- exact residual integrals ----------------------------------------------
 
-def _l1_residual_cells(f, c, exps, local_coeffs) -> np.ndarray:
-    """Per-cell ``integral |f - P| dx`` over the cells of ``c`` (flat array)."""
+def _l1_integrator(f, c, exps):
+    """``a -> integral_cell |f - P| dx`` for every cell of ``c`` (flat),
+    ``P`` the polynomial with local coefficients ``a``.
+
+    Everything that does not depend on ``a`` -- the cell values, the edges,
+    the quadrature grids -- is prepared here once, so a fit that evaluates
+    its objective many times pays for the arithmetic alone.
+    """
     if f.dimension == 1:
-        return _l1_cells_1d(f, c, exps, local_coeffs)
+        return _l1_cells_1d(f.cube_values(c), c.side, exps)
     if all(sum(a) <= 1 for a in exps):
-        return _l1_cells_affine_2d(f, c, exps, local_coeffs)
-    return _l1_cells_quad_2d(f, c, exps, local_coeffs)
+        return _l1_cells_affine_2d(f.cell_block(c), c.side, exps)
+    return _l1_cells_quad_2d(f.cell_block(c), c.measure, exps)
 
 
-def _l1_cells_1d(f, c, exps, a) -> np.ndarray:
-    # antiderivative coefficients of P in local coordinates
-    coef = {m: 0.0 for m in range(3)}
-    for (m,), v in zip(exps, a):
-        coef[m] = float(v)
-    a0, a1, a2 = coef[0], coef[1], coef[2]
-
-    def antideriv(u):
-        F = a0 * u + a1 * u * u / 2.0
-        # a zero term only flips the sign of a zero; float_power rounds as
-        # the scalar ``**`` does, the array ``**`` may not in the last bit
-        return F + a2 * np.float_power(u, 3) / 3.0 if a2 else F
-
-    vals = f.cube_values(c)
+def _l1_cells_1d(vals, side, exps):
     m_cells = vals.size
     # the cell edges, exact since the cell count is a power of two
     edges = np.arange(-m_cells, m_cells + 1, 2) / (2 * m_cells)
     u0, u1 = edges[:-1], edges[1:]
-    scale = max(abs(a0), abs(a1), abs(a2), 1.0)
-    # per cell the cuts u0 <= lo <= hi <= u1: the roots of P(u) = v inside
-    # the cell split |v - P| into signed pieces; a root outside the cell is
-    # clamped to its end, where it cuts a zero-width piece worth exactly 0
-    lo = hi = u1
-    if abs(a2) > 1e-14 * scale:
-        with np.errstate(invalid="ignore"):     # no real root: NaN
-            sq = np.sqrt(a1 * a1 - 4.0 * a2 * (a0 - vals))
-        roots = ((-a1 - sq) / (2 * a2), (-a1 + sq) / (2 * a2))
-        lo, hi = (np.fmin(np.fmax(r, u0), u1)       # fmax maps NaN to u0
-                  for r in (roots if a2 > 0 else roots[::-1]))
-    elif abs(a1) > 1e-14 * scale:
-        lo = np.fmin(np.fmax(-(a0 - vals) / a1, u0), u1)
-    cuts = np.array([u0, lo, hi, u1])
-    F = antideriv(cuts)
-    pieces = np.abs(vals * (cuts[1:] - cuts[:-1]) - (F[1:] - F[:-1]))
-    return (pieces[0] + pieces[1] + pieces[2]) * c.side
+
+    def cells(a):
+        # antiderivative coefficients of P in local coordinates
+        coef = {m: 0.0 for m in range(3)}
+        for (m,), v in zip(exps, a):
+            coef[m] = float(v)
+        a0, a1, a2 = coef[0], coef[1], coef[2]
+
+        def antideriv(u):
+            F = a0 * u + a1 * u * u / 2.0
+            # a zero term only flips the sign of a zero; float_power rounds
+            # as the scalar ``**`` does, the array ``**`` may not in the
+            # last bit
+            return F + a2 * np.float_power(u, 3) / 3.0 if a2 else F
+
+        scale = max(abs(a0), abs(a1), abs(a2), 1.0)
+        # per cell the cuts u0 <= lo <= hi <= u1: the roots of P(u) = v
+        # inside the cell split |v - P| into signed pieces; a root outside
+        # the cell is clamped to its end, where it cuts a zero-width piece
+        # worth exactly 0
+        lo = hi = u1
+        if abs(a2) > 1e-14 * scale:
+            with np.errstate(invalid="ignore"):     # no real root: NaN
+                sq = np.sqrt(a1 * a1 - 4.0 * a2 * (a0 - vals))
+            roots = ((-a1 - sq) / (2 * a2), (-a1 + sq) / (2 * a2))
+            lo, hi = (np.fmin(np.fmax(r, u0), u1)   # fmax maps NaN to u0
+                      for r in (roots if a2 > 0 else roots[::-1]))
+        elif abs(a1) > 1e-14 * scale:
+            lo = np.fmin(np.fmax(-(a0 - vals) / a1, u0), u1)
+        cuts = np.array([u0, lo, hi, u1])
+        F = antideriv(cuts)
+        pieces = np.abs(vals * (cuts[1:] - cuts[:-1]) - (F[1:] - F[:-1]))
+        return (pieces[0] + pieces[1] + pieces[2]) * side
+
+    return cells
 
 
-def _clip_halfplane(poly, lfun):
-    """Sutherland-Hodgman clip of polygon ``poly`` to ``lfun >= 0``."""
-    out = []
-    m = len(poly)
-    for i in range(m):
-        pa, pb = poly[i], poly[(i + 1) % m]
-        la, lb = lfun(pa), lfun(pb)
-        if la >= 0.0:
-            out.append(pa)
-            if lb < 0.0:
-                t = la / (la - lb)
-                out.append((pa[0] + t * (pb[0] - pa[0]),
-                            pa[1] + t * (pb[1] - pa[1])))
-        elif lb >= 0.0:
-            t = la / (la - lb)
-            out.append((pa[0] + t * (pb[0] - pa[0]),
-                        pa[1] + t * (pb[1] - pa[1])))
-    return out
-
-
-def _polygon_moments(poly):
-    """(area, integral u, integral w) over a simple polygon, shoelace form."""
-    A = Iu = Iw = 0.0
-    m = len(poly)
-    if m < 3:
-        return 0.0, 0.0, 0.0
-    for i in range(m):
-        (u0, w0), (u1, w1) = poly[i], poly[(i + 1) % m]
-        cross = u0 * w1 - u1 * w0
-        A += cross
-        Iu += (u0 + u1) * cross
-        Iw += (w0 + w1) * cross
-    return A / 2.0, Iu / 6.0, Iw / 6.0
-
-
-def _l1_cells_affine_2d(f, c, exps, a) -> np.ndarray:
-    coef = {e: 0.0 for e in ((0, 0), (0, 1), (1, 0))}
-    for alpha, v in zip(exps, a):
-        coef[alpha] = float(v)
-    p0, pw, pu = coef[(0, 0)], coef[(0, 1)], coef[(1, 0)]
-
-    block = f.cell_block(c)
+def _l1_cells_affine_2d(block, side, exps):
     m_cells = block.shape[0]
     edges = np.linspace(-0.5, 0.5, m_cells + 1)
-    s2 = c.side ** 2
-    cu, cw = -pu, -pw
+    # rows along u, columns along w
+    u_sum, w_sum = edges[:-1, None] + edges[1:, None], edges[:-1] + edges[1:]
+    area = np.diff(edges)[:, None] * np.diff(edges)
+    s2 = side ** 2
 
-    def signed(c0, u0, u1, w0, w1):
-        """Integral over the cell of v - P = c0 + cu * u + cw * w."""
-        area = (u1 - u0) * (w1 - w0)
-        return (c0 * area + cu * area * (u0 + u1) / 2
-                + cw * area * (w0 + w1) / 2)
+    def cells(a):
+        coef = {e: 0.0 for e in ((0, 0), (0, 1), (1, 0))}
+        for alpha, v in zip(exps, a):
+            coef[alpha] = float(v)
+        p0, pw, pu = coef[(0, 0)], coef[(0, 1)], coef[(1, 0)]
+        cu, cw = -pu, -pw
+        c0 = block - p0
+        # the integral over each cell of v - P = c0 + cu * u + cw * w
+        full = c0 * area + cu * area * u_sum / 2 + cw * area * w_sum / 2
+        # where the slope is at rounding scale v - P keeps one sign in the
+        # cell and the cell integral is |full|; the others are clipped
+        flat = abs(cu) + abs(cw) < 1e-15 * np.maximum(np.abs(c0), 1.0)
+        out = np.abs(full) * s2
+        rows, cols = np.nonzero(~flat)
+        # in blocks whose temporaries stay in cache
+        for b in range(0, len(rows), _CLIP_BLOCK):
+            i, j = rows[b:b + _CLIP_BLOCK], cols[b:b + _CLIP_BLOCK]
+            pos = _positive_part_moments(c0[i, j], cu, cw, edges[i],
+                                         edges[i + 1], edges[j], edges[j + 1])
+            out[i, j] = np.abs(2.0 * pos - full[i, j]) * s2
+        return out.ravel()
 
-    c0 = block - p0                 # rows along u, columns along w
-    # where the slope is at rounding scale v - P keeps one sign in the cell;
-    # those cells take |integral| in one vector pass, the others clip
-    flat = abs(cu) + abs(cw) < 1e-15 * np.maximum(np.abs(c0), 1.0)
-    out = np.empty(block.size)
-    if flat.any():
-        full = signed(c0, edges[:-1, None], edges[1:, None],
-                      edges[None, :-1], edges[None, 1:])
-        out[flat.ravel()] = np.abs(full[flat]) * s2
-    for i, j in zip(*np.nonzero(~flat)):
-        u0, u1, w0, w1 = edges[i], edges[i + 1], edges[j], edges[j + 1]
-        cc = c0[i, j]
-        poly = [(u0, w0), (u1, w0), (u1, w1), (u0, w1)]
-        clipped = _clip_halfplane(poly, lambda p: cc + cu * p[0] + cw * p[1])
-        A, Iu, Iw = _polygon_moments(clipped)
-        pos = cc * A + cu * Iu + cw * Iw
-        out[i * m_cells + j] = abs(2.0 * pos - signed(cc, u0, u1, w0, w1)) * s2
-    return out
+    return cells
 
 
-def _l1_cells_quad_2d(f, c, exps, a) -> np.ndarray:
+def _positive_part_moments(cc, cu, cw, u0, u1, w0, w1):
+    """``integral (cc + cu u + cw w)_+`` over each box ``[u0,u1]x[w0,w1]``.
+
+    Clips the box (corners in the order (u0,w0), (u1,w0), (u1,w1), (u0,w1))
+    to the half-plane where the affine function is ``>= 0``, edge by edge
+    as Sutherland-Hodgman does, and takes the clipped polygon's area and
+    first moments by the shoelace sums, vertex after vertex, so each box
+    gets the bits of the one-box loop.  A clipped polygon has at most eight
+    vertex slots, two per edge: the edge's first corner and a crossing.
+    """
+    X = (u0, u1, u1, u0)
+    Y = (w0, w0, w1, w1)
+    lv = [cc + cu * x + cw * y for x, y in zip(X, Y)]
+    keep, px, py = [], [], []
+    # lanes without a crossing divide by a zero difference; they are masked
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for e in range(4):
+            b = (e + 1) % 4
+            la, lb = lv[e], lv[b]
+            t = la / (la - lb)
+            keep += [la >= 0.0, (la >= 0.0) != (lb >= 0.0)]
+            px += [X[e], X[e] + t * (X[b] - X[e])]
+            py += [Y[e], Y[e] + t * (Y[b] - Y[e])]
+    keep = np.array(keep)
+    slots, boxes = keep.shape
+    # slot-major, ``slot * boxes + box``; a dropped slot becomes (0, 0),
+    # so its cross product is a zero and a sum only ever gains +-0.0 from
+    # it, which keeps the sum's bits (a running sum is never -0.0)
+    px = np.where(keep, px, 0.0).ravel()
+    py = np.where(keep, py, 0.0).ravel()
+    # each kept slot's successor: the next kept slot, and after the last
+    # one the first, as the loop closes the polygon
+    succ = np.empty(keep.shape, dtype=np.intp)
+    nxt = np.full(boxes, -1)
+    for v in range(slots - 1, -1, -1):
+        succ[v] = nxt
+        nxt = np.where(keep[v], v, nxt)
+    succ = np.where(succ < 0, nxt, succ) * boxes + np.arange(boxes)
+    A, Iu, Iw = np.zeros((3, boxes))
+    for v in range(slots):
+        x0, y0 = px[v * boxes:(v + 1) * boxes], py[v * boxes:(v + 1) * boxes]
+        x1, y1 = px[succ[v]], py[succ[v]]
+        cross = x0 * y1 - x1 * y0
+        A += cross
+        Iu += (x0 + x1) * cross
+        Iw += (y0 + y1) * cross
+    polygon = keep.sum(axis=0) >= 3
+    A = np.where(polygon, A / 2.0, 0.0)
+    Iu = np.where(polygon, Iu / 6.0, 0.0)
+    Iw = np.where(polygon, Iw / 6.0, 0.0)
+    return cc * A + cu * Iu + cw * Iw
+
+
+def _l1_cells_quad_2d(block, measure, exps):
     """Composite midpoint rule for 2D residuals against quadratics."""
-    block = f.cell_block(c)
     m_cells = block.shape[0]
     r = _QUAD_RULE
     mids = (np.arange(m_cells * r) + 0.5) / (m_cells * r) - 0.5
-    U = mids[:, None]
-    W = mids[None, :]
-    P = np.zeros((mids.size, mids.size))
-    for alpha, coef in zip(exps, a):
-        P += coef * U ** alpha[0] * W ** alpha[1]
+    U = [mids[:, None] ** m for m in range(3)]
+    W = [mids[None, :] ** m for m in range(3)]
     vrep = np.repeat(np.repeat(block, r, axis=0), r, axis=1)
-    sub_area = c.measure / mids.size ** 2
-    resid = np.abs(vrep - P) * sub_area
-    # fold subcells back onto cells
-    resid = resid.reshape(m_cells, r, m_cells, r).sum(axis=(1, 3))
-    return resid.ravel()
+    sub_area = measure / mids.size ** 2
+
+    def cells(a):
+        P = np.zeros((mids.size, mids.size))
+        for alpha, coef in zip(exps, a):
+            P += coef * U[alpha[0]] * W[alpha[1]]
+        resid = np.abs(vrep - P) * sub_area
+        # fold subcells back onto cells
+        return resid.reshape(m_cells, r, m_cells, r).sum(axis=(1, 3)).ravel()
+
+    return cells
 
 
 def residual_cell_integrals(f: GridFunction, fit: PolyFit, q: int) -> np.ndarray:
@@ -579,7 +615,7 @@ def residual_cell_integrals(f: GridFunction, fit: PolyFit, q: int) -> np.ndarray
         vals = f.cube_values(fit.cube)
         return np.abs(vals) ** q * f.cell_measure
     if q == 1:
-        return _l1_residual_cells(f, fit.cube, fit.exponents, fit.local_coeffs)
+        return _l1_integrator(f, fit.cube, fit.exponents)(fit.local_coeffs)
     vals = f.cube_values(fit.cube)
     pint, p2int = _poly_cell_integrals(f, fit.cube, fit.exponents,
                                        fit.local_coeffs)

@@ -201,10 +201,31 @@ def scaled_error_levels(f: GridFunction, params: NormParams) -> list[np.ndarray]
     elif q == 2:
         errs = [l2_level_fits(f, lvl, k)[1] for lvl in range(L + 1)]
     else:
-        flat = np.array([poly_error(f, c, k, q) for c in iter_cubes(L, n)])
-        errs = np.split(flat, level_offsets(L, n)[1:-1])
+        errs = _fit_error_levels(f, k, q)
     return [(2.0 ** (-n * lvl)) ** e * err * unit
             for lvl, err in enumerate(errs)]
+
+
+def _fit_error_levels(f: GridFunction, k: int,
+                      q: int) -> tuple[np.ndarray, ...]:
+    """``E_k(f;Q)_q`` by one fit per cube, one read-only flat array per
+    level.
+
+    Built on first use per ``(k, q)`` and held on ``f``, as ``f.moments()``
+    holds its table, so the functionals of one grid share one sweep of
+    fits whatever their ``p``, ``lam`` or convention.  The other routes
+    are vectorised passes over the grid and are not held: kept alive
+    through their callers, their arrays raise the peak memory of the
+    large-grid functionals for little time saved.
+    """
+    held = f._error_levels.get((k, q))
+    if held is None:
+        n, L = f.dimension, f.depth
+        flat = np.array([poly_error(f, c, k, q) for c in iter_cubes(L, n)])
+        flat.flags.writeable = False
+        held = tuple(np.split(flat, level_offsets(L, n)[1:-1]))
+        f._error_levels[k, q] = held
+    return held
 
 
 def _scaled_flat(f: GridFunction, params: NormParams) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Dyadic grid plumbing: cube ids, prefix-sum moments, JSON round trips."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -198,3 +199,23 @@ def test_cell_block_view():
     block = f.cell_block(CubeId(1, (0, 1)))
     assert block.shape == (2, 2)
     assert np.array_equal(block, f.values_nd[0:2, 2:4])
+
+
+def test_replace_builds_its_own_tables():
+    """Tables derived from the values are never carried to new values."""
+    f = GridFunction(1, 2, [1.0, 2.0, 3.0, 4.0])
+    assert f.integral() == 2.5
+    f.moments()
+    zeros = dataclasses.replace(f, values=np.zeros(4))
+    assert zeros.integral() == 0.0
+    assert zeros.moments() is not f.moments()
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(f, _moment_table=f.moments())
+
+
+def test_derived_tables_are_not_arguments():
+    f = GridFunction(1, 2, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(TypeError):
+        GridFunction(1, 2, np.zeros(4), f.moments())
+    with pytest.raises(TypeError):
+        GridFunction(1, 2, np.zeros(4), _moment_table=f.moments())

@@ -7,6 +7,7 @@ rather than equalities.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,16 +155,17 @@ def test_translation_by_constant(seed, shift, q, k):
 
 def _brute_force_l1(f, c, k, grid_pts=21, rounds=6):
     """3-level refinement search over polynomial coefficients."""
-    from oscnorm.local_poly import _l1_residual_cells
+    from oscnorm.local_poly import _l1_integrator
     from oscnorm.grid import multi_indices
     exps = multi_indices(f.dimension, k - 1)
+    integrate = _l1_integrator(f, c, exps)
     center = np.zeros(len(exps))
     width = 2.0 * max(1.0, np.abs(f.cube_values(c)).max())
     best = math.inf
     for _ in range(rounds):
         axes = [np.linspace(cc - width, cc + width, grid_pts) for cc in center]
         for combo in itertools.product(*axes):
-            obj = _l1_residual_cells(f, c, exps, np.array(combo)).sum()
+            obj = integrate(np.array(combo)).sum()
             if obj < best:
                 best, center = obj, np.array(combo)
         width *= 2.2 / (grid_pts - 1)
@@ -231,3 +233,18 @@ def test_subcube_fit():
     fit = best_fit(f, c, 1, 1)
     assert fit.coeffs == pytest.approx([1.0])    # lower median of (1, 3)
     assert fit.error == pytest.approx(2.0 * 0.25)
+
+
+def test_l1_certificate_memory_stays_small():
+    """The LP certificate of a 512-cell root fit has 4,096 subcells: a
+    dense ``(2m, d + m)`` design with its identity block would trace ~900 MB,
+    the sparse one a few MB."""
+    f = GridFunction(1, 9, np.random.default_rng(3).uniform(0.0, 1.0, 512))
+    tracemalloc.start()
+    try:
+        fit = best_fit(f, ROOT1, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert 1.0 <= fit.near_best_factor < math.inf

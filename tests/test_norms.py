@@ -4,6 +4,7 @@ Golden values below are hand-derived for tiny grids; ordering properties are
 spot-checked on random grids against the exact enumeration paths.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -193,6 +194,51 @@ def test_scaled_error_levels_match_direct():
                                 convention=params.convention)
             got = float(levels[c.level][c.coords[0]])
             assert got == pytest.approx(want, abs=1e-12), (params, c)
+
+
+def test_error_levels_are_swept_once_per_grid(monkeypatch):
+    """One sweep of local fits per grid and (k, q), whatever p, lambda,
+    convention or entry point; a new grid sweeps again."""
+    calls = []
+    poly_error = norms.poly_error
+    monkeypatch.setattr(norms, "poly_error",
+                        lambda *args: calls.append(args) or poly_error(*args))
+    rng = np.random.default_rng(4)
+    f = GridFunction(1, 2, rng.uniform(0, 1, 4))
+    first = np.concatenate(scaled_error_levels(f, NormParams.sv(1.0, 2, 1,
+                                                                0.0)))
+    assert len(calls) == 7
+    for p in (1.0, 2.0, 4.0):
+        sparse_sup_exhaustive(f, NormParams.sv(p, 2, 1, 0.0))
+        sparse_norm_bounds(f, NormParams.sv(p, 2, 1, 0.0))
+        packing_sup_norm(f, NormParams.packing(p, 2, 1, 0.5))
+    assert len(calls) == 7
+    again = np.concatenate(scaled_error_levels(f, NormParams.sv(1.0, 2, 1,
+                                                                0.0)))
+    assert again.tobytes() == first.tobytes()
+    g = GridFunction(1, 2, f.values)
+    scaled_error_levels(g, NormParams.sv(1.0, 2, 1, 0.0))
+    assert len(calls) == 14
+    zeros = dataclasses.replace(f, values=np.zeros(4))
+    assert not np.concatenate(scaled_error_levels(
+        zeros, NormParams.sv(1.0, 2, 1, 0.0))).any()
+    assert len(calls) == 21
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (1, 3), (2, 2), (2, 3)])
+def test_held_error_levels_are_read_only(n, k):
+    f = GridFunction(n, 2, np.random.default_rng(5).uniform(0, 1, 4 ** n))
+    scaled = scaled_error_levels(f, NormParams.packing(2.0, k, 1, 0.0))
+    errs = f._error_levels[k, 1]
+    assert len(errs) == len(scaled) == 3
+    for err in errs:
+        assert not err.flags.writeable
+        with pytest.raises(ValueError):
+            err[0] = 1.0
+    # the scaled levels are the caller's own arrays
+    scaled[0][0] = -1.0
+    again = scaled_error_levels(f, NormParams.packing(2.0, k, 1, 0.0))
+    assert again[0][0] != -1.0
 
 
 def test_family_value_manual():

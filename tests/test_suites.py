@@ -119,3 +119,17 @@ def test_failed_assertion_marks_report(monkeypatch):
                           {"name": "forced", "passed": False, "detail": "x"},))
     assert not bad.passed
     assert json.loads(bad.to_json())["passed"] is False
+
+
+def test_sv_equivalence_fits_each_cube_once(monkeypatch):
+    """The suite calls three functionals at three p per trial; the L^1,
+    k=2 fits run once per cube of a trial: 2 trials x 15 cubes."""
+    from oscnorm import local_poly
+    calls = []
+    fit_l1 = local_poly._fit_l1
+    monkeypatch.setattr(local_poly, "_fit_l1", lambda *args, **kw:
+                        calls.append(args) or fit_l1(*args, **kw))
+    report = run_suite(SuiteConfig(suite="sv-equivalence", dimension=1,
+                                   depth=3, trials=8, seed=901))
+    assert all(a["passed"] for a in report.assertions)
+    assert len(calls) == 30
