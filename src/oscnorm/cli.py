@@ -88,15 +88,10 @@ def _compute_params(args: argparse.Namespace, dimension: int) -> NormParams:
         return NormParams.packing(args.p, args.k, args.q, args.lam)
     if key == "bmo":
         return NormParams.bmo()
-    if key == "sjn":
-        return NormParams.sjn(args.p) if (args.k, args.q, args.lam) == (1, 1, 0.0) \
-            else NormParams.sv(args.p, args.k, args.q, args.lam)
-    if key == "sv":
+    if key in ("sjn", "sv"):     # sjn(p) is sv(p, 1, 1, 0.0)
         return NormParams.sv(args.p, args.k, args.q, args.lam)
-    if key == "svt":
-        return NormParams.sv_fractional(args.p, args.k, args.q, args.lam,
-                                        dimension)
-    raise ValueError(key)
+    return NormParams.sv_fractional(args.p, args.k, args.q, args.lam,
+                                    dimension)
 
 
 def _run_compute(args: argparse.Namespace) -> int:

@@ -7,8 +7,10 @@ of order* ``t`` in (0, 1] when for every member ``Q`` its family-children
     sum over children Q' of |Q'|^t  <=  (1/2) |Q|^t
 
 and *weakly sparse* when each core set ``E_Q = Q minus union(children)`` keeps
-at least half the measure: ``|E_Q| >= |Q|/2``.  Order-1 sparseness implies
-weak sparseness; packings are sparse of every order (no children at all).
+at least half the measure: ``|E_Q| >= |Q|/2``.  Weak sparseness is order-1
+sparseness: children are disjoint, so ``sum |Q'| <= |Q|/2`` iff
+``|E_Q| >= |Q|/2``, and the classifier checks ``"weak"`` as order 1.
+Packings are sparse of every order (no children at all).
 
 Families are arrays over the breadth-first cube numbering of
 :func:`~oscnorm.grid.cube_index`: member numbers, the position of each
@@ -200,10 +202,6 @@ def _classify(rows: np.ndarray, index: np.ndarray, n_rows: int, order,
         lhs = np.bincount(kids, minlength=m)     # children per member
         rhs = np.zeros(m)
         bad = core < size                        # any children at all
-    elif order == "weak":
-        lhs = 0.5 * np.array(meas)[level]
-        rhs = core * 2.0 ** (-n * depth)
-        bad = rhs < lhs - COMPARE_TOL
     else:
         pw = np.array([mu ** float(order) for mu in meas])[level]
         lhs = np.bincount(kids, weights=pw[has], minlength=m)
@@ -217,9 +215,10 @@ def validate(family, order, *, dimension: int,
     """Classify a set of cubes, or report the first violating cube.
 
     ``order`` is a sparseness order in (0, 1], or ``"packing"``, or
-    ``"weak"``.  Measures are powers of two, so the fractional-power sums are
-    compared in floating point with a 1e-12 tolerance.  "First" is the
-    breadth-first cube order.
+    ``"weak"`` (checked as order 1, reported on the core side).  Measures
+    are powers of two, so the fractional-power sums are compared in
+    floating point with a 1e-12 tolerance.  "First" is the breadth-first
+    cube order.
     """
     cubes = list(family)
     if not cubes:
@@ -250,13 +249,17 @@ def validate_index(index: np.ndarray, order, *, dimension: int,
             raise ValueError(f"sparseness order must lie in (0, 1], got {order}")
         kind, condition = "sparse", f"sparse(order {order_val:g})"
     one_row = np.broadcast_to(np.int64(0), index.shape)   # no allocation
-    parent, core, bad, lhs, rhs = _classify(one_row, index, 1, order,
-                                            dimension, depth)
+    parent, core, bad, lhs, rhs = _classify(
+        one_row, index, 1, 1.0 if order == "weak" else order, dimension, depth)
     if bad.any():
         i = int(bad.argmax())
         (lvl,), (coords,) = _levels_coords(index[i:i + 1], dimension, depth)
+        sides = lhs[i], rhs[i]
+        if order == "weak":     # the core side: |Q|/2 against |E_Q|
+            sides = (0.5 * 2.0 ** (-dimension * lvl),
+                     core[i] * 2.0 ** (-dimension * depth))
         return SparsityViolation(CubeId(lvl, tuple(coords)), condition,
-                                 float(lhs[i]), float(rhs[i]))
+                                 *map(float, sides))
     return CubeFamily(dimension, depth, kind, order_val, index, parent, core)
 
 
@@ -337,8 +340,9 @@ def family_tables(dimension: int, depth: int, order) -> FamilyTables:
     masks = np.arange(1, 1 << nodes, dtype=np.int64)
     member = (masks >> np.arange(nodes)[:, None]) & 1      # (nodes, rows)
     index, rows = np.nonzero(member)     # by cube number, then by row
-    _, core, bad, _, _ = _classify(rows, index, masks.size, order, dimension,
-                                   depth)
+    _, core, bad, _, _ = _classify(
+        rows, index, masks.size, 1.0 if order == "weak" else order,
+        dimension, depth)
     keep = np.ones(masks.size, dtype=bool)
     keep[rows[bad]] = False
     core_meas = np.zeros((masks.size, nodes))

@@ -341,9 +341,10 @@ class MomentTable:
         cell_meas = 2.0 ** (-n * f.depth)
         alphas = multi_indices(n, max_total_order)
         # one stack: f^2, then f x^alpha in graded order, so the data of the
-        # L2 fits up to any degree is a leading slice
+        # L2 fits up to any degree is a leading slice; |f| comes last,
+        # outside every such slice
         self._row = {alpha: i for i, alpha in enumerate(alphas, start=1)}
-        self._prefix = np.empty((1 + len(alphas),) + (side + 1,) * n)
+        self._prefix = np.empty((2 + len(alphas),) + (side + 1,) * n)
         self._prefix[0] = _prefix_sum(v * v * cell_meas)
         for alpha, i in self._row.items():
             if n == 1:
@@ -352,13 +353,8 @@ class MomentTable:
                 weights = np.multiply.outer(axis_factor[alpha[0]],
                                             axis_factor[alpha[1]])
             self._prefix[i] = _prefix_sum(v * weights)
-        self._prefix_abs = _prefix_sum(np.abs(v) * cell_meas)
+        self._prefix[-1] = _prefix_sum(np.abs(v) * cell_meas)
         self._grid = f
-
-    def _rect(self, cube: CubeId) -> tuple[tuple[int, int], ...]:
-        self._grid.check_cube(cube)
-        s = 1 << (self.depth - cube.level)
-        return tuple((c * s, (c + 1) * s) for c in cube.coords)
 
     def moment(self, cube: CubeId, alpha: tuple[int, ...]) -> float:
         alpha = tuple(int(a) for a in alpha)
@@ -374,7 +370,7 @@ class MomentTable:
                 f"moment order {sum(alpha)} exceeds the tabulated maximum "
                 f"{self.max_total_order}"
             )
-        return _rect_sum(self._prefix[self._row[alpha]], self._rect(cube))
+        return self._cube_sum(self._row[alpha], cube)
 
     def level_l2_sums(self, level: int, max_total: int,
                       coords: np.ndarray | None = None) -> np.ndarray:
@@ -395,7 +391,15 @@ class MomentTable:
         if not 0 <= level <= self.depth:
             raise ValueError(f"level must lie in [0, {self.depth}], got {level}")
         n = self.dimension
-        prefix = self._prefix[:1 + math.comb(max_total + n, n)]
+        return self._rect_sums(slice(1 + math.comb(max_total + n, n)), level,
+                               coords)
+
+    def _rect_sums(self, rows: slice, level: int,
+                   coords: np.ndarray | None) -> np.ndarray:
+        """Sums over cubes of one ``level`` of the prefix ``rows``, shape
+        ``(rows, cubes)``: every cube of the level, or those of ``coords``."""
+        n = self.dimension
+        prefix = self._prefix[rows]
         s = 1 << (self.depth - level)
         if coords is None:
             prefix = prefix[(...,) + (slice(None, None, s),) * n]
@@ -410,16 +414,22 @@ class MomentTable:
                - prefix[..., i1, j0] + prefix[..., i0, j0])
         return out.reshape(len(prefix), -1)
 
+    def _cube_sum(self, row: int, cube: CubeId) -> float:
+        """The one-cube call of :meth:`_rect_sums` on one prefix row."""
+        self._grid.check_cube(cube)
+        return float(self._rect_sums(slice(row, row + 1), cube.level,
+                                     np.array([cube.coords]))[0, 0])
+
     def integral(self, cube: CubeId) -> float:
         return self.moment(cube, (0,) * self.dimension)
 
     def abs_integral(self, cube: CubeId) -> float:
         """``integral_cube |f| dx``."""
-        return _rect_sum(self._prefix_abs, self._rect(cube))
+        return self._cube_sum(len(self._prefix) - 1, cube)
 
     def square_integral(self, cube: CubeId) -> float:
         """``integral_cube f^2 dx``."""
-        return _rect_sum(self._prefix[0], self._rect(cube))
+        return self._cube_sum(0, cube)
 
     def abs_pow_integral(self, cube: CubeId, q: int) -> float:
         """``integral_cube |f|^q dx`` for q in {1, 2}."""
@@ -438,11 +448,3 @@ def _prefix_sum(a: np.ndarray) -> np.ndarray:
     padded = np.zeros(tuple(s + 1 for s in out.shape))
     padded[(slice(1, None),) * a.ndim] = out
     return padded
-
-
-def _rect_sum(prefix: np.ndarray, rect: tuple[tuple[int, int], ...]) -> float:
-    if len(rect) == 1:
-        (i0, i1), = rect
-        return float(prefix[i1] - prefix[i0])
-    (i0, i1), (j0, j1) = rect
-    return float(prefix[i1, j1] - prefix[i0, j1] - prefix[i1, j0] + prefix[i0, j0])

@@ -28,10 +28,11 @@ Solvers
   arithmetic alone.  ``near_best_factor`` is certified against a
   linear-program lower bound: replacing ``|f - m|`` by per-subcell averages
   can only shrink the objective (Jensen), and the minimum of that
-  relaxation over all polynomials is an LP solved exactly by HiGHS, given
-  its constraint matrix in sparse form (``O(m)`` memory for ``m``
-  subcells).  The functionals of :mod:`oscnorm.norms` run these fits once
-  per cube of a grid and hold the errors on the grid.
+  relaxation over all polynomials is an LP that HiGHS solves as its
+  L1-Linf dual: ``d <= 6`` dense equality rows (orthogonality to the basis)
+  over one box-bounded variable per subcell.  The functionals of
+  :mod:`oscnorm.norms` run these fits once per cube of a grid and hold the
+  errors on the grid.
 
 Exactness of objectives: piecewise-constant minus polynomial is integrated in
 closed form (1D: sign changes from root splitting; 2D affine: half-plane
@@ -48,7 +49,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import optimize
 
 from .grid import CubeId, GridFunction, multi_indices
 
@@ -374,21 +375,14 @@ def _irls(Phi, v, mu, a0):
 
 def _lp_lower_bound(Phi, v, mu) -> float:
     """Exact minimum of the (refined) cell-averaged L1 objective over all
-    polynomials -- a certified lower bound for the true infimum."""
-    m, d = Phi.shape
-    c_vec = np.concatenate([np.zeros(d), mu])
-    # [[Phi, -I], [-Phi, -I]] without its zeros: the matrix linprog makes of
-    # the dense block, in O(m) memory instead of O(m^2)
-    P = sparse.csc_matrix(Phi)
-    eye = sparse.eye(m, format="csc")
-    A_ub = sparse.bmat([[P, -eye], [-P, -eye]], format="csc")
-    b_ub = np.concatenate([v, -v])
-    bounds = [(None, None)] * d + [(0, None)] * m
-    res = optimize.linprog(c_vec, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
-                           method="highs")
+    polynomials -- a certified lower bound for the true infimum -- as the
+    dual ``mu * max {v @ y : Phi.T @ y = 0, |y| <= 1}`` (equal subcell
+    measures ``mu``), which ``y = 0`` makes feasible and the box bounded."""
+    res = optimize.linprog(-v, A_eq=Phi.T, b_eq=np.zeros(Phi.shape[1]),
+                           bounds=(-1.0, 1.0), method="highs")
     if not res.success:
         return 0.0
-    return max(float(res.fun), 0.0)
+    return max(-float(res.fun), 0.0) * float(mu[0])
 
 
 def _fit_l1(f, c, k, certify):

@@ -236,9 +236,9 @@ def test_subcube_fit():
 
 
 def test_l1_certificate_memory_stays_small():
-    """The LP certificate of a 512-cell root fit has 4,096 subcells: a
-    dense ``(2m, d + m)`` design with its identity block would trace ~900 MB,
-    the sparse one a few MB."""
+    """The LP certificate of a 512-cell root fit has 4,096 subcells: the
+    primal program's dense ``(2m, d + m)`` design with its identity block
+    would trace ~900 MB, the dual's ``d`` equality rows a few MB."""
     f = GridFunction(1, 9, np.random.default_rng(3).uniform(0.0, 1.0, 512))
     tracemalloc.start()
     try:
@@ -248,3 +248,12 @@ def test_l1_certificate_memory_stays_small():
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
     assert 1.0 <= fit.near_best_factor < math.inf
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_root_l1_certificate_at_full_subcell_budget(k):
+    """A 1,024-cell root fit certifies on 8 subcells per cell, the 8,192
+    subcell budget of the LP, and the certificate is tight."""
+    f = GridFunction(1, 10, np.random.default_rng(10).uniform(0.0, 1.0, 1024))
+    fit = best_fit(f, ROOT1, k, 1)
+    assert 1.0 <= fit.near_best_factor <= 1.001

@@ -5,10 +5,11 @@ The exact L^1 residual integrators must reproduce every cell integral bit
 for bit: the residual feeds the certified upper bound of
 ``sparse_norm_bounds`` and the L^1 objective of every ``k >= 2`` fit.  The
 prepared integrators a fit builds once per cube must give the bits of the
-one-shot integrators at every coefficient vector, and the sparse LP
-certificate the bits of the dense one.  The batched ``q = 2`` fits of a
-level must reproduce the coefficients and errors of the per-cube solve bit
-for bit: they feed every packing and sparse functional at ``q = 2``.
+one-shot integrators at every coefficient vector, and the dual LP
+certificate the value of the dense primal program, to 1e-12 relative.
+The batched ``q = 2`` fits of a level must reproduce the coefficients and
+errors of the per-cube solve bit for bit: they feed every packing and
+sparse functional at ``q = 2``.
 """
 
 import itertools
@@ -334,9 +335,11 @@ def test_prepared_integrators_match_one_shot(seed, shape, dist):
         assert _bits(integrate(coeffs)) == _bits(oneshot(f, c, exps, coeffs))
 
 
-# -- the sparse LP certificate against the dense one ---------------------------
+# -- the dual LP certificate against the dense primal program ----------------
 
 def dense_lp_lower_bound(Phi, v, mu):
+    """``min sum mu * t`` over ``|v - Phi a| <= t``: the primal program, with
+    its ``(2m, d + m)`` constraint matrix built densely."""
     m, d = Phi.shape
     c_vec = np.concatenate([np.zeros(d), mu])
     eye = np.eye(m)
@@ -352,7 +355,8 @@ def dense_lp_lower_bound(Phi, v, mu):
 
 @pytest.mark.parametrize("n, depth, k", [(1, 0, 2), (1, 3, 2), (1, 4, 3),
                                          (2, 0, 3), (2, 1, 2), (2, 2, 3)])
-def test_sparse_lp_certificate_matches_dense(n, depth, k):
+def test_dual_lp_certificate_matches_dense_primal(n, depth, k):
+    """Strong duality: the ``d``-row dual reaches the primal optimum."""
     rng = np.random.default_rng(100 * n + 10 * depth + k)
     exps = _exponents(n, k)
     for dist in ("uniform", "lognormal", "ties"):
@@ -366,8 +370,9 @@ def test_sparse_lp_certificate_matches_dense(n, depth, k):
                                 rng.integers(0, 1 << level, n)))
         for refine in (1, 2, 4):
             design = _subcell_design(f, c, exps, refine)
-            assert _bits(_lp_lower_bound(*design)) == _bits(
-                dense_lp_lower_bound(*design))
+            primal = dense_lp_lower_bound(*design)
+            assert _lp_lower_bound(*design) == pytest.approx(
+                primal, rel=1e-12, abs=1e-15), (dist, refine)
 
 
 # -- the q = 2 fits: one batched solve per level against the per-cube solve --
