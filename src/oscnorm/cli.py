@@ -17,11 +17,13 @@ assertions hold.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
+import re
 import sys
 
-from .families import SUBSET_NODE_CAP
+from .families import SUBSET_NODE_CAP, CubeFamily
 from .grid import GridFunction, tree_size
 from .maximal import fractional_maximal
 from .norms import (NormParams, garo_norm, packing_sup_norm, ri_functionals,
@@ -32,12 +34,17 @@ _NORM_KEYS = ("jn", "sjn", "v", "sv", "svt", "garo", "bmo", "weaklp", "llogl")
 
 
 def _parse_p(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
     p = float(text)
-    if p < 1.0:
+    if not p >= 1.0:       # also refuses nan
         raise argparse.ArgumentTypeError(f"p must be >= 1 or inf, got {text}")
     return p
+
+
+def _parse_lambda(text: str) -> float:
+    lam = float(text)
+    if not math.isfinite(lam):
+        raise argparse.ArgumentTypeError(f"lambda must be finite, got {text}")
+    return lam
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--p", type=_parse_p, default=2.0)
     comp.add_argument("--k", type=int, default=1)
     comp.add_argument("--q", type=int, default=1, choices=(1, 2))
-    comp.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    comp.add_argument("--lambda", dest="lam", type=_parse_lambda, default=0.0)
     comp.add_argument("--mode", choices=("exact", "bounds"), default="exact")
     comp.add_argument("--out", help="write JSON here instead of stdout")
 
@@ -73,8 +80,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+# Stands in for the witness's cube list while the stdlib encoder, which is
+# pure Python whenever ``indent`` is set, writes the rest of a report.  The
+# pattern anchors at a line start, and encoded strings hold no raw newline,
+# so no string value of the report can match it.
+_CUBES = "\x00cubes\x00"
+_CUBES_LINE = re.compile(
+    r'^( *)"cubes": (' + re.escape(json.dumps(_CUBES)) + ")", re.MULTILINE)
+
+
+def _emit(payload: dict, out: str | None,
+          witness: CubeFamily | None = None) -> None:
+    """Write ``payload``, plus ``witness`` under ``"witness"``, exactly as
+    ``json.dumps(..., sort_keys=True, indent=2)`` writes them with the
+    witness as :meth:`CubeFamily.to_json_dict`.  The witness's cube list
+    is rendered from its member arrays and spliced in at the placeholder,
+    at the indent of the placeholder's line."""
+    if witness is None:
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    else:
+        stub = {"kind": witness.kind, "order": witness.order,
+                "cubes": _CUBES}
+        text = json.dumps({**payload, "witness": stub}, sort_keys=True,
+                          indent=2) + "\n"
+        at = _CUBES_LINE.search(text)
+        text = (text[:at.start(2)] + witness.json_cubes(len(at[1]))
+                + text[at.end():])
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -97,9 +128,19 @@ def _compute_params(args: argparse.Namespace, dimension: int) -> NormParams:
 def _run_compute(args: argparse.Namespace) -> int:
     f = GridFunction.from_file(args.input)
     payload: dict = {"schema": 1, "norm": args.norm, "input": args.input}
+    if args.norm in ("weaklp", "llogl"):
+        if args.norm == "weaklp" and args.p <= 1.0:
+            print("error: weak-L^p needs p > 1", file=sys.stderr)
+            return 2
+        ri = ri_functionals(f, args.p if args.norm == "weaklp" else 2.0)
+        value = ri.weak_lp if args.norm == "weaklp" else ri.llogl
+        payload.update({"value_lower": value, "value_upper": value,
+                        "exact": True,
+                        "p": "inf" if math.isinf(args.p) else args.p})
+        _emit(payload, args.out)
+        return 0
     if args.norm in ("jn", "v", "bmo"):
         rep = packing_sup_norm(f, _compute_params(args, f.dimension))
-        payload.update(rep.to_json_dict())
     elif args.norm in ("sjn", "sv", "svt"):
         params = _compute_params(args, f.dimension)
         if args.mode == "exact":
@@ -111,23 +152,15 @@ def _run_compute(args: argparse.Namespace) -> int:
             rep = sparse_sup_exhaustive(f, params)
         else:
             rep = sparse_norm_bounds(f, params)
-        payload.update(rep.to_json_dict())
-    elif args.norm == "garo":
+    else:  # garo
         rep = garo_norm(f, args.p)
         if args.mode == "exact" and not rep.exact:
             print(f"error: exact evaluation needs <= {SUBSET_NODE_CAP} tree "
                   "nodes; rerun with --mode bounds", file=sys.stderr)
             return 2
-        payload.update(rep.to_json_dict())
-    else:  # weaklp / llogl
-        if args.norm == "weaklp" and args.p <= 1.0:
-            print("error: weak-L^p needs p > 1", file=sys.stderr)
-            return 2
-        ri = ri_functionals(f, args.p if args.norm == "weaklp" else 2.0)
-        value = ri.weak_lp if args.norm == "weaklp" else ri.llogl
-        payload.update({"value_lower": value, "value_upper": value,
-                        "exact": True, "p": args.p})
-    _emit(payload, args.out)
+    # _emit renders the witness from its member arrays (see _CUBES)
+    payload.update(dataclasses.replace(rep, witness=None).to_json_dict())
+    _emit(payload, args.out, rep.witness)
     return 0
 
 

@@ -79,8 +79,9 @@ class CubeFamily:
 
     @cached_property
     def cubes(self) -> tuple[CubeId, ...]:
-        return tuple(CubeId(lvl, tuple(c)) for lvl, c in zip(
-            *_levels_coords(self.index, self.dimension, self.depth)))
+        level, coords = _levels_coords(self.index, self.dimension, self.depth)
+        return tuple(CubeId(lvl, tuple(c))
+                     for lvl, c in zip(level.tolist(), coords.tolist()))
 
     @cached_property
     def children_map(self) -> dict[CubeId, tuple[CubeId, ...]]:
@@ -108,12 +109,29 @@ class CubeFamily:
         return count * 2.0 ** (-self.dimension * self.depth)
 
     def to_json_dict(self) -> dict:
+        level, coords = _levels_coords(self.index, self.dimension, self.depth)
         return {
             "kind": self.kind,
             "order": self.order,
-            "cubes": [{"level": lvl, "coords": c} for lvl, c in zip(
-                *_levels_coords(self.index, self.dimension, self.depth))],
+            "cubes": [{"level": lvl, "coords": c}
+                      for lvl, c in zip(level.tolist(), coords.tolist())],
         }
+
+    def json_cubes(self, indent: int) -> str:
+        """The ``cubes`` list of :meth:`to_json_dict` as ``json.dumps(...,
+        indent=2)`` writes it after a key on a line indented by ``indent``
+        spaces, rendered from the member arrays: one ``%d`` template per
+        cube, filled from one flat list of ints."""
+        if not self.index.size:
+            return "[]"
+        level, coords = _levels_coords(self.index, self.dimension, self.depth)
+        pad = " " * (indent + 2)
+        cube = (f'{pad}{{\n{pad}  "coords": [\n'
+                + ",\n".join([f"{pad}    %d"] * self.dimension)
+                + f'\n{pad}  ],\n{pad}  "level": %d\n{pad}}}')
+        ints = np.column_stack((coords, level)).ravel().tolist()
+        body = ",\n".join([cube] * self.index.size) % tuple(ints)
+        return f"[\n{body}\n{' ' * indent}]"
 
 
 @dataclass(frozen=True)
@@ -131,15 +149,15 @@ class SparsityViolation:
 
 
 def _levels_coords(index: np.ndarray, dimension: int,
-                   depth: int) -> tuple[list[int], list[list[int]]]:
-    """Levels and corner coordinates of breadth-first cube numbers, as
-    Python lists."""
+                   depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels ``(m,)`` and corner coordinates ``(m, dimension)`` of
+    breadth-first cube numbers."""
     offsets = level_offsets(depth, dimension)
     level = np.searchsorted(offsets, index, side="right") - 1
     rank = index - offsets[level]
     coords = (rank[:, None] if dimension == 1 else
               np.stack([rank >> level, rank & ((1 << level) - 1)], axis=1))
-    return level.tolist(), coords.tolist()
+    return level, coords
 
 
 def _sweep(rows: np.ndarray, index: np.ndarray, n_rows: int, dimension: int,
@@ -253,13 +271,14 @@ def validate_index(index: np.ndarray, order, *, dimension: int,
         one_row, index, 1, 1.0 if order == "weak" else order, dimension, depth)
     if bad.any():
         i = int(bad.argmax())
-        (lvl,), (coords,) = _levels_coords(index[i:i + 1], dimension, depth)
+        level, coords = _levels_coords(index[i:i + 1], dimension, depth)
+        lvl = int(level[0])
         sides = lhs[i], rhs[i]
         if order == "weak":     # the core side: |Q|/2 against |E_Q|
             sides = (0.5 * 2.0 ** (-dimension * lvl),
                      core[i] * 2.0 ** (-dimension * depth))
-        return SparsityViolation(CubeId(lvl, tuple(coords)), condition,
-                                 *map(float, sides))
+        return SparsityViolation(CubeId(lvl, tuple(coords[0].tolist())),
+                                 condition, *map(float, sides))
     return CubeFamily(dimension, depth, kind, order_val, index, parent, core)
 
 

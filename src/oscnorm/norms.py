@@ -244,8 +244,14 @@ def packing_sup_norm(f: GridFunction, params: NormParams) -> NormReport:
     """
     if params.family_class != "packing":
         raise ValueError("packing_sup_norm needs family_class='packing'")
+    return _packing_sup(f, params, scaled_error_levels(f, params))
+
+
+def _packing_sup(f: GridFunction, params: NormParams,
+                 scaled: list[np.ndarray]) -> NormReport:
+    """:func:`packing_sup_norm` from the levels of
+    ``scaled_error_levels(f, params)``."""
     n, L = f.dimension, f.depth
-    scaled = scaled_error_levels(f, params)
     offsets = level_offsets(L, n)
     if math.isinf(params.p):
         per_level_max = [lvl.max() for lvl in scaled]
@@ -431,10 +437,11 @@ def garo_norm(f: GridFunction, p: float) -> NormReport:
         raise ValueError(f"the functional needs p > 1, got {p}")
     n, L = f.dimension, f.depth
     params = NormParams.jn(p)
-    # E_1(f;Q)_1 per cube = scaled error of the JN parameters times |Q|
-    scaled = _scaled_flat(f, params)
+    # E_1(f;Q)_1 per cube = scaled error of the JN parameters times |Q|;
+    # one sweep of the medians serves the ratios and the JN upper bound
+    scaled_levels = scaled_error_levels(f, params)
     meas = cube_measures(L, n)
-    errors = scaled * meas
+    errors = np.concatenate(scaled_levels) * meas
     pprime_inv = 1.0 if math.isinf(p) else 1.0 - 1.0 / p
 
     def ratio(member_idx: np.ndarray) -> float:
@@ -442,7 +449,7 @@ def garo_norm(f: GridFunction, p: float) -> NormReport:
         den = float(meas[member_idx].sum()) ** pprime_inv
         return num / den
 
-    jn_report = packing_sup_norm(f, params)
+    jn_report = _packing_sup(f, params, scaled_levels)
     jn_value = jn_report.value
     if tree_size(L, n) <= SUBSET_NODE_CAP:
         tables = family_tables(n, L, "packing")

@@ -1,13 +1,18 @@
 """Command-line interface: round trips, exit codes, deterministic output."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oscnorm.cli import main
-from oscnorm.grid import GridFunction
+from oscnorm.cli import _NORM_KEYS, _emit, main
+from oscnorm.families import CubeFamily, validate_index
+from oscnorm.grid import GridFunction, cube_index, tree_size
 
 
 @pytest.fixture
@@ -213,3 +218,92 @@ def test_parser_accepts_inf(step_file, capsys):
         "compute", "--input", step_file, "--norm", "jn", "--p", "inf"])
     assert code == 0
     assert json.loads(out)["params"]["p"] == "inf"
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not valid JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("norm", _NORM_KEYS)
+@pytest.mark.parametrize("p", ["2", "inf"])
+@pytest.mark.parametrize("mode", ["exact", "bounds"])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_compute_reports_are_strict_json(tmp_path, capsys, norm, p, mode,
+                                         dimension):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(
+        {"dimension": dimension, "depth": 3 - dimension,
+         "values": [0.1, 2.0, 0.5, 3.0]}))
+    code, out, _ = _run(capsys, [
+        "compute", "--input", str(path), "--norm", norm, "--p", p,
+        "--mode", mode])
+    assert code == 0
+    d = json.loads(out, parse_constant=_no_constant)
+    assert d["value_lower"] <= d["value_upper"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--norm", "jn", "--p", "nan"], "--p"),
+    (["--norm", "weaklp", "--p", "NaN"], "--p"),
+    (["--norm", "v", "--lambda", "nan"], "--lambda"),
+    (["--norm", "sv", "--k", "2", "--q", "1", "--lambda", "nan",
+      "--mode", "bounds"], "--lambda"),
+    (["--norm", "jn", "--lambda", "inf"], "--lambda"),
+    (["--norm", "svt", "--lambda=-inf"], "--lambda"),
+])
+def test_compute_rejects_non_finite_flags(step_file, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--input", step_file, *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and f"argument {flag}:" in errors[0]
+    assert "Traceback" not in captured.err
+
+
+# -- the report writer -----------------------------------------------------
+
+@st.composite
+def witnesses(draw):
+    """None, an empty family, a singleton, or a random member set repaired
+    into a valid family by dropping each cube ``validate_index`` reports."""
+    shape = draw(st.sampled_from([(1, 0), (1, 4), (2, 0), (2, 2), (2, 3)]))
+    n, depth = shape
+    what = draw(st.sampled_from(["none", "empty", "singleton", "random"]))
+    if what == "none":
+        return None
+    if what == "empty":
+        empty = np.zeros(0, dtype=np.int64)
+        return CubeFamily(n, depth, "packing", None, empty, empty, empty)
+    nodes = tree_size(depth, n)
+    members = ([draw(st.integers(0, nodes - 1))] if what == "singleton"
+               else sorted(draw(st.sets(st.integers(0, nodes - 1),
+                                        min_size=1))))
+    order = draw(st.sampled_from(["packing", "weak", 0.5, 1.0]))
+    index = np.array(members, dtype=np.int64)
+    while True:
+        fam = validate_index(index, order, dimension=n, depth=depth)
+        if isinstance(fam, CubeFamily):
+            return fam
+        index = index[index != cube_index(fam.cube, n)]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(witnesses(), st.text(), FINITE,
+       st.dictionaries(st.sampled_from(["aa", "jn_value", "reference_fit_error",
+                                        "weighted_value", "zz"]), FINITE))
+def test_emit_matches_stdlib_encoder(witness, input_path, value, extras):
+    payload = {"schema": 1, "norm": "jn", "input": input_path,
+               "value_lower": value, "value_upper": 1e16, "exact": False,
+               "params": {"p": "inf", "lambda": 1e-05, "family_order": None},
+               "dyadic": True, "witness": None, **extras}
+    want = json.dumps(
+        {**payload, "witness": None if witness is None
+         else witness.to_json_dict()}, sort_keys=True, indent=2) + "\n"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(payload, None, witness)
+    assert out.getvalue() == want

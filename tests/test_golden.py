@@ -119,16 +119,23 @@ def grid_payload(dimension: int, depth: int, dist: str, seed: int) -> dict:
     return {"dimension": dimension, "depth": depth, "values": values.tolist()}
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not valid JSON (RFC 8259)")
+
+
 def compute_digest(grid: str, op: str) -> str:
     """Run ``compute`` in the current directory on a relative input path,
-    so the report's ``input`` field is the same wherever it runs."""
+    so the report's ``input`` field is the same wherever it runs.  The
+    report must parse as strict JSON: no NaN or Infinity."""
     with open("grid.json", "w", encoding="utf-8") as fh:
         json.dump(grid_payload(*GRIDS[grid]), fh)
     rc = main(["compute", "--input", "grid.json", *OPS[op],
                "--out", "out.json"])
     assert rc == 0
     with open("out.json", "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    json.loads(data, parse_constant=_no_constant)
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("grid", sorted(GRIDS))
