@@ -89,6 +89,17 @@ _CUBES_LINE = re.compile(
     r'^( *)"cubes": (' + re.escape(json.dumps(_CUBES)) + ")", re.MULTILINE)
 
 
+def _dumps(payload: dict) -> str:
+    """Strict JSON: a non-finite float raises ``ValueError`` instead of
+    being written as ``NaN`` or ``Infinity``."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError("the result is not finite, and JSON has no NaN or "
+                         "infinity") from None
+
+
 def _emit(payload: dict, out: str | None,
           witness: CubeFamily | None = None) -> None:
     """Write ``payload``, plus ``witness`` under ``"witness"``, exactly as
@@ -97,12 +108,11 @@ def _emit(payload: dict, out: str | None,
     is rendered from its member arrays and spliced in at the placeholder,
     at the indent of the placeholder's line."""
     if witness is None:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _dumps(payload)
     else:
         stub = {"kind": witness.kind, "order": witness.order,
                 "cubes": _CUBES}
-        text = json.dumps({**payload, "witness": stub}, sort_keys=True,
-                          indent=2) + "\n"
+        text = _dumps({**payload, "witness": stub})
         at = _CUBES_LINE.search(text)
         text = (text[:at.start(2)] + witness.json_cubes(len(at[1]))
                 + text[at.end():])

@@ -62,6 +62,7 @@ __all__ = [
     "scaled_error_levels",
     "median_deviations",
     "packing_dp",
+    "llogl_rows",
 ]
 
 
@@ -575,29 +576,69 @@ def ri_functionals(f: GridFunction, p: float) -> RIFunctionals:
 
 
 def _luxemburg_llogl(f: GridFunction, tol: float = 1e-10) -> float:
-    v = np.abs(f.values)
-    if not np.any(v > 0):
-        return 0.0
-    meas = f.cell_measure
+    return float(llogl_rows(f.values[None, :], f.cell_measure, tol)[0])
 
-    def integral(mu: float) -> float:
-        x = v / mu
-        return float((x * np.log(math.e + x)).sum() * meas)
 
-    hi = max(float(v.max()), 1e-300)
-    while integral(hi) > 1.0:
-        hi *= 2.0
-    lo = hi
-    while integral(lo) <= 1.0:
-        lo /= 2.0
-        if lo < 1e-300:
+_HALF_MAX = float(np.finfo(np.float64).max) / 2.0
+
+
+def llogl_rows(values: np.ndarray, cell_measure: float,
+               tol: float = 1e-10) -> np.ndarray:
+    """Luxemburg ``L log L`` norm, Young function ``t log(e + t)``, of each
+    row of ``values`` by one lockstep bisection.
+
+    Each row takes the steps of a bisection of its own: double ``hi`` from
+    ``max |row|`` while the integral at ``hi`` exceeds 1, halve ``lo`` from
+    ``hi`` while the integral at ``lo`` is at most 1 (stopping below
+    1e-300), then bisect until ``hi - lo <= tol`` or 200 midpoints, and
+    return ``hi``.  So each row has the bits of the one-row call.  Every
+    step integrates all rows, so the grid is never copied: the doubling
+    and halving update only the rows still at that stage, and a row's
+    result is taken at the step its bracket closes.  The bracket stays
+    below half the float maximum, where ``lo + hi`` cannot overflow;
+    larger values raise ``ValueError``.
+    """
+    v = np.abs(values)
+    out = np.zeros(v.shape[0])
+    rows = np.flatnonzero((v > 0).any(axis=1))
+    if rows.size < v.shape[0]:
+        v = v[rows]
+
+    def integral(mu: np.ndarray) -> np.ndarray:
+        x = v / mu[:, None]
+        y = x + math.e
+        np.log(y, out=y)
+        x *= y
+        return x.sum(axis=1) * cell_measure
+
+    hi = np.maximum(v.max(axis=1), 1e-300)
+    grow = np.ones(rows.size, bool)
+    while True:
+        if (hi > _HALF_MAX).any():
+            raise ValueError("the L log L gauge overflows: values are too "
+                             "close to the float limit")
+        grow &= integral(hi) > 1.0
+        if not grow.any():
             break
+        hi[grow] *= 2.0
+    # the integral at lo = hi is the one that ended the doubling
+    lo = 0.5 * hi
+    halve = lo >= 1e-300
+    while halve.any():
+        halve &= integral(lo) <= 1.0
+        lo[halve] *= 0.5
+        halve &= lo >= 1e-300
+    pending = np.ones(rows.size, bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if integral(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return hi
+        big = integral(mid) > 1.0
+        lo = np.where(big, mid, lo)
+        hi = np.where(big, hi, mid)
+        done = pending & (hi - lo <= tol)
+        if done.any():
+            out[rows[done]] = hi[done]
+            pending &= ~done
+            if not pending.any():
+                return out
+    out[rows[pending]] = hi[pending]
+    return out

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -307,3 +310,61 @@ def test_emit_matches_stdlib_encoder(witness, input_path, value, extras):
     with contextlib.redirect_stdout(out):
         _emit(payload, None, witness)
     assert out.getvalue() == want
+
+
+# -- values at the float limit, through ``python -m oscnorm`` -----------------
+# A subprocess with a timeout, so that a gauge that never returns fails the
+# test instead of stalling the run, and so that the overflow RuntimeWarnings
+# the norms raise on such input stay out of the test process.
+
+NEAR_FLOAT_MAX = {"dimension": 1, "depth": 1, "values": [1.7e308, 1.7e308]}
+
+
+@pytest.fixture
+def huge_file(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(NEAR_FLOAT_MAX))
+    return str(path)
+
+
+def _run_module(argv):
+    import oscnorm
+    src = os.path.dirname(os.path.dirname(oscnorm.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "oscnorm", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def _error_lines(stderr):
+    return [ln for ln in stderr.splitlines() if ln.startswith("error:")]
+
+
+def test_compute_llogl_near_float_limit_exits_2(huge_file):
+    proc = _run_module(["compute", "--input", huge_file, "--norm", "llogl"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    errors = _error_lines(proc.stderr)
+    assert len(errors) == 1 and "float limit" in errors[0]
+
+
+@pytest.mark.parametrize("norm", _NORM_KEYS)
+def test_compute_near_float_limit_writes_json_or_exits_2(huge_file, norm):
+    """Sums of these values overflow: every norm but weak-L^p has a
+    non-finite value or bracket end, which JSON cannot hold."""
+    proc = _run_module(["compute", "--input", huge_file, "--norm", norm,
+                        "--mode", "bounds"])
+    if norm == "weaklp":
+        assert proc.returncode == 0
+        d = json.loads(proc.stdout, parse_constant=_no_constant)
+        assert d["value_lower"] == d["value_upper"] == 1.7e308
+    else:
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(_error_lines(proc.stderr)) == 1
+
+
+def test_maximal_near_float_limit_exits_2(huge_file):
+    proc = _run_module(["maximal", "--input", huge_file, "--q", "2"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    errors = _error_lines(proc.stderr)
+    assert len(errors) == 1 and "finite" in errors[0]

@@ -7,8 +7,11 @@ cube families became array-native.  Three more pin the ``q = 2`` fits at
 the per-cube solves, before one batched solve per level replaced them.  The suite digests pin the reports of
 the benchmark's oracle-suite configurations at small trial counts plus a
 small ``sv-equivalence`` run; they were recorded before the suites moved
-onto the library's batched kernels.  The table digests pin the arrays of
-``family_tables`` for every oracle-scale tree and six family classes; they
+onto the library's batched kernels.  The oracle-scale digests pin the same
+configurations at the benchmark's trial counts, and the table-suite pins
+are also checked at several family-table block sizes.  The table digests
+pin the arrays of ``family_tables`` for every oracle-scale tree and six
+family classes; they
 were recorded from the per-mask loop that built the tables before the
 batched classifier.  None may move under refactors that keep the
 mathematics fixed.
@@ -20,6 +23,7 @@ import json
 import numpy as np
 import pytest
 
+from oscnorm import suites
 from oscnorm.cli import main
 from oscnorm.families import family_tables
 from oscnorm.suites import SuiteConfig, run_suite
@@ -179,13 +183,59 @@ SUITE_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SUITES))
-def test_suite_report_bytes_pinned(name):
-    suite, dimension, depth, trials = SUITES[name]
+def suite_digest(suite: str, dimension: int, depth: int, trials: int) -> str:
     report = run_suite(SuiteConfig(suite=suite, dimension=dimension,
                                    depth=depth, trials=trials, seed=3))
-    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-    assert digest == SUITE_GOLDEN[name]
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_suite_report_bytes_pinned(name):
+    assert suite_digest(*SUITES[name]) == SUITE_GOLDEN[name]
+
+
+# The benchmark's oracle-suite configurations at their benchmark trial
+# counts (a literal copy, so the pins do not follow edits to the benchmark).
+# At 2,000 trials ``sparse-jn`` gauges its full 500-row L log L block,
+# which the 40-trial pins above stay below.  Recorded from the per-grid
+# L log L bisection and 4,000,000-float family-table blocks.
+ORACLE_SCALE_GOLDEN = {
+    ("sparse-jn", 1, 3, 2000):
+        "cb565a56213f3823208412f5c9d26b4aa02d689250812390930b1657c93aaa2b",
+    ("fractional-sv", 1, 3, 2000):
+        "074146b2784cf0ad4013dbffdbb2164024e98e30833249d9e05b0b2e35c8aebc",
+    ("sobolev-chain", 1, 3, 2000):
+        "149973e1460787e301c87db147bb17566ad15245e50480f73627088a939a1002",
+    ("embedding-chain", 1, 3, 2000):
+        "d5c213504419971d3cd44deb9bee83e5097184b9b29fde37cb9d63d7079e6962",
+    ("riesz", 1, 12, 50):
+        "e17b74e3ecf9889b87b9ba21b552d62e8751a191af84f70f393eb469c48b59dd",
+    ("riesz", 2, 6, 50):
+        "47aae6db148d6090a013b921b52f8310ab476077feae375b55a99009a3fd6b11",
+    ("sparse-jn", 2, 1, 2000):
+        "dd753bbf1c733a618260ede5928938c5a3634ca2275d929b95ab84f29b749ced",
+    ("jn-extrapolation", 1, 14, 1):
+        "6a8467baf3b97b5e19002b4099c001d995a9a51a6984520c5db404097b8f72be",
+}
+
+
+@pytest.mark.parametrize("config", list(ORACLE_SCALE_GOLDEN), ids=str)
+def test_oracle_scale_suite_report_bytes_pinned(config):
+    assert suite_digest(*config) == ORACLE_SCALE_GOLDEN[config]
+
+
+TABLE_SUITES = ("embedding-chain-1d", "fractional-sv-1d", "sobolev-chain-1d",
+                "sparse-jn-1d", "sparse-jn-2d")
+
+
+# One trial per block; 7 trials per 4,870-family block, so 40 trials end
+# on a ragged block of 5; and the 4,000,000-float blocks the pins above
+# were recorded with.
+@pytest.mark.parametrize("budget", (1, 7 * 4870, 4_000_000))
+@pytest.mark.parametrize("name", TABLE_SUITES)
+def test_suite_bytes_do_not_depend_on_block_size(name, budget, monkeypatch):
+    monkeypatch.setattr(suites, "_CHUNK_BUDGET", budget)
+    assert suite_digest(*SUITES[name]) == SUITE_GOLDEN[name]
 
 
 TABLE_GOLDEN = {

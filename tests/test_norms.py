@@ -350,6 +350,79 @@ def test_weak_lp_skips_the_llogl_bisection(monkeypatch):
         out.llogl
 
 
+def reference_llogl(f, tol=1e-10):
+    """The per-grid bisection that ``norms.llogl_rows`` batches, kept as
+    its reference: every row of the batch must have these bits."""
+    v = np.abs(f.values)
+    if not np.any(v > 0):
+        return 0.0
+    meas = f.cell_measure
+
+    def integral(mu):
+        x = v / mu
+        return float((x * np.log(math.e + x)).sum() * meas)
+
+    hi = max(float(v.max()), 1e-300)
+    while integral(hi) > 1.0:
+        hi *= 2.0
+    lo = hi
+    while integral(lo) <= 1.0:
+        lo /= 2.0
+        if lo < 1e-300:
+            break
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if integral(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol:
+            break
+    return hi
+
+
+@st.composite
+def llogl_batches(draw):
+    """Signed rows at scales 1e-8 to 1e8, some all zero, in 1D or 2D."""
+    dimension = draw(st.sampled_from((1, 2)))
+    depth = draw(st.integers(0, 4))
+    cells = 1 << (dimension * depth)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            rows.append(np.zeros(cells))
+            continue
+        scale = 10.0 ** draw(st.floats(-8.0, 8.0))
+        unit = draw(st.lists(st.floats(-1.0, 1.0), min_size=cells,
+                             max_size=cells))
+        rows.append(scale * np.array(unit))
+    return dimension, depth, np.array(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(llogl_batches())
+def test_llogl_rows_have_the_bits_of_the_per_grid_bisection(batch):
+    dimension, depth, rows = batch
+    got = norms.llogl_rows(rows, 2.0 ** (-dimension * depth))
+    for t, row in enumerate(rows):
+        f = GridFunction(dimension, depth, row)
+        want = reference_llogl(f)
+        assert got[t].hex() == want.hex()
+        assert norms._luxemburg_llogl(f).hex() == want.hex()
+
+
+def test_llogl_at_the_float_limit_raises():
+    # the bracket starts above half the float maximum
+    with pytest.raises(ValueError, match="float limit"):
+        norms._luxemburg_llogl(GridFunction(1, 1, [1.7e308, 1.7e308]))
+    # the one doubling would overflow
+    with pytest.raises(ValueError, match="float limit"):
+        norms.llogl_rows(np.array([[1.0, 1.0], [8e307, 8e307]]), 0.5)
+    # the same doubling one decade lower stays in range
+    f = GridFunction(1, 1, [8e306, 8e306])
+    assert norms._luxemburg_llogl(f) == reference_llogl(f)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 16 - 1))
 def test_weak_lp_below_lp(seed):

@@ -1,10 +1,15 @@
 """Verification suites: small-scale runs, determinism, and config handling."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oscnorm import suites
+from oscnorm.families import family_tables
+from oscnorm.generate import batch_uniform
+from oscnorm.norms import median_deviations
 from oscnorm.suites import SUITE_NAMES, SuiteConfig, SuiteReport, run_suite
 
 
@@ -133,3 +138,47 @@ def test_sv_equivalence_fits_each_cube_once(monkeypatch):
                                    depth=3, trials=8, seed=901))
     assert all(a["passed"] for a in report.assertions)
     assert len(calls) == 30
+
+
+@pytest.mark.parametrize("suite", ("sparse-jn", "fractional-sv",
+                                   "sobolev-chain", "embedding-chain"))
+def test_table_suites_work_in_small_blocks(suite):
+    """2,000 trials against the 4,870-family table of 1D L=3 stay under
+    32 MB of traced peak; full-size products took 62-184 MB."""
+    # build the process-lifetime family tables outside the measurement
+    run_suite(SuiteConfig(suite=suite, dimension=1, depth=3, trials=1))
+    tracemalloc.start()
+    try:
+        report = run_suite(SuiteConfig(suite=suite, dimension=1, depth=3,
+                                       trials=2000, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 32 * 2 ** 20
+
+
+def _table_rows(seed, trials):
+    """``(|Q|^{-1} E_1)^{4/3}`` rows at 1D L=3, as the table suites build
+    them."""
+    V = batch_uniform(1, 3, seed, trials)
+    e1 = [median_deviations(V, 1, 3, lvl)[1] * 0.125 for lvl in range(4)]
+    return suites._scaled_flat_e1(e1, 1, -1.0) ** (4.0 / 3.0)
+
+
+@pytest.mark.parametrize("trials", (1, 2, 14, 40, 200))
+@pytest.mark.parametrize("budget", (1, 7 * 4870, 65_536, 4_000_000))
+def test_block_products_have_the_bits_of_one_product(trials, budget,
+                                                     monkeypatch):
+    """Blocked products against the 4,870-family table have the bits of
+    one product over the whole batch, with no lone-row block."""
+    monkeypatch.setattr(suites, "_CHUNK_BUDGET", budget)
+    table = family_tables(1, 3, 1.0).core_meas
+    rows = _table_rows(trials, trials)
+    blocks = list(suites._chunks(trials, table.shape[0]))
+    assert [t0 for t0, _ in blocks] == [0] + [t1 for _, t1 in blocks[:-1]]
+    assert blocks[-1][1] == trials
+    assert trials == 1 or min(t1 - t0 for t0, t1 in blocks) >= 2
+    factor = suites._right_factor(table, trials)
+    got = np.vstack([rows[t0:t1] @ factor for t0, t1 in blocks])
+    assert np.array_equal(got, rows @ table.T)
