@@ -38,7 +38,13 @@ Exactness of objectives: piecewise-constant minus polynomial is integrated in
 closed form (1D: sign changes from root splitting; 2D affine: half-plane
 clipping with polygon moments, all cells of a cube at once).  The single
 non-closed-form corner -- 2D residuals against quadratic polynomials -- uses
-a fixed composite midpoint rule and is flagged through ``approximate``.
+a fixed composite midpoint rule and is flagged through ``approximate``.  It
+evaluates the quadratic on the subcell grid as the separable product
+``V @ (A @ V.T)`` (``V`` the midpoint powers ``1, u, u^2``, ``A`` the 3x3
+coefficient matrix), one block of cell rows at a time in a buffer of at
+most ``_QUAD_BLOCK`` subcell values, so no subcell array of the whole cube
+is built.  As with the family-table suites, its bits come from a BLAS
+product; they do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ IRLS_REL_TOL = 1e-10
 IRLS_MAX_ITER = 200
 _POLISH_CELL_CAP = 1024
 _QUAD_RULE = 16  # midpoint subdivisions per cell axis, 2D quadratic corner
+_QUAD_BLOCK = 1 << 16  # subcell values per buffer, 2D quadratic corner
 _CLIP_BLOCK = 4096  # cells per vectorised half-plane clip, 2D affine residual
 _NOISE = 64.0 * np.finfo(float).eps  # relative size of a zero L2 residual
 # cubes per batched L2 solve: the temporaries take ~400 bytes per cube, so a
@@ -578,22 +585,43 @@ def _positive_part_moments(cc, cu, cw, u0, u1, w0, w1):
 
 
 def _l1_cells_quad_2d(block, measure, exps):
-    """Composite midpoint rule for 2D residuals against quadratics."""
+    """Composite midpoint rule for 2D residuals against quadratics.
+
+    On the ``M = m * _QUAD_RULE`` subcell midpoints of each axis, with
+    ``V = [1, u, u^2]`` (shape ``(M, 3)``) and ``A[i, j]`` the coefficient
+    of ``u^i w^j``, the polynomial is the separable product
+    ``P = V @ (A @ V.T)``.  It is filled by BLAS into one buffer of at most
+    ``_QUAD_BLOCK`` subcell values (or one cell row, if that is more), one
+    block of cell rows at a time; each block subtracts the cell values in
+    place, takes ``abs`` in place, and folds every cell by its subcell rows,
+    then by its subcell columns.  No full subcell array is ever built.
+    """
     m_cells = block.shape[0]
     r = _QUAD_RULE
-    mids = (np.arange(m_cells * r) + 0.5) / (m_cells * r) - 0.5
-    U = [mids[:, None] ** m for m in range(3)]
-    W = [mids[None, :] ** m for m in range(3)]
-    vrep = np.repeat(np.repeat(block, r, axis=0), r, axis=1)
-    sub_area = measure / mids.size ** 2
+    size = m_cells * r
+    mids = (np.arange(size) + 0.5) / size - 0.5
+    V = np.stack([np.ones(size), mids, mids * mids], axis=1)
+    sub_area = measure / size ** 2
+    step = max(1, _QUAD_BLOCK // (r * size))      # cell rows per block
+    buf = np.empty(min(step, m_cells) * r * size)
 
     def cells(a):
-        P = np.zeros((mids.size, mids.size))
-        for alpha, coef in zip(exps, a):
-            P += coef * U[alpha[0]] * W[alpha[1]]
-        resid = np.abs(vrep - P) * sub_area
-        # fold subcells back onto cells
-        return resid.reshape(m_cells, r, m_cells, r).sum(axis=(1, 3)).ravel()
+        A = np.zeros((3, 3))
+        for (i, j), coef in zip(exps, a):
+            A[i, j] = coef
+        right = A @ V.T
+        out = np.empty((m_cells, m_cells))
+        for i0 in range(0, m_cells, step):
+            i1 = min(i0 + step, m_cells)
+            P = buf[:(i1 - i0) * r * size].reshape(-1, r, size)
+            np.matmul(V[i0 * r:i1 * r], right, out=P.reshape(-1, size))
+            # each cell's value, repeated along its subcell columns
+            P -= np.repeat(block[i0:i1], r, axis=1)[:, None, :]
+            np.abs(P, out=P)
+            out[i0:i1] = P.sum(axis=1).reshape(i1 - i0, m_cells, r).sum(axis=2)
+        # the subcell area is a power of two, so scaling the sums is exact
+        out *= sub_area
+        return out.ravel()
 
     return cells
 

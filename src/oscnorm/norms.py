@@ -532,12 +532,16 @@ def rearrangement(f: GridFunction) -> Rearrangement:
 
 @dataclass(frozen=True)
 class RIFunctionals:
-    """Rearrangement functionals of ``source``; ``llogl`` runs its
-    bisection on first read, so callers that never read it never pay."""
+    """Rearrangement functionals of ``source``; ``bds`` and ``llogl`` are
+    computed on first read, so callers that never read them never pay, and
+    take no part in equality or ``repr``."""
 
     weak_lp: float
-    bds: float
     source: GridFunction = field(repr=False, compare=False)
+
+    @cached_property
+    def bds(self) -> float:
+        return _bds(rearrangement(self.source))
 
     @cached_property
     def llogl(self) -> float:
@@ -552,27 +556,39 @@ def ri_functionals(f: GridFunction, p: float) -> RIFunctionals:
     bisection to 1e-10, run when ``llogl`` is first read.  bds evaluates
     ``f**(t) - f*(t+)`` at block endpoints and midpoints (f* right-continuous;
     at t=1 the left limit) -- exhaustive for step functions since f** - f*
-    decreases between consecutive jumps.  All ``2m`` points come from one
-    prefix sum: ``block`` is a power of two, so every point falls exactly on
-    a block midpoint or right endpoint.
+    decreases between consecutive jumps -- when ``bds`` is first read.
     """
     if p <= 1:
         raise ValueError(f"weak-L^p needs p > 1, got {p}")
     r = rearrangement(f)
-    m = r.values.size
-    rights = (np.arange(m) + 1) * r.block
+    rights = (np.arange(r.values.size) + 1) * r.block
     weak = float((rights ** (1.0 / p) * r.values).max())
+    return RIFunctionals(weak, f)
 
-    # f**(t) = (block * (sum of the first j values) + f*(t) * partial) / t
+
+def _bds(r: Rearrangement) -> float:
+    """sup(f** - f*) at the ``2m`` block midpoints and right endpoints.
+
+    All points come from one prefix sum: ``block`` is a power of two, so
+    every point falls exactly on a block midpoint or right endpoint.  The
+    sum reaches ``m * max f*``; where that could overflow, the values are
+    scaled by an exact power of two first, and the gap scaled back.
+    """
     b, v = r.block, r.values
+    m = v.size
+    scale = 1.0
+    if v[0] > np.finfo(float).max / (2 * m):
+        scale = math.ldexp(1.0, -m.bit_length())
+        v = v * scale
+    # f**(t) = (block * (sum of the first j values) + f*(t) * partial) / t
+    rights = (np.arange(m) + 1) * b
     through = np.cumsum(v)                           # sum of v[:j + 1]
     before = np.concatenate(([0.0], through[:-1]))   # sum of v[:j]
     mids = (np.arange(m) + 0.5) * b
     mid_gap = (before * b + v * (0.5 * b)) / mids - v
     after = np.append(v[1:], v[-1])     # f*(t+); the left limit at t = 1
     end_gap = through * b / rights - after
-    bds = max(0.0, float(mid_gap.max()), float(end_gap.max()))
-    return RIFunctionals(weak, bds, f)
+    return max(0.0, float(mid_gap.max()), float(end_gap.max())) / scale
 
 
 def _luxemburg_llogl(f: GridFunction, tol: float = 1e-10) -> float:

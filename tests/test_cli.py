@@ -363,6 +363,12 @@ def test_compute_near_float_limit_writes_json_or_exits_2(huge_file, norm):
         assert len(_error_lines(proc.stderr)) == 1
 
 
+def test_compute_weaklp_near_float_limit_is_silent(huge_file):
+    """weak-L^p never sums the values, so nothing overflows on the way."""
+    proc = _run_module(["compute", "--input", huge_file, "--norm", "weaklp"])
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
 def test_maximal_near_float_limit_exits_2(huge_file):
     proc = _run_module(["maximal", "--input", huge_file, "--q", "2"])
     assert proc.returncode == 2 and proc.stdout == ""

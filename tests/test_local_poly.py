@@ -257,3 +257,48 @@ def test_root_l1_certificate_at_full_subcell_budget(k):
     f = GridFunction(1, 10, np.random.default_rng(10).uniform(0.0, 1.0, 1024))
     fit = best_fit(f, ROOT1, k, 1)
     assert 1.0 <= fit.near_best_factor <= 1.001
+
+
+def test_quadratic_residual_memory_stays_small():
+    """The q=1 residual of a 2D L=8 quadratic fit is filled one block of
+    cell rows at a time: a whole 4,096 x 4,096 midpoint grid would trace
+    at least 128 MB per array."""
+    f = GridFunction(2, 8, np.random.default_rng(8).uniform(0.0, 1.0, 4 ** 8))
+    fit = best_fit(f, ROOT2, 3, 2)
+    tracemalloc.start()
+    try:
+        cells = residual_cell_integrals(f, fit, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert cells.shape == (4 ** 8,) and np.all(cells >= 0.0)
+
+
+# root ``best_fit(f, root, k, 1)`` on 2D lognormal grids (seed, depth): the
+# error and the certificate, as computed before the quadratic integrator
+# was blocked.  The simplex polish of the quadratic corner sees the
+# objective's last bits, so k=3 may drift by a few ulps of the objective;
+# anything beyond 1e-9 relative is a change of the fit, not of the rounding.
+FIT_PINS = [
+    # (depth, k, seed, error, near_best_factor)
+    (3, 2, 11, 0.7493585165251333, 1.0000915010640279),
+    (3, 2, 12, 1.0632070434606433, 1.0000563735304757),
+    (3, 3, 11, 0.7290379923282061, 1.0002226293712513),
+    (3, 3, 12, 1.0141574930835633, 1.0004667573056099),
+    (5, 2, 11, 1.1473492012862838, 1.000000049271706),
+    (5, 2, 12, 1.1225417652695975, 1.0000003451201556),
+    (5, 3, 11, 1.1473002645777166, 1.000000832450671),
+    (5, 3, 12, 1.12218112388446, 1.0000015719841342),
+]
+
+
+@pytest.mark.parametrize("depth, k, seed, error, factor", FIT_PINS)
+def test_root_l1_fits_keep_their_pinned_values(depth, k, seed, error, factor):
+    f = GridFunction(2, depth, np.random.default_rng(seed).lognormal(
+        0.0, 1.0, 4 ** depth))
+    fit = best_fit(f, ROOT2, k, 1)
+    assert fit.error == pytest.approx(error, rel=1e-9)
+    assert fit.near_best_factor == pytest.approx(factor, rel=1e-6)
+    assert fit.near_best_factor >= 1.0
+    assert fit.approximate == (k == 3)

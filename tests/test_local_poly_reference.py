@@ -5,7 +5,8 @@ The exact L^1 residual integrators must reproduce every cell integral bit
 for bit: the residual feeds the certified upper bound of
 ``sparse_norm_bounds`` and the L^1 objective of every ``k >= 2`` fit.  The
 prepared integrators a fit builds once per cube must give the bits of the
-one-shot integrators at every coefficient vector, and the dual LP
+one-shot integrators at every coefficient vector (to 1e-13 relative in
+the 2D quadratic corner, whose midpoint rule sums in blocks), and the dual LP
 certificate the value of the dense primal program, to 1e-12 relative.
 The batched ``q = 2`` fits of a level must reproduce the coefficients and
 errors of the per-cube solve bit for bit: they feed every packing and
@@ -322,7 +323,10 @@ def oneshot_cells_quad_2d(f, c, exps, a):
        st.sampled_from(["uniform", "ties", "near", "flat"]))
 def test_prepared_integrators_match_one_shot(seed, shape, dist):
     """One integrator per cube, called at many coefficient vectors as the
-    simplex polish does, gives the one-shot bits at each."""
+    simplex polish does, gives the bits of a freshly prepared integrator at
+    each, and the one-shot integrals: bit for bit where the integrals are
+    closed form, to 1e-13 relative per cell for the midpoint rule of the 2D
+    quadratic corner, which sums its subcells in an order of its own."""
     n, k = shape
     rng = np.random.default_rng(seed)
     f, c, exps, a = _case(rng, n, 4 if n == 1 else 2, k, dist)
@@ -330,9 +334,31 @@ def test_prepared_integrators_match_one_shot(seed, shape, dist):
     oneshot = {(1, 2): oneshot_cells_1d, (1, 3): oneshot_cells_1d,
                (2, 2): loop_cells_affine_2d,
                (2, 3): oneshot_cells_quad_2d}[shape]
-    for step in range(4):
+    for step in range(8):
         coeffs = a + step * rng.uniform(-0.1, 0.1, len(a))
-        assert _bits(integrate(coeffs)) == _bits(oneshot(f, c, exps, coeffs))
+        got = integrate(coeffs)
+        assert _bits(got) == _bits(_l1_integrator(f, c, exps)(coeffs))
+        if shape == (2, 3):
+            np.testing.assert_allclose(got, oneshot(f, c, exps, coeffs),
+                                       rtol=1e-13, atol=0.0)
+        else:
+            assert _bits(got) == _bits(oneshot(f, c, exps, coeffs))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_quadratic_integrator_bits_do_not_depend_on_its_block(depth,
+                                                              monkeypatch):
+    """Blocks of one cell row, of three cell rows (a ragged last block from
+    depth 2 on) and of the whole cube give the bits of the default block."""
+    rng = np.random.default_rng(depth)
+    for dist in ("uniform", "ties", "near", "flat"):
+        f, c, exps, a = _case(rng, 2, depth, 3, dist)
+        size = f.cell_block(c).shape[0] * local_poly._QUAD_RULE
+        want = _l1_integrator(f, c, exps)(a)
+        for budget in (1, 3 * local_poly._QUAD_RULE * size, 2 ** 40):
+            monkeypatch.setattr(local_poly, "_QUAD_BLOCK", budget)
+            assert _bits(_l1_integrator(f, c, exps)(a)) == _bits(want)
+        monkeypatch.undo()
 
 
 # -- the dual LP certificate against the dense primal program ----------------

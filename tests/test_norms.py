@@ -437,6 +437,17 @@ def test_bds_vanishes_for_constants():
     assert ri_functionals(f, 2.0).bds == pytest.approx(0.0)
 
 
+def test_bds_at_the_float_limit():
+    """The prefix sum of ``bds`` would overflow here; it is scaled by an
+    exact power of two, so the gap scales with the values bit for bit."""
+    assert ri_functionals(GridFunction(1, 1, [1.7e308, 1.7e308]), 2.0).bds \
+        == 0.0
+    values = np.array([1.0, 3.0, 0.0, 2.0])
+    small = ri_functionals(GridFunction(1, 2, values), 2.0).bds
+    huge = ri_functionals(GridFunction(1, 2, values * 2.0 ** 1021), 2.0).bds
+    assert small > 0.0 and huge == small * 2.0 ** 1021
+
+
 def _bds_by_points(f):
     """sup(f** - f*) by one starstar call per block midpoint and right
     endpoint: the reference for the prefix-sum evaluation."""
