@@ -7,13 +7,17 @@ axis 0 slowest for ``n == 2``.  Dyadic cubes of every level ``0 <= l <= L``
 are half-open boxes ``prod_a [c_a * 2**-l, (c_a + 1) * 2**-l)`` addressed by
 :class:`CubeId`.
 
-Exact cube integrals and monomial moments are served from prefix-sum tables
-(:class:`MomentTable`), so every quantity here is a finite sum evaluated in
-float64 -- no quadrature error beyond roundoff.
+Cube integrals and monomial moments are direct sums over the cube's cells.
+The data of the local ``L^2`` fits -- ``integral_Q f^2`` and the moments of
+``f`` against the cube's own scaled monomials -- is held per level by
+:class:`MomentTable`, built bottom-up from the finest cells by exact dyadic
+shifts, so every quantity here is a finite sum evaluated in float64 -- no
+quadrature error beyond roundoff.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -36,10 +40,6 @@ __all__ = [
     "tree_size",
     "multi_indices",
 ]
-
-# Moments are tabulated for all multi-indices with |alpha| <= MAX_MOMENT_ORDER,
-# which covers Gram/right-hand-side data for polynomial fits of degree <= 2.
-MAX_MOMENT_ORDER = 4
 
 _MAX_CELLS = 1 << 22  # hard guard against accidental huge allocations
 
@@ -289,16 +289,14 @@ class GridFunction:
     # -- calculus ----------------------------------------------------------
 
     def moments(self) -> MomentTable:
-        """Shared prefix-sum table; built on first use."""
+        """Shared table of local moments per level; built on first use."""
         if self._moment_table is None:
             object.__setattr__(self, "_moment_table", MomentTable(self))
         return self._moment_table
 
     def integral(self, cube: CubeId | None = None) -> float:
-        return self.moments().integral(cube or _root(self.dimension))
-
-    def with_values(self, values: np.ndarray) -> GridFunction:
-        return GridFunction(self.dimension, self.depth, values)
+        block = self.cell_block(cube or _root(self.dimension))
+        return float(block.sum()) * self.cell_measure
 
 
 def _root(dimension: int) -> CubeId:
@@ -307,144 +305,112 @@ def _root(dimension: int) -> CubeId:
 
 def average(f: GridFunction, cube: CubeId) -> float:
     """Mean value of ``f`` over ``cube`` (exact cell-count average)."""
-    return f.moments().integral(cube) / cube.measure
+    return f.integral(cube) / cube.measure
 
 
 def moment(f: GridFunction, cube: CubeId, alpha: tuple[int, ...]) -> float:
-    """Exact ``integral_cube f(x) x^alpha dx`` for ``|alpha| <= 4``."""
-    return f.moments().moment(cube, alpha)
+    """Exact ``integral_cube f(x) x^alpha dx``, summed over the cube's cells.
+
+    Monomial factors per cell are exact:
+    ``int_a^b x^m dx = (b**(m+1) - a**(m+1)) / (m+1)``.
+    """
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != f.dimension:
+        raise ValueError(
+            f"multi-index {alpha} has {len(alpha)} axes, grid has "
+            f"{f.dimension}"
+        )
+    if any(a < 0 for a in alpha):
+        raise ValueError(f"multi-index must be nonnegative, got {alpha}")
+    block = f.cell_block(cube)
+    weights = 1.0
+    for c, m, cells in zip(cube.coords, alpha, block.shape):
+        edges = np.arange(c * cells, (c + 1) * cells + 1) / (1 << f.depth)
+        w = (edges[1:] ** (m + 1) - edges[:-1] ** (m + 1)) / (m + 1)
+        weights = np.multiply.outer(weights, w)
+    return float((block * weights).sum())
+
+
+def _unit_moment(m: int) -> float:
+    """``integral_{-1/2}^{1/2} u^m du``."""
+    return 0.0 if m % 2 else 0.5 ** m / (m + 1)
 
 
 class MomentTable:
-    """Prefix sums of cell integrals of ``f``, ``f * x^alpha``, ``|f|``, ``f^2``.
+    """Local moments of ``f`` on every dyadic cube, one array per level.
 
-    Any dyadic cube is a rectangle of finest cells, so each cube quantity is
-    an O(1) inclusion-exclusion of a prefix array.  Monomial factors per cell
-    are exact: ``int_a^b x^m dx = (b**(m+1) - a**(m+1)) / (m+1)``.
+    :meth:`level` gives a read-only ``(1 + d, 2**(n*l))`` array over the
+    cubes ``Q`` of level ``l`` in breadth-first order.  Row 0 holds
+    ``integral_Q f^2``; row ``1 + i`` holds ``integral_Q f u^alpha`` for the
+    ``i``-th ``alpha`` of ``multi_indices(n, 2)``, with
+    ``u = (x - center(Q)) / side(Q)``.  The order is graded, so the data of
+    a fit of degree ``<= 2`` is a leading slice.
+
+    On a finest cell ``f = v`` is constant and the moments are
+    ``v |cell| prod_a mu(alpha_a)``, ``mu(m) = integral_{-1/2}^{1/2} u^m du``.
+    A child at offset ``o in {-1/4, 1/4}^n`` in its parent's coordinates has
+    ``u_P = o + u_C / 2``, so a parent moment is the sum over its children of
+    ``sum_{gamma <= alpha} C(alpha, gamma) o^(alpha - gamma) 2^-|gamma|
+    integral_C f u_C^gamma`` -- the moment-to-moment shift of multipole
+    methods (Greengard and Rokhlin, J. Comput. Phys. 73, 1987).  Every
+    coefficient is dyadic, so only the additions round, and they are
+    elementwise in a fixed order: a cube's bits do not depend on which
+    cubes are read with it.
     """
 
-    def __init__(self, f: GridFunction, max_total_order: int = MAX_MOMENT_ORDER):
-        self.dimension = f.dimension
+    def __init__(self, f: GridFunction):
         self.depth = f.depth
-        self.max_total_order = max_total_order
-        n = f.dimension
-        side = 1 << f.depth
-        v = f.values_nd
+        alphas = multi_indices(f.dimension, 2)
+        cells = f.values * f.cell_measure
+        finest = np.empty((1 + len(alphas), f.n_cells))
+        np.multiply(cells, f.values, out=finest[0])
+        for i, alpha in enumerate(alphas, start=1):
+            np.multiply(cells, math.prod(map(_unit_moment, alpha)),
+                        out=finest[i])
+        levels = [finest]
+        for lvl in range(f.depth - 1, -1, -1):
+            levels.append(_parent_moments(levels[-1], f.dimension, 1 << lvl))
+        for table in levels:
+            table.flags.writeable = False
+        self._levels = levels[::-1]
 
-        edges = np.arange(side + 1, dtype=np.float64) / side
-        # axis_factor[m][i] = integral over cell i of x^m, one axis
-        axis_factor = [
-            (edges[1:] ** (m + 1) - edges[:-1] ** (m + 1)) / (m + 1)
-            for m in range(max_total_order + 1)
-        ]
-
-        cell_meas = 2.0 ** (-n * f.depth)
-        alphas = multi_indices(n, max_total_order)
-        # one stack: f^2, then f x^alpha in graded order, so the data of the
-        # L2 fits up to any degree is a leading slice; |f| comes last,
-        # outside every such slice
-        self._row = {alpha: i for i, alpha in enumerate(alphas, start=1)}
-        self._prefix = np.empty((2 + len(alphas),) + (side + 1,) * n)
-        self._prefix[0] = _prefix_sum(v * v * cell_meas)
-        for alpha, i in self._row.items():
-            if n == 1:
-                weights = axis_factor[alpha[0]]
-            else:
-                weights = np.multiply.outer(axis_factor[alpha[0]],
-                                            axis_factor[alpha[1]])
-            self._prefix[i] = _prefix_sum(v * weights)
-        self._prefix[-1] = _prefix_sum(np.abs(v) * cell_meas)
-        self._grid = f
-
-    def moment(self, cube: CubeId, alpha: tuple[int, ...]) -> float:
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.dimension:
-            raise ValueError(
-                f"multi-index {alpha} has {len(alpha)} axes, grid has "
-                f"{self.dimension}"
-            )
-        if any(a < 0 for a in alpha):
-            raise ValueError(f"multi-index must be nonnegative, got {alpha}")
-        if sum(alpha) > self.max_total_order:
-            raise ValueError(
-                f"moment order {sum(alpha)} exceeds the tabulated maximum "
-                f"{self.max_total_order}"
-            )
-        return self._cube_sum(self._row[alpha], cube)
-
-    def level_l2_sums(self, level: int, max_total: int,
-                      coords: np.ndarray | None = None) -> np.ndarray:
-        """The data of L2 fits on cubes ``Q`` of one ``level``.
-
-        Row 0 is ``integral_Q f^2 dx``, row ``1 + i`` is
-        ``integral_Q f(x) x^alpha dx`` for the ``i``-th ``alpha`` of
-        ``multi_indices(n, max_total)``.  Columns are cubes: ``coords``
-        (shape ``(m, n)``, entries in ``range(2**level)``) picks them, by
-        default every cube of the level in breadth-first order.  Each entry
-        equals the scalar lookup bit for bit.
-        """
-        if not 0 <= max_total <= self.max_total_order:
-            raise ValueError(
-                f"moment order {max_total} outside the tabulated range "
-                f"0..{self.max_total_order}"
-            )
+    def level(self, level: int) -> np.ndarray:
+        """The moments of every cube of one ``level``, shape
+        ``(1 + d, 2**(n*level))``."""
         if not 0 <= level <= self.depth:
             raise ValueError(f"level must lie in [0, {self.depth}], got {level}")
-        n = self.dimension
-        return self._rect_sums(slice(1 + math.comb(max_total + n, n)), level,
-                               coords)
-
-    def _rect_sums(self, rows: slice, level: int,
-                   coords: np.ndarray | None) -> np.ndarray:
-        """Sums over cubes of one ``level`` of the prefix ``rows``, shape
-        ``(rows, cubes)``: every cube of the level, or those of ``coords``."""
-        n = self.dimension
-        prefix = self._prefix[rows]
-        s = 1 << (self.depth - level)
-        if coords is None:
-            prefix = prefix[(...,) + (slice(None, None, s),) * n]
-            lo, hi = [slice(None, -1)] * n, [slice(1, None)] * n
-        else:
-            lo = [coords[:, ax] * s for ax in range(n)]
-            hi = [i + s for i in lo]
-        if n == 1:
-            return prefix[..., hi[0]] - prefix[..., lo[0]]
-        (i0, j0), (i1, j1) = lo, hi
-        out = (prefix[..., i1, j1] - prefix[..., i0, j1]
-               - prefix[..., i1, j0] + prefix[..., i0, j0])
-        return out.reshape(len(prefix), -1)
-
-    def _cube_sum(self, row: int, cube: CubeId) -> float:
-        """The one-cube call of :meth:`_rect_sums` on one prefix row."""
-        self._grid.check_cube(cube)
-        return float(self._rect_sums(slice(row, row + 1), cube.level,
-                                     np.array([cube.coords]))[0, 0])
-
-    def integral(self, cube: CubeId) -> float:
-        return self.moment(cube, (0,) * self.dimension)
-
-    def abs_integral(self, cube: CubeId) -> float:
-        """``integral_cube |f| dx``."""
-        return self._cube_sum(len(self._prefix) - 1, cube)
-
-    def square_integral(self, cube: CubeId) -> float:
-        """``integral_cube f^2 dx``."""
-        return self._cube_sum(0, cube)
-
-    def abs_pow_integral(self, cube: CubeId, q: int) -> float:
-        """``integral_cube |f|^q dx`` for q in {1, 2}."""
-        if q == 1:
-            return self.abs_integral(cube)
-        if q == 2:
-            return self.square_integral(cube)
-        raise ValueError(f"q must be 1 or 2, got {q}")
+        return self._levels[level]
 
 
-def _prefix_sum(a: np.ndarray) -> np.ndarray:
-    """Zero-padded cumulative sum over every axis."""
-    out = a
-    for axis in range(a.ndim):
-        out = np.cumsum(out, axis=axis)
-    padded = np.zeros(tuple(s + 1 for s in out.shape))
-    padded[(slice(1, None),) * a.ndim] = out
-    return padded
+@functools.lru_cache(maxsize=None)
+def _shift_terms(dimension: int):
+    """Per child, row-major: its offset bits and the terms ``(i, j, c)`` of
+    ``parent[i] += c * child[j]`` over the table rows, ``f^2`` first."""
+    alphas = multi_indices(dimension, 2)
+    out = []
+    for bits in itertools.product((0, 1), repeat=dimension):
+        offset = [b / 2 - 0.25 for b in bits]
+        terms = [(0, 0, 1.0)]
+        for i, alpha in enumerate(alphas, start=1):
+            for j, gamma in enumerate(alphas, start=1):
+                if all(g <= a for g, a in zip(gamma, alpha)):
+                    terms.append((i, j, math.prod(
+                        math.comb(a, g) * o ** (a - g) * 0.5 ** g
+                        for a, g, o in zip(alpha, gamma, offset))))
+        out.append((bits, tuple(terms)))
+    return tuple(out)
+
+
+def _parent_moments(child: np.ndarray, dimension: int,
+                    side: int) -> np.ndarray:
+    """The table of the level of ``side`` cubes per axis from its child
+    level's, one elementwise multiply-add per term."""
+    # axes: the rows, then per axis the parent coordinate and the child bit
+    blocks = child.reshape((len(child),) + (side, 2) * dimension)
+    out = np.zeros((len(child),) + (side,) * dimension)
+    for bits, terms in _shift_terms(dimension):
+        sub = blocks[(slice(None),)
+                     + tuple(x for b in bits for x in (slice(None), b))]
+        for i, j, c in terms:
+            out[i] += c * sub[j]
+    return out.reshape(len(child), -1)

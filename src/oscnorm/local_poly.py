@@ -14,9 +14,11 @@ Solvers
   ``u^alpha`` with ``u = (x - center(Q)) / side(Q)``, whose Gram matrix on a
   cube is ``|Q|`` times a fixed well-conditioned matrix, and the error comes
   out of the Pythagorean identity.  :func:`l2_level_fits` fits every cube of
-  one level in one pass: right-hand sides from strided rectangle sums of the
-  moment table, one stacked solve against the fixed matrix.  A single cube
-  is its one-row call, with the same bits.
+  one level in one pass: its right-hand sides are that level's local
+  moments ``integral_Q f u^alpha``, read as they are from the moment table
+  (:class:`oscnorm.grid.MomentTable`), and one stacked solve against the
+  fixed matrix gives every fit.  A single cube is its one-row call, with
+  the same bits.  ``k = 0`` sums the cube's cells directly.
 * ``q = 1, k = 1``: the minimizing constant is a median of the cell values
   (equal weights on a dyadic cube); the LOWER median is taken so results are
   deterministic.  The objective is evaluated exactly.
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .grid import CubeId, GridFunction, multi_indices
+from .grid import CubeId, GridFunction, _unit_moment, multi_indices
 
 __all__ = ["PolyFit", "best_fit", "l2_level_fits", "scaled_error",
            "convention_exponent", "mean_oscillation"]
@@ -120,7 +122,7 @@ def best_fit(f: GridFunction, c: CubeId, k: int, q: int) -> PolyFit:
     _check_kq(k, q)
     f.check_cube(c)
     if k == 0:
-        err = f.moments().abs_pow_integral(c, q) ** (1.0 / q)
+        err = _norm(f, c, q)
         return PolyFit(c, 0, q, (), np.zeros(0), np.zeros(0), err, 1.0)
     exps = _exponents(f.dimension, k)
     if q == 2:
@@ -140,7 +142,7 @@ def poly_error(f: GridFunction, c: CubeId, k: int, q: int) -> float:
     _check_kq(k, q)
     f.check_cube(c)
     if k == 0:
-        return f.moments().abs_pow_integral(c, q) ** (1.0 / q)
+        return _norm(f, c, q)
     if q == 2:
         return _fit_l2(f, c, k)[1]
     if k == 1:
@@ -181,6 +183,12 @@ def _exponents(dimension: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(multi_indices(dimension, k - 1))
 
 
+def _norm(f: GridFunction, c: CubeId, q: int) -> float:
+    """``||f||_{L^q(c)}``, the ``k = 0`` error, summed over the cells."""
+    total = float((np.abs(f.cube_values(c)) ** q).sum())
+    return (total * f.cell_measure) ** (1.0 / q)
+
+
 def _check_kq(k: int, q: int) -> None:
     if not 0 <= k <= 3:
         raise ValueError(f"k must lie in 0..3, got {k}")
@@ -207,103 +215,63 @@ def l2_level_fits(f: GridFunction, level: int, k: int,
     if not 0 <= level <= f.depth:
         raise ValueError(f"level must lie in [0, {f.depth}], got {level}")
     n = f.dimension
-    whole_level = coords is None
-    if whole_level:
-        coords = np.indices((1 << level,) * n).reshape(n, -1).T
-    if len(coords) > _L2_BLOCK:
-        fits = [l2_level_fits(f, level, k, coords[i:i + _L2_BLOCK])
-                for i in range(0, len(coords), _L2_BLOCK)]
-        return tuple(np.concatenate(part) for part in zip(*fits))
-    if (coords >> level).any():
-        raise ValueError(f"cube coordinates must lie in range(2**{level})")
-    # a whole level takes its rectangle sums by strided slices
-    sums = f.moments().level_l2_sums(level, k - 1,
-                                      None if whole_level else coords)
-    sq, mom = sums[0], sums[1:]
+    table = f.moments().level(level)
+    cols = None
+    if coords is not None:
+        if (coords >> level).any():
+            raise ValueError(f"cube coordinates must lie in range(2**{level})")
+        cols = np.ravel_multi_index(coords.T, (1 << level,) * n)
     exps = _exponents(n, k)
-    scale, power, order = _expansion(exps, level)
-    pw = _center_powers(coords, level)
-    # b_alpha = integral f u^alpha dx from the raw moments; the terms are
-    # added one at a time in ``order``, never by a reduction that picks its
-    # own order, so a cube's bits do not depend on the batch it is in
-    b = np.zeros((len(coords), len(exps)))
-    for j in order:
-        coef = scale[:, j] * pw[0][:, power[0, :, j]]
-        for ax in range(1, n):
-            coef *= pw[ax][:, power[ax, :, j]]
-        b += coef * mom[j][:, None]
-    B = b[..., None]
-    a = np.linalg.solve(_unit_gram(exps)[None], B / 2.0 ** (-level * n))
-    # a stacked matmul takes each a.b as one BLAS dot, as a 1-D ``a @ b``
-    # does; einsum sums in an order of its own
-    proj = (a.transpose(0, 2, 1) @ B)[:, 0, 0]
-    err_sq = sq - proj
-    # the subtraction cancels completely when f is representable; anything
-    # at rounding scale of the operands is noise, not a residual
-    noise = err_sq <= _NOISE * np.maximum(sq, np.abs(proj))
-    return a[..., 0], np.sqrt(np.where(noise, 0.0, err_sq))
+    gram = _unit_gram(exps)
+    m = table.shape[1] if cols is None else len(cols)
+    coeffs, errs = np.empty((m, len(exps))), np.empty(m)
+    for i in range(0, m, _L2_BLOCK):
+        part = slice(i, i + _L2_BLOCK)
+        sums = table[:, part] if cols is None else table[:, cols[part]]
+        sq = sums[0]
+        # one layout for every call, so the BLAS products below see the
+        # same operands whichever cubes are fitted together
+        B = np.ascontiguousarray(sums[1:1 + len(exps)].T)[..., None]
+        a = np.linalg.solve(gram[None], B / 2.0 ** (-level * n))
+        # a stacked matmul takes each a.b as one BLAS dot, as a 1-D
+        # ``a @ b`` does; einsum sums in an order of its own
+        proj = (a.transpose(0, 2, 1) @ B)[:, 0, 0]
+        err_sq = sq - proj
+        # the subtraction cancels completely when f is representable;
+        # anything at rounding scale of the operands is noise, not a residual
+        noise = err_sq <= _NOISE * np.maximum(sq, np.abs(proj))
+        coeffs[part] = a[..., 0]
+        errs[part] = np.sqrt(np.where(noise, 0.0, err_sq))
+    return coeffs, errs
 
 
 @functools.lru_cache(maxsize=None)
 def _unit_gram(exps: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """Gram matrix of u^alpha on the unit box [-1/2, 1/2)^n."""
-    def g(m: int) -> float:
-        return 0.0 if m % 2 else 0.5 ** m / (m + 1)
-
     d = len(exps)
     G = np.empty((d, d))
     for i, a in enumerate(exps):
         for j, b in enumerate(exps):
-            G[i, j] = math.prod(g(ai + bi) for ai, bi in zip(a, b))
+            G[i, j] = math.prod(map(_unit_moment, np.add(a, b)))
     G.flags.writeable = False
     return G
 
 
-@functools.lru_cache(maxsize=None)
-def _expansion(exps: tuple[tuple[int, ...], ...], level: int):
-    """``prod_a ((x_a - c_a)/s)^{alpha_a}`` in plain monomials ``x^gamma``
-    on cubes of side ``s = 2**-level``, as
-    ``scale[i, j] * prod_a (-c_a)^power[a, i, j]`` with ``alpha = exps[i]``
-    and ``gamma = exps[j]``.
-
-    ``scale`` is the binomial factor over ``s^|alpha|`` (0 unless
-    ``gamma <= alpha``); ``order`` lists the ``gamma`` positions
-    lexicographically, the order of the binomial expansion axis by axis.
-    Every coefficient is exact (dyadic centers, degree <= 2), so only the
-    order of the sums decides the bits of what is built from them.
-    """
-    d, n = len(exps), len(exps[0])
-    scale = np.zeros((d, d))
-    power = np.zeros((n, d, d), dtype=np.intp)
-    for i, alpha in enumerate(exps):
-        for j, gamma in enumerate(exps):
-            if all(g <= a for g, a in zip(gamma, alpha)):
-                scale[i, j] = (math.prod(map(math.comb, alpha, gamma))
-                               / 2.0 ** (-level * sum(alpha)))
-                power[:, i, j] = np.subtract(alpha, gamma)
-    scale.flags.writeable = power.flags.writeable = False
-    return scale, power, tuple(sorted(range(d), key=exps.__getitem__))
-
-
-def _center_powers(coords: np.ndarray, level: int) -> np.ndarray:
-    """``(-center)^e`` for ``e = 0, 1, 2``, shape ``(n, m, 3)``, of the cubes
-    ``coords`` of one level; exact, since the centers are dyadic."""
-    neg = (coords.T + 0.5) * -2.0 ** -level
-    pw = np.empty(neg.shape + (3,))
-    pw[..., 0] = 1.0
-    pw[..., 1] = neg
-    pw[..., 2] = neg * neg
-    return pw
-
-
 def _local_to_global(exps, local_coeffs, c: CubeId) -> np.ndarray:
-    """Plain-monomial coefficients, summed over ``alpha`` in ``exps`` order."""
-    scale, power, _ = _expansion(exps, c.level)
-    pw = _center_powers(np.array([c.coords]), c.level)[:, 0]
-    coef = scale * np.prod([p[e] for p, e in zip(pw, power)], axis=0)
+    """Plain-monomial coefficients, summed over ``alpha`` in ``exps`` order.
+
+    ``u^alpha = prod_a ((x_a - c_a)/s)^{alpha_a}`` expands binomially into
+    ``x^gamma``, ``gamma <= alpha``.  Every coefficient is exact (dyadic
+    center and side, degree <= 2), so only the order of the sums decides
+    the bits.
+    """
     out = np.zeros(len(exps))
-    for a, row in zip(local_coeffs, coef):
-        out += a * row
+    for a, alpha in zip(local_coeffs, exps):
+        row = [math.prod(math.comb(m, g) * (-x) ** (m - g) / c.side ** m
+                         for m, g, x in zip(alpha, gamma, c.center))
+               if all(g <= m for g, m in zip(gamma, alpha)) else 0.0
+               for gamma in exps]
+        out += a * np.array(row)
     return out
 
 

@@ -3,11 +3,15 @@
 The compute digests pin the full JSON bytes (values, witnesses, key order)
 of five functionals on four seeded grids.  They were recorded before the
 cube families became array-native.  Three more pin the ``q = 2`` fits at
-``k = 2, 3`` (packing ``v`` and the ``sv`` bracket); they were recorded from
-the per-cube solves, before one batched solve per level replaced them.  The suite digests pin the reports of
-the benchmark's oracle-suite configurations at small trial counts plus a
-small ``sv-equivalence`` run; they were recorded before the suites moved
-onto the library's batched kernels.  The oracle-scale digests pin the same
+``k = 2, 3`` (packing ``v`` and the ``sv`` bracket).  Those three, ``sjn``
+(whose upper bound starts from the root ``L^2`` fit) and
+``sv-equivalence`` were re-recorded when the fits moved from prefix sums
+of global monomials to local moments built level by level: every number
+moved by at most 1.5e-13 relative, every witness stayed the same.  The
+suite digests pin the reports of the benchmark's oracle-suite
+configurations at small trial counts plus a small ``sv-equivalence`` run;
+they were recorded before the suites moved onto the library's batched
+kernels.  The oracle-scale digests pin the same
 configurations at the benchmark's trial counts, and the table-suite pins
 are also checked at several family-table block sizes.  The table digests
 pin the arrays of ``family_tables`` for every oracle-scale tree and six
@@ -55,7 +59,7 @@ GOLDEN = {
     ('1d-lognormal', 'jn'):
         '9e316a19458be06a000ddc20260c5f2c9f8f7a787a109e50bb6c184c2826a596',
     ('1d-lognormal', 'sjn'):
-        'b46afe477e2202054c524c2a594733d0c8907a53fcaaa9451d6865d1311b5ef3',
+        'e222fff6e14821e648ada22036836f7076ae506dc6f3ee6cc414cc1972cddebf',
     ('1d-lognormal', 'weaklp'):
         '7304c62a7f4a10643dbf8c5d9b6a443ba228648a6d52770854a5dc351a6b6124',
     ('1d-uniform', 'bmo'):
@@ -65,7 +69,7 @@ GOLDEN = {
     ('1d-uniform', 'jn'):
         '1025c7370bce8b4a8f3885e4fbe2886c1f312b1a68e900eb76f3b6d9248b0d5c',
     ('1d-uniform', 'sjn'):
-        'e214a19ffdd6a86af4cd7f75c9f79709df311044a4aeced6753fc37f87415c25',
+        '3b5643aaf1b0bcd3a5f8d093e82b69fba2d39a4f78dc1fd7eee3e6872781c847',
     ('1d-uniform', 'weaklp'):
         '9602016c39373853869d7bfca342e56f5e8548922e15945554a98daedf51abe5',
     ('2d-lognormal', 'bmo'):
@@ -75,7 +79,7 @@ GOLDEN = {
     ('2d-lognormal', 'jn'):
         '27cbfd26d612588c4414285f88e855932b49e72130792edc07f2afa8f3fa408e',
     ('2d-lognormal', 'sjn'):
-        '1a80327a37ab5ba88692509a8e216501fc29bdac4de8164d13e075fdb47af241',
+        '23d3ae8fa369f4f31a07e3a2aee8c3f06cef3c75d0b0a81a2eda4939445b9252',
     ('2d-lognormal', 'weaklp'):
         '0bf9691974950f357df7a9fbd2c8974dcdc4cb060965e467181761efe0f3db19',
     ('2d-uniform', 'bmo'):
@@ -85,33 +89,33 @@ GOLDEN = {
     ('2d-uniform', 'jn'):
         'efdc6486a257578705996ace6f3a9150f150ea7220513ded1ae8ee21615783d4',
     ('2d-uniform', 'sjn'):
-        'dc09b73cb19f28c29cb9cbbe7df9540bb1118377ebbacf76f3bdabcf7c6a3444',
+        '41fec063a8bca48f45aae829ddb51dc08a2c9f3008c5d8a91bc615ae8d289fbd',
     ('2d-uniform', 'weaklp'):
         '48ce565c9a3aadd9ac5aa773bae40628de02f15e12d3fbe13ede75ef43956e53',
     ('1d-lognormal', 'sv-k2-q2'):
-        '04137f0dd891c5c17088566f27cc5ab1b9792d465edd65103b8cf7ea85cbf5ef',
+        'cb176de66136586fa597c75892791fe2e2fd56eeb7d80aff7da864c571e4478e',
     ('1d-lognormal', 'v-k2-q2'):
-        '60de28fd5dd471840797148314350b969beeed8c8b060f567021d3595783ccac',
+        '35a91916367c54d19144ef71e05344f87413140699837c4f584cb2b0f4303000',
     ('1d-lognormal', 'v-k3-q2'):
-        'e487a5017199f857aab3976dd0e20c050a35e9f941f898170082237a561cd1be',
+        '521b1740b1e8ae5f6fe322074e25dfe9e7f3fa98a5e5bc2661e1daa3f9b635a2',
     ('1d-uniform', 'sv-k2-q2'):
-        '647bc9e96d4f37c458fbc1411353ee5c630035c5d6d68d065fbdb637c1b94153',
+        '0596de9db05db01acfbc8b3d22db195beeddf68352801ec678065844c6a20778',
     ('1d-uniform', 'v-k2-q2'):
-        '5a52eaa1a521ce5974532aed8ebbc56c140ba9d3d32850cbbc83e63991665e98',
+        '55e4bf7f9ab4752fc935898eefbc6123c9694b11d2e467023abfe678430b9674',
     ('1d-uniform', 'v-k3-q2'):
-        'c364e7c4884b02103a1381b44ec1430a6ca784f04464fc94ac8dcece64ba0ed0',
+        '0a75d71b9a1c70323a37a3e97d9bcc678cc1ae6f83c2a0edf6ca0234bdc1fcf4',
     ('2d-lognormal', 'sv-k2-q2'):
-        '32394bd76d92a40d181c02fc96f32a66d865ef8ec819351fdfe52c683cf7582f',
+        'e243b9b8c43202d4dbc0cfa7a943e7c77673c462f4f0a3f18342f47fda52fffd',
     ('2d-lognormal', 'v-k2-q2'):
         'e714c4d2c855c85d92f5a8a9089dae2ebaa41a21913ee42641385df78d610983',
     ('2d-lognormal', 'v-k3-q2'):
         'a01a0b33611552952fdc099a079a575ad8f38e166906b1566b6b33a01056f571',
     ('2d-uniform', 'sv-k2-q2'):
-        '419ce8cd115ec79c622786dc0667669a680361168182669819d39d0308c1162a',
+        'b0bf9682bb7cabc694c7517d9a2b144e286829b643e6b97e4d894eee6487b238',
     ('2d-uniform', 'v-k2-q2'):
-        '267818f8646a147a41345691107f37158801cf3ff8a66ca1899d7c70814536b8',
+        '8b46a3ff54a51f9f0d80ccc4e55b9691a69090700a631117ffcdc2d23aaf74a2',
     ('2d-uniform', 'v-k3-q2'):
-        'cb37476bcdbec4760554fcc3af6a96425f7674f1533360975afc9e6ce803673b',
+        'ac4bfdb93ef1a868b821880fc5935470ad43673b5dbbf9e0ec73bf7fba3426f8',
 }
 
 
@@ -179,7 +183,7 @@ SUITE_GOLDEN = {
     "sparse-jn-2d":
         "e1049bf74a9980a179024d53ee15463dd0c87d2243fd1f1aa607374471288ac5",
     "sv-equivalence-1d":
-        "f2f6b76e36fe83115a114f3b870dc7da5d657f6f3c08056871492fadc310fc38",
+        "08741310162b9bca4ec990cd66f9cf5e9efd716bc16f68efa0bb10591a4b93d0",
 }
 
 

@@ -8,15 +8,17 @@ rather than equalities.
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscnorm.grid import CubeId, GridFunction, iter_cubes
-from oscnorm.local_poly import (best_fit, mean_oscillation, poly_error,
-                                residual_cell_integrals, scaled_error)
+from oscnorm.grid import CubeId, GridFunction, iter_cubes, multi_indices
+from oscnorm.local_poly import (best_fit, l2_level_fits, mean_oscillation,
+                                poly_error, residual_cell_integrals,
+                                scaled_error)
 
 ROOT1 = CubeId(0, (0,))
 ROOT2 = CubeId(0, (0, 0))
@@ -302,3 +304,93 @@ def test_root_l1_fits_keep_their_pinned_values(depth, k, seed, error, factor):
     assert fit.near_best_factor == pytest.approx(factor, rel=1e-6)
     assert fit.near_best_factor >= 1.0
     assert fit.approximate == (k == 3)
+
+
+# -- q = 2 accuracy against exact rational arithmetic -------------------------
+
+# the headline grids, 65,536 cells each: seeded uniform values
+HEADLINE = [(1, 16), (2, 8)]
+
+
+def _uniform_grid(n, depth):
+    return GridFunction(n, depth, np.random.default_rng(0).uniform(
+        0.0, 1.0, 1 << (n * depth)))
+
+
+def exact_l2_error(f, cube, k):
+    """``(E_k(f;Q)_2, ||f||_{L^2(Q)})`` from the projection residual
+    ``int f^2 - b^T G^{-1} b`` in ``Fraction`` arithmetic, with ``b`` the
+    cell values against exact local cell integrals of ``u^alpha``."""
+    block = f.cell_block(cube)
+    cells = block.shape[0]
+    edges = [Fraction(2 * i - cells, 2 * cells) for i in range(cells + 1)]
+    vol = Fraction(cube.measure)
+    exps = multi_indices(f.dimension, k - 1)
+
+    def mu(m):
+        return Fraction(0) if m % 2 else Fraction(1, 2 ** m * (m + 1))
+
+    vals = {idx: Fraction(float(block[idx])) for idx in np.ndindex(block.shape)}
+    sq = sum(v * v for v in vals.values()) * vol / cells ** f.dimension
+    b = [vol * sum(v * math.prod((edges[i + 1] ** (m + 1) - edges[i] ** (m + 1))
+                                 / (m + 1) for i, m in zip(idx, alpha))
+                   for idx, v in vals.items())
+         for alpha in exps]
+    # Gauss-Jordan on G a = b, G the Gram matrix of u^alpha on the cube
+    rows = [[vol * math.prod(mu(x + y) for x, y in zip(al, be)) for be in exps]
+             + [bb]
+            for al, bb in zip(exps, b)]
+    for c in range(len(exps)):
+        for r in range(len(exps)):
+            if r != c:
+                t = rows[r][c] / rows[c][c]
+                rows[r] = [x - t * y for x, y in zip(rows[r], rows[c])]
+    a = [row[-1] / row[i] for i, row in enumerate(rows)]
+    err_sq = sq - sum(x * y for x, y in zip(a, b))
+    return math.sqrt(err_sq), math.sqrt(sq)
+
+
+@pytest.mark.parametrize("n, depth", HEADLINE)
+def test_l2_fits_are_exactly_zero_on_finest_cells(n, depth):
+    """A cell holds a constant, so every fit reproduces it: the error is
+    exactly 0, not a rounding residue."""
+    f = _uniform_grid(n, depth)
+    for k in (1, 2, 3):
+        assert np.all(l2_level_fits(f, depth, k)[1] == 0.0)
+
+
+@pytest.mark.parametrize("n, depth", HEADLINE)
+def test_l2_fits_on_small_cubes_match_exact_projection(n, depth):
+    """Cubes of 2 to 16 cells: the error is exact to rounding of
+    ``||f||_{L^2(Q)}``."""
+    f = _uniform_grid(n, depth)
+    rng = np.random.default_rng(1)
+    worst = 0.0
+    for level in range(depth - 1, depth - (5 if n == 1 else 3), -1):
+        side = 1 << level
+        pick = rng.integers(0, side ** n, 8)
+        for k in (1, 2, 3):
+            errs = l2_level_fits(f, level, k)[1]
+            for i in pick:
+                cube = CubeId(level, tuple(int(c) for c in np.unravel_index(
+                    i, (side,) * n)))
+                exact, norm = exact_l2_error(f, cube, k)
+                worst = max(worst, abs(errs[i] - exact) / norm)
+    print(f"max |E - E*| / ||f||_L2(Q) = {worst:.3e}")
+    assert worst <= 1e-10
+
+
+# bytes traced while building the prefix-sum table this one replaced
+@pytest.mark.parametrize("n, depth, limit", [(1, 16, 8_392_501),
+                                             (2, 8, 11_102_186)])
+def test_moment_table_build_memory(n, depth, limit):
+    """Building every level traces no more than the prefix-sum table did
+    (8.4 MB at 1D L=16, 11.1 MB at 2D L=8); the table holds 4.2 / 4.9 MB."""
+    f = _uniform_grid(n, depth)
+    tracemalloc.start()
+    try:
+        f.moments()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
