@@ -553,7 +553,7 @@ def ri_functionals(f: GridFunction, p: float) -> RIFunctionals:
 
     weak_lp = sup_t t^{1/p} f*(t), attained as t approaches block right
     endpoints.  llogl uses the Young function ``Phi(t) = t log(e + t)`` and
-    bisection to 1e-10, run when ``llogl`` is first read.  bds evaluates
+    bisection to 1e-10 relative, run when ``llogl`` is first read.  bds evaluates
     ``f**(t) - f*(t+)`` at block endpoints and midpoints (f* right-continuous;
     at t=1 the left limit) -- exhaustive for step functions since f** - f*
     decreases between consecutive jumps -- when ``bds`` is first read.
@@ -591,23 +591,23 @@ def _bds(r: Rearrangement) -> float:
     return max(0.0, float(mid_gap.max()), float(end_gap.max())) / scale
 
 
-def _luxemburg_llogl(f: GridFunction, tol: float = 1e-10) -> float:
-    return float(llogl_rows(f.values[None, :], f.cell_measure, tol)[0])
+def _luxemburg_llogl(f: GridFunction) -> float:
+    return float(llogl_rows(f.values[None, :], f.cell_measure)[0])
 
 
 _HALF_MAX = float(np.finfo(np.float64).max) / 2.0
 
 
-def llogl_rows(values: np.ndarray, cell_measure: float,
-               tol: float = 1e-10) -> np.ndarray:
+def llogl_rows(values: np.ndarray, cell_measure: float) -> np.ndarray:
     """Luxemburg ``L log L`` norm, Young function ``t log(e + t)``, of each
     row of ``values`` by one lockstep bisection.
 
     Each row takes the steps of a bisection of its own: double ``hi`` from
     ``max |row|`` while the integral at ``hi`` exceeds 1, halve ``lo`` from
     ``hi`` while the integral at ``lo`` is at most 1 (stopping below
-    1e-300), then bisect until ``hi - lo <= tol`` or 200 midpoints, and
-    return ``hi``.  So each row has the bits of the one-row call.  Every
+    1e-300), then bisect until ``hi - lo <= 1e-10 * hi`` or 200 midpoints,
+    and return ``hi``.  The stop is relative, so the gauge of ``s * row``
+    is ``s`` times the gauge of ``row`` to 1e-10 at any scale.  So each row has the bits of the one-row call.  Every
     step integrates all rows, so the grid is never copied: the doubling
     and halving update only the rows still at that stage, and a row's
     result is taken at the step its bracket closes.  The bracket stays
@@ -650,7 +650,7 @@ def llogl_rows(values: np.ndarray, cell_measure: float,
         big = integral(mid) > 1.0
         lo = np.where(big, mid, lo)
         hi = np.where(big, hi, mid)
-        done = pending & (hi - lo <= tol)
+        done = pending & (hi - lo <= 1e-10 * hi)
         if done.any():
             out[rows[done]] = hi[done]
             pending &= ~done

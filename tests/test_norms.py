@@ -339,7 +339,7 @@ def test_llogl_scales_linearly():
 
 
 def test_weak_lp_skips_the_llogl_bisection(monkeypatch):
-    def refuse(f, tol=1e-10):
+    def refuse(f):
         raise AssertionError("the L log L gauge was computed")
 
     monkeypatch.setattr(norms, "_luxemburg_llogl", refuse)
@@ -350,7 +350,7 @@ def test_weak_lp_skips_the_llogl_bisection(monkeypatch):
         out.llogl
 
 
-def reference_llogl(f, tol=1e-10):
+def reference_llogl(f):
     """The per-grid bisection that ``norms.llogl_rows`` batches, kept as
     its reference: every row of the batch must have these bits."""
     v = np.abs(f.values)
@@ -376,7 +376,7 @@ def reference_llogl(f, tol=1e-10):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol:
+        if hi - lo <= 1e-10 * hi:
             break
     return hi
 
@@ -409,6 +409,18 @@ def test_llogl_rows_have_the_bits_of_the_per_grid_bisection(batch):
         want = reference_llogl(f)
         assert got[t].hex() == want.hex()
         assert norms._luxemburg_llogl(f).hex() == want.hex()
+
+
+@pytest.mark.parametrize("values", [[0.0, 1.0], [0.0, 1.0, 2.0, 3.0]])
+def test_llogl_is_scale_invariant(values):
+    """The bisection stops on a relative bracket: ``llogl(s f) / s`` reads
+    the same at every scale (an absolute stop read 0.75 for ``[0, 1]`` at
+    ``s = 1e-9``, against 0.70899 at ``s = 1``)."""
+    depth = len(values).bit_length() - 1
+    ratios = [ri_functionals(GridFunction(1, depth, s * np.array(values)),
+                             2.0).llogl / s
+              for s in (1.0, 1e-6, 1e-9, 1e-12)]
+    assert ratios == pytest.approx([ratios[0]] * 4, rel=1e-9)
 
 
 def test_llogl_at_the_float_limit_raises():
