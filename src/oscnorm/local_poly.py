@@ -212,8 +212,6 @@ def l2_level_fits(f: GridFunction, level: int, k: int,
     """
     if not 1 <= k <= 3:
         raise ValueError(f"k must lie in 1..3, got {k}")
-    if not 0 <= level <= f.depth:
-        raise ValueError(f"level must lie in [0, {f.depth}], got {level}")
     n = f.dimension
     table = f.moments().level(level)
     cols = None
