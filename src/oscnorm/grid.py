@@ -309,10 +309,12 @@ def average(f: GridFunction, cube: CubeId) -> float:
 
 
 def moment(f: GridFunction, cube: CubeId, alpha: tuple[int, ...]) -> float:
-    """Exact ``integral_cube f(x) x^alpha dx``, summed over the cube's cells.
+    """``integral_cube f(x) x^alpha dx``, summed over the cube's cells.
 
-    Monomial factors per cell are exact:
-    ``int_a^b x^m dx = (b**(m+1) - a**(m+1)) / (m+1)``.
+    Monomial factors per cell come from the antiderivative,
+    ``int_a^b x^m dx = (b**(m+1) - a**(m+1)) / (m+1)``; the difference
+    cancels on small cells far from 0 (~1e-12 relative on the finest cells
+    of a depth-16 grid).
     """
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != f.dimension:

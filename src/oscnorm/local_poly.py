@@ -250,7 +250,7 @@ def _unit_gram(exps: tuple[tuple[int, ...], ...]) -> np.ndarray:
     G = np.empty((d, d))
     for i, a in enumerate(exps):
         for j, b in enumerate(exps):
-            G[i, j] = math.prod(map(_unit_moment, np.add(a, b)))
+            G[i, j] = math.prod(_unit_moment(x + y) for x, y in zip(a, b))
     G.flags.writeable = False
     return G
 
