@@ -10,6 +10,10 @@ with ``q in {1, 2}``.  ``k = 0`` is the approximate-by-zero convention,
 
 Solvers
 -------
+Each route but ``q = 1, k >= 2`` has one level kernel; a single cube is its
+one-row call, with the bits of the level sweep.
+
+* ``k = 0``: ``level_integrals`` of ``|f|^q``, on the cube's block alone.
 * ``q = 2``: exact orthogonal projection.  Fits use the scaled monomial basis
   ``u^alpha`` with ``u = (x - center(Q)) / side(Q)``, whose Gram matrix on a
   cube is ``|Q|`` times a fixed well-conditioned matrix, and the error comes
@@ -17,11 +21,11 @@ Solvers
   one level in one pass: its right-hand sides are that level's local
   moments ``integral_Q f u^alpha``, read as they are from the moment table
   (:class:`oscnorm.grid.MomentTable`), and one stacked solve against the
-  fixed matrix gives every fit.  A single cube is its one-row call, with
-  the same bits.  ``k = 0`` sums the cube's cells directly.
+  fixed matrix gives every fit.
 * ``q = 1, k = 1``: the minimizing constant is a median of the cell values
   (equal weights on a dyadic cube); the LOWER median is taken so results are
-  deterministic.  The objective is evaluated exactly.
+  deterministic.  :func:`median_deviations` sums ``|v - median|`` on the
+  sorted cells as it is, so nothing cancels.
 * ``q = 1, k >= 2``: IRLS (weight floor 1e-12, relative objective decrease
   below 1e-10, at most 200 iterations) refined by a direct simplex polish of
   the exact objective, with the best of {median fit, L2 fit, IRLS} as the
@@ -32,7 +36,9 @@ Solvers
   can only shrink the objective (Jensen), and the minimum of that
   relaxation over all polynomials is an LP that HiGHS solves as its
   L1-Linf dual: ``d <= 6`` dense equality rows (orthogonality to the basis)
-  over one box-bounded variable per subcell.  The functionals of
+  over one box-bounded variable per subcell.  The LP is solved before the
+  polish, and its minimizer (the multipliers of the equality rows, negated)
+  is one more starting candidate.  The functionals of
   :mod:`oscnorm.norms` run these fits once per cube of a grid and hold the
   errors on the grid.
 
@@ -60,9 +66,10 @@ import numpy as np
 from scipy import optimize
 
 from .grid import CubeId, GridFunction, _unit_moment, multi_indices
+from .maximal import level_integrals
 
-__all__ = ["PolyFit", "best_fit", "l2_level_fits", "scaled_error",
-           "convention_exponent", "mean_oscillation"]
+__all__ = ["PolyFit", "best_fit", "l2_level_fits", "median_deviations",
+           "scaled_error", "convention_exponent", "mean_oscillation"]
 
 IRLS_WEIGHT_FLOOR = 1e-12
 IRLS_REL_TOL = 1e-10
@@ -119,35 +126,34 @@ def best_fit(f: GridFunction, c: CubeId, k: int, q: int) -> PolyFit:
 
     ``k`` ranges over 0..3 (0 = compare against the zero polynomial).
     """
-    _check_kq(k, q)
-    f.check_cube(c)
-    if k == 0:
-        err = _norm(f, c, q)
-        return PolyFit(c, 0, q, (), np.zeros(0), np.zeros(0), err, 1.0)
+    local, err, factor, approx = _fit(f, c, k, q, certify=True)
     exps = _exponents(f.dimension, k)
-    if q == 2:
-        local, err = _fit_l2(f, c, k)
-        factor, approx = 1.0, False
-    elif k == 1:
-        local, err = _fit_median(f, c)
-        factor, approx = 1.0, False
-    else:
-        local, err, factor, approx = _fit_l1(f, c, k, certify=True)
     return PolyFit(c, k, q, exps, _local_to_global(exps, local, c), local,
                    err, factor, approx)
 
 
 def poly_error(f: GridFunction, c: CubeId, k: int, q: int) -> float:
     """E_k(f;c)_q without the near-best certificate (cheaper for k>=2, q=1)."""
+    return _fit(f, c, k, q, certify=False)[1]
+
+
+def _fit(f: GridFunction, c: CubeId, k: int, q: int, certify: bool):
+    """``(local_coeffs, error, near_best_factor, approximate)`` on ``c``;
+    ``certify=False`` skips the ``L^1``, ``k >= 2`` certificate."""
     _check_kq(k, q)
     f.check_cube(c)
+    n, depth = f.dimension, f.depth - c.level
     if k == 0:
-        return _norm(f, c, q)
+        dens = np.abs(f.cell_block(c)) ** q * f.cell_measure
+        total = level_integrals(dens, n, depth)[0].ravel()
+        return np.zeros(0), float((total ** (1.0 / q))[0]), 1.0, False
     if q == 2:
-        return _fit_l2(f, c, k)[1]
+        a, err = l2_level_fits(f, c.level, k, np.array([c.coords]))
+        return a[0], float(err[0]), 1.0, False
     if k == 1:
-        return _fit_median(f, c)[1]
-    return _fit_l1(f, c, k, certify=False)[1]
+        med, dev = median_deviations(f.cube_values(c), n, depth, 0)
+        return med, float(dev[0]) * f.cell_measure, 1.0, False
+    return _fit_l1(f, c, k, certify)
 
 
 def scaled_error(f: GridFunction, c: CubeId, k: int, q: int, lam: float,
@@ -181,12 +187,6 @@ def mean_oscillation(f: GridFunction, c: CubeId) -> float:
 def _exponents(dimension: int, k: int) -> tuple[tuple[int, ...], ...]:
     """The multi-indices of degree ``<= k - 1``, graded order."""
     return tuple(multi_indices(dimension, k - 1))
-
-
-def _norm(f: GridFunction, c: CubeId, q: int) -> float:
-    """``||f||_{L^q(c)}``, the ``k = 0`` error, summed over the cells."""
-    total = float((np.abs(f.cube_values(c)) ** q).sum())
-    return (total * f.cell_measure) ** (1.0 / q)
 
 
 def _check_kq(k: int, q: int) -> None:
@@ -273,19 +273,27 @@ def _local_to_global(exps, local_coeffs, c: CubeId) -> np.ndarray:
     return out
 
 
-def _fit_l2(f, c, k):
-    """The one-cube call of :func:`l2_level_fits`."""
-    a, err = l2_level_fits(f, c.level, k, np.array([c.coords]))
-    return a[0], float(err[0])
-
-
 # -- exact L1 constant (lower median) --------------------------------------
 
-def _fit_median(f, c):
-    vals = np.sort(f.cube_values(c))
-    med = float(vals[(vals.size - 1) // 2])
-    err = float(np.abs(vals - med).sum()) * f.cell_measure
-    return np.array([med]), err
+def median_deviations(values: np.ndarray, dimension: int, depth: int,
+                      level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lower median of each level-``level`` cube's cell values and
+    ``sum |v - median|`` over its cells, both ``(..., 2**(n*level))`` flat
+    row-major.  ``values`` holds the cells flat row-major on the last axis,
+    after any leading trial axes.  The deviations are summed as they are,
+    so nothing cancels and an added constant moves no bit."""
+    lead = values.shape[:-1]
+    side, cells = 1 << level, 1 << (depth - level)
+    if dimension == 1:
+        blocks = values.reshape(*lead, side, cells)
+    else:
+        blocks = (values.reshape(*lead, side, cells, side, cells)
+                  .swapaxes(-3, -2).reshape(*lead, side * side, -1))
+    srt = np.sort(blocks, axis=-1)
+    med = srt[..., (srt.shape[-1] - 1) // 2].copy()
+    srt -= med[..., None]
+    np.abs(srt, out=srt)
+    return med, srt.sum(axis=-1)
 
 
 # -- L1 fits for k >= 2 ----------------------------------------------------
@@ -346,16 +354,17 @@ def _irls(Phi, v, mu, a0):
     return best, converged
 
 
-def _lp_lower_bound(Phi, v, mu) -> float:
+def _lp_lower_bound(Phi, v, mu):
     """Exact minimum of the (refined) cell-averaged L1 objective over all
     polynomials -- a certified lower bound for the true infimum -- as the
     dual ``mu * max {v @ y : Phi.T @ y = 0, |y| <= 1}`` (equal subcell
-    measures ``mu``), which ``y = 0`` makes feasible and the box bounded."""
+    measures ``mu``), which ``y = 0`` makes feasible and the box bounded,
+    and a minimizer: the multipliers of ``Phi.T @ y = 0``, negated."""
     res = optimize.linprog(-v, A_eq=Phi.T, b_eq=np.zeros(Phi.shape[1]),
                            bounds=(-1.0, 1.0), method="highs")
     if not res.success:
-        return 0.0
-    return max(-float(res.fun), 0.0) * float(mu[0])
+        return 0.0, None
+    return max(-float(res.fun), 0.0) * float(mu[0]), -res.eqlin.marginals
 
 
 def _fit_l1(f, c, k, certify):
@@ -369,8 +378,8 @@ def _fit_l1(f, c, k, certify):
 
     # candidate fits: previous-degree exact fit keeps E_k monotone in k
     med_local = np.zeros(len(exps))
-    med_local[exps.index((0,) * f.dimension)] = _fit_median(f, c)[0][0]
-    l2_local = _fit_l2(f, c, k)[0]
+    med_local[exps.index((0,) * f.dimension)] = _fit(f, c, 1, 1, False)[0][0]
+    l2_local = _fit(f, c, k, 2, False)[0]
     irls_local, converged = _irls(Phi, v, mu, l2_local)
     candidates = [med_local, l2_local, irls_local]
     objs = [objective(a) for a in candidates]
@@ -382,6 +391,15 @@ def _fit_l1(f, c, k, certify):
     if obj_best <= 1e-14 * scale * c.measure:
         return a_best, obj_best, 1.0 if certify else math.nan, False
 
+    if certify:
+        # the certificate's LP minimizer is one more start for the polish
+        refine = 8 if f.dimension == 1 else 4
+        while cells * refine ** f.dimension > 8192 and refine > 1:
+            refine //= 2
+        lb, lp_local = _lp_lower_bound(*_subcell_design(f, c, exps, refine))
+        if lp_local is not None and (obj := objective(lp_local)) < obj_best:
+            a_best, obj_best = lp_local, obj
+
     if cells <= _POLISH_CELL_CAP:
         res = optimize.minimize(objective, a_best, method="Nelder-Mead",
                                 options={"maxiter": 400 * len(exps),
@@ -392,11 +410,6 @@ def _fit_l1(f, c, k, certify):
     approx = (not converged) or (f.dimension == 2 and len(exps) > 3)
     if not certify:
         return a_best, obj_best, math.nan, approx
-
-    refine = 8 if f.dimension == 1 else 4
-    while cells * refine ** f.dimension > 8192 and refine > 1:
-        refine //= 2
-    lb = _lp_lower_bound(*_subcell_design(f, c, exps, refine=refine))
     if lb <= 1e-15 * max(obj_best, 1.0):
         factor = 1.0 if obj_best <= 1e-12 else math.inf
         approx = approx or obj_best > 1e-12

@@ -15,6 +15,7 @@ axes, so the verification suites run them on one row per trial.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,7 +54,11 @@ def sibling_sums(level_vals: np.ndarray, dimension: int) -> np.ndarray:
     lead = level_vals.shape[:level_vals.ndim - dimension]
     half = level_vals.shape[-1] // 2
     pairs = level_vals.reshape(*lead, *(half, 2) * dimension)
-    return pairs.sum(axis=(-1, -3)[:dimension])
+    # children added one at a time in row-major order: a multi-axis ``sum``
+    # picks its order from the shape, so a lone block would round otherwise
+    kids = [pairs[(..., *(x for b in bits for x in (slice(None), b)))]
+            for bits in itertools.product((0, 1), repeat=dimension)]
+    return sum(kids[1:], kids[0])
 
 
 def level_integrals(cell_integrals: np.ndarray, dimension: int,

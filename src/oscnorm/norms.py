@@ -5,8 +5,9 @@ polynomial-approximation errors
 
     scaled(Q) = |Q|^e * E_k(f; Q)_q
 
-over a class of cube families (see :mod:`oscnorm.families`).  Three evaluation
-regimes are provided:
+over a class of cube families (see :mod:`oscnorm.families`), taken level by
+level from the kernels of :mod:`oscnorm.local_poly`, whose one-cube calls
+give the same bits.  Three evaluation regimes are provided:
 
 * ``packing_sup_norm`` -- exact at every scale.  Over antichains the summands
   are independent, so the supremum is a max-weight-antichain dynamic program
@@ -44,7 +45,8 @@ from .families import validate  # noqa: F401
 from .grid import (CubeId, GridFunction, cube_measures, iter_cubes,
                    level_offsets, tree_size)
 from .local_poly import (best_fit, convention_exponent, l2_level_fits,
-                         poly_error, residual_cell_integrals)
+                         median_deviations, poly_error,
+                         residual_cell_integrals)
 from .maximal import chain_max, level_integrals, lp_norm, refine, sibling_sums
 
 __all__ = [
@@ -60,7 +62,6 @@ __all__ = [
     "RIFunctionals",
     "ri_functionals",
     "scaled_error_levels",
-    "median_deviations",
     "packing_dp",
     "llogl_rows",
 ]
@@ -70,7 +71,7 @@ __all__ = [
 class NormParams:
     """Parameter tuple selecting a functional.
 
-    ``family_class`` is ``"packing"``, ``"sparse"`` or ``"weak"``;
+    ``family_class`` is ``"packing"`` or ``"sparse"``;
     ``family_order`` is the sparseness order (1 for the plain sparse class,
     ``1 - lam/n`` for the fractional refinement).
     """
@@ -163,48 +164,22 @@ class NormReport:
 
 # -- scaled local errors, level by level -------------------------------------
 
-def median_deviations(values: np.ndarray, dimension: int, depth: int,
-                      level: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lower median of each level-``level`` cube's cell values and
-    ``sum |v - median|`` over its cells, both ``(..., 2**(n*level))`` flat
-    row-major.  ``values`` holds the cells flat row-major on the last axis,
-    after any leading trial axes."""
-    lead = values.shape[:-1]
-    side, cells = 1 << level, 1 << (depth - level)
-    if dimension == 1:
-        blocks = values.reshape(*lead, side, cells)
-    else:
-        blocks = (values.reshape(*lead, side, cells, side, cells)
-                  .swapaxes(-3, -2).reshape(*lead, side * side, -1))
-    srt = np.sort(blocks, axis=-1)
-    m = srt.shape[-1]
-    j0 = (m - 1) // 2
-    med = srt[..., j0]
-    cs = np.cumsum(srt, axis=-1)
-    below = cs[..., j0]                    # sum of entries with index <= j0
-    above = cs[..., -1] - below            # index > j0
-    return med, (above - (m - 1 - j0) * med) + ((j0 + 1) * med - below)
-
-
 def scaled_error_levels(f: GridFunction, params: NormParams) -> list[np.ndarray]:
     """``scaled(Q)`` for every cube, one flat array per level."""
     n, L = f.dimension, f.depth
     e = convention_exponent(params.convention, params.lam, params.q, n)
     k, q = params.k, params.q
-    unit = 1.0          # median deviations are cell sums: times |cell|
     if k == 0:
         dens = np.abs(f.values_nd) ** q * f.cell_measure
         errs = [S.ravel() ** (1.0 / q) for S in level_integrals(dens, n, L)]
     elif k == 1 and q == 1:
-        errs = [median_deviations(f.values, n, L, lvl)[1]
+        errs = [median_deviations(f.values, n, L, lvl)[1] * f.cell_measure
                 for lvl in range(L + 1)]
-        unit = f.cell_measure
     elif q == 2:
         errs = [l2_level_fits(f, lvl, k)[1] for lvl in range(L + 1)]
     else:
         errs = _fit_error_levels(f, k, q)
-    return [(2.0 ** (-n * lvl)) ** e * err * unit
-            for lvl, err in enumerate(errs)]
+    return [(2.0 ** (-n * lvl)) ** e * err for lvl, err in enumerate(errs)]
 
 
 def _fit_error_levels(f: GridFunction, k: int,
@@ -311,8 +286,6 @@ def bmo_norm(f: GridFunction) -> float:
 def _order_key(params: NormParams):
     if params.family_class == "sparse":
         return 1.0 if params.family_order is None else params.family_order
-    if params.family_class == "weak":
-        return "weak"
     raise ValueError(
         f"sparse evaluation needs a sparse family class, got "
         f"{params.family_class!r}")

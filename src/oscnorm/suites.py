@@ -35,9 +35,10 @@ from .generate import batch_uniform, log_singularity
 from .grid import GridFunction, tree_size
 from .maximal import (chain_max, level_integrals, lp_norm, lp_rows,
                       maximal_opnorm_bound)
-from .norms import (NormParams, bmo_norm, garo_norm, llogl_rows,
-                    median_deviations, packing_dp, packing_sup_norm,
-                    ri_functionals, sparse_norm_bounds, sparse_sup_exhaustive)
+from .local_poly import median_deviations
+from .norms import (NormParams, bmo_norm, garo_norm, llogl_rows, packing_dp,
+                    packing_sup_norm, ri_functionals, sparse_norm_bounds,
+                    sparse_sup_exhaustive)
 
 __all__ = ["SUITE_NAMES", "SuiteConfig", "SuiteReport", "run_suite"]
 
@@ -55,7 +56,6 @@ class SuiteConfig:
     depth: int = 2
     trials: int = 100
     seed: int = 0
-    generator: str = "uniform-iid"
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
@@ -77,7 +77,9 @@ class SuiteConfig:
     def to_json_dict(self) -> dict:
         return {"suite": self.suite, "dimension": self.dimension,
                 "depth": self.depth, "trials": self.trials,
-                "seed": self.seed, "generator": self.generator}
+                "seed": self.seed, "generator": (
+                    "log-singularity" if self.suite == "jn-extrapolation"
+                    else "uniform-iid")}
 
 
 @dataclass(frozen=True)
@@ -578,7 +580,4 @@ _SUITES = {
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    if config.generator != "uniform-iid" and config.suite != "jn-extrapolation":
-        raise ValueError("suites draw their grids from uniform-iid; use "
-                         "`oscnorm compute` for other generators")
     return _SUITES[config.suite](config)

@@ -177,8 +177,7 @@ def test_criterion_08_maximal_operator_bound():
 def test_criterion_09_extrapolation_toward_llogl():
     t0 = perf_counter()
     rep = run_suite(SuiteConfig(suite="jn-extrapolation", dimension=1,
-                                depth=6, trials=1,
-                                generator="log-singularity"))
+                                depth=6, trials=1))
     elapsed = perf_counter() - t0
     coarse = rep.aggregates["max_ratio_coarse"]
     fine = rep.aggregates["max_ratio_fine"]

@@ -7,14 +7,17 @@ agree exactly.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscnorm.grid import GridFunction
+from oscnorm.local_poly import median_deviations
 from oscnorm.maximal import chain_max, level_integrals, lp_norm, lp_rows
-from oscnorm.norms import median_deviations, packing_dp
+from oscnorm.norms import packing_dp
 
 SHAPES = st.sampled_from([(1, 0), (1, 1), (1, 3), (1, 6), (2, 0), (2, 1),
                           (2, 2), (2, 4)])
@@ -79,6 +82,25 @@ def test_median_deviations_rowwise(seed, shape, trials, dist):
             single_med, single_dev = median_deviations(V[t], n, depth, lvl)
             assert np.array_equal(med[t], single_med)
             assert np.array_equal(dev[t], single_dev)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8, 1e12])
+def test_median_deviations_against_fractions(offset):
+    """``sum |v - median|`` on a 1D L=16 grid against exact rational sums,
+    at the root and at two cubes of every other level: a constant added
+    to the values does not cost accuracy."""
+    depth = 16
+    rng = np.random.default_rng(1)
+    values = rng.uniform(0.0, 1.0, 1 << depth) + offset
+    for lvl in range(depth + 1):
+        med, dev = median_deviations(values, 1, depth, lvl)
+        cells = 1 << (depth - lvl)
+        for i in sorted({0, int(rng.integers(1 << lvl))}):
+            block = values[i * cells:(i + 1) * cells]
+            m = Fraction(float(med[i]))
+            exact = sum(abs(Fraction(float(v)) - m) for v in block)
+            assert abs(Fraction(float(dev[i])) - exact) <= exact * 1e-15, (
+                lvl, i)
 
 
 @settings(max_examples=40, deadline=None)

@@ -85,6 +85,15 @@ def test_compute_exact_refuses_large_tree(deep_file, capsys):
     assert d["value_lower"] <= d["value_upper"]
 
 
+def test_compute_garo_exact_refuses_large_tree(deep_file, capsys):
+    """On 31 tree nodes the Garsia-Rodemich value is only bracketed."""
+    code, out, err = _run(capsys, [
+        "compute", "--input", deep_file, "--norm", "garo", "--mode", "exact"])
+    assert code == 2 and out == ""
+    errors = _error_lines(err)
+    assert len(errors) == 1 and "--mode bounds" in errors[0]
+
+
 def test_compute_svt_uses_grid_dimension(step_file, capsys):
     code, out, _ = _run(capsys, [
         "compute", "--input", step_file, "--norm", "svt",
@@ -350,14 +359,17 @@ def test_compute_llogl_near_float_limit_exits_2(huge_file):
 
 @pytest.mark.parametrize("norm", _NORM_KEYS)
 def test_compute_near_float_limit_writes_json_or_exits_2(huge_file, norm):
-    """Sums of these values overflow: every norm but weak-L^p has a
-    non-finite value or bracket end, which JSON cannot hold."""
+    """Sums of these values overflow.  The median route sums deviations
+    from the median, so the oscillation norms read the zero oscillation of
+    a constant; weak-L^p never sums.  Every other norm has a non-finite
+    value or bracket end, which JSON cannot hold."""
     proc = _run_module(["compute", "--input", huge_file, "--norm", norm,
                         "--mode", "bounds"])
-    if norm == "weaklp":
+    if norm in ("weaklp", "jn", "v", "bmo", "garo"):
         assert proc.returncode == 0
         d = json.loads(proc.stdout, parse_constant=_no_constant)
-        assert d["value_lower"] == d["value_upper"] == 1.7e308
+        want = 1.7e308 if norm == "weaklp" else 0.0
+        assert d["value_lower"] == d["value_upper"] == want
     else:
         assert proc.returncode == 2 and proc.stdout == ""
         assert len(_error_lines(proc.stderr)) == 1

@@ -383,7 +383,8 @@ def dense_lp_lower_bound(Phi, v, mu):
 @pytest.mark.parametrize("n, depth, k", [(1, 0, 2), (1, 3, 2), (1, 4, 3),
                                          (2, 0, 3), (2, 1, 2), (2, 2, 3)])
 def test_dual_lp_certificate_matches_dense_primal(n, depth, k):
-    """Strong duality: the ``d``-row dual reaches the primal optimum."""
+    """Strong duality: the ``d``-row dual reaches the primal optimum, and
+    the coefficients it returns attain it on the relaxation."""
     rng = np.random.default_rng(100 * n + 10 * depth + k)
     exps = _exponents(n, k)
     for dist in ("uniform", "lognormal", "ties"):
@@ -398,7 +399,11 @@ def test_dual_lp_certificate_matches_dense_primal(n, depth, k):
         for refine in (1, 2, 4):
             design = _subcell_design(f, c, exps, refine)
             primal = dense_lp_lower_bound(*design)
-            assert _lp_lower_bound(*design) == pytest.approx(
+            bound, coeffs = _lp_lower_bound(*design)
+            assert bound == pytest.approx(
+                primal, rel=1e-12, abs=1e-15), (dist, refine)
+            Phi, v, mu = design
+            assert mu @ np.abs(v - Phi @ coeffs) == pytest.approx(
                 primal, rel=1e-12, abs=1e-15), (dist, refine)
 
 

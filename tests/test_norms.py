@@ -196,6 +196,51 @@ def test_scaled_error_levels_match_direct():
             assert got == pytest.approx(want, abs=1e-12), (params, c)
 
 
+# every route with a level kernel, as (k, q)
+KERNEL_ROUTES = [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2), (3, 2)]
+
+
+@pytest.mark.parametrize("n, depth", [(1, 10), (2, 5)])
+@pytest.mark.parametrize("dist", ["uniform", "lognormal"])
+def test_one_cube_has_the_bits_of_its_level_sweep(n, depth, dist):
+    """A single cube is its level kernel's one-row call: ``scaled_error``
+    equals the entry of ``scaled_error_levels`` bit for bit, every cube."""
+    rng = np.random.default_rng(21)
+    size = 1 << (n * depth)
+    values = (rng.uniform(0.0, 1.0, size) if dist == "uniform"
+              else rng.lognormal(0.0, 1.5, size))
+    f = GridFunction(n, depth, values)
+    cubes = list(iter_cubes(depth, n))
+    for k, q in KERNEL_ROUTES:
+        params = NormParams.packing(2.0, k, q, 0.5)
+        flat = np.concatenate(scaled_error_levels(f, params))
+        got = np.array([scaled_error(f, c, k, q, 0.5, convention="V")
+                        for c in cubes])
+        assert (got == flat).all(), ((k, q), int((got != flat).sum()))
+
+
+@pytest.mark.parametrize("n, depth", [(1, 16), (2, 8)])
+def test_median_route_ignores_an_added_constant(n, depth):
+    """BMO, JN_2 and the Garsia-Rodemich lower value of ``v + s`` equal
+    those of ``(v + s) - s`` bit for bit: the deviations from the median
+    are the same floats, so their sums are too."""
+    rng = np.random.default_rng(1)
+    v = rng.uniform(0.0, 1.0, 1 << (n * depth))
+    for s in (1e6, 1e8, 1e12):
+        f = GridFunction(n, depth, v + s)
+        g = GridFunction(n, depth, f.values - s)
+        assert bmo_norm(f) == bmo_norm(g), s
+        gf, gg = garo_norm(f, 2.0), garo_norm(g, 2.0)
+        assert gf.extras["jn_value"] == gg.extras["jn_value"], s
+        assert gf.value_lower == gg.value_lower, s
+
+
+def test_sparse_sup_exhaustive_refuses_large_tree():
+    f = GridFunction(1, 4, np.random.default_rng(0).uniform(0.0, 1.0, 16))
+    with pytest.raises(ValueError, match="sparse_norm_bounds"):
+        sparse_sup_exhaustive(f, NormParams.sjn(2.0))
+
+
 def test_error_levels_are_swept_once_per_grid(monkeypatch):
     """One sweep of local fits per grid and (k, q), whatever p, lambda,
     convention or entry point; a new grid sweeps again."""

@@ -9,7 +9,7 @@ import pytest
 from oscnorm import suites
 from oscnorm.families import family_tables
 from oscnorm.generate import batch_uniform
-from oscnorm.norms import median_deviations
+from oscnorm.local_poly import median_deviations
 from oscnorm.suites import SUITE_NAMES, SuiteConfig, SuiteReport, run_suite
 
 
@@ -19,8 +19,7 @@ def _small(suite):
         "sparse-jn": dict(dimension=1, depth=2, trials=25),
         "sv-equivalence": dict(dimension=1, depth=2, trials=5),
         "fractional-sv": dict(dimension=1, depth=2, trials=10),
-        "jn-extrapolation": dict(dimension=1, depth=4, trials=1,
-                                 generator="log-singularity"),
+        "jn-extrapolation": dict(dimension=1, depth=4, trials=1),
         "sobolev-chain": dict(dimension=1, depth=2, trials=25),
         "embedding-chain": dict(dimension=1, depth=2, trials=25),
     }
@@ -88,8 +87,6 @@ def test_config_validation():
         SuiteConfig(suite="riesz", dimension=3)
     with pytest.raises(ValueError, match="depth must be >= 0"):
         SuiteConfig(suite="riesz", depth=-1)
-    with pytest.raises(ValueError, match="uniform-iid"):
-        run_suite(SuiteConfig(suite="riesz", generator="step"))
 
 
 @pytest.mark.parametrize("field", ["dimension", "depth", "trials"])
@@ -101,9 +98,9 @@ def test_config_rejects_non_integer_sizes(field, value):
 
 def test_extrapolation_accepts_log_singularity():
     report = run_suite(SuiteConfig(suite="jn-extrapolation", dimension=1,
-                                   depth=4, trials=1,
-                                   generator="log-singularity"))
+                                   depth=4, trials=1))
     assert report.passed
+    assert report.to_json_dict()["config"]["generator"] == "log-singularity"
     ratios = report.aggregates["ratios"]          # per-depth ratio lists
     assert set(ratios) == {"4", "6"}
     for per_p in ratios.values():
