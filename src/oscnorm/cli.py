@@ -23,6 +23,8 @@ import math
 import re
 import sys
 
+import numpy as np
+
 from .families import SUBSET_NODE_CAP, CubeFamily
 from .grid import GridFunction, tree_size
 from .maximal import fractional_maximal
@@ -209,11 +211,14 @@ def _run_maximal(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "compute":
-            return _run_compute(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        return _run_maximal(args)
+        # values near the float limit overflow on the way; the input check
+        # or the finite check of ``_dumps`` reports that once, as one line
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "compute":
+                return _run_compute(args)
+            if args.command == "verify":
+                return _run_verify(args)
+            return _run_maximal(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,19 +26,20 @@ one-row call, with the bits of the level sweep.
   (equal weights on a dyadic cube); the LOWER median is taken so results are
   deterministic.  :func:`median_deviations` sums ``|v - median|`` on the
   sorted cells as it is, so nothing cancels.
-* ``q = 1, k >= 2``: IRLS (weight floor 1e-12, relative objective decrease
-  below 1e-10, at most 200 iterations) refined by a direct simplex polish of
-  the exact objective, with the best of {median fit, L2 fit, IRLS} as the
-  starting point.  The objective is an integrator prepared once per cube
-  (cell values, edges, quadrature grids), so each simplex step pays for the
-  arithmetic alone.  ``near_best_factor`` is certified against a
-  linear-program lower bound: replacing ``|f - m|`` by per-subcell averages
-  can only shrink the objective (Jensen), and the minimum of that
-  relaxation over all polynomials is an LP that HiGHS solves as its
-  L1-Linf dual: ``d <= 6`` dense equality rows (orthogonality to the basis)
-  over one box-bounded variable per subcell.  The LP is solved before the
-  polish, and its minimizer (the multipliers of the equality rows, negated)
-  is one more starting candidate.  The functionals of
+* ``q = 1, k >= 2``: a direct simplex polish of the exact objective,
+  started from the best of {median fit, L2 fit, LP fit}.  The objective is
+  an integrator prepared once per cube (cell values, edges, quadrature
+  grids), so each simplex step pays for the arithmetic alone.  The LP fit
+  minimizes the cell-averaged relaxation: replacing ``|f - m|`` by
+  per-subcell averages can only shrink the objective (Jensen), and its
+  minimum over all polynomials is an LP that HiGHS solves as its L1-Linf
+  dual: ``d <= 6`` dense equality rows (orthogonality to the basis) over one
+  box-bounded variable per subcell.  Its minimizer is the multipliers of
+  the equality rows, negated, and its value certifies ``near_best_factor``.
+  Without the certificate the LP runs only where the polish alone cannot be
+  trusted: the 2D quadratic corner, where the simplex stalls on the
+  midpoint objective, and cubes past ``_POLISH_CELL_CAP`` cells, where it is
+  skipped; there both calls give the same fit.  The functionals of
   :mod:`oscnorm.norms` run these fits once per cube of a grid and hold the
   errors on the grid.
 
@@ -71,9 +72,6 @@ from .maximal import level_integrals
 __all__ = ["PolyFit", "best_fit", "l2_level_fits", "median_deviations",
            "scaled_error", "convention_exponent", "mean_oscillation"]
 
-IRLS_WEIGHT_FLOOR = 1e-12
-IRLS_REL_TOL = 1e-10
-IRLS_MAX_ITER = 200
 _POLISH_CELL_CAP = 1024
 _QUAD_RULE = 16  # midpoint subdivisions per cell axis, 2D quadratic corner
 _QUAD_BLOCK = 1 << 16  # subcell values per buffer, 2D quadratic corner
@@ -94,7 +92,8 @@ class PolyFit:
     the numerically preferred representation.  ``near_best_factor >= 1`` is a
     certified bound on ``error / E_k(f;Q)_q``; it is 1 for the exact routes
     (q=2, or q=1 with k<=1).  ``approximate`` marks results whose objective
-    involved quadrature or a non-converged IRLS loop.
+    involved quadrature, or whose positive error the LP could not certify
+    (``near_best_factor`` infinite).
     """
 
     cube: CubeId
@@ -303,74 +302,38 @@ def _subcell_design(f: GridFunction, c: CubeId, exps, refine: int):
 
     Returns ``(Phi, v, mu)``: ``Phi[i, j]`` is the average of ``u^{alpha_j}``
     over subcell ``i``, ``v`` repeats the cell values onto subcells, ``mu``
-    is the subcell measure.  ``refine = 1`` reproduces the grid cells.
+    is the (common) subcell measure.  ``refine = 1`` reproduces the grid
+    cells.
     """
     n = f.dimension
-    s_cells = 1 << (f.depth - c.level)
-    m = s_cells * refine
-    edges = np.linspace(-0.5, 0.5, m + 1)
-    max_m = max((max(a) for a in exps), default=0)
-    avg = [
-        (edges[1:] ** (mm + 1) - edges[:-1] ** (mm + 1)) / ((mm + 1) / m)
-        for mm in range(max_m + 1)
-    ]
-    cols = []
-    for alpha in exps:
-        col = avg[alpha[0]]
-        if n == 2:
-            col = np.multiply.outer(col, avg[alpha[1]]).ravel()
-        cols.append(col)
-    Phi = np.column_stack(cols)
+    m = (1 << (f.depth - c.level)) * refine
+    monom = _cell_monomials(m, n, max((max(a) for a in exps), default=0))
+    # an average is the integral over a subcell of measure m^-n, a power of
+    # two, so the scaling is exact
+    Phi = np.column_stack([monom(alpha) for alpha in exps]) * m ** n
     block = f.cell_block(c)
     for ax in range(n):
         block = np.repeat(block, refine, axis=ax)
-    v = block.ravel().astype(np.float64)
-    mu = c.measure / m ** n
-    return Phi, v, np.full(v.size, mu)
-
-
-def _irls(Phi, v, mu, a0):
-    """Reweighted least squares for the cell-averaged L1 objective."""
-    a = a0.copy()
-    sqmu = np.sqrt(mu)
-
-    def objective(coef):
-        return float(mu @ np.abs(v - Phi @ coef))
-
-    best, best_obj = a.copy(), objective(a)
-    prev = best_obj
-    converged = False
-    for _ in range(IRLS_MAX_ITER):
-        r = v - Phi @ a
-        w = sqmu / np.sqrt(np.maximum(np.abs(r), IRLS_WEIGHT_FLOOR))
-        a, *_ = np.linalg.lstsq(Phi * w[:, None], v * w, rcond=None)
-        obj = objective(a)
-        if obj < best_obj:
-            best, best_obj = a.copy(), obj
-        if abs(prev - obj) < IRLS_REL_TOL * max(prev, 1e-30):
-            converged = True
-            break
-        prev = obj
-    return best, converged
+    return Phi, block.ravel().astype(np.float64), c.measure / m ** n
 
 
 def _lp_lower_bound(Phi, v, mu):
     """Exact minimum of the (refined) cell-averaged L1 objective over all
     polynomials -- a certified lower bound for the true infimum -- as the
-    dual ``mu * max {v @ y : Phi.T @ y = 0, |y| <= 1}`` (equal subcell
-    measures ``mu``), which ``y = 0`` makes feasible and the box bounded,
-    and a minimizer: the multipliers of ``Phi.T @ y = 0``, negated."""
+    dual ``mu * max {v @ y : Phi.T @ y = 0, |y| <= 1}`` (subcell measure
+    ``mu``), which ``y = 0`` makes feasible and the box bounded, and a
+    minimizer: the multipliers of ``Phi.T @ y = 0``, negated."""
     res = optimize.linprog(-v, A_eq=Phi.T, b_eq=np.zeros(Phi.shape[1]),
                            bounds=(-1.0, 1.0), method="highs")
     if not res.success:
         return 0.0, None
-    return max(-float(res.fun), 0.0) * float(mu[0]), -res.eqlin.marginals
+    return max(-float(res.fun), 0.0) * mu, -res.eqlin.marginals
 
 
 def _fit_l1(f, c, k, certify):
     exps = _exponents(f.dimension, k)
-    cells = f.cube_values(c).size
-    Phi, v, mu = _subcell_design(f, c, exps, refine=1)
+    vals = f.cube_values(c)
+    cells = vals.size
     integrate = _l1_integrator(f, c, exps)
 
     def objective(a):
@@ -379,20 +342,22 @@ def _fit_l1(f, c, k, certify):
     # candidate fits: previous-degree exact fit keeps E_k monotone in k
     med_local = np.zeros(len(exps))
     med_local[exps.index((0,) * f.dimension)] = _fit(f, c, 1, 1, False)[0][0]
-    l2_local = _fit(f, c, k, 2, False)[0]
-    irls_local, converged = _irls(Phi, v, mu, l2_local)
-    candidates = [med_local, l2_local, irls_local]
+    candidates = [med_local, _fit(f, c, k, 2, False)[0]]
     objs = [objective(a) for a in candidates]
     best_i = int(np.argmin(objs))
     a_best, obj_best = candidates[best_i], objs[best_i]
 
     # a zero objective is already the infimum; skip polish and certificate
-    scale = max(float(np.abs(v).max(initial=0.0)), 1.0)
+    scale = max(float(np.abs(vals).max(initial=0.0)), 1.0)
     if obj_best <= 1e-14 * scale * c.measure:
         return a_best, obj_best, 1.0 if certify else math.nan, False
 
-    if certify:
-        # the certificate's LP minimizer is one more start for the polish
+    # the simplex stalls on the midpoint objective of the 2D quadratic
+    # corner and is skipped past the cell cap: there the LP's minimizer is
+    # needed as a start, certified or not
+    quad = f.dimension == 2 and len(exps) > 3
+    polish = cells <= _POLISH_CELL_CAP
+    if certify or quad or not polish:
         refine = 8 if f.dimension == 1 else 4
         while cells * refine ** f.dimension > 8192 and refine > 1:
             refine //= 2
@@ -400,22 +365,19 @@ def _fit_l1(f, c, k, certify):
         if lp_local is not None and (obj := objective(lp_local)) < obj_best:
             a_best, obj_best = lp_local, obj
 
-    if cells <= _POLISH_CELL_CAP:
+    if polish:
         res = optimize.minimize(objective, a_best, method="Nelder-Mead",
                                 options={"maxiter": 400 * len(exps),
                                          "xatol": 1e-10, "fatol": 1e-13})
         if res.fun < obj_best:
             a_best, obj_best = res.x, float(res.fun)
 
-    approx = (not converged) or (f.dimension == 2 and len(exps) > 3)
     if not certify:
-        return a_best, obj_best, math.nan, approx
+        return a_best, obj_best, math.nan, quad
     if lb <= 1e-15 * max(obj_best, 1.0):
         factor = 1.0 if obj_best <= 1e-12 else math.inf
-        approx = approx or obj_best > 1e-12
-    else:
-        factor = max(obj_best / lb, 1.0)
-    return a_best, obj_best, factor, approx
+        return a_best, obj_best, factor, quad or obj_best > 1e-12
+    return a_best, obj_best, max(obj_best / lb, 1.0), quad
 
 
 # -- exact residual integrals ----------------------------------------------
@@ -628,20 +590,9 @@ def _poly_cell_integrals(f, c, exps, a):
     """(integral_cell P dx, integral_cell P^2 dx) for every cell of ``c``."""
     n = f.dimension
     m_cells = 1 << (f.depth - c.level)
-    edges = np.linspace(-0.5, 0.5, m_cells + 1)
-    max_m = 2 * max((max(alpha) for alpha in exps), default=0)
-    seg = [
-        (edges[1:] ** (mm + 1) - edges[:-1] ** (mm + 1)) / (mm + 1)
-        for mm in range(max_m + 1)
-    ]
+    monom = _cell_monomials(m_cells, n,
+                            2 * max((max(alpha) for alpha in exps), default=0))
     vol = c.side ** n
-
-    def monom(alpha):
-        col = seg[alpha[0]]
-        if n == 2:
-            col = np.multiply.outer(col, seg[alpha[1]]).ravel()
-        return col
-
     pint = np.zeros(m_cells ** n)
     for alpha, coef in zip(exps, a):
         pint += coef * monom(alpha)
@@ -650,3 +601,20 @@ def _poly_cell_integrals(f, c, exps, a):
         gamma = tuple(x + y for x, y in zip(al, be))
         p2int += ca * cb * monom(gamma)
     return pint * vol, p2int * vol
+
+
+def _cell_monomials(m: int, n: int, top: int):
+    """``alpha -> integral_cell u^alpha du`` over each of the ``m^n`` cells
+    of the unit box ``[-1/2, 1/2)^n``, flat row-major, for multi-indices
+    ``alpha`` with entries ``<= top``."""
+    edges = np.linspace(-0.5, 0.5, m + 1)
+    seg = [(edges[1:] ** (j + 1) - edges[:-1] ** (j + 1)) / (j + 1)
+           for j in range(top + 1)]
+
+    def monom(alpha):
+        col = seg[alpha[0]]
+        if n == 2:
+            col = np.multiply.outer(col, seg[alpha[1]]).ravel()
+        return col
+
+    return monom

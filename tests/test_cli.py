@@ -362,17 +362,19 @@ def test_compute_near_float_limit_writes_json_or_exits_2(huge_file, norm):
     """Sums of these values overflow.  The median route sums deviations
     from the median, so the oscillation norms read the zero oscillation of
     a constant; weak-L^p never sums.  Every other norm has a non-finite
-    value or bracket end, which JSON cannot hold."""
+    value or bracket end, which JSON cannot hold: stderr is the one
+    ``error:`` line, with no warning before it."""
     proc = _run_module(["compute", "--input", huge_file, "--norm", norm,
                         "--mode", "bounds"])
     if norm in ("weaklp", "jn", "v", "bmo", "garo"):
-        assert proc.returncode == 0
+        assert proc.returncode == 0 and proc.stderr == ""
         d = json.loads(proc.stdout, parse_constant=_no_constant)
         want = 1.7e308 if norm == "weaklp" else 0.0
         assert d["value_lower"] == d["value_upper"] == want
     else:
         assert proc.returncode == 2 and proc.stdout == ""
-        assert len(_error_lines(proc.stderr)) == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines == _error_lines(proc.stderr)
 
 
 def test_compute_weaklp_near_float_limit_is_silent(huge_file):
@@ -384,5 +386,6 @@ def test_compute_weaklp_near_float_limit_is_silent(huge_file):
 def test_maximal_near_float_limit_exits_2(huge_file):
     proc = _run_module(["maximal", "--input", huge_file, "--q", "2"])
     assert proc.returncode == 2 and proc.stdout == ""
-    errors = _error_lines(proc.stderr)
-    assert len(errors) == 1 and "finite" in errors[0]
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines == _error_lines(proc.stderr)
+    assert "finite" in lines[0]

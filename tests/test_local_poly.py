@@ -1,8 +1,9 @@
 """Best local polynomial approximation in L^1 and L^2.
 
-The q=2 and (q=1, k=1) solvers are exact; the q=1, k>=2 path is IRLS plus a
-simplex polish with an LP certificate, so those tests check certified ratios
-rather than equalities.
+The q=2 and (q=1, k=1) solvers are exact; the q=1, k>=2 path is a simplex
+polish of the exact objective, started from the median, L2 and LP fits, with
+an LP certificate, so those tests check certified ratios rather than
+equalities.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscnorm import local_poly
 from oscnorm.grid import CubeId, GridFunction, iter_cubes, multi_indices
 from oscnorm.local_poly import (_exponents, _l1_integrator, _lp_lower_bound,
                                 _subcell_design, best_fit, l2_level_fits,
@@ -230,6 +232,18 @@ def test_residual_integrals_l2_match_error():
             fit.error, abs=1e-12), k
 
 
+@pytest.mark.parametrize("q", [1, 2])
+def test_residual_integrals_k0_are_powers_of_the_values(q):
+    """Against the zero polynomial a cell's residual is ``|v|^q |cell|``."""
+    rng = np.random.default_rng(q)
+    for n, depth, cube in ((1, 3, ROOT1), (1, 3, CubeId(1, (1,))),
+                           (2, 2, ROOT2), (2, 2, CubeId(1, (0, 1)))):
+        f = GridFunction(n, depth, rng.uniform(-2.0, 2.0, 1 << (n * depth)))
+        fit = best_fit(f, cube, 0, q)
+        want = np.abs(f.cell_block(cube)).ravel() ** q * f.cell_measure
+        assert np.array_equal(residual_cell_integrals(f, fit, q), want)
+
+
 def test_subcube_fit():
     f = GridFunction(1, 2, [5.0, 5.0, 1.0, 3.0])
     c = CubeId(1, (1,))
@@ -321,6 +335,53 @@ def test_quadratic_corner_polish_starts_from_the_lp_minimizer():
     assert fit.error <= _l1_integrator(f, ROOT2, exps)(lp_local).sum()
     assert fit.near_best_factor < 1.03
 
+
+
+def test_converged_fit_is_not_flagged_approximate():
+    """A 1D fit has a closed-form objective, so a certified factor of
+    1 + 2e-6 is not approximate, whatever inner loop led to the fit."""
+    f = GridFunction(1, 7, np.random.default_rng(100).uniform(0.0, 1.0, 128))
+    fit = best_fit(f, CubeId(1, (0,)), 3, 1)
+    assert 1.0 < fit.near_best_factor < 1.00001
+    assert not fit.approximate
+
+
+@pytest.mark.parametrize("n, depth, cube", [
+    (2, 1, ROOT2), (2, 2, ROOT2), (2, 2, CubeId(1, (1, 0))),
+    (2, 3, ROOT2), (2, 3, CubeId(1, (0, 1))),
+])
+def test_uncertified_quadratic_corner_is_the_certified_fit(n, depth, cube):
+    """In the 2D quadratic corner the polish starts from the LP's
+    minimizer with or without the certificate, so both give the bits."""
+    f = GridFunction(n, depth, np.random.default_rng(depth).lognormal(
+        0.0, 1.0, 1 << (n * depth)))
+    fit = best_fit(f, cube, 3, 1)
+    assert fit.error > 0.0
+    assert poly_error(f, cube, 3, 1) == fit.error
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_uncertified_fit_past_the_polish_cap_is_the_certified_fit(k):
+    """Past ``_POLISH_CELL_CAP`` cells there is no polish, and the LP's
+    minimizer is the fit with or without the certificate."""
+    f = GridFunction(1, 11, np.random.default_rng(11).uniform(0.0, 1.0, 2048))
+    assert f.values.size > local_poly._POLISH_CELL_CAP
+    fit = best_fit(f, ROOT1, k, 1)
+    assert 1.0 <= fit.near_best_factor < 1.001
+    assert poly_error(f, ROOT1, k, 1) == fit.error
+
+
+def test_failed_certificate_reports_an_infinite_factor(monkeypatch):
+    """A failed LP certifies nothing: the factor is infinite and the fit
+    approximate, and the error is the uncertified one, bit for bit."""
+    f = GridFunction(1, 3, np.random.default_rng(5).uniform(0.0, 1.0, 8))
+    want = poly_error(f, ROOT1, 2, 1)
+    monkeypatch.setattr(local_poly, "_lp_lower_bound",
+                        lambda Phi, v, mu: (0.0, None))
+    fit = best_fit(f, ROOT1, 2, 1)
+    assert fit.near_best_factor == math.inf
+    assert fit.approximate
+    assert fit.error == want > 0.0
 
 # -- q = 2 accuracy against exact rational arithmetic -------------------------
 

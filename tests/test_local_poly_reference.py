@@ -7,7 +7,8 @@ for bit: the residual feeds the certified upper bound of
 prepared integrators a fit builds once per cube must give the bits of the
 one-shot integrators at every coefficient vector (to 1e-13 relative in
 the 2D quadratic corner, whose midpoint rule sums in blocks), and the dual LP
-certificate the value of the dense primal program, to 1e-12 relative.
+certificate the value of the dense primal program, to 1e-12 relative; the
+certificate's design keeps the bits of its direct averages.
 The batched ``q = 2`` fits of a level must agree with a per-cube solve on
 right-hand sides summed directly in the cube's own basis (``math.fsum``) to
 rounding, and the one-cube call must give the bits of the level call: they
@@ -368,7 +369,7 @@ def dense_lp_lower_bound(Phi, v, mu):
     """``min sum mu * t`` over ``|v - Phi a| <= t``: the primal program, with
     its ``(2m, d + m)`` constraint matrix built densely."""
     m, d = Phi.shape
-    c_vec = np.concatenate([np.zeros(d), mu])
+    c_vec = np.concatenate([np.zeros(d), np.full(m, mu)])
     eye = np.eye(m)
     A_ub = np.block([[Phi, -eye], [-Phi, -eye]])
     b_ub = np.concatenate([v, -v])
@@ -403,9 +404,39 @@ def test_dual_lp_certificate_matches_dense_primal(n, depth, k):
             assert bound == pytest.approx(
                 primal, rel=1e-12, abs=1e-15), (dist, refine)
             Phi, v, mu = design
-            assert mu @ np.abs(v - Phi @ coeffs) == pytest.approx(
+            assert mu * np.abs(v - Phi @ coeffs).sum() == pytest.approx(
                 primal, rel=1e-12, abs=1e-15), (dist, refine)
 
+
+
+def direct_subcell_averages(m, n, exps):
+    """The certificate's design with each average of ``u^j`` divided by
+    ``(j + 1) / m`` directly and the 2D columns outer products of
+    averages."""
+    edges = np.linspace(-0.5, 0.5, m + 1)
+    avg = [(edges[1:] ** (j + 1) - edges[:-1] ** (j + 1)) / ((j + 1) / m)
+           for j in range(3)]
+    cols = []
+    for alpha in exps:
+        col = avg[alpha[0]]
+        if n == 2:
+            col = np.multiply.outer(col, avg[alpha[1]]).ravel()
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (1, 3), (2, 2), (2, 3)])
+def test_subcell_design_has_the_bits_of_direct_averages(n, k):
+    """An average is the cell integral times ``m^n``, a power of two, so
+    scaling the integrals gives the bits of dividing directly."""
+    exps = _exponents(n, k)
+    for depth in range(0, 12 // n):
+        f = GridFunction(n, depth, np.zeros(1 << (n * depth)))
+        for refine in (1, 2, 4, 8):
+            Phi, _, mu = _subcell_design(f, CubeId(0, (0,) * n), exps, refine)
+            m = (1 << depth) * refine
+            assert _bits(Phi) == _bits(direct_subcell_averages(m, n, exps))
+            assert mu == 1.0 / m ** n
 
 # -- the q = 2 fits: one batched solve per level against direct sums --------
 

@@ -136,6 +136,24 @@ def test_bounds_bracket_exhaustive_value():
             assert exact <= rep.value_upper + 1e-10
 
 
+@pytest.mark.parametrize("n, depth", [(1, 2), (1, 3), (2, 1)])
+def test_k0_bounds_bracket_exhaustive_value(n, depth):
+    """``k = 0`` compares with the zero polynomial: the bracket's upper side
+    is the maximal function of ``|f|^q`` itself, its lower side a family
+    value of the same errors, and together they hold the exact value."""
+    rng = np.random.default_rng(10 * n + depth)
+    for q in (1, 2):
+        for p in (1.0, 2.0, math.inf):
+            params = NormParams.sv(p, 0, q, 0.0)
+            for _ in range(20):
+                f = GridFunction(n, depth, rng.uniform(-1.0, 1.0,
+                                                       1 << (n * depth)))
+                exact = sparse_sup_exhaustive(f, params).value
+                rep = sparse_norm_bounds(f, params)
+                assert rep.value_lower <= exact * (1 + 1e-12), (q, p)
+                assert exact <= rep.value_upper * (1 + 1e-12), (q, p)
+
+
 def test_core_form_below_weighted_form():
     rng = np.random.default_rng(4)
     for _ in range(30):
