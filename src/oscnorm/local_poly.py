@@ -404,14 +404,16 @@ def _l1_cells_1d(vals, side, exps):
     u0, u1 = edges[:-1], edges[1:]
 
     def cells(a):
-        # antiderivative coefficients of P in local coordinates
         coef = {m: 0.0 for m in range(3)}
         for (m,), v in zip(exps, a):
             coef[m] = float(v)
         a0, a1, a2 = coef[0], coef[1], coef[2]
+        # the constant goes into the values, so no cut difference carries
+        # it: v - P = c0 - (a1 u + a2 u^2)
+        c0 = vals - a0
 
         def antideriv(u):
-            F = a0 * u + a1 * u * u / 2.0
+            F = a1 * u * u / 2.0
             # a zero term only flips the sign of a zero; float_power rounds
             # as the scalar ``**`` does, the array ``**`` may not in the
             # last bit
@@ -425,15 +427,15 @@ def _l1_cells_1d(vals, side, exps):
         lo = hi = u1
         if abs(a2) > 1e-14 * scale:
             with np.errstate(invalid="ignore"):     # no real root: NaN
-                sq = np.sqrt(a1 * a1 - 4.0 * a2 * (a0 - vals))
+                sq = np.sqrt(a1 * a1 + 4.0 * a2 * c0)
             roots = ((-a1 - sq) / (2 * a2), (-a1 + sq) / (2 * a2))
             lo, hi = (np.fmin(np.fmax(r, u0), u1)   # fmax maps NaN to u0
                       for r in (roots if a2 > 0 else roots[::-1]))
         elif abs(a1) > 1e-14 * scale:
-            lo = np.fmin(np.fmax(-(a0 - vals) / a1, u0), u1)
+            lo = np.fmin(np.fmax(c0 / a1, u0), u1)
         cuts = np.array([u0, lo, hi, u1])
         F = antideriv(cuts)
-        pieces = np.abs(vals * (cuts[1:] - cuts[:-1]) - (F[1:] - F[:-1]))
+        pieces = np.abs(c0 * (cuts[1:] - cuts[:-1]) - (F[1:] - F[:-1]))
         return (pieces[0] + pieces[1] + pieces[2]) * side
 
     return cells

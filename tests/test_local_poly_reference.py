@@ -38,8 +38,8 @@ def loop_cells_1d(f, c, exps, a):
         coef[m] = float(v)
     a0, a1, a2 = coef[0], coef[1], coef[2]
 
-    def antideriv(u):
-        return a0 * u + a1 * u * u / 2.0 + a2 * u ** 3 / 3.0
+    def antideriv(u):       # of P - a0: the constant goes into the values
+        return a1 * u * u / 2.0 + a2 * u ** 3 / 3.0
 
     vals = f.cube_values(c)
     m_cells = vals.size
@@ -65,7 +65,8 @@ def loop_cells_1d(f, c, exps, a):
         cuts.sort()
         acc = 0.0
         for t0, t1 in zip(cuts[:-1], cuts[1:]):
-            acc += abs(v * (t1 - t0) - (antideriv(t1) - antideriv(t0)))
+            acc += abs((v - a0) * (t1 - t0)
+                       - (antideriv(t1) - antideriv(t0)))
         out[i] = acc * s
     return out
 
@@ -278,8 +279,8 @@ def oneshot_cells_1d(f, c, exps, a):
         coef[m] = float(v)
     a0, a1, a2 = coef[0], coef[1], coef[2]
 
-    def antideriv(u):
-        F = a0 * u + a1 * u * u / 2.0
+    def antideriv(u):       # of P - a0: the constant goes into the values
+        F = a1 * u * u / 2.0
         return F + a2 * np.float_power(u, 3) / 3.0 if a2 else F
 
     vals = f.cube_values(c)
@@ -298,7 +299,7 @@ def oneshot_cells_1d(f, c, exps, a):
         lo = np.fmin(np.fmax(-(a0 - vals) / a1, u0), u1)
     cuts = np.array([u0, lo, hi, u1])
     F = antideriv(cuts)
-    pieces = np.abs(vals * (cuts[1:] - cuts[:-1]) - (F[1:] - F[:-1]))
+    pieces = np.abs((vals - a0) * (cuts[1:] - cuts[:-1]) - (F[1:] - F[:-1]))
     return (pieces[0] + pieces[1] + pieces[2]) * c.side
 
 

@@ -253,6 +253,21 @@ def test_median_route_ignores_an_added_constant(n, depth):
         assert gf.value_lower == gg.value_lower, s
 
 
+@pytest.mark.parametrize("n, depth", [(1, 16), (2, 8)])
+def test_bounds_upper_side_follows_an_added_constant(n, depth):
+    """The ``sjn`` upper bound integrates ``|f - P|`` per cell with the
+    fit's constant taken into the values, so for ``v + s`` it moves from
+    that of ``(v + s) - s`` only as the root mean of ``v + s`` rounds, at
+    ``eps * s`` scale."""
+    v = np.random.default_rng(1).uniform(0.0, 1.0, 1 << (n * depth))
+    for s in (1e4, 1e8, 1e12):
+        f = GridFunction(n, depth, v + s)
+        g = GridFunction(n, depth, f.values - s)
+        upper = [sparse_norm_bounds(h, NormParams.sjn(2.0)).value_upper
+                 for h in (f, g)]
+        assert upper[0] == pytest.approx(upper[1], rel=1e-17 * s), s
+
+
 def test_sparse_sup_exhaustive_refuses_large_tree():
     f = GridFunction(1, 4, np.random.default_rng(0).uniform(0.0, 1.0, 16))
     with pytest.raises(ValueError, match="sparse_norm_bounds"):
