@@ -336,10 +336,9 @@ def test_quadratic_corner_polish_starts_from_the_lp_minimizer():
     assert fit.near_best_factor < 1.03
 
 
-
 def test_converged_fit_is_not_flagged_approximate():
-    """A 1D fit has a closed-form objective, so a certified factor of
-    1 + 2e-6 is not approximate, whatever inner loop led to the fit."""
+    """A 1D fit has a closed-form objective and, here, a finite certified
+    factor of 1 + 2e-6, so it is not approximate."""
     f = GridFunction(1, 7, np.random.default_rng(100).uniform(0.0, 1.0, 128))
     fit = best_fit(f, CubeId(1, (0,)), 3, 1)
     assert 1.0 < fit.near_best_factor < 1.00001
@@ -382,6 +381,7 @@ def test_failed_certificate_reports_an_infinite_factor(monkeypatch):
     assert fit.near_best_factor == math.inf
     assert fit.approximate
     assert fit.error == want > 0.0
+
 
 # -- q = 2 accuracy against exact rational arithmetic -------------------------
 
