@@ -180,11 +180,12 @@ def _run_verify(args: argparse.Namespace) -> int:
     config = SuiteConfig(suite=args.suite, dimension=args.dim,
                          depth=args.depth, trials=args.trials, seed=args.seed)
     report = run_suite(config)
+    text = report.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+            fh.write(text)
     else:
-        sys.stdout.write(report.to_json())
+        sys.stdout.write(text)
     for a in report.assertions:
         status = "PASS" if a["passed"] else "FAIL"
         print(f"[{status}] {args.suite}: {a['name']} -- {a['detail']}",

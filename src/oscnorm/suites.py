@@ -12,10 +12,17 @@ bits of the single-grid call; only the final root is taken on arrays here
 and on scalars there.
 
 The suites that multiply the rows against an oracle family table do so in
-row blocks of about ``_CHUNK_BUDGET`` floats, so each product and its root
-stay in cache.  On these rows a row's bits do not depend on the block it
-falls in (see ``_chunks`` and ``_right_factor``), so the reports do not
-either.
+row blocks of about ``_CHUNK_BUDGET`` floats, so each product stays in
+cache.  On these rows a row's bits do not depend on the block it falls in
+(see ``_chunks`` and ``_right_factor``), so the reports do not either.
+The products are sums of p-th powers, and the suites reduce them as such:
+a row maximum is taken before its ``1/p`` root, which is monotone, so the
+root of the maximum has the bits of the maximum of the roots.  A
+root-space violation count (``a > b + 1e-12``) first clears the entries
+whose p-th powers meet the bound exactly and roots only the rest
+(``_root_violations``); a block whose roots could exceed ``_ROOT_CAP``
+is counted in root space whole.  The counts are those of the all-roots
+check by construction.
 
 Reports serialize with sorted keys; rerunning a suite with the same
 configuration yields a byte-identical file.
@@ -47,6 +54,7 @@ SUITE_NAMES = ("riesz", "sparse-jn", "sv-equivalence", "fractional-sv",
 
 _MAX_ROWS = 20
 _CHUNK_BUDGET = 65_536  # floats per family-table block: ~0.5 MB, cache-sized
+_ROOT_CAP = 64.0        # largest root a power-space clearance is trusted at
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,9 @@ class SuiteReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        """Strict JSON: a non-finite field raises ``ValueError``."""
+        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
 
 
 def _assertion(name: str, passed: bool, detail: str) -> dict:
@@ -142,6 +152,14 @@ def _require_oracle_scale(suite: str, n: int, L: int,
             f"{suite} runs at oracle scale (<= {SUBSET_NODE_CAP} {unit})")
 
 
+def _require_subdivided(suite: str, L: int) -> None:
+    """Refuse depth 0: on a one-cell grid every oscillation is 0, so the
+    suite's ratios would be 0/0."""
+    if L < 1:
+        raise ValueError(f"{suite} needs depth >= 1; on a one-cell grid "
+                         "every oscillation is 0")
+
+
 def _chunks(trials: int, width: int):
     """Row blocks of about ``_CHUNK_BUDGET`` floats at ``width`` per row.
 
@@ -168,11 +186,44 @@ def _right_factor(table: np.ndarray, trials: int) -> np.ndarray:
 
 
 def _table_max(rows: np.ndarray, factor: np.ndarray, p: float) -> np.ndarray:
-    """Per row, the largest entry of ``(rows @ factor) ** (1/p)``."""
+    """Per row, the largest entry of ``(rows @ factor) ** (1/p)``, rooted
+    after the maximum."""
     out = np.empty(rows.shape[0])
     for t0, t1 in _chunks(rows.shape[0], factor.shape[1]):
-        out[t0:t1] = ((rows[t0:t1] @ factor) ** (1.0 / p)).max(axis=1)
-    return out
+        out[t0:t1] = (rows[t0:t1] @ factor).max(axis=1)
+    return out ** (1.0 / p)
+
+
+def _root_violations(lhs: np.ndarray, r: float, rhs: np.ndarray, s: float,
+                     bound: np.ndarray, capped: bool,
+                     scale: float = 1.0) -> int:
+    """The number of entries with ``lhs ** r > scale * rhs ** s + 1e-12``,
+    rooting only the entries that ``lhs <= bound`` leaves undecided.
+
+    ``bound`` is the right side in power space, with no tolerance: ``rhs``
+    itself for ``A <= B``, ``2 * rhs`` for ``B <= 2A`` (``scale = 2^r``),
+    ``rhs ** 3`` as a product for ``Wq <= Wp^3`` (``s = 3r``).  ``capped``
+    says that every entry of the block meeting it has a left root below
+    ``2 * _ROOT_CAP = 128`` (the callers read this off the block maxima).
+
+    Why a cleared entry is never a violation: let ``x <= y`` be the exact
+    roots of the two sides (``bound`` is exact or one product of three,
+    whose two roundings shrink under the root).  The computed ``x'`` and
+    ``y'`` (``pow`` and the product by ``scale``) are each within a few
+    ulps of ``x`` and ``y``, and since ``y >= x``, ``x' - y'`` is at most
+    a few ulps of ``x``; below 128, ten ulps are 2.8e-13.  Adding 1e-12 to
+    ``y'`` loses at most half an ulp.  So ``x' <= y' + 1e-12`` and the
+    check would not count the entry.  The undecided entries run the check
+    itself, so the count equals that of the check on every entry.  Above
+    the cap the ulps are no longer small against the tolerance, so an
+    uncapped block runs the check on every entry.
+    """
+    if capped:
+        left = lhs > bound
+        if not left.any():
+            return 0
+        lhs, rhs = lhs[left], rhs[left]
+    return int(np.count_nonzero(lhs ** r > scale * rhs ** s + 1e-12))
 
 
 # -- the suites ---------------------------------------------------------------
@@ -217,6 +268,7 @@ def _suite_sparse_jn(cfg: SuiteConfig) -> SuiteReport:
     """Factor-2 sparse domination, the two-sided core/weighted comparison,
     maximal-over-norm calibration ratios, and the L log L ratio at p=1."""
     n, L = cfg.dimension, cfg.depth
+    _require_subdivided("sparse-jn", L)
     _require_oracle_scale("sparse-jn", n, L, "tree nodes")
     V = batch_uniform(n, L, cfg.seed, cfg.trials)
     T = V.shape[0]
@@ -241,14 +293,19 @@ def _suite_sparse_jn(cfg: SuiteConfig) -> SuiteReport:
         sp = scaled ** p
         mx_p = lp_rows(mx, p, cell_meas)
         bound = 2.0 * mx_p
+        r = 1.0 / p
         core_max = np.empty(T)
         for t0, t1 in _chunks(T, n_fam):
-            core = (sp[t0:t1] @ core_t) ** (1.0 / p)
-            wted = (sp[t0:t1] @ cube_t) ** (1.0 / p)
-            two_sided_viol += np.count_nonzero(core > wted + 1e-12)
-            two_sided_viol += np.count_nonzero(
-                wted > 2.0 ** (1.0 / p) * core + 1e-12)
+            # p-th powers of the core and |Q|-weighted values
+            core = sp[t0:t1] @ core_t
+            wted = sp[t0:t1] @ cube_t
             core_max[t0:t1] = core.max(axis=1)
+            # a cleared entry's root is at most 2^{1/p} times the core max
+            capped = core_max[t0:t1].max() <= _ROOT_CAP ** p
+            two_sided_viol += _root_violations(core, r, wted, r, wted, capped)
+            two_sided_viol += _root_violations(wted, r, core, r, 2.0 * core,
+                                               capped, scale=2.0 ** r)
+        core_max **= r
         sjn_by_p[p] = core_max
         excess = core_max - bound
         factor_two_viol += int((excess > 1e-10).sum())
@@ -385,6 +442,7 @@ def _suite_jn_extrapolation(cfg: SuiteConfig) -> SuiteReport:
     singularity, at the configured depth and two levels finer."""
     if cfg.dimension != 1:
         raise ValueError("the log-singularity comparison is 1-dimensional")
+    _require_subdivided("jn-extrapolation", cfg.depth)
     p_list = (2.0, 4.0, 8.0, 16.0)
     depths = (cfg.depth, cfg.depth + 2)
     ratios: dict[int, list[float]] = {}
@@ -443,6 +501,7 @@ def _suite_sobolev_chain(cfg: SuiteConfig) -> SuiteReport:
     if cfg.dimension != 1:
         raise ValueError("the chain is calibrated in dimension 1")
     n, L = 1, cfg.depth
+    _require_subdivided("sobolev-chain", L)
     _require_oracle_scale("sobolev-chain", n, L)
     lam, p, q = 0.5, 4.0 / 3.0, 4.0
     V = batch_uniform(n, L, cfg.seed, cfg.trials)
@@ -470,15 +529,24 @@ def _suite_sobolev_chain(cfg: SuiteConfig) -> SuiteReport:
     core_t = _right_factor(tables.core_meas, T)
     cube_t = _right_factor(tables.cube_meas, T)
     for t0, t1 in _chunks(T, tables.core_meas.shape[0]):
-        cq = (sq[t0:t1] @ core_t) ** (1.0 / q)
-        wq = (sq[t0:t1] @ cube_t) ** (1.0 / q)
-        wp = (sp[t0:t1] @ cube_t) ** (1.0 / p)
-        cp = (sp[t0:t1] @ core_t) ** (1.0 / p)
-        viol["core-below-weighted"] += np.count_nonzero(cq > wq + 1e-12)
-        viol["sequence-embedding"] += np.count_nonzero(wq > wp + 1e-12)
+        # q-th and p-th powers of the core and |Q|-weighted values
+        cq = sq[t0:t1] @ core_t
+        wq = sq[t0:t1] @ cube_t
+        wp = sp[t0:t1] @ cube_t
         sv_core[t0:t1] = cq.max(axis=1)
-        sjn_core[t0:t1] = cp.max(axis=1)
+        sjn_core[t0:t1] = (sp[t0:t1] @ core_t).max(axis=1)
         wted_p_max[t0:t1] = wp.max(axis=1)
+        # a cleared entry's root is at most the largest root of cq or wp
+        capped = (sv_core[t0:t1].max() <= _ROOT_CAP ** q
+                  and wted_p_max[t0:t1].max() <= _ROOT_CAP ** p)
+        viol["core-below-weighted"] += _root_violations(
+            cq, 1.0 / q, wq, 1.0 / q, wq, capped)
+        # wq <= wp  is  Wq <= Wp^{q/p} = Wp^3 in power space
+        viol["sequence-embedding"] += _root_violations(
+            wq, 1.0 / q, wp, 1.0 / p, wp * wp * wp, capped)
+    sv_core **= 1.0 / q
+    sjn_core **= 1.0 / p
+    wted_p_max **= 1.0 / p
     viol["sv-below-fractional-maximal"] += int(
         (sv_core > m_lam_q + 1e-10).sum())
     viol["sjn-below-maximal"] += int((sjn_core > m_zero_p + 1e-10).sum())
@@ -506,6 +574,7 @@ def _suite_embedding_chain(cfg: SuiteConfig) -> SuiteReport:
     """garo <= packing JN <= sparse JN exactly, with weak-L^p / garo
     calibration ratios."""
     n, L = cfg.dimension, cfg.depth
+    _require_subdivided("embedding-chain", L)
     _require_oracle_scale("embedding-chain", n, L)
     V = batch_uniform(n, L, cfg.seed, cfg.trials)
     T = V.shape[0]

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from oscnorm.cli import _NORM_KEYS, _emit, main
 from oscnorm.families import CubeFamily, validate_index
 from oscnorm.grid import GridFunction, cube_index, tree_size
+from oscnorm.suites import SUITE_NAMES
 
 
 @pytest.fixture
@@ -218,6 +219,23 @@ def test_verify_rejects_bad_sizes(capsys, argv, reason):
     assert out == ""
     assert err.startswith("error: ") and reason in err
     assert err.count("\n") == 1          # one line, no traceback
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+@pytest.mark.parametrize("dim", ["1", "2"])
+def test_verify_depth_0_writes_strict_json_or_exits_2(capsys, suite, dim):
+    """A one-cell grid has no oscillation: a suite either reports on it in
+    strict JSON or refuses it in one line."""
+    code, out, err = _run(capsys, ["verify", "--suite", suite, "--dim", dim,
+                                   "--depth", "0", "--trials", "5"])
+    assert "Traceback" not in err
+    if code == 0:
+        d = json.loads(out, parse_constant=_no_constant)
+        assert d["passed"] is True
+    else:
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_parser_rejects_bad_p(step_file):

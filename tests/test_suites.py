@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscnorm import suites
 from oscnorm.families import family_tables
@@ -179,3 +181,132 @@ def test_block_products_have_the_bits_of_one_product(trials, budget,
     factor = suites._right_factor(table, trials)
     got = np.vstack([rows[t0:t1] @ factor for t0, t1 in blocks])
     assert np.array_equal(got, rows @ table.T)
+
+
+def test_report_refuses_non_finite_fields():
+    report = run_suite(_small("riesz"))
+    bad = SuiteReport(report.config, {"ratio": float("nan")}, ())
+    with pytest.raises(ValueError):
+        bad.to_json()
+
+
+@pytest.mark.parametrize("p", (1.0, 4.0 / 3.0, 1.5, 2.0, 4.0))
+@pytest.mark.parametrize("trials", (1, 2, 14, 200))
+def test_table_max_has_the_bits_of_root_then_max(p, trials):
+    """The maximum is rooted after the reduction; ``pow`` is monotone, so
+    that is the maximum of the rooted entries, bit for bit."""
+    table = family_tables(1, 3, 1.0).core_meas
+    rows = _table_rows(trials, trials) ** (0.75 * p)  # ~(|Q|^-1 E_1)^p
+    factor = suites._right_factor(table, trials)
+    want = ((rows @ factor) ** (1.0 / p)).max(axis=1)
+    assert np.array_equal(suites._table_max(rows, factor, p), want)
+
+
+def _two_sided_counts(A, B, p, step):
+    """The two ``sparse-jn`` checks on ``A`` (core) and ``B`` (weighted)
+    p-th powers, in row blocks of ``step`` with the suite's cap, through
+    ``_root_violations``."""
+    r = 1.0 / p
+    total = 0
+    for t0 in range(0, A.shape[0], step):
+        a, b = A[t0:t0 + step], B[t0:t0 + step]
+        capped = a.max() <= suites._ROOT_CAP ** p
+        total += suites._root_violations(a, r, b, r, b, capped)
+        total += suites._root_violations(b, r, a, r, 2.0 * a, capped,
+                                         scale=2.0 ** r)
+    return total
+
+
+def _near_bound_powers(seed, T, F, p, log_root):
+    """``(A, B)``: p-th powers of core and weighted values near the suite's
+    bounds ``A <= B <= 2A``: exact ties ``B == 2A`` (zero and non-zero) and
+    ``B == A``, entries inside, and roots one ulp either side of the 1e-12
+    tolerance of both checks.  Roots are about ``10 ** log_root``."""
+    rng = np.random.default_rng(seed)
+    r = 1.0 / p
+    a = 10.0 ** (log_root + rng.uniform(-1, 1, (T, F)))
+    kind = rng.integers(0, 7, (T, F))
+    A = a ** p
+    B = np.where(kind == 0, 2.0 * A, A * rng.uniform(1, 2, (T, F)))
+    B = np.where(kind == 1, A, B)
+    A = np.where(kind == 2, 0.0, A)
+    B = np.where(kind == 2, 0.0, B)
+    # the root of B (or A) placed one ulp off the tolerance of a check
+    ra = A ** r
+    off = np.where(rng.integers(0, 2, (T, F)) == 1, np.inf, -np.inf)
+    over_two = np.nextafter(2.0 ** r * ra + 1e-12, off) ** p
+    B = np.where(kind == 3, over_two, B)
+    over_one = np.nextafter(B ** r + 1e-12, off) ** p
+    A = np.where(kind == 4, over_one, A)
+    return A, B
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1),
+       st.sampled_from((1.0, 4.0 / 3.0, 1.5, 2.0, 4.0)),
+       st.integers(1, 12), st.integers(1, 40), st.integers(1, 12),
+       st.sampled_from((-4.0, -1.0, 0.0, 1.5, 3.0, 6.0)))
+def test_power_space_count_is_the_root_space_count(seed, p, T, F, step,
+                                                   log_root):
+    """Cleared entries, undecided ones and whole uncapped blocks add up to
+    the check on every rooted entry, in one-row and ragged blocks too."""
+    A, B = _near_bound_powers(seed, T, F, p, log_root)
+    r = 1.0 / p
+    core, wted = A ** r, B ** r
+    want = (np.count_nonzero(core > wted + 1e-12)
+            + np.count_nonzero(wted > 2.0 ** r * core + 1e-12))
+    assert _two_sided_counts(A, B, p, step) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1), st.integers(1, 12), st.integers(1, 40),
+       st.sampled_from((-3.0, 0.0, 1.0, 2.0, 5.0)))
+def test_power_space_embedding_count_is_the_root_space_count(seed, T, F,
+                                                             log_root):
+    """``sobolev-chain``'s ``Wq <= Wp^3`` clearance at (p, q) = (4/3, 4)."""
+    p, q = 4.0 / 3.0, 4.0
+    rng = np.random.default_rng(seed)
+    wp = 10.0 ** (log_root + rng.uniform(-1, 1, (T, F)))
+    off = np.where(rng.integers(0, 2, (T, F)) == 1, np.inf, -np.inf)
+    wq = np.where(rng.integers(0, 2, (T, F)) == 1,
+                  wp * rng.uniform(0.5, 1.0, (T, F)),
+                  np.nextafter(wp + 1e-12, off))
+    Wp, Wq = wp ** p, wq ** q
+    capped = (Wq.max() <= suites._ROOT_CAP ** q
+              and Wp.max() <= suites._ROOT_CAP ** p)
+    got = suites._root_violations(Wq, 1.0 / q, Wp, 1.0 / p, Wp * Wp * Wp,
+                                  capped)
+    want = np.count_nonzero(Wq ** (1.0 / q) > Wp ** (1.0 / p) + 1e-12)
+    assert got == want
+
+
+def test_uncapped_block_counts_ties_in_root_space():
+    """Fourth roots near 1e6: ``B == 2A`` is a tie in power space, but the
+    rooted check counts some of those entries, so the block is counted
+    whole."""
+    roots = 10.0 ** (6.0 + np.random.default_rng(7).uniform(-1, 1, (20, 40)))
+    A = roots ** 4.0
+    B = 2.0 * A
+    want = np.count_nonzero(B ** 0.25 > 2.0 ** 0.25 * A ** 0.25 + 1e-12)
+    assert want > 0
+    assert _two_sided_counts(A, B, 4.0, 20) == want
+
+
+class _NoRoots(np.ndarray):
+    def __pow__(self, other):
+        raise AssertionError("a cleared entry was rooted")
+
+
+@pytest.mark.parametrize("p", (1.0, 4.0 / 3.0, 2.0, 4.0))
+def test_exact_ties_are_cleared_without_a_root(p):
+    """``B == 2A`` (half of the suite's entries), ``B == A`` and zero rows
+    meet the power-space bounds exactly, with no margin, so a capped block
+    of them roots nothing."""
+    rng = np.random.default_rng(5)
+    A = rng.uniform(0, 1, (6, 50)) ** p
+    A[2] = 0.0
+    for B in (2.0 * A, A.copy()):
+        a, b = A.view(_NoRoots), B.view(_NoRoots)
+        assert suites._root_violations(a, 1 / p, b, 1 / p, b, True) == 0
+        assert suites._root_violations(b, 1 / p, a, 1 / p, 2.0 * A, True,
+                                       scale=2.0 ** (1 / p)) == 0
