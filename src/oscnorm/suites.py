@@ -69,9 +69,9 @@ class SuiteConfig:
         if self.suite not in SUITE_NAMES:
             raise ValueError(f"unknown suite {self.suite!r}; "
                              f"options: {', '.join(SUITE_NAMES)}")
-        for name in ("dimension", "depth", "trials"):
+        for name in ("dimension", "depth", "trials", "seed"):
             value = getattr(self, name)
-            # bool is a subclass of int, but True/False are not sizes
+            # bool is a subclass of int, but True/False are not sizes or seeds
             if (isinstance(value, bool)
                     or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -81,6 +81,8 @@ class SuiteConfig:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_json_dict(self) -> dict:
         return {"suite": self.suite, "dimension": self.dimension,

@@ -222,6 +222,15 @@ def test_verify_rejects_bad_sizes(capsys, argv, reason):
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_verify_rejects_negative_seed(capsys, suite):
+    code, out, err = _run(capsys, ["verify", "--suite", suite,
+                                   "--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -1\n"   # no traceback
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
 @pytest.mark.parametrize("dim", ["1", "2"])
 def test_verify_depth_0_writes_strict_json_or_exits_2(capsys, suite, dim):
     """A one-cell grid has no oscillation: a suite either reports on it in

@@ -93,12 +93,36 @@ def test_generator_names_frozen():
         "uniform-iid", "step", "log-singularity", "indicator", "custom-file")
 
 
-def test_batch_matches_per_trial_generation():
-    mat = batch_uniform(1, 2, seed=3, trials=5)
-    assert mat.shape == (5, 4)
-    for t in range(5):
-        single = generate("uniform-iid", 1, 2, seed=3, trial=t)
-        assert np.array_equal(mat[t], single.values)
+@pytest.mark.parametrize("seed", [
+    0, 2**32 - 1,
+    2**32,          # two entropy words
+    2**64 + 3,
+    2**130 + 5,     # five words: SeedSequence's extra mixing loop runs
+])
+@pytest.mark.parametrize("dimension,depth,trials", [
+    (1, 0, 1), (1, 0, 2),           # one cell
+    (2, 1, 1), (2, 1, 2),
+    (1, 3, 2000),
+    (1, 12, 50),
+])
+def test_batch_matches_per_trial_generation(seed, dimension, depth, trials):
+    mat = batch_uniform(dimension, depth, seed, trials)
+    n_cells = 1 << (dimension * depth)
+    assert mat.shape == (trials, n_cells)
+    rows = range(trials) if trials <= 50 else (0, trials // 2, trials - 1)
+    for t in rows:
+        want = rng_for(seed, t).uniform(0.0, 1.0, n_cells)
+        assert mat[t].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed,reason", [
+    (-1, "seed must be >= 0"),
+    (True, "seed must be an integer"),
+    (1.5, "seed must be an integer"),
+])
+def test_batch_refuses_bad_seed(seed, reason):
+    with pytest.raises(ValueError, match=reason):
+        batch_uniform(1, 2, seed, 3)
 
 
 def test_batch_refuses_past_cell_limit():

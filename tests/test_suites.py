@@ -98,6 +98,16 @@ def test_config_rejects_non_integer_sizes(field, value):
         SuiteConfig(suite="riesz", **{field: value})
 
 
+@pytest.mark.parametrize("seed,reason", [
+    (-1, "seed must be >= 0"),
+    (True, "seed must be an integer"),
+    (1.5, "seed must be an integer"),
+])
+def test_config_rejects_bad_seed(seed, reason):
+    with pytest.raises(ValueError, match=reason):
+        SuiteConfig(suite="riesz", seed=seed)
+
+
 def test_extrapolation_accepts_log_singularity():
     report = run_suite(SuiteConfig(suite="jn-extrapolation", dimension=1,
                                    depth=4, trials=1))
