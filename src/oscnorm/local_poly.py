@@ -26,22 +26,32 @@ one-row call, with the bits of the level sweep.
   (equal weights on a dyadic cube); the LOWER median is taken so results are
   deterministic.  :func:`median_deviations` sums ``|v - median|`` on the
   sorted cells as it is, so nothing cancels.
-* ``q = 1, k >= 2``: a direct simplex polish of the exact objective,
-  started from the best of {median fit, L2 fit, LP fit}.  The objective is
-  an integrator prepared once per cube (cell values, edges, quadrature
-  grids), so each simplex step pays for the arithmetic alone.  The LP fit
-  minimizes the cell-averaged relaxation: replacing ``|f - m|`` by
-  per-subcell averages can only shrink the objective (Jensen), and its
-  minimum over all polynomials is an LP that HiGHS solves as its L1-Linf
-  dual: ``d <= 6`` dense equality rows (orthogonality to the basis) over one
-  box-bounded variable per subcell.  Its minimizer is the multipliers of
-  the equality rows, negated, and its value certifies ``near_best_factor``.
-  Without the certificate the LP runs only where the polish alone cannot be
-  trusted: the 2D quadratic corner, where the simplex stalls on the
-  midpoint objective, and cubes past ``_POLISH_CELL_CAP`` cells, where it is
-  skipped; there both calls give the same fit.  The functionals of
-  :mod:`oscnorm.norms` run these fits once per cube of a grid and hold the
-  errors on the grid.
+* ``q = 1, k >= 2``, 1D and 2D affine: a Levenberg-damped Newton descent
+  of the exact objective from the L2 fit (:func:`_newton_polish`), on the
+  closed-form gradient ``-|Q| sum int sgn(v - P) u^alpha`` and Hessian
+  ``2 |Q| int u^alpha u^beta / |grad P|`` over the zero set of ``v - P``.
+  Both come from the cuts the integrator already computes: the signed
+  pieces between the roots of each cell (1D), the positive-part polygon
+  moments and each cell's zero segment (2D).  The median fit, a kink of
+  the objective, is compared only at the end, which keeps ``E_k``
+  monotone in ``k``.  The objective is an integrator prepared once per
+  cube (cell values, edges, quadrature grids), so each step pays for the
+  arithmetic alone.
+* ``q = 1, k = 3``, 2D (the quadratic corner): a simplex polish (scipy's
+  Nelder-Mead, up to ``_POLISH_CELL_CAP`` cells) of the midpoint
+  objective, which is piecewise linear, started from the best of the
+  median, L2 and LP fits.
+* The certificate of ``best_fit`` at ``q = 1, k >= 2`` is an LP: replacing
+  ``|f - m|`` by per-subcell averages can only shrink the objective
+  (Jensen), and its minimum over all polynomials is an LP that HiGHS
+  solves as its L1-Linf dual: ``d <= 6`` dense equality rows
+  (orthogonality to the basis) over one box-bounded variable per subcell.
+  Its value certifies ``near_best_factor``; its minimizer, the multipliers
+  of the equality rows negated, is a start only in the quadratic corner.
+  So ``poly_error``, which skips the certificate, gives the bits of
+  ``best_fit(..).error``.  scipy is imported only by the LP and the
+  simplex.  The functionals of :mod:`oscnorm.norms` run these fits once
+  per cube of a grid and hold the errors on the grid.
 
 Exactness of objectives: piecewise-constant minus polynomial is integrated in
 closed form (1D: sign changes from root splitting; 2D affine: half-plane
@@ -64,7 +74,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .grid import CubeId, GridFunction, _unit_moment, multi_indices
 from .maximal import level_integrals
@@ -72,7 +81,8 @@ from .maximal import level_integrals
 __all__ = ["PolyFit", "best_fit", "l2_level_fits", "median_deviations",
            "scaled_error", "convention_exponent", "mean_oscillation"]
 
-_POLISH_CELL_CAP = 1024
+_POLISH_CELL_CAP = 1024  # cells of a simplex polish, 2D quadratic corner
+_NEWTON_STEPS = 100  # trial steps of a Newton polish, 1D and 2D affine
 _QUAD_RULE = 16  # midpoint subdivisions per cell axis, 2D quadratic corner
 _QUAD_BLOCK = 1 << 16  # subcell values per buffer, 2D quadratic corner
 _CLIP_BLOCK = 4096  # cells per vectorised half-plane clip, 2D affine residual
@@ -323,6 +333,7 @@ def _lp_lower_bound(Phi, v, mu):
     dual ``mu * max {v @ y : Phi.T @ y = 0, |y| <= 1}`` (subcell measure
     ``mu``), which ``y = 0`` makes feasible and the box bounded, and a
     minimizer: the multipliers of ``Phi.T @ y = 0``, negated."""
+    from scipy import optimize
     res = optimize.linprog(-v, A_eq=Phi.T, b_eq=np.zeros(Phi.shape[1]),
                            bounds=(-1.0, 1.0), method="highs")
     if not res.success:
@@ -342,7 +353,8 @@ def _fit_l1(f, c, k, certify):
     # candidate fits: previous-degree exact fit keeps E_k monotone in k
     med_local = np.zeros(len(exps))
     med_local[exps.index((0,) * f.dimension)] = _fit(f, c, 1, 1, False)[0][0]
-    candidates = [med_local, _fit(f, c, k, 2, False)[0]]
+    l2_local = _fit(f, c, k, 2, False)[0]
+    candidates = [med_local, l2_local]
     objs = [objective(a) for a in candidates]
     best_i = int(np.argmin(objs))
     a_best, obj_best = candidates[best_i], objs[best_i]
@@ -352,25 +364,34 @@ def _fit_l1(f, c, k, certify):
     if obj_best <= 1e-14 * scale * c.measure:
         return a_best, obj_best, 1.0 if certify else math.nan, False
 
-    # the simplex stalls on the midpoint objective of the 2D quadratic
-    # corner and is skipped past the cell cap: there the LP's minimizer is
-    # needed as a start, certified or not
     quad = f.dimension == 2 and len(exps) > 3
-    polish = cells <= _POLISH_CELL_CAP
-    if certify or quad or not polish:
+    if certify or quad:
         refine = 8 if f.dimension == 1 else 4
         while cells * refine ** f.dimension > 8192 and refine > 1:
             refine //= 2
         lb, lp_local = _lp_lower_bound(*_subcell_design(f, c, exps, refine))
+
+    if quad:
+        # the simplex stalls on the midpoint objective of the 2D quadratic
+        # corner and is skipped past the cell cap: there the LP's minimizer
+        # is needed as a start, certified or not
         if lp_local is not None and (obj := objective(lp_local)) < obj_best:
             a_best, obj_best = lp_local, obj
-
-    if polish:
-        res = optimize.minimize(objective, a_best, method="Nelder-Mead",
-                                options={"maxiter": 400 * len(exps),
-                                         "xatol": 1e-10, "fatol": 1e-13})
-        if res.fun < obj_best:
-            a_best, obj_best = res.x, float(res.fun)
+        if cells <= _POLISH_CELL_CAP:
+            from scipy import optimize
+            res = optimize.minimize(objective, a_best, method="Nelder-Mead",
+                                    options={"maxiter": 400 * len(exps),
+                                             "xatol": 1e-10, "fatol": 1e-13})
+            if res.fun < obj_best:
+                a_best, obj_best = res.x, float(res.fun)
+    else:
+        # the median fit is a kink of the objective, where Newton has no
+        # curvature to use: it is only compared at the end
+        reach = 2.0 ** -np.array([sum(alpha) for alpha in exps])
+        a_best, obj_best = _newton_polish(integrate, l2_local, objs[1], reach,
+                                          c.measure)
+        if objs[0] <= obj_best:
+            a_best, obj_best = med_local, objs[0]
 
     if not certify:
         return a_best, obj_best, math.nan, quad
@@ -378,6 +399,77 @@ def _fit_l1(f, c, k, certify):
         factor = 1.0 if obj_best <= 1e-12 else math.inf
         return a_best, obj_best, factor, quad or obj_best > 1e-12
     return a_best, obj_best, max(obj_best / lb, 1.0), quad
+
+
+def _newton_polish(integrate, a, obj, reach, measure):
+    """Levenberg-damped Newton descent of ``phi(a) = integrate(a).sum()``
+    from ``a`` (with ``phi(a) = obj``) on the cube of ``measure``, on the
+    closed-form gradient and Hessian that ``integrate(a, True, band)``
+    returns with the cells; ``reach[j]`` bounds ``|u^alpha_j|`` on the cube.
+
+    ``phi`` is convex and C^1 away from the fits that match a cell's value
+    on the whole cell.  Its Hessian lives on the zero set of ``v - P``: it
+    sees only the cells a step starts in, and is 0 where no cell is
+    crossed.  So each step solves ``(H + mu I) step = -g`` on the Hessian of
+    ``phi`` smoothed over ``|v - P| < band / 2`` (where the integrator has
+    one), with ``band`` half the reach of the step before, the mean
+    residual at the start.  Only a strict decrease of the exact objective
+    is taken; ``mu`` shrinks by 5 after one and grows by 8 after a
+    rejection, which also tries the point where the tangents of ``phi``
+    along the step meet: the kink that stopped it.  A coefficient the step
+    cannot move is held.  The descent stops when no coefficient moves, or
+    when the decrease the exact Hessian promises is at rounding scale of
+    the objective.
+    """
+    n_coef = len(a)
+    eye = np.eye(n_coef)
+    band = obj / measure
+    _, g, H = integrate(a, True, band)
+    curvature = np.trace(H) / n_coef
+    mu = 1e-3 * curvature if curvature > 0.0 else float(np.abs(g).max())
+    for _ in range(_NEWTON_STEPS):
+        # a floor keeps H + mu I invertible where H is singular
+        mu = max(mu, 1e-14 * np.trace(H) / n_coef)
+        if not mu > 0.0:        # g = H = 0: already the minimum
+            break
+        damped = H + mu * eye
+        step = np.linalg.solve(damped, -g)
+        held = a + step == a
+        if held.all():
+            break
+        if held.any():
+            free = ~held
+            step = np.zeros(n_coef)
+            step[free] = np.linalg.solve(damped[np.ix_(free, free)], -g[free])
+        promised = -(g @ step) - 0.5 * (step @ H @ step)
+        if not promised > 1e-16 * obj:
+            if band == 0.0:
+                break
+            band = 0.0
+            _, g, H = integrate(a, True, band)
+            continue
+        reached = 0.5 * float(np.abs(step) @ reach)
+        trial = a + step
+        cells, g_trial, H_trial = integrate(trial, True, reached)
+        obj_trial = cells.sum()
+        if obj_trial < obj:
+            mu *= 0.2
+        else:
+            mu *= 8.0
+            slopes = g @ step, g_trial @ step
+            if not slopes[1] > slopes[0]:
+                continue
+            t = (obj_trial - obj - slopes[1]) / (slopes[0] - slopes[1])
+            if not 0.0 < t < 1.0:
+                continue
+            reached *= t
+            trial = a + t * step
+            cells, g_trial, H_trial = integrate(trial, True, reached)
+            obj_trial = cells.sum()
+            if not obj_trial < obj:
+                continue
+        a, obj, g, H, band = trial, obj_trial, g_trial, H_trial, reached
+    return a, obj
 
 
 # -- exact residual integrals ----------------------------------------------
@@ -402,8 +494,37 @@ def _l1_cells_1d(vals, side, exps):
     # the cell edges, exact since the cell count is a power of two
     edges = np.arange(-m_cells, m_cells + 1, 2) / (2 * m_cells)
     u0, u1 = edges[:-1], edges[1:]
+    degrees = [m for (m,) in exps]
+    top = 2 * degrees[-1]
 
-    def cells(a):
+    def roots(c0, a1, a2, scale):
+        """The cuts ``lo <= hi`` of every cell, the roots of ``P(u) = v``
+        inside it, and ``|P'|`` there.  A root outside the cell is clamped
+        to its end, where it cuts a zero-width piece."""
+        lo = hi = u1
+        slope = math.inf
+        if abs(a2) > 1e-14 * scale:
+            with np.errstate(invalid="ignore"):     # no real root: NaN
+                sq = np.sqrt(a1 * a1 + 4.0 * a2 * c0)
+            pair = ((-a1 - sq) / (2 * a2), (-a1 + sq) / (2 * a2))
+            lo, hi = (np.fmin(np.fmax(r, u0), u1)   # fmax maps NaN to u0
+                      for r in (pair if a2 > 0 else pair[::-1]))
+            slope = sq          # P'(root) = a1 + 2 a2 root = +-sq
+        elif abs(a1) > 1e-14 * scale:
+            lo = np.fmin(np.fmax(c0 / a1, u0), u1)
+            slope = abs(a1)
+        return lo, hi, slope
+
+    def sign_moments(cuts, sgn):
+        """``sum int sgn(v - P) u^p`` over the cells, ``p = 0..top``, from
+        the sign on each piece: each cut's power enters once, weighted by
+        the sign change across it (a zero-width piece's sign cancels)."""
+        turn = np.zeros((4,) + sgn.shape[1:])
+        turn[0], turn[1:3], turn[3] = -sgn[0], sgn[:2] - sgn[1:], sgn[2]
+        powers = np.vander(cuts.ravel(), top + 2, increasing=True)[:, 1:]
+        return turn.ravel() @ powers / np.arange(1, top + 2)
+
+    def cells(a, grad=False, band=0.0):
         coef = {m: 0.0 for m in range(3)}
         for (m,), v in zip(exps, a):
             coef[m] = float(v)
@@ -420,23 +541,39 @@ def _l1_cells_1d(vals, side, exps):
             return F + a2 * np.float_power(u, 3) / 3.0 if a2 else F
 
         scale = max(abs(a0), abs(a1), abs(a2), 1.0)
-        # per cell the cuts u0 <= lo <= hi <= u1: the roots of P(u) = v
-        # inside the cell split |v - P| into signed pieces; a root outside
-        # the cell is clamped to its end, where it cuts a zero-width piece
-        # worth exactly 0
-        lo = hi = u1
-        if abs(a2) > 1e-14 * scale:
-            with np.errstate(invalid="ignore"):     # no real root: NaN
-                sq = np.sqrt(a1 * a1 + 4.0 * a2 * c0)
-            roots = ((-a1 - sq) / (2 * a2), (-a1 + sq) / (2 * a2))
-            lo, hi = (np.fmin(np.fmax(r, u0), u1)   # fmax maps NaN to u0
-                      for r in (roots if a2 > 0 else roots[::-1]))
-        elif abs(a1) > 1e-14 * scale:
-            lo = np.fmin(np.fmax(c0 / a1, u0), u1)
+        # per cell the cuts u0 <= lo <= hi <= u1 split |v - P| into pieces
+        # of one sign; a zero-width piece is worth exactly 0
+        lo, hi, slope = roots(c0, a1, a2, scale)
         cuts = np.array([u0, lo, hi, u1])
         F = antideriv(cuts)
-        pieces = np.abs(c0 * (cuts[1:] - cuts[:-1]) - (F[1:] - F[:-1]))
-        return (pieces[0] + pieces[1] + pieces[2]) * side
+        signed = c0 * (cuts[1:] - cuts[:-1]) - (F[1:] - F[:-1])
+        pieces = np.abs(signed)
+        out = (pieces[0] + pieces[1] + pieces[2]) * side
+        if not grad:
+            return out
+        g = -side * sign_moments(cuts, np.sign(signed))[degrees]
+        if band > 0.0:
+            # the Hessian of the objective smoothed over |v - P| < band/2:
+            # the difference quotient of the sign moments in the constant,
+            # with each piece's sign read at its midpoint
+            power = 0.0
+            for shift in (-band / 2, band / 2):
+                cut = np.array([u0, *roots(c0 + shift, a1, a2, scale)[:2], u1])
+                mid = (cut[1:] + cut[:-1]) / 2
+                sgn = np.sign(c0 + shift - (a1 + a2 * mid) * mid)
+                power = sign_moments(cut, sgn) - power
+            power /= band
+        else:
+            # 2 sum u*^p / |P'(u*)| over the roots u* inside a cell
+            with np.errstate(divide="ignore"):   # a double root: no weight
+                weight = np.broadcast_to(1.0 / slope, u0.shape)
+            root = np.array([lo, hi])
+            weight = np.where((u0 < root) & (root < u1) & np.isfinite(weight),
+                              weight, 0.0)
+            power = 2.0 * (weight.ravel()
+                           @ np.vander(root.ravel(), top + 1, increasing=True))
+        H = side * power[np.add.outer(degrees, degrees)]
+        return out, g, H
 
     return cells
 
@@ -448,8 +585,19 @@ def _l1_cells_affine_2d(block, side, exps):
     u_sum, w_sum = edges[:-1, None] + edges[1:, None], edges[:-1] + edges[1:]
     area = np.diff(edges)[:, None] * np.diff(edges)
     s2 = side ** 2
+    # the cell moments int_cell u^alpha, alpha = (0,0), (1,0), (0,1)
+    moments = np.stack(np.broadcast_arrays(area, area * u_sum / 2,
+                                           area * w_sum / 2))
+    slot = {(0, 0): 0, (1, 0): 1, (0, 1): 2}
+    order = [slot[alpha] for alpha in exps]
+    # H[x, y] is the line integral of u^(x + y): an index into the
+    # quadratics of ``_segment_quadratics``
+    quadratic = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    pairs = [[quadratic.index((x[0] + y[0], x[1] + y[1])) for y in exps]
+             for x in exps]
 
-    def cells(a):
+    def cells(a, grad=False, band=0.0):
+        # the Hessian is always the exact one: ``band`` is not used
         coef = {e: 0.0 for e in ((0, 0), (0, 1), (1, 0))}
         for alpha, v in zip(exps, a):
             coef[alpha] = float(v)
@@ -463,19 +611,55 @@ def _l1_cells_affine_2d(block, side, exps):
         flat = abs(cu) + abs(cw) < 1e-15 * np.maximum(np.abs(c0), 1.0)
         out = np.abs(full) * s2
         rows, cols = np.nonzero(~flat)
+        if grad:
+            # int sgn(v - P) u^alpha: the signed cell moments where v - P
+            # keeps one sign, else twice the positive part's moments less
+            # the cell's; the Hessian integrates u^alpha u^beta / |grad P|
+            # along each cell's zero segment
+            signs = np.where(flat, np.sign(full), 0.0)
+            g = (moments * signs).sum(axis=(1, 2))
+            segment = np.zeros(6)
         # in blocks whose temporaries stay in cache
         for b in range(0, len(rows), _CLIP_BLOCK):
             i, j = rows[b:b + _CLIP_BLOCK], cols[b:b + _CLIP_BLOCK]
-            pos = _positive_part_moments(c0[i, j], cu, cw, edges[i],
-                                         edges[i + 1], edges[j], edges[j + 1])
+            mom, ends = _positive_part_moments(c0[i, j], cu, cw, edges[i],
+                                               edges[i + 1], edges[j],
+                                               edges[j + 1])
+            pos = c0[i, j] * mom[0] + cu * mom[1] + cw * mom[2]
             out[i, j] = np.abs(2.0 * pos - full[i, j]) * s2
-        return out.ravel()
+            if grad:
+                g += (2.0 * mom - moments[:, i, j]).sum(axis=1)
+                segment += _segment_quadratics(*ends)
+        if not grad:
+            return out.ravel()
+        # a zero slope leaves every cell flat, with no zero segment
+        slope = math.hypot(cu, cw)
+        H = segment[pairs] * (2.0 * s2 / slope) if slope else segment[pairs]
+        return out.ravel(), -s2 * g[order], H
 
     return cells
 
 
+def _segment_quadratics(ua, wa, ub, wb):
+    """``int 1, u, w, u^2, u w, w^2 ds`` summed over the segments from
+    ``(ua, wa)`` to ``(ub, wb)``, by Simpson's rule, which is exact for
+    these quadratics."""
+    um, wm = (ua + ub) / 2.0, (wa + wb) / 2.0
+    third = np.hypot(ub - ua, wb - wa) / 6.0
+    return np.array([
+        (third * (fa + 4.0 * fm + fb)).sum()
+        for fa, fm, fb in (
+            (1.0, 1.0, 1.0), (ua, um, ub), (wa, wm, wb),
+            (ua * ua, um * um, ub * ub), (ua * wa, um * wm, ub * wb),
+            (wa * wa, wm * wm, wb * wb))])
+
+
 def _positive_part_moments(cc, cu, cw, u0, u1, w0, w1):
-    """``integral (cc + cu u + cw w)_+`` over each box ``[u0,u1]x[w0,w1]``.
+    """The area and first moments ``(A, Iu, Iw)`` of the part of each box
+    ``[u0,u1]x[w0,w1]`` where ``cc + cu u + cw w >= 0``, stacked, and the
+    ends ``(ua, wa, ub, wb)`` of each box's zero segment (both ``(0, 0)``
+    in a box the zero line misses).  ``integral (cc + cu u + cw w)_+`` is
+    ``cc * A + cu * Iu + cw * Iw``.
 
     Clips the box (corners in the order (u0,w0), (u1,w0), (u1,w1), (u0,w1))
     to the half-plane where the affine function is ``>= 0``, edge by edge
@@ -483,6 +667,7 @@ def _positive_part_moments(cc, cu, cw, u0, u1, w0, w1):
     first moments by the shoelace sums, vertex after vertex, so each box
     gets the bits of the one-box loop.  A clipped polygon has at most eight
     vertex slots, two per edge: the edge's first corner and a crossing.
+    The zero line crosses at most two edges of a box.
     """
     X = (u0, u1, u1, u0)
     Y = (w0, w0, w1, w1)
@@ -524,7 +709,16 @@ def _positive_part_moments(cc, cu, cw, u0, u1, w0, w1):
     A = np.where(polygon, A / 2.0, 0.0)
     Iu = np.where(polygon, Iu / 6.0, 0.0)
     Iw = np.where(polygon, Iw / 6.0, 0.0)
-    return cc * A + cu * Iu + cw * Iw
+    # the first and the last crossing slot of each box (a dropped slot
+    # holds (0, 0), so a box without a crossing gets a zero segment)
+    cross = keep[1::2]
+    first = np.argmax(cross, axis=0)
+    last = 3 - np.argmax(cross[::-1], axis=0)
+    cx, cy = px.reshape(slots, boxes)[1::2], py.reshape(slots, boxes)[1::2]
+    lanes = np.arange(boxes)
+    ends = (cx[first, lanes], cy[first, lanes], cx[last, lanes],
+            cy[last, lanes])
+    return np.stack([A, Iu, Iw]), ends
 
 
 def _l1_cells_quad_2d(block, measure, exps):

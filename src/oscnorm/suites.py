@@ -75,6 +75,8 @@ class SuiteConfig:
             if (isinstance(value, bool)
                     or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            # a NumPy integer is kept as a Python int, which JSON can write
+            object.__setattr__(self, name, int(value))
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
         if self.depth < 0:

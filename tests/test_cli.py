@@ -363,14 +363,38 @@ def huge_file(tmp_path):
     return str(path)
 
 
-def _run_module(argv):
+def _subprocess_env():
+    """The environment with this checkout's ``src`` on ``PYTHONPATH``."""
     import oscnorm
     src = os.path.dirname(os.path.dirname(oscnorm.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _run_module(argv):
     return subprocess.run([sys.executable, "-m", "oscnorm", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
+
+
+def test_cli_import_and_sjn_compute_leave_scipy_unloaded(step_file):
+    """scipy is imported only by the fits that still need it: neither
+    importing the CLI nor an ``sjn`` compute loads it."""
+    script = (
+        "import contextlib, io, sys\n"
+        "import oscnorm.cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = oscnorm.cli.main(['compute', '--input', sys.argv[1],\n"
+        "                             '--norm', 'sjn', '--p', '2'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, 'compute'\n")
+    proc = subprocess.run([sys.executable, "-c", script, step_file],
+                          capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _error_lines(stderr):

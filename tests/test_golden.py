@@ -18,6 +18,10 @@ and ``jn-extrapolation`` now names the generator it draws from.  The
 when the 1D ``L^1`` residual took the fit's constant into the cell values:
 every number moved by at most 2.3e-16 relative (the ``worst_excess`` gap
 aside), every witness and assertion outcome stayed the same.  The
+``sv-equivalence`` digest was re-recorded when the ``L^1``, ``k >= 2`` fits
+moved from the simplex polish to Newton: seven fields (one packing value,
+its ``sv`` and ``lower`` copies in two rows, and ``worst_excess``) moved
+by at most 3.7e-16 relative, every assertion outcome stayed the same.  The
 suite digests pin the reports of the benchmark's oracle-suite
 configurations at small trial counts plus a small ``sv-equivalence`` run;
 they were recorded before the suites moved onto the library's batched
@@ -193,7 +197,7 @@ SUITE_GOLDEN = {
     "sparse-jn-2d":
         "fde4430b23a415cc94e12ff9019ad7660e704e04df68a16f263166071d4b9810",
     "sv-equivalence-1d":
-        "b44429b940f2882e7e731c08af7f33674afc0b8fb8258803be8dc95b13ae333e",
+        "59bdd1f9b7c6728ebd872b89d1706c8643cc9805bce6b07ea6d3dae68efbb279",
 }
 
 

@@ -361,13 +361,113 @@ def test_uncertified_quadratic_corner_is_the_certified_fit(depth, cube):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_uncertified_fit_past_the_polish_cap_is_the_certified_fit(k):
-    """Past ``_POLISH_CELL_CAP`` cells there is no polish, and the LP's
-    minimizer is the fit with or without the certificate."""
+    """``_POLISH_CELL_CAP`` bounds only the simplex polish of the 2D
+    quadratic corner: a 1D fit past it is polished by Newton as any other,
+    and is the same fit with or without the certificate."""
     f = GridFunction(1, 11, np.random.default_rng(11).uniform(0.0, 1.0, 2048))
     assert f.values.size > local_poly._POLISH_CELL_CAP
     fit = best_fit(f, ROOT1, k, 1)
     assert 1.0 <= fit.near_best_factor < 1.001
     assert poly_error(f, ROOT1, k, 1) == fit.error
+
+
+# -- the Newton polish of the 1D and 2D affine fits --------------------------
+
+NEWTON_SHAPES = [(1, 2), (1, 3), (2, 2)]
+
+
+def _smooth_point(rng, n, depth, k):
+    """The root integrator of a uniform grid and a coefficient vector near
+    the data, at which the zero set of ``v - P`` crosses some cells."""
+    f = GridFunction(n, depth, rng.uniform(0.0, 1.0, 1 << (n * depth)))
+    root = CubeId(0, (0,) * n)
+    exps = _exponents(n, k)
+    integrate = _l1_integrator(f, root, exps)
+    while True:
+        a = rng.uniform(-1.0, 1.0, len(exps))
+        a[0] = rng.uniform(0.2, 0.8)
+        if np.trace(integrate(a, True)[2]) > 0.0:
+            return integrate, a
+
+
+@pytest.mark.parametrize("n, k", NEWTON_SHAPES)
+def test_newton_derivatives_match_central_differences(n, k):
+    """The closed-form gradient is the central difference of the exact
+    objective, and the Hessian that of the gradient, at points where no
+    root sits on a cell edge."""
+    rng = np.random.default_rng(10 * n + k)
+    h = 1e-7
+    for depth in (1, 3, 5 // n):
+        integrate, a = _smooth_point(rng, n, depth, k)
+        _, g, H = integrate(a, True)
+        steps = h * np.eye(len(a))
+        g_fd = [(integrate(a + e).sum() - integrate(a - e).sum()) / (2 * h)
+                for e in steps]
+        H_fd = [(integrate(a + e, True)[1] - integrate(a - e, True)[1])
+                / (2 * h) for e in steps]
+        np.testing.assert_allclose(g, g_fd, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(H, H_fd, rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(H, H.T)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_band_hessian_is_the_gradient_difference(k):
+    """The 1D Hessian smoothed over ``|v - P| < band / 2``: its first row is
+    the gradient's difference across ``band`` in the constant, and a
+    narrow band gives the exact Hessian."""
+    rng = np.random.default_rng(k)
+    for depth in (2, 4, 6):
+        integrate, a = _smooth_point(rng, 1, depth, k)
+        _, _, H = integrate(a, True)
+        for band in (1e-2, 1e-1):
+            shift = np.zeros(len(a))
+            shift[0] = band / 2
+            diff = integrate(a + shift, True)[1] - integrate(a - shift, True)[1]
+            row = integrate(a, True, band)[2][0]
+            np.testing.assert_allclose(row * band, diff, rtol=1e-12,
+                                       atol=1e-15)
+        # the difference quotient cancels to ~1e-16 / band
+        np.testing.assert_allclose(integrate(a, True, 1e-7)[2], H,
+                                   rtol=1e-5, atol=1e-7)
+
+
+@pytest.mark.parametrize("n, k", NEWTON_SHAPES)
+def test_newton_routes_give_the_uncertified_bits(n, k):
+    """Without the LP as a start the certificate changes no bit of the
+    fit: ``poly_error`` is ``best_fit(..).error`` on every cube."""
+    rng = np.random.default_rng(100 + 10 * n + k)
+    for depth in range(1, 7 // n):
+        for dist in ("uniform", "lognormal", "ties"):
+            size = 1 << (n * depth)
+            values = {"uniform": rng.uniform(0.0, 1.0, size),
+                      "lognormal": rng.lognormal(0.0, 1.5, size),
+                      "ties": rng.integers(0, 3, size).astype(float)}[dist]
+            f = GridFunction(n, depth, values)
+            level = int(rng.integers(0, depth))
+            cube = CubeId(level, tuple(int(x) for x in
+                                       rng.integers(0, 1 << level, n)))
+            fit = best_fit(f, cube, k, 1)
+            assert poly_error(f, cube, k, 1) == fit.error, (depth, dist)
+            assert fit.near_best_factor >= 1.0
+            assert not fit.approximate
+
+
+def test_newton_routes_never_call_the_simplex(monkeypatch):
+    """Nelder-Mead is left to the 2D quadratic corner alone."""
+    from scipy import optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Nelder-Mead called")
+
+    monkeypatch.setattr(optimize, "minimize", refuse)
+    rng = np.random.default_rng(4)
+    for n, k in NEWTON_SHAPES:
+        f = GridFunction(n, 3, rng.uniform(0.0, 1.0, 1 << (3 * n)))
+        root = CubeId(0, (0,) * n)
+        assert best_fit(f, root, k, 1).error == poly_error(f, root, k, 1) > 0
+    f = GridFunction(2, 2, rng.uniform(0.0, 1.0, 16))
+    with pytest.raises(AssertionError, match="Nelder-Mead"):
+        poly_error(f, ROOT2, 3, 1)
 
 
 def test_failed_certificate_reports_an_infinite_factor(monkeypatch):

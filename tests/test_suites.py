@@ -80,6 +80,14 @@ def test_seed_changes_aggregates():
     assert a.to_json() != b.to_json()
 
 
+def test_config_takes_numpy_integers_as_ints():
+    """NumPy integers are normalised, so the report is the plain-int one."""
+    got = run_suite(SuiteConfig("riesz", 1, 2, np.int64(3), np.int64(4)))
+    want = run_suite(SuiteConfig("riesz", 1, 2, 3, 4))
+    assert got.to_json() == want.to_json()
+    assert type(got.config.trials) is int and type(got.config.seed) is int
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="unknown suite"):
         SuiteConfig(suite="no-such-suite")
