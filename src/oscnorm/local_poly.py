@@ -41,17 +41,25 @@ one-row call, with the bits of the level sweep.
   Nelder-Mead, up to ``_POLISH_CELL_CAP`` cells) of the midpoint
   objective, which is piecewise linear, started from the best of the
   median, L2 and LP fits.
-* The certificate of ``best_fit`` at ``q = 1, k >= 2`` is an LP: replacing
-  ``|f - m|`` by per-subcell averages can only shrink the objective
-  (Jensen), and its minimum over all polynomials is an LP that HiGHS
-  solves as its L1-Linf dual: ``d <= 6`` dense equality rows
-  (orthogonality to the basis) over one box-bounded variable per subcell.
-  Its value certifies ``near_best_factor``; its minimizer, the multipliers
-  of the equality rows negated, is a start only in the quadratic corner.
-  So ``poly_error``, which skips the certificate, gives the bits of
-  ``best_fit(..).error``.  scipy is imported only by the LP and the
-  simplex.  The functionals of :mod:`oscnorm.norms` run these fits once
-  per cube of a grid and hold the errors on the grid.
+* The certificate of ``best_fit`` at ``q = 1, k >= 2``, 1D and 2D affine,
+  is weak L^1-L^inf duality (:func:`_dual_lower_bound`): for bounded ``h``
+  orthogonal to the polynomials, ``int f h <= E_k(f;Q)_1 ||h||_inf``.
+  With ``h = y - Pi y``, ``y`` the sign of ``f - P`` on the pieces the
+  integrator cuts and ``Pi y`` its ``L^2`` projection, it costs the
+  gradient at the fit and ``d`` rows of cell moments; at a smooth minimum
+  ``Pi y = 0`` and the bound is the objective itself.
+* The certificate of the quadratic corner is an LP: replacing ``|f - m|``
+  by per-subcell averages can only shrink the objective (Jensen), and its
+  minimum over all polynomials is an LP that HiGHS solves as its L1-Linf
+  dual: ``d = 6`` dense equality rows (orthogonality to the basis) over
+  one box-bounded variable per subcell.  Its value certifies
+  ``near_best_factor``; its minimizer, the multipliers of the equality
+  rows negated, is a start of the simplex, certified or not.
+* Neither certificate moves the fit, so ``poly_error``, which skips it,
+  gives the bits of ``best_fit(..).error``.  scipy is imported only by the
+  LP and the simplex, so only by the quadratic corner.  The functionals of
+  :mod:`oscnorm.norms` run these fits once per cube of a grid and hold the
+  errors on the grid.
 
 Exactness of objectives: piecewise-constant minus polynomial is integrated in
 closed form (1D: sign changes from root splitting; 2D affine: half-plane
@@ -102,8 +110,8 @@ class PolyFit:
     the numerically preferred representation.  ``near_best_factor >= 1`` is a
     certified bound on ``error / E_k(f;Q)_q``; it is 1 for the exact routes
     (q=2, or q=1 with k<=1).  ``approximate`` marks results whose objective
-    involved quadrature, or whose positive error the LP could not certify
-    (``near_best_factor`` infinite).
+    involved quadrature, or whose positive error the certificate could not
+    bound (``near_best_factor`` infinite).
     """
 
     cube: CubeId
@@ -359,22 +367,21 @@ def _fit_l1(f, c, k, certify):
     best_i = int(np.argmin(objs))
     a_best, obj_best = candidates[best_i], objs[best_i]
 
-    # a zero objective is already the infimum; skip polish and certificate
-    scale = max(float(np.abs(vals).max(initial=0.0)), 1.0)
+    # a zero objective, to rounding of the values, is already the infimum;
+    # skip polish and certificate
+    scale = float(np.abs(vals).max(initial=0.0))
     if obj_best <= 1e-14 * scale * c.measure:
         return a_best, obj_best, 1.0 if certify else math.nan, False
 
     quad = f.dimension == 2 and len(exps) > 3
-    if certify or quad:
-        refine = 8 if f.dimension == 1 else 4
-        while cells * refine ** f.dimension > 8192 and refine > 1:
-            refine //= 2
-        lb, lp_local = _lp_lower_bound(*_subcell_design(f, c, exps, refine))
-
     if quad:
         # the simplex stalls on the midpoint objective of the 2D quadratic
         # corner and is skipped past the cell cap: there the LP's minimizer
         # is needed as a start, certified or not
+        refine = 4
+        while cells * refine ** 2 > 8192 and refine > 1:
+            refine //= 2
+        lb, lp_local = _lp_lower_bound(*_subcell_design(f, c, exps, refine))
         if lp_local is not None and (obj := objective(lp_local)) < obj_best:
             a_best, obj_best = lp_local, obj
         if cells <= _POLISH_CELL_CAP:
@@ -388,17 +395,109 @@ def _fit_l1(f, c, k, certify):
         # the median fit is a kink of the objective, where Newton has no
         # curvature to use: it is only compared at the end
         reach = 2.0 ** -np.array([sum(alpha) for alpha in exps])
-        a_best, obj_best = _newton_polish(integrate, l2_local, objs[1], reach,
-                                          c.measure)
+        a_best, obj_best, g = _newton_polish(integrate, l2_local, objs[1],
+                                             reach, c.measure)
         if objs[0] <= obj_best:
             a_best, obj_best = med_local, objs[0]
+            g = integrate(med_local, True)[1] if certify else None
+        if certify:
+            lb = _dual_lower_bound(f, c, exps, a_best, obj_best, g, reach)
 
     if not certify:
         return a_best, obj_best, math.nan, quad
-    if lb <= 1e-15 * max(obj_best, 1.0):
-        factor = 1.0 if obj_best <= 1e-12 else math.inf
-        return a_best, obj_best, factor, quad or obj_best > 1e-12
+    # a bound at or below rounding scale of the objective certifies nothing
+    if lb <= 1e-15 * obj_best:
+        return a_best, obj_best, math.inf, True
     return a_best, obj_best, max(obj_best / lb, 1.0), quad
+
+
+def _dual_lower_bound(f, c, exps, a, obj, g, reach):
+    """A lower bound of ``E_k(f;c)_1`` by weak L^1-L^inf duality, at the fit
+    ``P`` with local coefficients ``a``, objective ``obj`` and gradient
+    ``g`` (as ``integrate(a, True)`` returns them).
+
+    For bounded ``h`` orthogonal to the polynomials of degree ``<= k - 1``
+    and any such ``m``, ``int f h = int (f - m) h <= ||f - m||_1 ||h||_inf``,
+    so ``int (f - P) h / ||h||_inf <= E``.  Here ``h = y - Pi y`` with ``y``
+    the sign of ``f - P`` on the integrator's own pieces, so ``int (f - P) y
+    = obj``, and ``Pi y`` its ``L^2`` projection, whose local coefficients
+    solve ``G coef = b`` with ``b = int_Q y u^alpha dx / |Q| = -g / |Q|``
+    (``G`` the Gram matrix of the unit box).  ``int (f - P) Pi y`` is
+    ``|Q| coef . r`` with ``r`` the residual's local moments, summed from
+    the cells with the constant folded into the values (``c0 = v - a0``),
+    so an offset of the values does not cancel, and ``|u^alpha| <=
+    reach[alpha] = 2^-|alpha|`` on the cube gives ``||h||_inf <= 1 +
+    sum |coef| reach``.  At a smooth minimum ``b = 0`` and the bound is
+    ``obj``; a constant fit is a kink, where ``y`` is free in ``[-1, 1]``
+    on the cells the constant matches, and is chosen there to make ``Pi y``
+    vanish where it can (:func:`_box_least_squares`).
+
+    Rounding: the bound holds exactly for the ``y`` the computed cuts
+    define, whatever the cuts are.  Rounding then enters through ``obj``, a
+    sum of nonnegative terms, through ``coef . r`` and through the solve for
+    ``coef``, whose residual leaves ``h`` orthogonal only to rounding; the
+    minimizer's coefficients lie within a bounded multiple of
+    ``obj / |Q|`` of ``a``, so that costs ``obj`` times the same relative
+    error, some ``cells * eps``.  None of it depends on the scale of ``f``,
+    and all of it lies orders below the ``1e-6`` at which factors are read.
+    """
+    vals = f.cell_block(c).ravel()
+    monom = _cell_monomials(1 << (f.depth - c.level), f.dimension,
+                            max(max(alpha) for alpha in exps))
+    # int_cell u^alpha du over the cells of the unit box, one row per alpha
+    M = np.stack([monom(alpha) for alpha in exps])
+    G = _unit_gram(exps)
+    b = -g / c.measure
+    c0 = vals - a[0]
+    if not np.any(a[1:]):
+        tie = c0 == 0.0
+        if tie.any():
+            Mt = M[:, tie]
+            b = b + Mt @ _box_least_squares(np.linalg.solve(G, Mt),
+                                            -np.linalg.solve(G, b))
+    coef = np.linalg.solve(G, b)
+    # int_box (f - P) u^alpha du, with P - a0 = sum_{beta != 0} a_beta u^beta
+    resid = M @ c0 - G[:, 1:] @ a[1:]
+    return ((obj - c.measure * float(coef @ resid))
+            / (1.0 + float(np.abs(coef) @ reach)))
+
+
+def _box_least_squares(A, t):
+    """``y`` in ``[-1, 1]^T`` with ``A y`` close to ``t`` (``A`` of shape
+    ``(d, T)``, ``d`` small): the minimizer of ``||A y - t||^2 + delta
+    ||y||^2`` over the box, ``delta`` at ``1e-12`` of the scale of ``A A^T``.
+
+    Its optimality conditions read ``y = clip(A^T s)`` with ``s = (t - A y)
+    / delta``, the minimizer of the strongly convex, piecewise quadratic
+    ``delta |s|^2 / 2 + sum huber(a_i . s) - s . t`` (``huber(x) = x^2 / 2``
+    for ``|x| <= 1``, ``|x| - 1/2`` beyond), found by at most 50 Newton
+    steps in ``d`` dimensions with a backtracking line search.  Where ``t``
+    lies in ``A`` times the box, ``A y = t`` to ``delta``; any ``y`` the
+    loop stops at is in the box.
+    """
+    delta = 1e-12 * float((A * A).sum())
+
+    def dual(s):
+        x = np.abs(A.T @ s)
+        return (0.5 * delta * (s @ s) - s @ t
+                + np.where(x <= 1.0, 0.5 * x * x, x - 0.5).sum())
+
+    s = np.zeros(len(t))
+    val = dual(s)
+    for _ in range(50):
+        x = A.T @ s
+        free = np.abs(x) < 1.0
+        grad = delta * s + A @ np.clip(x, -1.0, 1.0) - t
+        hess = delta * np.eye(len(t)) + A[:, free] @ A[:, free].T
+        step = np.linalg.solve(hess, -grad)
+        # halve the step until the dual decreases; none that moves ``s``
+        # does where ``s`` is the minimizer to rounding
+        while not (val_trial := dual(s + step)) < val:
+            step = step / 2.0
+            if (s + step == s).all():
+                return np.clip(A.T @ s, -1.0, 1.0)
+        s, val = s + step, val_trial
+    return np.clip(A.T @ s, -1.0, 1.0)
 
 
 def _newton_polish(integrate, a, obj, reach, measure):
@@ -419,7 +518,7 @@ def _newton_polish(integrate, a, obj, reach, measure):
     along the step meet: the kink that stopped it.  A coefficient the step
     cannot move is held.  The descent stops when no coefficient moves, or
     when the decrease the exact Hessian promises is at rounding scale of
-    the objective.
+    the objective.  Returns the fit, its objective and its gradient.
     """
     n_coef = len(a)
     eye = np.eye(n_coef)
@@ -469,7 +568,7 @@ def _newton_polish(integrate, a, obj, reach, measure):
             if not obj_trial < obj:
                 continue
         a, obj, g, H, band = trial, obj_trial, g_trial, H_trial, reached
-    return a, obj
+    return a, obj, g
 
 
 # -- exact residual integrals ----------------------------------------------
@@ -540,7 +639,7 @@ def _l1_cells_1d(vals, side, exps):
             # last bit
             return F + a2 * np.float_power(u, 3) / 3.0 if a2 else F
 
-        scale = max(abs(a0), abs(a1), abs(a2), 1.0)
+        scale = max(abs(a0), abs(a1), abs(a2))
         # per cell the cuts u0 <= lo <= hi <= u1 split |v - P| into pieces
         # of one sign; a zero-width piece is worth exactly 0
         lo, hi, slope = roots(c0, a1, a2, scale)
@@ -608,7 +707,7 @@ def _l1_cells_affine_2d(block, side, exps):
         full = c0 * area + cu * area * u_sum / 2 + cw * area * w_sum / 2
         # where the slope is at rounding scale v - P keeps one sign in the
         # cell and the cell integral is |full|; the others are clipped
-        flat = abs(cu) + abs(cw) < 1e-15 * np.maximum(np.abs(c0), 1.0)
+        flat = abs(cu) + abs(cw) <= 1e-15 * np.abs(c0)
         out = np.abs(full) * s2
         rows, cols = np.nonzero(~flat)
         if grad:

@@ -380,8 +380,10 @@ def _run_module(argv):
 
 
 def test_cli_import_and_sjn_compute_leave_scipy_unloaded(step_file):
-    """scipy is imported only by the fits that still need it: neither
-    importing the CLI nor an ``sjn`` compute loads it."""
+    """scipy is imported only by the fits that still need it, those of the
+    2D quadratic corner: neither importing the CLI, nor an ``sjn``
+    compute, nor a certified ``L^1`` fit in 1D (``k = 2, 3``) or 2D
+    (``k = 2``) loads it."""
     script = (
         "import contextlib, io, sys\n"
         "import oscnorm.cli\n"
@@ -390,7 +392,15 @@ def test_cli_import_and_sjn_compute_leave_scipy_unloaded(step_file):
         "    code = oscnorm.cli.main(['compute', '--input', sys.argv[1],\n"
         "                             '--norm', 'sjn', '--p', '2'])\n"
         "assert code == 0, code\n"
-        "assert 'scipy' not in sys.modules, 'compute'\n")
+        "assert 'scipy' not in sys.modules, 'compute'\n"
+        "import numpy as np\n"
+        "from oscnorm import CubeId, GridFunction, best_fit\n"
+        "rng = np.random.default_rng(0)\n"
+        "for n, k in ((1, 2), (1, 3), (2, 2)):\n"
+        "    f = GridFunction(n, 6 // n, rng.uniform(0.0, 1.0, 64))\n"
+        "    fit = best_fit(f, CubeId(0, (0,) * n), k, 1)\n"
+        "    assert 1.0 <= fit.near_best_factor < 1.000001, (n, k)\n"
+        "assert 'scipy' not in sys.modules, 'best_fit'\n")
     proc = subprocess.run([sys.executable, "-c", script, step_file],
                           capture_output=True, text=True,
                           env=_subprocess_env(), timeout=60)

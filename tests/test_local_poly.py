@@ -1,9 +1,9 @@
 """Best local polynomial approximation in L^1 and L^2.
 
-The q=2 and (q=1, k=1) solvers are exact; the q=1, k>=2 path is a simplex
-polish of the exact objective, started from the median, L2 and LP fits, with
-an LP certificate, so those tests check certified ratios rather than
-equalities.
+The q=2 and (q=1, k=1) solvers are exact; the q=1, k>=2 path polishes the
+exact objective (Newton in 1D and 2D affine, a simplex in the 2D quadratic
+corner) and certifies the fit by L^1-L^inf duality (an LP in the quadratic
+corner), so those tests check certified ratios rather than equalities.
 """
 
 import itertools
@@ -253,9 +253,9 @@ def test_subcube_fit():
 
 
 def test_l1_certificate_memory_stays_small():
-    """The LP certificate of a 512-cell root fit has 4,096 subcells: the
-    primal program's dense ``(2m, d + m)`` design with its identity block
-    would trace ~900 MB, the dual's ``d`` equality rows a few MB."""
+    """The certificate of a 512-cell root fit reads ``d`` rows of cell
+    moments; an LP certificate on 4,096 subcells as a dense primal program,
+    ``(2m, d + m)`` with its identity block, would trace ~900 MB."""
     f = GridFunction(1, 9, np.random.default_rng(3).uniform(0.0, 1.0, 512))
     tracemalloc.start()
     try:
@@ -269,11 +269,11 @@ def test_l1_certificate_memory_stays_small():
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_root_l1_certificate_at_full_subcell_budget(k):
-    """A 1,024-cell root fit certifies on 8 subcells per cell, the 8,192
-    subcell budget of the LP, and the certificate is tight."""
+    """A 1,024-cell root fit, which filled the 8,192-subcell budget of the
+    former LP certificate, is certified by duality, and tightly."""
     f = GridFunction(1, 10, np.random.default_rng(10).uniform(0.0, 1.0, 1024))
     fit = best_fit(f, ROOT1, k, 1)
-    assert 1.0 <= fit.near_best_factor <= 1.001
+    assert 1.0 <= fit.near_best_factor <= 1.000001
 
 
 def test_quadratic_residual_memory_stays_small():
@@ -298,15 +298,18 @@ def test_quadratic_residual_memory_stays_small():
 # objective's last bits, so k=3 may drift by a few ulps of the objective;
 # anything beyond 1e-9 relative is a change of the fit, not of the rounding.
 # ``(3, 3, 12)`` was re-pinned when the certificate's LP minimizer became a
-# start of the polish: the error fell from 1.0141574930835633.
+# start of the polish: the error fell from 1.0141574930835633.  The k=2
+# factors were re-pinned when the duality bound replaced the LP certificate
+# of the affine fits; the LP read 1.0000915010640279, 1.0000563735304757,
+# 1.000000049271706 and 1.0000003451201556.
 FIT_PINS = [
     # (depth, k, seed, error, near_best_factor)
-    (3, 2, 11, 0.7493585165251333, 1.0000915010640279),
-    (3, 2, 12, 1.0632070434606433, 1.0000563735304757),
+    (3, 2, 11, 0.7493585165251333, 1.0000000268712192),
+    (3, 2, 12, 1.0632070434606433, 1.0000000002471348),
     (3, 3, 11, 0.7290379923282061, 1.0002226293712513),
     (3, 3, 12, 1.0141574917130218, 1.0004667559535703),
-    (5, 2, 11, 1.1473492012862838, 1.000000049271706),
-    (5, 2, 12, 1.1225417652695975, 1.0000003451201556),
+    (5, 2, 11, 1.1473492012862838, 1.0000000096821673),
+    (5, 2, 12, 1.1225417652695975, 1.0000000116128873),
     (5, 3, 11, 1.1473002645777166, 1.000000832450671),
     (5, 3, 12, 1.12218112388446, 1.0000015719841342),
 ]
@@ -338,7 +341,8 @@ def test_quadratic_corner_polish_starts_from_the_lp_minimizer():
 
 def test_converged_fit_is_not_flagged_approximate():
     """A 1D fit has a closed-form objective and, here, a finite certified
-    factor of 1 + 2e-6, so it is not approximate."""
+    factor of 1 + 7e-8, so it is not approximate; the fit is not the exact
+    minimum, so the factor is not 1."""
     f = GridFunction(1, 7, np.random.default_rng(100).uniform(0.0, 1.0, 128))
     fit = best_fit(f, CubeId(1, (0,)), 3, 1)
     assert 1.0 < fit.near_best_factor < 1.00001
@@ -453,34 +457,142 @@ def test_newton_routes_give_the_uncertified_bits(n, k):
 
 
 def test_newton_routes_never_call_the_simplex(monkeypatch):
-    """Nelder-Mead is left to the 2D quadratic corner alone."""
+    """Nelder-Mead and the HiGHS LP are left to the 2D quadratic corner
+    alone: the 1D and 2D affine fits are polished by Newton and certified
+    by duality."""
     from scipy import optimize
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("Nelder-Mead called")
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
 
-    monkeypatch.setattr(optimize, "minimize", refuse)
+    monkeypatch.setattr(optimize, "minimize", refuse("Nelder-Mead"))
+    monkeypatch.setattr(optimize, "linprog", refuse("linprog"))
     rng = np.random.default_rng(4)
     for n, k in NEWTON_SHAPES:
         f = GridFunction(n, 3, rng.uniform(0.0, 1.0, 1 << (3 * n)))
         root = CubeId(0, (0,) * n)
-        assert best_fit(f, root, k, 1).error == poly_error(f, root, k, 1) > 0
+        fit = best_fit(f, root, k, 1)
+        assert fit.error == poly_error(f, root, k, 1) > 0
+        assert 1.0 <= fit.near_best_factor < 1.000001
     f = GridFunction(2, 2, rng.uniform(0.0, 1.0, 16))
+    with pytest.raises(AssertionError, match="linprog"):
+        poly_error(f, ROOT2, 3, 1)
+    monkeypatch.setattr(local_poly, "_lp_lower_bound",
+                        lambda Phi, v, mu: (0.0, None))
     with pytest.raises(AssertionError, match="Nelder-Mead"):
         poly_error(f, ROOT2, 3, 1)
 
 
 def test_failed_certificate_reports_an_infinite_factor(monkeypatch):
-    """A failed LP certifies nothing: the factor is infinite and the fit
-    approximate, and the error is the uncertified one, bit for bit."""
-    f = GridFunction(1, 3, np.random.default_rng(5).uniform(0.0, 1.0, 8))
-    want = poly_error(f, ROOT1, 2, 1)
+    """A failed LP certifies nothing: the factor of a 2D quadratic fit is
+    infinite and the fit approximate, and the error is the uncertified
+    one, bit for bit."""
+    f = GridFunction(2, 2, np.random.default_rng(5).uniform(0.0, 1.0, 16))
+    want = poly_error(f, ROOT2, 3, 1)
+    real = local_poly._lp_lower_bound
     monkeypatch.setattr(local_poly, "_lp_lower_bound",
-                        lambda Phi, v, mu: (0.0, None))
-    fit = best_fit(f, ROOT1, 2, 1)
+                        lambda Phi, v, mu: (0.0, real(Phi, v, mu)[1]))
+    fit = best_fit(f, ROOT2, 3, 1)
     assert fit.near_best_factor == math.inf
     assert fit.approximate
     assert fit.error == want > 0.0
+
+
+@pytest.mark.parametrize("n, k", NEWTON_SHAPES)
+@pytest.mark.parametrize("bound", [0.0, -1.0])
+def test_non_positive_dual_bound_reports_an_infinite_factor(monkeypatch, n,
+                                                            k, bound):
+    """A duality bound at or below 0 certifies nothing: the factor of a 1D
+    or 2D affine fit is infinite and the fit approximate, and the error is
+    the uncertified one, bit for bit."""
+    f = GridFunction(n, 6 // n, np.random.default_rng(5).uniform(
+        0.0, 1.0, 1 << 6))
+    root = CubeId(0, (0,) * n)
+    want = poly_error(f, root, k, 1)
+    monkeypatch.setattr(local_poly, "_dual_lower_bound",
+                        lambda *args: bound)
+    fit = best_fit(f, root, k, 1)
+    assert fit.near_best_factor == math.inf
+    assert fit.approximate
+    assert fit.error == want > 0.0
+
+
+@pytest.mark.parametrize("n, k", NEWTON_SHAPES)
+def test_constant_fits_of_tied_values_are_certified_tightly(n, k):
+    """On values in {0, 1, 2} the fit is often the median, a kink of the
+    objective, where ``y`` is free on the cells the constant matches; with
+    ``y = 0`` there, the factors of these grids reached 5.5."""
+    worst = 1.0
+    for depth in range(1, 9 // n):
+        for seed in range(6):
+            values = np.random.default_rng(seed).integers(0, 3, 1 << (n * depth))
+            fit = best_fit(GridFunction(n, depth, values.astype(float)),
+                           CubeId(0, (0,) * n), k, 1)
+            worst = max(worst, fit.near_best_factor)
+    print(f"worst factor - 1 = {worst - 1.0:.2e}")
+    assert worst <= 1 + 1e-6
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_box_least_squares_reaches_targets_inside_the_box(seed):
+    """A target inside ``A [-1, 1]^T`` is met to rounding by some ``y`` in
+    the box; from outside, ``y`` stays in the box and ends no farther from
+    the target than ``y = 0``."""
+    rng = np.random.default_rng(seed)
+    d, cells = int(rng.integers(1, 4)), int(rng.integers(1, 40))
+    A = rng.uniform(-1.0, 1.0, (d, cells)) / cells
+    inside = A @ rng.uniform(-1.0, 1.0, cells)
+    y = local_poly._box_least_squares(A, inside)
+    assert np.abs(y).max() <= 1.0
+    assert np.abs(A @ y - inside).max() <= 1e-9 * np.abs(inside).max()
+    outside = 3.0 * np.abs(A).sum(axis=1)
+    y = local_poly._box_least_squares(A, outside)
+    assert np.abs(y).max() <= 1.0
+    assert np.linalg.norm(A @ y - outside) <= np.linalg.norm(outside)
+
+
+# -- relative thresholds: fits and certificates do not depend on scale ------
+
+SCALES = [0, 20, 40, 50, 60]
+
+
+@pytest.mark.parametrize("n, depth, k", [(1, 3, 2), (1, 3, 3), (1, 6, 2),
+                                         (1, 6, 3), (2, 2, 2), (2, 3, 2)])
+def test_fits_scale_with_the_values(n, depth, k):
+    """``best_fit(2^-j f)`` is ``2^-j`` times the fit of ``f``: no threshold
+    of the fit or its certificate has an absolute floor.  With a floor,
+    ``2^-50 f`` on 1D L=3 kept its unpolished fit (0.238514 against
+    0.235521 in units of the scale) with a certified factor of 1."""
+    root = CubeId(0, (0,) * n)
+    for seed in range(3):
+        values = np.random.default_rng(seed).uniform(0.0, 1.0, 1 << (n * depth))
+        base = best_fit(GridFunction(n, depth, values), root, k, 1)
+        assert 1.0 <= base.near_best_factor < 1.000001
+        for j in SCALES:
+            fit = best_fit(GridFunction(n, depth, 2.0 ** -j * values), root,
+                           k, 1)
+            assert fit.error * 2.0 ** j == pytest.approx(base.error,
+                                                         rel=1e-12), j
+            assert fit.near_best_factor == pytest.approx(
+                base.near_best_factor, rel=1e-6), j
+            assert not fit.approximate
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_small_quadratic_corner_fits_claim_no_exact_certificate(depth):
+    """The quadratic corner's simplex and LP have absolute tolerances, so
+    its fits of ``2^-j f`` need not scale; but a positive error is never
+    certified with factor 1, and the fit stays approximate."""
+    for seed in range(3):
+        values = np.random.default_rng(seed).uniform(0.0, 1.0, 4 ** depth)
+        for j in SCALES[2:]:
+            fit = best_fit(GridFunction(2, depth, 2.0 ** -j * values), ROOT2,
+                           3, 1)
+            assert fit.error > 0.0
+            assert fit.near_best_factor > 1.0
+            assert fit.approximate
 
 
 # -- q = 2 accuracy against exact rational arithmetic -------------------------
