@@ -551,6 +551,56 @@ def test_newton_fit_is_no_worse_than_the_simplex(n, depth, k, monkeypatch):
         assert factor < math.inf and not fit.approximate, dist
 
 
+def midpoint_dual_bound(f, c, exps, a, points=1 << 14):
+    """The duality bound at local coefficients ``a`` by the midpoint rule on
+    about ``points`` subcells: ``y`` the sign of ``f - P`` at each midpoint,
+    ``Pi y`` its discrete projection, and ``int (f - P) (y - Pi y)`` over
+    ``1 + sum |coef| 2^-|alpha|``."""
+    n = f.dimension
+    block = f.cell_block(c)
+    r = max(1, round(points ** (1 / n) / block.shape[0]))
+    size = block.shape[0] * r
+    mids = (np.arange(size) + 0.5) / size - 0.5
+    grids = np.meshgrid(*(mids,) * n, indexing="ij")
+    for ax in range(n):
+        block = np.repeat(block, r, axis=ax)
+    mono = [np.prod([g ** e for g, e in zip(grids, alpha)], axis=0)
+            for alpha in exps]
+    resid = block - sum(coef * u for coef, u in zip(a, mono))
+    y = np.sign(resid)
+    coef = np.linalg.solve(_unit_gram(exps), [np.mean(y * u) for u in mono])
+    proj = sum(cc * u for cc, u in zip(coef, mono))
+    reach = 2.0 ** -np.array([sum(alpha) for alpha in exps])
+    return (c.measure * np.mean(resid * (y - proj))
+            / (1.0 + np.abs(coef) @ reach))
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (1, 3), (2, 2)])
+def test_dual_bound_matches_a_midpoint_reference_away_from_the_fit(n, k):
+    """At coefficients far from the fit, where ``Pi y`` is large, the bound
+    is the midpoint rule's to 1e-3 of the objective, and still at most
+    ``E``; where ``P`` misses the values, ``y`` is constant, ``h = 0`` and
+    the bound is 0."""
+    rng = np.random.default_rng(10 * n + k)
+    root = CubeId(0, (0,) * n)
+    exps = _exponents(n, k)
+    reach = 2.0 ** -np.array([sum(alpha) for alpha in exps])
+    for depth in (1, 3, 5) if n == 1 else (1, 2, 3):
+        f = GridFunction(n, depth, rng.uniform(0.0, 1.0, 1 << (n * depth)))
+        integrate = _l1_integrator(f, root, exps)
+        E = poly_error(f, root, k, 1)
+        for _ in range(5):
+            a = rng.uniform(-1.0, 1.0, len(exps))
+            a[0] = rng.uniform(-0.5, 1.5)
+            cells, g, _ = integrate(a, True)
+            obj = cells.sum()
+            bound = local_poly._dual_lower_bound(f, root, exps, a, obj, g,
+                                                 reach)
+            assert abs(bound - midpoint_dual_bound(f, root, exps, a)) \
+                <= 1e-3 * obj
+            assert bound <= E * (1 + 1e-12)
+
+
 def test_certificate_stays_sound_where_a_root_cancels(monkeypatch):
     """Where the quadratic coefficient of a 1D fit is ~1e-13 of the linear
     one, the root formula of ``_l1_cells_1d`` cancels, the cuts miss the
