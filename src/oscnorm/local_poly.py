@@ -406,7 +406,7 @@ def _fit_l1(f, c, k, certify):
     if not certify:
         return a_best, obj_best, math.nan, quad
     # a bound at or below rounding scale of the objective certifies nothing
-    if lb <= 1e-15 * obj_best:
+    if not lb > 1e-15 * obj_best:
         return a_best, obj_best, math.inf, True
     return a_best, obj_best, max(obj_best / lb, 1.0), quad
 
