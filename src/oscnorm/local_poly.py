@@ -37,27 +37,28 @@ one-row call, with the bits of the level sweep.
   monotone in ``k``.  The objective is an integrator prepared once per
   cube (cell values, edges, quadrature grids), so each step pays for the
   arithmetic alone.
-* ``q = 1, k = 3``, 2D (the quadratic corner): a simplex polish (scipy's
-  Nelder-Mead, up to ``_POLISH_CELL_CAP`` cells) of the midpoint
-  objective, which is piecewise linear, started from the best of the
-  median, L2 and LP fits.
-* The certificate of ``best_fit`` at ``q = 1, k >= 2``, 1D and 2D affine,
-  is weak L^1-L^inf duality (:func:`_dual_lower_bound`): for bounded ``h``
-  orthogonal to the polynomials, ``int f h <= E_k(f;Q)_1 ||h||_inf``.
-  With ``h = y - Pi y``, ``y`` the sign of ``f - P`` on the pieces the
-  integrator cuts and ``Pi y`` its ``L^2`` projection, it costs the
-  gradient at the fit and ``d`` rows of cell moments; at a smooth minimum
-  ``Pi y = 0`` and the bound is the objective itself.
-* The certificate of the quadratic corner is an LP: replacing ``|f - m|``
-  by per-subcell averages can only shrink the objective (Jensen), and its
-  minimum over all polynomials is an LP that HiGHS solves as its L1-Linf
-  dual: ``d = 6`` dense equality rows (orthogonality to the basis) over
-  one box-bounded variable per subcell.  Its value certifies
-  ``near_best_factor``; its minimizer, the multipliers of the equality
-  rows negated, is a start of the simplex, certified or not.
-* Neither certificate moves the fit, so ``poly_error``, which skips it,
-  gives the bits of ``best_fit(..).error``.  scipy is imported only by the
-  LP and the simplex, so only by the quadratic corner.  The functionals of
+* ``q = 1, k = 3``, 2D (the quadratic corner): the objective is a
+  midpoint rule, piecewise linear in the coefficients, and its minimum is
+  an L1 regression in 6 unknowns, which a vertex descent (Barrodale and
+  Roberts, :func:`_vertex_descent`) solves exactly: on the 4- and then
+  the 16-point rule, each started from the fit before it, the first from
+  the better of the median and L2 fits; past ``_SUBCELL_BUDGET``
+  subcells the rules are coarser.  The descent's result is compared with
+  the median and L2 fits on the 16-point objective.
+* Every certificate of ``best_fit`` at ``q = 1, k >= 2`` is weak
+  L^1-L^inf duality (:func:`_dual_lower_bound`): for bounded ``h``
+  orthogonal to the polynomials, ``int f h <= E_k(f;Q)_1 ||h||_inf``,
+  with ``h = y - Pi y`` and ``Pi y`` the ``L^2`` projection of ``y``.  In
+  1D and 2D affine, ``y`` is the sign of ``f - P`` on the pieces the
+  integrator cuts, and it costs the gradient at the fit and ``d`` rows of
+  cell moments; at a smooth minimum ``Pi y = 0`` and the bound is the
+  objective itself.  In the quadratic corner ``y`` is the descent's final
+  dual, constant on subcells (:func:`_quad_dual_bound`): the midpoint
+  rule misses ``int u^2`` and ``int w^2`` by the same amount on every
+  subcell, so ``y`` is orthogonal to the quadratics on the continuum too,
+  and at the exact optimum the bound is the midpoint objective itself.
+* No certificate moves the fit, so ``poly_error``, which skips it, gives
+  the bits of ``best_fit(..).error``.  The functionals of
   :mod:`oscnorm.norms` run these fits once per cube of a grid and hold the
   errors on the grid.
 
@@ -65,13 +66,16 @@ Exactness of objectives: piecewise-constant minus polynomial is integrated in
 closed form (1D: sign changes from root splitting; 2D affine: half-plane
 clipping with polygon moments, all cells of a cube at once).  The single
 non-closed-form corner -- 2D residuals against quadratic polynomials -- uses
-a fixed composite midpoint rule and is flagged through ``approximate``.  It
-evaluates the quadratic on the subcell grid as the separable product
-``V @ (A @ V.T)`` (``V`` the midpoint powers ``1, u, u^2``, ``A`` the 3x3
-coefficient matrix), one block of cell rows at a time in a buffer of at
-most ``_QUAD_BLOCK`` subcell values, so no subcell array of the whole cube
-is built.  As with the family-table suites, its bits come from a BLAS
-product; they do not depend on the block size.
+the composite midpoint rule on ``_QUAD_RULE`` x ``_QUAD_RULE`` subcells per
+cell, and is flagged through ``approximate``; at the descent's optimum its
+``error`` is, to rounding, the descent's dual bound, so a certified lower
+bound of ``E_3`` as well.  It evaluates the quadratic on the subcell grid
+as the separable product ``V @ (A @ V.T)`` (``V`` the midpoint powers ``1,
+u, u^2``, ``A`` the 3x3 coefficient matrix, its constant folded into the
+values), one block of cell rows at a time in a buffer of at most
+``_QUAD_BLOCK`` subcell values, so no subcell array of the whole cube is
+built.  As with the family-table suites,
+its bits come from a BLAS product; they do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -89,9 +93,10 @@ from .maximal import level_integrals
 __all__ = ["PolyFit", "best_fit", "l2_level_fits", "median_deviations",
            "scaled_error", "convention_exponent", "mean_oscillation"]
 
-_POLISH_CELL_CAP = 1024  # cells of a simplex polish, 2D quadratic corner
 _NEWTON_STEPS = 100  # trial steps of a Newton polish, 1D and 2D affine
 _QUAD_RULE = 16  # midpoint subdivisions per cell axis, 2D quadratic corner
+_SUBCELL_BUDGET = 1 << 16  # subcells of a vertex descent, 2D quadratic corner
+_PIVOT_CAP = 500  # pivots of a vertex descent per midpoint rule
 _QUAD_BLOCK = 1 << 16  # subcell values per buffer, 2D quadratic corner
 _CLIP_BLOCK = 4096  # cells per vectorised half-plane clip, 2D affine residual
 _NOISE = 64.0 * np.finfo(float).eps  # relative size of a zero L2 residual
@@ -111,7 +116,10 @@ class PolyFit:
     certified bound on ``error / E_k(f;Q)_q``; it is 1 for the exact routes
     (q=2, or q=1 with k<=1).  ``approximate`` marks results whose objective
     involved quadrature, or whose positive error the certificate could not
-    bound (``near_best_factor`` infinite).
+    bound (``near_best_factor`` infinite).  In the 2D quadratic corner
+    (q=1, k=3) ``error`` is the objective of the 16-point midpoint rule,
+    always ``approximate``; at the rule's exact optimum the factor is 1 and
+    ``error`` itself is a certified lower bound of ``E_3``.
     """
 
     cube: CubeId
@@ -315,44 +323,9 @@ def median_deviations(values: np.ndarray, dimension: int, depth: int,
 
 # -- L1 fits for k >= 2 ----------------------------------------------------
 
-def _subcell_design(f: GridFunction, c: CubeId, exps, refine: int):
-    """Design for the cell-averaged objective on an optionally refined grid.
-
-    Returns ``(Phi, v, mu)``: ``Phi[i, j]`` is the average of ``u^{alpha_j}``
-    over subcell ``i``, ``v`` repeats the cell values onto subcells, ``mu``
-    is the (common) subcell measure.  ``refine = 1`` reproduces the grid
-    cells.
-    """
-    n = f.dimension
-    m = (1 << (f.depth - c.level)) * refine
-    monom = _cell_monomials(m, n, max((max(a) for a in exps), default=0))
-    # an average is the integral over a subcell of measure m^-n, a power of
-    # two, so the scaling is exact
-    Phi = np.column_stack([monom(alpha) for alpha in exps]) * m ** n
-    block = f.cell_block(c)
-    for ax in range(n):
-        block = np.repeat(block, refine, axis=ax)
-    return Phi, block.ravel().astype(np.float64), c.measure / m ** n
-
-
-def _lp_lower_bound(Phi, v, mu):
-    """Exact minimum of the (refined) cell-averaged L1 objective over all
-    polynomials -- a certified lower bound for the true infimum -- as the
-    dual ``mu * max {v @ y : Phi.T @ y = 0, |y| <= 1}`` (subcell measure
-    ``mu``), which ``y = 0`` makes feasible and the box bounded, and a
-    minimizer: the multipliers of ``Phi.T @ y = 0``, negated."""
-    from scipy import optimize
-    res = optimize.linprog(-v, A_eq=Phi.T, b_eq=np.zeros(Phi.shape[1]),
-                           bounds=(-1.0, 1.0), method="highs")
-    if not res.success:
-        return 0.0, None
-    return max(-float(res.fun), 0.0) * mu, -res.eqlin.marginals
-
-
 def _fit_l1(f, c, k, certify):
     exps = _exponents(f.dimension, k)
     vals = f.cube_values(c)
-    cells = vals.size
     integrate = _l1_integrator(f, c, exps)
 
     def objective(a):
@@ -373,28 +346,24 @@ def _fit_l1(f, c, k, certify):
     if obj_best <= 1e-14 * scale * c.measure:
         return a_best, obj_best, 1.0 if certify else math.nan, False
 
+    reach = 2.0 ** -np.array([sum(alpha) for alpha in exps])
     quad = f.dimension == 2 and len(exps) > 3
     if quad:
-        # the simplex stalls on the midpoint objective of the 2D quadratic
-        # corner and is skipped past the cell cap: there the LP's minimizer
-        # is needed as a start, certified or not
-        refine = 4
-        while cells * refine ** 2 > 8192 and refine > 1:
-            refine //= 2
-        lb, lp_local = _lp_lower_bound(*_subcell_design(f, c, exps, refine))
-        if lp_local is not None and (obj := objective(lp_local)) < obj_best:
-            a_best, obj_best = lp_local, obj
-        if cells <= _POLISH_CELL_CAP:
-            from scipy import optimize
-            res = optimize.minimize(objective, a_best, method="Nelder-Mead",
-                                    options={"maxiter": 400 * len(exps),
-                                             "xatol": 1e-10, "fatol": 1e-13})
-            if res.fun < obj_best:
-                a_best, obj_best = res.x, float(res.fun)
+        # exact on the finest midpoint rule that fits the subcell budget,
+        # each rule warm-started from the one before
+        block = f.cell_block(c)
+        a, warm = a_best, None
+        for rule in _quad_rules(block.shape[0]):
+            a, y, y_max, basis, _ = _vertex_descent(block, rule, exps, a,
+                                                    warm)
+            warm = basis, rule
+        if (obj := objective(a)) < obj_best:
+            a_best, obj_best = a, obj
+        if certify:
+            lb = _quad_dual_bound(f, c, exps, a, y, y_max, reach)
     else:
         # the median fit is a kink of the objective, where Newton has no
         # curvature to use: it is only compared at the end
-        reach = 2.0 ** -np.array([sum(alpha) for alpha in exps])
         a_best, obj_best, g = _newton_polish(integrate, l2_local, objs[1],
                                              reach, c.measure)
         if objs[0] <= obj_best:
@@ -411,7 +380,7 @@ def _fit_l1(f, c, k, certify):
     return a_best, obj_best, max(obj_best / lb, 1.0), quad
 
 
-def _dual_lower_bound(f, c, exps, a, obj, g, reach):
+def _dual_lower_bound(f, c, exps, a, obj, g, reach, y_max=1.0, ties=True):
     """A lower bound of ``E_k(f;c)_1`` by weak L^1-L^inf duality, at the fit
     ``P`` with local coefficients ``a``, objective ``obj`` and gradient
     ``g`` (as ``integrate(a, True)`` returns them).
@@ -425,12 +394,13 @@ def _dual_lower_bound(f, c, exps, a, obj, g, reach):
     (``G`` the Gram matrix of the unit box).  ``int (f - P) Pi y`` is
     ``|Q| coef . r`` with ``r`` the residual's local moments, summed from
     the cells with the constant folded into the values (``c0 = v - a0``),
-    so an offset of the values does not cancel, and ``|u^alpha| <=
-    reach[alpha] = 2^-|alpha|`` on the cube gives ``||h||_inf <= 1 +
-    sum |coef| reach``.  At a smooth minimum ``b = 0`` and the bound is
-    ``obj``; a constant fit is a kink, where ``y`` is free in ``[-1, 1]``
-    on the cells the constant matches, and is chosen there to make ``Pi y``
-    vanish where it can (:func:`_box_least_squares`).
+    so an offset of the values does not cancel, and ``|y| <= y_max`` and
+    ``|u^alpha| <= reach[alpha] = 2^-|alpha|`` on the cube give
+    ``||h||_inf <= y_max + sum |coef| reach``.  At a smooth minimum ``b =
+    0`` and the bound is ``obj``; a constant fit is a kink, where ``y`` is
+    free in ``[-1, 1]`` on the cells the constant matches, and is chosen
+    there to make ``Pi y`` vanish where it can (:func:`_box_least_squares`),
+    unless ``ties`` is false: a ``y`` given on those cells is kept.
 
     Rounding: the bound holds exactly for the ``y`` the computed cuts
     define, whatever the cuts are.  Rounding then enters through ``obj``, a
@@ -449,7 +419,7 @@ def _dual_lower_bound(f, c, exps, a, obj, g, reach):
     G = _unit_gram(exps)
     b = -g / c.measure
     c0 = vals - a[0]
-    if not np.any(a[1:]):
+    if ties and not np.any(a[1:]):
         tie = c0 == 0.0
         if tie.any():
             Mt = M[:, tie]
@@ -459,10 +429,10 @@ def _dual_lower_bound(f, c, exps, a, obj, g, reach):
     # int_box (f - P) u^alpha du, with P - a0 = sum_{beta != 0} a_beta u^beta
     resid = M @ c0 - G[:, 1:] @ a[1:]
     return ((obj - c.measure * float(coef @ resid))
-            / (1.0 + float(np.abs(coef) @ reach)))
+            / (y_max + float(np.abs(coef) @ reach)))
 
 
-def _box_least_squares(A, t):
+def _box_least_squares(A, t, steps=50):
     """``y`` in ``[-1, 1]^T`` with ``A y`` close to ``t`` (``A`` of shape
     ``(d, T)``, ``d`` small): the minimizer of ``||A y - t||^2 + delta
     ||y||^2`` over the box, ``delta`` at ``1e-12`` of the scale of ``A A^T``.
@@ -470,10 +440,10 @@ def _box_least_squares(A, t):
     Its optimality conditions read ``y = clip(A^T s)`` with ``s = (t - A y)
     / delta``, the minimizer of the strongly convex, piecewise quadratic
     ``delta |s|^2 / 2 + sum huber(a_i . s) - s . t`` (``huber(x) = x^2 / 2``
-    for ``|x| <= 1``, ``|x| - 1/2`` beyond), found by at most 50 Newton
-    steps in ``d`` dimensions with a backtracking line search.  Where ``t``
-    lies in ``A`` times the box, ``A y = t`` to ``delta``; any ``y`` the
-    loop stops at is in the box.
+    for ``|x| <= 1``, ``|x| - 1/2`` beyond), found by at most ``steps``
+    Newton steps in ``d`` dimensions with a backtracking line search.
+    Where ``t`` lies in ``A`` times the box, ``A y = t`` to ``delta``; any
+    ``y`` the loop stops at is in the box.
     """
     delta = 1e-12 * float((A * A).sum())
 
@@ -484,7 +454,7 @@ def _box_least_squares(A, t):
 
     s = np.zeros(len(t))
     val = dual(s)
-    for _ in range(50):
+    for _ in range(steps):
         x = A.T @ s
         free = np.abs(x) < 1.0
         grad = delta * s + A @ np.clip(x, -1.0, 1.0) - t
@@ -498,6 +468,386 @@ def _box_least_squares(A, t):
                 return np.clip(A.T @ s, -1.0, 1.0)
         s, val = s + step, val_trial
     return np.clip(A.T @ s, -1.0, 1.0)
+
+
+def _quad_rules(m_cells):
+    """The midpoint rules of a descent on a cube of ``m_cells`` cells per
+    axis, coarse to fine: the finest rule up to ``_QUAD_RULE`` whose grid
+    fits ``_SUBCELL_BUDGET`` (rule 1 if none does), after the rule 4 times
+    coarser, if there is one."""
+    fine = _QUAD_RULE
+    while fine > 1 and (m_cells * fine) ** 2 > _SUBCELL_BUDGET:
+        fine //= 2
+    return (fine // 4, fine) if fine >= 4 else (fine,)
+
+
+def _midpoint_powers(size):
+    """``V = [1, u, u^2]`` at the ``size`` subcell midpoints of the unit
+    axis ``[-1/2, 1/2)``, shape ``(size, 3)``."""
+    mids = (np.arange(size) + 0.5) / size - 0.5
+    return np.stack([np.ones(size), mids, mids * mids], axis=1)
+
+
+def _vertex_descent(block, rule, exps, a, warm=None):
+    """Exact minimizer of the midpoint objective ``sum_s |v_s - P(m_s)|``
+    over the quadratics ``P`` (local coefficients in ``exps`` order), on the
+    ``M = m * rule`` subcells per axis of the cells ``block`` (``m x m``),
+    started from the coefficients ``a``.
+
+    A vertex is a basis ``B`` of ``d = 6`` subcells where ``P`` matches the
+    values, with ``Phi_B`` (the rows ``phi(m_s) = m_s^alpha``) invertible.
+    Its dual ``y`` is ``sgn r`` off the basis (``r = v - P``, 0 where ``r``
+    is 0 to ``1e-12`` of the largest residual) and ``z`` on it, with
+    ``Phi_B^T z = -sum_{s not in B} y_s phi_s``, so ``sum_s y_s phi_s = 0``.
+    With ``|z| <= 1`` it certifies the vertex: ``sum |r| = sum y r`` and
+    ``sum y r' <= sum |r'|`` for every other ``P'``.  Otherwise releasing
+    ``j`` with ``|z_j| > 1`` from the basis, with ``r_j`` of the sign of
+    ``z_j``, is an edge on which the objective falls at slope
+    ``1 - |z_j|``; :func:`_edge_step` walks it to the breakpoint at which
+    the slope turns nonnegative, whose subcell enters the basis
+    (Barrodale and Roberts, SIAM J. Numer. Anal. 10 (1973)).  The largest
+    ``|z_j|`` leaves, entering ties go to the smallest subcell index, and
+    at most ``_PIVOT_CAP`` pivots are taken.
+
+    Tied values make degenerate vertices, with zero residuals off the
+    basis, where such pivots can cycle.  There the values are perturbed
+    symbolically by ``eps * xi`` (``xi`` a fixed generic weight per
+    subcell, ``eps -> 0+``), which makes every vertex nondegenerate: a zero
+    residual takes the sign of ``xi``'s residual once the basis
+    interpolates it, and each pivot lowers the perturbed objective.  A
+    degenerate vertex is optimal as it is where some ``y`` in ``[-1, 1]``
+    on its zero residuals closes the dual: 0 there, or the box least
+    squares of :func:`_box_least_squares`.
+
+    A start off the vertices moves to one first, one basis subcell per
+    step: each step goes down the projected subgradient within the
+    directions that keep the basis matched, to the line minimum, so the
+    objective never rises.  A coarser rule's basis, moved to the nearest
+    subcells, is the start vertex when it is well conditioned.
+
+    Only the cells where ``v - P`` may change sign are split into
+    subcells: ``P`` moves by at most ``(|a_10| + |a_01| + q) h + q h^2``,
+    ``q = |a_20| + |a_11| + |a_02|``, from a cell's centre to its subcell
+    midpoints (``h`` their largest offset on an axis), and a cell whose
+    residual at the centre exceeds that keeps its sign on every subcell,
+    so it enters the dual through its summed rows.  A step's breakpoints
+    in such a cell lie beyond the same bound on the direction; a cell
+    whose bound the step reaches is split before the step is taken.
+    Residuals and directions are the separable products ``V A V^T`` of the
+    midpoint powers, per cell.  The values go in shifted by the start's
+    constant, so an offset cancels once, exactly, and not in each residual.
+
+    Returns the vertex's coefficients, its dual ``y`` on the subcell grid
+    (shape ``(M, M)``), ``max |y|``, its basis and the number of pivots;
+    ``warm`` is the basis and the rule of a descent on a coarser rule.
+    """
+    m = block.shape[0]
+    M = m * rule
+    V = _midpoint_powers(M)
+    sub = V.reshape(m, rule, 3)          # the subcell rows of each cell
+    summed = sub.sum(axis=1)
+    centre = _midpoint_powers(m)
+    half = (rule - 1) / (2 * M)          # centre to farthest midpoint
+    area = rule * rule
+    iu, iw = np.array(exps).T
+    d = len(exps)
+    ref = a[0]
+    vals = block - ref
+    a = a.copy()
+    a[0] -= ref
+
+    def matrix(x):
+        A = np.zeros((3, 3))
+        A[iu, iw] = x
+        return A
+
+    def on_cells(A):
+        """The polynomial of coefficient matrix ``A`` at the cell centres,
+        and a bound of its move from there to any subcell midpoint
+        (``|u|, |w| <= 1/2`` bound the gradient)."""
+        curve = abs(A[2, 0]) + abs(A[1, 1]) + abs(A[0, 2])
+        move = (abs(A[1, 0]) + abs(A[0, 1]) + curve) * half + curve * half ** 2
+        return centre @ A @ centre.T, move
+
+    def on_subcells(A, ci, cj):
+        return (sub[ci] @ A @ sub[cj].transpose(0, 2, 1)).ravel()
+
+    def rows(basis):
+        u, w = np.divmod(np.asarray(basis), M)
+        return V[u][:, iu] * V[w][:, iw]
+
+    def perturbation(index):
+        """A fixed weight in ``[1/2, 3/2)`` per subcell, a splitmix64 hash
+        of its index.  It follows no polynomial: a Weyl sequence ``frac(i
+        g)`` is linear along a row of subcells, where a quadratic through
+        three of them matched it at a fourth, and cycled."""
+        z = np.asarray(index, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return 0.5 + (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+    # a subcell's flat index on the grid, from its cell's first subcell
+    within = (np.arange(rule)[:, None] * M + np.arange(rule)).ravel()
+
+    def flat_index(ci, cj):
+        return ((ci * (rule * M) + cj * rule)[:, None] + within).ravel()
+
+    class State:
+        """The residuals of ``a``: per cell, and per subcell in the cells
+        that are split."""
+
+        def __init__(self, a, basis):
+            self.a, self.A = a, matrix(a)
+            P, self.move = on_cells(self.A)
+            self.rc = vals - P
+            size = np.abs(self.rc)
+            tol = 1e-12 * (float(size.max()) + self.move)
+            split = size <= self.move + 2.0 * tol
+            bu, bw = np.divmod(np.asarray(basis, dtype=np.intp), M)
+            split[bu // rule, bw // rule] = True
+            self.split = split
+            self.sgn = np.where(split, 0.0, np.sign(self.rc))
+            self.ci, self.cj = np.nonzero(split)
+            self.idx = flat_index(self.ci, self.cj)
+            self.r = (np.repeat(vals[self.ci, self.cj], area)
+                      - on_subcells(self.A, self.ci, self.cj))
+            self.zero = np.abs(self.r) <= tol
+            self.r[self.zero] = 0.0
+            self.s = np.sign(self.r)
+            # the basis subcells' places among the split ones
+            rank = np.cumsum(split.ravel()) - 1
+            self.basis_at = (rank[(bu // rule) * m + bw // rule] * area
+                             + (bu % rule) * rule + bw % rule)
+            self.s[self.basis_at] = 0.0
+            self.moment = self.plain = self.summed(self.s)
+            self.rho = None
+            if len(basis) == d and self.zero.sum() > d:
+                # a zero residual off the basis is eps * rho: the residual
+                # of the perturbation xi once the basis interpolates it
+                xi = perturbation(np.asarray(basis))
+                self.rho = np.where(self.zero, perturbation(self.idx)
+                                    - on_subcells(matrix(np.linalg.solve(
+                                        rows(basis), xi)), self.ci, self.cj),
+                                    0.0)
+                self.rho[self.basis_at] = 0.0
+                self.s[self.zero] = np.sign(self.rho[self.zero])
+                self.moment = self.summed(self.s)
+
+        def summed(self, s):
+            """``sum_s sgn(r_s) phi_s``, with ``s`` on the split subcells."""
+            s = s.reshape(-1, rule, rule)
+            return ((summed.T @ self.sgn @ summed)
+                    + (sub[self.ci].transpose(0, 2, 1) @ s
+                       @ sub[self.cj]).sum(axis=0))[iu, iw]
+
+        def step(self, x, slope):
+            """``_edge_step`` along ``r + t P_x``, off the basis, splitting
+            the cells whose residual the step may reach."""
+            X = matrix(x)
+            cc, move = on_cells(X)
+            with np.errstate(divide="ignore"):
+                t_cell = np.where(self.split, math.inf,
+                                  (np.abs(self.rc) - self.move)
+                                  / (np.abs(cc) + move))
+            r, c, zero, rho, idx = (self.r, on_subcells(X, self.ci, self.cj),
+                                    self.zero, self.rho, self.idx)
+            skip = np.zeros(len(r), dtype=bool)
+            skip[self.basis_at] = True
+            top = float(np.abs(cc).max()) + move
+            while True:
+                t, i = _edge_step(r, c, slope, zero, skip, idx, top, rho)
+                # the split cells' t_cell is inf: they never grow again
+                grow = t_cell <= t if i is not None else np.isfinite(t_cell)
+                # without a breakpoint, at least double the split cells
+                more = max(64, 2 * len(r) // area)
+                if i is None and grow.sum() > more:
+                    grow &= t_cell <= np.partition(t_cell[grow], more)[more]
+                if not grow.any():
+                    return t, i
+                gi, gj = np.nonzero(grow)
+                t_cell[grow] = math.inf
+                r = np.concatenate([r, np.repeat(vals[gi, gj], area)
+                                    - on_subcells(self.A, gi, gj)])
+                c = np.concatenate([c, on_subcells(X, gi, gj)])
+                extra = np.zeros(len(gi) * area, dtype=bool)
+                zero = np.concatenate([zero, extra])
+                skip = np.concatenate([skip, extra])
+                if rho is not None:
+                    rho = np.concatenate([rho, np.zeros(len(extra))])
+                idx = np.concatenate([idx, flat_index(gi, gj)])
+
+        def dual(self, at, values):
+            """The signs on the subcell grid, with ``values`` at the split
+            subcells ``at``."""
+            y = np.repeat(np.repeat(self.sgn, rule, axis=0), rule, axis=1)
+            s = self.s.copy()
+            s[at] = values
+            y.reshape(m, rule, m, rule)[self.ci, :, self.cj, :] = \
+                s.reshape(-1, rule, rule)
+            return y
+
+    def to_vertex(a, basis):
+        """Add basis subcells to ``basis`` until it has ``d``: each step
+        goes down the steepest descent of the smooth part within the
+        directions that keep the basis matched (the null space of
+        ``Phi_B``), to the line minimum."""
+        st = State(a, basis)
+        while len(basis) < d:
+            null = (np.linalg.svd(rows(basis))[2][len(basis):].T if basis
+                    else np.eye(d))
+            delta = null @ (null.T @ st.moment)
+            if not np.abs(delta).max() > 1e-12 * np.abs(st.moment).max():
+                delta = null[:, 0]
+            slope = -float(st.moment @ delta)
+            if slope > 0.0:
+                delta, slope = -delta, -slope
+            t, i = st.step(-delta, slope)
+            if i is None:
+                break
+            basis.append(i)
+            st = State(st.a + t * delta, basis)
+        return st
+
+    basis = []
+    if warm is not None:
+        # the subcell at (or next to) each midpoint of a coarser basis
+        coarse, ratio = warm[0], rule // warm[1]
+        gu, gw = np.divmod(np.asarray(coarse), M // ratio)
+        near = list((gu * ratio + ratio // 2) * M + gw * ratio + ratio // 2)
+        if np.linalg.cond(rows(near)) < 1e10:
+            basis = near
+    st = to_vertex(a, basis)
+    pivots = 0
+    while True:
+        if len(basis) < d:          # no vertex: the signs alone
+            at, y_at = np.zeros(0, dtype=np.intp), np.zeros(0)
+            break
+        inverse = np.linalg.inv(rows(basis))
+        bu, bw = np.divmod(np.asarray(basis), M)
+        st = State(inverse @ vals[bu // rule, bw // rule], basis)
+        at = st.basis_at
+        y_at = -st.plain @ inverse
+        if st.rho is not None:
+            # a degenerate vertex is optimal if some y in [-1, 1] on its
+            # zero residuals closes the dual, whatever their perturbed
+            # signs say: 0 off the basis, or the closest y in the box
+            if not np.abs(y_at).max() > 1.0 + 1e-9:
+                st.s[st.zero] = 0.0
+                break
+            zero_at = np.flatnonzero(st.zero)
+            A = rows(st.idx[zero_at]).T
+            # (where it closes, a few Newton steps reach it; a gap that
+            # stays open is a stall, not slow convergence)
+            y_zero = _box_least_squares(A, -st.plain, steps=10)
+            if not (np.abs(A @ y_zero + st.plain).max()
+                    > 1e-9 * np.abs(A).sum(axis=1).max()):
+                at, y_at = zero_at, y_zero
+                break
+            y_at = -st.moment @ inverse
+        excess = np.abs(y_at) - 1.0
+        if not excess.max() > 1e-9 or pivots == _PIVOT_CAP:
+            break
+        pivots += 1
+        j = int(np.argmax(excess))
+        i = st.step(math.copysign(1.0, y_at[j]) * inverse[:, j],
+                    -excess[j])[1]
+        if i is None:
+            break
+        basis[j] = i
+    a = st.a.copy()
+    a[0] += ref
+    y_max = max(1.0, float(np.abs(y_at).max(initial=0.0)))
+    return a, st.dual(at, y_at), y_max, basis, pivots
+
+
+def _edge_step(r, c, slope, zero, skip, idx, top, rho=None):
+    """The line minimum of ``t -> sum_s |r_s + t c_s|`` for ``t >= 0``
+    over the subcells ``idx`` not skipped, whose slope at ``0+`` is
+    ``slope`` plus ``|c_s|`` for each zero residual: the first breakpoint
+    at which the slope turns nonnegative, as ``(t, s)``, or ``(0.0,
+    None)`` if none does.
+
+    Crossing ``t_s = -r_s / c_s > 0`` adds ``2 |c_s|`` to the slope, a zero
+    residual ``|c_s|`` at ``t = 0``.  With ``rho``, a zero residual is
+    ``eps * rho_s`` instead, ``eps -> 0+``: counted in ``slope`` with the
+    sign of ``rho_s``, and crossed at ``t = 0+`` if ``rho_s c_s < 0``,
+    before any positive ``t`` and in the order of ``-rho_s / c_s``.  A
+    subcell whose ``|c_s|`` is within ``1e-10`` of ``top``, the largest,
+    is no breakpoint: it would make the basis singular.  Breakpoints are
+    taken in order of ``(t, s)``, the few smallest first, and a slope
+    within ``1e-9`` of its terms counts as turned: a flat edge, whose
+    slope rounds to either sign, is not walked.
+    """
+    size = np.abs(c)
+    live = (size > 1e-10 * top) & ~skip
+    if rho is None:
+        cross = (r * c < 0.0) | zero
+    else:
+        cross = np.where(zero, rho * c < 0.0, r * c < 0.0)
+    pick = np.flatnonzero(live & cross)
+    t = -r[pick] / c[pick]
+    gain = 2.0 * size[pick]
+    tie = np.zeros(len(pick))
+    at_zero = zero[pick]
+    if at_zero.any():
+        t[at_zero] = 0.0
+        if rho is None:
+            gain[at_zero] *= 0.5
+        else:
+            tie[at_zero] = -rho[pick[at_zero]] / c[pick[at_zero]]
+    pick = idx[pick]
+    k = 32
+    while True:
+        if k < len(t):
+            near = np.argpartition(t, k - 1)[:k]
+            bound = t[near].max()
+        else:
+            near, bound = np.arange(len(t)), math.inf
+        near = near[np.lexsort((pick[near], tie[near], t[near]))]
+        # a slope at rounding scale of its terms is flat: stop there
+        gained = np.cumsum(gain[near])
+        turned = slope + gained >= -1e-9 * (abs(slope) + gained)
+        if turned.any():
+            hit = near[np.argmax(turned)]
+            if t[hit] < bound:
+                return float(t[hit]), int(pick[hit])
+        if k >= len(t):
+            return 0.0, None
+        k *= 4
+
+
+def _quad_dual_bound(f, c, exps, a, y, y_max, reach):
+    """The duality bound of the quadratic corner from the dual ``y`` of a
+    midpoint descent (shape ``(M, M)``), at its vertex ``a``.
+
+    ``sum_s y_s phi(m_s) = 0`` holds on the continuum too, with ``y``
+    constant on each subcell ``s``: the midpoint rule is exact for ``1, u,
+    w, u w`` and misses ``int_s u^2`` and ``int_s w^2`` by the same ``|s|
+    h^2 / 12`` on every subcell, times ``sum y_s = 0``.  So ``y`` is
+    orthogonal to the quadratics, and ``sum_s y_s int_s (f - P)`` bounds
+    ``E_3(f;Q)_1`` from below; :func:`_dual_lower_bound` projects ``y``
+    again (``h = y - Pi y``), which absorbs the rounding of the solves and
+    keeps the bound valid at any vertex where the descent stops.  At an
+    exact optimum the bound is the midpoint objective itself.
+    """
+    block = f.cell_block(c)
+    M = y.shape[0]
+    rule = M // block.shape[0]
+    V = _midpoint_powers(M)
+    iu, iw = np.array(exps).T
+    A = np.zeros((3, 3))
+    A[iu, iw] = a
+    # int_s u^2 = |s| (m_u^2 + h^2 / 12) on the unit box, h = 1 / M
+    corr = np.where((iu == 2) | (iw == 2), 1.0 / (12 * M * M), 0.0)
+    quad_corr = (A[2, 0] + A[0, 2]) / (12 * M * M)
+    A[0, 0] = 0.0
+    c0 = np.repeat(np.repeat(block - a[0], rule, axis=0), rule, axis=1)
+    resid = c0 - V @ (A @ V.T) - quad_corr
+    obj = c.measure / (M * M) * float((y * resid).sum())
+    b = ((V.T @ y @ V)[iu, iw] + corr * y.sum()) / (M * M)
+    return _dual_lower_bound(f, c, exps, a, obj, -c.measure * b, reach,
+                             y_max, ties=False)
 
 
 def _newton_polish(integrate, a, obj, reach, measure):
@@ -603,11 +953,17 @@ def _l1_cells_1d(vals, side, exps):
         lo = hi = u1
         slope = math.inf
         if abs(a2) > 1e-14 * scale:
-            with np.errstate(invalid="ignore"):     # no real root: NaN
+            # no real root: NaN; a double root at 0 (a1 = c0 = 0): q = 0
+            with np.errstate(invalid="ignore", divide="ignore"):
                 sq = np.sqrt(a1 * a1 + 4.0 * a2 * c0)
-            pair = ((-a1 - sq) / (2 * a2), (-a1 + sq) / (2 * a2))
-            lo, hi = (np.fmin(np.fmax(r, u0), u1)   # fmax maps NaN to u0
-                      for r in (pair if a2 > 0 else pair[::-1]))
+                # the roots of a2 u^2 + a1 u - c0 as q / a2 and -c0 / q:
+                # a1 and sgn(a1) sq never cancel, as -a1 +- sq can
+                q = -0.5 * (a1 + math.copysign(1.0, a1) * sq)
+                pair = (q / a2, -c0 / q)
+            # fmin and fmax pass over one NaN and keep two; fmax maps the
+            # NaN of a cell without a root to u0
+            lo, hi = (np.fmin(np.fmax(r, u0), u1)
+                      for r in (np.fmin(*pair), np.fmax(*pair)))
             slope = sq          # P'(root) = a1 + 2 a2 root = +-sq
         elif abs(a1) > 1e-14 * scale:
             lo = np.fmin(np.fmax(c0 / a1, u0), u1)
@@ -835,8 +1191,7 @@ def _l1_cells_quad_2d(block, measure, exps):
     m_cells = block.shape[0]
     r = _QUAD_RULE
     size = m_cells * r
-    mids = (np.arange(size) + 0.5) / size - 0.5
-    V = np.stack([np.ones(size), mids, mids * mids], axis=1)
+    V = _midpoint_powers(size)
     sub_area = measure / size ** 2
     step = max(1, _QUAD_BLOCK // (r * size))      # cell rows per block
     buf = np.empty(min(step, m_cells) * r * size)
@@ -845,14 +1200,19 @@ def _l1_cells_quad_2d(block, measure, exps):
         A = np.zeros((3, 3))
         for (i, j), coef in zip(exps, a):
             A[i, j] = coef
+        # the constant goes into the values, so an offset cancels there,
+        # exactly, and not in each subcell
+        c0 = block - A[0, 0]
+        A[0, 0] = 0.0
         right = A @ V.T
         out = np.empty((m_cells, m_cells))
         for i0 in range(0, m_cells, step):
             i1 = min(i0 + step, m_cells)
             P = buf[:(i1 - i0) * r * size].reshape(-1, r, size)
             np.matmul(V[i0 * r:i1 * r], right, out=P.reshape(-1, size))
-            # each cell's value, repeated along its subcell columns
-            P -= np.repeat(block[i0:i1], r, axis=1)[:, None, :]
+            # each cell's value less the constant, repeated along its
+            # subcell columns
+            P -= np.repeat(c0[i0:i1], r, axis=1)[:, None, :]
             np.abs(P, out=P)
             out[i0:i1] = P.sum(axis=1).reshape(i1 - i0, m_cells, r).sum(axis=2)
         # the subcell area is a power of two, so scaling the sums is exact

@@ -379,11 +379,15 @@ def _run_module(argv):
                           env=_subprocess_env(), timeout=60)
 
 
-def test_cli_import_and_sjn_compute_leave_scipy_unloaded(step_file):
-    """scipy is imported only by the fits that still need it, those of the
-    2D quadratic corner: neither importing the CLI, nor an ``sjn``
-    compute, nor a certified ``L^1`` fit in 1D (``k = 2, 3``) or 2D
-    (``k = 2``) loads it."""
+def test_cli_import_and_sjn_compute_leave_scipy_unloaded(step_file, tmp_path):
+    """No route of the library needs scipy: neither importing the CLI, nor
+    an ``sjn`` compute, nor a certified ``L^1`` fit in 1D (``k = 2, 3``)
+    or 2D (``k = 2, 3``), nor an uncertified 2D quadratic one, nor a ``v``
+    compute at ``k = 3, q = 1`` on a 2D grid loads it."""
+    grid = tmp_path / "grid2d.json"
+    grid.write_text(json.dumps({"dimension": 2, "depth": 2, "values":
+                                np.random.default_rng(0).uniform(
+                                    0.0, 1.0, 16).tolist()}))
     script = (
         "import contextlib, io, sys\n"
         "import oscnorm.cli\n"
@@ -395,16 +399,45 @@ def test_cli_import_and_sjn_compute_leave_scipy_unloaded(step_file):
         "assert 'scipy' not in sys.modules, 'compute'\n"
         "import numpy as np\n"
         "from oscnorm import CubeId, GridFunction, best_fit\n"
+        "from oscnorm.local_poly import poly_error\n"
         "rng = np.random.default_rng(0)\n"
-        "for n, k in ((1, 2), (1, 3), (2, 2)):\n"
+        "for n, k in ((1, 2), (1, 3), (2, 2), (2, 3)):\n"
         "    f = GridFunction(n, 6 // n, rng.uniform(0.0, 1.0, 64))\n"
         "    fit = best_fit(f, CubeId(0, (0,) * n), k, 1)\n"
         "    assert 1.0 <= fit.near_best_factor < 1.000001, (n, k)\n"
-        "assert 'scipy' not in sys.modules, 'best_fit'\n")
-    proc = subprocess.run([sys.executable, "-c", script, step_file],
+        "assert poly_error(f, CubeId(1, (0, 1)), 3, 1) > 0.0\n"
+        "assert 'scipy' not in sys.modules, 'best_fit'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = oscnorm.cli.main(['compute', '--input', sys.argv[2],\n"
+        "                             '--norm', 'v', '--k', '3',\n"
+        "                             '--q', '1'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, 'compute v'\n")
+    proc = subprocess.run([sys.executable, "-c", script, step_file, str(grid)],
                           capture_output=True, text=True,
                           env=_subprocess_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_library_imports_no_scipy():
+    """No module of the library imports scipy, at the top or inside a
+    function: numpy is its only dependency."""
+    import ast
+    import oscnorm
+    package = os.path.dirname(oscnorm.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                roots = [node.module or ""]
+            else:
+                continue
+            assert not any(r.split(".")[0] == "scipy" for r in roots), name
 
 
 def _error_lines(stderr):

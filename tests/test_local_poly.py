@@ -1,9 +1,10 @@
 """Best local polynomial approximation in L^1 and L^2.
 
 The q=2 and (q=1, k=1) solvers are exact; the q=1, k>=2 path polishes the
-exact objective (Newton in 1D and 2D affine, a simplex in the 2D quadratic
-corner) and certifies the fit by L^1-L^inf duality (an LP in the quadratic
-corner), so those tests check certified ratios rather than equalities.
+exact objective (Newton in 1D and 2D affine) or solves its midpoint rule
+(a vertex descent in the 2D quadratic corner) and certifies the fit by
+L^1-L^inf duality, so those tests check certified ratios rather than
+equalities.
 """
 
 import itertools
@@ -18,9 +19,8 @@ from hypothesis import strategies as st
 
 from oscnorm import local_poly
 from oscnorm.grid import CubeId, GridFunction, iter_cubes, multi_indices
-from oscnorm.local_poly import (_exponents, _l1_integrator, _lp_lower_bound,
-                                _subcell_design, best_fit, l2_level_fits,
-                                mean_oscillation, poly_error,
+from oscnorm.local_poly import (_exponents, _l1_integrator, best_fit,
+                                l2_level_fits, mean_oscillation, poly_error,
                                 residual_cell_integrals, scaled_error)
 
 ROOT1 = CubeId(0, (0,))
@@ -293,25 +293,26 @@ def test_quadratic_residual_memory_stays_small():
 
 
 # root ``best_fit(f, root, k, 1)`` on 2D lognormal grids (seed, depth): the
-# error and the certificate, as computed before the quadratic integrator
-# was blocked.  The simplex polish of the quadratic corner sees the
-# objective's last bits, so k=3 may drift by a few ulps of the objective;
-# anything beyond 1e-9 relative is a change of the fit, not of the rounding.
-# ``(3, 3, 12)`` was re-pinned when the certificate's LP minimizer became a
-# start of the polish: the error fell from 1.0141574930835633.  The k=2
-# factors were re-pinned when the duality bound replaced the LP certificate
-# of the affine fits; the LP read 1.0000915010640279, 1.0000563735304757,
-# 1.000000049271706 and 1.0000003451201556.
+# error and the certificate.  The k=3 pins are the vertex descent's: exact
+# on the 16-point midpoint rule at depth 3, where the former simplex polish
+# read 0.7290379923282061 and 1.0141574917130218 with factors 1.00022 and
+# 1.00047; at depth 5 the descent solves the 8-point rule, within the
+# subcell budget, and the error is the 16-point objective there, 4e-9 and
+# 6e-9 relative above the former 1.1473002645777166 and 1.12218112388446
+# (factors 1.0000008 and 1.0000016).  The k=2 factors were re-pinned when
+# the duality bound replaced the LP certificate of the affine fits; the LP
+# read 1.0000915010640279, 1.0000563735304757, 1.000000049271706 and
+# 1.0000003451201556.
 FIT_PINS = [
     # (depth, k, seed, error, near_best_factor)
     (3, 2, 11, 0.7493585165251333, 1.0000000268712192),
     (3, 2, 12, 1.0632070434606433, 1.0000000002471348),
-    (3, 3, 11, 0.7290379923282061, 1.0002226293712513),
-    (3, 3, 12, 1.0141574917130218, 1.0004667559535703),
+    (3, 3, 11, 0.7290379921211063, 1.0),
+    (3, 3, 12, 1.014157491682084, 1.0000000000000002),
     (5, 2, 11, 1.1473492012862838, 1.0000000096821673),
     (5, 2, 12, 1.1225417652695975, 1.0000000116128873),
-    (5, 3, 11, 1.1473002645777166, 1.000000832450671),
-    (5, 3, 12, 1.12218112388446, 1.0000015719841342),
+    (5, 3, 11, 1.147300268870372, 1.0000000242383411),
+    (5, 3, 12, 1.1221811304880664, 1.0000000585807072),
 ]
 
 
@@ -326,17 +327,16 @@ def test_root_l1_fits_keep_their_pinned_values(depth, k, seed, error, factor):
     assert fit.approximate == (k == 3)
 
 
-def test_quadratic_corner_polish_starts_from_the_lp_minimizer():
-    """2D L=1, k=3: the simplex polish used to stall 8.9% above the
-    certificate; started from the LP's minimizer as well, it ends no
-    higher than the exact objective there."""
+def test_quadratic_corner_fit_is_the_midpoint_optimum():
+    """2D L=1, k=3: the former simplex polish stalled 8.9% above the LP
+    certificate here.  The vertex descent ends at the optimum of the
+    16-point midpoint rule, where its own dual bound is the objective, so
+    the factor is 1 to rounding."""
     f = GridFunction(2, 1, np.random.default_rng(0).lognormal(0.0, 1.5, 4))
     fit = best_fit(f, ROOT2, 3, 1)
-    exps = _exponents(2, 3)
-    # the certificate's design: four subcells per cell axis
-    _, lp_local = _lp_lower_bound(*_subcell_design(f, ROOT2, exps, 4))
-    assert fit.error <= _l1_integrator(f, ROOT2, exps)(lp_local).sum()
-    assert fit.near_best_factor < 1.03
+    assert fit.error > 0.0
+    assert 1.0 <= fit.near_best_factor <= 1.0 + 1e-12
+    assert fit.approximate
 
 
 def test_converged_fit_is_not_flagged_approximate():
@@ -354,8 +354,8 @@ def test_converged_fit_is_not_flagged_approximate():
     (3, CubeId(1, (0, 1))),
 ])
 def test_uncertified_quadratic_corner_is_the_certified_fit(depth, cube):
-    """In the 2D quadratic corner the polish starts from the LP's
-    minimizer with or without the certificate, so both give the bits."""
+    """In the 2D quadratic corner the certificate reads the descent's dual
+    and moves no coefficient, so both calls give the bits."""
     f = GridFunction(2, depth, np.random.default_rng(depth).lognormal(
         0.0, 1.0, 4 ** depth))
     fit = best_fit(f, cube, 3, 1)
@@ -365,11 +365,10 @@ def test_uncertified_quadratic_corner_is_the_certified_fit(depth, cube):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_uncertified_fit_past_the_polish_cap_is_the_certified_fit(k):
-    """``_POLISH_CELL_CAP`` bounds only the simplex polish of the 2D
-    quadratic corner: a 1D fit past it is polished by Newton as any other,
-    and is the same fit with or without the certificate."""
+    """A 1D fit of 2,048 cells, past the 1,024-cell cap of the former
+    simplex polish, is polished by Newton as any other, and is the same fit
+    with or without the certificate."""
     f = GridFunction(1, 11, np.random.default_rng(11).uniform(0.0, 1.0, 2048))
-    assert f.values.size > local_poly._POLISH_CELL_CAP
     fit = best_fit(f, ROOT1, k, 1)
     assert 1.0 <= fit.near_best_factor < 1.001
     assert poly_error(f, ROOT1, k, 1) == fit.error
@@ -457,9 +456,9 @@ def test_newton_routes_give_the_uncertified_bits(n, k):
 
 
 def test_newton_routes_never_call_the_simplex(monkeypatch):
-    """Nelder-Mead and the HiGHS LP are left to the 2D quadratic corner
-    alone: the 1D and 2D affine fits are polished by Newton and certified
-    by duality."""
+    """No fit calls scipy's Nelder-Mead or HiGHS: the 1D and 2D affine fits
+    are polished by Newton, the 2D quadratic corner is solved by vertex
+    descent, and all of them are certified by duality."""
     from scipy import optimize
 
     def refuse(name):
@@ -470,30 +469,21 @@ def test_newton_routes_never_call_the_simplex(monkeypatch):
     monkeypatch.setattr(optimize, "minimize", refuse("Nelder-Mead"))
     monkeypatch.setattr(optimize, "linprog", refuse("linprog"))
     rng = np.random.default_rng(4)
-    for n, k in NEWTON_SHAPES:
+    for n, k in NEWTON_SHAPES + [(2, 3)]:
         f = GridFunction(n, 3, rng.uniform(0.0, 1.0, 1 << (3 * n)))
         root = CubeId(0, (0,) * n)
         fit = best_fit(f, root, k, 1)
         assert fit.error == poly_error(f, root, k, 1) > 0
         assert 1.0 <= fit.near_best_factor < 1.000001
-    f = GridFunction(2, 2, rng.uniform(0.0, 1.0, 16))
-    with pytest.raises(AssertionError, match="linprog"):
-        poly_error(f, ROOT2, 3, 1)
-    monkeypatch.setattr(local_poly, "_lp_lower_bound",
-                        lambda Phi, v, mu: (0.0, None))
-    with pytest.raises(AssertionError, match="Nelder-Mead"):
-        poly_error(f, ROOT2, 3, 1)
 
 
 def test_failed_certificate_reports_an_infinite_factor(monkeypatch):
-    """A failed LP certifies nothing: the factor of a 2D quadratic fit is
-    infinite and the fit approximate, and the error is the uncertified
-    one, bit for bit."""
+    """A quadratic-corner bound at 0 certifies nothing: the factor of a 2D
+    quadratic fit is infinite and the fit approximate, and the error is
+    the uncertified one, bit for bit."""
     f = GridFunction(2, 2, np.random.default_rng(5).uniform(0.0, 1.0, 16))
     want = poly_error(f, ROOT2, 3, 1)
-    real = local_poly._lp_lower_bound
-    monkeypatch.setattr(local_poly, "_lp_lower_bound",
-                        lambda Phi, v, mu: (0.0, real(Phi, v, mu)[1]))
+    monkeypatch.setattr(local_poly, "_quad_dual_bound", lambda *args: 0.0)
     fit = best_fit(f, ROOT2, 3, 1)
     assert fit.near_best_factor == math.inf
     assert fit.approximate
@@ -519,11 +509,13 @@ def test_non_positive_dual_bound_reports_an_infinite_factor(monkeypatch, n,
     assert fit.error == want > 0.0
 
 
-@pytest.mark.parametrize("n, k", NEWTON_SHAPES)
+@pytest.mark.parametrize("n, k", NEWTON_SHAPES + [(2, 3)])
 def test_constant_fits_of_tied_values_are_certified_tightly(n, k):
     """On values in {0, 1, 2} the fit is often the median, a kink of the
     objective, where ``y`` is free on the cells the constant matches; with
-    ``y = 0`` there, the factors of these grids reached 5.5."""
+    ``y = 0`` there, the factors of these grids reached 5.5.  In the 2D
+    quadratic corner the same ties make degenerate vertices, whole rows of
+    zero residuals, on which pivots by the basis dual alone cycled."""
     worst = 1.0
     for depth in range(1, 9 // n):
         for seed in range(6):
@@ -533,6 +525,27 @@ def test_constant_fits_of_tied_values_are_certified_tightly(n, k):
             worst = max(worst, fit.near_best_factor)
     print(f"worst factor - 1 = {worst - 1.0:.2e}")
     assert worst <= 1 + 1e-6
+
+
+@pytest.mark.parametrize("rows", [
+    # a perturbation linear along rows of subcells cycled here, factor 109
+    [0.6071579418823742, 0.12962686746080343, 0.3477596383549971,
+     0.07500519241205805],
+    [0.31427975442173983, 0.9314430286269454, 0.9611009846460553,
+     0.21110816243412434],
+    [0.5, 0.25, 0.75, 0.5],
+])
+def test_quadratic_corner_of_values_constant_along_rows(rows):
+    """Values that do not depend on ``w`` make the midpoint optimum a
+    whole face: every fit on it matches the values along entire rows of
+    subcells, so each vertex has dozens of zero residuals off its basis.
+    The descent still ends at the optimum with its own certificate."""
+    block = np.repeat(np.array(rows)[:, None], 4, axis=1)
+    f = GridFunction(2, 2, block.ravel())
+    fit = best_fit(f, ROOT2, 3, 1)
+    assert fit.error > 0.0
+    assert 1.0 <= fit.near_best_factor <= 1.0 + 1e-9
+    assert poly_error(f, ROOT2, 3, 1) == fit.error
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -559,12 +572,17 @@ SCALES = [0, 20, 40, 50, 60]
 
 
 @pytest.mark.parametrize("n, depth, k", [(1, 3, 2), (1, 3, 3), (1, 6, 2),
-                                         (1, 6, 3), (2, 2, 2), (2, 3, 2)])
+                                         (1, 6, 3), (2, 2, 2), (2, 3, 2),
+                                         (2, 1, 3), (2, 2, 3), (2, 3, 3)])
 def test_fits_scale_with_the_values(n, depth, k):
     """``best_fit(2^-j f)`` is ``2^-j`` times the fit of ``f``: no threshold
     of the fit or its certificate has an absolute floor.  With a floor,
     ``2^-50 f`` on 1D L=3 kept its unpolished fit (0.238514 against
-    0.235521 in units of the scale) with a certified factor of 1."""
+    0.235521 in units of the scale) with a certified factor of 1; the
+    former simplex and LP of the 2D quadratic corner, with absolute
+    tolerances, read 0.214274 at 2D L=2 and 0.223744 for ``2^-50 f``, with
+    factors 1.0064 and 20.26.  Only the quadratic corner, whose objective
+    is a midpoint rule, is approximate."""
     root = CubeId(0, (0,) * n)
     for seed in range(3):
         values = np.random.default_rng(seed).uniform(0.0, 1.0, 1 << (n * depth))
@@ -577,22 +595,7 @@ def test_fits_scale_with_the_values(n, depth, k):
                                                          rel=1e-12), j
             assert fit.near_best_factor == pytest.approx(
                 base.near_best_factor, rel=1e-6), j
-            assert not fit.approximate
-
-
-@pytest.mark.parametrize("depth", [1, 2, 3])
-def test_small_quadratic_corner_fits_claim_no_exact_certificate(depth):
-    """The quadratic corner's simplex and LP have absolute tolerances, so
-    its fits of ``2^-j f`` need not scale; but a positive error is never
-    certified with factor 1, and the fit stays approximate."""
-    for seed in range(3):
-        values = np.random.default_rng(seed).uniform(0.0, 1.0, 4 ** depth)
-        for j in SCALES[2:]:
-            fit = best_fit(GridFunction(2, depth, 2.0 ** -j * values), ROOT2,
-                           3, 1)
-            assert fit.error > 0.0
-            assert fit.near_best_factor > 1.0
-            assert fit.approximate
+            assert fit.approximate == (len(fit.exponents) == 6)
 
 
 # -- q = 2 accuracy against exact rational arithmetic -------------------------
