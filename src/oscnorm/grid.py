@@ -7,20 +7,15 @@ axis 0 slowest for ``n == 2``.  Dyadic cubes of every level ``0 <= l <= L``
 are half-open boxes ``prod_a [c_a * 2**-l, (c_a + 1) * 2**-l)`` addressed by
 :class:`CubeId`.
 
-Cube integrals and monomial moments are direct sums over the cube's cells.
-The data of the local ``L^2`` fits -- ``integral_Q f^2`` and the moments of
-``f`` against the cube's own scaled monomials -- is held per level by
-:class:`MomentTable`, built bottom-up from the finest cells by exact dyadic
-shifts, so every quantity here is a finite sum evaluated in float64 -- no
+Cube integrals and monomial moments are direct sums over the cube's cells,
+so every quantity here is a finite sum evaluated in float64 -- no
 quadrature error beyond roundoff.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,7 +24,6 @@ import numpy as np
 __all__ = [
     "CubeId",
     "GridFunction",
-    "MomentTable",
     "average",
     "children",
     "moment",
@@ -181,10 +175,7 @@ class GridFunction:
     depth: int
     values: np.ndarray
     # derived data, built on first use: never passed in, so a new
-    # ``values`` (``dataclasses.replace``) never inherits them
-    _moment_table: "MomentTable | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # ``values`` (``dataclasses.replace``) never inherits it
     _error_levels: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -288,12 +279,6 @@ class GridFunction:
 
     # -- calculus ----------------------------------------------------------
 
-    def moments(self) -> MomentTable:
-        """Shared table of local moments per level; built on first use."""
-        if self._moment_table is None:
-            object.__setattr__(self, "_moment_table", MomentTable(self))
-        return self._moment_table
-
     def integral(self, cube: CubeId | None = None) -> float:
         block = self.cell_block(cube or _root(self.dimension))
         return float(block.sum()) * self.cell_measure
@@ -339,81 +324,6 @@ def _unit_moment(m: int) -> float:
     return 0.0 if m % 2 else 0.5 ** m / (m + 1)
 
 
-class MomentTable:
-    """Local moments of ``f`` on every dyadic cube, one array per level.
-
-    :meth:`level` gives a read-only ``(1 + d, 2**(n*l))`` array over the
-    cubes ``Q`` of level ``l`` in breadth-first order.  Row 0 holds
-    ``integral_Q f^2``; row ``1 + i`` holds ``integral_Q f u^alpha`` for the
-    ``i``-th ``alpha`` of ``multi_indices(n, 2)``, with
-    ``u = (x - center(Q)) / side(Q)``.  The order is graded, so the data of
-    a fit of degree ``<= 2`` is a leading slice.
-
-    On a finest cell ``f = v`` is constant and the moments are
-    ``v |cell| prod_a mu(alpha_a)``, ``mu(m) = integral_{-1/2}^{1/2} u^m du``.
-    A child at offset ``o in {-1/4, 1/4}^n`` in its parent's coordinates has
-    ``u_P = o + u_C / 2``, so a parent moment is the sum over its children of
-    ``sum_{gamma <= alpha} C(alpha, gamma) o^(alpha - gamma) 2^-|gamma|
-    integral_C f u_C^gamma`` -- the moment-to-moment shift of multipole
-    methods (Greengard and Rokhlin, J. Comput. Phys. 73, 1987).  Every
-    coefficient is dyadic, so only the additions round, and they are
-    elementwise in a fixed order: a cube's bits do not depend on which
-    cubes are read with it.
-    """
-
-    def __init__(self, f: GridFunction):
-        self.depth = f.depth
-        alphas = multi_indices(f.dimension, 2)
-        cells = f.values * f.cell_measure
-        finest = np.empty((1 + len(alphas), f.n_cells))
-        np.multiply(cells, f.values, out=finest[0])
-        for i, alpha in enumerate(alphas, start=1):
-            np.multiply(cells, math.prod(map(_unit_moment, alpha)),
-                        out=finest[i])
-        levels = [finest]
-        for lvl in range(f.depth - 1, -1, -1):
-            levels.append(_parent_moments(levels[-1], f.dimension, 1 << lvl))
-        for table in levels:
-            table.flags.writeable = False
-        self._levels = levels[::-1]
-
-    def level(self, level: int) -> np.ndarray:
-        """The moments of every cube of one ``level``, shape
-        ``(1 + d, 2**(n*level))``."""
-        if not 0 <= level <= self.depth:
-            raise ValueError(f"level must lie in [0, {self.depth}], got {level}")
-        return self._levels[level]
-
-
-@functools.lru_cache(maxsize=None)
-def _shift_terms(dimension: int):
-    """Per child, row-major: its offset bits and the terms ``(i, j, c)`` of
-    ``parent[i] += c * child[j]`` over the table rows, ``f^2`` first."""
-    alphas = multi_indices(dimension, 2)
-    out = []
-    for bits in itertools.product((0, 1), repeat=dimension):
-        offset = [b / 2 - 0.25 for b in bits]
-        terms = [(0, 0, 1.0)]
-        for i, alpha in enumerate(alphas, start=1):
-            for j, gamma in enumerate(alphas, start=1):
-                if all(g <= a for g, a in zip(gamma, alpha)):
-                    terms.append((i, j, math.prod(
-                        math.comb(a, g) * o ** (a - g) * 0.5 ** g
-                        for a, g, o in zip(alpha, gamma, offset))))
-        out.append((bits, tuple(terms)))
-    return tuple(out)
-
-
-def _parent_moments(child: np.ndarray, dimension: int,
-                    side: int) -> np.ndarray:
-    """The table of the level of ``side`` cubes per axis from its child
-    level's, one elementwise multiply-add per term."""
-    # axes: the rows, then per axis the parent coordinate and the child bit
-    blocks = child.reshape((len(child),) + (side, 2) * dimension)
-    out = np.zeros((len(child),) + (side,) * dimension)
-    for bits, terms in _shift_terms(dimension):
-        sub = blocks[(slice(None),)
-                     + tuple(x for b in bits for x in (slice(None), b))]
-        for i, j, c in terms:
-            out[i] += c * sub[j]
-    return out.reshape(len(child), -1)
+# kept for its name alone: perfbench/tracer.py binds
+# ``oscnorm.grid.MomentTable``; nothing in the library calls it
+MomentTable = moment

@@ -18,10 +18,14 @@ one-row call, with the bits of the level sweep.
   ``u^alpha`` with ``u = (x - center(Q)) / side(Q)``, whose Gram matrix on a
   cube is ``|Q|`` times a fixed well-conditioned matrix, and the error comes
   out of the Pythagorean identity.  :func:`l2_level_fits` fits every cube of
-  one level in one pass: its right-hand sides are that level's local
-  moments ``integral_Q f u^alpha``, read as they are from the moment table
-  (:class:`oscnorm.grid.MomentTable`), and one stacked solve against the
-  fixed matrix gives every fit.
+  one level in one pass over its cell blocks, the access pattern of
+  :func:`median_deviations`.  Each cube's values are taken relative to its
+  first cell, ``v - v_0``, which is exact for data far from 0 and moves
+  ``E`` by no bit when a constant is added, and then centred on their
+  mean ``m`` (the shifted data of Chan, Golub and LeVeque, Amer. Statist.
+  37, 1983): with ``c = v - v_0 - m``, ``b = integral_box c u^alpha``,
+  ``a = G^-1 b`` and ``E^2 = |Q| (mean(c^2) - a.b)``, and ``v_0 + m`` goes
+  back into ``a_0``.  Nothing is held on the grid.
 * ``q = 1, k = 1``: the minimizing constant is a median of the cell values
   (equal weights on a dyadic cube); the LOWER median is taken so results are
   deterministic.  :func:`median_deviations` sums ``|v - median|`` on the
@@ -100,8 +104,10 @@ _PIVOT_CAP = 500  # pivots of a vertex descent per midpoint rule
 _QUAD_BLOCK = 1 << 16  # subcell values per buffer, 2D quadratic corner
 _CLIP_BLOCK = 4096  # cells per vectorised half-plane clip, 2D affine residual
 _NOISE = 64.0 * np.finfo(float).eps  # relative size of a zero L2 residual
-# cubes per batched L2 solve: the temporaries take ~400 bytes per cube, so a
-# level of a 4M-cell grid is fitted in blocks of ~27 MB, not at once
+_KEPT_AXIS_CELLS = 1 << 10  # cells per axis whose monomial integrals are kept
+# cubes per pass of the L2 level fits: the coefficient map takes up to 36
+# floats per cube, so a level of a 4M-cell grid is fitted in blocks of
+# ~19 MB, not at once
 _L2_BLOCK = 1 << 16
 
 
@@ -237,34 +243,47 @@ def l2_level_fits(f: GridFunction, level: int, k: int,
     """
     if not 1 <= k <= 3:
         raise ValueError(f"k must lie in 1..3, got {k}")
-    n = f.dimension
-    table = f.moments().level(level)
-    cols = None
-    if coords is not None:
-        if (coords >> level).any():
-            raise ValueError(f"cube coordinates must lie in range(2**{level})")
-        cols = np.ravel_multi_index(coords.T, (1 << level,) * n)
+    if not 0 <= level <= f.depth:
+        raise ValueError(f"level must lie in [0, {f.depth}], got {level}")
+    if coords is not None and (coords >> level).any():
+        raise ValueError(f"cube coordinates must lie in range(2**{level})")
+    n, m_cells = f.dimension, 1 << (f.depth - level)
+    blocks = _cube_blocks(f.values, n, f.depth, level, coords)
     exps = _exponents(n, k)
-    gram = _unit_gram(exps)
-    m = table.shape[1] if cols is None else len(cols)
-    coeffs, errs = np.empty((m, len(exps))), np.empty(m)
-    for i in range(0, m, _L2_BLOCK):
+    gram_inv = _unit_gram_inverse(exps)
+    seg = _axis_monomials(m_cells, k - 1)
+    coeffs, errs = np.empty((len(blocks), len(exps))), np.empty(len(blocks))
+    for i in range(0, len(blocks), _L2_BLOCK):
         part = slice(i, i + _L2_BLOCK)
-        sums = table[:, part] if cols is None else table[:, cols[part]]
-        sq = sums[0]
-        # one layout for every call, so the BLAS products below see the
-        # same operands whichever cubes are fitted together
-        B = np.ascontiguousarray(sums[1:1 + len(exps)].T)[..., None]
-        a = np.linalg.solve(gram[None], B / 2.0 ** (-level * n))
-        # a stacked matmul takes each a.b as one BLAS dot, as a 1-D
-        # ``a @ b`` does; einsum sums in an order of its own
-        proj = (a.transpose(0, 2, 1) @ B)[:, 0, 0]
+        blk = blocks[part]
+        # offsets from the cube's first cell are exact for data far from 0,
+        # so an added constant moves no bit of ``c``; centring them leaves
+        # no cancellation in the constant term of ``E^2``
+        c = blk - blk[:, :1]
+        mean = c.sum(axis=1, keepdims=True) / c.shape[1]
+        c -= mean
+        # b, a and proj are laid out (d, cubes), so their sums of d <= 6
+        # terms run over a leading axis, one term after another as numpy
+        # sums a short row, but on whole rows of cubes at a time
+        if n == 1:
+            b = np.stack([(c * seg[m]).sum(axis=1) for m, in exps])
+        else:
+            # one axis at a time: no (d, cells) moment matrix of the cube
+            cc = c.reshape(-1, m_cells, m_cells)
+            rows = {m: (cc * seg[m]).sum(axis=2) for m in {w for _, w in exps}}
+            b = np.stack([(rows[w] * seg[u]).sum(axis=1) for u, w in exps])
+        # elementwise products and sums only: a BLAS product rounds a
+        # one-row call differently from the level's many rows
+        a = (gram_inv[:, :, None] * b).sum(axis=1)
+        proj = (a * b).sum(axis=0)
+        sq = (c * c).sum(axis=1) / c.shape[1]
         err_sq = sq - proj
-        # the subtraction cancels completely when f is representable;
+        # the subtraction cancels completely when c is a polynomial;
         # anything at rounding scale of the operands is noise, not a residual
         noise = err_sq <= _NOISE * np.maximum(sq, np.abs(proj))
-        coeffs[part] = a[..., 0]
-        errs[part] = np.sqrt(np.where(noise, 0.0, err_sq))
+        a[0] += blk[:, 0] + mean[:, 0]
+        coeffs[part] = a.T
+        errs[part] = np.sqrt(np.where(noise, 0.0, err_sq) * 2.0 ** (-level * n))
     return coeffs, errs
 
 
@@ -278,6 +297,15 @@ def _unit_gram(exps: tuple[tuple[int, ...], ...]) -> np.ndarray:
             G[i, j] = math.prod(_unit_moment(x + y) for x, y in zip(a, b))
     G.flags.writeable = False
     return G
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_gram_inverse(exps: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """The inverse of :func:`_unit_gram`, the map from a cube's moments
+    ``integral_box c u^alpha`` to its local coefficients."""
+    G_inv = np.linalg.inv(_unit_gram(exps))
+    G_inv.flags.writeable = False
+    return G_inv
 
 
 def _local_to_global(exps, local_coeffs, c: CubeId) -> np.ndarray:
@@ -298,6 +326,25 @@ def _local_to_global(exps, local_coeffs, c: CubeId) -> np.ndarray:
     return out
 
 
+def _cube_blocks(values: np.ndarray, dimension: int, depth: int, level: int,
+                 coords: np.ndarray | None = None) -> np.ndarray:
+    """The cells of level-``level`` cubes as ``(..., cubes, cells)``, each
+    row one cube's cells flat row-major.  ``values`` holds the cells flat
+    row-major on the last axis, after any leading trial axes; ``coords``
+    (shape ``(m, n)``, no leading axes) picks cubes, by default every cube
+    of the level in breadth-first order."""
+    lead = values.shape[:-1]
+    side, cells = 1 << level, 1 << (depth - level)
+    grid = values.reshape(*lead, *(side, cells) * dimension)
+    if coords is not None:
+        # one index per axis: the cubes' cells are read, not the level's
+        picked = grid[tuple(x for c in coords.T for x in (c, slice(None)))]
+        return picked.reshape(len(coords), -1)
+    if dimension == 1:
+        return grid
+    return grid.swapaxes(-3, -2).reshape(*lead, side * side, -1)
+
+
 # -- exact L1 constant (lower median) --------------------------------------
 
 def median_deviations(values: np.ndarray, dimension: int, depth: int,
@@ -307,14 +354,7 @@ def median_deviations(values: np.ndarray, dimension: int, depth: int,
     row-major.  ``values`` holds the cells flat row-major on the last axis,
     after any leading trial axes.  The deviations are summed as they are,
     so nothing cancels and an added constant moves no bit."""
-    lead = values.shape[:-1]
-    side, cells = 1 << level, 1 << (depth - level)
-    if dimension == 1:
-        blocks = values.reshape(*lead, side, cells)
-    else:
-        blocks = (values.reshape(*lead, side, cells, side, cells)
-                  .swapaxes(-3, -2).reshape(*lead, side * side, -1))
-    srt = np.sort(blocks, axis=-1)
+    srt = np.sort(_cube_blocks(values, dimension, depth, level), axis=-1)
     med = srt[..., (srt.shape[-1] - 1) // 2].copy()
     srt -= med[..., None]
     np.abs(srt, out=srt)
@@ -1234,10 +1274,12 @@ def residual_cell_integrals(f: GridFunction, fit: PolyFit, q: int) -> np.ndarray
         return np.abs(vals) ** q * f.cell_measure
     if q == 1:
         return _l1_integrator(f, fit.cube, fit.exponents)(fit.local_coeffs)
-    vals = f.cube_values(fit.cube)
-    pint, p2int = _poly_cell_integrals(f, fit.cube, fit.exponents,
-                                       fit.local_coeffs)
-    out = vals * vals * f.cell_measure - 2.0 * vals * pint + p2int
+    # the fit's constant goes into the values and ``P - a0`` is integrated,
+    # so no term carries ``a0`` and nothing cancels for data far from 0
+    c0 = f.cube_values(fit.cube) - fit.local_coeffs[0]
+    pint, p2int = _poly_cell_integrals(f, fit.cube, fit.exponents[1:],
+                                       fit.local_coeffs[1:])
+    out = c0 * c0 * f.cell_measure - 2.0 * c0 * pint + p2int
     return np.maximum(out, 0.0)
 
 
@@ -1262,9 +1304,7 @@ def _cell_monomials(m: int, n: int, top: int):
     """``alpha -> integral_cell u^alpha du`` over each of the ``m^n`` cells
     of the unit box ``[-1/2, 1/2)^n``, flat row-major, for multi-indices
     ``alpha`` with entries ``<= top``."""
-    edges = np.linspace(-0.5, 0.5, m + 1)
-    seg = [(edges[1:] ** (j + 1) - edges[:-1] ** (j + 1)) / (j + 1)
-           for j in range(top + 1)]
+    seg = _axis_monomials(m, top)
 
     def monom(alpha):
         col = seg[alpha[0]]
@@ -1273,3 +1313,31 @@ def _cell_monomials(m: int, n: int, top: int):
         return col
 
     return monom
+
+
+def _axis_monomials(m: int, top: int) -> tuple[np.ndarray, ...]:
+    """``integral_cell u^j du`` over each of the ``m`` cells of
+    ``[-1/2, 1/2)``, one read-only array per ``j <= top``.  Kept for
+    ``m <= _KEPT_AXIS_CELLS``, where working them out costs more than the
+    small fits that read them."""
+    if m <= _KEPT_AXIS_CELLS:
+        return _kept_axis_monomials(m, top)
+    return _axis_monomials_of(m, top)
+
+
+@functools.lru_cache(maxsize=None)
+def _kept_axis_monomials(m: int, top: int) -> tuple[np.ndarray, ...]:
+    return _axis_monomials_of(m, top)
+
+
+def _axis_monomials_of(m: int, top: int) -> tuple[np.ndarray, ...]:
+    edges = np.arange(-m, m + 1, 2) / (2 * m)  # exact: ``m`` is a power of 2
+    # powers by products: up to the cube they are exact for m <= 2**16,
+    # the floats libm ``pow`` gives at ~30x the time
+    powers = [edges]
+    for _ in range(top):
+        powers.append(powers[-1] * edges)
+    seg = tuple((e[1:] - e[:-1]) / (j + 1) for j, e in enumerate(powers))
+    for x in seg:
+        x.flags.writeable = False
+    return seg

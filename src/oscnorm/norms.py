@@ -187,12 +187,12 @@ def _fit_error_levels(f: GridFunction, k: int,
     """``E_k(f;Q)_q`` by one fit per cube, one read-only flat array per
     level.
 
-    Built on first use per ``(k, q)`` and held on ``f``, as ``f.moments()``
-    holds its table, so the functionals of one grid share one sweep of
-    fits whatever their ``p``, ``lam`` or convention.  The other routes
-    are vectorised passes over the grid and are not held: kept alive
-    through their callers, their arrays raise the peak memory of the
-    large-grid functionals for little time saved.
+    Built on first use per ``(k, q)`` and held on ``f``, so the functionals
+    of one grid share one sweep of fits whatever their ``p``, ``lam`` or
+    convention.  This is the only data held on a grid.  The other routes
+    are vectorised passes over the level's cell blocks and are not held:
+    kept alive through their callers, their arrays raise the peak memory
+    of the large-grid functionals for little time saved.
     """
     held = f._error_levels.get((k, q))
     if held is None:

@@ -247,6 +247,21 @@ def test_verify_depth_0_writes_strict_json_or_exits_2(capsys, suite, dim):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_verify_never_fails_at_its_defaults(capsys, suite):
+    """At its CLI defaults every suite passes, or refuses the depth in one
+    line: ``jn-extrapolation`` needs depth 4, where its 5% depth-stability
+    bound starts to hold."""
+    code, out, err = _run(capsys, ["verify", "--suite", suite])
+    if suite == "jn-extrapolation":
+        assert (code, out) == (2, "")
+        assert err == ("error: jn-extrapolation needs depth >= 4; below it "
+                       "the ratios are still converging\n")
+    else:
+        assert code == 0, err
+        assert json.loads(out)["passed"] is True
+
+
 def test_parser_rejects_bad_p(step_file):
     with pytest.raises(SystemExit):
         main(["compute", "--input", step_file, "--norm", "jn", "--p", "0.5"])
@@ -454,13 +469,14 @@ def test_compute_llogl_near_float_limit_exits_2(huge_file):
 @pytest.mark.parametrize("norm", _NORM_KEYS)
 def test_compute_near_float_limit_writes_json_or_exits_2(huge_file, norm):
     """Sums of these values overflow.  The median route sums deviations
-    from the median, so the oscillation norms read the zero oscillation of
-    a constant; weak-L^p never sums.  Every other norm has a non-finite
-    value or bracket end, which JSON cannot hold: stderr is the one
-    ``error:`` line, with no warning before it."""
+    from the median, and the ``L^2`` fit under the sparse brackets takes
+    each cube's values relative to its first cell, so the oscillation norms
+    read the zero oscillation of a constant; weak-L^p never sums.  The
+    ``L log L`` gauge has a non-finite value, which JSON cannot hold:
+    stderr is the one ``error:`` line, with no warning before it."""
     proc = _run_module(["compute", "--input", huge_file, "--norm", norm,
                         "--mode", "bounds"])
-    if norm in ("weaklp", "jn", "v", "bmo", "garo"):
+    if norm != "llogl":
         assert proc.returncode == 0 and proc.stderr == ""
         d = json.loads(proc.stdout, parse_constant=_no_constant)
         want = 1.7e308 if norm == "weaklp" else 0.0

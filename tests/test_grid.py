@@ -1,9 +1,7 @@
-"""Dyadic grid plumbing: cube ids, moments, the local moment table, JSON
-round trips."""
+"""Dyadic grid plumbing: cube ids, moments, JSON round trips."""
 
 import dataclasses
 import json
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +11,7 @@ from hypothesis import strategies as st
 
 from oscnorm.grid import (CubeId, GridFunction, average, children, cube_index,
                           iter_cubes, moment, multi_indices, tree_size)
+from oscnorm.norms import _fit_error_levels
 
 
 def test_children_1d():
@@ -134,66 +133,9 @@ def test_moment_additivity_2d(seed):
         assert moment(f, root, alpha) == pytest.approx(total, abs=1e-12)
 
 
-def direct_local_moments(f, cube):
-    """``integral f^2`` and ``integral f u^alpha`` over ``cube``, ``u`` its
-    own coordinates, ``alpha`` in ``multi_indices(n, 2)``: one
-    ``math.fsum`` over the cells, each with its exact local integrals."""
-    block = f.cell_block(cube)
-    cells = block.shape[0]
-    edges = np.linspace(-0.5, 0.5, cells + 1)
-    out = [math.fsum(v * v * f.cell_measure for v in block.ravel())]
-    for alpha in multi_indices(f.dimension, 2):
-        terms = []
-        for idx in np.ndindex(*block.shape):
-            w = math.prod((edges[i + 1] ** (m + 1) - edges[i] ** (m + 1))
-                          / (m + 1) * cube.side for i, m in zip(idx, alpha))
-            terms.append(block[idx] * w)
-        out.append(math.fsum(terms))
-    return np.array(out)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 16 - 1), st.sampled_from([(1, 5), (2, 3)]))
-def test_moment_table_levels_match_direct_sums(seed, shape):
-    """Every level of the table: row 0 the square integral, then the local
-    moments in graded order, against direct sums over the cube's cells."""
-    n, depth = shape
-    rng = np.random.default_rng(seed)
-    f = GridFunction(n, depth, rng.lognormal(0.0, 1.5, 1 << (n * depth)))
-    table = f.moments()
-    for level in range(depth + 1):
-        cubes = [c for c in iter_cubes(level, n) if c.level == level]
-        got = table.level(level)
-        assert got.shape == (1 + len(multi_indices(n, 2)), len(cubes))
-        assert not got.flags.writeable
-        for c, col in zip(cubes, got.T):
-            want = direct_local_moments(f, c)
-            np.testing.assert_allclose(col, want, rtol=1e-13,
-                                       atol=1e-14 * want[0])
-    with pytest.raises(ValueError, match="level must lie in"):
-        table.level(depth + 1)
-
-
-def test_moment_table_finest_level_is_exact():
-    """On a cell ``f`` is one value ``v``: the moments are
-    ``v |cell| prod_a mu(alpha_a)``, with ``mu(2) = 1/12``, odd ones 0."""
-    f = GridFunction(2, 1, [1.0, -2.0, 3.0, 4.0])
-    want = np.array([[1.0, 4.0, 9.0, 16.0],
-                     [1.0, -2.0, 3.0, 4.0],
-                     [0.0] * 4, [0.0] * 4,
-                     [1 / 12, -2 / 12, 3 / 12, 4 / 12],
-                     [0.0] * 4,
-                     [1 / 12, -2 / 12, 3 / 12, 4 / 12]]) / 4
-    assert multi_indices(2, 2) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1),
-                                   (2, 0)]
-    np.testing.assert_allclose(f.moments().level(1), want, rtol=1e-15,
-                               atol=0)
-
-
 def test_multi_indices_graded():
     idx = multi_indices(2, 2)
-    assert idx[0] == (0, 0)
-    assert set(idx) == {(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)}
+    assert idx == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
     totals = [sum(a) for a in idx]
     assert totals == sorted(totals)
 
@@ -250,20 +192,22 @@ def test_cell_block_view():
 
 
 def test_replace_builds_its_own_tables():
-    """Tables derived from the values are never carried to new values."""
+    """Error levels derived from the values are never carried to new
+    values."""
     f = GridFunction(1, 2, [1.0, 2.0, 3.0, 4.0])
     assert f.integral() == 2.5
-    f.moments()
+    held = _fit_error_levels(f, 2, 1)
     zeros = dataclasses.replace(f, values=np.zeros(4))
     assert zeros.integral() == 0.0
-    assert zeros.moments() is not f.moments()
+    assert zeros._error_levels == {}
+    assert not np.concatenate(_fit_error_levels(zeros, 2, 1)).any()
+    assert _fit_error_levels(f, 2, 1) is held
     with pytest.raises(ValueError, match="init=False"):
-        dataclasses.replace(f, _moment_table=f.moments())
+        dataclasses.replace(f, _error_levels=f._error_levels)
 
 
 def test_derived_tables_are_not_arguments():
-    f = GridFunction(1, 2, [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(TypeError):
-        GridFunction(1, 2, np.zeros(4), f.moments())
+        GridFunction(1, 2, np.zeros(4), {})
     with pytest.raises(TypeError):
-        GridFunction(1, 2, np.zeros(4), _moment_table=f.moments())
+        GridFunction(1, 2, np.zeros(4), _error_levels={})

@@ -653,8 +653,8 @@ def test_l2_fits_are_exactly_zero_on_finest_cells(n, depth):
 
 @pytest.mark.parametrize("n, depth", HEADLINE)
 def test_l2_fits_on_small_cubes_match_exact_projection(n, depth):
-    """Cubes of 2 to 16 cells: the error is exact to rounding of
-    ``||f||_{L^2(Q)}``."""
+    """Cubes of 2 to 16 cells: the error is exact to rounding of ``E*``,
+    the projection residual in rational arithmetic."""
     f = _uniform_grid(n, depth)
     rng = np.random.default_rng(1)
     worst = 0.0
@@ -666,23 +666,34 @@ def test_l2_fits_on_small_cubes_match_exact_projection(n, depth):
             for i in pick:
                 cube = CubeId(level, tuple(int(c) for c in np.unravel_index(
                     i, (side,) * n)))
-                exact, norm = exact_l2_error(f, cube, k)
-                worst = max(worst, abs(errs[i] - exact) / norm)
-    print(f"max |E - E*| / ||f||_L2(Q) = {worst:.3e}")
-    assert worst <= 1e-10
+                exact = exact_l2_error(f, cube, k)[0]
+                worst = max(worst, abs(errs[i] - exact) / exact)
+    print(f"max |E - E*| / E* = {worst:.3e}")
+    assert worst <= 1e-14
 
 
-# bytes traced while building the prefix-sum table this one replaced
-@pytest.mark.parametrize("n, depth, limit", [(1, 16, 8_392_501),
-                                             (2, 8, 11_102_186)])
-def test_moment_table_build_memory(n, depth, limit):
-    """Building every level traces no more than the prefix-sum table did
-    (8.4 MB at 1D L=16, 11.1 MB at 2D L=8); the table holds 4.2 / 4.9 MB."""
-    f = _uniform_grid(n, depth)
-    tracemalloc.start()
-    try:
-        f.moments()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= limit
+def test_l2_two_cell_cubes_match_the_closed_form():
+    """On a cube of two cells the best constant is their mean, so
+    ``E_1 = sqrt(|Q|) |v1 - v2| / 2``: every cube one level above the
+    finest of the 1D headline grid."""
+    f = _uniform_grid(1, 16)
+    errs = l2_level_fits(f, 15, 1)[1]
+    closed = math.sqrt(2.0 ** -15) * np.abs(f.values[0::2]
+                                            - f.values[1::2]) / 2
+    assert np.max(np.abs(errs - closed) / closed) <= 1e-15
+
+
+@pytest.mark.parametrize("n, depth", HEADLINE)
+def test_l2_errors_ignore_an_added_constant(n, depth):
+    """Every cube's values are taken relative to its first cell, which is
+    exact for ``v + s``: the errors of ``v + s`` and ``(v + s) - s`` are
+    the same floats, on every level and for every degree."""
+    v = _uniform_grid(n, depth).values
+    for s in (1e6, 1e9, 1e12):
+        f = GridFunction(n, depth, v + s)
+        g = GridFunction(n, depth, f.values - s)
+        for k in (1, 2, 3):
+            for level in range(depth + 1):
+                ef, eg = (l2_level_fits(h, level, k)[1] for h in (f, g))
+                assert (ef == eg).all(), (s, k, level)
+                assert ef.any() or level == depth, (s, k, level)
