@@ -32,20 +32,20 @@ Luxemburg ``L log L`` norm, and ``sup(f** - f*)`` round out the toolkit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .families import (SUBSET_NODE_CAP, CubeFamily, cz_family, family_tables,
-                       validate_index)
+from .families import (SUBSET_NODE_CAP, CubeFamily, FamilyTables, cz_family,
+                       family_tables, validate_index)
 # imported for its name alone: perfbench/tracer.py binds
 # ``oscnorm.norms.validate``; the code here calls ``validate_index``
 from .families import validate  # noqa: F401
 from .grid import (CubeId, GridFunction, cube_measures, iter_cubes,
                    level_offsets, tree_size)
-from .local_poly import (best_fit, convention_exponent, l2_level_fits,
-                         median_deviations, poly_error,
+from .local_poly import (PolyFit, best_fit, convention_exponent,
+                         l2_level_fits, median_deviations, poly_error,
                          residual_cell_integrals)
 from .maximal import chain_max, level_integrals, lp_norm, refine, sibling_sums
 
@@ -197,9 +197,13 @@ def _fit_error_levels(f: GridFunction, k: int,
     held = f._error_levels.get((k, q))
     if held is None:
         n, L = f.dimension, f.depth
-        flat = np.array([poly_error(f, c, k, q) for c in iter_cubes(L, n)])
+        offsets = level_offsets(L, n)
+        # a one-cell cube is fitted exactly by its constant: no fit, E = 0
+        flat = np.zeros(offsets[-1])
+        for i, c in zip(range(offsets[L]), iter_cubes(L, n)):
+            flat[i] = poly_error(f, c, k, q)
         flat.flags.writeable = False
-        held = tuple(np.split(flat, level_offsets(L, n)[1:-1]))
+        held = tuple(np.split(flat, offsets[1:-1]))
         f._error_levels[k, q] = held
     return held
 
@@ -229,19 +233,12 @@ def _packing_sup(f: GridFunction, params: NormParams,
     ``scaled_error_levels(f, params)``."""
     n, L = f.dimension, f.depth
     offsets = level_offsets(L, n)
+    value, weights, child_sums = _packing_value(scaled, n, params.p)
     if math.isinf(params.p):
         per_level_max = [lvl.max() for lvl in scaled]
-        value = float(max(per_level_max))
         lvl = int(np.argmax(per_level_max))
         members = offsets[lvl:lvl + 1] + np.argmax(scaled[lvl])
     else:
-        p = params.p
-        weights = [
-            lvl_scaled ** p * 2.0 ** (-n * lvl)
-            for lvl, lvl_scaled in enumerate(scaled)
-        ]
-        total, child_sums = packing_dp(weights, n)
-        value = float(total) ** (1.0 / p)
         # witness: top-down over cubes not yet covered, each taking itself
         # when its own weight ties or beats its children's best
         picks = []
@@ -255,6 +252,20 @@ def _packing_sup(f: GridFunction, params: NormParams,
     witness = validate_index(members, "packing", dimension=n, depth=L)
     assert isinstance(witness, CubeFamily)
     return NormReport(params, value, value, True, witness)
+
+
+def _packing_value(scaled: list[np.ndarray], n: int, p: float):
+    """The packing supremum at ``p`` from the levels of
+    ``scaled_error_levels``, with the tree DP's level weights and child
+    sums (both ``None`` at ``p = inf``, where it is the largest entry)."""
+    if math.isinf(p):
+        return float(max(lvl.max() for lvl in scaled)), None, None
+    weights = [
+        lvl_scaled ** p * 2.0 ** (-n * lvl)
+        for lvl, lvl_scaled in enumerate(scaled)
+    ]
+    total, child_sums = packing_dp(weights, n)
+    return float(total) ** (1.0 / p), weights, child_sums
 
 
 def packing_dp(weights: list[np.ndarray],
@@ -298,28 +309,44 @@ def sparse_sup_exhaustive(f: GridFunction, params: NormParams) -> NormReport:
     in ``extras["weighted_value"]``.  The witness is the first maximising
     family in bitmask order.
     """
-    try:
-        tables = family_tables(f.dimension, f.depth, _order_key(params))
-    except ValueError as exc:
-        raise ValueError(
-            f"{exc}; use sparse_norm_bounds at this scale") from None
-    scaled = _scaled_flat(f, params)
+    tables, scaled = _sparse_setup(f, params)
+    value, row = _sparse_sup(tables, scaled, params.p)
     if math.isinf(params.p):
-        member = tables.cube_meas > 0
-        fam_core = np.where(member, scaled[None, :], 0.0).max(axis=1)
-        fam_weighted = fam_core
+        weighted = value
     else:
-        sp = scaled ** params.p
-        fam_core = (tables.core_meas @ sp) ** (1.0 / params.p)
-        fam_weighted = (tables.cube_meas @ sp) ** (1.0 / params.p)
-    row = int(np.argmax(fam_core))
-    value = float(fam_core[row])
+        weighted = float(((tables.cube_meas @ scaled ** params.p)
+                          ** (1.0 / params.p)).max())
     witness = validate_index(np.flatnonzero(tables.cube_meas[row]),
                              _order_key(params), dimension=f.dimension,
                              depth=f.depth)
     assert isinstance(witness, CubeFamily)
     return NormReport(params, value, value, True, witness,
-                      extras={"weighted_value": float(fam_weighted.max())})
+                      extras={"weighted_value": weighted})
+
+
+def _sparse_setup(f: GridFunction,
+                  params: NormParams) -> tuple[FamilyTables, np.ndarray]:
+    """The ``p``-independent half of :func:`sparse_sup_exhaustive`: the
+    family table of the class and the scaled errors, breadth-first."""
+    try:
+        tables = family_tables(f.dimension, f.depth, _order_key(params))
+    except ValueError as exc:
+        raise ValueError(
+            f"{exc}; use sparse_norm_bounds at this scale") from None
+    return tables, _scaled_flat(f, params)
+
+
+def _sparse_sup(tables: FamilyTables, scaled: np.ndarray,
+                p: float) -> tuple[float, int]:
+    """The sparse supremum at ``p`` over the rows of ``tables``, and the
+    first row attaining it."""
+    if math.isinf(p):
+        member = tables.cube_meas > 0
+        fam_core = np.where(member, scaled[None, :], 0.0).max(axis=1)
+    else:
+        fam_core = (tables.core_meas @ scaled ** p) ** (1.0 / p)
+    row = int(np.argmax(fam_core))
+    return float(fam_core[row]), row
 
 
 def family_value(f: GridFunction, family: CubeFamily, params: NormParams,
@@ -343,16 +370,38 @@ def sparse_norm_bounds(f: GridFunction, params: NormParams) -> NormReport:
     Lower: the best of (a) the stopping-time family of the residual density,
     (b) the finest packing, (c) every singleton family.
     """
+    setup = _bounds_setup(f, params, _scaled_flat(f, params))
+    lower, upper, best = _bounds_at(f, setup, params.p)
+    if isinstance(best, int):
+        single = validate_index(np.array([best]), _order_key(params),
+                                dimension=f.dimension, depth=f.depth)
+        assert isinstance(single, CubeFamily)
+        best = single
+    return NormReport(params, lower, upper, False, best,
+                      extras={"reference_fit_error": setup.fit.error})
+
+
+@dataclass(frozen=True)
+class _BoundsSetup:
+    """The ``p``-independent half of :func:`sparse_norm_bounds`."""
+
+    params: NormParams
+    fit: PolyFit                  # the root fit P
+    maximal: GridFunction         # M_{q,lam}(f - P), cell by cell
+    scaled: np.ndarray            # scaled errors, breadth-first
+    candidates: tuple[CubeFamily, ...]
+
+
+def _bounds_setup(f: GridFunction, params: NormParams,
+                  scaled: np.ndarray) -> _BoundsSetup:
+    """Root fit, maximal function and candidate families, held with
+    ``scaled``, the flat ``scaled_error_levels(f, params)``."""
     n, L = f.dimension, f.depth
     root = CubeId(0, (0,) * n)
     fit = best_fit(f, root, params.k, 2 if params.k >= 1 else params.q)
     r_cells = residual_cell_integrals(f, fit, params.q)
     r_nd = r_cells.reshape(f.values_nd.shape)
-
     mvals = chain_max(level_integrals(r_nd, n, L), n, params.q, params.lam)
-    upper = 2.0 * lp_norm(GridFunction(n, L, mvals.ravel()), params.p)
-
-    scaled = _scaled_flat(f, params)
     order = _order_key(params)
 
     candidates: list[CubeFamily] = []
@@ -371,30 +420,34 @@ def sparse_norm_bounds(f: GridFunction, params: NormParams) -> NormReport:
                             dimension=n, depth=L)
     if isinstance(finest, CubeFamily):
         candidates.append(finest)
+    return _BoundsSetup(params, fit, GridFunction(n, L, mvals.ravel()),
+                        scaled, tuple(candidates))
 
+
+def _bounds_at(f: GridFunction, setup: _BoundsSetup,
+               p: float) -> tuple[float, float, CubeFamily | int | None]:
+    """``(lower, upper, best)`` of :func:`sparse_norm_bounds` at ``p``:
+    ``best`` is the candidate family attaining ``lower``, or the cube
+    number of the singleton that does."""
+    upper = 2.0 * lp_norm(setup.maximal, p)
+    params = replace(setup.params, p=p)
+    scaled = setup.scaled
     lower = -math.inf
-    witness = None
-    for fam in candidates:
+    best: CubeFamily | int | None = None
+    for fam in setup.candidates:
         val = family_value(f, fam, params, scaled)
         if val > lower:
-            lower, witness = val, fam
+            lower, best = val, fam
     # singletons are sparse of every order: no children at all
-    meas = cube_measures(L, n)
-    if math.isinf(params.p):
+    if math.isinf(p):
         single_vals = scaled
     else:
-        single_vals = (scaled ** params.p * meas) ** (1.0 / params.p)
+        meas = cube_measures(f.depth, f.dimension)
+        single_vals = (scaled ** p * meas) ** (1.0 / p)
     best_single = int(np.argmax(single_vals))
     if float(single_vals[best_single]) > lower:
-        lower = float(single_vals[best_single])
-        single = validate_index(np.array([best_single]), order, dimension=n,
-                                depth=L)
-        assert isinstance(single, CubeFamily)
-        witness = single
-
-    lower = max(lower, 0.0)
-    return NormReport(params, lower, upper, False, witness,
-                      extras={"reference_fit_error": fit.error})
+        lower, best = float(single_vals[best_single]), best_single
+    return max(lower, 0.0), upper, best
 
 
 # -- Garsia-Rodemich functional ----------------------------------------------

@@ -9,7 +9,10 @@ The rows go through the library's own kernels (``level_integrals``,
 ``chain_max``, ``lp_rows``, ``median_deviations``, ``packing_dp``,
 ``llogl_rows``), which take any leading trial axes and give each row the
 bits of the single-grid call; only the final root is taken on arrays here
-and on scalars there.
+and on scalars there.  ``sv-equivalence`` still works grid by grid, since
+its ``L^1``, ``k = 2`` errors are one fit per cube: per trial and ``(k, q)``
+it runs the ``p``-independent halves of the library's three functionals
+once and their per-``p`` halves at each ``p``, with no witnesses.
 
 The suites that multiply the rows against an oracle family table do so in
 row blocks of about ``_CHUNK_BUDGET`` floats, so each product stays in
@@ -43,9 +46,13 @@ from .grid import GridFunction, tree_size
 from .maximal import (chain_max, level_integrals, lp_norm, lp_rows,
                       maximal_opnorm_bound)
 from .local_poly import median_deviations
-from .norms import (NormParams, bmo_norm, garo_norm, llogl_rows, packing_dp,
-                    packing_sup_norm, ri_functionals, sparse_norm_bounds,
-                    sparse_sup_exhaustive)
+from .norms import (NormParams, _bounds_at, _bounds_setup, _packing_value,
+                    _sparse_setup, _sparse_sup, bmo_norm, garo_norm,
+                    llogl_rows, packing_dp, packing_sup_norm, ri_functionals,
+                    scaled_error_levels)
+# imported for their names alone: perfbench/tracer.py binds them here;
+# sv-equivalence calls their p-independent and per-p halves instead
+from .norms import sparse_norm_bounds, sparse_sup_exhaustive  # noqa: F401
 
 __all__ = ["SUITE_NAMES", "SuiteConfig", "SuiteReport", "run_suite"]
 
@@ -345,7 +352,15 @@ def _suite_sparse_jn(cfg: SuiteConfig) -> SuiteReport:
 
 
 def _suite_sv_equivalence(cfg: SuiteConfig) -> SuiteReport:
-    """Factor-2 upper bound and packing-below-sparse across (k, q) choices."""
+    """Factor-2 upper bound and packing-below-sparse across (k, q) choices.
+
+    Per trial and ``(k, q)`` the ``p``-independent halves of
+    ``sparse_sup_exhaustive``, ``sparse_norm_bounds`` and
+    ``packing_sup_norm`` run once: the scaled errors (shared by the first
+    two), the root fit, maximal function and candidate families of the
+    bounds.  Their per-``p`` halves then give the three functionals'
+    values at each ``p``, bit for bit, without building witnesses.
+    """
     n, L = cfg.dimension, cfg.depth
     _require_oracle_scale("sv-equivalence", n, L)
     V = batch_uniform(n, L, cfg.seed, cfg.trials)
@@ -359,26 +374,30 @@ def _suite_sv_equivalence(cfg: SuiteConfig) -> SuiteReport:
     rows = []
     for i, (k, q) in enumerate(kq_list):
         count = min(per, 40) if (k >= 2 and q == 1) else per
+        # the setups do not read p; each p is passed to the evaluations
+        sv_params = NormParams.sv(math.inf, k, q, 0.0)
+        pk_params = NormParams.packing(math.inf, k, q, 0.0)
         for t in range(count):
             f = GridFunction(n, L, V[(i * per + t) % cfg.trials])
+            tables, scaled = _sparse_setup(f, sv_params)
+            bounds = _bounds_setup(f, sv_params, scaled)
+            pk_levels = scaled_error_levels(f, pk_params)
             for p in p_list:
-                sv = sparse_sup_exhaustive(f, NormParams.sv(p, k, q, 0.0))
-                bracket = sparse_norm_bounds(f, NormParams.sv(p, k, q, 0.0))
-                pk = packing_sup_norm(f, NormParams.packing(p, k, q, 0.0))
+                sv = _sparse_sup(tables, scaled, p)[0]
+                lower, upper, _ = _bounds_at(f, bounds, p)
+                pk = _packing_value(pk_levels, n, p)[0]
                 checks += 1
-                gap = sv.value - bracket.value_upper
+                gap = sv - upper
                 worst = max(worst, gap)
                 if gap > 1e-10:
                     viol_upper += 1
-                if pk.value > sv.value + 1e-12:
+                if pk > sv + 1e-12:
                     viol_pack += 1
                 if len(rows) < _MAX_ROWS:
-                    rows.append({"k": k, "q": q, "p": p,
-                                 "sv": sv.value,
-                                 "upper": bracket.value_upper,
-                                 "lower": bracket.value_lower,
-                                 "packing": pk.value})
-                if not (bracket.value_lower <= sv.value + 1e-10):
+                    rows.append({"k": k, "q": q, "p": p, "sv": sv,
+                                 "upper": upper, "lower": lower,
+                                 "packing": pk})
+                if not (lower <= sv + 1e-10):
                     viol_upper += 1
     asserts = (
         _assertion("factor-two-upper", viol_upper == 0,

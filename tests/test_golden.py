@@ -250,6 +250,10 @@ ORACLE_SCALE_GOLDEN = {
         "7a5483e783f2be5b2f2ff9deb8873a328cfbc37130e238d92bdbb4eba10a685b",
     ("jn-extrapolation", 1, 14, 1):
         "ea55bb2ec68e143081874de64b7e04bc62ca14e95a45216f308a5fa1ebd710ca",
+    # the local-fits configuration: at depth 3 the k=2 fits see 8-cell
+    # root cubes, where the depth-2 pin above sees at most 4 cells
+    ("sv-equivalence", 1, 3, 8):
+        "d46084a105bdf633ccab526db596d6c75942a24a6880a72c0f54a0d4c2cdb741",
 }
 
 

@@ -330,7 +330,8 @@ def test_sparse_sup_exhaustive_refuses_large_tree():
 
 def test_error_levels_are_swept_once_per_grid(monkeypatch):
     """One sweep of local fits per grid and (k, q), whatever p, lambda,
-    convention or entry point; a new grid sweeps again."""
+    convention or entry point; a new grid sweeps again.  A sweep fits the
+    3 multi-cell cubes of 1D L=2; the 4 one-cell cubes need no fit."""
     calls = []
     poly_error = norms.poly_error
     monkeypatch.setattr(norms, "poly_error",
@@ -339,22 +340,79 @@ def test_error_levels_are_swept_once_per_grid(monkeypatch):
     f = GridFunction(1, 2, rng.uniform(0, 1, 4))
     first = np.concatenate(scaled_error_levels(f, NormParams.sv(1.0, 2, 1,
                                                                 0.0)))
-    assert len(calls) == 7
+    assert len(calls) == 3
     for p in (1.0, 2.0, 4.0):
         sparse_sup_exhaustive(f, NormParams.sv(p, 2, 1, 0.0))
         sparse_norm_bounds(f, NormParams.sv(p, 2, 1, 0.0))
         packing_sup_norm(f, NormParams.packing(p, 2, 1, 0.5))
-    assert len(calls) == 7
+    assert len(calls) == 3
     again = np.concatenate(scaled_error_levels(f, NormParams.sv(1.0, 2, 1,
                                                                 0.0)))
     assert again.tobytes() == first.tobytes()
     g = GridFunction(1, 2, f.values)
     scaled_error_levels(g, NormParams.sv(1.0, 2, 1, 0.0))
-    assert len(calls) == 14
+    assert len(calls) == 6
     zeros = dataclasses.replace(f, values=np.zeros(4))
     assert not np.concatenate(scaled_error_levels(
         zeros, NormParams.sv(1.0, 2, 1, 0.0))).any()
-    assert len(calls) == 21
+    assert len(calls) == 9
+
+
+@pytest.mark.parametrize("n, depth", [(1, 3), (1, 6), (2, 2), (2, 3)])
+@pytest.mark.parametrize("dist", ["uniform", "lognormal", "tied", "offset"])
+def test_one_cell_fits_are_exactly_zero(n, depth, dist):
+    """The held L^1 levels skip the fits of one-cell cubes and read 0.0
+    there, which is the bits the fit itself returns (never -0.0)."""
+    v = _values(np.random.default_rng(6), 1 << (n * depth), dist)
+    f = GridFunction(n, depth, v)
+    finest = list(iter_cubes(depth, n))[level_offsets(depth, n)[depth]:]
+    for k in (2, 3):
+        scaled_error_levels(f, NormParams.packing(2.0, k, 1, 0.0))
+        held = f._error_levels[k, 1][depth]
+        fits = [norms.poly_error(f, c, k, 1) for c in finest]
+        assert [e.hex() for e in fits] == [e.hex() for e in held.tolist()]
+        assert {e.hex() for e in fits} == {(0.0).hex()}
+
+
+def _values(rng, size, dist):
+    if dist == "uniform":
+        return rng.uniform(0.0, 1.0, size)
+    if dist == "lognormal":
+        return rng.lognormal(0.0, 1.5, size)
+    if dist == "tied":
+        return rng.integers(0, 3, size).astype(float)
+    return 1e12 + rng.uniform(0.0, 1.0, size)
+
+
+@pytest.mark.parametrize("n, depth", [(1, 1), (1, 2), (1, 3), (2, 1)])
+@pytest.mark.parametrize("dist", ["uniform", "lognormal", "tied"])
+def test_setup_and_per_p_halves_give_the_functionals_bits(n, depth, dist):
+    """The p-independent setups, run once, and their per-p evaluations
+    give the values of the three public functionals bit for bit, at each
+    (k, q) of sv-equivalence; the bounds name the public witness."""
+    f = GridFunction(n, depth, _values(np.random.default_rng(depth),
+                                       1 << (n * depth), dist))
+    for k, q in ((1, 1), (2, 2), (3, 2), (2, 1)):
+        # the setups do not read p
+        tables, scaled = norms._sparse_setup(f, NormParams.sv(math.inf, k,
+                                                              q, 0.0))
+        bounds = norms._bounds_setup(f, NormParams.sv(math.inf, k, q, 0.0),
+                                     scaled)
+        levels = scaled_error_levels(f, NormParams.packing(math.inf, k, q,
+                                                           0.0))
+        for p in (1.0, 2.0, 4.0, math.inf):
+            sv = sparse_sup_exhaustive(f, NormParams.sv(p, k, q, 0.0))
+            bracket = sparse_norm_bounds(f, NormParams.sv(p, k, q, 0.0))
+            pk = packing_sup_norm(f, NormParams.packing(p, k, q, 0.0))
+            lower, upper, best = norms._bounds_at(f, bounds, p)
+            assert (norms._sparse_sup(tables, scaled, p)[0].hex()
+                    == sv.value.hex())
+            assert lower.hex() == bracket.value_lower.hex()
+            assert upper.hex() == bracket.value_upper.hex()
+            assert (norms._packing_value(levels, f.dimension, p)[0].hex()
+                    == pk.value.hex())
+            best_index = [best] if isinstance(best, int) else best.index
+            assert bracket.witness.index.tolist() == list(best_index)
 
 
 @pytest.mark.parametrize("n, k", [(1, 2), (1, 3), (2, 2), (2, 3)])

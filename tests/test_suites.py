@@ -144,8 +144,9 @@ def test_failed_assertion_marks_report(monkeypatch):
 
 
 def test_sv_equivalence_fits_each_cube_once(monkeypatch):
-    """The suite calls three functionals at three p per trial; the L^1,
-    k=2 fits run once per cube of a trial: 2 trials x 15 cubes."""
+    """The suite evaluates three functionals at three p per trial; the
+    L^1, k=2 fits run once per multi-cell cube of a trial (a one-cell cube
+    is fitted by its constant): 2 trials x 7 cubes."""
     from oscnorm import local_poly
     calls = []
     fit_l1 = local_poly._fit_l1
@@ -154,7 +155,24 @@ def test_sv_equivalence_fits_each_cube_once(monkeypatch):
     report = run_suite(SuiteConfig(suite="sv-equivalence", dimension=1,
                                    depth=3, trials=8, seed=901))
     assert all(a["passed"] for a in report.assertions)
-    assert len(calls) == 30
+    assert len(calls) == 14
+
+
+def test_sv_equivalence_sets_up_once_per_trial_and_kq(monkeypatch):
+    """The root fit and the stopping-time family of the bounds are built
+    once per trial and (k, q), not once per p: 8 trials give 2 trials for
+    each of 4 (k, q), so 8 calls each."""
+    from oscnorm import norms
+    counts = {"best_fit": 0, "cz_family": 0}
+    for name in counts:
+        def counted(*args, _name=name, _func=getattr(norms, name), **kw):
+            counts[_name] += 1
+            return _func(*args, **kw)
+        monkeypatch.setattr(norms, name, counted)
+    report = run_suite(SuiteConfig(suite="sv-equivalence", dimension=1,
+                                   depth=3, trials=8, seed=901))
+    assert report.passed
+    assert counts == {"best_fit": 8, "cz_family": 8}
 
 
 @pytest.mark.parametrize("suite", ("sparse-jn", "fractional-sv",
