@@ -42,6 +42,7 @@ __all__ = [
     "SparsityViolation",
     "validate",
     "validate_index",
+    "finest_family",
     "cz_family",
     "family_tables",
     "SUBSET_NODE_CAP",
@@ -280,6 +281,19 @@ def validate_index(index: np.ndarray, order, *, dimension: int,
         return SparsityViolation(CubeId(lvl, tuple(coords[0].tolist())),
                                  condition, *map(float, sides))
     return CubeFamily(dimension, depth, kind, order_val, index, parent, core)
+
+
+def finest_family(dimension: int, depth: int, order: float) -> CubeFamily:
+    """The finest level as :func:`validate_index` returns it at ``order``,
+    built without the classifier: no finest cube contains another, so each
+    member has no parent and its own cell as its core set."""
+    if not 0.0 < order <= 1.0:
+        raise ValueError(f"sparseness order must lie in (0, 1], got {order}")
+    offsets = level_offsets(depth, dimension)
+    index = np.arange(offsets[depth], offsets[depth + 1])
+    ones = np.ones_like(index)
+    return CubeFamily(dimension, depth, "sparse", float(order), index, -ones,
+                      ones)
 
 
 # -- Calderon-Zygmund stopping time ------------------------------------------

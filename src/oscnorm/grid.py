@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -174,11 +174,6 @@ class GridFunction:
     dimension: int
     depth: int
     values: np.ndarray
-    # derived data, built on first use: never passed in, so a new
-    # ``values`` (``dataclasses.replace``) never inherits it
-    _error_levels: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.dimension not in (1, 2):
@@ -192,7 +187,7 @@ class GridFunction:
                 "reduce the depth"
             )
         values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim == self.dimension and self.dimension == 2:
+        if self.dimension == 2 and values.shape == (1 << self.depth,) * 2:
             values = values.ravel()
         if values.ndim != 1 or values.size != n_cells:
             raise ValueError(

@@ -62,9 +62,9 @@ one-row call, with the bits of the level sweep.
   subcell, so ``y`` is orthogonal to the quadratics on the continuum too,
   and at the exact optimum the bound is the midpoint objective itself.
 * No certificate moves the fit, so ``poly_error``, which skips it, gives
-  the bits of ``best_fit(..).error``.  The functionals of
-  :mod:`oscnorm.norms` run these fits once per cube of a grid and hold the
-  errors on the grid.
+  the bits of ``best_fit(..).error``.  :func:`error_levels` is the one
+  table of these routes for every cube of a grid; it holds nothing on the
+  grid, so each call sweeps again.
 
 Exactness of objectives: piecewise-constant minus polynomial is integrated in
 closed form (1D: sign changes from root splitting; 2D affine: half-plane
@@ -91,11 +91,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CubeId, GridFunction, _unit_moment, multi_indices
+from .grid import (CubeId, GridFunction, _unit_moment, iter_cubes,
+                   level_offsets, multi_indices)
 from .maximal import level_integrals
 
-__all__ = ["PolyFit", "best_fit", "l2_level_fits", "median_deviations",
-           "scaled_error", "convention_exponent", "mean_oscillation"]
+__all__ = ["PolyFit", "best_fit", "error_levels", "l2_level_fits",
+           "median_deviations", "scaled_error", "convention_exponent",
+           "mean_oscillation"]
 
 _NEWTON_STEPS = 100  # trial steps of a Newton polish, 1D and 2D affine
 _QUAD_RULE = 16  # midpoint subdivisions per cell axis, 2D quadratic corner
@@ -166,6 +168,27 @@ def best_fit(f: GridFunction, c: CubeId, k: int, q: int) -> PolyFit:
 def poly_error(f: GridFunction, c: CubeId, k: int, q: int) -> float:
     """E_k(f;c)_q without the near-best certificate (cheaper for k>=2, q=1)."""
     return _fit(f, c, k, q, certify=False)[1]
+
+
+def error_levels(f: GridFunction, k: int, q: int) -> list[np.ndarray]:
+    """``E_k(f;Q)_q`` of every cube, one flat array per level, each with
+    the bits of :func:`poly_error`.  ``q = 1, k >= 2`` fits each
+    multi-cell cube; a one-cell cube is its own constant and reads 0.0."""
+    _check_kq(k, q)
+    n, L = f.dimension, f.depth
+    if k == 0:
+        dens = np.abs(f.values_nd) ** q * f.cell_measure
+        return [S.ravel() ** (1.0 / q) for S in level_integrals(dens, n, L)]
+    if q == 2:
+        return [l2_level_fits(f, lvl, k)[1] for lvl in range(L + 1)]
+    if k == 1:
+        return [median_deviations(f.values, n, L, lvl)[1] * f.cell_measure
+                for lvl in range(L + 1)]
+    offsets = level_offsets(L, n)
+    flat = np.zeros(offsets[-1])
+    for i, c in enumerate(iter_cubes(L - 1, n)):
+        flat[i] = poly_error(f, c, k, q)
+    return np.split(flat, offsets[1:-1])
 
 
 def _fit(f: GridFunction, c: CubeId, k: int, q: int, certify: bool):

@@ -38,15 +38,17 @@ from functools import cached_property
 import numpy as np
 
 from .families import (SUBSET_NODE_CAP, CubeFamily, FamilyTables, cz_family,
-                       family_tables, validate_index)
+                       family_tables, finest_family, validate_index)
 # imported for its name alone: perfbench/tracer.py binds
 # ``oscnorm.norms.validate``; the code here calls ``validate_index``
 from .families import validate  # noqa: F401
-from .grid import (CubeId, GridFunction, cube_measures, iter_cubes,
-                   level_offsets, tree_size)
-from .local_poly import (PolyFit, best_fit, convention_exponent,
-                         l2_level_fits, median_deviations, poly_error,
+from .grid import (CubeId, GridFunction, cube_measures, level_offsets,
+                   tree_size)
+from .local_poly import (PolyFit, best_fit, convention_exponent, error_levels,
                          residual_cell_integrals)
+# imported for its name alone: perfbench/tracer.py binds
+# ``oscnorm.norms.poly_error``; the code here calls ``error_levels``
+from .local_poly import poly_error  # noqa: F401
 from .maximal import chain_max, level_integrals, lp_norm, refine, sibling_sums
 
 __all__ = [
@@ -121,6 +123,8 @@ class NormParams:
     def sv_fractional(cls, p: float, k: int, q: int, lam: float,
                       dimension: int) -> NormParams:
         """Supremum over families sparse of order 1 - lam/n."""
+        if not 0.0 <= lam < dimension:
+            raise ValueError(f"lambda must lie in [0, {dimension}), got {lam}")
         return cls(k=k, q=q, lam=lam, p=p, convention="SV",
                    family_class="sparse", family_order=1.0 - lam / dimension)
 
@@ -165,47 +169,12 @@ class NormReport:
 # -- scaled local errors, level by level -------------------------------------
 
 def scaled_error_levels(f: GridFunction, params: NormParams) -> list[np.ndarray]:
-    """``scaled(Q)`` for every cube, one flat array per level."""
-    n, L = f.dimension, f.depth
+    """``scaled(Q)`` for every cube, one flat array per level: the errors
+    of :func:`~oscnorm.local_poly.error_levels`, scaled by ``|Q|^e``."""
+    n = f.dimension
     e = convention_exponent(params.convention, params.lam, params.q, n)
-    k, q = params.k, params.q
-    if k == 0:
-        dens = np.abs(f.values_nd) ** q * f.cell_measure
-        errs = [S.ravel() ** (1.0 / q) for S in level_integrals(dens, n, L)]
-    elif k == 1 and q == 1:
-        errs = [median_deviations(f.values, n, L, lvl)[1] * f.cell_measure
-                for lvl in range(L + 1)]
-    elif q == 2:
-        errs = [l2_level_fits(f, lvl, k)[1] for lvl in range(L + 1)]
-    else:
-        errs = _fit_error_levels(f, k, q)
+    errs = error_levels(f, params.k, params.q)
     return [(2.0 ** (-n * lvl)) ** e * err for lvl, err in enumerate(errs)]
-
-
-def _fit_error_levels(f: GridFunction, k: int,
-                      q: int) -> tuple[np.ndarray, ...]:
-    """``E_k(f;Q)_q`` by one fit per cube, one read-only flat array per
-    level.
-
-    Built on first use per ``(k, q)`` and held on ``f``, so the functionals
-    of one grid share one sweep of fits whatever their ``p``, ``lam`` or
-    convention.  This is the only data held on a grid.  The other routes
-    are vectorised passes over the level's cell blocks and are not held:
-    kept alive through their callers, their arrays raise the peak memory
-    of the large-grid functionals for little time saved.
-    """
-    held = f._error_levels.get((k, q))
-    if held is None:
-        n, L = f.dimension, f.depth
-        offsets = level_offsets(L, n)
-        # a one-cell cube is fitted exactly by its constant: no fit, E = 0
-        flat = np.zeros(offsets[-1])
-        for i, c in zip(range(offsets[L]), iter_cubes(L, n)):
-            flat[i] = poly_error(f, c, k, q)
-        flat.flags.writeable = False
-        held = tuple(np.split(flat, offsets[1:-1]))
-        f._error_levels[k, q] = held
-    return held
 
 
 def _scaled_flat(f: GridFunction, params: NormParams) -> np.ndarray:
@@ -404,24 +373,15 @@ def _bounds_setup(f: GridFunction, params: NormParams,
     mvals = chain_max(level_integrals(r_nd, n, L), n, params.q, params.lam)
     order = _order_key(params)
 
-    candidates: list[CubeFamily] = []
     density = GridFunction(n, L, (r_cells / f.cell_measure) ** (1.0 / params.q))
     stopping = cz_family(density, 2.0)
-    if order == 1.0:
-        candidates.append(stopping)
-    else:
+    if order != 1.0:
         # the stopping-time family is sparse(1); thinner classes may reject it
-        revalidated = validate_index(stopping.index, order, dimension=n,
-                                     depth=L)
-        if isinstance(revalidated, CubeFamily):
-            candidates.append(revalidated)
-    offsets = level_offsets(L, n)
-    finest = validate_index(np.arange(offsets[L], offsets[L + 1]), order,
-                            dimension=n, depth=L)
-    if isinstance(finest, CubeFamily):
-        candidates.append(finest)
+        stopping = validate_index(stopping.index, order, dimension=n, depth=L)
+    candidates = tuple(fam for fam in (stopping, finest_family(n, L, order))
+                       if isinstance(fam, CubeFamily))
     return _BoundsSetup(params, fit, GridFunction(n, L, mvals.ravel()),
-                        scaled, tuple(candidates))
+                        scaled, candidates)
 
 
 def _bounds_at(f: GridFunction, setup: _BoundsSetup,

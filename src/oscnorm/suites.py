@@ -11,8 +11,9 @@ The rows go through the library's own kernels (``level_integrals``,
 bits of the single-grid call; only the final root is taken on arrays here
 and on scalars there.  ``sv-equivalence`` still works grid by grid, since
 its ``L^1``, ``k = 2`` errors are one fit per cube: per trial and ``(k, q)``
-it runs the ``p``-independent halves of the library's three functionals
-once and their per-``p`` halves at each ``p``, with no witnesses.
+it sweeps the scaled errors once, runs the ``p``-independent halves of the
+library's three functionals on them, and their per-``p`` halves at each
+``p``, with no witnesses.
 
 The suites that multiply the rows against an oracle family table do so in
 row blocks of about ``_CHUNK_BUDGET`` floats, so each product stays in
@@ -42,14 +43,13 @@ import numpy as np
 
 from .families import SUBSET_NODE_CAP, family_tables
 from .generate import batch_uniform, log_singularity
-from .grid import GridFunction, tree_size
+from .grid import GridFunction, level_offsets, tree_size
 from .maximal import (chain_max, level_integrals, lp_norm, lp_rows,
                       maximal_opnorm_bound)
 from .local_poly import median_deviations
 from .norms import (NormParams, _bounds_at, _bounds_setup, _packing_value,
                     _sparse_setup, _sparse_sup, bmo_norm, garo_norm,
-                    llogl_rows, packing_dp, packing_sup_norm, ri_functionals,
-                    scaled_error_levels)
+                    llogl_rows, packing_dp, packing_sup_norm, ri_functionals)
 # imported for their names alone: perfbench/tracer.py binds them here;
 # sv-equivalence calls their p-independent and per-p halves instead
 from .norms import sparse_norm_bounds, sparse_sup_exhaustive  # noqa: F401
@@ -356,16 +356,19 @@ def _suite_sv_equivalence(cfg: SuiteConfig) -> SuiteReport:
 
     Per trial and ``(k, q)`` the ``p``-independent halves of
     ``sparse_sup_exhaustive``, ``sparse_norm_bounds`` and
-    ``packing_sup_norm`` run once: the scaled errors (shared by the first
-    two), the root fit, maximal function and candidate families of the
-    bounds.  Their per-``p`` halves then give the three functionals'
-    values at each ``p``, bit for bit, without building witnesses.
+    ``packing_sup_norm`` run once: one sweep of scaled errors, shared by
+    all three (at ``lam = 0`` the packing's ``V`` exponent is the
+    ``SV`` one, ``-1/q``), and the root fit, maximal function and
+    candidate families of the bounds.  Their per-``p`` halves then give
+    the three functionals' values at each ``p``, bit for bit, without
+    building witnesses.
     """
     n, L = cfg.dimension, cfg.depth
     _require_oracle_scale("sv-equivalence", n, L)
     V = batch_uniform(n, L, cfg.seed, cfg.trials)
     kq_list = ((1, 1), (2, 2), (3, 2), (2, 1))
     p_list = (1.0, 2.0, 4.0)
+    offsets = level_offsets(L, n)
     per = max(1, cfg.trials // len(kq_list))
     viol_upper = 0
     viol_pack = 0
@@ -376,12 +379,12 @@ def _suite_sv_equivalence(cfg: SuiteConfig) -> SuiteReport:
         count = min(per, 40) if (k >= 2 and q == 1) else per
         # the setups do not read p; each p is passed to the evaluations
         sv_params = NormParams.sv(math.inf, k, q, 0.0)
-        pk_params = NormParams.packing(math.inf, k, q, 0.0)
         for t in range(count):
             f = GridFunction(n, L, V[(i * per + t) % cfg.trials])
             tables, scaled = _sparse_setup(f, sv_params)
             bounds = _bounds_setup(f, sv_params, scaled)
-            pk_levels = scaled_error_levels(f, pk_params)
+            # at lam = 0 the V and SV exponents are both -1/q
+            pk_levels = np.split(scaled, offsets[1:-1])
             for p in p_list:
                 sv = _sparse_sup(tables, scaled, p)[0]
                 lower, upper, _ = _bounds_at(f, bounds, p)

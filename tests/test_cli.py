@@ -118,6 +118,35 @@ def test_compute_svt_bounds_on_2d_grid(tmp_path, capsys):
     assert d["value_lower"] <= d["value_upper"]
 
 
+@pytest.mark.parametrize("dimension,lam", [(1, "1"), (1, "1.5"), (1, "-1"),
+                                           (2, "2")])
+def test_compute_svt_rejects_lambda_out_of_range(tmp_path, capsys, dimension,
+                                                  lam):
+    """The order 1 - lambda/n must lie in (0, 1]: lambda outside [0, n)
+    is refused before any evaluation, with one line naming lambda."""
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"dimension": dimension, "depth": 1,
+                                "values": [0.0, 1.0, 3.0, 2.0][:2 ** dimension]}))
+    code, out, err = _run(capsys, [
+        "compute", "--input", str(path), "--norm", "svt", f"--lambda={lam}"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "lambda" in err and "Traceback" not in err
+
+
+def test_compute_rejects_non_square_2d_values(tmp_path, capsys):
+    """A (2, 8) list of 16 values is not a 4x4 grid."""
+    path = tmp_path / "grid2d.json"
+    path.write_text(json.dumps(
+        {"dimension": 2, "depth": 2,
+         "values": np.arange(16.0).reshape(2, 8).tolist()}))
+    code, out, err = _run(capsys, [
+        "compute", "--input", str(path), "--norm", "bmo"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "shape (2, 8)" in err
+
+
 @pytest.mark.parametrize("key,value", [("dimension", True),
                                        ("depth", False)])
 def test_compute_rejects_boolean_sizes(tmp_path, capsys, key, value):

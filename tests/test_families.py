@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscnorm.families import (CubeFamily, SparsityViolation, cz_family,
-                              family_tables, validate)
-from oscnorm.grid import CubeId, GridFunction, cube_index, iter_cubes, tree_size
+                              family_tables, finest_family, validate,
+                              validate_index)
+from oscnorm.grid import (CubeId, GridFunction, cube_index, iter_cubes,
+                          level_offsets, tree_size)
 from oracles import (_enumerate_antichains, antichain_value_max,
                      enumerate_families)
 
@@ -107,6 +109,29 @@ def test_packings_are_sparse_of_every_order():
         for order in (0.25, 0.5, 1.0, "weak"):
             out = validate(fam.cubes, order, dimension=1, depth=2)
             assert isinstance(out, CubeFamily)
+
+
+@pytest.mark.parametrize("n, depth", [(1, 0), (1, 1), (1, 5), (2, 0), (2, 3)])
+@pytest.mark.parametrize("order", [1.0, 0.5, 0.25])
+def test_finest_family_is_the_validated_finest_level(n, depth, order):
+    offsets = level_offsets(depth, n)
+    want = validate_index(np.arange(offsets[depth], offsets[depth + 1]),
+                          order, dimension=n, depth=depth)
+    got = finest_family(n, depth, order)
+    assert isinstance(want, CubeFamily)
+    for name in ("dimension", "depth", "kind", "order"):
+        assert getattr(got, name) == getattr(want, name)
+        assert type(getattr(got, name)) is type(getattr(want, name))
+    for name in ("index", "parent", "core_counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def test_finest_family_rejects_bad_order():
+    for order in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="sparseness order"):
+            finest_family(1, 2, order)
 
 
 def test_sparse_orders_nest_upward():

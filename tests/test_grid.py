@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from oscnorm.grid import (CubeId, GridFunction, average, children, cube_index,
                           iter_cubes, moment, multi_indices, tree_size)
-from oscnorm.norms import _fit_error_levels
 
 
 def test_children_1d():
@@ -149,6 +148,24 @@ def test_gridfunction_validation():
         GridFunction(3, 1, [0.0] * 8)           # unsupported dimension
 
 
+def test_2d_values_must_be_square():
+    """A 2-D array is read as the grid only in its own shape: any other
+    shape with the right count is refused, not raveled."""
+    flat = np.arange(16.0)
+    f = GridFunction(2, 2, flat.reshape(4, 4))
+    assert f.values.tobytes() == GridFunction(2, 2, flat).values.tobytes()
+    for shape in ((2, 8), (8, 2), (1, 16)):
+        with pytest.raises(ValueError, match=r"need 16 cell values .* got "
+                           rf"array of shape \({shape[0]}, {shape[1]}\)"):
+            GridFunction(2, 2, flat.reshape(shape))
+
+
+def test_gridfunction_fields_are_its_inputs():
+    """Nothing derived is held on a grid."""
+    names = [fl.name for fl in dataclasses.fields(GridFunction)]
+    assert names == ["dimension", "depth", "values"]
+
+
 def test_gridfunction_values_read_only():
     f = GridFunction(1, 1, [1.0, 2.0])
     with pytest.raises(ValueError):
@@ -189,25 +206,3 @@ def test_cell_block_view():
     block = f.cell_block(CubeId(1, (0, 1)))
     assert block.shape == (2, 2)
     assert np.array_equal(block, f.values_nd[0:2, 2:4])
-
-
-def test_replace_builds_its_own_tables():
-    """Error levels derived from the values are never carried to new
-    values."""
-    f = GridFunction(1, 2, [1.0, 2.0, 3.0, 4.0])
-    assert f.integral() == 2.5
-    held = _fit_error_levels(f, 2, 1)
-    zeros = dataclasses.replace(f, values=np.zeros(4))
-    assert zeros.integral() == 0.0
-    assert zeros._error_levels == {}
-    assert not np.concatenate(_fit_error_levels(zeros, 2, 1)).any()
-    assert _fit_error_levels(f, 2, 1) is held
-    with pytest.raises(ValueError, match="init=False"):
-        dataclasses.replace(f, _error_levels=f._error_levels)
-
-
-def test_derived_tables_are_not_arguments():
-    with pytest.raises(TypeError):
-        GridFunction(1, 2, np.zeros(4), {})
-    with pytest.raises(TypeError):
-        GridFunction(1, 2, np.zeros(4), _error_levels={})

@@ -4,7 +4,6 @@ Golden values below are hand-derived for tiny grids; ordering properties are
 spot-checked on random grids against the exact enumeration paths.
 """
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -21,7 +20,7 @@ from oscnorm.norms import (NormParams, NormReport, bmo_norm, family_value,
                            garo_norm, lp_norm, packing_sup_norm, rearrangement,
                            ri_functionals, scaled_error_levels,
                            sparse_norm_bounds, sparse_sup_exhaustive)
-from oscnorm.local_poly import scaled_error
+from oscnorm.local_poly import error_levels, poly_error, scaled_error
 from oracles import antichain_value_max
 
 STEP = GridFunction(1, 1, [0.0, 1.0])
@@ -319,7 +318,6 @@ def test_bounds_hold_nothing_on_the_grid(n, depth, limit):
         tracemalloc.stop()
     assert peak <= limit
     assert held <= 65_536
-    assert f._error_levels == {}
 
 
 def test_sparse_sup_exhaustive_refuses_large_tree():
@@ -328,50 +326,26 @@ def test_sparse_sup_exhaustive_refuses_large_tree():
         sparse_sup_exhaustive(f, NormParams.sjn(2.0))
 
 
-def test_error_levels_are_swept_once_per_grid(monkeypatch):
-    """One sweep of local fits per grid and (k, q), whatever p, lambda,
-    convention or entry point; a new grid sweeps again.  A sweep fits the
-    3 multi-cell cubes of 1D L=2; the 4 one-cell cubes need no fit."""
-    calls = []
-    poly_error = norms.poly_error
-    monkeypatch.setattr(norms, "poly_error",
-                        lambda *args: calls.append(args) or poly_error(*args))
-    rng = np.random.default_rng(4)
-    f = GridFunction(1, 2, rng.uniform(0, 1, 4))
-    first = np.concatenate(scaled_error_levels(f, NormParams.sv(1.0, 2, 1,
-                                                                0.0)))
-    assert len(calls) == 3
-    for p in (1.0, 2.0, 4.0):
-        sparse_sup_exhaustive(f, NormParams.sv(p, 2, 1, 0.0))
-        sparse_norm_bounds(f, NormParams.sv(p, 2, 1, 0.0))
-        packing_sup_norm(f, NormParams.packing(p, 2, 1, 0.5))
-    assert len(calls) == 3
-    again = np.concatenate(scaled_error_levels(f, NormParams.sv(1.0, 2, 1,
-                                                                0.0)))
-    assert again.tobytes() == first.tobytes()
-    g = GridFunction(1, 2, f.values)
-    scaled_error_levels(g, NormParams.sv(1.0, 2, 1, 0.0))
-    assert len(calls) == 6
-    zeros = dataclasses.replace(f, values=np.zeros(4))
-    assert not np.concatenate(scaled_error_levels(
-        zeros, NormParams.sv(1.0, 2, 1, 0.0))).any()
-    assert len(calls) == 9
-
-
 @pytest.mark.parametrize("n, depth", [(1, 3), (1, 6), (2, 2), (2, 3)])
 @pytest.mark.parametrize("dist", ["uniform", "lognormal", "tied", "offset"])
 def test_one_cell_fits_are_exactly_zero(n, depth, dist):
-    """The held L^1 levels skip the fits of one-cell cubes and read 0.0
-    there, which is the bits the fit itself returns (never -0.0)."""
+    """The L^1 levels skip the fits of one-cell cubes and read 0.0 there,
+    which is the bits the fit itself returns (never -0.0)."""
     v = _values(np.random.default_rng(6), 1 << (n * depth), dist)
     f = GridFunction(n, depth, v)
     finest = list(iter_cubes(depth, n))[level_offsets(depth, n)[depth]:]
     for k in (2, 3):
-        scaled_error_levels(f, NormParams.packing(2.0, k, 1, 0.0))
-        held = f._error_levels[k, 1][depth]
-        fits = [norms.poly_error(f, c, k, 1) for c in finest]
-        assert [e.hex() for e in fits] == [e.hex() for e in held.tolist()]
+        swept = error_levels(f, k, 1)[depth]
+        fits = [poly_error(f, c, k, 1) for c in finest]
+        assert [e.hex() for e in fits] == [e.hex() for e in swept.tolist()]
         assert {e.hex() for e in fits} == {(0.0).hex()}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_errors_of_a_zero_grid_are_zero(n):
+    errs = np.concatenate(error_levels(GridFunction(n, 2, np.zeros(4 ** n)),
+                                       2, 1))
+    assert {e.hex() for e in errs.tolist()} == {(0.0).hex()}
 
 
 def _values(rng, size, dist):
@@ -400,6 +374,11 @@ def test_setup_and_per_p_halves_give_the_functionals_bits(n, depth, dist):
                                      scaled)
         levels = scaled_error_levels(f, NormParams.packing(math.inf, k, q,
                                                            0.0))
+        # at lam = 0 the packing's V scaling is the sparse SV one
+        split = np.split(scaled, level_offsets(depth, n)[1:-1])
+        assert len(split) == len(levels)
+        for got, want in zip(split, levels):
+            assert got.tobytes() == want.tobytes()
         for p in (1.0, 2.0, 4.0, math.inf):
             sv = sparse_sup_exhaustive(f, NormParams.sv(p, k, q, 0.0))
             bracket = sparse_norm_bounds(f, NormParams.sv(p, k, q, 0.0))
@@ -413,22 +392,6 @@ def test_setup_and_per_p_halves_give_the_functionals_bits(n, depth, dist):
                     == pk.value.hex())
             best_index = [best] if isinstance(best, int) else best.index
             assert bracket.witness.index.tolist() == list(best_index)
-
-
-@pytest.mark.parametrize("n, k", [(1, 2), (1, 3), (2, 2), (2, 3)])
-def test_held_error_levels_are_read_only(n, k):
-    f = GridFunction(n, 2, np.random.default_rng(5).uniform(0, 1, 4 ** n))
-    scaled = scaled_error_levels(f, NormParams.packing(2.0, k, 1, 0.0))
-    errs = f._error_levels[k, 1]
-    assert len(errs) == len(scaled) == 3
-    for err in errs:
-        assert not err.flags.writeable
-        with pytest.raises(ValueError):
-            err[0] = 1.0
-    # the scaled levels are the caller's own arrays
-    scaled[0][0] = -1.0
-    again = scaled_error_levels(f, NormParams.packing(2.0, k, 1, 0.0))
-    assert again[0][0] != -1.0
 
 
 def test_family_value_manual():
