@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -82,13 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Stands in for the witness's cube list while the stdlib encoder, which is
-# pure Python whenever ``indent`` is set, writes the rest of a report.  The
-# pattern anchors at a line start, and encoded strings hold no raw newline,
-# so no string value of the report can match it.
-_CUBES = "\x00cubes\x00"
-_CUBES_LINE = re.compile(
-    r'^( *)"cubes": (' + re.escape(json.dumps(_CUBES)) + ")", re.MULTILINE)
+# Stands in for a long list while the stdlib encoder, which is pure Python
+# whenever ``indent`` is set, writes the rest of a report: the witness's
+# cube list, and every array of the payload.  The pattern anchors at a line
+# start, and encoded strings hold no raw newline, so no string value of the
+# report can match it.
+_LIST = "\x00list\x00"
+_LIST_LINE = re.compile(
+    r'^( *)"(\w+)": ' + re.escape(json.dumps(_LIST)), re.MULTILINE)
+_NOT_FINITE = ("the result is not finite, and JSON has no NaN or "
+               "infinity")
 
 
 def _dumps(payload: dict) -> str:
@@ -98,26 +102,41 @@ def _dumps(payload: dict) -> str:
         return json.dumps(payload, sort_keys=True, indent=2,
                           allow_nan=False) + "\n"
     except ValueError:
-        raise ValueError("the result is not finite, and JSON has no NaN or "
-                         "infinity") from None
+        raise ValueError(_NOT_FINITE) from None
+
+
+def _float_list(values: np.ndarray, indent: int) -> str:
+    """``values`` as ``json.dumps(values.tolist(), indent=2)`` writes them
+    after a key on a line indented by ``indent`` spaces, and as strictly:
+    a non-finite value raises ``ValueError``."""
+    if not np.isfinite(values).all():
+        raise ValueError(_NOT_FINITE)
+    if not values.size:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    body = ("," + pad).join(map(repr, values.tolist()))
+    return f"[{pad}{body}\n{' ' * indent}]"
 
 
 def _emit(payload: dict, out: str | None,
           witness: CubeFamily | None = None) -> None:
     """Write ``payload``, plus ``witness`` under ``"witness"``, exactly as
     ``json.dumps(..., sort_keys=True, indent=2)`` writes them with the
-    witness as :meth:`CubeFamily.to_json_dict`.  The witness's cube list
-    is rendered from its member arrays and spliced in at the placeholder,
-    at the indent of the placeholder's line."""
-    if witness is None:
-        text = _dumps(payload)
-    else:
-        stub = {"kind": witness.kind, "order": witness.order,
-                "cubes": _CUBES}
-        text = _dumps({**payload, "witness": stub})
-        at = _CUBES_LINE.search(text)
-        text = (text[:at.start(2)] + witness.json_cubes(len(at[1]))
-                + text[at.end():])
+    witness as :meth:`CubeFamily.to_json_dict` and each float array of
+    ``payload`` as its list.  The witness's cube list and the arrays are
+    rendered apart and spliced in at their placeholders, at the indent of
+    the placeholder's line."""
+    render = {key: functools.partial(_float_list, value)
+              for key, value in payload.items()
+              if isinstance(value, np.ndarray)}
+    payload = {**payload, **dict.fromkeys(render, _LIST)}
+    if witness is not None:
+        render["cubes"] = witness.json_cubes
+        payload["witness"] = {"kind": witness.kind, "order": witness.order,
+                              "cubes": _LIST}
+    text = _LIST_LINE.sub(
+        lambda at: f'{at[1]}"{at[2]}": {render[at[2]](len(at[1]))}',
+        _dumps(payload))
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -170,7 +189,7 @@ def _run_compute(args: argparse.Namespace) -> int:
             print(f"error: exact evaluation needs <= {SUBSET_NODE_CAP} tree "
                   "nodes; rerun with --mode bounds", file=sys.stderr)
             return 2
-    # _emit renders the witness from its member arrays (see _CUBES)
+    # _emit renders the witness from its member arrays (see _LIST)
     payload.update(dataclasses.replace(rep, witness=None).to_json_dict())
     _emit(payload, args.out, rep.witness)
     return 0
@@ -203,7 +222,7 @@ def _run_maximal(args: argparse.Namespace) -> int:
         "lambda": args.lam,
         "dimension": f.dimension,
         "depth": f.depth,
-        "values": [float(v) for v in res.values.values],
+        "values": res.values.values,    # spliced by _emit
     }
     _emit(payload, args.out)
     return 0

@@ -252,21 +252,25 @@ def validate(family, order, *, dimension: int,
     return validate_index(index, order, dimension=dimension, depth=depth)
 
 
+def _class_of(order) -> tuple[str, str, float | None]:
+    """The family kind, the condition's wording and the numeric order of a
+    class: ``"packing"``, ``"weak"`` or a sparseness order in ``(0, 1]``."""
+    if order == "packing":
+        return "packing", "packing (pairwise non-nested)", None
+    if order == "weak":
+        return "weakly_sparse", "weak sparseness |E_Q| >= |Q|/2", None
+    order_val = float(order)
+    if not 0.0 < order_val <= 1.0:
+        raise ValueError(f"sparseness order must lie in (0, 1], got {order}")
+    return "sparse", f"sparse(order {order_val:g})", order_val
+
+
 def validate_index(index: np.ndarray, order, *, dimension: int,
                    depth: int) -> CubeFamily | SparsityViolation:
     """:func:`validate` for a nonempty family given as ascending, distinct
     breadth-first cube numbers (an int64 array), with no per-cube objects:
     the one-row call of the family classifier."""
-    order_val = None
-    if order == "packing":
-        kind, condition = "packing", "packing (pairwise non-nested)"
-    elif order == "weak":
-        kind, condition = "weakly_sparse", "weak sparseness |E_Q| >= |Q|/2"
-    else:
-        order_val = float(order)
-        if not 0.0 < order_val <= 1.0:
-            raise ValueError(f"sparseness order must lie in (0, 1], got {order}")
-        kind, condition = "sparse", f"sparse(order {order_val:g})"
+    kind, condition, order_val = _class_of(order)
     one_row = np.broadcast_to(np.int64(0), index.shape)   # no allocation
     parent, core, bad, lhs, rhs = _classify(
         one_row, index, 1, 1.0 if order == "weak" else order, dimension, depth)
@@ -366,6 +370,7 @@ def family_tables(dimension: int, depth: int, order) -> FamilyTables:
     """Enumerate once, evaluate many times: every nonempty subset of the
     tree (at most ``SUBSET_NODE_CAP`` nodes) is a row, and one classifier
     call keeps the rows of the requested class, in ascending mask order."""
+    _class_of(order)      # refuse a bad order before enumerating anything
     nodes = tree_size(depth, dimension)
     if nodes > SUBSET_NODE_CAP:
         raise ValueError(

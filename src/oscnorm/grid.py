@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 __all__ = [
     "CubeId",
@@ -204,9 +205,16 @@ class GridFunction:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> GridFunction:
+        """Read ``{"dimension": n, "depth": L, "values": [...]}``.
+
+        ``values`` holds JSON numbers only, as one flat list or, for
+        ``n == 2``, as a list of rows.  orjson rounds every decimal to the
+        nearest double, as ``json.loads`` does, and refuses ``NaN``,
+        ``Infinity`` and numbers that overflow a double as invalid JSON.
+        """
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+            payload = orjson.loads(text)
+        except orjson.JSONDecodeError as exc:
             raise ValueError(f"input is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ValueError("grid JSON must be an object with "
@@ -220,13 +228,23 @@ class GridFunction:
                for v in (dim, depth)):
             raise ValueError("'dimension' and 'depth' must be integers")
         values = payload["values"]
+        not_numbers = ("'values' must be a flat list of numbers, or a list "
+                       "of rows of numbers")
         if not isinstance(values, list):
-            raise ValueError("'values' must be a flat list of numbers")
+            raise ValueError(not_numbers)
+        kinds = set(map(type, values))
+        if kinds == {list}:     # rows of a 2-D grid
+            if len(set(map(len, values))) != 1:
+                raise ValueError("the rows of 'values' differ in length")
+            kinds = set(map(type, itertools.chain.from_iterable(values)))
+        # exact types: bool is an int, and strings and null are not numbers
+        if not kinds <= {float, int}:
+            raise ValueError(not_numbers)
         return cls(dim, depth, np.asarray(values, dtype=np.float64))
 
     @classmethod
     def from_file(cls, path: str | Path) -> GridFunction:
-        return cls.from_json(Path(path).read_text())
+        return cls.from_json(Path(path).read_bytes())
 
     def to_json(self) -> str:
         payload = {

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -161,6 +162,35 @@ def test_compute_rejects_boolean_sizes(tmp_path, capsys, key, value):
     assert "integers" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("values,reason", [
+    pytest.param("[1" + "0" * 400 + ", 0]", "not valid JSON",
+                 id="401-digit-int"),       # overflows a double
+    ("[1e400, 0]", "not valid JSON"),
+    ("[NaN, 0]", "not valid JSON"),
+    ("[Infinity, 0]", "not valid JSON"),
+    ("[-Infinity, 0]", "not valid JSON"),
+    ('["1", "2"]', "numbers"),
+    ("[true, false]", "numbers"),
+    ("[null, 1]", "numbers"),
+    ("[0.5, true]", "numbers"),
+    ("[[0, 1]]", "shape (1, 2)"),
+])
+@pytest.mark.parametrize("command", ["compute", "maximal"])
+def test_cli_refuses_values_that_are_not_numbers(tmp_path, capsys, values,
+                                                 reason, command):
+    """Anything in ``values`` but a finite JSON number exits 2 with one
+    ``error:`` line: no traceback, and no coercion of strings, booleans or
+    null to floats."""
+    path = tmp_path / "bad.json"
+    path.write_text('{"dimension": 1, "depth": 1, "values": %s}' % values)
+    argv = [command, "--input", str(path)]
+    code, out, err = _run(capsys, argv + (["--norm", "bmo"]
+                                          if command == "compute" else []))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert reason in err and "Traceback" not in err
+
+
 def test_compute_ri_functionals(step_file, capsys):
     code, out, _ = _run(capsys, [
         "compute", "--input", step_file, "--norm", "weaklp", "--p", "2"])
@@ -202,6 +232,47 @@ def test_maximal_round_trip(step_file, capsys):
     # output is a valid grid-function payload modulo the extra keys
     g = GridFunction(d["dimension"], d["depth"], d["values"])
     assert g.values.tolist() == d["values"]
+
+
+@pytest.mark.parametrize("dimension,depth", [(1, 6), (2, 3)])
+@pytest.mark.parametrize("q,lam", [(1, 0.0), (2, 0.5)])
+def test_maximal_writes_the_stdlib_encoders_bytes(tmp_path, capsys, dimension,
+                                                  depth, q, lam):
+    """The spliced ``values`` list reads byte for byte as the stdlib's
+    indented encoder writes the payload, on grids with ``-0.0``, a
+    subnormal and values near the float limit."""
+    from oscnorm.maximal import fractional_maximal
+    rng = np.random.default_rng(dimension * 10 + q)
+    values = rng.normal(0, 1, 1 << (dimension * depth))
+    big = 1.7976931348623157e308 if q == 1 else 1.3407807929942596e154
+    values[:4] = -0.0, 5e-324, big / 64, -big / 80   # the sums stay finite
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(
+        {"dimension": dimension, "depth": depth, "values": values.tolist()}))
+    code, out, _ = _run(capsys, [
+        "maximal", "--input", str(path), "--q", str(q), "--lambda", str(lam)])
+    assert code == 0
+    res = fractional_maximal(GridFunction(dimension, depth, values), q, lam)
+    payload = {"schema": 1, "input": str(path), "q": q, "lambda": lam,
+               "dimension": dimension, "depth": depth,
+               "values": res.values.values.tolist()}
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_emit_splices_float_arrays_as_the_stdlib_encoder_writes_them():
+    signed = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 0.1,
+                       1e16, 1.7976931348623157e308,
+                       -1.7976931348623157e308])
+    for values in (signed, signed[:1], np.zeros(0)):
+        payload = {"a": 1, "values": values, "z": [0.5]}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _emit(payload, None)
+        want = {**payload, "values": values.tolist()}
+        assert out.getvalue() == json.dumps(want, sort_keys=True,
+                                            indent=2) + "\n"
+    with pytest.raises(ValueError, match="not finite"):
+        _emit({"values": np.array([0.0, np.inf])}, None)
 
 
 def test_maximal_rejects_bad_lambda(step_file, capsys):
@@ -463,9 +534,55 @@ def test_cli_import_and_sjn_compute_leave_scipy_unloaded(step_file, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def _declared_dependencies():
+    """The distribution names of ``[project] dependencies`` in
+    ``pyproject.toml``, normalised."""
+    tomllib = pytest.importorskip("tomllib")
+    import oscnorm
+    root = os.path.dirname(os.path.dirname(os.path.dirname(oscnorm.__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9._-]+", r)[0].lower().replace("_", "-")
+            for r in requirements}
+
+
+def test_cli_loads_only_declared_dependencies(tmp_path):
+    """Importing the CLI and running one ``compute`` loads no third-party
+    package but those ``pyproject.toml`` declares; anything loaded before
+    the import (by ``.pth`` files at start-up) is not counted."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"dimension": 1, "depth": 6, "values":
+                                np.random.default_rng(0).uniform(
+                                    0.0, 1.0, 64).tolist()}))
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import contextlib, io\n"
+        "import oscnorm.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = oscnorm.cli.main(['compute', '--input', sys.argv[1],\n"
+        "                             '--norm', 'sjn', '--p', '2',\n"
+        "                             '--mode', 'bounds'])\n"
+        "assert code == 0, code\n"
+        "new = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "from importlib.metadata import packages_distributions\n"
+        "owners = packages_distributions()\n"
+        "print(' '.join(sorted({d for top in new\n"
+        "                       for d in owners.get(top, ())})))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(grid)],
+                          capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {d.lower().replace("_", "-") for d in proc.stdout.split()}
+    loaded.discard("oscnorm")     # the library itself, when installed
+    declared = _declared_dependencies()
+    assert loaded <= declared, sorted(loaded - declared)
+    assert {"numpy", "orjson"} <= loaded
+
+
 def test_library_imports_no_scipy():
     """No module of the library imports scipy, at the top or inside a
-    function: numpy is its only dependency."""
+    function: scipy is only a test dependency."""
     import ast
     import oscnorm
     package = os.path.dirname(oscnorm.__file__)

@@ -286,6 +286,25 @@ def test_family_tables_cached():
     assert family_tables(1, 2, "packing") is family_tables(1, 2, "packing")
 
 
+@pytest.mark.parametrize("order", [-0.5, 0.0, 1.5, float("nan")])
+def test_family_tables_refuses_a_bad_order_before_enumerating(order):
+    """The order is checked as ``validate_index`` checks it, before any
+    table is built: nothing is cached, so a second call raises again."""
+    from oscnorm.norms import NormParams, sparse_sup_exhaustive
+    before = family_tables.cache_info()
+    message = r"sparseness order must lie in \(0, 1\]"
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            family_tables(1, 2, order)
+    params = NormParams(convention="SV", family_class="sparse",
+                        family_order=order)
+    with pytest.raises(ValueError, match=message):
+        sparse_sup_exhaustive(GridFunction(1, 2, [0.0, 1.0, 3.0, 2.0]),
+                              params)
+    after = family_tables.cache_info()
+    assert after.currsize == before.currsize and after.hits == before.hits
+
+
 def test_to_json_dict_round_trip():
     fam = validate([ROOT, LEFT], 1.0, dimension=1, depth=2)
     d = fam.to_json_dict()

@@ -194,6 +194,84 @@ def test_from_json_errors():
         GridFunction.from_json("not json {")
 
 
+def _parse_both(texts):
+    """``from_json`` and the stdlib's ``json.loads`` on one grid holding
+    the decimal strings ``texts``; both as uint64 bit patterns."""
+    doc = '{"dimension": 1, "depth": %d, "values": [%s]}' % (
+        (len(texts) - 1).bit_length(), ",".join(texts))
+    got = GridFunction.from_json(doc).values
+    want = np.asarray(json.loads(doc)["values"], dtype=np.float64)
+    return got.view(np.uint64), want.view(np.uint64)
+
+
+def _pad(texts):
+    """``texts`` padded with ``"0"`` to a power-of-two length."""
+    return texts + ["0"] * ((1 << (len(texts) - 1).bit_length()) - len(texts))
+
+
+def test_from_json_keeps_the_bits_of_json_loads():
+    """Every decimal parses to the double ``json.loads`` gives: random bit
+    patterns (subnormals, both zeros, both float limits) written
+    shortest, to 17 and to 25 digits, exact decimal midpoints between
+    adjacent doubles (the ties of round-half-even, among them integers
+    past ``2**64``), ``2**53 + 1``, and ``1e-400``, which underflows to
+    ``0.0``."""
+    from decimal import Decimal, localcontext
+    rng = np.random.default_rng(2024)
+    doubles = rng.integers(0, 1 << 64, 1024, dtype=np.uint64).view(np.float64)
+    doubles = np.concatenate([
+        doubles[np.isfinite(doubles)],
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+         2.225073858507201e-308, 1.7976931348623157e308,
+         -1.7976931348623157e308]]).tolist()
+    texts = [t for x in doubles for t in (repr(x), f"{x:.17g}", f"{x:.24e}")]
+    with localcontext() as ctx:
+        ctx.prec = 1200           # exact: a midpoint has < 800 digits
+        for x in doubles[:1024] + [1.0, 2.0 ** 64, 1.5e300, 5e-324]:
+            up = np.nextafter(x, np.inf)
+            if np.isfinite(up):
+                texts.append(str((Decimal(x) + Decimal(float(up))) / 2))
+    texts += ["9007199254740993", "-9007199254740993", "1e-400", "-1e-400",
+              "18446744073709551615", "18446744073709551616",
+              "-9223372036854775809", "1" + "0" * 308]
+    got, want = _parse_both(_pad(texts))
+    assert np.array_equal(got, want)
+    assert got[texts.index("9007199254740993")] == np.float64(2.0 ** 53).view(
+        np.uint64)
+    assert got[texts.index("1e-400")] == 0
+    assert got[texts.index("-1e-400")] == np.float64(-0.0).view(np.uint64)
+
+
+def test_from_json_accepts_square_rows_in_2d():
+    rows = np.arange(16.0).reshape(4, 4)
+    f = GridFunction.from_json(json.dumps(
+        {"dimension": 2, "depth": 2, "values": rows.tolist()}))
+    assert np.array_equal(f.values, rows.ravel())
+
+
+@pytest.mark.parametrize("values,match", [
+    (["1", "2"], "numbers"),
+    ([True, False], "numbers"),
+    ([None, 1], "numbers"),
+    ([1.0, [2.0]], "numbers"),
+    ([[0, 1], [2, None]], "numbers"),
+    ([[0, 1], [2, 3, 4]], "differ in length"),
+    ({"a": 1}, "numbers"),
+])
+def test_from_json_refuses_what_is_not_a_number(values, match):
+    with pytest.raises(ValueError, match=match):
+        GridFunction.from_json(json.dumps(
+            {"dimension": 1, "depth": 1, "values": values}))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400",
+                                     "1" + "0" * 400])
+def test_from_json_refuses_non_finite_literals_as_invalid_json(literal):
+    with pytest.raises(ValueError, match="not valid JSON"):
+        GridFunction.from_json(
+            '{"dimension": 1, "depth": 1, "values": [0, %s]}' % literal)
+
+
 def test_integral_matches_mean_of_cells():
     rng = np.random.default_rng(11)
     vals = rng.uniform(0, 1, 16)
