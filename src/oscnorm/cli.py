@@ -50,6 +50,8 @@ def _parse_lambda(text: str) -> float:
     return lam
 
 
+# built once per process: parsing leaves it as it is
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oscnorm",

@@ -10,8 +10,11 @@ with ``q in {1, 2}``.  ``k = 0`` is the approximate-by-zero convention,
 
 Solvers
 -------
-Each route but ``q = 1, k >= 2`` has one level kernel; a single cube is its
-one-row call, with the bits of the level sweep.
+One per-level table, :func:`_level_fits`, picks the route of every
+``(k, q)``: :func:`error_levels` calls it once per level, and a single cube
+is its one-row call, with the bits of the level sweep.  The ``q = 1, k >=
+2`` route reads its starts from one call of each level kernel per level,
+then still fits its rows one at a time.
 
 * ``k = 0``: ``level_integrals`` of ``|f|^q``, on the cube's block alone.
 * ``q = 2``: exact orthogonal projection.  Fits use the scaled monomial basis
@@ -62,9 +65,8 @@ one-row call, with the bits of the level sweep.
   subcell, so ``y`` is orthogonal to the quadratics on the continuum too,
   and at the exact optimum the bound is the midpoint objective itself.
 * No certificate moves the fit, so ``poly_error``, which skips it, gives
-  the bits of ``best_fit(..).error``.  :func:`error_levels` is the one
-  table of these routes for every cube of a grid; it holds nothing on the
-  grid, so each call sweeps again.
+  the bits of ``best_fit(..).error``.  :func:`error_levels` holds nothing
+  on the grid, so each call sweeps again.
 
 Exactness of objectives: piecewise-constant minus polynomial is integrated in
 closed form (1D: sign changes from root splitting; 2D affine: half-plane
@@ -91,8 +93,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (CubeId, GridFunction, _unit_moment, iter_cubes,
-                   level_offsets, multi_indices)
+from .grid import CubeId, GridFunction, _unit_moment, multi_indices
 from .maximal import level_integrals
 
 __all__ = ["PolyFit", "best_fit", "error_levels", "l2_level_fits",
@@ -159,55 +160,67 @@ def best_fit(f: GridFunction, c: CubeId, k: int, q: int) -> PolyFit:
 
     ``k`` ranges over 0..3 (0 = compare against the zero polynomial).
     """
-    local, err, factor, approx = _fit(f, c, k, q, certify=True)
+    f.check_cube(c)
+    local, err, factor, approx = (x[0] for x in _level_fits(
+        f, c.level, k, q, np.array([c.coords]), certify=True))
     exps = _exponents(f.dimension, k)
     return PolyFit(c, k, q, exps, _local_to_global(exps, local, c), local,
-                   err, factor, approx)
+                   float(err), float(factor), bool(approx))
 
 
 def poly_error(f: GridFunction, c: CubeId, k: int, q: int) -> float:
     """E_k(f;c)_q without the near-best certificate (cheaper for k>=2, q=1)."""
-    return _fit(f, c, k, q, certify=False)[1]
+    f.check_cube(c)
+    return float(_level_fits(f, c.level, k, q, np.array([c.coords]))[1][0])
 
 
 def error_levels(f: GridFunction, k: int, q: int) -> list[np.ndarray]:
     """``E_k(f;Q)_q`` of every cube, one flat array per level, each with
-    the bits of :func:`poly_error`.  ``q = 1, k >= 2`` fits each
-    multi-cell cube; a one-cell cube is its own constant and reads 0.0."""
+    the bits of :func:`poly_error`."""
     _check_kq(k, q)
-    n, L = f.dimension, f.depth
     if k == 0:
+        # one sweep up the tree: blocks per level would cost O(N L)
         dens = np.abs(f.values_nd) ** q * f.cell_measure
-        return [S.ravel() ** (1.0 / q) for S in level_integrals(dens, n, L)]
-    if q == 2:
-        return [l2_level_fits(f, lvl, k)[1] for lvl in range(L + 1)]
-    if k == 1:
-        return [median_deviations(f.values, n, L, lvl)[1] * f.cell_measure
-                for lvl in range(L + 1)]
-    offsets = level_offsets(L, n)
-    flat = np.zeros(offsets[-1])
-    for i, c in enumerate(iter_cubes(L - 1, n)):
-        flat[i] = poly_error(f, c, k, q)
-    return np.split(flat, offsets[1:-1])
+        return [S.ravel() ** (1.0 / q)
+                for S in level_integrals(dens, f.dimension, f.depth)]
+    return [_level_fits(f, lvl, k, q)[1] for lvl in range(f.depth + 1)]
 
 
-def _fit(f: GridFunction, c: CubeId, k: int, q: int, certify: bool):
-    """``(local_coeffs, error, near_best_factor, approximate)`` on ``c``;
-    ``certify=False`` skips the ``L^1``, ``k >= 2`` certificate."""
+def _level_fits(f: GridFunction, level: int, k: int, q: int,
+                coords: np.ndarray | None = None, certify: bool = False):
+    """The ``(k, q)`` route table: the local coefficients ``(m, d)``, errors,
+    near-best factors and ``approximate`` flags of the level-``level``
+    cubes that ``coords`` picks (shape ``(m, n)``), by default every cube
+    of the level in breadth-first order.  Only ``q = 1, k >= 2`` has
+    factors other than 1 (NaN where ``certify`` is false) and flags."""
     _check_kq(k, q)
-    f.check_cube(c)
-    n, depth = f.dimension, f.depth - c.level
+    if q == 2 and k:
+        coeffs, errs = l2_level_fits(f, level, k, coords)
+        return coeffs, errs, np.ones(len(errs)), np.zeros(len(errs), bool)
+    n, depth = f.dimension, f.depth - level
+    blocks = _cube_blocks(f.values, n, f.depth, level, coords)
+    rows, exps = len(blocks), _exponents(n, k)
+    coeffs = np.zeros((rows, len(exps)))
+    errs, factors, approx = np.zeros(rows), np.ones(rows), np.zeros(rows, bool)
     if k == 0:
-        dens = np.abs(f.cell_block(c)) ** q * f.cell_measure
-        total = level_integrals(dens, n, depth)[0].ravel()
-        return np.zeros(0), float((total ** (1.0 / q))[0]), 1.0, False
-    if q == 2:
-        a, err = l2_level_fits(f, c.level, k, np.array([c.coords]))
-        return a[0], float(err[0]), 1.0, False
-    if k == 1:
-        med, dev = median_deviations(f.cube_values(c), n, depth, 0)
-        return med, float(dev[0]) * f.cell_measure, 1.0, False
-    return _fit_l1(f, c, k, certify)
+        dens = np.abs(blocks) ** q * f.cell_measure
+        errs = level_integrals(dens.reshape(rows, *(1 << depth,) * n), n,
+                               depth)[0].ravel() ** (1.0 / q)
+    elif k == 1:
+        coeffs, dev = median_deviations(blocks, n, depth, 0)
+        errs = dev[:, 0] * f.cell_measure
+    elif not depth:     # a one-cell cube is its own constant
+        coeffs[:, 0] = blocks[:, 0]
+    else:
+        # the starts in one call of each kernel, then the fits row by row
+        starts = np.zeros_like(coeffs)
+        starts[:, 0] = median_deviations(blocks, n, depth, 0)[0][:, 0]
+        l2 = l2_level_fits(f, level, k, coords)[0]
+        for i, block in enumerate(blocks):
+            coeffs[i], errs[i], factors[i], approx[i] = _fit_l1(
+                block.reshape((1 << depth,) * n), 2.0 ** -level, exps,
+                starts[i], l2[i], certify)
+    return coeffs, errs, factors, approx
 
 
 def scaled_error(f: GridFunction, c: CubeId, k: int, q: int, lam: float,
@@ -386,18 +399,17 @@ def median_deviations(values: np.ndarray, dimension: int, depth: int,
 
 # -- L1 fits for k >= 2 ----------------------------------------------------
 
-def _fit_l1(f, c, k, certify):
-    exps = _exponents(f.dimension, k)
-    vals = f.cube_values(c)
-    integrate = _l1_integrator(f, c, exps)
+def _fit_l1(block, side, exps, med_local, l2_local, certify):
+    """``(local_coeffs, error, near_best_factor, approximate)`` of the
+    ``L^1`` fit on ``exps`` of the cube of ``side`` and cells ``block``
+    (``(m,)`` or ``(m, m)``), from its median and ``L^2`` fits."""
+    measure = side ** block.ndim
+    integrate = _l1_integrator(block, side, exps)
 
     def objective(a):
         return integrate(a).sum()
 
     # candidate fits: previous-degree exact fit keeps E_k monotone in k
-    med_local = np.zeros(len(exps))
-    med_local[exps.index((0,) * f.dimension)] = _fit(f, c, 1, 1, False)[0][0]
-    l2_local = _fit(f, c, k, 2, False)[0]
     candidates = [med_local, l2_local]
     objs = [objective(a) for a in candidates]
     best_i = int(np.argmin(objs))
@@ -405,16 +417,15 @@ def _fit_l1(f, c, k, certify):
 
     # a zero objective, to rounding of the values, is already the infimum;
     # skip polish and certificate
-    scale = float(np.abs(vals).max(initial=0.0))
-    if obj_best <= 1e-14 * scale * c.measure:
+    scale = float(np.abs(block).max(initial=0.0))
+    if obj_best <= 1e-14 * scale * measure:
         return a_best, obj_best, 1.0 if certify else math.nan, False
 
     reach = 2.0 ** -np.array([sum(alpha) for alpha in exps])
-    quad = f.dimension == 2 and len(exps) > 3
+    quad = block.ndim == 2 and len(exps) > 3
     if quad:
         # exact on the finest midpoint rule that fits the subcell budget,
         # each rule warm-started from the one before
-        block = f.cell_block(c)
         a, warm = a_best, None
         for rule in _quad_rules(block.shape[0]):
             a, y, y_max, basis, _ = _vertex_descent(block, rule, exps, a,
@@ -423,17 +434,18 @@ def _fit_l1(f, c, k, certify):
         if (obj := objective(a)) < obj_best:
             a_best, obj_best = a, obj
         if certify:
-            lb = _quad_dual_bound(f, c, exps, a, y, y_max, reach)
+            lb = _quad_dual_bound(block, side, exps, a, y, y_max, reach)
     else:
         # the median fit is a kink of the objective, where Newton has no
         # curvature to use: it is only compared at the end
         a_best, obj_best, g = _newton_polish(integrate, l2_local, objs[1],
-                                             reach, c.measure)
+                                             reach, measure)
         if objs[0] <= obj_best:
             a_best, obj_best = med_local, objs[0]
             g = integrate(med_local, True)[1] if certify else None
         if certify:
-            lb = _dual_lower_bound(f, c, exps, a_best, obj_best, g, reach)
+            lb = _dual_lower_bound(block, side, exps, a_best, obj_best, g,
+                                   reach)
 
     if not certify:
         return a_best, obj_best, math.nan, quad
@@ -443,10 +455,12 @@ def _fit_l1(f, c, k, certify):
     return a_best, obj_best, max(obj_best / lb, 1.0), quad
 
 
-def _dual_lower_bound(f, c, exps, a, obj, g, reach, y_max=1.0, ties=True):
-    """A lower bound of ``E_k(f;c)_1`` by weak L^1-L^inf duality, at the fit
-    ``P`` with local coefficients ``a``, objective ``obj`` and gradient
-    ``g`` (as ``integrate(a, True)`` returns them).
+def _dual_lower_bound(block, side, exps, a, obj, g, reach, y_max=1.0,
+                      ties=True):
+    """A lower bound of ``E_k(f;Q)_1`` by weak L^1-L^inf duality on the cube
+    ``Q`` of ``side`` and cells ``block``, at the fit ``P`` with local
+    coefficients ``a``, objective ``obj`` and gradient ``g`` (as
+    ``integrate(a, True)`` returns them).
 
     For bounded ``h`` orthogonal to the polynomials of degree ``<= k - 1``
     and any such ``m``, ``int f h = int (f - m) h <= ||f - m||_1 ||h||_inf``,
@@ -474,13 +488,14 @@ def _dual_lower_bound(f, c, exps, a, obj, g, reach, y_max=1.0, ties=True):
     error, some ``cells * eps``.  None of it depends on the scale of ``f``,
     and all of it lies orders below the ``1e-6`` at which factors are read.
     """
-    vals = f.cell_block(c).ravel()
-    monom = _cell_monomials(1 << (f.depth - c.level), f.dimension,
+    measure = side ** block.ndim
+    vals = block.ravel()
+    monom = _cell_monomials(block.shape[0], block.ndim,
                             max(max(alpha) for alpha in exps))
     # int_cell u^alpha du over the cells of the unit box, one row per alpha
     M = np.stack([monom(alpha) for alpha in exps])
     G = _unit_gram(exps)
-    b = -g / c.measure
+    b = -g / measure
     c0 = vals - a[0]
     if ties and not np.any(a[1:]):
         tie = c0 == 0.0
@@ -491,7 +506,7 @@ def _dual_lower_bound(f, c, exps, a, obj, g, reach, y_max=1.0, ties=True):
     coef = np.linalg.solve(G, b)
     # int_box (f - P) u^alpha du, with P - a0 = sum_{beta != 0} a_beta u^beta
     resid = M @ c0 - G[:, 1:] @ a[1:]
-    return ((obj - c.measure * float(coef @ resid))
+    return ((obj - measure * float(coef @ resid))
             / (y_max + float(np.abs(coef) @ reach)))
 
 
@@ -880,9 +895,10 @@ def _edge_step(r, c, slope, zero, skip, idx, top, rho=None):
         k *= 4
 
 
-def _quad_dual_bound(f, c, exps, a, y, y_max, reach):
+def _quad_dual_bound(block, side, exps, a, y, y_max, reach):
     """The duality bound of the quadratic corner from the dual ``y`` of a
-    midpoint descent (shape ``(M, M)``), at its vertex ``a``.
+    midpoint descent (shape ``(M, M)``), at its vertex ``a``, on the cube
+    of ``side`` and cells ``block``.
 
     ``sum_s y_s phi(m_s) = 0`` holds on the continuum too, with ``y``
     constant on each subcell ``s``: the midpoint rule is exact for ``1, u,
@@ -894,7 +910,6 @@ def _quad_dual_bound(f, c, exps, a, y, y_max, reach):
     keeps the bound valid at any vertex where the descent stops.  At an
     exact optimum the bound is the midpoint objective itself.
     """
-    block = f.cell_block(c)
     M = y.shape[0]
     rule = M // block.shape[0]
     V = _midpoint_powers(M)
@@ -907,9 +922,10 @@ def _quad_dual_bound(f, c, exps, a, y, y_max, reach):
     A[0, 0] = 0.0
     c0 = np.repeat(np.repeat(block - a[0], rule, axis=0), rule, axis=1)
     resid = c0 - V @ (A @ V.T) - quad_corr
-    obj = c.measure / (M * M) * float((y * resid).sum())
+    measure = side * side
+    obj = measure / (M * M) * float((y * resid).sum())
     b = ((V.T @ y @ V)[iu, iw] + corr * y.sum()) / (M * M)
-    return _dual_lower_bound(f, c, exps, a, obj, -c.measure * b, reach,
+    return _dual_lower_bound(block, side, exps, a, obj, -measure * b, reach,
                              y_max, ties=False)
 
 
@@ -986,19 +1002,20 @@ def _newton_polish(integrate, a, obj, reach, measure):
 
 # -- exact residual integrals ----------------------------------------------
 
-def _l1_integrator(f, c, exps):
-    """``a -> integral_cell |f - P| dx`` for every cell of ``c`` (flat),
-    ``P`` the polynomial with local coefficients ``a``.
+def _l1_integrator(block, side, exps):
+    """``a -> integral_cell |f - P| dx`` for every cell of a cube of
+    ``side`` (flat), ``block`` its cell values (``(m,)`` in 1D, ``(m, m)``
+    in 2D) and ``P`` the polynomial with local coefficients ``a``.
 
     Everything that does not depend on ``a`` -- the cell values, the edges,
     the quadrature grids -- is prepared here once, so a fit that evaluates
     its objective many times pays for the arithmetic alone.
     """
-    if f.dimension == 1:
-        return _l1_cells_1d(f.cube_values(c), c.side, exps)
+    if block.ndim == 1:
+        return _l1_cells_1d(block, side, exps)
     if all(sum(a) <= 1 for a in exps):
-        return _l1_cells_affine_2d(f.cell_block(c), c.side, exps)
-    return _l1_cells_quad_2d(f.cell_block(c), c.measure, exps)
+        return _l1_cells_affine_2d(block, side, exps)
+    return _l1_cells_quad_2d(block, side * side, exps)
 
 
 def _l1_cells_1d(vals, side, exps):
@@ -1039,7 +1056,7 @@ def _l1_cells_1d(vals, side, exps):
         the sign change across it (a zero-width piece's sign cancels)."""
         turn = np.zeros((4,) + sgn.shape[1:])
         turn[0], turn[1:3], turn[3] = -sgn[0], sgn[:2] - sgn[1:], sgn[2]
-        powers = np.vander(cuts.ravel(), top + 2, increasing=True)[:, 1:]
+        powers = _powers(cuts.ravel(), top + 2)[:, 1:]
         return turn.ravel() @ powers / np.arange(1, top + 2)
 
     def cells(a, grad=False, band=0.0):
@@ -1088,12 +1105,21 @@ def _l1_cells_1d(vals, side, exps):
             root = np.array([lo, hi])
             weight = np.where((u0 < root) & (root < u1) & np.isfinite(weight),
                               weight, 0.0)
-            power = 2.0 * (weight.ravel()
-                           @ np.vander(root.ravel(), top + 1, increasing=True))
+            power = 2.0 * (weight.ravel() @ _powers(root.ravel(), top + 1))
         H = side * power[np.add.outer(degrees, degrees)]
         return out, g, H
 
     return cells
+
+
+def _powers(x, columns):
+    """``np.vander(x, columns, increasing=True)``, bits and layout, one
+    running product per column instead of along each short row."""
+    out = np.empty((x.size, columns))
+    out[:, 0] = 1.0
+    for j in range(1, columns):
+        np.multiply(out[:, j - 1], x, out=out[:, j])
+    return out
 
 
 def _l1_cells_affine_2d(block, side, exps):
@@ -1292,35 +1318,32 @@ def residual_cell_integrals(f: GridFunction, fit: PolyFit, q: int) -> np.ndarray
     piecewise integrators (quadrature only in the 2D quadratic corner).
     Returned flat, row-major over the cells of ``fit.cube``.
     """
-    if fit.degree_bound == 0:
-        vals = f.cube_values(fit.cube)
-        return np.abs(vals) ** q * f.cell_measure
+    if fit.degree_bound <= 1:
+        # a constant (0 at k = 0) needs no cuts: |v - a0|^q on each cell
+        a0 = fit.local_coeffs[0] if fit.degree_bound else 0.0
+        out = f.cube_values(fit.cube) - a0
+        np.abs(out, out=out)
+        out **= q
+        out *= f.cell_measure
+        return out
     if q == 1:
-        return _l1_integrator(f, fit.cube, fit.exponents)(fit.local_coeffs)
+        return _l1_integrator(f.cell_block(fit.cube), fit.cube.side,
+                              fit.exponents)(fit.local_coeffs)
     # the fit's constant goes into the values and ``P - a0`` is integrated,
     # so no term carries ``a0`` and nothing cancels for data far from 0
     c0 = f.cube_values(fit.cube) - fit.local_coeffs[0]
-    pint, p2int = _poly_cell_integrals(f, fit.cube, fit.exponents[1:],
-                                       fit.local_coeffs[1:])
-    out = c0 * c0 * f.cell_measure - 2.0 * c0 * pint + p2int
-    return np.maximum(out, 0.0)
-
-
-def _poly_cell_integrals(f, c, exps, a):
-    """(integral_cell P dx, integral_cell P^2 dx) for every cell of ``c``."""
-    n = f.dimension
-    m_cells = 1 << (f.depth - c.level)
-    monom = _cell_monomials(m_cells, n,
-                            2 * max((max(alpha) for alpha in exps), default=0))
-    vol = c.side ** n
-    pint = np.zeros(m_cells ** n)
-    for alpha, coef in zip(exps, a):
+    terms = list(zip(fit.exponents[1:], fit.local_coeffs[1:]))
+    monom = _cell_monomials(1 << (f.depth - fit.cube.level), f.dimension,
+                            2 * max(max(alpha) for alpha, _ in terms))
+    # integral_cell (P - a0) dx and integral_cell (P - a0)^2 dx
+    pint, p2int = np.zeros(c0.size), np.zeros(c0.size)
+    for alpha, coef in terms:
         pint += coef * monom(alpha)
-    p2int = np.zeros(m_cells ** n)
-    for (al, ca), (be, cb) in itertools.product(zip(exps, a), repeat=2):
-        gamma = tuple(x + y for x, y in zip(al, be))
-        p2int += ca * cb * monom(gamma)
-    return pint * vol, p2int * vol
+    for (al, ca), (be, cb) in itertools.product(terms, repeat=2):
+        p2int += ca * cb * monom(tuple(x + y for x, y in zip(al, be)))
+    vol = fit.cube.measure
+    out = c0 * c0 * f.cell_measure - 2.0 * c0 * (pint * vol) + p2int * vol
+    return np.maximum(out, 0.0)
 
 
 def _cell_monomials(m: int, n: int, top: int):

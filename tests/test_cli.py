@@ -645,3 +645,28 @@ def test_maximal_near_float_limit_exits_2(huge_file):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines == _error_lines(proc.stderr)
     assert "finite" in lines[0]
+
+
+def test_one_parser_serves_every_call_of_a_process(deep_file, capsys):
+    """``main`` builds its parser once per process.  Calls of each
+    subcommand, in either order and each after a refused argument, write
+    the bytes each writes in a fresh process; the refused argument exits
+    2 every time."""
+    from oscnorm.cli import build_parser
+    calls = [["compute", "--input", deep_file, "--norm", "jn", "--p", "2"],
+             ["maximal", "--input", deep_file, "--q", "2"],
+             ["verify", "--suite", "riesz", "--depth", "3", "--trials", "2"]]
+    fresh = []
+    for argv in calls:
+        proc = _run_module(argv)
+        assert proc.returncode == 0, proc.stderr
+        fresh.append(proc.stdout)
+    for order in (calls, calls[::-1]):
+        for argv in order:
+            with pytest.raises(SystemExit) as exc:
+                main(["compute", "--input", deep_file, "--norm", "nope"])
+            assert exc.value.code == 2
+            capsys.readouterr()
+            code, out, _ = _run(capsys, argv)
+            assert code == 0 and out == fresh[calls.index(argv)], argv
+    assert build_parser() is build_parser()

@@ -159,13 +159,13 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not valid JSON (RFC 8259)")
 
 
-def compute_digest(grid: str, op: str) -> str:
+def compute_digest(grid: str, op: str, grids=GRIDS, ops=OPS) -> str:
     """Run ``compute`` in the current directory on a relative input path,
     so the report's ``input`` field is the same wherever it runs.  The
     report must parse as strict JSON: no NaN or Infinity."""
     with open("grid.json", "w", encoding="utf-8") as fh:
-        json.dump(grid_payload(*GRIDS[grid]), fh)
-    rc = main(["compute", "--input", "grid.json", *OPS[op],
+        json.dump(grid_payload(*grids[grid]), fh)
+    rc = main(["compute", "--input", "grid.json", *ops[op],
                "--out", "out.json"])
     assert rc == 0
     with open("out.json", "rb") as fh:
@@ -179,6 +179,59 @@ def compute_digest(grid: str, op: str) -> str:
 def test_compute_report_bytes_pinned(grid, op, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert compute_digest(grid, op) == GOLDEN[grid, op]
+
+
+# The ``L^1``, ``k >= 2`` route on small grids, recorded while each of its
+# cubes was fitted from its own median and ``L^2`` one-row calls, before
+# the fits took their starts from their level's rows.
+L1_GRIDS = {
+    "1d-uniform-L4": (1, 4, "uniform", 105),
+    "1d-lognormal-L4": (1, 4, "lognormal", 106),
+    "2d-uniform-L2": (2, 2, "uniform", 107),
+    "2d-lognormal-L2": (2, 2, "lognormal", 108),
+}
+
+L1_OPS = {
+    "v-k2-q1": ["--norm", "v", "--k", "2", "--q", "1", "--p", "2"],
+    "v-k3-q1": ["--norm", "v", "--k", "3", "--q", "1", "--p", "2"],
+    "sv-k2-q1": ["--norm", "sv", "--k", "2", "--q", "1", "--p", "2",
+                 "--mode", "bounds"],
+}
+
+L1_GOLDEN = {
+    ('1d-lognormal-L4', 'sv-k2-q1'):
+        'bf541e3836455b74ac62fad8a09968b7f3469a9bbf02b88d1664bc6c83a2feca',
+    ('1d-lognormal-L4', 'v-k2-q1'):
+        '7227c6eccd353b7d3644084bddec68542a544871edaa38be939a3518dae22ab2',
+    ('1d-lognormal-L4', 'v-k3-q1'):
+        '9be0ebe9c088d9b491e9ea6ed0489a3173b3901feff16a1cbd3c99e56aeb8003',
+    ('1d-uniform-L4', 'sv-k2-q1'):
+        '801e212126a875f32b42ab392c386e11e26ac173afd12ee978555f1c1e857fb2',
+    ('1d-uniform-L4', 'v-k2-q1'):
+        'ea4265ad70cc2252742c0d5311d2250ad1c8a4e90170c0c4917eacff4de88c4c',
+    ('1d-uniform-L4', 'v-k3-q1'):
+        '0ef51f212bd6d027b4db63c3c7da46a67040350e5dcc6d29a9a1b66c4fcbc57e',
+    ('2d-lognormal-L2', 'sv-k2-q1'):
+        'd3e9b7dec47351418afefa52988b3551c82d3d2843e3146bcc56b978dafd2651',
+    ('2d-lognormal-L2', 'v-k2-q1'):
+        '81e9ba290b9a9c34831fc9d3c1879f51f05b54eb7438719ba29180c6a87fdf72',
+    ('2d-lognormal-L2', 'v-k3-q1'):
+        '68be7d07aa43b5cbcc4638a4f08d04508d588cdf3f9f752b76b35a44cb5677fd',
+    ('2d-uniform-L2', 'sv-k2-q1'):
+        'b5cc20291c1272d76f219f2010fd9fc828c1b560a12b7d72e95dd4ef2e0cd7eb',
+    ('2d-uniform-L2', 'v-k2-q1'):
+        '42c456542b1b65504f8d458c43d68f2864ea9fd574fb41d96ed648ac71c37f4d',
+    ('2d-uniform-L2', 'v-k3-q1'):
+        '261601b1a4967eeed9d94c185289e35c4fc52357b982c06ec47788602168faeb',
+}
+
+
+@pytest.mark.parametrize("grid", sorted(L1_GRIDS))
+@pytest.mark.parametrize("op", sorted(L1_OPS))
+def test_l1_compute_report_bytes_pinned(grid, op, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert (compute_digest(grid, op, L1_GRIDS, L1_OPS)
+            == L1_GOLDEN[grid, op])
 
 
 SUITES = {

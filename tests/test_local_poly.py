@@ -163,7 +163,7 @@ def _brute_force_l1(f, c, k, grid_pts=21, rounds=6):
     from oscnorm.local_poly import _l1_integrator
     from oscnorm.grid import multi_indices
     exps = multi_indices(f.dimension, k - 1)
-    integrate = _l1_integrator(f, c, exps)
+    integrate = _l1_integrator(f.cell_block(c), c.side, exps)
     center = np.zeros(len(exps))
     width = 2.0 * max(1.0, np.abs(f.cube_values(c)).max())
     best = math.inf
@@ -242,6 +242,67 @@ def test_residual_integrals_k0_are_powers_of_the_values(q):
         fit = best_fit(f, cube, 0, q)
         want = np.abs(f.cell_block(cube)).ravel() ** q * f.cell_measure
         assert np.array_equal(residual_cell_integrals(f, fit, q), want)
+
+
+@pytest.mark.parametrize("n, depth", [(1, 0), (1, 5), (2, 0), (2, 3)])
+def test_constant_residuals_have_the_bits_of_the_integrator(n, depth):
+    """Against a constant ``a0`` (0 at ``k = 0``) the ``q = 1`` residual is
+    ``|v - a0| |cell|`` per cell, with the bits of the exact ``L^1``
+    integrator at that constant, on the root and on a subcube, for values
+    far from 0, tied, tiny and of both signs."""
+    rng = np.random.default_rng(depth)
+    size = 1 << (n * depth)
+    exps = _exponents(n, 1)
+    for values in (rng.uniform(0.0, 1.0, size), rng.lognormal(0.0, 1.5, size),
+                   rng.uniform(0.0, 1.0, size) + 1e12,
+                   rng.integers(0, 3, size).astype(float),
+                   1e-300 * rng.uniform(0.0, 1.0, size),
+                   rng.normal(0.0, 1.0, size)):
+        f = GridFunction(n, depth, values)
+        for cube in {CubeId(0, (0,) * n), CubeId(min(depth, 1), (0,) * n)}:
+            for k, fit_q in ((0, 1), (1, 1), (1, 2)):
+                fit = best_fit(f, cube, k, fit_q)
+                a0 = fit.local_coeffs[0] if k else 0.0
+                want = _l1_integrator(f.cell_block(cube), cube.side,
+                                      exps)(np.array([a0]))
+                got = residual_cell_integrals(f, fit, 1)
+                assert got.tobytes() == want.tobytes(), (k, fit_q, cube)
+
+
+def test_constant_residuals_stay_within_one_copy_of_the_values():
+    """A constant's residual at 1D L=16 traces one array of the cube's
+    cells, at either ``q``; cutting each cell at the roots of ``v - a0``
+    traced 17 of them at ``q = 1``."""
+    f = GridFunction(1, 16, np.random.default_rng(16).uniform(0.0, 1.0,
+                                                               1 << 16))
+    for k in (0, 1):
+        for q in (1, 2):
+            fit = best_fit(f, ROOT1, k, 2 if k else q)
+            tracemalloc.start()
+            try:
+                residual_cell_integrals(f, fit, q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * f.values.nbytes, (k, q, peak)
+
+
+def test_l1_levels_take_their_starts_once_per_level(monkeypatch):
+    """At 1D L=3, ``k = 2``, the ``L^1`` levels read their median and
+    ``L^2`` starts from one call of each level kernel per multi-cell level
+    (3 each), not one per multi-cell cube (7), and the one-cell level
+    calls neither."""
+    calls = {"l2_level_fits": [], "median_deviations": []}
+    for name, seen in calls.items():
+        real = getattr(local_poly, name)
+        monkeypatch.setattr(local_poly, name,
+                            lambda *args, _real=real, _seen=seen:
+                            _seen.append(args) or _real(*args))
+    f = GridFunction(1, 3, np.random.default_rng(3).uniform(0.0, 1.0, 8))
+    errs = local_poly.error_levels(f, 2, 1)
+    assert [e.shape for e in errs] == [(1,), (2,), (4,), (8,)]
+    assert len(calls["l2_level_fits"]) == len(calls["median_deviations"]) == 3
+    assert [args[1] for args in calls["l2_level_fits"]] == [0, 1, 2]
 
 
 def test_subcube_fit():
@@ -385,7 +446,7 @@ def _smooth_point(rng, n, depth, k):
     f = GridFunction(n, depth, rng.uniform(0.0, 1.0, 1 << (n * depth)))
     root = CubeId(0, (0,) * n)
     exps = _exponents(n, k)
-    integrate = _l1_integrator(f, root, exps)
+    integrate = _l1_integrator(f.cell_block(root), root.side, exps)
     while True:
         a = rng.uniform(-1.0, 1.0, len(exps))
         a[0] = rng.uniform(0.2, 0.8)

@@ -33,7 +33,7 @@ from scipy import optimize
 
 from oscnorm import local_poly
 from oscnorm.grid import CubeId, GridFunction, iter_cubes, multi_indices
-from oscnorm.local_poly import (_cell_monomials, _exponents, _fit,
+from oscnorm.local_poly import (_cell_monomials, _exponents,
                                 _l1_integrator, _positive_part_moments,
                                 _unit_gram, best_fit, l2_level_fits,
                                 poly_error, residual_cell_integrals)
@@ -190,7 +190,7 @@ def _case(rng, n, depth, k, dist):
        st.sampled_from(["uniform", "ties", "near", "tiny"]))
 def test_1d_cells_match_loop(seed, k, depth, dist):
     f, c, exps, a = _case(np.random.default_rng(seed), 1, depth, k, dist)
-    assert np.array_equal(_l1_integrator(f, c, exps)(a),
+    assert np.array_equal(_l1_integrator(f.cell_block(c), c.side, exps)(a),
                           loop_cells_1d(f, c, exps, a))
 
 
@@ -199,7 +199,7 @@ def test_1d_cells_match_loop(seed, k, depth, dist):
        st.sampled_from(["uniform", "ties", "near", "flat", "tiny"]))
 def test_2d_affine_cells_match_loop(seed, k, depth, dist):
     f, c, exps, a = _case(np.random.default_rng(seed), 2, depth, k, dist)
-    assert np.array_equal(_l1_integrator(f, c, exps)(a),
+    assert np.array_equal(_l1_integrator(f.cell_block(c), c.side, exps)(a),
                           loop_cells_affine_2d(f, c, exps, a))
 
 
@@ -348,14 +348,14 @@ def test_prepared_integrators_match_one_shot(seed, shape, dist):
     n, k = shape
     rng = np.random.default_rng(seed)
     f, c, exps, a = _case(rng, n, 4 if n == 1 else 2, k, dist)
-    integrate = _l1_integrator(f, c, exps)
+    integrate = _l1_integrator(f.cell_block(c), c.side, exps)
     oneshot = {(1, 2): oneshot_cells_1d, (1, 3): oneshot_cells_1d,
                (2, 2): loop_cells_affine_2d,
                (2, 3): oneshot_cells_quad_2d}[shape]
     for step in range(8):
         coeffs = a + step * rng.uniform(-0.1, 0.1, len(a))
         got = integrate(coeffs)
-        assert _bits(got) == _bits(_l1_integrator(f, c, exps)(coeffs))
+        assert _bits(got) == _bits(_l1_integrator(f.cell_block(c), c.side, exps)(coeffs))
         if shape == (2, 3):
             np.testing.assert_allclose(got, oneshot(f, c, exps, coeffs),
                                        rtol=1e-13, atol=0.0)
@@ -372,10 +372,10 @@ def test_quadratic_integrator_bits_do_not_depend_on_its_block(depth,
     for dist in ("uniform", "ties", "near", "flat"):
         f, c, exps, a = _case(rng, 2, depth, 3, dist)
         size = f.cell_block(c).shape[0] * local_poly._QUAD_RULE
-        want = _l1_integrator(f, c, exps)(a)
+        want = _l1_integrator(f.cell_block(c), c.side, exps)(a)
         for budget in (1, 3 * local_poly._QUAD_RULE * size, 2 ** 40):
             monkeypatch.setattr(local_poly, "_QUAD_BLOCK", budget)
-            assert _bits(_l1_integrator(f, c, exps)(a)) == _bits(want)
+            assert _bits(_l1_integrator(f.cell_block(c), c.side, exps)(a)) == _bits(want)
         monkeypatch.undo()
 
 
@@ -494,14 +494,14 @@ def simplex_l1_objective(f, c, k):
     """The objective the former ``q = 1, k >= 2`` fit reached: the best of
     the median, ``L^2`` and certificate-LP fits, polished by Nelder-Mead."""
     exps = _exponents(f.dimension, k)
-    integrate = _l1_integrator(f, c, exps)
+    integrate = _l1_integrator(f.cell_block(c), c.side, exps)
 
     def objective(a):
         return integrate(a).sum()
 
     median = np.zeros(len(exps))
-    median[0] = _fit(f, c, 1, 1, False)[0][0]
-    starts = [median, _fit(f, c, k, 2, False)[0]]
+    median[0] = best_fit(f, c, 1, 1).local_coeffs[0]
+    starts = [median, best_fit(f, c, k, 2).local_coeffs]
     cells = f.cube_values(c).size
     refine = 8 if f.dimension == 1 else 4
     while cells * refine ** f.dimension > 8192 and refine > 1:
@@ -625,15 +625,15 @@ def test_dual_bound_matches_a_midpoint_reference_away_from_the_fit(n, k):
     reach = 2.0 ** -np.array([sum(alpha) for alpha in exps])
     for depth in (1, 3, 5) if n == 1 else (1, 2, 3):
         f = GridFunction(n, depth, rng.uniform(0.0, 1.0, 1 << (n * depth)))
-        integrate = _l1_integrator(f, root, exps)
+        integrate = _l1_integrator(f.cell_block(root), root.side, exps)
         E = poly_error(f, root, k, 1)
         for _ in range(5):
             a = rng.uniform(-1.0, 1.0, len(exps))
             a[0] = rng.uniform(-0.5, 1.5)
             cells, g, _ = integrate(a, True)
             obj = cells.sum()
-            bound = local_poly._dual_lower_bound(f, root, exps, a, obj, g,
-                                                 reach)
+            bound = local_poly._dual_lower_bound(
+                f.cell_block(root), root.side, exps, a, obj, g, reach)
             assert abs(bound - midpoint_dual_bound(f, root, exps, a)) \
                 <= 1e-3 * obj
             assert bound <= E * (1 + 1e-12)

@@ -215,17 +215,21 @@ def test_scaled_error_levels_match_direct():
             assert got == pytest.approx(want, abs=1e-12), (params, c)
 
 
-# every route with a level kernel, as (k, q)
+# every route whose levels are one kernel call each, as (k, q)
 KERNEL_ROUTES = [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2), (3, 2)]
+# the L^1 routes fit their rows one at a time: small grids only
+L1_ROUTES = [(2, 1), (3, 1)]
 
 
-@pytest.mark.parametrize("n, depth", [(1, 10), (2, 5), (1, 16), (2, 8)])
+@pytest.mark.parametrize("n, depth", [(1, 5), (2, 2), (1, 10), (2, 5),
+                                      (1, 16), (2, 8)])
 @pytest.mark.parametrize("dist", ["uniform", "lognormal"])
 def test_one_cube_has_the_bits_of_its_level_sweep(n, depth, dist):
-    """A single cube is its level kernel's one-row call: ``scaled_error``
-    equals the entry of ``scaled_error_levels`` bit for bit, on every cube
-    of the 1,024-cell grids and on 8 sampled cubes per level of the
-    65,536-cell ones."""
+    """A single cube is its level's one-row call: ``scaled_error`` equals
+    the entry of ``scaled_error_levels`` bit for bit, on every cube of the
+    grids of up to 1,024 cells and on 8 sampled cubes per level of the
+    65,536-cell ones; the ``L^1``, ``k >= 2`` routes on the grids of up to
+    32 cells."""
     rng = np.random.default_rng(21)
     size = 1 << (n * depth)
     values = (rng.uniform(0.0, 1.0, size) if dist == "uniform"
@@ -237,7 +241,7 @@ def test_one_cube_has_the_bits_of_its_level_sweep(n, depth, dist):
         pick = np.unique(np.concatenate([
             rng.integers(lo, hi, 8) for lo, hi in zip(offsets, offsets[1:])]))
     cubes = list(iter_cubes(depth, n))
-    for k, q in KERNEL_ROUTES:
+    for k, q in KERNEL_ROUTES + (L1_ROUTES if size <= 32 else []):
         params = NormParams.packing(2.0, k, q, 0.5)
         flat = np.concatenate(scaled_error_levels(f, params))[pick]
         got = np.array([scaled_error(f, cubes[i], k, q, 0.5, convention="V")
