@@ -206,11 +206,16 @@ def _level_fits(f: GridFunction, level: int, k: int, q: int,
         dens = np.abs(blocks) ** q * f.cell_measure
         errs = level_integrals(dens.reshape(rows, *(1 << depth,) * n), n,
                                depth)[0].ravel() ** (1.0 / q)
-    elif k == 1:
-        coeffs, dev = median_deviations(blocks, n, depth, 0)
-        errs = dev[:, 0] * f.cell_measure
     elif not depth:     # a one-cell cube is its own constant
         coeffs[:, 0] = blocks[:, 0]
+    elif k == 1:
+        # sorted in place, the sweep holds one copy of the cells; in 1D
+        # and at the 2D root ``blocks`` is a view of the grid
+        if np.may_share_memory(blocks, f.values):
+            blocks = blocks.copy()
+        blocks.sort(axis=-1)
+        med, dev = _sorted_deviations(blocks)
+        coeffs, errs = med[:, None], dev * f.cell_measure
     else:
         # the starts in one call of each kernel, then the fits row by row
         starts = np.zeros_like(coeffs)
@@ -390,7 +395,13 @@ def median_deviations(values: np.ndarray, dimension: int, depth: int,
     row-major.  ``values`` holds the cells flat row-major on the last axis,
     after any leading trial axes.  The deviations are summed as they are,
     so nothing cancels and an added constant moves no bit."""
-    srt = np.sort(_cube_blocks(values, dimension, depth, level), axis=-1)
+    return _sorted_deviations(
+        np.sort(_cube_blocks(values, dimension, depth, level), axis=-1))
+
+
+def _sorted_deviations(srt):
+    """The lower medians and deviations of the rows ``srt``, sorted on
+    the last axis, which are overwritten."""
     med = srt[..., (srt.shape[-1] - 1) // 2].copy()
     srt -= med[..., None]
     np.abs(srt, out=srt)
@@ -603,52 +614,37 @@ def _vertex_descent(block, rule, exps, a, warm=None):
     objective never rises.  A coarser rule's basis, moved to the nearest
     subcells, is the start vertex when it is well conditioned.
 
-    Only the cells where ``v - P`` may change sign are split into
-    subcells: ``P`` moves by at most ``(|a_10| + |a_01| + q) h + q h^2``,
-    ``q = |a_20| + |a_11| + |a_02|``, from a cell's centre to its subcell
-    midpoints (``h`` their largest offset on an axis), and a cell whose
-    residual at the centre exceeds that keeps its sign on every subcell,
-    so it enters the dual through its summed rows.  A step's breakpoints
-    in such a cell lie beyond the same bound on the direction; a cell
-    whose bound the step reaches is split before the step is taken.
-    Residuals and directions are the separable products ``V A V^T`` of the
-    midpoint powers, per cell.  The values go in shifted by the start's
-    constant, so an offset cancels once, exactly, and not in each residual.
+    Every subcell of the grid is held, at most ``_SUBCELL_BUDGET`` of them
+    (:func:`_quad_rules` picks the rule), and is its own index, flat
+    row-major.  Residuals and edge directions are the separable products
+    ``V A V^T`` of the midpoint powers ``V`` and the coefficient matrix
+    ``A``, and the dual moments are ``V^T S V`` of the signs ``S`` on the
+    grid, so no ``(M^2, d)`` design matrix is built.  The values go in
+    shifted by the start's constant, so an offset cancels once, exactly,
+    and not in each residual.
 
     Returns the vertex's coefficients, its dual ``y`` on the subcell grid
     (shape ``(M, M)``), ``max |y|``, its basis and the number of pivots;
     ``warm`` is the basis and the rule of a descent on a coarser rule.
     """
-    m = block.shape[0]
-    M = m * rule
+    M = block.shape[0] * rule
     V = _midpoint_powers(M)
-    sub = V.reshape(m, rule, 3)          # the subcell rows of each cell
-    summed = sub.sum(axis=1)
-    centre = _midpoint_powers(m)
-    half = (rule - 1) / (2 * M)          # centre to farthest midpoint
-    area = rule * rule
     iu, iw = np.array(exps).T
     d = len(exps)
     ref = a[0]
-    vals = block - ref
+    sv = np.repeat(np.repeat(block - ref, rule, axis=0), rule, axis=1).ravel()
     a = a.copy()
     a[0] -= ref
 
-    def matrix(x):
+    def on_grid(x):
+        """The polynomial of local coefficients ``x`` at every midpoint."""
         A = np.zeros((3, 3))
         A[iu, iw] = x
-        return A
+        return (V @ A @ V.T).ravel()
 
-    def on_cells(A):
-        """The polynomial of coefficient matrix ``A`` at the cell centres,
-        and a bound of its move from there to any subcell midpoint
-        (``|u|, |w| <= 1/2`` bound the gradient)."""
-        curve = abs(A[2, 0]) + abs(A[1, 1]) + abs(A[0, 2])
-        move = (abs(A[1, 0]) + abs(A[0, 1]) + curve) * half + curve * half ** 2
-        return centre @ A @ centre.T, move
-
-    def on_subcells(A, ci, cj):
-        return (sub[ci] @ A @ sub[cj].transpose(0, 2, 1)).ravel()
+    def moments(s):
+        """``sum_s s_s phi(m_s)`` for weights ``s`` on the grid."""
+        return (V.T @ s.reshape(M, M) @ V)[iu, iw]
 
     def rows(basis):
         u, w = np.divmod(np.asarray(basis), M)
@@ -665,105 +661,41 @@ def _vertex_descent(block, rule, exps, a, warm=None):
         z ^= z >> np.uint64(31)
         return 0.5 + (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
-    # a subcell's flat index on the grid, from its cell's first subcell
-    within = (np.arange(rule)[:, None] * M + np.arange(rule)).ravel()
-
-    def flat_index(ci, cj):
-        return ((ci * (rule * M) + cj * rule)[:, None] + within).ravel()
-
     class State:
-        """The residuals of ``a``: per cell, and per subcell in the cells
-        that are split."""
+        """The residuals of ``a`` on the grid and their signs, 0 on the
+        basis."""
 
         def __init__(self, a, basis):
-            self.a, self.A = a, matrix(a)
-            P, self.move = on_cells(self.A)
-            self.rc = vals - P
-            size = np.abs(self.rc)
-            tol = 1e-12 * (float(size.max()) + self.move)
-            split = size <= self.move + 2.0 * tol
-            bu, bw = np.divmod(np.asarray(basis, dtype=np.intp), M)
-            split[bu // rule, bw // rule] = True
-            self.split = split
-            self.sgn = np.where(split, 0.0, np.sign(self.rc))
-            self.ci, self.cj = np.nonzero(split)
-            self.idx = flat_index(self.ci, self.cj)
-            self.r = (np.repeat(vals[self.ci, self.cj], area)
-                      - on_subcells(self.A, self.ci, self.cj))
-            self.zero = np.abs(self.r) <= tol
+            self.a = a
+            self.basis = np.asarray(basis, dtype=np.intp)
+            self.r = sv - on_grid(a)
+            size = np.abs(self.r)
+            self.zero = size <= 1e-12 * float(size.max())
             self.r[self.zero] = 0.0
             self.s = np.sign(self.r)
-            # the basis subcells' places among the split ones
-            rank = np.cumsum(split.ravel()) - 1
-            self.basis_at = (rank[(bu // rule) * m + bw // rule] * area
-                             + (bu % rule) * rule + bw % rule)
-            self.s[self.basis_at] = 0.0
-            self.moment = self.plain = self.summed(self.s)
+            self.s[self.basis] = 0.0
+            self.moment = self.plain = moments(self.s)
             self.rho = None
             if len(basis) == d and self.zero.sum() > d:
                 # a zero residual off the basis is eps * rho: the residual
                 # of the perturbation xi once the basis interpolates it
-                xi = perturbation(np.asarray(basis))
-                self.rho = np.where(self.zero, perturbation(self.idx)
-                                    - on_subcells(matrix(np.linalg.solve(
-                                        rows(basis), xi)), self.ci, self.cj),
-                                    0.0)
-                self.rho[self.basis_at] = 0.0
-                self.s[self.zero] = np.sign(self.rho[self.zero])
-                self.moment = self.summed(self.s)
-
-        def summed(self, s):
-            """``sum_s sgn(r_s) phi_s``, with ``s`` on the split subcells."""
-            s = s.reshape(-1, rule, rule)
-            return ((summed.T @ self.sgn @ summed)
-                    + (sub[self.ci].transpose(0, 2, 1) @ s
-                       @ sub[self.cj]).sum(axis=0))[iu, iw]
+                at = np.flatnonzero(self.zero)
+                fit = on_grid(np.linalg.solve(rows(basis),
+                                              perturbation(self.basis)))
+                self.rho = np.zeros(M * M)
+                self.rho[at] = perturbation(at) - fit[at]
+                self.rho[self.basis] = 0.0
+                self.s[at] = np.sign(self.rho[at])
+                self.moment = moments(self.s)
 
         def step(self, x, slope):
-            """``_edge_step`` along ``r + t P_x``, off the basis, splitting
-            the cells whose residual the step may reach."""
-            X = matrix(x)
-            cc, move = on_cells(X)
-            with np.errstate(divide="ignore"):
-                t_cell = np.where(self.split, math.inf,
-                                  (np.abs(self.rc) - self.move)
-                                  / (np.abs(cc) + move))
-            r, c, zero, rho, idx = (self.r, on_subcells(X, self.ci, self.cj),
-                                    self.zero, self.rho, self.idx)
-            skip = np.zeros(len(r), dtype=bool)
-            skip[self.basis_at] = True
-            top = float(np.abs(cc).max()) + move
-            while True:
-                t, i = _edge_step(r, c, slope, zero, skip, idx, top, rho)
-                # the split cells' t_cell is inf: they never grow again
-                grow = t_cell <= t if i is not None else np.isfinite(t_cell)
-                # without a breakpoint, at least double the split cells
-                more = max(64, 2 * len(r) // area)
-                if i is None and grow.sum() > more:
-                    grow &= t_cell <= np.partition(t_cell[grow], more)[more]
-                if not grow.any():
-                    return t, i
-                gi, gj = np.nonzero(grow)
-                t_cell[grow] = math.inf
-                r = np.concatenate([r, np.repeat(vals[gi, gj], area)
-                                    - on_subcells(self.A, gi, gj)])
-                c = np.concatenate([c, on_subcells(X, gi, gj)])
-                extra = np.zeros(len(gi) * area, dtype=bool)
-                zero = np.concatenate([zero, extra])
-                skip = np.concatenate([skip, extra])
-                if rho is not None:
-                    rho = np.concatenate([rho, np.zeros(len(extra))])
-                idx = np.concatenate([idx, flat_index(gi, gj)])
-
-        def dual(self, at, values):
-            """The signs on the subcell grid, with ``values`` at the split
-            subcells ``at``."""
-            y = np.repeat(np.repeat(self.sgn, rule, axis=0), rule, axis=1)
-            s = self.s.copy()
-            s[at] = values
-            y.reshape(m, rule, m, rule)[self.ci, :, self.cj, :] = \
-                s.reshape(-1, rule, rule)
-            return y
+            """``_edge_step`` along ``r + t P_x``.  No basis subcell is a
+            breakpoint: ``P_x`` is 0 there to rounding, but at a subcell
+            that leaves, which ``slope`` counts."""
+            c = on_grid(x)
+            top = float(np.abs(c).max())
+            c[self.basis] = 0.0
+            return _edge_step(self.r, c, slope, self.zero, top, self.rho)
 
     def to_vertex(a, basis):
         """Add basis subcells to ``basis`` until it has ``d``: each step
@@ -802,9 +734,8 @@ def _vertex_descent(block, rule, exps, a, warm=None):
             at, y_at = np.zeros(0, dtype=np.intp), np.zeros(0)
             break
         inverse = np.linalg.inv(rows(basis))
-        bu, bw = np.divmod(np.asarray(basis), M)
-        st = State(inverse @ vals[bu // rule, bw // rule], basis)
-        at = st.basis_at
+        st = State(inverse @ sv[basis], basis)
+        at = st.basis
         y_at = -st.plain @ inverse
         if st.rho is not None:
             # a degenerate vertex is optimal if some y in [-1, 1] on its
@@ -814,7 +745,7 @@ def _vertex_descent(block, rule, exps, a, warm=None):
                 st.s[st.zero] = 0.0
                 break
             zero_at = np.flatnonzero(st.zero)
-            A = rows(st.idx[zero_at]).T
+            A = rows(zero_at).T
             # (where it closes, a few Newton steps reach it; a gap that
             # stays open is a stall, not slow convergence)
             y_zero = _box_least_squares(A, -st.plain, steps=10)
@@ -835,16 +766,16 @@ def _vertex_descent(block, rule, exps, a, warm=None):
         basis[j] = i
     a = st.a.copy()
     a[0] += ref
+    st.s[at] = y_at
     y_max = max(1.0, float(np.abs(y_at).max(initial=0.0)))
-    return a, st.dual(at, y_at), y_max, basis, pivots
+    return a, st.s.reshape(M, M), y_max, basis, pivots
 
 
-def _edge_step(r, c, slope, zero, skip, idx, top, rho=None):
+def _edge_step(r, c, slope, zero, top, rho=None):
     """The line minimum of ``t -> sum_s |r_s + t c_s|`` for ``t >= 0``
-    over the subcells ``idx`` not skipped, whose slope at ``0+`` is
-    ``slope`` plus ``|c_s|`` for each zero residual: the first breakpoint
-    at which the slope turns nonnegative, as ``(t, s)``, or ``(0.0,
-    None)`` if none does.
+    over the subcells, whose slope at ``0+`` is ``slope`` plus ``|c_s|``
+    for each zero residual: the first breakpoint at which the slope turns
+    nonnegative, as ``(t, s)``, or ``(0.0, None)`` if none does.
 
     Crossing ``t_s = -r_s / c_s > 0`` adds ``2 |c_s|`` to the slope, a zero
     residual ``|c_s|`` at ``t = 0``.  With ``rho``, a zero residual is
@@ -858,7 +789,7 @@ def _edge_step(r, c, slope, zero, skip, idx, top, rho=None):
     slope rounds to either sign, is not walked.
     """
     size = np.abs(c)
-    live = (size > 1e-10 * top) & ~skip
+    live = size > 1e-10 * top
     if rho is None:
         cross = (r * c < 0.0) | zero
     else:
@@ -874,7 +805,6 @@ def _edge_step(r, c, slope, zero, skip, idx, top, rho=None):
             gain[at_zero] *= 0.5
         else:
             tie[at_zero] = -rho[pick[at_zero]] / c[pick[at_zero]]
-    pick = idx[pick]
     k = 32
     while True:
         if k < len(t):
@@ -1039,11 +969,16 @@ def _l1_cells_1d(vals, side, exps):
                 # the roots of a2 u^2 + a1 u - c0 as q / a2 and -c0 / q:
                 # a1 and sgn(a1) sq never cancel, as -a1 +- sq can
                 q = -0.5 * (a1 + math.copysign(1.0, a1) * sq)
-                pair = (q / a2, -c0 / q)
-            # fmin and fmax pass over one NaN and keep two; fmax maps the
-            # NaN of a cell without a root to u0
-            lo, hi = (np.fmin(np.fmax(r, u0), u1)
-                      for r in (np.fmin(*pair), np.fmax(*pair)))
+                lower, upper = q / a2, -c0 / q
+                if not a1:
+                    # |q| >= |a1| / 2, so only here can a double root at 0
+                    # (q = c0 = 0) make the second root -c0 / q NaN
+                    upper = np.where(np.isnan(upper), lower, upper)
+            # q / a2 is the lower root where a1 and a2 have one sign; fmax
+            # maps the NaN of a cell without a root to u0
+            if math.copysign(1.0, a1) * a2 < 0.0:
+                lower, upper = upper, lower
+            lo, hi = (np.fmin(np.fmax(r, u0), u1) for r in (lower, upper))
             slope = sq          # P'(root) = a1 + 2 a2 root = +-sq
         elif abs(a1) > 1e-14 * scale:
             lo = np.fmin(np.fmax(c0 / a1, u0), u1)

@@ -45,8 +45,11 @@ are also checked at several family-table block sizes.  The table digests
 pin the arrays of ``family_tables`` for every oracle-scale tree and six
 family classes; they
 were recorded from the per-mask loop that built the tables before the
-batched classifier.  None may move under refactors that keep the
-mathematics fixed.
+batched classifier.  The quadratic-corner digests pin every
+``error_levels(f, 3, 1)`` entry and the root ``best_fit(f, root, 3, 1)``
+coefficients and error of 2D grids at depths 1-4; they were recorded while
+the vertex descent split only the cells where the residual may change
+sign.  None may move under refactors that keep the mathematics fixed.
 """
 
 import hashlib
@@ -58,6 +61,8 @@ import pytest
 from oscnorm import suites
 from oscnorm.cli import main
 from oscnorm.families import family_tables
+from oscnorm.grid import CubeId, GridFunction
+from oscnorm.local_poly import best_fit, error_levels
 from oscnorm.suites import SuiteConfig, run_suite
 
 GRIDS = {
@@ -395,3 +400,52 @@ def table_digest(dimension: int, depth: int, order) -> str:
 @pytest.mark.parametrize("key", sorted(TABLE_GOLDEN, key=str))
 def test_family_table_bytes_pinned(key):
     assert table_digest(*key) == TABLE_GOLDEN[key]
+
+
+# The 2D quadratic corner (``k = 3, q = 1``): every cube's error and the
+# root fit's local coefficients and error, on two seeds per depth 1-3 and
+# one at depth 4.  Near-best factors are left out: the descent's final
+# dual on tied values may move by rounding.
+QUAD_SHAPES = [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0)]
+
+QUAD_GOLDEN = {
+    "lognormal":
+        "cd724445d5b37d74f189e86be8af269dcd9d5bc99b20de6a1be8f2fe9da8348d",
+    "offset":
+        "c87e2febfcdd82ad64f06f857cb29108acd71ccc4b024baa08a9291b0507cc27",
+    "ties":
+        "efb9389de179b9f43b50fd667aeb1227df532b4bf3c07950fc71a9ef4cbfd822",
+    "tiny":
+        "dcbd12e7aa04ba21c55ac6e1cae7b7035dfbfc7169ae88e410e1a932ebf22ad7",
+    "uniform":
+        "ef02c3f52d64fc74fe169db19ec76763a3b2507356fb501f44ac6c9ffa7b5f42",
+}
+
+
+def quad_grid(kind: str, depth: int, seed: int) -> GridFunction:
+    rng = np.random.default_rng([depth, seed])
+    size = 4 ** depth
+    if kind == "uniform":
+        values = rng.uniform(0.0, 1.0, size)
+    elif kind == "lognormal":
+        values = rng.lognormal(0.0, 1.5, size)
+    elif kind == "offset":
+        values = rng.uniform(0.0, 1.0, size) + 1e12
+    elif kind == "ties":
+        values = rng.integers(0, 3, size).astype(float)
+    else:       # "tiny"
+        values = rng.normal(0.0, 1.0, size) * 1e-300
+    return GridFunction(2, depth, values)
+
+
+@pytest.mark.parametrize("kind", sorted(QUAD_GOLDEN))
+def test_quadratic_corner_bytes_pinned(kind):
+    h = hashlib.sha256()
+    for depth, seed in QUAD_SHAPES:
+        f = quad_grid(kind, depth, seed)
+        for errs in error_levels(f, 3, 1):
+            h.update(errs.tobytes())
+        fit = best_fit(f, CubeId(0, (0, 0)), 3, 1)
+        h.update(fit.local_coeffs.tobytes())
+        h.update(np.float64(fit.error).tobytes())
+    assert h.hexdigest() == QUAD_GOLDEN[kind]

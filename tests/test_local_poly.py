@@ -337,6 +337,22 @@ def test_root_l1_certificate_at_full_subcell_budget(k):
     assert 1.0 <= fit.near_best_factor <= 1.000001
 
 
+def test_quadratic_corner_fit_memory_stays_small():
+    """A 2D L=7 root fit at ``k = 3, q = 1`` runs its vertex descent on the
+    whole 65,536-subcell grid of the 2-point rule: a handful of arrays of
+    that grid, and no ``(65,536, 6)`` design matrix, which alone would
+    trace 3 MB."""
+    f = GridFunction(2, 7, np.random.default_rng(7).uniform(0.0, 1.0, 4 ** 7))
+    tracemalloc.start()
+    try:
+        fit = best_fit(f, ROOT2, 3, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert 1.0 <= fit.near_best_factor < math.inf
+
+
 def test_quadratic_residual_memory_stays_small():
     """The q=1 residual of a 2D L=8 quadratic fit is filled one block of
     cell rows at a time: a whole 4,096 x 4,096 midpoint grid would trace

@@ -194,6 +194,20 @@ def test_1d_cells_match_loop(seed, k, depth, dist):
                           loop_cells_1d(f, c, exps, a))
 
 
+@pytest.mark.parametrize("a1", [0.0, -0.0])
+@pytest.mark.parametrize("a2", [0.75, -0.75])
+def test_1d_double_root_at_zero_matches_loop(a1, a2):
+    """With ``a1 = +-0`` on the cells whose value is ``a0``, ``v - P =
+    -a2 u^2`` has a double root at 0, where the second root ``-c0 / q`` is
+    ``0 / 0``: those cells, and the cells with two roots, match the loop
+    bit for bit whichever the signs of ``a1`` and ``a2``."""
+    f = GridFunction(1, 3, [3.0, 1.0, 2.0, 2.0, 2.0, 2.0, 3.0, 1.0])
+    c, exps = CubeId(0, (0,)), _exponents(1, 3)
+    a = np.array([2.0, a1, a2])
+    assert np.array_equal(_l1_integrator(f.cell_block(c), c.side, exps)(a),
+                          loop_cells_1d(f, c, exps, a))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 16 - 1), st.integers(1, 2), st.integers(0, 4),
        st.sampled_from(["uniform", "ties", "near", "flat", "tiny"]))
@@ -696,18 +710,27 @@ def midpoint_lp_optimum(f, c, exps, rule=16):
     return max(-float(res.fun), 0.0) * c.measure / size ** 2
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_quadratic_corner_reaches_the_midpoint_lp_optimum(depth, monkeypatch):
     """Root and subcube fits of the 2D quadratic corner on the sweep's
     values: the objective is HiGHS's optimum of the 16-point midpoint LP to
     1e-9 relative, and the duality bound never exceeds it by more than
     1e-12 relative.  With the values moved by 1e12 the constant is a
-    multiple of ulp(1e12) = 2^-13, which may cost ``|Q| * 2^-13``."""
+    multiple of ulp(1e12) = 2^-13, which may cost ``|Q| * 2^-13``.  At
+    depth 4 the root's 16-point rule fills the whole subcell budget,
+    65,536 subcells; there the tied values alone are fitted."""
     rng = np.random.default_rng(depth)
     exps = _exponents(2, 3)
     bounds = _record_dual_bounds(monkeypatch)
-    cubes = [CubeId(0, (0, 0))] + ([CubeId(1, (1, 0))] if depth > 1 else [])
-    for dist in SWEEP:
+    grids = []
+    descent = local_poly._vertex_descent
+    monkeypatch.setattr(local_poly, "_vertex_descent",
+                        lambda block, rule, *args: grids.append(
+                            (block.shape[0] * rule) ** 2)
+                        or descent(block, rule, *args))
+    cubes = [CubeId(0, (0, 0))] + ([CubeId(1, (1, 0))]
+                                   if 1 < depth < 4 else [])
+    for dist in SWEEP if depth < 4 else ("ties",):
         f = _sweep_grid(rng, 2, depth, dist)
         for cube in cubes:
             want = midpoint_lp_optimum(f, cube, exps)
@@ -722,6 +745,8 @@ def test_quadratic_corner_reaches_the_midpoint_lp_optimum(depth, monkeypatch):
             assert bounds[0] <= want * (1 + 1e-12), dist
             assert 1.0 <= fit.near_best_factor < math.inf, dist
             assert fit.approximate, dist
+    if depth == 4:
+        assert max(grids) == local_poly._SUBCELL_BUDGET
 
 
 # -- the q = 2 fits: one batched solve per level against direct sums --------
