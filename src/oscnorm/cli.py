@@ -162,9 +162,6 @@ def _run_compute(args: argparse.Namespace) -> int:
     f = GridFunction.from_file(args.input)
     payload: dict = {"schema": 1, "norm": args.norm, "input": args.input}
     if args.norm in ("weaklp", "llogl"):
-        if args.norm == "weaklp" and args.p <= 1.0:
-            print("error: weak-L^p needs p > 1", file=sys.stderr)
-            return 2
         ri = ri_functionals(f, args.p if args.norm == "weaklp" else 2.0)
         value = ri.weak_lp if args.norm == "weaklp" else ri.llogl
         payload.update({"value_lower": value, "value_upper": value,

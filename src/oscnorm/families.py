@@ -325,13 +325,14 @@ def cz_family(g: GridFunction, factor: float = 2.0) -> CubeFamily:
     offsets = level_offsets(depth, n)
     picks = []
     thr = np.full((1,) * n, -np.inf)      # the root is always selected
-    for lvl, integral in enumerate(integrals):
-        avg = integral / 2.0 ** (-n * lvl)
+    for lvl, avg in enumerate(integrals):
+        avg /= 2.0 ** (-n * lvl)
         if lvl:
             thr = refine(thr, n)
         sel = avg > thr
-        thr = np.where(sel, factor * avg, thr)
+        np.multiply(avg, factor, out=thr, where=sel)
         picks.append(np.flatnonzero(sel) + offsets[lvl])
+    del integrals, avg, thr, sel    # freed before validate_index allocates
     result = validate_index(np.concatenate(picks), 1.0, dimension=n,
                             depth=depth)
     if isinstance(result, SparsityViolation):

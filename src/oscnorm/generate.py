@@ -15,7 +15,7 @@ import numbers
 
 import numpy as np
 
-from .grid import _MAX_CELLS, GridFunction
+from .grid import GridFunction, _check_cells
 
 __all__ = ["GENERATOR_NAMES", "generate", "rng_for", "batch_uniform"]
 
@@ -62,7 +62,8 @@ def generate(kind: str, dimension: int, depth: int, seed: int = 0,
 def log_singularity(depth: int) -> GridFunction:
     """Cell averages of ``log(1/x)`` on [0,1): exact via the antiderivative
     ``x - x log x`` (limit 0 at x = 0)."""
-    edges = np.arange((1 << depth) + 1, dtype=np.float64) / (1 << depth)
+    cells = _check_cells(1, depth)
+    edges = np.arange(cells + 1, dtype=np.float64) / cells
 
     def anti(x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
@@ -70,7 +71,7 @@ def log_singularity(depth: int) -> GridFunction:
         out[pos] = x[pos] - x[pos] * np.log(x[pos])
         return out
 
-    avgs = (anti(edges[1:]) - anti(edges[:-1])) * (1 << depth)
+    avgs = (anti(edges[1:]) - anti(edges[:-1])) * cells
     return GridFunction(1, depth, avgs)
 
 
@@ -150,12 +151,7 @@ def batch_uniform(dimension: int, depth: int, seed: int,
     gives the bits of ``uniform(0, 1)``.  The cell limit caps ``trials`` at
     ``_MAX_CELLS`` = 2**22, so a trial index is one entropy word.  Tests pin
     the rows against ``rng_for(seed, t)``."""
-    n_cells = 1 << (dimension * depth)
-    if trials * n_cells > _MAX_CELLS:
-        raise ValueError(
-            f"{trials} grids of {n_cells} cells would need "
-            f"{trials * n_cells} cells (limit {_MAX_CELLS}); reduce the "
-            "trials or the depth")
+    n_cells = _check_cells(dimension, depth, trials)
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if seed < 0:

@@ -36,7 +36,19 @@ __all__ = [
     "multi_indices",
 ]
 
-_MAX_CELLS = 1 << 22  # hard guard against accidental huge allocations
+_CELL_BITS = 22
+_MAX_CELLS = 1 << _CELL_BITS  # hard guard against accidental huge allocations
+
+
+def _check_cells(dimension: int, depth: int, grids: int = 1) -> int:
+    """The ``2**(dimension * depth)`` cells of a grid, if ``grids`` such
+    grids fit ``_MAX_CELLS``; the exponent is compared before any shift."""
+    bits = dimension * depth
+    if bits > _CELL_BITS or grids << bits > _MAX_CELLS:
+        many = f"{grids} grids of " if grids > 1 else ""
+        raise ValueError(f"dimension {dimension} at depth {depth} would need "
+                         f"{many}2**{bits} cells (limit {_MAX_CELLS})")
+    return 1 << bits
 
 
 @dataclass(frozen=True, order=True)
@@ -181,12 +193,7 @@ class GridFunction:
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
-        n_cells = 1 << (self.dimension * self.depth)
-        if n_cells > _MAX_CELLS:
-            raise ValueError(
-                f"grid would need {n_cells} cells (limit {_MAX_CELLS}); "
-                "reduce the depth"
-            )
+        n_cells = _check_cells(self.dimension, self.depth)
         values = np.asarray(self.values, dtype=np.float64)
         if self.dimension == 2 and values.shape == (1 << self.depth,) * 2:
             values = values.ravel()

@@ -11,10 +11,10 @@ with ``q in {1, 2}``.  ``k = 0`` is the approximate-by-zero convention,
 Solvers
 -------
 One per-level table, :func:`_level_fits`, picks the route of every
-``(k, q)``: :func:`error_levels` calls it once per level, and a single cube
-is its one-row call, with the bits of the level sweep.  The ``q = 1, k >=
-2`` route reads its starts from one call of each level kernel per level,
-then still fits its rows one at a time.
+``(k, q)``: :func:`error_levels` calls it once per multi-cell level, and
+a single cube is its one-row call, with the bits of the level sweep.  The
+``q = 1, k >= 2`` route reads its starts from one call of each level
+kernel per level, then still fits its rows one at a time.
 
 * ``k = 0``: ``level_integrals`` of ``|f|^q``, on the cube's block alone.
 * ``q = 2``: exact orthogonal projection.  Fits use the scaled monomial basis
@@ -79,9 +79,9 @@ bound of ``E_3`` as well.  It evaluates the quadratic on the subcell grid
 as the separable product ``V @ (A @ V.T)`` (``V`` the midpoint powers ``1,
 u, u^2``, ``A`` the 3x3 coefficient matrix, its constant folded into the
 values), one block of cell rows at a time in a buffer of at most
-``_QUAD_BLOCK`` subcell values, so no subcell array of the whole cube is
-built.  As with the family-table suites,
-its bits come from a BLAS product; they do not depend on the block size.
+``_SUBCELL_BUDGET`` subcell values, the descent's own bound, so no subcell
+array of the whole cube is built.  As with the family-table suites, its
+bits come from a BLAS product; they do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -104,7 +104,6 @@ _NEWTON_STEPS = 100  # trial steps of a Newton polish, 1D and 2D affine
 _QUAD_RULE = 16  # midpoint subdivisions per cell axis, 2D quadratic corner
 _SUBCELL_BUDGET = 1 << 16  # subcells of a vertex descent, 2D quadratic corner
 _PIVOT_CAP = 500  # pivots of a vertex descent per midpoint rule
-_QUAD_BLOCK = 1 << 16  # subcell values per buffer, 2D quadratic corner
 _CLIP_BLOCK = 4096  # cells per vectorised half-plane clip, 2D affine residual
 _NOISE = 64.0 * np.finfo(float).eps  # relative size of a zero L2 residual
 _KEPT_AXIS_CELLS = 1 << 10  # cells per axis whose monomial integrals are kept
@@ -183,7 +182,9 @@ def error_levels(f: GridFunction, k: int, q: int) -> list[np.ndarray]:
         dens = np.abs(f.values_nd) ** q * f.cell_measure
         return [S.ravel() ** (1.0 / q)
                 for S in level_integrals(dens, f.dimension, f.depth)]
-    return [_level_fits(f, lvl, k, q)[1] for lvl in range(f.depth + 1)]
+    # a one-cell cube is its own constant
+    return ([_level_fits(f, lvl, k, q)[1] for lvl in range(f.depth)]
+            + [np.zeros(f.n_cells)])
 
 
 def _level_fits(f: GridFunction, level: int, k: int, q: int,
@@ -206,8 +207,6 @@ def _level_fits(f: GridFunction, level: int, k: int, q: int,
         dens = np.abs(blocks) ** q * f.cell_measure
         errs = level_integrals(dens.reshape(rows, *(1 << depth,) * n), n,
                                depth)[0].ravel() ** (1.0 / q)
-    elif not depth:     # a one-cell cube is its own constant
-        coeffs[:, 0] = blocks[:, 0]
     elif k == 1:
         # sorted in place, the sweep holds one copy of the cells; in 1D
         # and at the 2D root ``blocks`` is a view of the grid
@@ -573,8 +572,7 @@ def _quad_rules(m_cells):
 def _midpoint_powers(size):
     """``V = [1, u, u^2]`` at the ``size`` subcell midpoints of the unit
     axis ``[-1/2, 1/2)``, shape ``(size, 3)``."""
-    mids = (np.arange(size) + 0.5) / size - 0.5
-    return np.stack([np.ones(size), mids, mids * mids], axis=1)
+    return _powers((np.arange(size) + 0.5) / size - 0.5, 3)
 
 
 def _vertex_descent(block, rule, exps, a, warm=None):
@@ -1207,17 +1205,17 @@ def _l1_cells_quad_2d(block, measure, exps):
     ``V = [1, u, u^2]`` (shape ``(M, 3)``) and ``A[i, j]`` the coefficient
     of ``u^i w^j``, the polynomial is the separable product
     ``P = V @ (A @ V.T)``.  It is filled by BLAS into one buffer of at most
-    ``_QUAD_BLOCK`` subcell values (or one cell row, if that is more), one
-    block of cell rows at a time; each block subtracts the cell values in
-    place, takes ``abs`` in place, and folds every cell by its subcell rows,
-    then by its subcell columns.  No full subcell array is ever built.
+    ``_SUBCELL_BUDGET`` subcell values (or one cell row, if that is more),
+    one block of cell rows at a time; each block subtracts the cell values
+    in place, takes ``abs`` in place, and folds every cell by its subcell
+    rows, then by its subcell columns.  No full subcell array is ever built.
     """
     m_cells = block.shape[0]
     r = _QUAD_RULE
     size = m_cells * r
     V = _midpoint_powers(size)
     sub_area = measure / size ** 2
-    step = max(1, _QUAD_BLOCK // (r * size))      # cell rows per block
+    step = max(1, _SUBCELL_BUDGET // (r * size))  # cell rows per block
     buf = np.empty(min(step, m_cells) * r * size)
 
     def cells(a):
@@ -1315,9 +1313,7 @@ def _axis_monomials_of(m: int, top: int) -> tuple[np.ndarray, ...]:
     edges = np.arange(-m, m + 1, 2) / (2 * m)  # exact: ``m`` is a power of 2
     # powers by products: up to the cube they are exact for m <= 2**16,
     # the floats libm ``pow`` gives at ~30x the time
-    powers = [edges]
-    for _ in range(top):
-        powers.append(powers[-1] * edges)
+    powers = _powers(edges, top + 2).T[1:]
     seg = tuple((e[1:] - e[:-1]) / (j + 1) for j, e in enumerate(powers))
     for x in seg:
         x.flags.writeable = False

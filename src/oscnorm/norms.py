@@ -90,8 +90,7 @@ class NormParams:
 
     @classmethod
     def jn(cls, p: float) -> NormParams:
-        return cls(k=1, q=1, lam=0.0, p=p, convention="V",
-                   family_class="packing")
+        return cls.packing(p, 1, 1, 0.0)
 
     @classmethod
     def bmo(cls) -> NormParams:
@@ -100,8 +99,7 @@ class NormParams:
     @classmethod
     def riesz(cls, p: float) -> NormParams:
         """k=0: compare against the zero polynomial; recovers ||f||_p."""
-        return cls(k=0, q=1, lam=0.0, p=p, convention="V",
-                   family_class="packing")
+        return cls.packing(p, 0, 1, 0.0)
 
     @classmethod
     def packing(cls, p: float, k: int, q: int, lam: float) -> NormParams:
@@ -111,8 +109,7 @@ class NormParams:
 
     @classmethod
     def sjn(cls, p: float) -> NormParams:
-        return cls(k=1, q=1, lam=0.0, p=p, convention="SV",
-                   family_class="sparse", family_order=1.0)
+        return cls.sv(p, 1, 1, 0.0)
 
     @classmethod
     def sv(cls, p: float, k: int, q: int, lam: float) -> NormParams:
@@ -297,8 +294,9 @@ def _sparse_setup(f: GridFunction,
                   params: NormParams) -> tuple[FamilyTables, np.ndarray]:
     """The ``p``-independent half of :func:`sparse_sup_exhaustive`: the
     family table of the class and the scaled errors, breadth-first."""
+    order = _order_key(params)      # a packing class: no scale advice
     try:
-        tables = family_tables(f.dimension, f.depth, _order_key(params))
+        tables = family_tables(f.dimension, f.depth, order)
     except ValueError as exc:
         raise ValueError(
             f"{exc}; use sparse_norm_bounds at this scale") from None
@@ -339,10 +337,11 @@ def sparse_norm_bounds(f: GridFunction, params: NormParams) -> NormReport:
     Lower: the best of (a) the stopping-time family of the residual density,
     (b) the finest packing, (c) every singleton family.
     """
+    order = _order_key(params)      # a packing class: before any work
     setup = _bounds_setup(f, params, _scaled_flat(f, params))
     lower, upper, best = _bounds_at(f, setup, params.p)
     if isinstance(best, int):
-        single = validate_index(np.array([best]), _order_key(params),
+        single = validate_index(np.array([best]), order,
                                 dimension=f.dimension, depth=f.depth)
         assert isinstance(single, CubeFamily)
         best = single

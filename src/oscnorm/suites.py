@@ -43,7 +43,7 @@ import numpy as np
 
 from .families import SUBSET_NODE_CAP, family_tables
 from .generate import batch_uniform, log_singularity
-from .grid import GridFunction, level_offsets, tree_size
+from .grid import GridFunction, _check_cells, level_offsets, tree_size
 from .maximal import (chain_max, level_integrals, lp_norm, lp_rows,
                       maximal_opnorm_bound)
 from .local_poly import median_deviations
@@ -88,6 +88,7 @@ class SuiteConfig:
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
+        _check_cells(self.dimension, self.depth)
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.seed < 0:

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -200,9 +201,10 @@ def test_compute_ri_functionals(step_file, capsys):
         "compute", "--input", step_file, "--norm", "llogl"])
     assert code == 0
     assert json.loads(out)["value_lower"] > 0
+    # the library's own refusal, as the one error line
     code, _, err = _run(capsys, [
         "compute", "--input", step_file, "--norm", "weaklp", "--p", "1"])
-    assert code == 2 and "p > 1" in err
+    assert code == 2 and err == "error: weak-L^p needs p > 1, got 1.0\n"
 
 
 def test_compute_missing_file(capsys):
@@ -319,6 +321,30 @@ def test_verify_rejects_bad_sizes(capsys, argv, reason):
     assert out == ""
     assert err.startswith("error: ") and reason in err
     assert err.count("\n") == 1          # one line, no traceback
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "riesz", "--depth", "100000"],
+    ["verify", "--suite", "jn-extrapolation", "--depth", "100"],
+    ["verify", "--suite", "sparse-jn", "--depth", "300000"],
+    ["compute", "--norm", "jn"],
+])
+def test_huge_depths_are_refused_before_any_allocation(tmp_path, capsys,
+                                                        argv):
+    """The cell cap compares ``dimension * depth`` with its exponent before
+    any shift, so a huge depth is refused at once, in one line that names
+    the limit without writing out ``2**(n L)``."""
+    if argv[0] == "compute":
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(
+            {"dimension": 1, "depth": 100000, "values": [1.0]}))
+        argv = [*argv, "--input", str(path)]
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "limit 4194304" in err and len(err) < 200
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)

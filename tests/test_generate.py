@@ -131,6 +131,19 @@ def test_batch_refuses_past_cell_limit():
         batch_uniform(1, 16, 0, 65)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: batch_uniform(1, 100_000, 0, 1),
+    lambda: batch_uniform(2, 12, 0, 1),
+    lambda: log_singularity(23),
+    lambda: log_singularity(100_000),
+])
+def test_huge_depths_are_refused_before_the_shift(make):
+    """The cap's exponent is compared first: no ``2**(n L)`` is built,
+    allocated or written into the message."""
+    with pytest.raises(ValueError, match=r"2\*\*\d+ cells \(limit 4194304\)$"):
+        make()
+
+
 def test_rng_stream_independence():
     # distinct trials give distinct streams even with equal seeds
     a = rng_for(0, 1).uniform(size=4)

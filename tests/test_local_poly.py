@@ -305,6 +305,21 @@ def test_l1_levels_take_their_starts_once_per_level(monkeypatch):
     assert [args[1] for args in calls["l2_level_fits"]] == [0, 1, 2]
 
 
+def test_level_sweep_fits_no_one_cell_cube():
+    """``error_levels`` returns the finest level as zeros, unfitted: at 2D
+    L=8, ``k = 3, q = 2``, the sweep traces 9.2 MB, where fitting the
+    65,536 one-cell cubes and dropping their coefficients traced 31.6 MB."""
+    f = GridFunction(2, 8, np.random.default_rng(8).uniform(0.0, 1.0,
+                                                            1 << 16))
+    tracemalloc.start()
+    try:
+        local_poly.error_levels(f, 3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
+
+
 def test_subcube_fit():
     f = GridFunction(1, 2, [5.0, 5.0, 1.0, 3.0])
     c = CubeId(1, (1,))

@@ -388,7 +388,7 @@ def test_quadratic_integrator_bits_do_not_depend_on_its_block(depth,
         size = f.cell_block(c).shape[0] * local_poly._QUAD_RULE
         want = _l1_integrator(f.cell_block(c), c.side, exps)(a)
         for budget in (1, 3 * local_poly._QUAD_RULE * size, 2 ** 40):
-            monkeypatch.setattr(local_poly, "_QUAD_BLOCK", budget)
+            monkeypatch.setattr(local_poly, "_SUBCELL_BUDGET", budget)
             assert _bits(_l1_integrator(f.cell_block(c), c.side, exps)(a)) == _bits(want)
         monkeypatch.undo()
 

@@ -4,6 +4,7 @@ Golden values below are hand-derived for tiny grids; ordering properties are
 spot-checked on random grids against the exact enumeration paths.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -20,7 +21,8 @@ from oscnorm.norms import (NormParams, NormReport, bmo_norm, family_value,
                            garo_norm, lp_norm, packing_sup_norm, rearrangement,
                            ri_functionals, scaled_error_levels,
                            sparse_norm_bounds, sparse_sup_exhaustive)
-from oscnorm.local_poly import error_levels, poly_error, scaled_error
+from oscnorm.local_poly import (best_fit, convention_exponent, error_levels,
+                                poly_error, scaled_error)
 from oracles import antichain_value_max
 
 STEP = GridFunction(1, 1, [0.0, 1.0])
@@ -330,19 +332,50 @@ def test_sparse_sup_exhaustive_refuses_large_tree():
         sparse_sup_exhaustive(f, NormParams.sjn(2.0))
 
 
+def test_each_functional_refuses_the_other_family_class(monkeypatch):
+    """Packing suprema refuse sparse parameters and sparse ones packing
+    parameters, before any error sweep, and the sparse refusal does not
+    send the caller to ``sparse_norm_bounds``, which refuses them too."""
+    monkeypatch.setattr(norms, "_scaled_flat", None)   # a sweep would fail
+    with pytest.raises(ValueError, match="family_class='packing'"):
+        packing_sup_norm(STEP, NormParams.sjn(2.0))
+    for functional in (sparse_sup_exhaustive, sparse_norm_bounds):
+        with pytest.raises(ValueError, match="got 'packing'$"):
+            functional(STEP, NormParams.jn(2.0))
+
+
+def test_convention_exponent_refuses_an_unknown_convention():
+    with pytest.raises(ValueError, match="'V' or 'SV', got 'W'"):
+        convention_exponent("W", 0.0, 1, 1)
+
+
+@pytest.mark.parametrize("fit", [best_fit, poly_error])
+@pytest.mark.parametrize("cube, reason", [
+    (CubeId(0, (0, 0)), "cube has dimension 2, grid has 1"),
+    (CubeId(2, (0,)), "cube level 2 is finer than grid depth 1"),
+])
+def test_fits_refuse_a_cube_off_the_grid(fit, cube, reason):
+    with pytest.raises(ValueError, match=reason):
+        fit(STEP, cube, 1, 1)
+
+
 @pytest.mark.parametrize("n, depth", [(1, 3), (1, 6), (2, 2), (2, 3)])
 @pytest.mark.parametrize("dist", ["uniform", "lognormal", "tied", "offset"])
 def test_one_cell_fits_are_exactly_zero(n, depth, dist):
-    """The L^1 levels skip the fits of one-cell cubes and read 0.0 there,
-    which is the bits the fit itself returns (never -0.0)."""
+    """Every ``k >= 1`` level sweep skips the fits of one-cell cubes and
+    reads 0.0 there, which is the bits each route's own one-row fit
+    returns (never -0.0), with the cell's value as the constant."""
     v = _values(np.random.default_rng(6), 1 << (n * depth), dist)
     f = GridFunction(n, depth, v)
     finest = list(iter_cubes(depth, n))[level_offsets(depth, n)[depth]:]
-    for k in (2, 3):
-        swept = error_levels(f, k, 1)[depth]
-        fits = [poly_error(f, c, k, 1) for c in finest]
+    for k, q in itertools.product((1, 2, 3), (1, 2)):
+        swept = error_levels(f, k, q)[depth]
+        fits = [poly_error(f, c, k, q) for c in finest]
         assert [e.hex() for e in fits] == [e.hex() for e in swept.tolist()]
         assert {e.hex() for e in fits} == {(0.0).hex()}
+        fit = best_fit(f, finest[-1], k, q)
+        assert fit.local_coeffs[0] == v[-1] and not fit.local_coeffs[1:].any()
+        assert fit.error == 0.0 and fit.near_best_factor == 1.0
 
 
 @pytest.mark.parametrize("n", [1, 2])
