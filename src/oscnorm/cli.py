@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from .families import SUBSET_NODE_CAP, CubeFamily
-from .grid import GridFunction, tree_size
+from .grid import GridFunction
 from .maximal import fractional_maximal
 from .norms import (NormParams, garo_norm, packing_sup_norm, ri_functionals,
                     sparse_norm_bounds, sparse_sup_exhaustive)
@@ -172,16 +172,9 @@ def _run_compute(args: argparse.Namespace) -> int:
     if args.norm in ("jn", "v", "bmo"):
         rep = packing_sup_norm(f, _compute_params(args, f.dimension))
     elif args.norm in ("sjn", "sv", "svt"):
-        params = _compute_params(args, f.dimension)
-        if args.mode == "exact":
-            if tree_size(f.depth, f.dimension) > SUBSET_NODE_CAP:
-                print("error: exact sparse evaluation needs <= "
-                      f"{SUBSET_NODE_CAP} tree nodes; rerun with --mode bounds",
-                      file=sys.stderr)
-                return 2
-            rep = sparse_sup_exhaustive(f, params)
-        else:
-            rep = sparse_norm_bounds(f, params)
+        sparse = (sparse_sup_exhaustive if args.mode == "exact"
+                  else sparse_norm_bounds)
+        rep = sparse(f, _compute_params(args, f.dimension))
     else:  # garo
         rep = garo_norm(f, args.p)
         if args.mode == "exact" and not rep.exact:

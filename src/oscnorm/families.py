@@ -254,15 +254,15 @@ def validate(family, order, *, dimension: int,
 
 def _class_of(order) -> tuple[str, str, float | None]:
     """The family kind, the condition's wording and the numeric order of a
-    class: ``"packing"``, ``"weak"`` or a sparseness order in ``(0, 1]``."""
+    class: ``"packing"``, ``"weak"`` or a sparseness order, a number in
+    ``(0, 1]``."""
     if order == "packing":
         return "packing", "packing (pairwise non-nested)", None
     if order == "weak":
         return "weakly_sparse", "weak sparseness |E_Q| >= |Q|/2", None
-    order_val = float(order)
-    if not 0.0 < order_val <= 1.0:
+    if isinstance(order, (str, bool)) or not 0.0 < float(order) <= 1.0:
         raise ValueError(f"sparseness order must lie in (0, 1], got {order}")
-    return "sparse", f"sparse(order {order_val:g})", order_val
+    return "sparse", f"sparse(order {float(order):g})", float(order)
 
 
 def validate_index(index: np.ndarray, order, *, dimension: int,
@@ -287,17 +287,15 @@ def validate_index(index: np.ndarray, order, *, dimension: int,
     return CubeFamily(dimension, depth, kind, order_val, index, parent, core)
 
 
-def finest_family(dimension: int, depth: int, order: float) -> CubeFamily:
+def finest_family(dimension: int, depth: int, order) -> CubeFamily:
     """The finest level as :func:`validate_index` returns it at ``order``,
     built without the classifier: no finest cube contains another, so each
     member has no parent and its own cell as its core set."""
-    if not 0.0 < order <= 1.0:
-        raise ValueError(f"sparseness order must lie in (0, 1], got {order}")
+    kind, _, order_val = _class_of(order)
     offsets = level_offsets(depth, dimension)
     index = np.arange(offsets[depth], offsets[depth + 1])
     ones = np.ones_like(index)
-    return CubeFamily(dimension, depth, "sparse", float(order), index, -ones,
-                      ones)
+    return CubeFamily(dimension, depth, kind, order_val, index, -ones, ones)
 
 
 # -- Calderon-Zygmund stopping time ------------------------------------------

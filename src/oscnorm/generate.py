@@ -30,7 +30,14 @@ def rng_for(seed: int, trial: int) -> np.random.Generator:
 
 def generate(kind: str, dimension: int, depth: int, seed: int = 0,
              trial: int = 0, path: str | None = None) -> GridFunction:
-    n_cells = 1 << (dimension * depth)
+    if kind not in GENERATOR_NAMES:
+        raise ValueError(f"unknown generator {kind!r}; "
+                         f"options: {', '.join(GENERATOR_NAMES)}")
+    if kind == "custom-file":
+        if path is None:
+            raise ValueError("generator 'custom-file' needs a file path")
+        return GridFunction.from_file(path)
+    n_cells = _check_cells(dimension, depth)    # before any array is built
     if kind == "uniform-iid":
         vals = rng_for(seed, trial).uniform(0.0, 1.0, size=n_cells)
         return GridFunction(dimension, depth, vals)
@@ -47,16 +54,9 @@ def generate(kind: str, dimension: int, depth: int, seed: int = 0,
         if dimension != 1:
             raise ValueError("the log-singularity generator is 1-dimensional")
         return log_singularity(depth)
-    if kind == "indicator":
-        vals = np.zeros(n_cells)
-        vals[0] = 1.0
-        return GridFunction(dimension, depth, vals)
-    if kind == "custom-file":
-        if path is None:
-            raise ValueError("generator 'custom-file' needs a file path")
-        return GridFunction.from_file(path)
-    raise ValueError(f"unknown generator {kind!r}; "
-                     f"options: {', '.join(GENERATOR_NAMES)}")
+    vals = np.zeros(n_cells)        # the indicator of the first cell
+    vals[0] = 1.0
+    return GridFunction(dimension, depth, vals)
 
 
 def log_singularity(depth: int) -> GridFunction:

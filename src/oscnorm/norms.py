@@ -7,7 +7,8 @@ polynomial-approximation errors
 
 over a class of cube families (see :mod:`oscnorm.families`), taken level by
 level from the kernels of :mod:`oscnorm.local_poly`, whose one-cube calls
-give the same bits.  Three evaluation regimes are provided:
+give the same bits; ``NormParams.family_order`` alone names the class, and
+each functional checks it on entry.  Three evaluation regimes are provided:
 
 * ``packing_sup_norm`` -- exact at every scale.  Over antichains the summands
   are independent, so the supremum is a max-weight-antichain dynamic program
@@ -37,8 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .families import (SUBSET_NODE_CAP, CubeFamily, FamilyTables, cz_family,
-                       family_tables, finest_family, validate_index)
+from .families import (SUBSET_NODE_CAP, CubeFamily, FamilyTables, _class_of,
+                       cz_family, family_tables, finest_family, validate_index)
 # imported for its name alone: perfbench/tracer.py binds
 # ``oscnorm.norms.validate``; the code here calls ``validate_index``
 from .families import validate  # noqa: F401
@@ -73,18 +74,25 @@ __all__ = [
 class NormParams:
     """Parameter tuple selecting a functional.
 
-    ``family_class`` is ``"packing"`` or ``"sparse"``;
-    ``family_order`` is the sparseness order (1 for the plain sparse class,
-    ``1 - lam/n`` for the fractional refinement).
+    ``family_order`` names the family class: ``None`` for packings, or a
+    sparseness order in ``(0, 1]`` (1 for the plain sparse class,
+    ``1 - lam/n`` for the fractional refinement).  ``family_class`` and
+    ``convention`` (``"V"`` or ``"SV"``) are read off it.
     """
 
     k: int = 1
     q: int = 1
     lam: float = 0.0
     p: float = 2.0
-    convention: str = "V"
-    family_class: str = "packing"
     family_order: float | None = None
+
+    @property
+    def family_class(self) -> str:
+        return "packing" if self.family_order is None else "sparse"
+
+    @property
+    def convention(self) -> str:
+        return "V" if self.family_order is None else "SV"
 
     # -- the named functionals -------------------------------------------
 
@@ -104,8 +112,7 @@ class NormParams:
     @classmethod
     def packing(cls, p: float, k: int, q: int, lam: float) -> NormParams:
         """General packing sup at smoothness k, integrability q, weight lam."""
-        return cls(k=k, q=q, lam=lam, p=p, convention="V",
-                   family_class="packing")
+        return cls(k=k, q=q, lam=lam, p=p)
 
     @classmethod
     def sjn(cls, p: float) -> NormParams:
@@ -113,8 +120,7 @@ class NormParams:
 
     @classmethod
     def sv(cls, p: float, k: int, q: int, lam: float) -> NormParams:
-        return cls(k=k, q=q, lam=lam, p=p, convention="SV",
-                   family_class="sparse", family_order=1.0)
+        return cls(k=k, q=q, lam=lam, p=p, family_order=1.0)
 
     @classmethod
     def sv_fractional(cls, p: float, k: int, q: int, lam: float,
@@ -122,8 +128,7 @@ class NormParams:
         """Supremum over families sparse of order 1 - lam/n."""
         if not 0.0 <= lam < dimension:
             raise ValueError(f"lambda must lie in [0, {dimension}), got {lam}")
-        return cls(k=k, q=q, lam=lam, p=p, convention="SV",
-                   family_class="sparse", family_order=1.0 - lam / dimension)
+        return cls(k=k, q=q, lam=lam, p=p, family_order=1.0 - lam / dimension)
 
     def to_json_dict(self) -> dict:
         return {
@@ -260,12 +265,13 @@ def bmo_norm(f: GridFunction) -> float:
 
 # -- sparse suprema -----------------------------------------------------------
 
-def _order_key(params: NormParams):
-    if params.family_class == "sparse":
-        return 1.0 if params.family_order is None else params.family_order
-    raise ValueError(
-        f"sparse evaluation needs a sparse family class, got "
-        f"{params.family_class!r}")
+def _order_key(params: NormParams) -> float:
+    """The sparseness order of ``params``, checked before any work."""
+    order = params.family_order
+    if order is None or order in ("packing", "weak"):   # classes, not orders
+        raise ValueError("sparse evaluation needs a sparseness order in "
+                         f"(0, 1], got {order or 'packing'!r}")
+    return _class_of(order)[2]
 
 
 def sparse_sup_exhaustive(f: GridFunction, params: NormParams) -> NormReport:
@@ -283,7 +289,7 @@ def sparse_sup_exhaustive(f: GridFunction, params: NormParams) -> NormReport:
         weighted = float(((tables.cube_meas @ scaled ** params.p)
                           ** (1.0 / params.p)).max())
     witness = validate_index(np.flatnonzero(tables.cube_meas[row]),
-                             _order_key(params), dimension=f.dimension,
+                             tables.order, dimension=f.dimension,
                              depth=f.depth)
     assert isinstance(witness, CubeFamily)
     return NormReport(params, value, value, True, witness,
@@ -294,12 +300,12 @@ def _sparse_setup(f: GridFunction,
                   params: NormParams) -> tuple[FamilyTables, np.ndarray]:
     """The ``p``-independent half of :func:`sparse_sup_exhaustive`: the
     family table of the class and the scaled errors, breadth-first."""
-    order = _order_key(params)      # a packing class: no scale advice
+    order = _order_key(params)
     try:
         tables = family_tables(f.dimension, f.depth, order)
-    except ValueError as exc:
-        raise ValueError(
-            f"{exc}; use sparse_norm_bounds at this scale") from None
+    except ValueError as exc:       # the order passed: only the scale fails
+        raise ValueError(f"{exc}; use sparse_norm_bounds (--mode bounds) "
+                         "at this scale") from None
     return tables, _scaled_flat(f, params)
 
 
@@ -337,7 +343,7 @@ def sparse_norm_bounds(f: GridFunction, params: NormParams) -> NormReport:
     Lower: the best of (a) the stopping-time family of the residual density,
     (b) the finest packing, (c) every singleton family.
     """
-    order = _order_key(params)      # a packing class: before any work
+    order = _order_key(params)      # before any work
     setup = _bounds_setup(f, params, _scaled_flat(f, params))
     lower, upper, best = _bounds_at(f, setup, params.p)
     if isinstance(best, int):
@@ -370,9 +376,12 @@ def _bounds_setup(f: GridFunction, params: NormParams,
     r_cells = residual_cell_integrals(f, fit, params.q)
     r_nd = r_cells.reshape(f.values_nd.shape)
     mvals = chain_max(level_integrals(r_nd, n, L), n, params.q, params.lam)
-    order = _order_key(params)
+    order = params.family_order     # the caller's _order_key checked it
 
-    density = GridFunction(n, L, (r_cells / f.cell_measure) ** (1.0 / params.q))
+    density = (r_cells / f.cell_measure) ** (1.0 / params.q)
+    if not np.isfinite(density).all():
+        raise ValueError("the residual overflows near the float limit")
+    density = GridFunction(n, L, density)   # the array is freed here
     stopping = cz_family(density, 2.0)
     if order != 1.0:
         # the stopping-time family is sparse(1); thinner classes may reject it

@@ -157,11 +157,10 @@ def _packing_rows(errors: list[np.ndarray], n: int, p: float) -> np.ndarray:
     return packing_dp(weights, n)[0] ** (1.0 / p)
 
 
-def _require_oracle_scale(suite: str, n: int, L: int,
-                          unit: str = "nodes") -> None:
+def _require_oracle_scale(suite: str, n: int, L: int) -> None:
     if tree_size(L, n) > SUBSET_NODE_CAP:
         raise ValueError(
-            f"{suite} runs at oracle scale (<= {SUBSET_NODE_CAP} {unit})")
+            f"{suite} runs at oracle scale (<= {SUBSET_NODE_CAP} tree nodes)")
 
 
 def _require_subdivided(suite: str, L: int) -> None:
@@ -281,7 +280,7 @@ def _suite_sparse_jn(cfg: SuiteConfig) -> SuiteReport:
     maximal-over-norm calibration ratios, and the L log L ratio at p=1."""
     n, L = cfg.dimension, cfg.depth
     _require_subdivided("sparse-jn", L)
-    _require_oracle_scale("sparse-jn", n, L, "tree nodes")
+    _require_oracle_scale("sparse-jn", n, L)
     V = batch_uniform(n, L, cfg.seed, cfg.trials)
     T = V.shape[0]
     cell_meas = 2.0 ** (-n * L)

@@ -97,6 +97,20 @@ def test_compute_garo_exact_refuses_large_tree(deep_file, capsys):
     assert len(errors) == 1 and "--mode bounds" in errors[0]
 
 
+@pytest.mark.parametrize("norm", ["sjn", "sv", "svt"])
+def test_compute_exact_sparse_past_the_cap_says_so_once(deep_file, capsys,
+                                                         norm):
+    """The library's scale refusal is the one line, and it names the
+    command-line way out as well as the library's."""
+    code, out, err = _run(capsys, [
+        "compute", "--input", deep_file, "--norm", norm])
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: oracle scale exceeded: 31 nodes > 15")
+    assert "--mode bounds" in lines[0] and "sparse_norm_bounds" in lines[0]
+
+
 def test_compute_svt_uses_grid_dimension(step_file, capsys):
     code, out, _ = _run(capsys, [
         "compute", "--input", step_file, "--norm", "svt",
@@ -663,6 +677,30 @@ def test_compute_weaklp_near_float_limit_is_silent(huge_file):
     """weak-L^p never sums the values, so nothing overflows on the way."""
     proc = _run_module(["compute", "--input", huge_file, "--norm", "weaklp"])
     assert proc.returncode == 0 and proc.stderr == ""
+
+
+@pytest.mark.parametrize("norm, says", [
+    ("sjn", "overflows near the float limit"),
+    ("sv", "overflows near the float limit"),
+    ("svt", "overflows near the float limit"),
+    ("jn", "the result is not finite"),
+    ("bmo", "the result is not finite"),
+    ("garo", "the result is not finite"),
+])
+def test_compute_on_opposite_values_near_the_float_limit_exits_2(
+        tmp_path, norm, says):
+    """The differences of these finite values overflow.  Each command says
+    so in one line: the sparse bounds name the float limit, and the others
+    refuse the non-finite result that JSON cannot hold."""
+    path = tmp_path / "opposite.json"
+    path.write_text(json.dumps(
+        {"dimension": 1, "depth": 1, "values": [1e308, -1e308]}))
+    proc = _run_module(["compute", "--input", str(path), "--norm", norm,
+                        "--mode", "bounds"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines == _error_lines(proc.stderr)
+    assert says in lines[0]
 
 
 def test_maximal_near_float_limit_exits_2(huge_file):

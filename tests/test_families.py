@@ -128,6 +128,15 @@ def test_finest_family_is_the_validated_finest_level(n, depth, order):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("order", ["packing", "weak"])
+def test_finest_family_takes_the_class_names(order):
+    want = validate_index(np.arange(3, 7), order, dimension=1, depth=2)
+    got = finest_family(1, 2, order)
+    assert (got.kind, got.order) == (want.kind, want.order)
+    for name in ("index", "parent", "core_counts"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_finest_family_rejects_bad_order():
     for order in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError, match="sparseness order"):
@@ -296,8 +305,7 @@ def test_family_tables_refuses_a_bad_order_before_enumerating(order):
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
             family_tables(1, 2, order)
-    params = NormParams(convention="SV", family_class="sparse",
-                        family_order=order)
+    params = NormParams(family_order=order)
     with pytest.raises(ValueError, match=message):
         sparse_sup_exhaustive(GridFunction(1, 2, [0.0, 1.0, 3.0, 2.0]),
                               params)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,27 @@ def test_huge_depths_are_refused_before_the_shift(make):
     allocated or written into the message."""
     with pytest.raises(ValueError, match=r"2\*\*\d+ cells \(limit 4194304\)$"):
         make()
+
+
+@pytest.mark.parametrize("kind, dimension, depth", [
+    ("indicator", 2, 12), ("uniform-iid", 1, 100_000), ("step", 1, 30)])
+def test_generate_checks_the_cell_cap_before_it_allocates(kind, dimension,
+                                                          depth):
+    """The cap line comes before any array: under 1 MB is traced."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=r"2\*\*\d+ cells \(limit 4194304\)$"):
+            generate(kind, dimension, depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_generate_dispatches_the_log_singularity():
+    got = generate("log-singularity", 1, 3)
+    assert got.values.tobytes() == log_singularity(3).values.tobytes()
 
 
 def test_rng_stream_independence():

@@ -53,6 +53,27 @@ def test_cube_validation():
         CubeId(0, (0,)).parent()  # root has no parent
 
 
+def test_cube_needs_an_axis():
+    with pytest.raises(ValueError, match="at least one axis"):
+        CubeId(0, ())
+
+
+@pytest.mark.parametrize("level", [-1, 3])
+def test_ancestor_level_out_of_range(level):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 2\]"):
+        CubeId(2, (1,)).ancestor(level)
+
+
+def test_contains_refuses_another_dimension():
+    with pytest.raises(ValueError, match="different dimensions"):
+        CubeId(0, (0,)).contains(CubeId(0, (0, 0)))
+
+
+def test_contains_is_false_for_a_coarser_cube():
+    assert not CubeId(1, (0,)).contains(CubeId(0, (0,)))
+    assert not CubeId(2, (0, 1)).contains(CubeId(1, (0, 0)))
+
+
 def test_iter_cubes_and_index_round_trip():
     for n in (1, 2):
         cubes = list(iter_cubes(3 if n == 1 else 2, n))
@@ -148,6 +169,11 @@ def test_gridfunction_validation():
         GridFunction(3, 1, [0.0] * 8)           # unsupported dimension
 
 
+def test_gridfunction_refuses_a_negative_depth():
+    with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+        GridFunction(1, -1, [0.0])
+
+
 def test_2d_values_must_be_square():
     """A 2-D array is read as the grid only in its own shape: any other
     shape with the right count is refused, not raveled."""
@@ -192,6 +218,23 @@ def test_from_json_errors():
             {"dimension": 1, "depth": 1, "values": "abc"}))
     with pytest.raises(ValueError, match="JSON"):
         GridFunction.from_json("not json {")
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"grid"', "null"])
+def test_from_json_refuses_a_non_object(text):
+    with pytest.raises(ValueError, match="must be an object"):
+        GridFunction.from_json(text)
+
+
+@pytest.mark.parametrize("alpha, match", [
+    ((1,), "has 1 axes, grid has 2"),
+    ((0, 0, 0), "has 3 axes, grid has 2"),
+    ((1, -1), "must be nonnegative"),
+])
+def test_moment_refuses_a_bad_multi_index(alpha, match):
+    f = GridFunction(2, 1, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match=match):
+        moment(f, CubeId(0, (0, 0)), alpha)
 
 
 def _parse_both(texts):

@@ -4,8 +4,11 @@ Golden values below are hand-derived for tiny grids; ordering properties are
 spot-checked on random grids against the exact enumeration paths.
 """
 
+import dataclasses
 import itertools
+import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -179,8 +182,7 @@ def test_infinite_p_collapses_to_max_scaled():
     assert rep.value == pytest.approx(bmo_norm(f), abs=1e-15)
     # sparse sup at p=inf sees the same singleton maximum
     srep = sparse_sup_exhaustive(
-        f, NormParams(k=1, q=1, lam=0.0, p=math.inf, convention="V",
-                      family_class="sparse", family_order=1.0))
+        f, NormParams(k=1, q=1, lam=0.0, p=math.inf, family_order=1.0))
     assert srep.value == pytest.approx(direct, abs=1e-12)
 
 
@@ -342,6 +344,84 @@ def test_each_functional_refuses_the_other_family_class(monkeypatch):
     for functional in (sparse_sup_exhaustive, sparse_norm_bounds):
         with pytest.raises(ValueError, match="got 'packing'$"):
             functional(STEP, NormParams.jn(2.0))
+
+
+def test_norm_params_name_the_class_by_the_order_alone():
+    """``family_order`` is the one field for the class: ``None`` for
+    packings, a number for sparse families; the rest is read off it."""
+    names = [fl.name for fl in dataclasses.fields(NormParams)]
+    assert names == ["k", "q", "lam", "p", "family_order"]
+    for knob in ("convention", "family_class"):
+        with pytest.raises(TypeError):
+            NormParams(**{knob: "SV"})
+    packing, sparse = NormParams(), NormParams(family_order=0.5)
+    assert (packing.family_class, packing.convention) == ("packing", "V")
+    assert (sparse.family_class, sparse.convention) == ("sparse", "SV")
+    with pytest.raises(ValueError, match="family_class='packing'"):
+        packing_sup_norm(STEP, sparse)
+
+
+# to_json_dict of each named functional, as json.dumps writes it in order
+PARAMS_JSON = [
+    (NormParams.jn(2.0), '{"k": 1, "q": 1, "lambda": 0.0, "p": 2.0, '
+     '"convention": "V", "family_class": "packing", "family_order": null}'),
+    (NormParams.bmo(), '{"k": 1, "q": 1, "lambda": 0.0, "p": "inf", '
+     '"convention": "V", "family_class": "packing", "family_order": null}'),
+    (NormParams.riesz(3.0), '{"k": 0, "q": 1, "lambda": 0.0, "p": 3.0, '
+     '"convention": "V", "family_class": "packing", "family_order": null}'),
+    (NormParams.packing(1.5, 2, 2, 0.5), '{"k": 2, "q": 2, "lambda": 0.5, '
+     '"p": 1.5, "convention": "V", "family_class": "packing", '
+     '"family_order": null}'),
+    (NormParams.sjn(math.inf), '{"k": 1, "q": 1, "lambda": 0.0, "p": "inf", '
+     '"convention": "SV", "family_class": "sparse", "family_order": 1.0}'),
+    (NormParams.sv(4.0, 3, 1, 0.25), '{"k": 3, "q": 1, "lambda": 0.25, '
+     '"p": 4.0, "convention": "SV", "family_class": "sparse", '
+     '"family_order": 1.0}'),
+    (NormParams.sv_fractional(2.0, 2, 1, 0.5, 2), '{"k": 2, "q": 1, '
+     '"lambda": 0.5, "p": 2.0, "convention": "SV", "family_class": '
+     '"sparse", "family_order": 0.75}'),
+]
+
+
+@pytest.mark.parametrize("params, text", PARAMS_JSON)
+def test_norm_params_json_keeps_its_bytes(params, text):
+    assert json.dumps(params.to_json_dict()) == text
+
+
+@pytest.mark.parametrize("order",
+                         [0.0, 1.5, math.nan, "weak", "packing", "0.5", True])
+@pytest.mark.parametrize("functional",
+                         [sparse_sup_exhaustive, sparse_norm_bounds])
+def test_sparse_functionals_refuse_a_bad_order_before_any_work(
+        monkeypatch, functional, order):
+    """Only a number in (0, 1] is an order.  Anything else is refused
+    before the error sweep or the family table, by a message that does
+    not send the caller to ``sparse_norm_bounds``."""
+    monkeypatch.setattr(norms, "_scaled_flat", None)   # a sweep would fail
+    monkeypatch.setattr(norms, "family_tables", None)  # so would a table
+    with pytest.raises(ValueError,
+                       match=r"order (must lie )?in \(0, 1\], got ") as exc:
+        functional(STEP, NormParams(family_order=order))
+    assert "sparse_norm_bounds" not in str(exc.value)
+
+
+def test_a_bad_order_is_refused_at_once_at_the_cell_cap():
+    f = GridFunction(1, 22, np.zeros(1 << 22))
+    params = dataclasses.replace(NormParams.sjn(2.0), family_order=1.5)
+    for functional in (sparse_sup_exhaustive, sparse_norm_bounds):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="sparseness order"):
+            functional(f, params)
+        assert time.perf_counter() - start < 0.01
+
+
+def test_sparse_bounds_name_an_overflowing_residual():
+    """The root fit of these finite values overflows: the bounds say so,
+    and do not call the input values non-finite."""
+    f = GridFunction(1, 1, [1e308, -1e308])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="overflows near the float limit$"):
+        sparse_norm_bounds(f, NormParams.sjn(2.0))
 
 
 def test_convention_exponent_refuses_an_unknown_convention():

@@ -346,3 +346,24 @@ def test_exact_ties_are_cleared_without_a_root(p):
         assert suites._root_violations(a, 1 / p, b, 1 / p, b, True) == 0
         assert suites._root_violations(b, 1 / p, a, 1 / p, 2.0 * A, True,
                                        scale=2.0 ** (1 / p)) == 0
+
+
+ORACLE_SUITES = ("sparse-jn", "sv-equivalence", "fractional-sv",
+                 "sobolev-chain", "embedding-chain")
+
+
+@pytest.mark.parametrize("suite, dim, depth", [
+    (suite, dim, depth) for suite in ORACLE_SUITES
+    for dim, depth in ((1, 4), (2, 2))
+    if dim == 1 or suite != "sobolev-chain"])   # that chain is 1D only
+def test_verify_refuses_an_oracle_suite_past_the_cap(capsys, suite, dim,
+                                                     depth):
+    """31 and 21 tree nodes are past the 15 of the family tables: each
+    oracle suite exits 2 with its own one-line refusal, and no report."""
+    from oscnorm.cli import main
+    code = main(["verify", "--suite", suite, "--dim", str(dim),
+                 "--depth", str(depth), "--trials", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: {suite} runs at oracle scale (<= 15 tree nodes)"]
