@@ -34,6 +34,12 @@ from .norms import (NormParams, garo_norm, packing_sup_norm, ri_functionals,
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
 _NORM_KEYS = ("jn", "sjn", "v", "sv", "svt", "garo", "bmo", "weaklp", "llogl")
+# the functional flags each norm reads, with their defaults; passing one
+# that the norm does not read is refused
+_FLAG_DEFAULTS = {"p": 2.0, "k": 1, "q": 1, "lam": 0.0}
+_NORM_FLAGS = {**dict.fromkeys(("jn", "v", "sjn", "sv", "svt"),
+                               ("p", "k", "q", "lam")),
+               "garo": ("p",), "weaklp": ("p",), "bmo": (), "llogl": ()}
 
 
 def _parse_p(text: str) -> float:
@@ -62,10 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compute", help="evaluate one functional")
     comp.add_argument("--input", required=True, help="grid-function JSON file")
     comp.add_argument("--norm", required=True, choices=_NORM_KEYS)
-    comp.add_argument("--p", type=_parse_p, default=2.0)
-    comp.add_argument("--k", type=int, default=1)
-    comp.add_argument("--q", type=int, default=1, choices=(1, 2))
-    comp.add_argument("--lambda", dest="lam", type=_parse_lambda, default=0.0)
+    comp.add_argument("--p", type=_parse_p)
+    comp.add_argument("--k", type=int)
+    comp.add_argument("--q", type=int, choices=(1, 2))
+    comp.add_argument("--lambda", dest="lam", type=_parse_lambda)
     comp.add_argument("--mode", choices=("exact", "bounds"), default="exact")
     comp.add_argument("--out", help="write JSON here instead of stdout")
 
@@ -158,11 +164,24 @@ def _compute_params(args: argparse.Namespace, dimension: int) -> NormParams:
                                     dimension)
 
 
+def _fill_flags(args: argparse.Namespace) -> None:
+    """Set each functional flag the norm reads and was not given to its
+    default; refuse one given that the norm does not read."""
+    reads = _NORM_FLAGS[args.norm]
+    for name, default in _FLAG_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in reads:
+            flag = "lambda" if name == "lam" else name
+            raise ValueError(f"--norm {args.norm} does not read --{flag}")
+
+
 def _run_compute(args: argparse.Namespace) -> int:
+    _fill_flags(args)
     f = GridFunction.from_file(args.input)
     payload: dict = {"schema": 1, "norm": args.norm, "input": args.input}
     if args.norm in ("weaklp", "llogl"):
-        ri = ri_functionals(f, args.p if args.norm == "weaklp" else 2.0)
+        ri = ri_functionals(f, args.p)      # llogl reads no p: the default
         value = ri.weak_lp if args.norm == "weaklp" else ri.llogl
         payload.update({"value_lower": value, "value_upper": value,
                         "exact": True,

@@ -1,4 +1,4 @@
-"""Families of dyadic cubes: packings, sparse, and weakly sparse classes.
+"""Families of dyadic cubes: packings and sparse classes.
 
 A *packing* is an antichain: pairwise non-nested cubes.  A family is *sparse
 of order* ``t`` in (0, 1] when for every member ``Q`` its family-children
@@ -6,16 +6,16 @@ of order* ``t`` in (0, 1] when for every member ``Q`` its family-children
 
     sum over children Q' of |Q'|^t  <=  (1/2) |Q|^t
 
-and *weakly sparse* when each core set ``E_Q = Q minus union(children)`` keeps
-at least half the measure: ``|E_Q| >= |Q|/2``.  Weak sparseness is order-1
-sparseness: children are disjoint, so ``sum |Q'| <= |Q|/2`` iff
-``|E_Q| >= |Q|/2``, and the classifier checks ``"weak"`` as order 1.
-Packings are sparse of every order (no children at all).
+A class is named by ``"packing"`` or by its order.  Weak sparseness (each
+core set ``E_Q = Q minus union(children)`` keeps at least half the measure,
+``|E_Q| >= |Q|/2``) is order-1 sparseness: children are disjoint, so
+``sum |Q'| <= |Q|/2`` iff ``|E_Q| >= |Q|/2``.  Packings are sparse of every
+order (no children at all).
 
 Families are arrays over the breadth-first cube numbering of
 :func:`~oscnorm.grid.cube_index`: member numbers, the position of each
 member's nearest member ancestor, and integer core cell counts.  One
-classifier decides all three classes: a top-down sweep over the levels finds
+classifier decides every class: a top-down sweep over the levels finds
 every member's nearest member ancestor, child sums follow by
 ``np.bincount``, and the conditions are checked per member.  It runs on any
 number of member sets at once, each a row: :func:`validate_index` is the
@@ -62,7 +62,8 @@ class CubeFamily:
     is ``i`` are the family-children of member ``i``.  ``core_counts[i]`` is
     the number of finest cells in its core set ``E_Q``: the cells of ``Q``
     minus those of its children.  Core sets are pairwise disjoint by
-    construction.
+    construction.  ``kind`` is ``"packing"`` when ``order`` is ``None``,
+    else ``"sparse"``.
 
     ``cubes``, ``children_map[Q]`` (the maximal members strictly inside
     ``Q``) and ``core_cells[Q]`` (the flat finest-cell indices of ``E_Q``)
@@ -72,11 +73,14 @@ class CubeFamily:
 
     dimension: int
     depth: int
-    kind: str  # "packing" | "sparse" | "weakly_sparse"
     order: float | None
     index: np.ndarray
     parent: np.ndarray
     core_counts: np.ndarray
+
+    @property
+    def kind(self) -> str:
+        return "packing" if self.order is None else "sparse"
 
     @cached_property
     def cubes(self) -> tuple[CubeId, ...]:
@@ -233,8 +237,7 @@ def validate(family, order, *, dimension: int,
              depth: int) -> CubeFamily | SparsityViolation:
     """Classify a set of cubes, or report the first violating cube.
 
-    ``order`` is a sparseness order in (0, 1], or ``"packing"``, or
-    ``"weak"`` (checked as order 1, reported on the core side).  Measures
+    ``order`` is a sparseness order in (0, 1], or ``"packing"``.  Measures
     are powers of two, so the fractional-power sums are compared in
     floating point with a 1e-12 tolerance.  "First" is the breadth-first
     cube order.
@@ -252,17 +255,14 @@ def validate(family, order, *, dimension: int,
     return validate_index(index, order, dimension=dimension, depth=depth)
 
 
-def _class_of(order) -> tuple[str, str, float | None]:
-    """The family kind, the condition's wording and the numeric order of a
-    class: ``"packing"``, ``"weak"`` or a sparseness order, a number in
-    ``(0, 1]``."""
+def _class_of(order) -> tuple[str, float | None]:
+    """The condition's wording and the numeric order of a class:
+    ``"packing"`` or a sparseness order, a number in ``(0, 1]``."""
     if order == "packing":
-        return "packing", "packing (pairwise non-nested)", None
-    if order == "weak":
-        return "weakly_sparse", "weak sparseness |E_Q| >= |Q|/2", None
+        return "packing (pairwise non-nested)", None
     if isinstance(order, (str, bool)) or not 0.0 < float(order) <= 1.0:
         raise ValueError(f"sparseness order must lie in (0, 1], got {order}")
-    return "sparse", f"sparse(order {float(order):g})", float(order)
+    return f"sparse(order {float(order):g})", float(order)
 
 
 def validate_index(index: np.ndarray, order, *, dimension: int,
@@ -270,32 +270,28 @@ def validate_index(index: np.ndarray, order, *, dimension: int,
     """:func:`validate` for a nonempty family given as ascending, distinct
     breadth-first cube numbers (an int64 array), with no per-cube objects:
     the one-row call of the family classifier."""
-    kind, condition, order_val = _class_of(order)
+    condition, order_val = _class_of(order)
     one_row = np.broadcast_to(np.int64(0), index.shape)   # no allocation
-    parent, core, bad, lhs, rhs = _classify(
-        one_row, index, 1, 1.0 if order == "weak" else order, dimension, depth)
+    parent, core, bad, lhs, rhs = _classify(one_row, index, 1, order,
+                                            dimension, depth)
     if bad.any():
         i = int(bad.argmax())
         level, coords = _levels_coords(index[i:i + 1], dimension, depth)
         lvl = int(level[0])
-        sides = lhs[i], rhs[i]
-        if order == "weak":     # the core side: |Q|/2 against |E_Q|
-            sides = (0.5 * 2.0 ** (-dimension * lvl),
-                     core[i] * 2.0 ** (-dimension * depth))
         return SparsityViolation(CubeId(lvl, tuple(coords[0].tolist())),
-                                 condition, *map(float, sides))
-    return CubeFamily(dimension, depth, kind, order_val, index, parent, core)
+                                 condition, float(lhs[i]), float(rhs[i]))
+    return CubeFamily(dimension, depth, order_val, index, parent, core)
 
 
 def finest_family(dimension: int, depth: int, order) -> CubeFamily:
     """The finest level as :func:`validate_index` returns it at ``order``,
     built without the classifier: no finest cube contains another, so each
     member has no parent and its own cell as its core set."""
-    kind, _, order_val = _class_of(order)
+    _, order_val = _class_of(order)
     offsets = level_offsets(depth, dimension)
     index = np.arange(offsets[depth], offsets[depth + 1])
     ones = np.ones_like(index)
-    return CubeFamily(dimension, depth, kind, order_val, index, -ones, ones)
+    return CubeFamily(dimension, depth, order_val, index, -ones, ones)
 
 
 # -- Calderon-Zygmund stopping time ------------------------------------------
@@ -377,9 +373,8 @@ def family_tables(dimension: int, depth: int, order) -> FamilyTables:
     masks = np.arange(1, 1 << nodes, dtype=np.int64)
     member = (masks >> np.arange(nodes)[:, None]) & 1      # (nodes, rows)
     index, rows = np.nonzero(member)     # by cube number, then by row
-    _, core, bad, _, _ = _classify(
-        rows, index, masks.size, 1.0 if order == "weak" else order,
-        dimension, depth)
+    _, core, bad, _, _ = _classify(rows, index, masks.size, order,
+                                   dimension, depth)
     keep = np.ones(masks.size, dtype=bool)
     keep[rows[bad]] = False
     core_meas = np.zeros((masks.size, nodes))

@@ -117,10 +117,11 @@ _L2_BLOCK = 1 << 16
 class PolyFit:
     """A fitted local polynomial and its certified error.
 
-    ``coeffs`` are coefficients on the plain monomial basis ``x^alpha``
-    (``exponents`` lists the multi-indices).  ``local_coeffs`` are the same
-    polynomial on the cube-scaled basis ``((x - center)/side)^alpha`` and are
-    the numerically preferred representation.  ``near_best_factor >= 1`` is a
+    ``local_coeffs`` are the coefficients on the cube-scaled basis
+    ``((x - center)/side)^alpha``, the numerically preferred representation;
+    ``exponents`` lists the multi-indices ``alpha``, and ``coeffs`` expands
+    the polynomial on the plain monomial basis ``x^alpha``, both worked out
+    on each read.  ``near_best_factor >= 1`` is a
     certified bound on ``error / E_k(f;Q)_q``; it is 1 for the exact routes
     (q=2, or q=1 with k<=1).  ``approximate`` marks results whose objective
     involved quadrature, or whose positive error the certificate could not
@@ -133,12 +134,18 @@ class PolyFit:
     cube: CubeId
     degree_bound: int
     q: int
-    exponents: tuple[tuple[int, ...], ...]
-    coeffs: np.ndarray
     local_coeffs: np.ndarray
     error: float
     near_best_factor: float
     approximate: bool = False
+
+    @property
+    def exponents(self) -> tuple[tuple[int, ...], ...]:
+        return _exponents(self.cube.dimension, self.degree_bound)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return _local_to_global(self.exponents, self.local_coeffs, self.cube)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the polynomial at points in global coordinates, shape (m, n)."""
@@ -162,9 +169,7 @@ def best_fit(f: GridFunction, c: CubeId, k: int, q: int) -> PolyFit:
     f.check_cube(c)
     local, err, factor, approx = (x[0] for x in _level_fits(
         f, c.level, k, q, np.array([c.coords]), certify=True))
-    exps = _exponents(f.dimension, k)
-    return PolyFit(c, k, q, exps, _local_to_global(exps, local, c), local,
-                   float(err), float(factor), bool(approx))
+    return PolyFit(c, k, q, local, float(err), float(factor), bool(approx))
 
 
 def poly_error(f: GridFunction, c: CubeId, k: int, q: int) -> float:

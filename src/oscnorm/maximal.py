@@ -44,6 +44,8 @@ def fractional_maximal(f: GridFunction, q: int, lam: float) -> MaximalResult:
     dens = np.abs(f.values_nd) ** q * f.cell_measure
     levels = level_integrals(dens, n, f.depth)
     out = chain_max(levels, n, q, lam)
+    if not np.isfinite(out).all():
+        raise ValueError("the maximal function overflows near the float limit")
     return MaximalResult(GridFunction(n, f.depth, out.ravel()), q, lam)
 
 

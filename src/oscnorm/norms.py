@@ -17,14 +17,16 @@ each functional checks it on entry.  Three evaluation regimes are provided:
   (at most 15 tree nodes).  On a sparse family the core sets ``E_Q`` are
   disjoint, so the family's value is ``(sum scaled(Q)^p |E_Q|)^{1/p}``; the
   ``|Q|``-weighted variant is reported alongside.
-* ``sparse_norm_bounds`` -- certified interval at any scale.  The upper bound
-  is ``2 ||M_{q,lam}(f - P)||_p`` where ``P`` is the degree-(k-1) least
+* ``sparse_norm_bounds`` -- interval at any scale.  The upper bound is
+  ``2 ||M_{q,lam}(f - P)||_p`` where ``P`` is the degree-(k-1) least
   squares fit on the root: for any cell x in a core set ``E_Q`` the summand
   ``scaled(Q)`` is dominated pointwise by the fractional maximal function of
   the residual, and the core sets are disjoint, giving the factor-2 form of
-  the sparse domination bound.  The lower bound evaluates explicit families:
-  the stopping-time family of the residual density, the finest packing, and
-  all singletons.
+  the sparse domination bound.  The residual integrals are exact except in
+  the 2D quadratic corner (``q = 1``, ``k = 3``), where a midpoint rule
+  gives them and the upper bound is not certified.  The lower bound
+  evaluates explicit families: the stopping-time family of the residual
+  density, the finest packing, and all singletons.
 
 The Garsia-Rodemich functional, decreasing rearrangements, weak-``L^p``, the
 Luxemburg ``L log L`` norm, and ``sup(f** - f*)`` round out the toolkit.
@@ -86,6 +88,12 @@ class NormParams:
     p: float = 2.0
     family_order: float | None = None
 
+    def __post_init__(self):
+        if not self.p >= 1.0:       # also refuses nan
+            raise ValueError(f"p must be >= 1 or inf, got {self.p}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lambda must be finite, got {self.lam}")
+
     @property
     def family_class(self) -> str:
         return "packing" if self.family_order is None else "sparse"
@@ -142,12 +150,24 @@ class NormParams:
 
 @dataclass(frozen=True)
 class NormReport:
+    """A bracket ``[value_lower, value_upper]`` of a functional, exact when
+    its sides meet.  Both sides are finite."""
+
     params: NormParams
     value_lower: float
     value_upper: float
-    exact: bool
     witness: CubeFamily | None
     extras: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.value_lower)
+                and math.isfinite(self.value_upper)):
+            raise ValueError("the result is not finite: the computation "
+                             "overflows near the float limit")
+
+    @property
+    def exact(self) -> bool:
+        return self.value_lower == self.value_upper
 
     @property
     def value(self) -> float:
@@ -222,7 +242,7 @@ def _packing_sup(f: GridFunction, params: NormParams,
         members = np.concatenate(picks)
     witness = validate_index(members, "packing", dimension=n, depth=L)
     assert isinstance(witness, CubeFamily)
-    return NormReport(params, value, value, True, witness)
+    return NormReport(params, value, value, witness)
 
 
 def _packing_value(scaled: list[np.ndarray], n: int, p: float):
@@ -268,10 +288,10 @@ def bmo_norm(f: GridFunction) -> float:
 def _order_key(params: NormParams) -> float:
     """The sparseness order of ``params``, checked before any work."""
     order = params.family_order
-    if order is None or order in ("packing", "weak"):   # classes, not orders
+    if order is None or order == "packing":     # a class, not an order
         raise ValueError("sparse evaluation needs a sparseness order in "
                          f"(0, 1], got {order or 'packing'!r}")
-    return _class_of(order)[2]
+    return _class_of(order)[1]
 
 
 def sparse_sup_exhaustive(f: GridFunction, params: NormParams) -> NormReport:
@@ -292,7 +312,7 @@ def sparse_sup_exhaustive(f: GridFunction, params: NormParams) -> NormReport:
                              tables.order, dimension=f.dimension,
                              depth=f.depth)
     assert isinstance(witness, CubeFamily)
-    return NormReport(params, value, value, True, witness,
+    return NormReport(params, value, value, witness,
                       extras={"weighted_value": weighted})
 
 
@@ -335,11 +355,14 @@ def family_value(f: GridFunction, family: CubeFamily, params: NormParams,
 
 
 def sparse_norm_bounds(f: GridFunction, params: NormParams) -> NormReport:
-    """Certified interval for a sparse norm at any scale.
+    """Interval for a sparse norm at any scale.
 
     Upper: ``2 ||M_{q,lam}(f - P)||_p`` with ``P`` the least-squares fit on
-    the root cube; exact residual integrals feed the maximal function, so the
-    bound is the theorem's factor-2 inequality evaluated without slack.
+    the root cube.  Exact residual integrals feed the maximal function, so
+    the bound is the theorem's factor-2 inequality evaluated without slack,
+    except in the 2D quadratic corner (``q = 1``, ``k = 3``): there the
+    integrals come from the 16-point midpoint rule, which can fall below
+    them, and the bound is not certified.
     Lower: the best of (a) the stopping-time family of the residual density,
     (b) the finest packing, (c) every singleton family.
     """
@@ -351,7 +374,7 @@ def sparse_norm_bounds(f: GridFunction, params: NormParams) -> NormReport:
                                 dimension=f.dimension, depth=f.depth)
         assert isinstance(single, CubeFamily)
         best = single
-    return NormReport(params, lower, upper, False, best,
+    return NormReport(params, lower, upper, best,
                       extras={"reference_fit_error": setup.fit.error})
 
 
@@ -457,7 +480,7 @@ def garo_norm(f: GridFunction, p: float) -> NormReport:
         witness = validate_index(np.flatnonzero(member[row]), "packing",
                                  dimension=n, depth=L)
         assert isinstance(witness, CubeFamily)
-        return NormReport(params, value, value, True, witness,
+        return NormReport(params, value, value, witness,
                           extras={"jn_value": jn_value})
 
     # candidates in order: singletons, full levels, the DP witness; a later
@@ -477,9 +500,9 @@ def garo_norm(f: GridFunction, p: float) -> NormReport:
             best_val, best_members = val, idxs
     witness = validate_index(best_members, "packing", dimension=n, depth=L)
     assert isinstance(witness, CubeFamily)
-    # when the best candidate attains the upper bound the sandwich is a proof
-    exact = float(best_val) == jn_value
-    return NormReport(params, float(best_val), jn_value, exact, witness,
+    # when the best candidate attains the upper bound the sandwich is a
+    # proof, and the report reads exact
+    return NormReport(params, float(best_val), jn_value, witness,
                       extras={"jn_value": jn_value})
 
 
@@ -552,7 +575,7 @@ def ri_functionals(f: GridFunction, p: float) -> RIFunctionals:
     at t=1 the left limit) -- exhaustive for step functions since f** - f*
     decreases between consecutive jumps -- when ``bds`` is first read.
     """
-    if p <= 1:
+    if not p > 1:       # also refuses nan
         raise ValueError(f"weak-L^p needs p > 1, got {p}")
     r = rearrangement(f)
     rights = (np.arange(r.values.size) + 1) * r.block

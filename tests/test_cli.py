@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscnorm.cli import _NORM_KEYS, _emit, main
+from oscnorm.cli import _NORM_FLAGS, _NORM_KEYS, _emit, main
 from oscnorm.families import CubeFamily, validate_index
 from oscnorm.grid import GridFunction, cube_index, tree_size
 from oscnorm.suites import SUITE_NAMES
@@ -428,12 +428,45 @@ def test_compute_reports_are_strict_json(tmp_path, capsys, norm, p, mode,
     path.write_text(json.dumps(
         {"dimension": dimension, "depth": 3 - dimension,
          "values": [0.1, 2.0, 0.5, 3.0]}))
+    reads_p = "p" in _NORM_FLAGS[norm]
     code, out, _ = _run(capsys, [
-        "compute", "--input", str(path), "--norm", norm, "--p", p,
-        "--mode", mode])
+        "compute", "--input", str(path), "--norm", norm,
+        *(["--p", p] if reads_p else []), "--mode", mode])
     assert code == 0
     d = json.loads(out, parse_constant=_no_constant)
     assert d["value_lower"] <= d["value_upper"]
+
+
+@pytest.mark.parametrize("norm, flag", [
+    ("bmo", ["--p", "3"]),
+    ("bmo", ["--lambda", "0"]),
+    ("garo", ["--k", "3"]),
+    ("garo", ["--q", "2"]),
+    ("weaklp", ["--lambda", "0.5"]),
+    ("weaklp", ["--k", "1"]),
+    ("llogl", ["--p", "7"]),
+    ("llogl", ["--q", "1"]),
+])
+def test_compute_refuses_a_flag_the_norm_does_not_read(capsys, norm, flag):
+    """A flag the norm ignores exits 2 with one line naming the flag and
+    the norm, before the input is read."""
+    code, out, err = _run(capsys, [
+        "compute", "--input", "/nonexistent/grid.json", "--norm", norm, *flag])
+    assert code == 2 and out == ""
+    assert err == f"error: --norm {norm} does not read {flag[0]}\n"
+
+
+def test_compute_fills_the_defaults_of_unread_flags(step_file, capsys):
+    """Without the flag each norm reports its default: ``llogl`` keeps
+    ``"p": 2.0`` and ``bmo`` its ``p = inf``."""
+    code, out, _ = _run(capsys, [
+        "compute", "--input", step_file, "--norm", "llogl"])
+    assert code == 0 and json.loads(out)["p"] == 2.0
+    code, out, _ = _run(capsys, [
+        "compute", "--input", step_file, "--norm", "bmo"])
+    params = json.loads(out)["params"]
+    assert code == 0 and (params["p"], params["k"], params["q"],
+                          params["lambda"]) == ("inf", 1, 1, 0.0)
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -468,12 +501,12 @@ def witnesses(draw):
         return None
     if what == "empty":
         empty = np.zeros(0, dtype=np.int64)
-        return CubeFamily(n, depth, "packing", None, empty, empty, empty)
+        return CubeFamily(n, depth, None, empty, empty, empty)
     nodes = tree_size(depth, n)
     members = ([draw(st.integers(0, nodes - 1))] if what == "singleton"
                else sorted(draw(st.sets(st.integers(0, nodes - 1),
                                         min_size=1))))
-    order = draw(st.sampled_from(["packing", "weak", 0.5, 1.0]))
+    order = draw(st.sampled_from(["packing", 0.5, 1.0]))
     index = np.array(members, dtype=np.int64)
     while True:
         fam = validate_index(index, order, dimension=n, depth=depth)
@@ -708,7 +741,8 @@ def test_maximal_near_float_limit_exits_2(huge_file):
     assert proc.returncode == 2 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines == _error_lines(proc.stderr)
-    assert "finite" in lines[0]
+    assert lines[0] == ("error: the maximal function overflows near the "
+                        "float limit")
 
 
 def test_one_parser_serves_every_call_of_a_process(deep_file, capsys):

@@ -46,11 +46,14 @@ def test_validate_packing_rejects_nesting():
 
 
 def test_validate_weak():
+    """Weak sparseness is order 1; ``"weak"`` is not a class name."""
     assert isinstance(
-        validate([ROOT, LEFT], "weak", dimension=1, depth=1), CubeFamily)
-    out = validate([ROOT, LEFT, RIGHT], "weak", dimension=1, depth=1)
+        validate([ROOT, LEFT], 1.0, dimension=1, depth=1), CubeFamily)
+    out = validate([ROOT, LEFT, RIGHT], 1.0, dimension=1, depth=1)
     assert isinstance(out, SparsityViolation)
     assert out.cube == ROOT       # its core is empty
+    with pytest.raises(ValueError, match=r"in \(0, 1\], got weak$"):
+        validate([ROOT], "weak", dimension=1, depth=1)
 
 
 def test_validate_rejects_bad_input():
@@ -69,7 +72,7 @@ def test_validate_rejects_bad_input():
 def test_singletons_pass_every_class():
     for depth in (1, 2):
         for c in iter_cubes(depth, 1):
-            for order in ("packing", "weak", 0.25, 1.0):
+            for order in ("packing", 0.25, 1.0):
                 out = validate([c], order, dimension=1, depth=depth)
                 assert isinstance(out, CubeFamily), (c, order)
 
@@ -94,7 +97,6 @@ def test_core_cells_partition_members():
 @pytest.mark.parametrize("depth,order,count", [
     (1, "packing", 4), (2, "packing", 25),
     (1, 1.0, 6), (2, 1.0, 65),
-    (1, "weak", 6),
 ])
 def test_enumeration_counts_1d(depth, order, count):
     fams = list(enumerate_families(depth, 1, order))
@@ -106,7 +108,7 @@ def test_enumeration_counts_1d(depth, order, count):
 
 def test_packings_are_sparse_of_every_order():
     for fam in enumerate_families(2, 1, "packing"):
-        for order in (0.25, 0.5, 1.0, "weak"):
+        for order in (0.25, 0.5, 1.0):
             out = validate(fam.cubes, order, dimension=1, depth=2)
             assert isinstance(out, CubeFamily)
 
@@ -128,7 +130,7 @@ def test_finest_family_is_the_validated_finest_level(n, depth, order):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("order", ["packing", "weak"])
+@pytest.mark.parametrize("order", ["packing"])
 def test_finest_family_takes_the_class_names(order):
     want = validate_index(np.arange(3, 7), order, dimension=1, depth=2)
     got = finest_family(1, 2, order)

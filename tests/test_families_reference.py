@@ -18,7 +18,7 @@ from oscnorm.families import (COMPARE_TOL, CubeFamily, SparsityViolation,
 from oscnorm.grid import CubeId, GridFunction, children, cube_index, iter_cubes
 from oscnorm.maximal import level_integrals
 
-ORDERS = ("packing", "weak", 0.5, 1.0)
+ORDERS = ("packing", 0.5, 1.0)
 SHAPES = ((1, 1), (1, 2), (1, 3), (1, 5), (2, 1), (2, 2), (2, 3))
 
 
@@ -74,15 +74,6 @@ def loop_classify(structure, order, dimension, depth):
                     c, "packing (pairwise non-nested)",
                     float(len(children_map[c])), 0.0)
         kind, order_val = "packing", None
-    elif order == "weak":
-        cell_meas = 2.0 ** (-dimension * depth)
-        for c in members:
-            core = len(core_cells[c]) * cell_meas
-            if core < 0.5 * c.measure - COMPARE_TOL:
-                return SparsityViolation(
-                    c, "weak sparseness |E_Q| >= |Q|/2",
-                    0.5 * c.measure, core)
-        kind, order_val = "weakly_sparse", None
     else:
         t = float(order)
         for c in members:
@@ -204,7 +195,7 @@ def test_cz_family_matches_queue_reference(seed, shape, dist, factor):
 
 # -- family tables ---------------------------------------------------------------
 
-TABLE_ORDERS = ("packing", "weak", 1.0, 0.75, 0.5, 0.25)
+TABLE_ORDERS = ("packing", 1.0, 0.75, 0.5, 0.25)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 3), (2, 1)])

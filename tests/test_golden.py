@@ -337,8 +337,6 @@ def test_suite_bytes_do_not_depend_on_block_size(name, budget, monkeypatch):
 TABLE_GOLDEN = {
     (1, 1, "packing"):
         "8761075941fc9f0e504473051b9a4d4870598a0407a5a9a5dd354bd9cc3d05d0",
-    (1, 1, "weak"):
-        "627e11da1b49332d76968fa1aa5e671ba39dd86bc82287ac5f78f236f832a24c",
     (1, 1, 1.0):
         "627e11da1b49332d76968fa1aa5e671ba39dd86bc82287ac5f78f236f832a24c",
     (1, 1, 0.75):
@@ -349,8 +347,6 @@ TABLE_GOLDEN = {
         "8761075941fc9f0e504473051b9a4d4870598a0407a5a9a5dd354bd9cc3d05d0",
     (1, 2, "packing"):
         "aa3369ab47958d608b1407864a355af585cba6c6fd553664dab9db4815c8c37b",
-    (1, 2, "weak"):
-        "05bb13de8419c1fec870d8734b5cb5e195864b02ab7dae7c2f85735ff479d1fa",
     (1, 2, 1.0):
         "05bb13de8419c1fec870d8734b5cb5e195864b02ab7dae7c2f85735ff479d1fa",
     (1, 2, 0.75):
@@ -361,8 +357,6 @@ TABLE_GOLDEN = {
         "aa3369ab47958d608b1407864a355af585cba6c6fd553664dab9db4815c8c37b",
     (1, 3, "packing"):
         "7cc9c403336300e6c7bd90c2a93ac846d514c6c15284d246e8c4c11fa2645a10",
-    (1, 3, "weak"):
-        "d919fc1d6cda6d728ec30874d53d601207bfe4b20044c8737ad3fd9ff5bea348",
     (1, 3, 1.0):
         "d919fc1d6cda6d728ec30874d53d601207bfe4b20044c8737ad3fd9ff5bea348",
     (1, 3, 0.75):
@@ -373,8 +367,6 @@ TABLE_GOLDEN = {
         "7cc9c403336300e6c7bd90c2a93ac846d514c6c15284d246e8c4c11fa2645a10",
     (2, 1, "packing"):
         "a2a5f6da4f11db71d7fb4e76c984b19808c0c725937452dd0b744906d166d03d",
-    (2, 1, "weak"):
-        "8ca37d19b15d7432d72168426f721b190402da0c94a6373db86f0e16355a19f0",
     (2, 1, 1.0):
         "8ca37d19b15d7432d72168426f721b190402da0c94a6373db86f0e16355a19f0",
     (2, 1, 0.75):

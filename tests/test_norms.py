@@ -17,15 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscnorm import norms
-from oscnorm.families import validate
+from oscnorm.families import CubeFamily, validate
 from oscnorm.grid import (CubeId, GridFunction, cube_index, iter_cubes,
-                          level_offsets)
+                          level_offsets, tree_size)
 from oscnorm.norms import (NormParams, NormReport, bmo_norm, family_value,
                            garo_norm, lp_norm, packing_sup_norm, rearrangement,
                            ri_functionals, scaled_error_levels,
                            sparse_norm_bounds, sparse_sup_exhaustive)
-from oscnorm.local_poly import (best_fit, convention_exponent, error_levels,
-                                poly_error, scaled_error)
+from oscnorm.local_poly import (PolyFit, best_fit, convention_exponent,
+                                error_levels, poly_error, scaled_error)
 from oracles import antichain_value_max
 
 STEP = GridFunction(1, 1, [0.0, 1.0])
@@ -413,6 +413,128 @@ def test_a_bad_order_is_refused_at_once_at_the_cell_cap():
         with pytest.raises(ValueError, match="sparseness order"):
             functional(f, params)
         assert time.perf_counter() - start < 0.01
+
+
+P_FUNCTIONALS = {
+    "packing": lambda p: packing_sup_norm(STEP, NormParams.jn(p)),
+    "exhaustive": lambda p: sparse_sup_exhaustive(STEP, NormParams.sjn(p)),
+    "bounds": lambda p: sparse_norm_bounds(STEP, NormParams.sjn(p)),
+    "garo": lambda p: garo_norm(STEP, p),
+    "ri": lambda p: ri_functionals(STEP, p),
+}
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, -1.0, math.nan])
+@pytest.mark.parametrize("functional", list(P_FUNCTIONALS))
+def test_functionals_refuse_a_bad_p_before_any_work(monkeypatch,
+                                                     functional, p):
+    """``NormParams`` refuses ``p < 1`` and a NaN ``p`` when it is built,
+    so no functional sweeps an error or builds a table for one; ``garo``
+    and the rearrangement functionals refuse ``p <= 1`` themselves."""
+    monkeypatch.setattr(norms, "scaled_error_levels", None)
+    monkeypatch.setattr(norms, "family_tables", None)
+    monkeypatch.setattr(norms, "rearrangement", None)
+    with pytest.raises(ValueError, match=r"p (must be >= 1 or inf|> 1), got "):
+        P_FUNCTIONALS[functional](p)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("functional", [packing_sup_norm,
+                                        sparse_sup_exhaustive,
+                                        sparse_norm_bounds])
+def test_functionals_refuse_a_non_finite_lambda_before_any_work(
+        monkeypatch, functional, lam):
+    monkeypatch.setattr(norms, "scaled_error_levels", None)
+    monkeypatch.setattr(norms, "family_tables", None)
+    order = None if functional is packing_sup_norm else 1.0
+    with pytest.raises(ValueError, match="lambda must be finite, got "):
+        functional(STEP, NormParams(lam=lam, family_order=order))
+
+
+# -- what the result types derive -------------------------------------------
+
+def test_result_types_store_no_field_they_can_derive():
+    """Exactness, a family's kind and a fit's plain basis are read off the
+    other fields, so none of them can disagree with those fields."""
+    def names(cls):
+        return [fl.name for fl in dataclasses.fields(cls)]
+    assert names(NormReport) == ["params", "value_lower", "value_upper",
+                                 "witness", "extras"]
+    assert names(CubeFamily) == ["dimension", "depth", "order", "index",
+                                 "parent", "core_counts"]
+    assert names(PolyFit) == ["cube", "degree_bound", "q", "local_coeffs",
+                              "error", "near_best_factor", "approximate"]
+    assert validate([ROOT], "packing", dimension=1, depth=1).kind == "packing"
+    assert validate([ROOT], 0.5, dimension=1, depth=1).kind == "sparse"
+    fit = best_fit(FOUR, ROOT, 2, 2)
+    assert fit.exponents == ((0,), (1,))
+    x = np.array([[0.125], [0.625]])
+    assert fit.coeffs[0] + fit.coeffs[1] * x[:, 0] == pytest.approx(
+        fit.evaluate(x))
+
+
+def test_a_report_is_exact_when_its_sides_meet():
+    params = NormParams.sjn(2.0)
+    assert NormReport(params, 0.0, 0.0, None).exact
+    rep = NormReport(params, 0.25, 0.5, None)
+    assert not rep.exact
+    with pytest.raises(ValueError, match="bracketed"):
+        rep.value
+    for lower, upper in ((math.nan, math.nan), (0.0, math.inf),
+                         (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="the result is not finite"):
+            NormReport(params, lower, upper, None)
+
+
+EXACTNESS_CALLS = {
+    "jn": lambda f: packing_sup_norm(f, NormParams.jn(2.0)),
+    "bmo": lambda f: packing_sup_norm(f, NormParams.bmo()),
+    "v-k2-q2": lambda f: packing_sup_norm(
+        f, NormParams.packing(3.0, 2, 2, 0.0)),
+    "sjn-exact": lambda f: sparse_sup_exhaustive(f, NormParams.sjn(2.0)),
+    "sv-exact": lambda f: sparse_sup_exhaustive(
+        f, NormParams.sv(math.inf, 2, 2, 0.0)),
+    "sjn-bounds": lambda f: sparse_norm_bounds(f, NormParams.sjn(2.0)),
+    "sv-bounds": lambda f: sparse_norm_bounds(
+        f, NormParams.sv(3.0, 2, 2, 0.5)),
+    "garo": lambda f: garo_norm(f, 2.0),
+    "garo-inf": lambda f: garo_norm(f, math.inf),
+}
+
+
+@pytest.mark.parametrize("dist", ["uniform", "lognormal", "constant"])
+@pytest.mark.parametrize("n, depth", [(1, 1), (1, 2), (1, 3), (2, 1), (1, 10)])
+def test_every_report_is_exact_exactly_when_its_sides_meet(n, depth, dist):
+    """Every functional's report is finite, and exact just when its sides
+    meet; on a constant grid every bracket closes at 0."""
+    rng = np.random.default_rng([n, depth])
+    size = 1 << (n * depth)
+    values = {"uniform": rng.uniform(0.0, 1.0, size),
+              "lognormal": rng.lognormal(0.0, 1.5, size),
+              "constant": np.full(size, 0.75)}[dist]
+    f = GridFunction(n, depth, values)
+    for name, call in EXACTNESS_CALLS.items():
+        if name.endswith("-exact") and tree_size(depth, n) > 15:
+            continue
+        rep = call(f)
+        assert math.isfinite(rep.value_lower), name
+        assert math.isfinite(rep.value_upper), name
+        assert rep.exact == (rep.value_lower == rep.value_upper), name
+        if dist == "constant":
+            assert rep.exact and rep.value == 0.0, name
+
+
+def test_functionals_refuse_a_non_finite_result():
+    """The differences of these finite values overflow: each functional
+    raises once instead of returning a non-finite value marked exact."""
+    f = GridFunction(1, 1, [1e308, -1e308])
+    calls = [lambda: packing_sup_norm(f, NormParams.jn(2.0)),
+             lambda: bmo_norm(f), lambda: garo_norm(f, 2.0),
+             lambda: sparse_sup_exhaustive(f, NormParams.sjn(2.0))]
+    for call in calls:
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="not finite"):
+            call()
 
 
 def test_sparse_bounds_name_an_overflowing_residual():
