@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .families import SUBSET_NODE_CAP, CubeFamily
+from .families import SUBSET_NODE_CAP, CubeFamily, enumerable
 from .grid import GridFunction
 from .maximal import fractional_maximal
 from .norms import (NormParams, garo_norm, packing_sup_norm, ri_functionals,
@@ -37,9 +37,9 @@ _NORM_KEYS = ("jn", "sjn", "v", "sv", "svt", "garo", "bmo", "weaklp", "llogl")
 # the functional flags each norm reads, with their defaults; passing one
 # that the norm does not read is refused
 _FLAG_DEFAULTS = {"p": 2.0, "k": 1, "q": 1, "lam": 0.0}
-_NORM_FLAGS = {**dict.fromkeys(("jn", "v", "sjn", "sv", "svt"),
-                               ("p", "k", "q", "lam")),
-               "garo": ("p",), "weaklp": ("p",), "bmo": (), "llogl": ()}
+_NORM_FLAGS = {**dict.fromkeys(("v", "sv", "svt"), ("p", "k", "q", "lam")),
+               **dict.fromkeys(("jn", "sjn", "garo", "weaklp"), ("p",)),
+               "bmo": (), "llogl": ()}
 
 
 def _parse_p(text: str) -> float:
@@ -154,11 +154,13 @@ def _emit(payload: dict, out: str | None,
 
 def _compute_params(args: argparse.Namespace, dimension: int) -> NormParams:
     key = args.norm
-    if key in ("jn", "v"):
+    if key in ("jn", "sjn"):     # the named functionals read p alone
+        return getattr(NormParams, key)(args.p)
+    if key == "v":
         return NormParams.packing(args.p, args.k, args.q, args.lam)
     if key == "bmo":
         return NormParams.bmo()
-    if key in ("sjn", "sv"):     # sjn(p) is sv(p, 1, 1, 0.0)
+    if key == "sv":
         return NormParams.sv(args.p, args.k, args.q, args.lam)
     return NormParams.sv_fractional(args.p, args.k, args.q, args.lam,
                                     dimension)
@@ -195,11 +197,10 @@ def _run_compute(args: argparse.Namespace) -> int:
                   else sparse_norm_bounds)
         rep = sparse(f, _compute_params(args, f.dimension))
     else:  # garo
+        if args.mode == "exact" and not enumerable(f.dimension, f.depth):
+            raise ValueError(f"exact evaluation needs <= {SUBSET_NODE_CAP} "
+                             "tree nodes; rerun with --mode bounds")
         rep = garo_norm(f, args.p)
-        if args.mode == "exact" and not rep.exact:
-            print(f"error: exact evaluation needs <= {SUBSET_NODE_CAP} tree "
-                  "nodes; rerun with --mode bounds", file=sys.stderr)
-            return 2
     # _emit renders the witness from its member arrays (see _LIST)
     payload.update(dataclasses.replace(rep, witness=None).to_json_dict())
     _emit(payload, args.out, rep.witness)

@@ -19,11 +19,14 @@ classifier decides every class: a top-down sweep over the levels finds
 every member's nearest member ancestor, child sums follow by
 ``np.bincount``, and the conditions are checked per member.  It runs on any
 number of member sets at once, each a row: :func:`validate_index` is the
-one-row call, and :func:`family_tables` classifies every nonempty subset of
-a tree of at most ``SUBSET_NODE_CAP`` nodes in a single call, giving the
-cached measure matrices behind the exhaustive norm evaluators.  The
-Calderon-Zygmund stopping time (:func:`cz_family`) is a level sweep over
-dyadic averages; :class:`CubeId` appears only at the API and JSON edge.
+one-row call, :func:`checked` the one-row call for a family the library
+built, which raises where that family breaks its class, and
+:func:`family_tables` classifies every nonempty subset of a tree that
+:func:`enumerable` admits (at most ``SUBSET_NODE_CAP`` nodes) in a single
+call, giving the cached measure matrices behind the exhaustive norm
+evaluators.  The Calderon-Zygmund stopping time (:func:`cz_family`) is a
+level sweep over dyadic averages; :class:`CubeId` appears only at the API
+and JSON edge.
 """
 
 from __future__ import annotations
@@ -42,9 +45,11 @@ __all__ = [
     "SparsityViolation",
     "validate",
     "validate_index",
+    "checked",
     "finest_family",
     "cz_family",
     "family_tables",
+    "enumerable",
     "SUBSET_NODE_CAP",
 ]
 
@@ -283,6 +288,17 @@ def validate_index(index: np.ndarray, order, *, dimension: int,
     return CubeFamily(dimension, depth, order_val, index, parent, core)
 
 
+def checked(index: np.ndarray, order, *, dimension: int,
+            depth: int) -> CubeFamily:
+    """:func:`validate_index` for a family the library built to lie in its
+    class: the family, or a one-line ``ValueError`` carrying the violation
+    where it does not."""
+    result = validate_index(index, order, dimension=dimension, depth=depth)
+    if isinstance(result, SparsityViolation):
+        raise ValueError(f"a built family breaks its class: {result}")
+    return result
+
+
 def finest_family(dimension: int, depth: int, order) -> CubeFamily:
     """The finest level as :func:`validate_index` returns it at ``order``,
     built without the classifier: no finest cube contains another, so each
@@ -302,8 +318,9 @@ def cz_family(g: GridFunction, factor: float = 2.0) -> CubeFamily:
     Starting from the root, each selected cube ``Q`` recruits the maximal
     dyadic ``Q' != Q`` inside it whose average strictly exceeds
     ``factor * average(g, Q)``, then recurses.  Chebyshev gives
-    ``sum |Q'| < |Q| / factor``, so ``factor >= 2`` lands in sparse(1).
-    The result is validated before being returned.
+    ``sum |Q'| < |Q| / factor``, so ``factor >= 2`` lands in sparse(1);
+    a factor in ``(1, 2)`` need not, and :func:`checked` refuses such a
+    result.
 
     A cube is selected exactly when its average beats ``factor`` times the
     average of its nearest selected ancestor, so one top-down sweep over the
@@ -326,16 +343,17 @@ def cz_family(g: GridFunction, factor: float = 2.0) -> CubeFamily:
         sel = avg > thr
         np.multiply(avg, factor, out=thr, where=sel)
         picks.append(np.flatnonzero(sel) + offsets[lvl])
-    del integrals, avg, thr, sel    # freed before validate_index allocates
-    result = validate_index(np.concatenate(picks), 1.0, dimension=n,
-                            depth=depth)
-    if isinstance(result, SparsityViolation):
-        raise ValueError(
-            f"stopping-time family failed sparseness validation: {result}")
-    return result
+    del integrals, avg, thr, sel    # freed before the classifier allocates
+    return checked(np.concatenate(picks), 1.0, dimension=n, depth=depth)
 
 
 # -- cached family tables for vectorised oracles ------------------------------
+
+def enumerable(dimension: int, depth: int) -> bool:
+    """Whether every subset of the cube tree can be enumerated: the tree
+    has at most ``SUBSET_NODE_CAP`` nodes."""
+    return tree_size(depth, dimension) <= SUBSET_NODE_CAP
+
 
 @dataclass(frozen=True)
 class FamilyTables:
@@ -362,12 +380,12 @@ class FamilyTables:
 
 @lru_cache(maxsize=32)
 def family_tables(dimension: int, depth: int, order) -> FamilyTables:
-    """Enumerate once, evaluate many times: every nonempty subset of the
-    tree (at most ``SUBSET_NODE_CAP`` nodes) is a row, and one classifier
-    call keeps the rows of the requested class, in ascending mask order."""
+    """Enumerate once, evaluate many times: every nonempty subset of an
+    :func:`enumerable` tree is a row, and one classifier call keeps the
+    rows of the requested class, in ascending mask order."""
     _class_of(order)      # refuse a bad order before enumerating anything
     nodes = tree_size(depth, dimension)
-    if nodes > SUBSET_NODE_CAP:
+    if not enumerable(dimension, depth):
         raise ValueError(
             f"oracle scale exceeded: {nodes} nodes > {SUBSET_NODE_CAP}")
     masks = np.arange(1, 1 << nodes, dtype=np.int64)

@@ -24,7 +24,7 @@ import numpy as np
 from .grid import GridFunction
 
 __all__ = ["MaximalResult", "fractional_maximal", "lp_norm", "lp_rows",
-           "maximal_opnorm_bound", "refine", "sibling_sums"]
+           "maximal_cells", "maximal_opnorm_bound", "refine", "sibling_sums"]
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,23 @@ def fractional_maximal(f: GridFunction, q: int, lam: float) -> MaximalResult:
         raise ValueError(f"q must be 1 or 2, got {q}")
     if not 0.0 <= lam < n:
         raise ValueError(f"lambda must lie in [0, {n}), got {lam}")
-    dens = np.abs(f.values_nd) ** q * f.cell_measure
-    levels = level_integrals(dens, n, f.depth)
-    out = chain_max(levels, n, q, lam)
+    out = maximal_cells(np.abs(f.values) ** q * f.cell_measure, n, f.depth,
+                        q, lam)
     if not np.isfinite(out).all():
         raise ValueError("the maximal function overflows near the float limit")
-    return MaximalResult(GridFunction(n, f.depth, out.ravel()), q, lam)
+    return MaximalResult(GridFunction(n, f.depth, out), q, lam)
+
+
+def maximal_cells(cell_integrals: np.ndarray, dimension: int, depth: int,
+                  q: int, lam: float) -> np.ndarray:
+    """``M_{q,lam}`` per finest cell from the flat per-cell integrals of
+    ``|f|^q``, ``(..., 2**(n*depth))`` with any leading trial axes: the
+    integrals summed up the tree and the maximum taken down each chain,
+    returned in the same flat shape."""
+    lead = cell_integrals.shape[:-1]
+    grid = cell_integrals.reshape(*lead, *(1 << depth,) * dimension)
+    levels = level_integrals(grid, dimension, depth)
+    return chain_max(levels, dimension, q, lam).reshape(cell_integrals.shape)
 
 
 def sibling_sums(level_vals: np.ndarray, dimension: int) -> np.ndarray:

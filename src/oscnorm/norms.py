@@ -40,19 +40,23 @@ from functools import cached_property
 
 import numpy as np
 
-from .families import (SUBSET_NODE_CAP, CubeFamily, FamilyTables, _class_of,
-                       cz_family, family_tables, finest_family, validate_index)
+from .families import (CubeFamily, FamilyTables, _class_of, checked,
+                       cz_family, enumerable, family_tables, finest_family,
+                       validate_index)
 # imported for its name alone: perfbench/tracer.py binds
-# ``oscnorm.norms.validate``; the code here calls ``validate_index``
+# ``oscnorm.norms.validate``; the code here calls ``checked`` and
+# ``validate_index``
 from .families import validate  # noqa: F401
-from .grid import (CubeId, GridFunction, cube_measures, level_offsets,
-                   tree_size)
+from .grid import CubeId, GridFunction, cube_measures, level_offsets
 from .local_poly import (PolyFit, best_fit, convention_exponent, error_levels,
                          residual_cell_integrals)
 # imported for its name alone: perfbench/tracer.py binds
 # ``oscnorm.norms.poly_error``; the code here calls ``error_levels``
 from .local_poly import poly_error  # noqa: F401
-from .maximal import chain_max, level_integrals, lp_norm, refine, sibling_sums
+from .maximal import lp_norm, maximal_cells, refine, sibling_sums
+# imported for their names alone: perfbench/tracer.py binds them here; the
+# code here calls ``maximal_cells``
+from .maximal import chain_max, level_integrals  # noqa: F401
 
 __all__ = [
     "NormParams",
@@ -240,8 +244,7 @@ def _packing_sup(f: GridFunction, params: NormParams,
             free = refine(free & ~take, n)
         picks.append(offsets[L] + np.flatnonzero(free))
         members = np.concatenate(picks)
-    witness = validate_index(members, "packing", dimension=n, depth=L)
-    assert isinstance(witness, CubeFamily)
+    witness = checked(members, "packing", dimension=n, depth=L)
     return NormReport(params, value, value, witness)
 
 
@@ -308,10 +311,8 @@ def sparse_sup_exhaustive(f: GridFunction, params: NormParams) -> NormReport:
     else:
         weighted = float(((tables.cube_meas @ scaled ** params.p)
                           ** (1.0 / params.p)).max())
-    witness = validate_index(np.flatnonzero(tables.cube_meas[row]),
-                             tables.order, dimension=f.dimension,
-                             depth=f.depth)
-    assert isinstance(witness, CubeFamily)
+    witness = checked(np.flatnonzero(tables.cube_meas[row]), tables.order,
+                      dimension=f.dimension, depth=f.depth)
     return NormReport(params, value, value, witness,
                       extras={"weighted_value": weighted})
 
@@ -370,10 +371,8 @@ def sparse_norm_bounds(f: GridFunction, params: NormParams) -> NormReport:
     setup = _bounds_setup(f, params, _scaled_flat(f, params))
     lower, upper, best = _bounds_at(f, setup, params.p)
     if isinstance(best, int):
-        single = validate_index(np.array([best]), order,
-                                dimension=f.dimension, depth=f.depth)
-        assert isinstance(single, CubeFamily)
-        best = single
+        best = checked(np.array([best]), order, dimension=f.dimension,
+                       depth=f.depth)
     return NormReport(params, lower, upper, best,
                       extras={"reference_fit_error": setup.fit.error})
 
@@ -397,8 +396,7 @@ def _bounds_setup(f: GridFunction, params: NormParams,
     root = CubeId(0, (0,) * n)
     fit = best_fit(f, root, params.k, 2 if params.k >= 1 else params.q)
     r_cells = residual_cell_integrals(f, fit, params.q)
-    r_nd = r_cells.reshape(f.values_nd.shape)
-    mvals = chain_max(level_integrals(r_nd, n, L), n, params.q, params.lam)
+    mvals = maximal_cells(r_cells, n, L, params.q, params.lam)
     order = params.family_order     # the caller's _order_key checked it
 
     density = (r_cells / f.cell_measure) ** (1.0 / params.q)
@@ -411,8 +409,8 @@ def _bounds_setup(f: GridFunction, params: NormParams,
         stopping = validate_index(stopping.index, order, dimension=n, depth=L)
     candidates = tuple(fam for fam in (stopping, finest_family(n, L, order))
                        if isinstance(fam, CubeFamily))
-    return _BoundsSetup(params, fit, GridFunction(n, L, mvals.ravel()),
-                        scaled, candidates)
+    return _BoundsSetup(params, fit, GridFunction(n, L, mvals), scaled,
+                        candidates)
 
 
 def _bounds_at(f: GridFunction, setup: _BoundsSetup,
@@ -469,7 +467,7 @@ def garo_norm(f: GridFunction, p: float) -> NormReport:
 
     jn_report = _packing_sup(f, params, scaled_levels)
     jn_value = jn_report.value
-    if tree_size(L, n) <= SUBSET_NODE_CAP:
+    if enumerable(n, L):
         tables = family_tables(n, L, "packing")
         member = tables.cube_meas > 0
         nums = member @ errors
@@ -477,9 +475,8 @@ def garo_norm(f: GridFunction, p: float) -> NormReport:
         ratios = nums / dens
         row = int(np.argmax(ratios))
         value = float(ratios[row])
-        witness = validate_index(np.flatnonzero(member[row]), "packing",
-                                 dimension=n, depth=L)
-        assert isinstance(witness, CubeFamily)
+        witness = checked(np.flatnonzero(member[row]), "packing",
+                          dimension=n, depth=L)
         return NormReport(params, value, value, witness,
                           extras={"jn_value": jn_value})
 
@@ -498,8 +495,7 @@ def garo_norm(f: GridFunction, p: float) -> NormReport:
         val = ratio(idxs)
         if val > best_val:
             best_val, best_members = val, idxs
-    witness = validate_index(best_members, "packing", dimension=n, depth=L)
-    assert isinstance(witness, CubeFamily)
+    witness = checked(best_members, "packing", dimension=n, depth=L)
     # when the best candidate attains the upper bound the sandwich is a
     # proof, and the report reads exact
     return NormReport(params, float(best_val), jn_value, witness,

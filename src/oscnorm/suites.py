@@ -6,7 +6,7 @@ heavy lifting runs on stacked value matrices (one row per trial), so suites
 stay fast enough to act as calibration runs with thousands of grids.
 
 The rows go through the library's own kernels (``level_integrals``,
-``chain_max``, ``lp_rows``, ``median_deviations``, ``packing_dp``,
+``maximal_cells``, ``lp_rows``, ``median_deviations``, ``packing_dp``,
 ``llogl_rows``), which take any leading trial axes and give each row the
 bits of the single-grid call; only the final root is taken on arrays here
 and on scalars there.  ``sv-equivalence`` still works grid by grid, since
@@ -41,10 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import SUBSET_NODE_CAP, family_tables
+from .families import SUBSET_NODE_CAP, enumerable, family_tables
 from .generate import batch_uniform, log_singularity
-from .grid import GridFunction, _check_cells, level_offsets, tree_size
-from .maximal import (chain_max, level_integrals, lp_norm, lp_rows,
+from .grid import GridFunction, _check_cells, level_offsets
+from .maximal import (level_integrals, lp_norm, lp_rows, maximal_cells,
                       maximal_opnorm_bound)
 from .local_poly import median_deviations
 from .norms import (NormParams, _bounds_at, _bounds_setup, _packing_value,
@@ -136,13 +136,6 @@ def _assertion(name: str, passed: bool, detail: str) -> dict:
 
 # -- batched helpers (one row per trial) -------------------------------------
 
-def _maximal_rows(resid: np.ndarray, n: int, L: int, lam: float) -> np.ndarray:
-    """Fractional maximal function (q = 1) of each flat row of cells."""
-    T = resid.shape[0]
-    dens = (resid * 2.0 ** (-n * L)).reshape(T, *(1 << L,) * n)
-    return chain_max(level_integrals(dens, n, L), n, 1, lam).reshape(T, -1)
-
-
 def _scaled_flat_e1(e1: list[np.ndarray], n: int, exponent: float) -> np.ndarray:
     """|Q|^exponent * E_1 concatenated in breadth-first order."""
     cols = [(2.0 ** (-n * lvl)) ** exponent * e for lvl, e in enumerate(e1)]
@@ -158,7 +151,7 @@ def _packing_rows(errors: list[np.ndarray], n: int, p: float) -> np.ndarray:
 
 
 def _require_oracle_scale(suite: str, n: int, L: int) -> None:
-    if tree_size(L, n) > SUBSET_NODE_CAP:
+    if not enumerable(n, L):
         raise ValueError(
             f"{suite} runs at oracle scale (<= {SUBSET_NODE_CAP} tree nodes)")
 
@@ -289,8 +282,9 @@ def _suite_sparse_jn(cfg: SuiteConfig) -> SuiteReport:
     med_dev = [median_deviations(V, n, L, lvl) for lvl in range(L + 1)]
     e1 = [dev * cell_meas for _, dev in med_dev]
     scaled = _scaled_flat_e1(e1, n, -1.0)       # |Q|^{-1} E_1
-    resid = np.abs(V - med_dev[0][0])           # the root median
-    mx = _maximal_rows(resid, n, L, 0.0)
+    # |f - m| integrated over each cell, m the root median
+    r_cells = np.abs(V - med_dev[0][0]) * cell_meas
+    mx = maximal_cells(r_cells, n, L, 1, 0.0)
 
     p_list = (1.0, 2.0, 4.0)
     factor_two_viol = 0
@@ -424,7 +418,7 @@ def _suite_fractional_sv(cfg: SuiteConfig) -> SuiteReport:
     e1 = [median_deviations(V, n, L, lvl)[1] * cell_meas
           for lvl in range(L + 1)]
     mean = V.mean(axis=1)
-    resid = np.abs(V - mean[:, None])
+    r_cells = np.abs(V - mean[:, None]) * cell_meas
     p_list = (1.0, 2.0, 4.0)
     lam_list = (0.0, n / 2.0)
     viol_nest = 0
@@ -439,7 +433,7 @@ def _suite_fractional_sv(cfg: SuiteConfig) -> SuiteReport:
         frac_t = full_t if t_frac is t_full else _right_factor(
             t_frac.core_meas, T)
         scaled = _scaled_flat_e1(e1, n, lam / n - 1.0)
-        mx = _maximal_rows(resid, n, L, lam)
+        mx = maximal_cells(r_cells, n, L, 1, lam)
         for p in p_list:
             sp = scaled ** p
             svt = _table_max(sp, frac_t, p)
@@ -544,9 +538,9 @@ def _suite_sobolev_chain(cfg: SuiteConfig) -> SuiteReport:
     sq = _scaled_flat_e1(e1, n, lam / n - 1.0) ** q
     sp = _scaled_flat_e1(e1, n, -1.0) ** p
     mean = V.mean(axis=1)
-    resid = np.abs(V - mean[:, None])
-    m_lam_q = lp_rows(_maximal_rows(resid, n, L, lam), q, cell_meas)
-    m_zero_p = lp_rows(_maximal_rows(resid, n, L, 0.0), p, cell_meas)
+    r_cells = np.abs(V - mean[:, None]) * cell_meas
+    m_lam_q = lp_rows(maximal_cells(r_cells, n, L, 1, lam), q, cell_meas)
+    m_zero_p = lp_rows(maximal_cells(r_cells, n, L, 1, 0.0), p, cell_meas)
     fp = lp_rows(V - mean[:, None], p, cell_meas)
 
     viol = {name: 0 for name in

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from oscnorm.grid import GridFunction
 from oscnorm.local_poly import median_deviations
-from oscnorm.maximal import chain_max, level_integrals, lp_norm, lp_rows
+from oscnorm.maximal import (chain_max, fractional_maximal, level_integrals,
+                             lp_norm, lp_rows, maximal_cells)
 from oscnorm.norms import packing_dp
 
 SHAPES = st.sampled_from([(1, 0), (1, 1), (1, 3), (1, 6), (2, 0), (2, 1),
@@ -48,6 +49,24 @@ def test_level_sums_and_chain_max_rowwise(seed, shape, trials, q, lam_frac):
             assert b[t].shape == s.shape == (1 << lvl,) * n
             assert np.array_equal(b[t], s)
         assert np.array_equal(run[t], chain_max(single, n, q, lam))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1), SHAPES, st.integers(1, 5),
+       st.sampled_from([1, 2]), st.floats(0.0, 0.99))
+def test_maximal_cells_rowwise_is_the_fractional_maximal(seed, shape, trials,
+                                                         q, lam_frac):
+    """The one maximal-chain kernel on flat rows of cell integrals gives
+    each row the bits of ``fractional_maximal`` on that row's grid."""
+    n, depth = shape
+    lam = lam_frac * n
+    V = _stack(seed, n, depth, trials)
+    cell = 2.0 ** (-n * depth)
+    run = maximal_cells(np.abs(V) ** q * cell, n, depth, q, lam)
+    assert run.shape == V.shape
+    for t in range(trials):
+        single = fractional_maximal(GridFunction(n, depth, V[t]), q, lam)
+        assert np.array_equal(run[t], single.values.values)
 
 
 @settings(max_examples=40, deadline=None)

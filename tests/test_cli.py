@@ -88,13 +88,35 @@ def test_compute_exact_refuses_large_tree(deep_file, capsys):
     assert d["value_lower"] <= d["value_upper"]
 
 
-def test_compute_garo_exact_refuses_large_tree(deep_file, capsys):
-    """On 31 tree nodes the Garsia-Rodemich value is only bracketed."""
+def test_compute_garo_exact_refuses_large_tree(deep_file, capsys,
+                                              monkeypatch):
+    """On 31 tree nodes the Garsia-Rodemich value is only bracketed, and
+    exact mode says so before any error sweep."""
+    from oscnorm import norms
+
+    def no_sweep(*args, **kw):
+        raise AssertionError("the error sweep ran")
+    monkeypatch.setattr(norms, "scaled_error_levels", no_sweep)
     code, out, err = _run(capsys, [
         "compute", "--input", deep_file, "--norm", "garo", "--mode", "exact"])
     assert code == 2 and out == ""
-    errors = _error_lines(err)
-    assert len(errors) == 1 and "--mode bounds" in errors[0]
+    assert err == ("error: exact evaluation needs <= 15 tree nodes; rerun "
+                   "with --mode bounds\n")
+
+
+def test_compute_garo_exact_follows_the_scale_alone(tmp_path, capsys):
+    """Exact ``garo`` enumerates a 15-node tree, and refuses a 31-node one
+    even where its bracket would close (a constant grid)."""
+    path = tmp_path / "grid.json"
+    for depth, values, code_want in ((3, np.arange(8.0), 0),
+                                     (4, np.ones(16), 2)):
+        path.write_text(json.dumps({"dimension": 1, "depth": depth,
+                                    "values": values.tolist()}))
+        code, out, _ = _run(capsys, ["compute", "--input", str(path),
+                                     "--norm", "garo", "--mode", "exact"])
+        assert code == code_want
+        if code == 0:
+            assert json.loads(out)["exact"] is True
 
 
 @pytest.mark.parametrize("norm", ["sjn", "sv", "svt"])
@@ -446,6 +468,12 @@ def test_compute_reports_are_strict_json(tmp_path, capsys, norm, p, mode,
     ("weaklp", ["--k", "1"]),
     ("llogl", ["--p", "7"]),
     ("llogl", ["--q", "1"]),
+    ("jn", ["--k", "2"]),
+    ("jn", ["--q", "2"]),
+    ("jn", ["--lambda", "0.5"]),
+    ("sjn", ["--k", "2"]),
+    ("sjn", ["--q", "1"]),
+    ("sjn", ["--lambda", "0"]),
 ])
 def test_compute_refuses_a_flag_the_norm_does_not_read(capsys, norm, flag):
     """A flag the norm ignores exits 2 with one line naming the flag and
@@ -768,3 +796,74 @@ def test_one_parser_serves_every_call_of_a_process(deep_file, capsys):
             code, out, _ = _run(capsys, argv)
             assert code == 0 and out == fresh[calls.index(argv)], argv
     assert build_parser() is build_parser()
+
+
+# -- library checks are raised errors, which ``python -O`` keeps -------------
+
+def test_library_holds_no_assert_statement():
+    """``python -O`` strips ``assert``, so no check of the library is one."""
+    import ast
+    import glob
+    import oscnorm
+    found = []
+    for path in sorted(glob.glob(os.path.join(
+            os.path.dirname(oscnorm.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        found += [f"{os.path.basename(path)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+# computes through ``cli.main``, which ``python -m oscnorm`` runs: one
+# interpreter start per optimisation level, not one per report
+_COMPUTE_ALL = (
+    "import json, sys\n"
+    "import numpy as np\n"
+    "from oscnorm.cli import main\n"
+    "from oscnorm.families import checked\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    if main(argv):\n"
+    "        sys.exit(f'exit code of {argv}')\n"
+    "try:\n"
+    "    checked(np.array([0, 1]), 'packing', dimension=1, depth=1)\n"
+    "except ValueError as exc:\n"
+    "    print(sys.flags.optimize, exc)\n")
+
+
+def test_optimised_run_writes_the_same_reports(tmp_path):
+    """Under ``python -O`` every compute writes the bytes of a plain run,
+    and a nested pair passed as a packing is still refused: ``jn``,
+    ``sjn`` exact on 15 tree nodes and bracketed on 31, and ``garo``
+    enumerated and bracketed."""
+    grids = {}
+    rng = np.random.default_rng(5)
+    for depth in (3, 4):
+        grids[depth] = tmp_path / f"grid{depth}.json"
+        grids[depth].write_text(json.dumps({
+            "dimension": 1, "depth": depth,
+            "values": rng.lognormal(0.0, 1.5, 1 << depth).tolist()}))
+    ops = [(3, ["--norm", "jn"]), (4, ["--norm", "jn"]),
+           (3, ["--norm", "sjn"]), (4, ["--norm", "sjn", "--mode", "bounds"]),
+           (3, ["--norm", "garo"]),
+           (4, ["--norm", "garo", "--mode", "bounds"])]
+    reports, lines = {}, {}
+    for flags in ([], ["-O"]):
+        out = tmp_path / ("optimised" if flags else "plain")
+        out.mkdir()
+        argvs = [["compute", "--input", str(grids[depth]), *args, "--out",
+                  str(out / f"{i}.json")] for i, (depth, args) in
+                 enumerate(ops)]
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _COMPUTE_ALL, json.dumps(argvs)],
+            capture_output=True, text=True, env=_subprocess_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        reports[bool(flags)] = [(out / f"{i}.json").read_bytes()
+                                for i in range(len(ops))]
+        lines[bool(flags)] = proc.stdout.splitlines()
+    assert reports[True] == reports[False]
+    assert [json.loads(r)["exact"] for r in reports[True]] == [
+        True, True, True, False, True, False]
+    refusal = "a built family breaks its class: packing"
+    assert len(lines[True]) == 1 and lines[True][0].startswith(f"1 {refusal}")
+    assert lines[False][0] == "0" + lines[True][0][1:]

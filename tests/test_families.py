@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscnorm.families import (CubeFamily, SparsityViolation, cz_family,
-                              family_tables, finest_family, validate,
-                              validate_index)
+from oscnorm.families import (SUBSET_NODE_CAP, CubeFamily, SparsityViolation,
+                              checked, cz_family, enumerable, family_tables,
+                              finest_family, validate, validate_index)
 from oscnorm.grid import (CubeId, GridFunction, cube_index, iter_cubes,
                           level_offsets, tree_size)
 from oracles import (_enumerate_antichains, antichain_value_max,
@@ -43,6 +43,23 @@ def test_validate_packing_rejects_nesting():
     out = validate([ROOT, LEFT], "packing", dimension=1, depth=1)
     assert isinstance(out, SparsityViolation)
     assert "packing" in out.condition
+
+
+def test_checked_raises_one_line_where_a_built_family_breaks_its_class():
+    """A root with its child is no packing: ``checked`` raises where
+    ``validate_index`` returns the violation, with its text on one line,
+    and returns the same family where the class holds."""
+    nested = np.array([0, 1])
+    want = validate_index(nested, "packing", dimension=1, depth=1)
+    assert isinstance(want, SparsityViolation)
+    with pytest.raises(ValueError) as exc:
+        checked(nested, "packing", dimension=1, depth=1)
+    assert str(want) in str(exc.value) and "\n" not in str(exc.value)
+    got = checked(nested, 1.0, dimension=1, depth=1)
+    want = validate_index(nested, 1.0, dimension=1, depth=1)
+    assert got.order == want.order == 1.0
+    for name in ("index", "parent", "core_counts"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_validate_weak():
@@ -173,6 +190,21 @@ def test_antichain_generator_matches_subset_scan():
     }
     assert via_walk == via_subsets
     assert len(via_subsets) == 676
+
+
+@pytest.mark.parametrize("n, depth", [(1, 0), (1, 3), (1, 4), (2, 1),
+                                      (2, 2)])
+def test_family_tables_refuse_exactly_where_the_tree_is_not_enumerable(
+        n, depth):
+    """``enumerable`` is the subset cap, and ``family_tables`` builds a
+    table exactly where it holds."""
+    assert enumerable(n, depth) == (tree_size(depth, n) <= SUBSET_NODE_CAP)
+    if enumerable(n, depth):
+        assert family_tables(n, depth, "packing").masks.size
+    else:
+        with pytest.raises(ValueError, match="^oracle scale exceeded: "
+                           f"{tree_size(depth, n)} nodes > 15$"):
+            family_tables(n, depth, "packing")
 
 
 def test_enumeration_large_scale_dispatch():

@@ -431,6 +431,51 @@ def test_quadratic_corner_fit_is_the_midpoint_optimum():
     assert fit.approximate
 
 
+def test_edge_step_without_a_turning_breakpoint_is_a_dead_end():
+    """Along ``r + t c`` with ``r = [1, -1]`` and ``c = [1, 1]`` the one
+    breakpoint, at ``t = 1``, adds 2 to the slope: a slope of -5 never
+    turns, so there is no line minimum, and a slope of -1 turns there."""
+    r, c = np.array([1.0, -1.0]), np.array([1.0, 1.0])
+    zero = np.zeros(2, dtype=bool)
+    assert local_poly._edge_step(r, c, -5.0, zero, 1.0) == (0.0, None)
+    assert local_poly._edge_step(r, c, -1.0, zero, 1.0) == (1.0, 1)
+
+
+def test_vertex_descent_stops_where_an_edge_has_no_line_minimum(
+        monkeypatch):
+    """No grid tried reaches the descent's dead ends (a search over 5,009
+    random root fits at 2D L=1-2 found none), so ``_edge_step`` is made
+    to report one.
+    Before a vertex the descent keeps its start and the residuals' signs;
+    at a vertex it keeps the vertex and the dual it has, whose excess
+    shows the fit is not certified as optimal."""
+    rng = np.random.default_rng(0)
+    block = rng.lognormal(0.0, 1.5, (2, 2))
+    exps = _exponents(2, 3)
+    start = np.zeros(len(exps))
+    start[0] = np.median(block)
+    edge_step = local_poly._edge_step
+    monkeypatch.setattr(local_poly, "_edge_step", lambda *args: (0.0, None))
+    a, y, y_max, basis, pivots = local_poly._vertex_descent(block, 4, exps,
+                                                            start)
+    signs = np.sign(np.repeat(np.repeat(block - start[0], 4, 0), 4, 1))
+    assert np.array_equal(a, start) and np.array_equal(y, signs)
+    assert (y_max, basis, pivots) == (1.0, [], 0)
+
+    calls = []
+    monkeypatch.setattr(local_poly, "_edge_step", lambda *args: (
+        calls.append(args) or edge_step(*args) if len(calls) < len(exps)
+        else (0.0, None)))
+    a, y, y_max, basis, pivots = local_poly._vertex_descent(block, 4, exps,
+                                                            start)
+    assert len(basis) == len(exps) and pivots == 1 and y_max > 1.0
+    mids = (np.arange(8) + 0.5) / 8 - 0.5
+    u, w = np.divmod(np.asarray(basis), 8)
+    fitted = sum(c * mids[u] ** i * mids[w] ** j
+                 for c, (i, j) in zip(a, exps))
+    assert np.allclose(fitted, block[u // 4, w // 4], rtol=1e-12)
+
+
 def test_converged_fit_is_not_flagged_approximate():
     """A 1D fit has a closed-form objective and, here, a finite certified
     factor of 1 + 7e-8, so it is not approximate; the fit is not the exact
