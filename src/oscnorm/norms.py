@@ -13,10 +13,12 @@ each functional checks it on entry.  Three evaluation regimes are provided:
 * ``packing_sup_norm`` -- exact at every scale.  Over antichains the summands
   are independent, so the supremum is a max-weight-antichain dynamic program
   on the cube tree with weights ``scaled(Q)^p |Q|``.
-* ``sparse_sup_exhaustive`` -- exact by enumeration, oracle scale only
-  (at most 15 tree nodes).  On a sparse family the core sets ``E_Q`` are
-  disjoint, so the family's value is ``(sum scaled(Q)^p |E_Q|)^{1/p}``; the
-  ``|Q|``-weighted variant is reported alongside.
+* ``sparse_sup_exhaustive`` -- exact.  On a sparse family the core sets
+  ``E_Q`` are disjoint, so the family's value is
+  ``(sum scaled(Q)^p |E_Q|)^{1/p}``; the ``|Q|``-weighted variant is
+  reported alongside.  Order 1 runs on a coverage DP over the cube tree
+  (``sparse_sup_dp``) up to ``SPARSE_DP_CELLS`` = 2^16 cells, thinner
+  orders on family enumeration (at most 15 tree nodes).
 * ``sparse_norm_bounds`` -- interval at any scale.  The upper bound is
   ``2 ||M_{q,lam}(f - P)||_p`` where ``P`` is the degree-(k-1) least
   squares fit on the root: for any cell x in a core set ``E_Q`` the summand
@@ -53,7 +55,8 @@ from .local_poly import (PolyFit, best_fit, convention_exponent, error_levels,
 # imported for its name alone: perfbench/tracer.py binds
 # ``oscnorm.norms.poly_error``; the code here calls ``error_levels``
 from .local_poly import poly_error  # noqa: F401
-from .maximal import lp_norm, maximal_cells, refine, sibling_sums
+from .maximal import (child_keys, lp_norm, maximal_cells, refine,
+                      sibling_sums)
 # imported for their names alone: perfbench/tracer.py binds them here; the
 # code here calls ``maximal_cells``
 from .maximal import chain_max, level_integrals  # noqa: F401
@@ -72,6 +75,8 @@ __all__ = [
     "ri_functionals",
     "scaled_error_levels",
     "packing_dp",
+    "sparse_sup_dp",
+    "SPARSE_DP_CELLS",
     "llogl_rows",
 ]
 
@@ -254,12 +259,16 @@ def _packing_value(scaled: list[np.ndarray], n: int, p: float):
     sums (both ``None`` at ``p = inf``, where it is the largest entry)."""
     if math.isinf(p):
         return float(max(lvl.max() for lvl in scaled)), None, None
-    weights = [
-        lvl_scaled ** p * 2.0 ** (-n * lvl)
-        for lvl, lvl_scaled in enumerate(scaled)
-    ]
+    weights = _packing_weights(scaled, n, p)
     total, child_sums = packing_dp(weights, n)
     return float(total) ** (1.0 / p), weights, child_sums
+
+
+def _packing_weights(scaled: list[np.ndarray], n: int,
+                     p: float) -> list[np.ndarray]:
+    """The tree DP's level weights ``scaled(Q)^p |Q|``, any leading axes."""
+    return [lvl_scaled ** p * 2.0 ** (-n * lvl)
+            for lvl, lvl_scaled in enumerate(scaled)]
 
 
 def packing_dp(weights: list[np.ndarray],
@@ -288,6 +297,221 @@ def bmo_norm(f: GridFunction) -> float:
 
 # -- sparse suprema -----------------------------------------------------------
 
+SPARSE_DP_CELLS = 1 << 16   # cells up to which the order-1 coverage DP runs
+
+
+def _require_dp_scale(dimension: int, depth: int) -> None:
+    """Refuse a tree past the coverage DP's cell cap: its merges are
+    quadratic in the cell count."""
+    cells = 1 << (dimension * depth)
+    if cells > SPARSE_DP_CELLS:
+        raise ValueError(f"the order-1 coverage DP runs up to "
+                         f"{SPARSE_DP_CELLS} cells, got {cells}")
+
+
+def _maxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (max,+) convolution along the first axis,
+    ``out[c] = max over i + j = c of a[i] + b[j]``, over the trailing axes
+    the two share: one pass per entry of ``b``, each over whichever axis
+    is longer, the count or the trailing ones.  Every entry is one float
+    sum of the two, so the route does not change the result, and a split
+    can be found again by equality."""
+    la, lb = len(a), len(b)
+    rest = a.shape[1:]
+    if a[0].size < la:
+        # few cubes, many counts: one contiguous row per cube
+        a = a.reshape(la, -1).T.copy()
+        b = b.reshape(lb, -1).T
+        out = np.full((len(a), la + lb - 1), -np.inf)
+        tmp = np.empty_like(a)
+        for j in range(lb):
+            np.add(a, b[:, j:j + 1], out=tmp)
+            np.maximum(out[:, j:j + la], tmp, out=out[:, j:j + la])
+        return out.T.reshape(la + lb - 1, *rest)
+    a = np.ascontiguousarray(a)     # children are strided views
+    out = np.full((la + lb - 1, *rest), -np.inf)
+    tmp = np.empty_like(a)
+    for j in range(lb):
+        np.add(a, b[j], out=tmp)
+        np.maximum(out[j:j + la], tmp, out=out[j:j + la])
+    return out
+
+
+def _coverage_pass(scores: list[np.ndarray], dimension: int,
+                   penalised: bool, keep: bool) -> tuple[np.ndarray, list]:
+    """One bottom-up pass of :func:`sparse_sup_dp`: the best total per
+    tree, in measure units, with ``- s(R) c`` in ``V(R)`` when
+    ``penalised``.  With ``keep`` it also returns, per level from the root
+    down, what :func:`_coverage_witness` reads: the merge stages and the
+    merged ``H'`` (none at the root), the second half's terms of ``V``,
+    whether each cube is taken when all its cells are covered, and how
+    many cells its first half then covers.
+
+    ``H`` holds the covered-cell count on its first axis, then the
+    leading axes of ``scores`` and the level's grid, so every merge step
+    and every maximum over the count runs on whole slabs of cubes.  The
+    children merge pairwise into two halves ``x`` and ``y`` of ``half``
+    cells each, and ``V`` needs no merge of them:
+    ``max_{c <= half} (H'[c] - s c)`` is the best of
+    ``x[i] - s i + y[j] - s j`` over ``i + j <= half``, which is
+    ``x[i] - s i`` plus a running maximum of the ``y`` terms.  So the
+    root, whose ``H'`` no parent reads, merges nothing but its quarters
+    (in 2D).
+    """
+    n, depth = dimension, len(scores) - 1
+    lead = scores[0].shape[:-1]
+    keys = child_keys(n)
+    H = np.zeros((2, *lead, *(1 << depth,) * n))
+    H[1] = scores[depth].reshape(H.shape[1:])
+    top = H[1]                  # the root alone, at depth 0
+    trail = []
+    for lvl in range(depth - 1, -1, -1):
+        M = 1 << (n * (depth - lvl))
+        half = M // 2
+        split = H.reshape(len(H), *lead, *(1 << lvl, 2) * n)
+        stages = [[split[key] for key in keys]]
+        while len(stages[-1]) > 2:
+            parts = stages[-1]
+            stages.append([_maxplus(parts[i], parts[i + 1])
+                           for i in range(0, len(parts), 2)])
+        x, y = stages[-1]           # half + 1 counts each
+        s = scores[lvl].reshape(*lead, *(1 << lvl,) * n)
+        xs, ys = x, y
+        if penalised:
+            cost = np.arange(half + 1.0).reshape(-1, *(1,) * s.ndim) * s
+            xs, ys = x - cost, y - cost
+        # i cells covered under x and the best of at most half - i under y
+        terms = xs + np.maximum.accumulate(ys, axis=0)[::-1]
+        V = s * M + terms.max(axis=0)
+        full = x[-1] + y[-1]        # H'[M]: every cell covered
+        top = np.maximum(full, V)
+        Hp = None
+        if lvl:
+            Hp = _maxplus(x, y)
+            Hp[M] = top
+            H = Hp
+        if keep:
+            trail.append((stages, Hp, ys, V >= full, terms.argmax(axis=0)))
+    # covering one more cell never lowers a total, so H_root[M] is the best
+    return top.reshape(lead) * 2.0 ** (-n * depth), trail[::-1]
+
+
+def _split(x: np.ndarray, y: np.ndarray, z: np.ndarray,
+           c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``z``, a merge of rows ``x`` and ``y``, the first ``i``
+    with ``x[i] + y[c - i] == z[c]``, and ``c - i``."""
+    i = np.arange(x.shape[1])
+    j = c[:, None] - i
+    ok = (j >= 0) & (j < y.shape[1])
+    cand = x + np.take_along_axis(y, np.clip(j, 0, y.shape[1] - 1), axis=1)
+    hit = ok & (cand == np.take_along_axis(z, c[:, None], axis=1))
+    first = hit.argmax(axis=1)
+    if not hit[np.arange(c.size), first].all():
+        raise AssertionError("a merged total has no split")
+    return first, c - first
+
+
+def _rows(part: np.ndarray) -> np.ndarray:
+    """One row per cube, the covered-cell count along it."""
+    return part.reshape(len(part), -1).T
+
+
+def _coverage_witness(trail: list, dimension: int,
+                      depth: int) -> np.ndarray:
+    """The members of a family attaining the core total of one tree, top
+    down from the root with all its cells covered.  A cube whose cells are
+    all covered is taken where the pass took it; its halves then cover the
+    first best ``i`` and the first best count within ``half - i``.  Any
+    other cube splits its cells among its halves as ``H'`` did, and each
+    earlier merge stage splits them again, down to the children."""
+    n = dimension
+    offsets = level_offsets(depth, n)
+    keys = child_keys(n)
+    want = np.array([1 << (n * depth)])
+    picks = []
+    for lvl, (stages, Hp, ys, take, pick) in enumerate(trail):
+        M = 1 << (n * (depth - lvl))
+        half = M // 2
+        member = (want == M) & take.reshape(-1)
+        picks.append(offsets[lvl] + np.flatnonzero(member))
+        a = np.full_like(want, half)
+        b = np.full_like(want, half)
+        a[member] = pick.reshape(-1)[member]
+        room = np.arange(half + 1) <= half - a[member][:, None]
+        b[member] = np.where(room, _rows(ys)[member], -np.inf).argmax(axis=1)
+        rest = want < M             # never a member
+        if rest.any():
+            x, y = (_rows(part) for part in stages[-1])
+            a[rest], b[rest] = _split(x[rest], y[rest], _rows(Hp)[rest],
+                                      want[rest])
+        targets = [a, b]
+        for stage in range(len(stages) - 1, 0, -1):
+            below = []
+            for z, c in zip(stages[stage], targets):
+                x, y = (_rows(part) for part in
+                        stages[stage - 1][len(below):len(below) + 2])
+                a = np.full_like(c, x.shape[1] - 1)
+                b = np.full_like(c, y.shape[1] - 1)
+                rest = c < a + b        # all covered needs no search
+                a[rest], b[rest] = _split(x[rest], y[rest], _rows(z)[rest],
+                                          c[rest])
+                below += [a, b]
+            targets = below
+        grid = np.empty((1 << lvl, 2) * n, dtype=np.int64)
+        for key, c in zip(keys, targets):
+            grid[key] = c.reshape((1 << lvl,) * n)
+        want = grid.reshape(-1)
+    picks.append(offsets[depth] + np.flatnonzero(want == 1))
+    return np.concatenate(picks)
+
+
+def sparse_sup_dp(scores: list[np.ndarray], dimension: int, *,
+                  weighted: bool = True, witness: bool = False):
+    """Order-1 sparse suprema by a coverage DP, batched over leading axes.
+
+    ``scores[l]`` holds ``s(Q) = scaled(Q)^p`` of the level-``l`` cubes,
+    finite and nonnegative, flat row-major, ``(..., 2**(n*l))``.  A
+    family's core total ``sum s(Q)|E_Q|`` is the integral of ``s`` of the
+    smallest member over each covered cell.  In finest-cell units,
+    ``H_R[c]`` is the best total of a sparse family inside ``R`` whose top
+    members cover ``c`` cells, ``[0, s]`` at a finest cell; ``H'_R`` is
+    the (max,+) convolution of the children's;
+    ``V(R) = s(R) M + max_{c <= M/2} (H'_R[c] - s(R) c)`` is the best
+    total with ``R`` a member, whose ``M`` cells its children cover at
+    most half of; and ``H_R`` is ``H'_R`` with
+    ``H_R[M] = max(H'_R[M], V(R))``.  The ``|Q|``-weighted total
+    ``sum s(Q)|Q|`` drops ``- s(R) c``.
+
+    Returns ``(core, weighted, members)``: per tree the best core total
+    and, when ``weighted``, the best ``|Q|``-weighted total, in measure
+    units before any root is taken; and, with ``witness`` on one tree
+    (1-D levels), the ascending breadth-first members of a family
+    attaining ``core``.  Ties go to the shallower cube: ``R`` is taken
+    when ``V(R) >= H'_R[M]`` (so an all-zero tree gets the root alone),
+    and other ties to the first best split.  Each row has the bits of its
+    one-row call.
+
+    The merges are quadratic in the cell count, and general (max,+)
+    convolution has no known strongly subquadratic algorithm (Cygan,
+    Mucha, Wegrzycki and Wlodarczyk, ACM TALG 15(1), 2019), so the DP
+    stops at ``SPARSE_DP_CELLS`` cells.
+    """
+    depth = len(scores) - 1
+    _require_dp_scale(dimension, depth)
+    if witness and scores[0].ndim != 1:
+        raise ValueError("a witness is rebuilt for one tree at a time")
+    core, trail = _coverage_pass(scores, dimension, True, witness)
+    wtd = (_coverage_pass(scores, dimension, False, False)[0] if weighted
+           else None)
+    members = None
+    if witness:
+        if not np.isfinite(core):
+            raise ValueError("the sparse total is not finite: the scores "
+                             "overflow near the float limit")
+        members = _coverage_witness(trail, dimension, depth)
+    return core, wtd, members
+
+
 def _order_key(params: NormParams) -> float:
     """The sparseness order of ``params``, checked before any work."""
     order = params.family_order
@@ -298,49 +522,88 @@ def _order_key(params: NormParams) -> float:
 
 
 def sparse_sup_exhaustive(f: GridFunction, params: NormParams) -> NormReport:
-    """Exact sparse supremum by full family enumeration (<= 15 tree nodes).
+    """Exact sparse supremum: order 1 by :func:`sparse_sup_dp` (up to
+    ``SPARSE_DP_CELLS`` cells), thinner orders by full family enumeration
+    (<= 15 tree nodes).
 
     Reports the core-set form as the value and the ``|Q|``-weighted variant
-    in ``extras["weighted_value"]``.  The witness is the first maximising
-    family in bitmask order.
+    in ``extras["weighted_value"]``.  At ``p = inf`` both are the largest
+    scaled error, with its first cube alone as the witness; otherwise the
+    witness is the DP's, or the first maximising family in bitmask order.
     """
     tables, scaled = _sparse_setup(f, params)
-    value, row = _sparse_sup(tables, scaled, params.p)
-    if math.isinf(params.p):
-        weighted = value
+    n, L, p = f.dimension, f.depth, params.p
+    if math.isinf(p):
+        # every singleton is sparse of every order
+        best = int(np.argmax(scaled))
+        value = weighted = float(scaled[best])
+        members = np.array([best])
+    elif tables is None:
+        scores = [lvl ** p for lvl in _levels(scaled, n, L)]
+        core, wtd, members = sparse_sup_dp(scores, n, witness=True)
+        value, weighted = float(core) ** (1.0 / p), float(wtd) ** (1.0 / p)
     else:
-        weighted = float(((tables.cube_meas @ scaled ** params.p)
-                          ** (1.0 / params.p)).max())
-    witness = checked(np.flatnonzero(tables.cube_meas[row]), tables.order,
-                      dimension=f.dimension, depth=f.depth)
+        value, row = _table_sup(tables, scaled, p)
+        weighted = float(((tables.cube_meas @ scaled ** p)
+                          ** (1.0 / p)).max())
+        members = np.flatnonzero(tables.cube_meas[row])
+    witness = checked(members, params.family_order, dimension=n, depth=L)
     return NormReport(params, value, value, witness,
                       extras={"weighted_value": weighted})
 
 
-def _sparse_setup(f: GridFunction,
-                  params: NormParams) -> tuple[FamilyTables, np.ndarray]:
+def _levels(scaled: np.ndarray, dimension: int,
+            depth: int) -> list[np.ndarray]:
+    """Breadth-first ``scaled`` split into its levels on the last axis
+    (views)."""
+    offsets = level_offsets(depth, dimension).tolist()
+    return [scaled[..., a:b] for a, b in zip(offsets, offsets[1:])]
+
+
+def _sparse_setup(f: GridFunction, params: NormParams
+                  ) -> tuple[FamilyTables | None, np.ndarray]:
     """The ``p``-independent half of :func:`sparse_sup_exhaustive`: the
-    family table of the class and the scaled errors, breadth-first."""
+    family table of a thinner class (``None`` at order 1, which the
+    coverage DP evaluates) and the scaled errors, breadth-first.  The
+    scale is checked before the error sweep."""
     order = _order_key(params)
     try:
-        tables = family_tables(f.dimension, f.depth, order)
+        if order == 1.0:
+            _require_dp_scale(f.dimension, f.depth)
+            tables = None
+        else:
+            tables = family_tables(f.dimension, f.depth, order)
     except ValueError as exc:       # the order passed: only the scale fails
         raise ValueError(f"{exc}; use sparse_norm_bounds (--mode bounds) "
                          "at this scale") from None
     return tables, _scaled_flat(f, params)
 
 
-def _sparse_sup(tables: FamilyTables, scaled: np.ndarray,
-                p: float) -> tuple[float, int]:
-    """The sparse supremum at ``p`` over the rows of ``tables``, and the
+def _table_sup(tables: FamilyTables, scaled: np.ndarray,
+               p: float) -> tuple[float, int]:
+    """The supremum at a finite ``p`` over the rows of ``tables``, and the
     first row attaining it."""
-    if math.isinf(p):
-        member = tables.cube_meas > 0
-        fam_core = np.where(member, scaled[None, :], 0.0).max(axis=1)
-    else:
-        fam_core = (tables.core_meas @ scaled ** p) ** (1.0 / p)
+    fam_core = (tables.core_meas @ scaled ** p) ** (1.0 / p)
     row = int(np.argmax(fam_core))
     return float(fam_core[row]), row
+
+
+def _sparse_sup(f: GridFunction, tables: FamilyTables | None,
+                scaled: np.ndarray, ps: tuple[float, ...]) -> list[float]:
+    """The values of :func:`sparse_sup_exhaustive` at each ``p`` of
+    ``ps``, without witnesses, from the halves of :func:`_sparse_setup`:
+    at order 1 one :func:`sparse_sup_dp` call over the finite ``p``."""
+    finite = [p for p in ps if not math.isinf(p)]
+    values = {math.inf: float(scaled.max())}
+    if tables is None and finite:
+        scores = np.stack([scaled ** p for p in finite])
+        core = sparse_sup_dp(_levels(scores, f.dimension, f.depth),
+                             f.dimension, weighted=False)[0]
+        values.update((p, float(c) ** (1.0 / p))
+                      for p, c in zip(finite, core))
+    elif tables is not None:
+        values.update((p, _table_sup(tables, scaled, p)[0]) for p in finite)
+    return [values[p] for p in ps]
 
 
 def family_value(f: GridFunction, family: CubeFamily, params: NormParams,

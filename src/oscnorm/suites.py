@@ -6,17 +6,23 @@ heavy lifting runs on stacked value matrices (one row per trial), so suites
 stay fast enough to act as calibration runs with thousands of grids.
 
 The rows go through the library's own kernels (``level_integrals``,
-``maximal_cells``, ``lp_rows``, ``median_deviations``, ``packing_dp``,
-``llogl_rows``), which take any leading trial axes and give each row the
-bits of the single-grid call; only the final root is taken on arrays here
-and on scalars there.  ``sv-equivalence`` still works grid by grid, since
-its ``L^1``, ``k = 2`` errors are one fit per cube: per trial and ``(k, q)``
-it sweeps the scaled errors once, runs the ``p``-independent halves of the
-library's three functionals on them, and their per-``p`` halves at each
-``p``, with no witnesses.
+``maximal_cells``, ``lp_rows``, ``median_deviations``, ``packing_dp`` on
+the library's packing weights, ``sparse_sup_dp``, ``llogl_rows``), which
+take any leading trial axes and give each row the bits of the single-grid
+call; only the final root is taken on arrays here and on scalars there.
+Wherever a suite wants only the order-1 sparse maximum of a row, the
+coverage DP gives it; ``embedding-chain`` checks the DP against the
+enumerated families on its first trials.  ``sv-equivalence`` still works
+grid by grid, since its ``L^1``, ``k = 2`` errors are one fit per cube:
+per trial and ``(k, q)`` it sweeps the scaled errors once, runs the
+``p``-independent halves of the library's three functionals on them, and
+their per-``p`` halves, the sparse one at all three ``p`` in one DP call,
+with no witnesses.
 
-The suites that multiply the rows against an oracle family table do so in
-row blocks of about ``_CHUNK_BUDGET`` floats, so each product stays in
+The per-family checks (``sparse-jn``'s two-sided comparison,
+``sobolev-chain``'s ``core-below-weighted`` and ``sequence-embedding``)
+and the thinner orders of ``fractional-sv`` multiply the rows against an
+oracle family table, in row blocks of about ``_CHUNK_BUDGET`` floats, so each product stays in
 cache.  On these rows a row's bits do not depend on the block it falls in
 (see ``_chunks`` and ``_right_factor``), so the reports do not either.
 The products are sums of p-th powers, and the suites reduce them as such:
@@ -43,16 +49,19 @@ import numpy as np
 
 from .families import SUBSET_NODE_CAP, enumerable, family_tables
 from .generate import batch_uniform, log_singularity
-from .grid import GridFunction, _check_cells, level_offsets
+from .grid import GridFunction, _check_cells
 from .maximal import (level_integrals, lp_norm, lp_rows, maximal_cells,
                       maximal_opnorm_bound)
 from .local_poly import median_deviations
-from .norms import (NormParams, _bounds_at, _bounds_setup, _packing_value,
-                    _sparse_setup, _sparse_sup, bmo_norm, garo_norm,
-                    llogl_rows, packing_dp, packing_sup_norm, ri_functionals)
+from .norms import (NormParams, _bounds_at, _bounds_setup, _levels,
+                    _packing_value, _packing_weights, _sparse_setup,
+                    _sparse_sup, bmo_norm, llogl_rows, packing_dp,
+                    packing_sup_norm, sparse_sup_dp)
 # imported for their names alone: perfbench/tracer.py binds them here;
-# sv-equivalence calls their p-independent and per-p halves instead
-from .norms import sparse_norm_bounds, sparse_sup_exhaustive  # noqa: F401
+# sv-equivalence calls their p-independent and per-p halves instead, and
+# no suite calls the other two
+from .norms import (garo_norm, ri_functionals,  # noqa: F401
+                    sparse_norm_bounds, sparse_sup_exhaustive)
 
 __all__ = ["SUITE_NAMES", "SuiteConfig", "SuiteReport", "run_suite"]
 
@@ -136,18 +145,31 @@ def _assertion(name: str, passed: bool, detail: str) -> dict:
 
 # -- batched helpers (one row per trial) -------------------------------------
 
+def _scaled_e1(e1: list[np.ndarray], n: int,
+               exponent: float) -> list[np.ndarray]:
+    """|Q|^exponent * E_1, one (trials, cubes) matrix per level."""
+    return [(2.0 ** (-n * lvl)) ** exponent * e for lvl, e in enumerate(e1)]
+
+
 def _scaled_flat_e1(e1: list[np.ndarray], n: int, exponent: float) -> np.ndarray:
     """|Q|^exponent * E_1 concatenated in breadth-first order."""
-    cols = [(2.0 ** (-n * lvl)) ** exponent * e for lvl, e in enumerate(e1)]
-    return np.concatenate(cols, axis=1)
+    return np.concatenate(_scaled_e1(e1, n, exponent), axis=1)
 
 
 def _packing_rows(errors: list[np.ndarray], n: int, p: float) -> np.ndarray:
-    """Per row, ``(max over packings of sum |Q|^{1-p} E(Q)^p)^{1/p}`` from
-    one (trials, cubes) error matrix per level."""
-    weights = [(2.0 ** (-n * lvl)) ** (1.0 - p) * e ** p
-               for lvl, e in enumerate(errors)]
+    """Per row, ``(max over packings of sum |Q| (E(Q)/|Q|)^p)^{1/p}`` from
+    one (trials, cubes) error matrix per level, with the library's
+    weights."""
+    weights = _packing_weights(_scaled_e1(errors, n, -1.0), n, p)
     return packing_dp(weights, n)[0] ** (1.0 / p)
+
+
+def _sparse_rows(scaled: list[np.ndarray], n: int, p: float) -> np.ndarray:
+    """Per row, the order-1 sparse supremum at a finite ``p`` from one
+    (trials, cubes) scaled-error matrix per level, by one
+    :func:`sparse_sup_dp` call."""
+    core = sparse_sup_dp([lvl ** p for lvl in scaled], n, weighted=False)[0]
+    return core ** (1.0 / p)
 
 
 def _require_oracle_scale(suite: str, n: int, L: int) -> None:
@@ -362,7 +384,6 @@ def _suite_sv_equivalence(cfg: SuiteConfig) -> SuiteReport:
     V = batch_uniform(n, L, cfg.seed, cfg.trials)
     kq_list = ((1, 1), (2, 2), (3, 2), (2, 1))
     p_list = (1.0, 2.0, 4.0)
-    offsets = level_offsets(L, n)
     per = max(1, cfg.trials // len(kq_list))
     viol_upper = 0
     viol_pack = 0
@@ -378,9 +399,9 @@ def _suite_sv_equivalence(cfg: SuiteConfig) -> SuiteReport:
             tables, scaled = _sparse_setup(f, sv_params)
             bounds = _bounds_setup(f, sv_params, scaled)
             # at lam = 0 the V and SV exponents are both -1/q
-            pk_levels = np.split(scaled, offsets[1:-1])
-            for p in p_list:
-                sv = _sparse_sup(tables, scaled, p)[0]
+            pk_levels = _levels(scaled, n, L)
+            svs = _sparse_sup(f, tables, scaled, p_list)
+            for p, sv in zip(p_list, svs):
                 lower, upper, _ = _bounds_at(f, bounds, p)
                 pk = _packing_value(pk_levels, n, p)[0]
                 checks += 1
@@ -425,19 +446,17 @@ def _suite_fractional_sv(cfg: SuiteConfig) -> SuiteReport:
     viol_upper = 0
     aggregates: dict = {"p_list": list(p_list), "lambda_list": list(lam_list)}
     rows = []
-    t_full = family_tables(n, L, 1.0)
-    full_t = _right_factor(t_full.core_meas, T)
     for lam in lam_list:
-        t_frac = family_tables(n, L, 1.0 - lam / n)
-        # at lam = 0 the order is 1 and both are the one cached table
-        frac_t = full_t if t_frac is t_full else _right_factor(
-            t_frac.core_meas, T)
-        scaled = _scaled_flat_e1(e1, n, lam / n - 1.0)
+        # at lam = 0 the order is 1, which the coverage DP evaluates
+        order = 1.0 - lam / n
+        frac_t = None if order == 1.0 else _right_factor(
+            family_tables(n, L, order).core_meas, T)
+        scaled = _scaled_e1(e1, n, lam / n - 1.0)
+        flat = np.concatenate(scaled, axis=1)
         mx = maximal_cells(r_cells, n, L, 1, lam)
         for p in p_list:
-            sp = scaled ** p
-            svt = _table_max(sp, frac_t, p)
-            sv = svt if frac_t is full_t else _table_max(sp, full_t, p)
+            sv = _sparse_rows(scaled, n, p)
+            svt = sv if frac_t is None else _table_max(flat ** p, frac_t, p)
             bound = 2.0 * lp_rows(mx, p, cell_meas)
             viol_nest += int((svt > sv + 1e-12).sum())
             viol_upper += int((svt > bound + 1e-10).sum())
@@ -536,7 +555,8 @@ def _suite_sobolev_chain(cfg: SuiteConfig) -> SuiteReport:
           for lvl in range(L + 1)]
     # |Q|^{lam/n - 1} E_1 and |Q|^{-1} E_1 raised to the link exponents
     sq = _scaled_flat_e1(e1, n, lam / n - 1.0) ** q
-    sp = _scaled_flat_e1(e1, n, -1.0) ** p
+    scaled = _scaled_e1(e1, n, -1.0)
+    sp = np.concatenate(scaled, axis=1) ** p
     mean = V.mean(axis=1)
     r_cells = np.abs(V - mean[:, None]) * cell_meas
     m_lam_q = lp_rows(maximal_cells(r_cells, n, L, 1, lam), q, cell_meas)
@@ -548,7 +568,6 @@ def _suite_sobolev_chain(cfg: SuiteConfig) -> SuiteReport:
              "sv-below-fractional-maximal", "sjn-below-maximal",
              "sjn-upper-via-doob")}
     sv_core = np.empty(T)
-    sjn_core = np.empty(T)
     wted_p_max = np.empty(T)
     core_t = _right_factor(tables.core_meas, T)
     cube_t = _right_factor(tables.cube_meas, T)
@@ -558,7 +577,6 @@ def _suite_sobolev_chain(cfg: SuiteConfig) -> SuiteReport:
         wq = sq[t0:t1] @ cube_t
         wp = sp[t0:t1] @ cube_t
         sv_core[t0:t1] = cq.max(axis=1)
-        sjn_core[t0:t1] = (sp[t0:t1] @ core_t).max(axis=1)
         wted_p_max[t0:t1] = wp.max(axis=1)
         # a cleared entry's root is at most the largest root of cq or wp
         capped = (sv_core[t0:t1].max() <= _ROOT_CAP ** q
@@ -569,7 +587,7 @@ def _suite_sobolev_chain(cfg: SuiteConfig) -> SuiteReport:
         viol["sequence-embedding"] += _root_violations(
             wq, 1.0 / q, wp, 1.0 / p, wp * wp * wp, capped)
     sv_core **= 1.0 / q
-    sjn_core **= 1.0 / p
+    sjn_core = _sparse_rows(scaled, n, p)
     wted_p_max **= 1.0 / p
     viol["sv-below-fractional-maximal"] += int(
         (sv_core > m_lam_q + 1e-10).sum())
@@ -610,7 +628,9 @@ def _suite_embedding_chain(cfg: SuiteConfig) -> SuiteReport:
     e1 = [median_deviations(V, n, L, lvl)[1] * cell_meas
           for lvl in range(L + 1)]
     e1_flat = _scaled_flat_e1(e1, n, 0.0)
-    scaled = _scaled_flat_e1(e1, n, -1.0)
+    scaled = _scaled_e1(e1, n, -1.0)
+    # the first trials' rows of every sparse family, by the library's table
+    spot_rows = np.concatenate(scaled, axis=1)[:3]
     mean = V.mean(axis=1)
     resid_sorted = np.sort(np.abs(V - mean[:, None]), axis=1)[:, ::-1]
     rights = (np.arange(V.shape[1]) + 1) * cell_meas
@@ -621,12 +641,16 @@ def _suite_embedding_chain(cfg: SuiteConfig) -> SuiteReport:
     weak_over_garo: dict[str, float] = {}
     rows = []
     nums = e1_flat @ member.T
-    sparse_t = _right_factor(sparse.core_meas, T)
+    spot = 0.0
     for p in p_list:
         dens = fam_meas ** (1.0 - 1.0 / p)
         garo = (nums / dens).max(axis=1)
         jn = _packing_rows(e1, n, p)
-        sjn = _table_max(scaled ** p, sparse_t, p)
+        sjn = _sparse_rows(scaled, n, p)
+        # the coverage DP against the enumerated families
+        enum = ((spot_rows ** p @ sparse.core_meas.T).max(axis=1)
+                ** (1.0 / p))
+        spot = max(spot, float(np.abs(sjn[:3] - enum).max()))
         viol_garo += int((garo > jn + 1e-12).sum())
         viol_sjn += int((jn > sjn + 1e-12).sum())
         weak = (resid_sorted * rights ** (1.0 / p)).max(axis=1)
@@ -636,22 +660,14 @@ def _suite_embedding_chain(cfg: SuiteConfig) -> SuiteReport:
                 rows.append({"trial": t, "p": p, "garo": float(garo[t]),
                              "jn": float(jn[t]), "sjn": float(sjn[t]),
                              "weak": float(weak[t])})
-    spot = 0.0
-    for t in range(min(T, 3)):
-        f = GridFunction(n, L, V[t])
-        g = garo_norm(f, 2.0)
-        r = ri_functionals(GridFunction(n, L, V[t] - mean[t]), 2.0)
-        dens2 = fam_meas ** 0.5
-        spot = max(spot, abs(g.value - float((nums[t] / dens2).max())))
-        weak2 = float((resid_sorted[t] * rights ** 0.5).max())
-        spot = max(spot, abs(r.weak_lp - weak2))
     asserts = (
         _assertion("garo-below-jn", viol_garo == 0,
                    f"{viol_garo} violations over {T} grids x p in {p_list}"),
         _assertion("jn-below-sjn", viol_sjn == 0,
                    f"{viol_sjn} violations over {T} grids x p in {p_list}"),
         _assertion("batched-matches-library", spot <= 1e-12,
-                   f"spot-check gap {spot:.3e}"),
+                   f"sjn gap {spot:.3e} on the first {min(T, 3)} grids "
+                   f"x p in {p_list}"),
     )
     aggregates = {
         "p_list": list(p_list),

@@ -38,6 +38,15 @@ def deep_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def past_dp_cap_file(tmp_path):
+    """A 1D grid of 2^17 cells: one level past the order-1 DP's cap."""
+    path = tmp_path / "past-cap.json"
+    path.write_text(json.dumps({"dimension": 1, "depth": 17,
+                                "values": [0.5] * (1 << 17)}))
+    return str(path)
+
+
 def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -75,17 +84,28 @@ def test_compute_sjn_bounds_mode(step_file, capsys):
     assert d["exact"] is False
 
 
-def test_compute_exact_refuses_large_tree(deep_file, capsys):
+def test_compute_exact_refuses_large_tree(past_dp_cap_file, capsys):
     code, _, err = _run(capsys, [
-        "compute", "--input", deep_file, "--norm", "sjn"])
+        "compute", "--input", past_dp_cap_file, "--norm", "sjn"])
     assert code == 2
     assert "bounds" in err
     # bounds mode succeeds on the same input
     code2, out, _ = _run(capsys, [
-        "compute", "--input", deep_file, "--norm", "sjn", "--mode", "bounds"])
+        "compute", "--input", past_dp_cap_file, "--norm", "sjn", "--mode",
+        "bounds"])
     assert code2 == 0
     d = json.loads(out)
     assert d["value_lower"] <= d["value_upper"]
+
+
+def test_compute_exact_sjn_runs_past_enumeration_scale(deep_file, capsys):
+    """Order 1 runs on the coverage DP, so 31 tree nodes are exact."""
+    code, out, _ = _run(capsys, [
+        "compute", "--input", deep_file, "--norm", "sjn"])
+    assert code == 0
+    d = json.loads(out)
+    assert d["exact"] is True and d["value_lower"] > 0.0
+    assert d["witness"]["kind"] == "sparse"
 
 
 def test_compute_garo_exact_refuses_large_tree(deep_file, capsys,
@@ -119,17 +139,32 @@ def test_compute_garo_exact_follows_the_scale_alone(tmp_path, capsys):
             assert json.loads(out)["exact"] is True
 
 
+DP_CAP_LINE = "the order-1 coverage DP runs up to 65536 cells, got 131072"
+
+
 @pytest.mark.parametrize("norm", ["sjn", "sv", "svt"])
-def test_compute_exact_sparse_past_the_cap_says_so_once(deep_file, capsys,
-                                                         norm):
-    """The library's scale refusal is the one line, and it names the
+def test_compute_exact_sparse_past_the_cap_says_so_once(
+        past_dp_cap_file, deep_file, capsys, monkeypatch, norm):
+    """Order 1 stops at the DP's cell cap, and ``svt`` at ``lambda > 0``
+    (a thinner order) at the enumeration cap.  The library's scale
+    refusal is the one line, before any error sweep, and it names the
     command-line way out as well as the library's."""
+    from oscnorm import norms
+
+    def no_sweep(*args, **kw):
+        raise AssertionError("the error sweep ran")
+    monkeypatch.setattr(norms, "scaled_error_levels", no_sweep)
+    thinner = norm == "svt"
+    path = deep_file if thinner else past_dp_cap_file
+    flags = ["--lambda", "0.5"] if thinner else []
+    cap_line = ("oracle scale exceeded: 31 nodes > 15" if thinner
+                else DP_CAP_LINE)
     code, out, err = _run(capsys, [
-        "compute", "--input", deep_file, "--norm", norm])
+        "compute", "--input", path, "--norm", norm, *flags])
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error: oracle scale exceeded: 31 nodes > 15")
+    assert lines[0].startswith(f"error: {cap_line};")
     assert "--mode bounds" in lines[0] and "sparse_norm_bounds" in lines[0]
 
 

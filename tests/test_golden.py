@@ -49,7 +49,19 @@ batched classifier.  The quadratic-corner digests pin every
 ``error_levels(f, 3, 1)`` entry and the root ``best_fit(f, root, 3, 1)``
 coefficients and error of 2D grids at depths 1-4; they were recorded while
 the vertex descent split only the cells where the residual may change
-sign.  None may move under refactors that keep the mathematics fixed.
+sign.  The ``embedding-chain`` and ``sobolev-chain`` suite and
+oracle-scale pins and the ``sv-equivalence-1d`` pin were re-recorded when
+their order-1 sparse maxima moved from family-table products to the
+coverage DP, and the suites' packing weights to the library's
+``scaled^p |Q|``: the largest relative moves were 2.5e-16
+(``embedding-chain``, a ``jn`` row, from the packing weights), 2.1e-16
+(``sobolev-chain``, an ``sjn_core`` row) and 2.0e-16 (``sv-equivalence``,
+an ``sv`` row), and ``embedding-chain``'s ``batched-matches-library``
+detail now names the DP-against-table gap it checks.  Every assertion
+outcome, count and row count stayed the same; the ``fractional-sv``,
+``riesz``, ``sparse-jn``, ``jn-extrapolation`` and depth-3
+``sv-equivalence`` pins held.  None may move under refactors that keep
+the mathematics fixed.
 """
 
 import hashlib
@@ -253,7 +265,7 @@ SUITES = {
 
 SUITE_GOLDEN = {
     "embedding-chain-1d":
-        "c9e8c880aa88d67fc15c0ab527a7f734b869139853a8d1490c15d199d6d4104f",
+        "69909b435fa37e0db2eb636d968a5b00786deefd71b916364d5de6dcc7d5c7c3",
     "fractional-sv-1d":
         "83b23ca4ffadbe90e4d10e0198738090f52226fac1c507b9fa6159e448f21c8b",
     "jn-extrapolation-1d":
@@ -263,13 +275,13 @@ SUITE_GOLDEN = {
     "riesz-2d":
         "4b4d8e0d16a2213fa582eeac3410974b54f2f7f2265afee721b6ecf37e8baba7",
     "sobolev-chain-1d":
-        "96d42302f35fdb95d6fd0b1575af784759246bcd6e9019e141f48a0ea66f367c",
+        "da64512dc9019b8fb0ef0212d67a213b0c593253083c03195ded930dff833375",
     "sparse-jn-1d":
         "ab9cda4606f9b6bdb568fa57045f3a74b487df8b95fcafaf5b195265ed3620b4",
     "sparse-jn-2d":
         "fde4430b23a415cc94e12ff9019ad7660e704e04df68a16f263166071d4b9810",
     "sv-equivalence-1d":
-        "042d29402513ac300b33aa468699098f66385740da16f0f1519857035a8319c9",
+        "0978b93510373fa36f6645fccb8f83f53d2f2028aa2856614931341863a7dbad",
 }
 
 
@@ -297,9 +309,9 @@ ORACLE_SCALE_GOLDEN = {
     ("fractional-sv", 1, 3, 2000):
         "fc0bd1a58881f1567cdf61bfcca56a0905ef4c0a903aa7a8c6b63051f959d9c1",
     ("sobolev-chain", 1, 3, 2000):
-        "b3e71d96898fdffe94c43e6677e37a5e9ed455a8a01c45d0df847cc9a577f283",
+        "12ac5e2725c41f34c899d916837cdcc1feb41ec0e09bddf6f7bb3f41ab1a7043",
     ("embedding-chain", 1, 3, 2000):
-        "4851d1f1f3ef983b35d5dae29c873ce8af1c7cb4e58ddf68785675cb42964a3b",
+        "4c4ca5b04681e61dffa7bdd134ed7f59fd60e3f0dcf6a84de0efdf937f801c46",
     ("riesz", 1, 12, 50):
         "e17b74e3ecf9889b87b9ba21b552d62e8751a191af84f70f393eb469c48b59dd",
     ("riesz", 2, 6, 50):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from oscnorm import norms
 from oscnorm.families import CubeFamily, validate
 from oscnorm.grid import (CubeId, GridFunction, cube_index, iter_cubes,
-                          level_offsets, tree_size)
+                          level_offsets)
 from oscnorm.norms import (NormParams, NormReport, bmo_norm, family_value,
                            garo_norm, lp_norm, packing_sup_norm, rearrangement,
                            ri_functionals, scaled_error_levels,
@@ -328,10 +328,24 @@ def test_bounds_hold_nothing_on_the_grid(n, depth, limit):
     assert held <= 65_536
 
 
-def test_sparse_sup_exhaustive_refuses_large_tree():
-    f = GridFunction(1, 4, np.random.default_rng(0).uniform(0.0, 1.0, 16))
-    with pytest.raises(ValueError, match="sparse_norm_bounds"):
-        sparse_sup_exhaustive(f, NormParams.sjn(2.0))
+def test_sparse_sup_exhaustive_refuses_large_tree(monkeypatch):
+    """Order 1 runs on the coverage DP up to 2^16 cells, a thinner order
+    on the family tables up to 15 tree nodes; past its cap each refuses at
+    once, before any error sweep, and names the bracket instead."""
+    monkeypatch.setattr(norms, "_scaled_flat", None)   # a sweep would fail
+    for f, params, cap in (
+            (GridFunction(1, 17, np.zeros(1 << 17)), NormParams.sjn(2.0),
+             "coverage DP runs up to 65536 cells, got 131072"),
+            (GridFunction(2, 9, np.zeros(1 << 18)),
+             NormParams.sv(2.0, 2, 2, 0.0), "got 262144"),
+            (GridFunction(1, 4, np.zeros(16)),
+             NormParams.sv_fractional(2.0, 1, 1, 0.5, 1),
+             "oracle scale exceeded: 31 nodes > 15")):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"{cap}; use "
+                           "sparse_norm_bounds"):
+            sparse_sup_exhaustive(f, params)
+        assert time.perf_counter() - start < 0.01
 
 
 def test_each_functional_refuses_the_other_family_class(monkeypatch):
@@ -514,8 +528,6 @@ def test_every_report_is_exact_exactly_when_its_sides_meet(n, depth, dist):
               "constant": np.full(size, 0.75)}[dist]
     f = GridFunction(n, depth, values)
     for name, call in EXACTNESS_CALLS.items():
-        if name.endswith("-exact") and tree_size(depth, n) > 15:
-            continue
         rep = call(f)
         assert math.isfinite(rep.value_lower), name
         assert math.isfinite(rep.value_upper), name
@@ -618,13 +630,14 @@ def test_setup_and_per_p_halves_give_the_functionals_bits(n, depth, dist):
         assert len(split) == len(levels)
         for got, want in zip(split, levels):
             assert got.tobytes() == want.tobytes()
-        for p in (1.0, 2.0, 4.0, math.inf):
+        p_list = (1.0, 2.0, 4.0, math.inf)
+        svs = norms._sparse_sup(f, tables, scaled, p_list)
+        for p, sv_value in zip(p_list, svs):
             sv = sparse_sup_exhaustive(f, NormParams.sv(p, k, q, 0.0))
             bracket = sparse_norm_bounds(f, NormParams.sv(p, k, q, 0.0))
             pk = packing_sup_norm(f, NormParams.packing(p, k, q, 0.0))
             lower, upper, best = norms._bounds_at(f, bounds, p)
-            assert (norms._sparse_sup(tables, scaled, p)[0].hex()
-                    == sv.value.hex())
+            assert sv_value.hex() == sv.value.hex()
             assert lower.hex() == bracket.value_lower.hex()
             assert upper.hex() == bracket.value_upper.hex()
             assert (norms._packing_value(levels, f.dimension, p)[0].hex()
