@@ -60,8 +60,11 @@ an ``sv`` row), and ``embedding-chain``'s ``batched-matches-library``
 detail now names the DP-against-table gap it checks.  Every assertion
 outcome, count and row count stayed the same; the ``fractional-sv``,
 ``riesz``, ``sparse-jn``, ``jn-extrapolation`` and depth-3
-``sv-equivalence`` pins held.  None may move under refactors that keep
-the mathematics fixed.
+``sv-equivalence`` pins held.  The exact-mode ``sjn`` and ``sv``
+compute digests and the witnesses on tied integer grids were recorded
+while the coverage DP merged 2D children in pairwise stages and its
+witness replayed them stage by stage.  None may move under refactors that
+keep the mathematics fixed.
 """
 
 import hashlib
@@ -75,6 +78,7 @@ from oscnorm.cli import main
 from oscnorm.families import family_tables
 from oscnorm.grid import CubeId, GridFunction
 from oscnorm.local_poly import best_fit, error_levels
+from oscnorm.norms import NormParams, sparse_sup_exhaustive
 from oscnorm.suites import SuiteConfig, run_suite
 
 GRIDS = {
@@ -94,6 +98,9 @@ OPS = {
     "v-k3-q2": ["--norm", "v", "--k", "3", "--q", "2", "--p", "2"],
     "sv-k2-q2": ["--norm", "sv", "--k", "2", "--q", "2", "--p", "2",
                  "--mode", "bounds"],
+    "sjn-exact": ["--norm", "sjn", "--p", "2", "--mode", "exact"],
+    "sv-exact": ["--norm", "sv", "--k", "2", "--q", "2", "--p", "2",
+                 "--mode", "exact"],
 }
 
 GOLDEN = {
@@ -161,6 +168,22 @@ GOLDEN = {
         '16d358c92fcb23d8e6ee3843f77d1ec8ceba6718aacc1527604e63b234532412',
     ('2d-uniform', 'v-k3-q2'):
         'ac4bfdb93ef1a868b821880fc5935470ad43673b5dbbf9e0ec73bf7fba3426f8',
+    ('1d-lognormal', 'sjn-exact'):
+        '098fe81cdf1aa67bb0bd5e7cb50940c05f1e3bf9be1818bd5c8280e337b51caf',
+    ('1d-lognormal', 'sv-exact'):
+        '5ed4b94923cad231e5c26e1ec7d6f7ea6fa97030a2719f3f81c3370bfe7c829a',
+    ('1d-uniform', 'sjn-exact'):
+        '75f1ce772a2603fce20c4314acb97a193a1a9737e14545f31aae25a890c59c14',
+    ('1d-uniform', 'sv-exact'):
+        '9311559f09660e34b940725cfa890fd02bee257aca6a01c95f09872f48d9ba68',
+    ('2d-lognormal', 'sjn-exact'):
+        '43ac5e89fe708529789449da3e5a0933525e29fbe6dd2b6cb0a6f96e26e27834',
+    ('2d-lognormal', 'sv-exact'):
+        '4725d9a918c21cff77cc30f3d1e71184637f882c015fe545c5cc49546c53dda2',
+    ('2d-uniform', 'sjn-exact'):
+        'd8e3f87077e381fe85182e6aa002348674e30392e7142c9ebe314a916a621584',
+    ('2d-uniform', 'sv-exact'):
+        'deabbc18d0c8799ea95cb85b42fb80a25ac0e574aa1deb67b97a555d10009eea',
 }
 
 
@@ -196,6 +219,36 @@ def compute_digest(grid: str, op: str, grids=GRIDS, ops=OPS) -> str:
 def test_compute_report_bytes_pinned(grid, op, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert compute_digest(grid, op) == GOLDEN[grid, op]
+
+
+# The witnesses of the exact order-1 supremum on tied integer grids, where
+# many families attain the value and the first best split picks one.
+TIED_SHAPES = {"1d-L8": (1, 8), "2d-L4": (2, 4)}
+
+TIED_GOLDEN = {
+    "1d-L8":
+        "96f9ce4dba76c144cd3d6cd0333cd4bb9f78c793d115e90a3759d1be543d1020",
+    "2d-L4":
+        "3192f3a32eded05f03724d7d9e5fee2cdc2958bb92f7e492831de6bfd7147e03",
+}
+
+
+def tied_witness_digest(dimension: int, depth: int) -> str:
+    h = hashlib.sha256()
+    for seed in range(4):
+        values = np.random.default_rng(seed).integers(
+            0, 3, 1 << (dimension * depth)).astype(float)
+        f = GridFunction(dimension, depth, values)
+        for params in (NormParams.sjn(1.0), NormParams.sjn(2.0),
+                       NormParams.sv(2.0, 2, 2, 0.0)):
+            rep = sparse_sup_exhaustive(f, params)
+            h.update(rep.witness.index.astype(np.int64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("shape", sorted(TIED_SHAPES))
+def test_tied_witness_indexes_pinned(shape):
+    assert tied_witness_digest(*TIED_SHAPES[shape]) == TIED_GOLDEN[shape]
 
 
 # The ``L^1``, ``k >= 2`` route on small grids, recorded while each of its
