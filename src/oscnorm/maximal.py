@@ -24,8 +24,7 @@ import numpy as np
 from .grid import GridFunction
 
 __all__ = ["MaximalResult", "fractional_maximal", "lp_norm", "lp_rows",
-           "maximal_cells", "maximal_opnorm_bound", "refine", "sibling_sums",
-           "child_keys"]
+           "maximal_cells", "maximal_opnorm_bound", "refine", "sibling_sums"]
 
 
 @dataclass(frozen=True)
@@ -68,18 +67,12 @@ def sibling_sums(level_vals: np.ndarray, dimension: int) -> np.ndarray:
     lead = level_vals.shape[:level_vals.ndim - dimension]
     half = level_vals.shape[-1] // 2
     pairs = level_vals.reshape(*lead, *(half, 2) * dimension)
-    # children added one at a time in row-major order: a multi-axis ``sum``
-    # picks its order from the shape, so a lone block would round otherwise
-    kids = [pairs[key] for key in child_keys(dimension)]
-    return sum(kids[1:], kids[0])
-
-
-def child_keys(dimension: int) -> list[tuple]:
-    """Index tuples picking each child, in row-major order of its offset
-    bits, from a level split as ``(2**l, 2) * dimension`` on its trailing
-    axes."""
-    return [(..., *(x for b in bits for x in (slice(None), b)))
+    # children added one at a time in row-major order of their offset bits:
+    # a multi-axis ``sum`` picks its order from the shape, so a lone block
+    # would round otherwise
+    kids = [pairs[(..., *(x for b in bits for x in (slice(None), b)))]
             for bits in itertools.product((0, 1), repeat=dimension)]
+    return sum(kids[1:], kids[0])
 
 
 def level_integrals(cell_integrals: np.ndarray, dimension: int,

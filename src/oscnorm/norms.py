@@ -17,8 +17,9 @@ each functional checks it on entry.  Three evaluation regimes are provided:
   ``E_Q`` are disjoint, so the family's value is
   ``(sum scaled(Q)^p |E_Q|)^{1/p}``; the ``|Q|``-weighted variant is
   reported alongside.  Order 1 runs on a coverage DP over the cube tree
-  (``sparse_sup_dp``) up to ``SPARSE_DP_CELLS`` = 2^16 cells, thinner
-  orders on family enumeration (at most 15 tree nodes).
+  (``sparse_sup_dp``, one binary axis split per merge step) up to
+  ``SPARSE_DP_CELLS`` = 2^16 cells, thinner orders on family enumeration
+  (at most 15 tree nodes).
 * ``sparse_norm_bounds`` -- interval at any scale.  The upper bound is
   ``2 ||M_{q,lam}(f - P)||_p`` where ``P`` is the degree-(k-1) least
   squares fit on the root: for any cell x in a core set ``E_Q`` the summand
@@ -55,8 +56,7 @@ from .local_poly import (PolyFit, best_fit, convention_exponent, error_levels,
 # imported for its name alone: perfbench/tracer.py binds
 # ``oscnorm.norms.poly_error``; the code here calls ``error_levels``
 from .local_poly import poly_error  # noqa: F401
-from .maximal import (child_keys, lp_norm, maximal_cells, refine,
-                      sibling_sums)
+from .maximal import lp_norm, maximal_cells, refine, sibling_sums
 # imported for their names alone: perfbench/tracer.py binds them here; the
 # code here calls ``maximal_cells``
 from .maximal import chain_max, level_integrals  # noqa: F401
@@ -337,30 +337,44 @@ def _maxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _halves(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the second half of every cube along the trailing axis
+    ``axis`` (negative): two strided views."""
+    tail = (slice(None),) * (-1 - axis)
+    return tuple(a[(..., slice(i, None, 2), *tail)] for i in (0, 1))
+
+
+def _join(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """Interleave ``a`` and ``b`` back along the trailing axis ``axis``:
+    the inverse of :func:`_halves`."""
+    shape = list(a.shape)
+    shape[axis] *= 2
+    return np.stack((a, b), axis=axis).reshape(shape)
+
+
 def _coverage_pass(scores: list[np.ndarray], dimension: int,
                    penalised: bool, keep: bool) -> tuple[np.ndarray, list]:
     """One bottom-up pass of :func:`sparse_sup_dp`: the best total per
     tree, in measure units, with ``- s(R) c`` in ``V(R)`` when
     ``penalised``.  With ``keep`` it also returns, per level from the root
-    down, what :func:`_coverage_witness` reads: the merge stages and the
-    merged ``H'`` (none at the root), the second half's terms of ``V``,
-    whether each cube is taken when all its cells are covered, and how
-    many cells its first half then covers.
+    down, what :func:`_coverage_witness` reads: each axis split's halves
+    and merge, axis 0 first (its merge ``H'``, none at the root), the
+    second half's terms of ``V``, whether each cube is taken when all its
+    cells are covered, and how many cells its first half then covers.
 
     ``H`` holds the covered-cell count on its first axis, then the
     leading axes of ``scores`` and the level's grid, so every merge step
     and every maximum over the count runs on whole slabs of cubes.  The
-    children merge pairwise into two halves ``x`` and ``y`` of ``half``
-    cells each, and ``V`` needs no merge of them:
-    ``max_{c <= half} (H'[c] - s c)`` is the best of
+    children merge by halving the grid one axis at a time, the last axis
+    first (in 2D ``c00+c01`` and ``c10+c11``), down to two halves ``x``
+    and ``y`` along axis 0 of ``half`` cells each, and ``V`` needs no
+    merge of them: ``max_{c <= half} (H'[c] - s c)`` is the best of
     ``x[i] - s i + y[j] - s j`` over ``i + j <= half``, which is
     ``x[i] - s i`` plus a running maximum of the ``y`` terms.  So the
-    root, whose ``H'`` no parent reads, merges nothing but its quarters
-    (in 2D).
+    root, whose ``H'`` no parent reads, merges only along its last axes.
     """
     n, depth = dimension, len(scores) - 1
     lead = scores[0].shape[:-1]
-    keys = child_keys(n)
     H = np.zeros((2, *lead, *(1 << depth,) * n))
     H[1] = scores[depth].reshape(H.shape[1:])
     top = H[1]                  # the root alone, at depth 0
@@ -368,13 +382,12 @@ def _coverage_pass(scores: list[np.ndarray], dimension: int,
     for lvl in range(depth - 1, -1, -1):
         M = 1 << (n * (depth - lvl))
         half = M // 2
-        split = H.reshape(len(H), *lead, *(1 << lvl, 2) * n)
-        stages = [[split[key] for key in keys]]
-        while len(stages[-1]) > 2:
-            parts = stages[-1]
-            stages.append([_maxplus(parts[i], parts[i + 1])
-                           for i in range(0, len(parts), 2)])
-        x, y = stages[-1]           # half + 1 counts each
+        steps = []
+        for axis in range(-1, -n, -1):
+            x, y = _halves(H, axis)
+            H = _maxplus(x, y)
+            steps.append((x, y, H))
+        x, y = _halves(H, -n)       # half + 1 counts each
         s = scores[lvl].reshape(*lead, *(1 << lvl,) * n)
         xs, ys = x, y
         if penalised:
@@ -391,76 +404,57 @@ def _coverage_pass(scores: list[np.ndarray], dimension: int,
             Hp[M] = top
             H = Hp
         if keep:
-            trail.append((stages, Hp, ys, V >= full, terms.argmax(axis=0)))
+            steps.append((x, y, Hp))
+            trail.append((steps[::-1], ys, V >= full, terms.argmax(axis=0)))
     # covering one more cell never lowers a total, so H_root[M] is the best
     return top.reshape(lead) * 2.0 ** (-n * depth), trail[::-1]
 
 
 def _split(x: np.ndarray, y: np.ndarray, z: np.ndarray,
            c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``z``, a merge of rows ``x`` and ``y``, the first ``i``
-    with ``x[i] + y[c - i] == z[c]``, and ``c - i``."""
-    i = np.arange(x.shape[1])
-    j = c[:, None] - i
-    ok = (j >= 0) & (j < y.shape[1])
-    cand = x + np.take_along_axis(y, np.clip(j, 0, y.shape[1] - 1), axis=1)
-    hit = ok & (cand == np.take_along_axis(z, c[:, None], axis=1))
-    first = hit.argmax(axis=1)
-    if not hit[np.arange(c.size), first].all():
-        raise AssertionError("a merged total has no split")
-    return first, c - first
-
-
-def _rows(part: np.ndarray) -> np.ndarray:
-    """One row per cube, the covered-cell count along it."""
-    return part.reshape(len(part), -1).T
+    """Undo one merge ``z`` of ``x`` and ``y`` along the count axis, per
+    cube of ``c``: counts ``(i, c - i)`` for the first ``i`` with
+    ``x[i] + y[c - i] == z[c]``, searched only below the full count."""
+    a = np.full_like(c, len(x) - 1)
+    b = np.full_like(c, len(y) - 1)
+    rest = c < a + b                # all covered needs no search
+    if rest.any():
+        c = c[rest]
+        x, y, z = x[:, rest], y[:, rest], z[:, rest]
+        j = c - np.arange(len(x))[:, None]
+        ok = (j >= 0) & (j < len(y))
+        cand = x + np.take_along_axis(y, np.clip(j, 0, len(y) - 1), axis=0)
+        hit = ok & (cand == np.take_along_axis(z, c[None], axis=0))
+        first = hit.argmax(axis=0)
+        if not hit[first, np.arange(c.size)].all():
+            raise AssertionError("a merged total has no split")
+        a[rest], b[rest] = first, c - first
+    return a, b
 
 
 def _coverage_witness(trail: list, dimension: int,
                       depth: int) -> np.ndarray:
     """The members of a family attaining the core total of one tree, top
     down from the root with all its cells covered.  A cube whose cells are
-    all covered is taken where the pass took it; its halves then cover the
-    first best ``i`` and the first best count within ``half - i``.  Any
-    other cube splits its cells among its halves as ``H'`` did, and each
-    earlier merge stage splits them again, down to the children."""
+    all covered is taken where the pass took it; its halves along axis 0
+    then cover the first best ``i`` and the first best count within
+    ``half - i``.  Every other split is undone as it was merged, axis 0
+    first, and the halves' counts interleaved back along its axis."""
     n = dimension
     offsets = level_offsets(depth, n)
-    keys = child_keys(n)
-    want = np.array([1 << (n * depth)])
+    want = np.full((1,) * n, 1 << (n * depth))
     picks = []
-    for lvl, (stages, Hp, ys, take, pick) in enumerate(trail):
-        M = 1 << (n * (depth - lvl))
-        half = M // 2
-        member = (want == M) & take.reshape(-1)
+    for lvl, (steps, ys, take, pick) in enumerate(trail):
+        member = (want == 1 << (n * (depth - lvl))) & take
         picks.append(offsets[lvl] + np.flatnonzero(member))
-        a = np.full_like(want, half)
-        b = np.full_like(want, half)
-        a[member] = pick.reshape(-1)[member]
-        room = np.arange(half + 1) <= half - a[member][:, None]
-        b[member] = np.where(room, _rows(ys)[member], -np.inf).argmax(axis=1)
-        rest = want < M             # never a member
-        if rest.any():
-            x, y = (_rows(part) for part in stages[-1])
-            a[rest], b[rest] = _split(x[rest], y[rest], _rows(Hp)[rest],
-                                      want[rest])
-        targets = [a, b]
-        for stage in range(len(stages) - 1, 0, -1):
-            below = []
-            for z, c in zip(stages[stage], targets):
-                x, y = (_rows(part) for part in
-                        stages[stage - 1][len(below):len(below) + 2])
-                a = np.full_like(c, x.shape[1] - 1)
-                b = np.full_like(c, y.shape[1] - 1)
-                rest = c < a + b        # all covered needs no search
-                a[rest], b[rest] = _split(x[rest], y[rest], _rows(z)[rest],
-                                          c[rest])
-                below += [a, b]
-            targets = below
-        grid = np.empty((1 << lvl, 2) * n, dtype=np.int64)
-        for key, c in zip(keys, targets):
-            grid[key] = c.reshape((1 << lvl,) * n)
-        want = grid.reshape(-1)
+        for axis, (x, y, z) in enumerate(steps, -n):
+            a, b = _split(x, y, z, want)
+            if axis == -n:
+                a[member] = pick[member]
+                room = np.arange(len(y))[:, None] <= len(y) - 1 - a[member]
+                b[member] = np.where(room, ys[:, member],
+                                     -np.inf).argmax(axis=0)
+            want = _join(a, b, axis)
     picks.append(offsets[depth] + np.flatnonzero(want == 1))
     return np.concatenate(picks)
 
@@ -470,12 +464,14 @@ def sparse_sup_dp(scores: list[np.ndarray], dimension: int, *,
     """Order-1 sparse suprema by a coverage DP, batched over leading axes.
 
     ``scores[l]`` holds ``s(Q) = scaled(Q)^p`` of the level-``l`` cubes,
-    finite and nonnegative, flat row-major, ``(..., 2**(n*l))``.  A
-    family's core total ``sum s(Q)|E_Q|`` is the integral of ``s`` of the
-    smallest member over each covered cell.  In finest-cell units,
-    ``H_R[c]`` is the best total of a sparse family inside ``R`` whose top
-    members cover ``c`` cells, ``[0, s]`` at a finest cell; ``H'_R`` is
-    the (max,+) convolution of the children's;
+    finite and nonnegative (a negative or NaN one is refused), flat
+    row-major, ``(..., 2**(n*l))``.  A family's core total
+    ``sum s(Q)|E_Q|`` is the integral of ``s`` of the smallest member over
+    each covered cell.  In finest-cell units, ``H_R[c]`` is the best total
+    of a sparse family inside ``R`` whose top members cover ``c`` cells,
+    ``[0, s]`` at a finest cell; ``H'_R`` is the (max,+) convolution of
+    the children's, by binary splits one grid axis at a time, the last
+    first;
     ``V(R) = s(R) M + max_{c <= M/2} (H'_R[c] - s(R) c)`` is the best
     total with ``R`` a member, whose ``M`` cells its children cover at
     most half of; and ``H_R`` is ``H'_R`` with
@@ -488,8 +484,8 @@ def sparse_sup_dp(scores: list[np.ndarray], dimension: int, *,
     (1-D levels), the ascending breadth-first members of a family
     attaining ``core``.  Ties go to the shallower cube: ``R`` is taken
     when ``V(R) >= H'_R[M]`` (so an all-zero tree gets the root alone),
-    and other ties to the first best split.  Each row has the bits of its
-    one-row call.
+    and other ties to the first best split as the witness undoes the
+    splits, axis 0 first.  Each row has the bits of its one-row call.
 
     The merges are quadratic in the cell count, and general (max,+)
     convolution has no known strongly subquadratic algorithm (Cygan,
@@ -498,6 +494,9 @@ def sparse_sup_dp(scores: list[np.ndarray], dimension: int, *,
     """
     depth = len(scores) - 1
     _require_dp_scale(dimension, depth)
+    if not all(lvl.min() >= 0 for lvl in scores):     # NaN fails too
+        raise ValueError("the coverage DP needs nonnegative scores, got a "
+                         "negative or NaN one")
     if witness and scores[0].ndim != 1:
         raise ValueError("a witness is rebuilt for one tree at a time")
     core, trail = _coverage_pass(scores, dimension, True, witness)
@@ -670,8 +669,11 @@ def _bounds_setup(f: GridFunction, params: NormParams,
     if order != 1.0:
         # the stopping-time family is sparse(1); thinner classes may reject it
         stopping = validate_index(stopping.index, order, dimension=n, depth=L)
-    candidates = tuple(fam for fam in (stopping, finest_family(n, L, order))
-                       if isinstance(fam, CubeFamily))
+    candidates = (stopping,) if isinstance(stopping, CubeFamily) else ()
+    # at k >= 1 every finest cell is fitted exactly, so the finest packing
+    # scores 0 and could not set the lower side
+    if scaled[-(1 << (n * L)):].any():
+        candidates += (finest_family(n, L, order),)
     return _BoundsSetup(params, fit, GridFunction(n, L, mvals), scaled,
                         candidates)
 

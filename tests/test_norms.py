@@ -160,6 +160,20 @@ def test_k0_bounds_bracket_exhaustive_value(n, depth):
                 assert exact <= rep.value_upper * (1 + 1e-12), (q, p)
 
 
+@pytest.mark.parametrize("n, depth", [(1, 6), (2, 3)])
+def test_k0_bounds_lower_side_from_the_finest_packing(n, depth):
+    """At ``k = 0`` a finest cell's error is its own size, not 0, so the
+    finest packing stays a lower-side candidate: on a uniform grid at
+    ``p = 2`` it beats the stopping-time family and every singleton."""
+    f = GridFunction(n, depth, np.random.default_rng(0).uniform(
+        0.0, 1.0, 1 << (n * depth)))
+    params = NormParams.sv(2.0, 0, 1, 0.0)
+    rep = sparse_norm_bounds(f, params)
+    start, stop = level_offsets(depth, n)[depth:]
+    assert rep.witness.index.tolist() == list(range(start, stop))
+    assert rep.value_lower == family_value(f, rep.witness, params) > 0.0
+
+
 def test_core_form_below_weighted_form():
     rng = np.random.default_rng(4)
     for _ in range(30):

@@ -154,3 +154,15 @@ def test_a_witness_needs_one_tree():
     scores = [np.ones((2, 1)), np.ones((2, 2))]
     with pytest.raises(ValueError, match="one tree at a time"):
         sparse_sup_dp(scores, 1, witness=True)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_negative_or_nan_scores_are_refused(bad):
+    """A negative score would make one finest cell alone beat the root's
+    family, and NaN compares false everywhere: both are refused."""
+    scores = [np.array([bad]), np.array([bad, bad])]
+    with pytest.raises(ValueError, match="nonnegative scores"):
+        sparse_sup_dp(scores, 1, witness=True)
+    scores = [np.ones(1), np.array([1.0, bad]), np.ones(4)]
+    with pytest.raises(ValueError, match="nonnegative scores"):
+        sparse_sup_dp(scores, 1)
