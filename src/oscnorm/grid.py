@@ -143,6 +143,13 @@ def level_offsets(depth: int, dimension: int) -> np.ndarray:
     return np.cumsum([0] + [1 << (dimension * l) for l in range(depth + 1)])
 
 
+def _halves(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the second half of every cube along the trailing axis
+    ``axis`` (negative) of a level grid: two strided views."""
+    tail = (slice(None),) * (-1 - axis)
+    return tuple(a[(..., slice(i, None, 2), *tail)] for i in (0, 1))
+
+
 def cube_measures(depth: int, dimension: int) -> np.ndarray:
     """``|Q|`` of every cube in breadth-first order."""
     return np.concatenate([
@@ -218,6 +225,14 @@ class GridFunction:
         ``n == 2``, as a list of rows.  orjson rounds every decimal to the
         nearest double, as ``json.loads`` does, and refuses ``NaN``,
         ``Infinity`` and numbers that overflow a double as invalid JSON.
+
+        Types are checked in one pass: ``np.array`` infers the dtype, and a
+        float or signed-integer array of at most two axes holds numbers
+        only, except that numpy folds ``true`` and ``false`` into it as 1
+        and 0, so only the entries equal to 0 or 1 are looked up for a
+        bool.  Anything else (ragged rows, strings, ``null``, bools alone,
+        integers past ``int64``, deeper nesting) takes the exact per-entry
+        checks, so each refusal keeps its message.
         """
         try:
             payload = orjson.loads(text)
@@ -239,6 +254,18 @@ class GridFunction:
                        "of rows of numbers")
         if not isinstance(values, list):
             raise ValueError(not_numbers)
+        try:
+            array = np.array(values)
+        except ValueError:      # ragged nesting
+            array = None
+        if array is not None and array.dtype.kind in "fi" and array.ndim <= 2:
+            for at in zip(*np.nonzero((array == 0) | (array == 1))):
+                entry = values[at[0]]
+                if len(at) == 2:
+                    entry = entry[at[1]]
+                if type(entry) is bool:
+                    raise ValueError(not_numbers)
+            return cls(dim, depth, array)
         kinds = set(map(type, values))
         if kinds == {list}:     # rows of a 2-D grid
             if len(set(map(len, values))) != 1:

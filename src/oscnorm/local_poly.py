@@ -11,8 +11,9 @@ with ``q in {1, 2}``.  ``k = 0`` is the approximate-by-zero convention,
 Solvers
 -------
 One per-level table, :func:`_level_fits`, picks the route of every
-``(k, q)``: :func:`error_levels` calls it once per multi-cell level, and
-a single cube is its one-row call, with the bits of the level sweep.  The
+``(k, q)``: :func:`error_levels` calls it once per multi-cell level (at
+``k = 1, q = 1`` it runs :func:`median_sweep` instead), and a single cube
+is its one-row call, with the bits of the level sweep.  The
 ``q = 1, k >= 2`` route reads its starts from one call of each level
 kernel per level, then still fits its rows one at a time.
 
@@ -31,8 +32,14 @@ kernel per level, then still fits its rows one at a time.
   back into ``a_0``.  Nothing is held on the grid.
 * ``q = 1, k = 1``: the minimizing constant is a median of the cell values
   (equal weights on a dyadic cube); the LOWER median is taken so results are
-  deterministic.  :func:`median_deviations` sums ``|v - median|`` on the
-  sorted cells as it is, so nothing cancels.
+  deterministic.  ``|v - median|`` is summed on the sorted cells as it is,
+  so nothing cancels.  :func:`median_sweep` takes every level in one pass
+  up the tree: the levels whose cubes hold at most 8 cells (1D: 2, 4 and
+  8; 2D: 2x2) are sorted from the level below by odd-even merge networks
+  on whole columns, the coarser ones by ``np.sort``.  It has the bits of
+  :func:`median_deviations`, the ``np.sort`` route a single cube takes:
+  the networks keep every value, the deviations are added in the order
+  ``np.sum`` adds a row, and a zero median is read off ``np.sort``.
 * ``q = 1, k >= 2``, 1D and 2D affine: a Levenberg-damped Newton descent
   of the exact objective from the L2 fit (:func:`_newton_polish`), on the
   closed-form gradient ``-|Q| sum int sgn(v - P) u^alpha`` and Hessian
@@ -93,12 +100,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import CubeId, GridFunction, _unit_moment, multi_indices
+from .grid import (CubeId, GridFunction, _halves, _unit_moment,
+                   multi_indices)
 from .maximal import level_integrals
 
 __all__ = ["PolyFit", "best_fit", "error_levels", "l2_level_fits",
-           "median_deviations", "scaled_error", "convention_exponent",
-           "mean_oscillation"]
+           "median_deviations", "median_sweep", "scaled_error",
+           "convention_exponent", "mean_oscillation"]
 
 _NEWTON_STEPS = 100  # trial steps of a Newton polish, 1D and 2D affine
 _QUAD_RULE = 16  # midpoint subdivisions per cell axis, 2D quadratic corner
@@ -187,9 +195,14 @@ def error_levels(f: GridFunction, k: int, q: int) -> list[np.ndarray]:
         dens = np.abs(f.values_nd) ** q * f.cell_measure
         return [S.ravel() ** (1.0 / q)
                 for S in level_integrals(dens, f.dimension, f.depth)]
+    if (k, q) == (1, 1):
+        # one sweep, the finest level first; the medians are dropped
+        errs = [np.multiply(dev, f.cell_measure, out=dev) for _, dev in
+                median_sweep(f.values, f.dimension, f.depth)][::-1]
+    else:
+        errs = [_level_fits(f, lvl, k, q)[1] for lvl in range(f.depth)]
     # a one-cell cube is its own constant
-    return ([_level_fits(f, lvl, k, q)[1] for lvl in range(f.depth)]
-            + [np.zeros(f.n_cells)])
+    return errs + [np.zeros(f.n_cells)]
 
 
 def _level_fits(f: GridFunction, level: int, k: int, q: int,
@@ -213,12 +226,7 @@ def _level_fits(f: GridFunction, level: int, k: int, q: int,
         errs = level_integrals(dens.reshape(rows, *(1 << depth,) * n), n,
                                depth)[0].ravel() ** (1.0 / q)
     elif k == 1:
-        # sorted in place, the sweep holds one copy of the cells; in 1D
-        # and at the 2D root ``blocks`` is a view of the grid
-        if np.may_share_memory(blocks, f.values):
-            blocks = blocks.copy()
-        blocks.sort(axis=-1)
-        med, dev = _sorted_deviations(blocks)
+        med, dev = _sorted_deviations(np.sort(blocks, axis=-1))
         coeffs, errs = med[:, None], dev * f.cell_measure
     else:
         # the starts in one call of each kernel, then the fits row by row
@@ -392,20 +400,134 @@ def _cube_blocks(values: np.ndarray, dimension: int, depth: int, level: int,
 
 # -- exact L1 constant (lower median) --------------------------------------
 
+# Batcher's odd-even merge (AFIPS SJCC 1968; Knuth, TAOCP vol. 3, 5.3.4)
+# of two sorted runs of 1, 2 or 4 columns laid side by side: the
+# compare-exchanges, in order
+_MERGES = {2: ((0, 1),),
+           4: ((0, 2), (1, 3), (1, 2)),
+           8: ((0, 4), (1, 5), (2, 6), (3, 7), (2, 4), (3, 5),
+               (1, 2), (3, 4), (5, 6))}
+# below this many cells, trial axes included, a sweep is faster on
+# ``np.sort`` alone, which makes fewer numpy calls per level (measured
+# crossover: 1,024 to 2,048 cells in 1D and 2D)
+_NETWORK_CELLS = 1 << 11
+
+
 def median_deviations(values: np.ndarray, dimension: int, depth: int,
                       level: int) -> tuple[np.ndarray, np.ndarray]:
     """The lower median of each level-``level`` cube's cell values and
     ``sum |v - median|`` over its cells, both ``(..., 2**(n*level))`` flat
     row-major.  ``values`` holds the cells flat row-major on the last axis,
     after any leading trial axes.  The deviations are summed as they are,
-    so nothing cancels and an added constant moves no bit."""
-    return _sorted_deviations(
-        np.sort(_cube_blocks(values, dimension, depth, level), axis=-1))
+    so nothing cancels and an added constant moves no bit.  One level by
+    ``np.sort``, on one copy of the cells (in 1D and at the 2D root
+    ``_cube_blocks`` is a view of ``values``); :func:`median_sweep` gives
+    every level with these bits."""
+    blocks = _cube_blocks(values, dimension, depth, level)
+    if np.may_share_memory(blocks, values):
+        blocks = blocks.copy()
+    blocks.sort(axis=-1)
+    return _sorted_deviations(blocks)
+
+
+def median_sweep(values: np.ndarray, dimension: int, depth: int):
+    """Yield :func:`median_deviations` of every level with more than one
+    cell per cube, the finest first, with its bits, for finite ``values``.
+
+    Each level whose cubes hold at most 8 cells (1D: 2, 4 and 8 cells; 2D:
+    the 2x2 cubes) is sorted from the level below, as columns, one per
+    rank (:func:`_network_level`): odd-even merge networks of
+    ``np.minimum`` / ``np.maximum`` with 1, 3 and 9 compare-exchanges, and
+    5 for a 2x2 cube.  The networks keep every value, so each column holds
+    the values of the ``np.sort`` column, and :func:`_column_deviations`
+    adds the terms in the order ``np.sum`` adds a row: the deviations keep
+    their bits.  A median keeps them too; only a zero one is read again
+    off ``np.sort``, which alone decides where ``-0.0`` and ``0.0`` land.
+    Coarser levels, and every level of a sweep of fewer than
+    ``_NETWORK_CELLS`` cells, are sorted by ``np.sort``, a copy of their
+    cells at a time."""
+    n = dimension
+    cols = [values.reshape(*values.shape[:-1], *(1 << depth,) * n)]
+    for level in range(depth - 1, -1, -1):
+        m = 1 << (n * (depth - level))
+        if m > 8 or values.size < _NETWORK_CELLS:
+            cols = None
+            yield median_deviations(values, n, depth, level)
+            continue
+        cols = _network_level(cols, n)
+        med = cols[(m - 1) // 2]
+        dev = _column_deviations(cols, med)
+        lead = med.shape[:-n]
+        yield (_zero_medians(med.reshape(*lead, -1), values, n, depth, level),
+               dev.reshape(*lead, -1))
+
+
+def _network_level(cols, dimension):
+    """The sorted columns of the cubes one level up from the sorted columns
+    ``cols`` of a level grid.  Each cube's ``2**n`` children, split one
+    axis at a time (:func:`~oscnorm.grid._halves`), are sorted runs of
+    strided views, so no child is copied; adjacent runs merge until one is
+    left, the last axis first, as in the coverage DP."""
+    runs = [list(cols)]
+    for axis in range(-dimension, 0):
+        runs = [list(half) for run in runs
+                for half in zip(*(_halves(c, axis) for c in run))]
+    width, cols = len(runs[0]), [c for run in runs for c in run]
+    while width < len(cols):
+        for base in range(0, len(cols), 2 * width):
+            for i, j in _MERGES[2 * width]:
+                a, b = cols[base + i], cols[base + j]
+                cols[base + i], cols[base + j] = (np.minimum(a, b),
+                                                  np.maximum(a, b))
+        width *= 2
+    return cols
+
+
+def _column_deviations(cols, med):
+    """``sum |c - med|`` over the sorted columns ``cols``, added as
+    ``np.sum`` adds a contiguous row: left to right below 8 terms, and at 8
+    numpy's pairwise block ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 +
+    r7))``.  The median's own term is ``+0.0`` and is left out, which
+    moves no bit of a sum of nonnegative terms."""
+    def term(c):
+        if c is med:
+            return None
+        r = np.subtract(c, med)
+        return np.abs(r, out=r)
+
+    def add(a, b):
+        if a is None or b is None:
+            return b if a is None else a
+        a += b
+        return a
+
+    if len(cols) < 8:
+        return functools.reduce(add, map(term, cols))
+    pairs = [add(term(a), term(b)) for a, b in zip(cols[::2], cols[1::2])]
+    return add(add(pairs[0], pairs[1]), add(pairs[2], pairs[3]))
+
+
+def _zero_medians(med, values, dimension, depth, level):
+    """``med`` with each zero median taken from ``np.sort`` of its cube's
+    cells: ``np.sort`` orders ``-0.0`` and ``0.0`` as its build does, and a
+    network may move them."""
+    *lead, cube = np.nonzero(med == 0)
+    if not cube.size:
+        return med
+    side, cells = 1 << level, 1 << (depth - level)
+    grid = values.reshape(*values.shape[:-1], *(side, cells) * dimension)
+    coords = np.unravel_index(cube, (side,) * dimension)
+    rows = grid[(*lead, *(x for c in coords for x in (c, slice(None))))]
+    rows = np.sort(rows.reshape(cube.size, -1), axis=-1)
+    med = med.copy()
+    med[(*lead, cube)] = rows[:, (rows.shape[-1] - 1) // 2]
+    return med
 
 
 def _sorted_deviations(srt):
     """The lower medians and deviations of the rows ``srt``, sorted on
-    the last axis, which are overwritten."""
+    the last axis, which are overwritten: ``np.sum`` adds each row of
+    ``|v - median|``, in the order :func:`_column_deviations` keeps."""
     med = srt[..., (srt.shape[-1] - 1) // 2].copy()
     srt -= med[..., None]
     np.abs(srt, out=srt)

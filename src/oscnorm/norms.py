@@ -50,7 +50,8 @@ from .families import (CubeFamily, FamilyTables, _class_of, checked,
 # ``oscnorm.norms.validate``; the code here calls ``checked`` and
 # ``validate_index``
 from .families import validate  # noqa: F401
-from .grid import CubeId, GridFunction, cube_measures, level_offsets
+from .grid import (CubeId, GridFunction, _halves, cube_measures,
+                   level_offsets)
 from .local_poly import (PolyFit, best_fit, convention_exponent, error_levels,
                          residual_cell_integrals)
 # imported for its name alone: perfbench/tracer.py binds
@@ -337,16 +338,9 @@ def _maxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _halves(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first and the second half of every cube along the trailing axis
-    ``axis`` (negative): two strided views."""
-    tail = (slice(None),) * (-1 - axis)
-    return tuple(a[(..., slice(i, None, 2), *tail)] for i in (0, 1))
-
-
 def _join(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
     """Interleave ``a`` and ``b`` back along the trailing axis ``axis``:
-    the inverse of :func:`_halves`."""
+    the inverse of :func:`~oscnorm.grid._halves`."""
     shape = list(a.shape)
     shape[axis] *= 2
     return np.stack((a, b), axis=axis).reshape(shape)
@@ -464,8 +458,9 @@ def sparse_sup_dp(scores: list[np.ndarray], dimension: int, *,
     """Order-1 sparse suprema by a coverage DP, batched over leading axes.
 
     ``scores[l]`` holds ``s(Q) = scaled(Q)^p`` of the level-``l`` cubes,
-    finite and nonnegative (a negative or NaN one is refused), flat
-    row-major, ``(..., 2**(n*l))``.  A family's core total
+    nonnegative (a negative or NaN one is refused), flat row-major,
+    ``(..., 2**(n*l))``; a tree holding an infinite score totals ``+inf``,
+    and the other rows keep their bits.  A family's core total
     ``sum s(Q)|E_Q|`` is the integral of ``s`` of the smallest member over
     each covered cell.  In finest-cell units, ``H_R[c]`` is the best total
     of a sparse family inside ``R`` whose top members cover ``c`` cells,
@@ -499,9 +494,17 @@ def sparse_sup_dp(scores: list[np.ndarray], dimension: int, *,
                          "negative or NaN one")
     if witness and scores[0].ndim != 1:
         raise ValueError("a witness is rebuilt for one tree at a time")
+    # a tree with an infinite score totals +inf (that cube alone); the
+    # pass sees 0 there, since ``0 * inf`` and ``inf - inf`` give NaN
+    infinite = np.any([np.isinf(lvl).any(axis=-1) for lvl in scores], axis=0)
+    if infinite.any():
+        scores = [np.where(np.isinf(lvl), 0.0, lvl) for lvl in scores]
     core, trail = _coverage_pass(scores, dimension, True, witness)
     wtd = (_coverage_pass(scores, dimension, False, False)[0] if weighted
            else None)
+    if infinite.any():
+        core = np.where(infinite, np.inf, core)[()]
+        wtd = None if wtd is None else np.where(infinite, np.inf, wtd)[()]
     members = None
     if witness:
         if not np.isfinite(core):

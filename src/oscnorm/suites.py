@@ -6,7 +6,7 @@ heavy lifting runs on stacked value matrices (one row per trial), so suites
 stay fast enough to act as calibration runs with thousands of grids.
 
 The rows go through the library's own kernels (``level_integrals``,
-``maximal_cells``, ``lp_rows``, ``median_deviations``, ``packing_dp`` on
+``maximal_cells``, ``lp_rows``, ``median_sweep``, ``packing_dp`` on
 the library's packing weights, ``sparse_sup_dp``, ``llogl_rows``), which
 take any leading trial axes and give each row the bits of the single-grid
 call; only the final root is taken on arrays here and on scalars there.
@@ -52,7 +52,7 @@ from .generate import batch_uniform, log_singularity
 from .grid import GridFunction, _check_cells
 from .maximal import (level_integrals, lp_norm, lp_rows, maximal_cells,
                       maximal_opnorm_bound)
-from .local_poly import median_deviations
+from .local_poly import median_sweep
 from .norms import (NormParams, _bounds_at, _bounds_setup, _levels,
                     _packing_value, _packing_weights, _sparse_setup,
                     _sparse_sup, bmo_norm, llogl_rows, packing_dp,
@@ -154,6 +154,13 @@ def _scaled_e1(e1: list[np.ndarray], n: int,
 def _scaled_flat_e1(e1: list[np.ndarray], n: int, exponent: float) -> np.ndarray:
     """|Q|^exponent * E_1 concatenated in breadth-first order."""
     return np.concatenate(_scaled_e1(e1, n, exponent), axis=1)
+
+
+def _median_levels(V: np.ndarray, n: int,
+                   L: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The lower medians and ``sum |v - median|`` of every level, root
+    first, by one :func:`median_sweep`; the one-cell level is ``(V, 0)``."""
+    return list(median_sweep(V, n, L))[::-1] + [(V, np.zeros_like(V))]
 
 
 def _packing_rows(errors: list[np.ndarray], n: int, p: float) -> np.ndarray:
@@ -301,7 +308,7 @@ def _suite_sparse_jn(cfg: SuiteConfig) -> SuiteReport:
     cell_meas = 2.0 ** (-n * L)
     tables = family_tables(n, L, 1.0)
     n_fam = tables.core_meas.shape[0]
-    med_dev = [median_deviations(V, n, L, lvl) for lvl in range(L + 1)]
+    med_dev = _median_levels(V, n, L)
     e1 = [dev * cell_meas for _, dev in med_dev]
     scaled = _scaled_flat_e1(e1, n, -1.0)       # |Q|^{-1} E_1
     # |f - m| integrated over each cell, m the root median
@@ -436,8 +443,7 @@ def _suite_fractional_sv(cfg: SuiteConfig) -> SuiteReport:
     V = batch_uniform(n, L, cfg.seed, cfg.trials)
     T = V.shape[0]
     cell_meas = 2.0 ** (-n * L)
-    e1 = [median_deviations(V, n, L, lvl)[1] * cell_meas
-          for lvl in range(L + 1)]
+    e1 = [dev * cell_meas for _, dev in _median_levels(V, n, L)]
     mean = V.mean(axis=1)
     r_cells = np.abs(V - mean[:, None]) * cell_meas
     p_list = (1.0, 2.0, 4.0)
@@ -551,8 +557,7 @@ def _suite_sobolev_chain(cfg: SuiteConfig) -> SuiteReport:
     T = V.shape[0]
     cell_meas = 2.0 ** (-n * L)
     tables = family_tables(n, L, 1.0)
-    e1 = [median_deviations(V, n, L, lvl)[1] * cell_meas
-          for lvl in range(L + 1)]
+    e1 = [dev * cell_meas for _, dev in _median_levels(V, n, L)]
     # |Q|^{lam/n - 1} E_1 and |Q|^{-1} E_1 raised to the link exponents
     sq = _scaled_flat_e1(e1, n, lam / n - 1.0) ** q
     scaled = _scaled_e1(e1, n, -1.0)
@@ -625,8 +630,7 @@ def _suite_embedding_chain(cfg: SuiteConfig) -> SuiteReport:
     sparse = family_tables(n, L, 1.0)
     member = (pack.cube_meas > 0).astype(np.float64)
     fam_meas = pack.cube_meas.sum(axis=1)
-    e1 = [median_deviations(V, n, L, lvl)[1] * cell_meas
-          for lvl in range(L + 1)]
+    e1 = [dev * cell_meas for _, dev in _median_levels(V, n, L)]
     e1_flat = _scaled_flat_e1(e1, n, 0.0)
     scaled = _scaled_e1(e1, n, -1.0)
     # the first trials' rows of every sparse family, by the library's table

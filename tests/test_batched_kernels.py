@@ -6,16 +6,20 @@ one row per trial; suite reports stay byte-identical only while the two
 agree exactly.
 """
 
+import functools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscnorm import local_poly
 from oscnorm.grid import GridFunction
-from oscnorm.local_poly import median_deviations
+from oscnorm.local_poly import (_column_deviations, median_deviations,
+                                median_sweep)
 from oscnorm.maximal import (chain_max, fractional_maximal, level_integrals,
                              lp_norm, lp_rows, maximal_cells)
 from oscnorm.norms import packing_dp
@@ -101,6 +105,84 @@ def test_median_deviations_rowwise(seed, shape, trials, dist):
             single_med, single_dev = median_deviations(V[t], n, depth, lvl)
             assert np.array_equal(med[t], single_med)
             assert np.array_equal(dev[t], single_dev)
+
+
+def _sweep_values(seed, n, depth, lead, dist):
+    rng = np.random.default_rng(seed)
+    size = (*lead, 1 << (n * depth))
+    return {"uniform": lambda: rng.uniform(0.0, 1.0, size),
+            "ties": lambda: rng.integers(-2, 3, size).astype(float),
+            "zeros": lambda: rng.choice([-0.0, 0.0, 1.0, -1.0], size),
+            "negative": lambda: -rng.lognormal(0.0, 1.5, size),
+            "offset": lambda: rng.uniform(0.0, 1.0, size) + 1e12}[dist]()
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1),
+       st.sampled_from([(1, d) for d in range(13)]
+                       + [(2, d) for d in range(7)]),
+       st.sampled_from([(), (1,), (3,), (2, 2)]),
+       st.sampled_from(["uniform", "ties", "zeros", "negative", "offset"]))
+def test_median_sweep_has_the_bits_of_the_sort_route(seed, shape, lead,
+                                                     dist):
+    """Every level of the sweep, networks included, gives the medians and
+    deviations of ``median_deviations`` (``np.sort``) bit for bit, signed
+    zeros too, and each row those of its one-row sweep."""
+    n, depth = shape
+    V = _sweep_values(seed, n, depth, lead, dist)
+    # the networks at every size, then the sweep as it picks its route
+    for cells in (0, local_poly._NETWORK_CELLS):
+        with mock.patch.object(local_poly, "_NETWORK_CELLS", cells):
+            swept = list(median_sweep(V, n, depth))[::-1]
+            one = {row: list(median_sweep(V[row], n, depth))[::-1]
+                   for row in np.ndindex(*lead)}
+        assert len(swept) == depth
+        for lvl, (med, dev) in enumerate(swept):
+            want_med, want_dev = median_deviations(V, n, depth, lvl)
+            assert _same_bits(med, want_med), lvl
+            assert _same_bits(dev, want_dev), lvl
+            for row, levels in one.items():
+                assert _same_bits(med[row], levels[lvl][0])
+                assert _same_bits(dev[row], levels[lvl][1])
+
+
+@pytest.mark.parametrize("n, depth", [(1, 3), (2, 2)])
+def test_median_sweep_sorts_every_zero_one_grid(n, depth):
+    """The networks sort every 0-1 input (Knuth's 0-1 principle), so they
+    sort everything: all ``2**cells`` 0-1 grids as one batch."""
+    cells = 1 << (n * depth)
+    V = ((np.arange(1 << cells)[:, None] >> np.arange(cells)) & 1) * 1.0
+    with mock.patch.object(local_poly, "_NETWORK_CELLS", 0):
+        swept = list(median_sweep(V, n, depth))[::-1]
+    for lvl, (med, dev) in enumerate(swept):
+        want_med, want_dev = median_deviations(V, n, depth, lvl)
+        assert _same_bits(med, want_med) and _same_bits(dev, want_dev)
+
+
+@pytest.mark.parametrize("cells", [2, 4, 8])
+def test_column_deviations_add_as_numpy_adds_a_row(cells):
+    """The sweep adds ``|v - median|`` over sorted columns in the order of
+    numpy's contiguous row sum: left to right below 8 terms, its pairwise
+    block at 8.  Terms spread over 40 orders of magnitude make the order
+    show, so a numpy release that reorders its reduction fails here."""
+    rng = np.random.default_rng(cells)
+    rows = np.sort(rng.lognormal(0.0, 20.0, (20_000, cells))
+                   * rng.choice([-1.0, 1.0], (20_000, cells)), axis=-1)
+    cols = list(rows.T.copy())
+    med = cols[(cells - 1) // 2]
+    want = np.abs(rows - med[:, None]).sum(axis=-1)
+    assert _same_bits(_column_deviations(cols, med), want)
+    # the data tells orders apart: at 8 terms left to right is not
+    # numpy's order, and below 8 right to left is not
+    terms = np.abs(rows - med[:, None]).T
+    left = functools.reduce(np.add, terms)
+    right = functools.reduce(np.add, terms[::-1])
+    if cells > 2:
+        assert ((left if cells == 8 else right) != want).any()
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e8, 1e12])

@@ -263,6 +263,55 @@ def test_cli_refuses_values_that_are_not_numbers(tmp_path, capsys, values,
     assert reason in err and "Traceback" not in err
 
 
+_NOT_NUMBERS = ("'values' must be a flat list of numbers, or a list of rows "
+                "of numbers")
+
+
+def _grid_file(tmp_path, dimension, depth, values):
+    path = tmp_path / "grid.json"
+    path.write_text('{"dimension": %d, "depth": %d, "values": %s}'
+                    % (dimension, depth, values))
+    return str(path)
+
+
+@pytest.mark.parametrize("dimension, depth, values, message", [
+    (1, 1, "[1.0, true]", _NOT_NUMBERS),
+    (1, 1, "[1, true]", _NOT_NUMBERS),
+    (1, 1, "[true, false]", _NOT_NUMBERS),
+    (1, 1, '["1.5", 2.0]', _NOT_NUMBERS),
+    (1, 1, "[null, 1.0]", _NOT_NUMBERS),
+    (2, 1, "[[1.0], 2.0]", _NOT_NUMBERS),
+    (2, 1, "[[1.0], [2.0, 3.0]]", "the rows of 'values' differ in length"),
+    (1, 0, "[[[1.0]]]", _NOT_NUMBERS),
+])
+def test_decode_refusals_keep_their_one_line(tmp_path, capsys, dimension,
+                                             depth, values, message):
+    """``np.array`` folds ``true`` into a number array and cannot read
+    ragged rows; each refusal still exits 2 with its exact line."""
+    path = _grid_file(tmp_path, dimension, depth, values)
+    code, out, err = _run(capsys, ["compute", "--input", path,
+                                   "--norm", "bmo"])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("dimension, depth, values", [
+    (2, 1, "[0, 1, 0.0, 1.0]"),
+    (1, 0, "[18446744073709551615]"),
+    (1, 0, "[-0.0]"),
+    (2, 1, "[[0.5, 1], [2, 0.0]]"),
+])
+def test_decode_accepts_numbers_with_their_values(tmp_path, capsys,
+                                                  dimension, depth, values):
+    """Integers equal to 0 or 1 are not booleans, an integer past
+    ``int64`` and ``-0.0`` keep their doubles, and rows read row-major."""
+    path = _grid_file(tmp_path, dimension, depth, values)
+    code, _, _ = _run(capsys, ["compute", "--input", path, "--norm", "bmo"])
+    assert code == 0
+    want = np.asarray(json.loads(values), dtype=np.float64).ravel()
+    assert GridFunction.from_file(path).values.tobytes() == want.tobytes()
+
+
 def test_compute_ri_functionals(step_file, capsys):
     code, out, _ = _run(capsys, [
         "compute", "--input", step_file, "--norm", "weaklp", "--p", "2"])

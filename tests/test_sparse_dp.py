@@ -166,3 +166,43 @@ def test_negative_or_nan_scores_are_refused(bad):
     scores = [np.ones(1), np.array([1.0, bad]), np.ones(4)]
     with pytest.raises(ValueError, match="nonnegative scores"):
         sparse_sup_dp(scores, 1)
+
+
+def test_an_infinite_score_above_the_finest_level_totals_inf():
+    """``0 * inf`` in the pass's penalty gave NaN here; the cube alone
+    totals ``+inf``, weighted too."""
+    core, weighted, _ = sparse_sup_dp([np.array([np.inf]),
+                                       np.array([1.0, 1.0])], 1)
+    assert core == weighted == math.inf
+
+
+@pytest.mark.parametrize("n, depth", [(1, 4), (2, 2)])
+@pytest.mark.parametrize("level", ["root", "middle", "finest"])
+def test_a_tree_holding_an_infinite_score_totals_inf(n, depth, level):
+    """Wherever the infinite score sits, the best total is ``+inf``, on
+    both passes, and the witness path refuses it."""
+    rng = np.random.default_rng(depth)
+    scores = [rng.lognormal(0.0, 1.0, 1 << (n * lvl))
+              for lvl in range(depth + 1)]
+    lvl = {"root": 0, "middle": depth // 2, "finest": depth}[level]
+    scores[lvl][-1] = np.inf
+    core, weighted, _ = sparse_sup_dp(scores, n)
+    assert core == weighted == math.inf
+    with pytest.raises(ValueError, match="not finite"):
+        sparse_sup_dp(scores, n, witness=True)
+
+
+@pytest.mark.parametrize("n, depth", [(1, 5), (2, 3)])
+def test_one_infinite_row_leaves_the_finite_rows_their_bits(n, depth):
+    """In a batch, the tree with an infinite score totals ``+inf`` and
+    every finite tree keeps the bits of its one-row call."""
+    rng = np.random.default_rng(depth)
+    scores = [rng.lognormal(0.0, 1.0, (4, 1 << (n * lvl)))
+              for lvl in range(depth + 1)]
+    scores[1][2, 0] = np.inf
+    core, weighted, _ = sparse_sup_dp(scores, n)
+    assert core[2] == weighted[2] == math.inf
+    for row in (0, 1, 3):
+        one = sparse_sup_dp([s[row] for s in scores], n)
+        assert one[0].tobytes() == core[row].tobytes()
+        assert one[1].tobytes() == weighted[row].tobytes()
