@@ -226,13 +226,14 @@ class GridFunction:
         nearest double, as ``json.loads`` does, and refuses ``NaN``,
         ``Infinity`` and numbers that overflow a double as invalid JSON.
 
-        Types are checked in one pass: ``np.array`` infers the dtype, and a
+        Types are read off one ``np.array`` call, which infers the dtype: a
         float or signed-integer array of at most two axes holds numbers
         only, except that numpy folds ``true`` and ``false`` into it as 1
-        and 0, so only the entries equal to 0 or 1 are looked up for a
-        bool.  Anything else (ragged rows, strings, ``null``, bools alone,
-        integers past ``int64``, deeper nesting) takes the exact per-entry
-        checks, so each refusal keeps its message.
+        and 0, so a grid with an entry equal to 0 or 1 has the type of
+        every entry scanned for a bool as well.  Anything else (ragged
+        rows, strings, ``null``, bools alone, integers past ``int64``,
+        deeper nesting) takes the exact per-entry checks, so each refusal
+        keeps its message.
         """
         try:
             payload = orjson.loads(text)
@@ -259,11 +260,11 @@ class GridFunction:
         except ValueError:      # ragged nesting
             array = None
         if array is not None and array.dtype.kind in "fi" and array.ndim <= 2:
-            for at in zip(*np.nonzero((array == 0) | (array == 1))):
-                entry = values[at[0]]
-                if len(at) == 2:
-                    entry = entry[at[1]]
-                if type(entry) is bool:
+            # numpy reads true and false as 1 and 0
+            if ((array == 0) | (array == 1)).any():
+                cells = (values if array.ndim == 1
+                         else itertools.chain.from_iterable(values))
+                if bool in set(map(type, cells)):
                     raise ValueError(not_numbers)
             return cls(dim, depth, array)
         kinds = set(map(type, values))

@@ -36,10 +36,11 @@ kernel per level, then still fits its rows one at a time.
   so nothing cancels.  :func:`median_sweep` takes every level in one pass
   up the tree: the levels whose cubes hold at most 8 cells (1D: 2, 4 and
   8; 2D: 2x2) are sorted from the level below by odd-even merge networks
-  on whole columns, the coarser ones by ``np.sort``.  It has the bits of
-  :func:`median_deviations`, the ``np.sort`` route a single cube takes:
-  the networks keep every value, the deviations are added in the order
-  ``np.sum`` adds a row, and a zero median is read off ``np.sort``.
+  on whole columns, the coarser ones by ``np.sort``.  Its deviations have
+  the bits of :func:`median_deviations`, the ``np.sort`` route a single
+  cube takes, and its medians the values: the networks keep every value
+  and the deviations are added in the order ``np.sum`` adds a row.  Only
+  the sign of a zero median may differ, which no error sees.
 * ``q = 1, k >= 2``, 1D and 2D affine: a Levenberg-damped Newton descent
   of the exact objective from the L2 fit (:func:`_newton_polish`), on the
   closed-form gradient ``-|Q| sum int sgn(v - P) u^alpha`` and Hessian
@@ -432,7 +433,8 @@ def median_deviations(values: np.ndarray, dimension: int, depth: int,
 
 def median_sweep(values: np.ndarray, dimension: int, depth: int):
     """Yield :func:`median_deviations` of every level with more than one
-    cell per cube, the finest first, with its bits, for finite ``values``.
+    cell per cube, the finest first, for finite ``values``: the deviations
+    with its bits, the medians with its values.
 
     Each level whose cubes hold at most 8 cells (1D: 2, 4 and 8 cells; 2D:
     the 2x2 cubes) is sorted from the level below, as columns, one per
@@ -441,11 +443,11 @@ def median_sweep(values: np.ndarray, dimension: int, depth: int):
     5 for a 2x2 cube.  The networks keep every value, so each column holds
     the values of the ``np.sort`` column, and :func:`_column_deviations`
     adds the terms in the order ``np.sum`` adds a row: the deviations keep
-    their bits.  A median keeps them too; only a zero one is read again
-    off ``np.sort``, which alone decides where ``-0.0`` and ``0.0`` land.
-    Coarser levels, and every level of a sweep of fewer than
-    ``_NETWORK_CELLS`` cells, are sorted by ``np.sort``, a copy of their
-    cells at a time."""
+    their bits.  A zero median may be ``-0.0`` where ``np.sort`` gives
+    ``0.0`` or the other way round, as the two order equal values apart;
+    ``|v - median|`` is the same for either.  Coarser levels, and every
+    level of a sweep of fewer than ``_NETWORK_CELLS`` cells, are sorted by
+    ``np.sort``, a copy of their cells at a time."""
     n = dimension
     cols = [values.reshape(*values.shape[:-1], *(1 << depth,) * n)]
     for level in range(depth - 1, -1, -1):
@@ -458,8 +460,7 @@ def median_sweep(values: np.ndarray, dimension: int, depth: int):
         med = cols[(m - 1) // 2]
         dev = _column_deviations(cols, med)
         lead = med.shape[:-n]
-        yield (_zero_medians(med.reshape(*lead, -1), values, n, depth, level),
-               dev.reshape(*lead, -1))
+        yield med.reshape(*lead, -1), dev.reshape(*lead, -1)
 
 
 def _network_level(cols, dimension):
@@ -505,23 +506,6 @@ def _column_deviations(cols, med):
         return functools.reduce(add, map(term, cols))
     pairs = [add(term(a), term(b)) for a, b in zip(cols[::2], cols[1::2])]
     return add(add(pairs[0], pairs[1]), add(pairs[2], pairs[3]))
-
-
-def _zero_medians(med, values, dimension, depth, level):
-    """``med`` with each zero median taken from ``np.sort`` of its cube's
-    cells: ``np.sort`` orders ``-0.0`` and ``0.0`` as its build does, and a
-    network may move them."""
-    *lead, cube = np.nonzero(med == 0)
-    if not cube.size:
-        return med
-    side, cells = 1 << level, 1 << (depth - level)
-    grid = values.reshape(*values.shape[:-1], *(side, cells) * dimension)
-    coords = np.unravel_index(cube, (side,) * dimension)
-    rows = grid[(*lead, *(x for c in coords for x in (c, slice(None))))]
-    rows = np.sort(rows.reshape(cube.size, -1), axis=-1)
-    med = med.copy()
-    med[(*lead, cube)] = rows[:, (rows.shape[-1] - 1) // 2]
-    return med
 
 
 def _sorted_deviations(srt):

@@ -496,13 +496,15 @@ def sparse_sup_dp(scores: list[np.ndarray], dimension: int, *,
         raise ValueError("a witness is rebuilt for one tree at a time")
     # a tree with an infinite score totals +inf (that cube alone); the
     # pass sees 0 there, since ``0 * inf`` and ``inf - inf`` give NaN
-    infinite = np.any([np.isinf(lvl).any(axis=-1) for lvl in scores], axis=0)
-    if infinite.any():
+    infinite = None
+    if any(lvl.max() == np.inf for lvl in scores):
+        infinite = np.any([np.isinf(lvl).any(axis=-1) for lvl in scores],
+                          axis=0)
         scores = [np.where(np.isinf(lvl), 0.0, lvl) for lvl in scores]
     core, trail = _coverage_pass(scores, dimension, True, witness)
     wtd = (_coverage_pass(scores, dimension, False, False)[0] if weighted
            else None)
-    if infinite.any():
+    if infinite is not None:
         core = np.where(infinite, np.inf, core)[()]
         wtd = None if wtd is None else np.where(infinite, np.inf, wtd)[()]
     members = None

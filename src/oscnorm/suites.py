@@ -311,7 +311,8 @@ def _suite_sparse_jn(cfg: SuiteConfig) -> SuiteReport:
     med_dev = _median_levels(V, n, L)
     e1 = [dev * cell_meas for _, dev in med_dev]
     scaled = _scaled_flat_e1(e1, n, -1.0)       # |Q|^{-1} E_1
-    # |f - m| integrated over each cell, m the root median
+    # |f - m| integrated over each cell, m the root median (a zero m of
+    # either sign gives the same bits)
     r_cells = np.abs(V - med_dev[0][0]) * cell_meas
     mx = maximal_cells(r_cells, n, L, 1, 0.0)
 

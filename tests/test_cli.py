@@ -281,6 +281,7 @@ def _grid_file(tmp_path, dimension, depth, values):
     (1, 1, '["1.5", 2.0]', _NOT_NUMBERS),
     (1, 1, "[null, 1.0]", _NOT_NUMBERS),
     (2, 1, "[[1.0], 2.0]", _NOT_NUMBERS),
+    (2, 1, "[[0.5, 2.0], [false, 3.0]]", _NOT_NUMBERS),
     (2, 1, "[[1.0], [2.0, 3.0]]", "the rows of 'values' differ in length"),
     (1, 0, "[[[1.0]]]", _NOT_NUMBERS),
 ])
