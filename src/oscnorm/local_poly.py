@@ -14,8 +14,9 @@ One per-level table, :func:`_level_fits`, picks the route of every
 ``(k, q)``: :func:`error_levels` calls it once per multi-cell level (at
 ``k = 1, q = 1`` it runs :func:`median_sweep` instead), and a single cube
 is its one-row call, with the bits of the level sweep.  The
-``q = 1, k >= 2`` route reads its starts from one call of each level
-kernel per level, then still fits its rows one at a time.
+``q = 1, k >= 2`` route fits a level of 1D two-cell cubes in closed form,
+every row at once; on larger cubes it reads its starts from one call of
+each level kernel per level, then still fits its rows one at a time.
 
 * ``k = 0``: ``level_integrals`` of ``|f|^q``, on the cube's block alone.
 * ``q = 2``: exact orthogonal projection.  Fits use the scaled monomial basis
@@ -41,10 +42,16 @@ kernel per level, then still fits its rows one at a time.
   cube takes, and its medians the values: the networks keep every value
   and the deviations are added in the order ``np.sum`` adds a row.  Only
   the sign of a zero median may differ, which no error sees.
-* ``q = 1, k >= 2``, 1D and 2D affine: a Levenberg-damped Newton descent
-  of the exact objective from the L2 fit (:func:`_newton_polish`), on the
-  closed-form gradient ``-|Q| sum int sgn(v - P) u^alpha`` and Hessian
-  ``2 |Q| int u^alpha u^beta / |grad P|`` over the zero set of ``v - P``.
+* ``q = 1, k >= 2``, 1D two cells with values ``a, b``: an odd fit about
+  the cube's centre is optimal, and odd quadratics are linear, so ``E_2 =
+  E_3 = (sqrt 2 - 1) |b - a| |Q| / 2``, attained by the local coefficients
+  ``((a + b) / 2, sqrt 2 (b - a)[, 0])`` (:func:`_two_cell_fits`).  Its
+  certificate is the duality bound below at that fit.
+* ``q = 1, k >= 2``, 1D (4 or more cells) and 2D affine: a
+  Levenberg-damped Newton descent of the exact objective from the L2 fit
+  (:func:`_newton_polish`), on the closed-form gradient ``-|Q| sum int
+  sgn(v - P) u^alpha`` and Hessian ``2 |Q| int u^alpha u^beta / |grad P|``
+  over the zero set of ``v - P``.
   Both come from the cuts the integrator already computes: the signed
   pieces between the roots of each cell (1D), the positive-part polygon
   moments and each cell's zero segment (2D).  The median fit, a kink of
@@ -115,6 +122,7 @@ _SUBCELL_BUDGET = 1 << 16  # subcells of a vertex descent, 2D quadratic corner
 _PIVOT_CAP = 500  # pivots of a vertex descent per midpoint rule
 _CLIP_BLOCK = 4096  # cells per vectorised half-plane clip, 2D affine residual
 _NOISE = 64.0 * np.finfo(float).eps  # relative size of a zero L2 residual
+_SQRT2_M1 = 0.41421356237309503  # sqrt(2) - 1, correctly rounded
 _KEPT_AXIS_CELLS = 1 << 10  # cells per axis whose monomial integrals are kept
 # cubes per pass of the L2 level fits: the coefficient map takes up to 36
 # floats per cube, so a level of a 4M-cell grid is fitted in blocks of
@@ -229,8 +237,13 @@ def _level_fits(f: GridFunction, level: int, k: int, q: int,
     elif k == 1:
         med, dev = _sorted_deviations(np.sort(blocks, axis=-1))
         coeffs, errs = med[:, None], dev * f.cell_measure
+    elif n == 1 and depth == 1:
+        # two cells: the optimum in closed form, every row at once
+        coeffs, errs, factors, approx = _two_cell_fits(
+            blocks, 2.0 ** -level, exps, certify)
     else:
-        # the starts in one call of each kernel, then the fits row by row
+        # larger cubes: the starts in one call of each kernel, then the
+        # fits row by row
         starts = np.zeros_like(coeffs)
         starts[:, 0] = median_deviations(blocks, n, depth, 0)[0][:, 0]
         l2 = l2_level_fits(f, level, k, coords)[0]
@@ -570,10 +583,58 @@ def _fit_l1(block, side, exps, med_local, l2_local, certify):
 
     if not certify:
         return a_best, obj_best, math.nan, quad
-    # a bound at or below rounding scale of the objective certifies nothing
-    if not lb > 1e-15 * obj_best:
-        return a_best, obj_best, math.inf, True
-    return a_best, obj_best, max(obj_best / lb, 1.0), quad
+    factor = _certified_factor(obj_best, lb)
+    return a_best, obj_best, factor, quad or factor == math.inf
+
+
+def _certified_factor(obj, lb):
+    """``obj / lb``, at least 1, for an objective ``obj`` and its duality
+    bound ``lb``; a bound at or below rounding scale of the objective
+    certifies nothing, and the factor is infinite."""
+    return max(obj / lb, 1.0) if lb > 1e-15 * obj else math.inf
+
+
+def _two_cell_fits(blocks, side, exps, certify):
+    """``(local_coeffs, errors, near_best_factors, approximate)`` of the
+    exact ``L^1`` fits on ``exps`` (``k`` = 2 or 3) of 1D cubes of ``side``
+    and two cells, the rows ``(a, b)`` of ``blocks``.
+
+    The values are odd about the cube's centre once their mean is taken
+    out (``u -> -u``, ``v -> a + b - v``), and the objective is convex, so
+    an odd optimal ``P - (a + b) / 2`` exists; odd quadratics are linear.
+    With ``h = |b - a| / 2`` and ``P = (a + b) / 2 + s u``, a cell costs
+    ``|Q| (h^2 / s + s / 8 - h / 2)``, least at ``s = 2 sqrt 2 h``, whose
+    root ``u = 1 / (2 sqrt 2)`` lies inside the cell.  So ``E_2 = E_3 =
+    (sqrt 2 - 1) |b - a| |Q| / 2``, here rounded three times (the constant,
+    ``b - a`` and the product), and scaling the values by ``2^-j`` scales
+    it exactly.
+
+    Under ``certify`` each factor is the weak-duality bound of
+    :func:`_fit_l1` at this fit, taken on the values relative to the first
+    cell, ``(0, b - a)``, where the fit's constant ``(b - a) / 2`` is exact
+    (with an offset of 1e12, ``(a + b) / 2`` may lie half an ulp of the
+    values off the optimum, and the bound pays for that to first order);
+    without it they are NaN.  A zero objective, to rounding of the values,
+    is certified as it is, as in :func:`_fit_l1`.
+    """
+    a, b = blocks[:, 0], blocks[:, 1]
+    diff = b - a
+    coeffs = np.zeros((len(blocks), len(exps)))
+    coeffs[:, 0] = (a + b) / 2.0
+    coeffs[:, 1] = math.sqrt(2.0) * diff
+    errs = _SQRT2_M1 * np.abs(diff) * (side / 2.0)
+    factors = np.full(len(blocks), 1.0 if certify else math.nan)
+    if certify:
+        reach = 2.0 ** -np.array([sum(alpha) for alpha in exps])
+        scale = np.maximum(np.abs(a), np.abs(b))
+        for i in np.flatnonzero(errs > 1e-14 * scale * side):
+            shifted = np.array([0.0, diff[i]])
+            local = np.zeros(len(exps))
+            local[:2] = diff[i] / 2.0, coeffs[i, 1]
+            g = _l1_cells_1d(shifted, side, exps)(local, True)[1]
+            factors[i] = _certified_factor(errs[i], _dual_lower_bound(
+                shifted, side, exps, local, errs[i], g, reach))
+    return coeffs, errs, factors, factors == math.inf
 
 
 def _dual_lower_bound(block, side, exps, a, obj, g, reach, y_max=1.0,

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscnorm import local_poly
@@ -287,11 +287,57 @@ def test_constant_residuals_stay_within_one_copy_of_the_values():
             assert peak < 1.5 * f.values.nbytes, (k, q, peak)
 
 
+# -- metamorphic checks of the L^1, k >= 2 route ------------------------------
+
+def _symmetries(n, j):
+    """``(name, map of the cell values, map of one level's errors)`` for the
+    reflections along each axis, the 2D transpose and scaling by ``2^-j``;
+    both maps act on arrays of shape ``(2^l,) * n``."""
+    maps = [(f"reflect-{ax}", lambda v, ax=ax: np.flip(v, ax),
+             lambda e, ax=ax: np.flip(e, ax)) for ax in range(n)]
+    if n == 2:
+        maps.append(("transpose", np.transpose, np.transpose))
+    maps.append((f"scale-2^-{j}", lambda v: v * 2.0 ** -j,
+                 lambda e: e * 2.0 ** -j))
+    return maps
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1), st.sampled_from([1, 2]),
+       st.integers(1, 8), st.sampled_from([2, 3]),
+       st.sampled_from(["uniform", "lognormal"]), st.integers(0, 60))
+@example(0, 1, 8, 3, "lognormal", 7)
+@example(1, 2, 8, 3, "lognormal", 7)
+@example(2, 2, 8, 2, "uniform", 60)
+def test_l1_error_levels_follow_the_symmetries(seed, n, depth, k, dist, j):
+    """``error_levels(f, k, 1)`` at ``k`` = 2, 3 commutes with reflection
+    along each axis and the 2D transpose, and scales with the values, to
+    1e-13 relative, on 1D L<=8 and 2D L<=4: checks of the Newton polish,
+    the quadratic corner and the two-cell closed form at scales no oracle
+    reaches.  The drawn ``depth`` is halved, rounding up, in 2D."""
+    depth = -(-depth // n)
+    rng = np.random.default_rng(seed)
+    size = 1 << (n * depth)
+    values = (rng.uniform(0.0, 1.0, size) if dist == "uniform"
+              else rng.lognormal(0.0, 1.5, size)).reshape((1 << depth,) * n)
+    base = local_poly.error_levels(GridFunction(n, depth, values.ravel()),
+                                   k, 1)
+    for name, on_values, on_errors in _symmetries(n, j):
+        moved = local_poly.error_levels(
+            GridFunction(n, depth, on_values(values).ravel()), k, 1)
+        for level, (want, got) in enumerate(zip(base, moved)):
+            shape = (1 << level,) * n
+            np.testing.assert_allclose(
+                got, on_errors(want.reshape(shape)).ravel(), rtol=1e-13,
+                atol=0.0, err_msg=f"{name}, level {level}")
+
+
 def test_l1_levels_take_their_starts_once_per_level(monkeypatch):
     """At 1D L=3, ``k = 2``, the ``L^1`` levels read their median and
-    ``L^2`` starts from one call of each level kernel per multi-cell level
-    (3 each), not one per multi-cell cube (7), and the one-cell level
-    calls neither."""
+    ``L^2`` starts from one call of each level kernel per level of cubes
+    of 4 or more cells (2 each), not one per such cube (3).  The two-cell
+    level is fitted in closed form and the one-cell level is zero, so
+    neither calls them."""
     calls = {"l2_level_fits": [], "median_deviations": []}
     for name, seen in calls.items():
         real = getattr(local_poly, name)
@@ -301,8 +347,8 @@ def test_l1_levels_take_their_starts_once_per_level(monkeypatch):
     f = GridFunction(1, 3, np.random.default_rng(3).uniform(0.0, 1.0, 8))
     errs = local_poly.error_levels(f, 2, 1)
     assert [e.shape for e in errs] == [(1,), (2,), (4,), (8,)]
-    assert len(calls["l2_level_fits"]) == len(calls["median_deviations"]) == 3
-    assert [args[1] for args in calls["l2_level_fits"]] == [0, 1, 2]
+    assert len(calls["l2_level_fits"]) == len(calls["median_deviations"]) == 2
+    assert [args[1] for args in calls["l2_level_fits"]] == [0, 1]
 
 
 def test_level_sweep_fits_no_one_cell_cube():
@@ -641,6 +687,22 @@ def test_non_positive_dual_bound_reports_an_infinite_factor(monkeypatch, n,
     monkeypatch.setattr(local_poly, "_dual_lower_bound",
                         lambda *args: bound)
     fit = best_fit(f, root, k, 1)
+    assert fit.near_best_factor == math.inf
+    assert fit.approximate
+    assert fit.error == want > 0.0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("bound", [0.0, -1.0])
+def test_non_positive_dual_bound_of_two_cells_reports_an_infinite_factor(
+        monkeypatch, k, bound):
+    """So is the factor of a 1D two-cell fit, which is in closed form: the
+    fit is approximate and the error the uncertified one, bit for bit."""
+    f = GridFunction(1, 1, [0.25, 1.0])
+    want = poly_error(f, ROOT1, k, 1)
+    monkeypatch.setattr(local_poly, "_dual_lower_bound",
+                        lambda *args: bound)
+    fit = best_fit(f, ROOT1, k, 1)
     assert fit.near_best_factor == math.inf
     assert fit.approximate
     assert fit.error == want > 0.0

@@ -24,6 +24,7 @@ feed every packing and sparse functional at ``q = 2``.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,8 +36,9 @@ from oscnorm import local_poly
 from oscnorm.grid import CubeId, GridFunction, iter_cubes, multi_indices
 from oscnorm.local_poly import (_cell_monomials, _exponents,
                                 _l1_integrator, _positive_part_moments,
-                                _unit_gram, best_fit, l2_level_fits,
-                                poly_error, residual_cell_integrals)
+                                _unit_gram, best_fit, error_levels,
+                                l2_level_fits, poly_error,
+                                residual_cell_integrals)
 
 
 def loop_cells_1d(f, c, exps, a):
@@ -533,9 +535,10 @@ def simplex_l1_objective(f, c, k):
 
 OFFSET = 1e12
 SWEEP = ("uniform", "lognormal", "ties", "blocky", "offset")
-# 1D L=1, k=3, lognormal: the Newton fit ends with a quadratic coefficient
-# of ~1e-14 against a linear one of 0.17, where ``(-a1 +- sq) / (2 a2)``
-# cancels (``test_certificate_stays_sound_where_a_root_cancels``)
+# 1D L=1, k=3, lognormal: the Newton fit, called directly on these two
+# cells, ends with a quadratic coefficient of ~1e-14 against a linear one
+# of 0.17, where ``(-a1 +- sq) / (2 a2)`` cancels
+# (``test_certificate_stays_sound_where_a_root_cancels``)
 CANCELLING_ROOT = (1, 1, 3, "lognormal")
 
 
@@ -660,22 +663,33 @@ def test_certificate_stays_sound_where_a_root_cancels(monkeypatch):
     LP lower bound of the infimum on 2,048 subcells per cell,
     0.0243316580, with a factor of 1.009.  The roots ``q / a2`` and ``-c0
     / q`` do not cancel: the objective is at or above both that bound and
-    its own certified one, and the factor is tight."""
+    its own certified one, and the factor is tight.
+
+    The grid has two cells, which ``best_fit`` fits in closed form, so the
+    Newton fit is called directly, from the lower median and ``L^2``
+    starts of the level kernels; it ends at ``a2 / a1`` about 8e-14.  The
+    closed form lies between the LP bound and the Newton fit."""
     n, depth, k, dist = CANCELLING_ROOT
     rng = np.random.default_rng(1000 * n + 10 * depth + k)
     for skipped in SWEEP[:SWEEP.index(dist)]:
         _sweep_grid(rng, n, depth, skipped)
     f = _sweep_grid(rng, n, depth, dist)
     root = CubeId(0, (0,))
+    exps = _exponents(n, k)
+    block = f.cell_block(root)
+    median = np.zeros(len(exps))
+    median[0] = block.min()
     bounds = _record_dual_bounds(monkeypatch)
-    fit = best_fit(f, root, k, 1)
-    infimum_lb = lp_lower_bound(*subcell_design(f, root, _exponents(1, k),
-                                                2048))[0]
-    print(f"error {fit.error!r}, LP bound {infimum_lb!r}, "
-          f"factor {fit.near_best_factor!r}")
-    assert fit.error >= infimum_lb
-    assert fit.error >= bounds[0]
-    assert 1.0 <= fit.near_best_factor <= 1 + 1e-6
+    a, error, factor, _ = local_poly._fit_l1(
+        block, root.side, exps, median, l2_level_fits(f, 0, k)[0][0], True)
+    infimum_lb = lp_lower_bound(*subcell_design(f, root, exps, 2048))[0]
+    print(f"a2 / a1 {a[2] / a[1]!r}, error {error!r}, LP bound "
+          f"{infimum_lb!r}, factor {factor!r}")
+    assert 0.0 < abs(a[2]) <= 1e-12 * abs(a[1])
+    assert error >= infimum_lb
+    assert error >= bounds[0]
+    assert 1.0 <= factor <= 1 + 1e-6
+    assert infimum_lb <= best_fit(f, root, k, 1).error <= error * (1 + 1e-15)
 
 
 @pytest.mark.parametrize("seed", [1083, 2083])
@@ -689,6 +703,120 @@ def test_newton_fit_crosses_heavy_tails(seed):
     root = CubeId(0, (0,))
     want = simplex_l1_objective(f, root, 3)
     assert poly_error(f, root, 3, 1) <= want * (1 + 1e-12)
+
+
+# -- 1D two-cell cubes in closed form ------------------------------------------
+
+def _doubles(lo, hi):
+    """Multiples of ``2^-52`` in ``[lo, hi]``, as ``default_rng().uniform``
+    draws them: no subnormal, so scaling by ``2^-j`` stays exact."""
+    return st.integers(round(lo * 2 ** 52), round(hi * 2 ** 52)).map(
+        lambda i: i * 2.0 ** -52)
+
+
+_UNIFORM = _doubles(0.0, 1.0)
+_LOGNORMAL = st.floats(-4.0, 4.0).map(lambda z: math.exp(1.5 * z))
+_SIGNED = _doubles(-2.0, 2.0)
+TWO_CELLS = st.one_of(
+    st.tuples(_UNIFORM, _UNIFORM), st.tuples(_LOGNORMAL, _LOGNORMAL),
+    st.tuples(_SIGNED, _SIGNED),
+    st.one_of(_UNIFORM, _LOGNORMAL, _SIGNED).map(lambda v: (v, v)),
+    st.tuples(_UNIFORM, _UNIFORM).map(lambda ab: (ab[0] + OFFSET,
+                                                  ab[1] + OFFSET)))
+
+
+def _two_cell_grid(values, depth, position):
+    """A 1D grid of ``depth`` whose level ``depth - 1`` cubes all hold
+    ``values``, and the cube at ``position`` of that level."""
+    f = GridFunction(1, depth, np.tile(values, 1 << (depth - 1)))
+    return f, CubeId(depth - 1, (position % (1 << (depth - 1)),))
+
+
+def exact_line_objective(values, c, s, side):
+    """``int_Q |f - c - s u|`` in ``Fraction`` arithmetic on the cube of
+    ``side`` whose two cells hold ``values``: the roots ``(v - c) / s``
+    of the line are rational."""
+    total = Fraction(0)
+    for v, (u0, u1) in zip(values, ((Fraction(-1, 2), Fraction(0)),
+                                    (Fraction(0), Fraction(1, 2)))):
+        g0, g1 = (Fraction(v) - c - s * u for u in (u0, u1))
+        if g0 * g1 < 0:     # the line crosses the value inside the cell
+            r = u0 + g0 / (g0 - g1) * (u1 - u0)
+            total += (abs(g0) * (r - u0) + abs(g1) * (u1 - r)) / 2
+        else:
+            total += abs(g0 + g1) / 2 * (u1 - u0)
+    return total * Fraction(side)
+
+
+@settings(max_examples=60, deadline=None)
+@given(TWO_CELLS, st.integers(1, 5), st.integers(0, 31), st.integers(0, 60))
+def test_two_cell_fits_are_the_closed_form(values, depth, position, j):
+    """On a 1D cube of two cells ``E_2 = E_3 = (sqrt 2 - 1) |b - a| |Q| /
+    2``.  The error lies within 1e-12 relative of the former simplex
+    polish on the values moved to ``(0, b - a)`` and scaled by a power of
+    two to ``|b - a|`` in ``[0.5, 1)``, on the unit cube: neither map moves
+    ``E`` but by the scale, and the simplex's tolerances are absolute
+    (on ``(0, 2^-52)`` it stopped 0.6% high).  It lies within 4 ulps of
+    the exact objective of the reported line, taken at the exact midpoint
+    ``(a + b) / 2``: where that is no double (an offset of 1e12, or values
+    an ulp apart) no double constant attains the optimum, and the reported
+    constant is the midpoint correctly rounded, whose objective is no
+    lower.  ``E_3`` has the bits of ``E_2``, and ``E_2 < E_1`` wherever
+    ``a != b``.  Values scaled by ``2^-j`` give ``2^-j`` times the errors,
+    exactly, and the certified factor lies in ``[1, 1 + 1e-12]``."""
+    f, cube = _two_cell_grid(values, depth, position)
+    a, b = values
+    side = cube.side
+    fits = {k: best_fit(f, cube, k, 1) for k in (2, 3)}
+    error = fits[2].error
+    assert fits[3].error == error
+    assert error == poly_error(f, cube, 2, 1) == poly_error(f, cube, 3, 1)
+    e1 = poly_error(f, cube, 1, 1)
+    assert (error < e1) if a != b else (error == e1 == 0.0)
+    scale = 2.0 ** -math.frexp(b - a)[1]
+    unit = GridFunction(1, 1, [0.0, (b - a) * scale])
+    want = simplex_l1_objective(unit, CubeId(0, (0,)), 2)
+    assert abs(error * scale / side - want) <= 1e-12 * want
+    ulp = float(np.spacing(error)) if error else 0.0
+    mid = (Fraction(a) + Fraction(b)) / 2
+    for k, fit in fits.items():
+        c, s = fit.local_coeffs[:2]
+        assert list(fit.local_coeffs[2:]) == [0.0] * (k - 2)
+        assert c == float(mid)
+        exact = exact_line_objective(values, mid, Fraction(s), side)
+        assert abs(Fraction(error) - exact) <= 4 * Fraction(ulp), k
+        assert error <= exact_line_objective(values, Fraction(c),
+                                             Fraction(s), side) + 4 * ulp
+        assert 1.0 <= fit.near_best_factor <= 1 + 1e-12, k
+        assert not fit.approximate
+    scaled, _ = _two_cell_grid(np.multiply(values, 2.0 ** -j), depth,
+                               position)
+    for k in (2, 3):
+        assert poly_error(scaled, cube, k, 1) == 2.0 ** -j * error
+        assert error_levels(scaled, k, 1)[depth - 1][0] == 2.0 ** -j * error
+
+
+def test_two_cell_levels_take_no_starts_and_no_fit(monkeypatch):
+    """A level of two-cell cubes is fitted in one vectorised step: it calls
+    neither level kernel for starts, nor the ``L^1`` integrator, nor the
+    Newton polish; the certificate of a single cube is one integrator
+    call and one duality bound."""
+    calls = []
+    for name in ("median_deviations", "l2_level_fits", "_fit_l1",
+                 "_l1_cells_1d", "_newton_polish", "_dual_lower_bound"):
+        real = getattr(local_poly, name)
+        monkeypatch.setattr(local_poly, name,
+                            lambda *args, _real=real, _name=name, **kw:
+                            calls.append(_name) or _real(*args, **kw))
+    f = GridFunction(1, 6, np.random.default_rng(6).lognormal(0.0, 1.5, 64))
+    for k in (2, 3):
+        level = local_poly._level_fits(f, 5, k, 1)
+        assert calls == [] and level[1].shape == (32,)
+        assert np.isnan(level[2]).all() and not level[3].any()
+        fit = best_fit(f, CubeId(5, (7,)), k, 1)
+        assert calls == ["_l1_cells_1d", "_dual_lower_bound"]
+        assert fit.error == level[1][7]
+        calls.clear()
 
 
 # -- the vertex descent of the quadratic corner against HiGHS -----------------

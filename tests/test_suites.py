@@ -145,8 +145,9 @@ def test_failed_assertion_marks_report(monkeypatch):
 
 def test_sv_equivalence_fits_each_cube_once(monkeypatch):
     """The suite evaluates three functionals at three p per trial; the
-    L^1, k=2 fits run once per multi-cell cube of a trial (a one-cell cube
-    is fitted by its constant): 2 trials x 7 cubes."""
+    L^1, k=2 fits run once per cube of 4 or more cells of a trial (a
+    two-cell cube is fitted in closed form, a one-cell cube by its
+    constant): 2 trials x 3 cubes."""
     from oscnorm import local_poly
     calls = []
     fit_l1 = local_poly._fit_l1
@@ -155,7 +156,7 @@ def test_sv_equivalence_fits_each_cube_once(monkeypatch):
     report = run_suite(SuiteConfig(suite="sv-equivalence", dimension=1,
                                    depth=3, trials=8, seed=901))
     assert all(a["passed"] for a in report.assertions)
-    assert len(calls) == 14
+    assert len(calls) == 6
 
 
 def test_sv_equivalence_sets_up_once_per_trial_and_kq(monkeypatch):
