@@ -150,6 +150,24 @@ def _halves(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(a[(..., slice(i, None, 2), *tail)] for i in (0, 1))
 
 
+def _join(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """Interleave ``a`` and ``b`` back along the trailing axis ``axis``:
+    the inverse of :func:`_halves`."""
+    shape = list(a.shape)
+    shape[axis] *= 2
+    return np.stack((a, b), axis=axis).reshape(shape)
+
+
+def _children(a: np.ndarray, dimension: int) -> list[np.ndarray]:
+    """The ``2**dimension`` children of every cube of a level grid, as
+    strided views split by :func:`_halves` one axis at a time, axis 0
+    first: row-major in their offset bits, as :func:`children` lists them."""
+    kids = [a]
+    for axis in range(-dimension, 0):
+        kids = [half for kid in kids for half in _halves(kid, axis)]
+    return kids
+
+
 def cube_measures(depth: int, dimension: int) -> np.ndarray:
     """``|Q|`` of every cube in breadth-first order."""
     return np.concatenate([

@@ -108,7 +108,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (CubeId, GridFunction, _halves, _unit_moment,
+from .grid import (CubeId, GridFunction, _children, _unit_moment,
                    multi_indices)
 from .maximal import level_integrals
 
@@ -479,14 +479,12 @@ def median_sweep(values: np.ndarray, dimension: int, depth: int):
 def _network_level(cols, dimension):
     """The sorted columns of the cubes one level up from the sorted columns
     ``cols`` of a level grid.  Each cube's ``2**n`` children, split one
-    axis at a time (:func:`~oscnorm.grid._halves`), are sorted runs of
+    axis at a time (:func:`~oscnorm.grid._children`), are sorted runs of
     strided views, so no child is copied; adjacent runs merge until one is
     left, the last axis first, as in the coverage DP."""
-    runs = [list(cols)]
-    for axis in range(-dimension, 0):
-        runs = [list(half) for run in runs
-                for half in zip(*(_halves(c, axis) for c in run))]
-    width, cols = len(runs[0]), [c for run in runs for c in run]
+    width = len(cols)
+    cols = [c for run in zip(*(_children(col, dimension) for col in cols))
+            for c in run]
     while width < len(cols):
         for base in range(0, len(cols), 2 * width):
             for i, j in _MERGES[2 * width]:
@@ -1125,6 +1123,7 @@ def _l1_cells_1d(vals, side, exps):
     u0, u1 = edges[:-1], edges[1:]
     degrees = [m for (m,) in exps]
     top = 2 * degrees[-1]
+    v_lo, v_hi = float(vals.min()), float(vals.max())
 
     def roots(c0, a1, a2, scale):
         """The cuts ``lo <= hi`` of every cell, the roots of ``P(u) = v``
@@ -1180,7 +1179,9 @@ def _l1_cells_1d(vals, side, exps):
             # last bit
             return F + a2 * np.float_power(u, 3) / 3.0 if a2 else F
 
-        scale = max(abs(a0), abs(a1), abs(a2))
+        # the cut threshold reads the terms the cuts see, not a0: max |c0|
+        # is at an extreme value, since rounding keeps the order
+        scale = max(abs(v_hi - a0), abs(v_lo - a0), abs(a1), abs(a2))
         # per cell the cuts u0 <= lo <= hi <= u1 split |v - P| into pieces
         # of one sign; a zero-width piece is worth exactly 0
         lo, hi, slope = roots(c0, a1, a2, scale)

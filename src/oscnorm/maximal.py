@@ -15,13 +15,12 @@ axes, so the verification suites run them on one row per trial.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import GridFunction, _children, _join
 
 __all__ = ["MaximalResult", "fractional_maximal", "lp_norm", "lp_rows",
            "maximal_cells", "maximal_opnorm_bound", "refine", "sibling_sums"]
@@ -64,14 +63,10 @@ def sibling_sums(level_vals: np.ndarray, dimension: int) -> np.ndarray:
     """Sum every group of ``2**dimension`` siblings: a level-``l`` array,
     ``(2**l,) * dimension`` on the trailing axes, becomes the level-``l-1``
     array.  Leading axes (one per trial) are carried along."""
-    lead = level_vals.shape[:level_vals.ndim - dimension]
-    half = level_vals.shape[-1] // 2
-    pairs = level_vals.reshape(*lead, *(half, 2) * dimension)
     # children added one at a time in row-major order of their offset bits:
     # a multi-axis ``sum`` picks its order from the shape, so a lone block
     # would round otherwise
-    kids = [pairs[(..., *(x for b in bits for x in (slice(None), b)))]
-            for bits in itertools.product((0, 1), repeat=dimension)]
+    kids = _children(level_vals, dimension)
     return sum(kids[1:], kids[0])
 
 
@@ -91,7 +86,7 @@ def refine(level_vals: np.ndarray, dimension: int) -> np.ndarray:
     ``(2**l,) * dimension`` trailing axes of level ``l`` become those of
     ``l + 1``."""
     for ax in range(-dimension, 0):
-        level_vals = np.repeat(level_vals, 2, axis=ax)
+        level_vals = _join(level_vals, level_vals, ax)
     return level_vals
 
 

@@ -50,7 +50,7 @@ from .families import (CubeFamily, FamilyTables, _class_of, checked,
 # ``oscnorm.norms.validate``; the code here calls ``checked`` and
 # ``validate_index``
 from .families import validate  # noqa: F401
-from .grid import (CubeId, GridFunction, _halves, cube_measures,
+from .grid import (CubeId, GridFunction, _halves, _join, cube_measures,
                    level_offsets)
 from .local_poly import (PolyFit, best_fit, convention_exponent, error_levels,
                          residual_cell_integrals)
@@ -205,8 +205,15 @@ def scaled_error_levels(f: GridFunction, params: NormParams) -> list[np.ndarray]
     of :func:`~oscnorm.local_poly.error_levels`, scaled by ``|Q|^e``."""
     n = f.dimension
     e = convention_exponent(params.convention, params.lam, params.q, n)
-    errs = error_levels(f, params.k, params.q)
-    return [(2.0 ** (-n * lvl)) ** e * err for lvl, err in enumerate(errs)]
+    return _scaled_levels(error_levels(f, params.k, params.q), n, e)
+
+
+def _scaled_levels(errors: list[np.ndarray], dimension: int,
+                   exponent: float) -> list[np.ndarray]:
+    """``|Q|^exponent E(Q)`` from one error array per level, cubes on the
+    last axis after any leading axes."""
+    return [(2.0 ** (-dimension * lvl)) ** exponent * err
+            for lvl, err in enumerate(errors)]
 
 
 def _scaled_flat(f: GridFunction, params: NormParams) -> np.ndarray:
@@ -336,14 +343,6 @@ def _maxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.add(a, b[j], out=tmp)
         np.maximum(out[j:j + la], tmp, out=out[j:j + la])
     return out
-
-
-def _join(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
-    """Interleave ``a`` and ``b`` back along the trailing axis ``axis``:
-    the inverse of :func:`~oscnorm.grid._halves`."""
-    shape = list(a.shape)
-    shape[axis] *= 2
-    return np.stack((a, b), axis=axis).reshape(shape)
 
 
 def _coverage_pass(scores: list[np.ndarray], dimension: int,
@@ -547,7 +546,9 @@ def sparse_sup_exhaustive(f: GridFunction, params: NormParams) -> NormReport:
         core, wtd, members = sparse_sup_dp(scores, n, witness=True)
         value, weighted = float(core) ** (1.0 / p), float(wtd) ** (1.0 / p)
     else:
-        value, row = _table_sup(tables, scaled, p)
+        fam_core = (tables.core_meas @ scaled ** p) ** (1.0 / p)
+        row = int(np.argmax(fam_core))
+        value = float(fam_core[row])
         weighted = float(((tables.cube_meas @ scaled ** p)
                           ** (1.0 / p)).max())
         members = np.flatnonzero(tables.cube_meas[row])
@@ -583,30 +584,20 @@ def _sparse_setup(f: GridFunction, params: NormParams
     return tables, _scaled_flat(f, params)
 
 
-def _table_sup(tables: FamilyTables, scaled: np.ndarray,
-               p: float) -> tuple[float, int]:
-    """The supremum at a finite ``p`` over the rows of ``tables``, and the
-    first row attaining it."""
-    fam_core = (tables.core_meas @ scaled ** p) ** (1.0 / p)
-    row = int(np.argmax(fam_core))
-    return float(fam_core[row]), row
-
-
-def _sparse_sup(f: GridFunction, tables: FamilyTables | None,
-                scaled: np.ndarray, ps: tuple[float, ...]) -> list[float]:
-    """The values of :func:`sparse_sup_exhaustive` at each ``p`` of
-    ``ps``, without witnesses, from the halves of :func:`_sparse_setup`:
-    at order 1 one :func:`sparse_sup_dp` call over the finite ``p``."""
+def _sparse_sup(f: GridFunction, scaled: np.ndarray,
+                ps: tuple[float, ...]) -> list[float]:
+    """The values of :func:`sparse_sup_exhaustive` at order 1 at each
+    ``p`` of ``ps``, without witnesses, from the scaled errors of
+    :func:`_sparse_setup`: one :func:`sparse_sup_dp` call over the finite
+    ``p``."""
     finite = [p for p in ps if not math.isinf(p)]
     values = {math.inf: float(scaled.max())}
-    if tables is None and finite:
+    if finite:
         scores = np.stack([scaled ** p for p in finite])
         core = sparse_sup_dp(_levels(scores, f.dimension, f.depth),
                              f.dimension, weighted=False)[0]
         values.update((p, float(c) ** (1.0 / p))
                       for p, c in zip(finite, core))
-    elif tables is not None:
-        values.update((p, _table_sup(tables, scaled, p)[0]) for p in finite)
     return [values[p] for p in ps]
 
 

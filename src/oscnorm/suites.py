@@ -54,9 +54,9 @@ from .maximal import (level_integrals, lp_norm, lp_rows, maximal_cells,
                       maximal_opnorm_bound)
 from .local_poly import median_sweep
 from .norms import (NormParams, _bounds_at, _bounds_setup, _levels,
-                    _packing_value, _packing_weights, _sparse_setup,
-                    _sparse_sup, bmo_norm, llogl_rows, packing_dp,
-                    packing_sup_norm, sparse_sup_dp)
+                    _packing_value, _packing_weights, _scaled_levels,
+                    _sparse_setup, _sparse_sup, bmo_norm, llogl_rows,
+                    packing_dp, packing_sup_norm, sparse_sup_dp)
 # imported for their names alone: perfbench/tracer.py binds them here;
 # sv-equivalence calls their p-independent and per-p halves instead, and
 # no suite calls the other two
@@ -145,17 +145,6 @@ def _assertion(name: str, passed: bool, detail: str) -> dict:
 
 # -- batched helpers (one row per trial) -------------------------------------
 
-def _scaled_e1(e1: list[np.ndarray], n: int,
-               exponent: float) -> list[np.ndarray]:
-    """|Q|^exponent * E_1, one (trials, cubes) matrix per level."""
-    return [(2.0 ** (-n * lvl)) ** exponent * e for lvl, e in enumerate(e1)]
-
-
-def _scaled_flat_e1(e1: list[np.ndarray], n: int, exponent: float) -> np.ndarray:
-    """|Q|^exponent * E_1 concatenated in breadth-first order."""
-    return np.concatenate(_scaled_e1(e1, n, exponent), axis=1)
-
-
 def _median_levels(V: np.ndarray, n: int,
                    L: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The lower medians and ``sum |v - median|`` of every level, root
@@ -167,7 +156,7 @@ def _packing_rows(errors: list[np.ndarray], n: int, p: float) -> np.ndarray:
     """Per row, ``(max over packings of sum |Q| (E(Q)/|Q|)^p)^{1/p}`` from
     one (trials, cubes) error matrix per level, with the library's
     weights."""
-    weights = _packing_weights(_scaled_e1(errors, n, -1.0), n, p)
+    weights = _packing_weights(_scaled_levels(errors, n, -1.0), n, p)
     return packing_dp(weights, n)[0] ** (1.0 / p)
 
 
@@ -310,7 +299,7 @@ def _suite_sparse_jn(cfg: SuiteConfig) -> SuiteReport:
     n_fam = tables.core_meas.shape[0]
     med_dev = _median_levels(V, n, L)
     e1 = [dev * cell_meas for _, dev in med_dev]
-    scaled = _scaled_flat_e1(e1, n, -1.0)       # |Q|^{-1} E_1
+    scaled = np.concatenate(_scaled_levels(e1, n, -1.0), axis=1)
     # |f - m| integrated over each cell, m the root median (a zero m of
     # either sign gives the same bits)
     r_cells = np.abs(V - med_dev[0][0]) * cell_meas
@@ -404,11 +393,11 @@ def _suite_sv_equivalence(cfg: SuiteConfig) -> SuiteReport:
         sv_params = NormParams.sv(math.inf, k, q, 0.0)
         for t in range(count):
             f = GridFunction(n, L, V[(i * per + t) % cfg.trials])
-            tables, scaled = _sparse_setup(f, sv_params)
+            _, scaled = _sparse_setup(f, sv_params)
             bounds = _bounds_setup(f, sv_params, scaled)
             # at lam = 0 the V and SV exponents are both -1/q
             pk_levels = _levels(scaled, n, L)
-            svs = _sparse_sup(f, tables, scaled, p_list)
+            svs = _sparse_sup(f, scaled, p_list)
             for p, sv in zip(p_list, svs):
                 lower, upper, _ = _bounds_at(f, bounds, p)
                 pk = _packing_value(pk_levels, n, p)[0]
@@ -458,7 +447,7 @@ def _suite_fractional_sv(cfg: SuiteConfig) -> SuiteReport:
         order = 1.0 - lam / n
         frac_t = None if order == 1.0 else _right_factor(
             family_tables(n, L, order).core_meas, T)
-        scaled = _scaled_e1(e1, n, lam / n - 1.0)
+        scaled = _scaled_levels(e1, n, lam / n - 1.0)
         flat = np.concatenate(scaled, axis=1)
         mx = maximal_cells(r_cells, n, L, 1, lam)
         for p in p_list:
@@ -560,8 +549,8 @@ def _suite_sobolev_chain(cfg: SuiteConfig) -> SuiteReport:
     tables = family_tables(n, L, 1.0)
     e1 = [dev * cell_meas for _, dev in _median_levels(V, n, L)]
     # |Q|^{lam/n - 1} E_1 and |Q|^{-1} E_1 raised to the link exponents
-    sq = _scaled_flat_e1(e1, n, lam / n - 1.0) ** q
-    scaled = _scaled_e1(e1, n, -1.0)
+    sq = np.concatenate(_scaled_levels(e1, n, lam / n - 1.0), axis=1) ** q
+    scaled = _scaled_levels(e1, n, -1.0)
     sp = np.concatenate(scaled, axis=1) ** p
     mean = V.mean(axis=1)
     r_cells = np.abs(V - mean[:, None]) * cell_meas
@@ -632,8 +621,8 @@ def _suite_embedding_chain(cfg: SuiteConfig) -> SuiteReport:
     member = (pack.cube_meas > 0).astype(np.float64)
     fam_meas = pack.cube_meas.sum(axis=1)
     e1 = [dev * cell_meas for _, dev in _median_levels(V, n, L)]
-    e1_flat = _scaled_flat_e1(e1, n, 0.0)
-    scaled = _scaled_e1(e1, n, -1.0)
+    e1_flat = np.concatenate(e1, axis=1)
+    scaled = _scaled_levels(e1, n, -1.0)
     # the first trials' rows of every sparse family, by the library's table
     spot_rows = np.concatenate(scaled, axis=1)[:3]
     mean = V.mean(axis=1)

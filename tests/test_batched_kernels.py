@@ -7,6 +7,7 @@ agree exactly.
 """
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -21,7 +22,8 @@ from oscnorm.grid import GridFunction
 from oscnorm.local_poly import (_column_deviations, median_deviations,
                                 median_sweep)
 from oscnorm.maximal import (chain_max, fractional_maximal, level_integrals,
-                             lp_norm, lp_rows, maximal_cells)
+                             lp_norm, lp_rows, maximal_cells, refine,
+                             sibling_sums)
 from oscnorm.norms import packing_dp
 
 SHAPES = st.sampled_from([(1, 0), (1, 1), (1, 3), (1, 6), (2, 0), (2, 1),
@@ -226,3 +228,69 @@ def test_packing_dp_rowwise(seed, shape, trials, dist):
         for b, s, w in zip(kids, single_kids, weights):
             assert b.shape == w.shape
             assert np.array_equal(b[t], s)
+
+
+# -- the children walk against the former reshape-and-slice layout ------------
+
+def _reference_sibling_sums(level_vals, dimension):
+    """The former ``sibling_sums``: each trailing axis reshaped to
+    ``(half, 2)`` and the children sliced by their offset bits in row-major
+    order, added one at a time."""
+    lead = level_vals.shape[:level_vals.ndim - dimension]
+    half = level_vals.shape[-1] // 2
+    pairs = level_vals.reshape(*lead, *(half, 2) * dimension)
+    kids = [pairs[(..., *(x for b in bits for x in (slice(None), b)))]
+            for bits in itertools.product((0, 1), repeat=dimension)]
+    return sum(kids[1:], kids[0])
+
+
+def _reference_packing_dp(weights, dimension):
+    """``packing_dp`` on the former sibling sums."""
+    best, child_sums = weights[-1], []
+    for lvl in range(len(weights) - 2, -1, -1):
+        w = weights[lvl]
+        grid = best.reshape(*w.shape[:-1], *(2 << lvl,) * dimension)
+        kids = _reference_sibling_sums(grid, dimension).reshape(w.shape)
+        child_sums.append(kids)
+        best = np.maximum(w, kids)
+    return best[..., 0], child_sums[::-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1), SHAPES,
+       st.sampled_from([(), (1,), (3,), (2, 3)]),
+       st.sampled_from(["uniform", "lognormal", "tied", "signed"]))
+def test_children_walk_has_the_bits_of_the_former_slicing(seed, shape, lead,
+                                                         dist):
+    """Level sums, the packing DP and ``refine`` give the bits of the
+    reshape-and-slice layout they replaced, with any leading axes."""
+    n, depth = shape
+    rng = np.random.default_rng(seed)
+    size = (*lead, *(1 << depth,) * n)
+    values = {"uniform": lambda: rng.uniform(0.0, 1.0, size),
+              "lognormal": lambda: rng.lognormal(0.0, 1.5, size),
+              "tied": lambda: rng.integers(0, 3, size).astype(float),
+              "signed": lambda: (rng.lognormal(0.0, 1.5, size)
+                                 * rng.choice([-1.0, 1.0], size))}[dist]()
+    want = [values]
+    for _ in range(depth):
+        want.append(_reference_sibling_sums(want[-1], n))
+    want = want[::-1]
+    got = level_integrals(values, n, depth)
+    assert len(got) == depth + 1
+    for lvl in range(1, depth + 1):
+        assert _same_bits(sibling_sums(want[lvl], n), want[lvl - 1])
+    for g, w in zip(got, want):
+        assert _same_bits(g, w)
+    for lvl in range(depth):
+        repeated = want[lvl]
+        for ax in range(-n, 0):
+            repeated = np.repeat(repeated, 2, axis=ax)
+        assert _same_bits(refine(want[lvl], n), repeated)
+    weights = [np.abs(w).reshape(*lead, -1) for w in want]
+    total, kids = packing_dp(weights, n)
+    want_total, want_kids = _reference_packing_dp(weights, n)
+    assert _same_bits(total, want_total)
+    assert len(kids) == len(want_kids) == depth
+    for g, w in zip(kids, want_kids):
+        assert _same_bits(g, w)

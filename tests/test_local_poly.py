@@ -158,6 +158,22 @@ def test_translation_by_constant(seed, shift, q, k):
     assert a == pytest.approx(b, abs=1e-12)
 
 
+@pytest.mark.parametrize("depth", [2, 4])
+def test_l1_error_near_1e12_is_not_below_the_shifted_error(depth):
+    """``E_3`` does not see a constant, so the objective of a fit to
+    ``v + 1e12`` is never below the error of ``v``.  The 1D integrator once
+    took its cut threshold from the constant coefficient it had folded into
+    the values, so near 1e12 it cut every small quadratic term as if the
+    fit were affine and read up to 1.4e-4 low.  The fit's constant is
+    quantized to ulp(1e12), so the error can still read high."""
+    for seed in range(20):
+        shifted = np.random.default_rng(seed).uniform(0.0, 1.0, 1 << depth)
+        shifted += 1e12
+        err = poly_error(GridFunction(1, depth, shifted), ROOT1, 3, 1)
+        want = poly_error(GridFunction(1, depth, shifted - 1e12), ROOT1, 3, 1)
+        assert err >= want * (1.0 - 1e-12), seed
+
+
 def _brute_force_l1(f, c, k, grid_pts=21, rounds=6):
     """3-level refinement search over polynomial coefficients."""
     from oscnorm.local_poly import _l1_integrator

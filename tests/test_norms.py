@@ -633,8 +633,8 @@ def test_setup_and_per_p_halves_give_the_functionals_bits(n, depth, dist):
                                        1 << (n * depth), dist))
     for k, q in ((1, 1), (2, 2), (3, 2), (2, 1)):
         # the setups do not read p
-        tables, scaled = norms._sparse_setup(f, NormParams.sv(math.inf, k,
-                                                              q, 0.0))
+        _, scaled = norms._sparse_setup(f, NormParams.sv(math.inf, k, q,
+                                                         0.0))
         bounds = norms._bounds_setup(f, NormParams.sv(math.inf, k, q, 0.0),
                                      scaled)
         levels = scaled_error_levels(f, NormParams.packing(math.inf, k, q,
@@ -645,7 +645,7 @@ def test_setup_and_per_p_halves_give_the_functionals_bits(n, depth, dist):
         for got, want in zip(split, levels):
             assert got.tobytes() == want.tobytes()
         p_list = (1.0, 2.0, 4.0, math.inf)
-        svs = norms._sparse_sup(f, tables, scaled, p_list)
+        svs = norms._sparse_sup(f, scaled, p_list)
         for p, sv_value in zip(p_list, svs):
             sv = sparse_sup_exhaustive(f, NormParams.sv(p, k, q, 0.0))
             bracket = sparse_norm_bounds(f, NormParams.sv(p, k, q, 0.0))

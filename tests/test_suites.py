@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscnorm import suites
+from oscnorm import norms, suites
 from oscnorm.families import family_tables
 from oscnorm.generate import batch_uniform
 from oscnorm.local_poly import median_deviations
@@ -199,7 +199,8 @@ def _table_rows(seed, trials):
     them."""
     V = batch_uniform(1, 3, seed, trials)
     e1 = [median_deviations(V, 1, 3, lvl)[1] * 0.125 for lvl in range(4)]
-    return suites._scaled_flat_e1(e1, 1, -1.0) ** (4.0 / 3.0)
+    scaled = np.concatenate(norms._scaled_levels(e1, 1, -1.0), axis=1)
+    return scaled ** (4.0 / 3.0)
 
 
 @pytest.mark.parametrize("trials", (1, 2, 14, 40, 200))
