@@ -248,8 +248,6 @@ def validate(family, order, *, dimension: int,
     cube order.
     """
     cubes = list(family)
-    if not cubes:
-        raise ValueError("a cube family must be nonempty")
     for c in cubes:
         if c.dimension != dimension:
             raise ValueError(f"cube {c} does not match dimension {dimension}")
@@ -276,6 +274,13 @@ def validate_index(index: np.ndarray, order, *, dimension: int,
     breadth-first cube numbers (an int64 array), with no per-cube objects:
     the one-row call of the family classifier."""
     condition, order_val = _class_of(order)
+    nodes = tree_size(depth, dimension)
+    if not (isinstance(index, np.ndarray) and index.ndim == 1
+            and index.dtype.kind == "i" and index.size and index[0] >= 0
+            and index[-1] < nodes and (index[1:] > index[:-1]).all()):
+        raise ValueError("a cube family must be nonempty: a 1-D signed "
+                         "integer array of strictly ascending cube numbers "
+                         f"in [0, {nodes})")
     one_row = np.broadcast_to(np.int64(0), index.shape)   # no allocation
     parent, core, bad, lhs, rhs = _classify(one_row, index, 1, order,
                                             dimension, depth)

@@ -116,7 +116,7 @@ def lp_rows(values: np.ndarray, p: float, cell_measure: float):
 
 def lp_norm(g: GridFunction, p: float) -> float:
     """Exact ``L^p([0,1)^n)`` norm of a grid function; ``p = inf`` is the max."""
-    if p < 1:
+    if not p >= 1:      # also refuses nan
         raise ValueError(f"p must be >= 1, got {p}")
     return float(lp_rows(g.values, p, g.cell_measure))
 
@@ -127,7 +127,7 @@ def maximal_opnorm_bound(p: float) -> float:
     Callers working at exponent ``p`` pass the conjugate ``p'`` and receive
     ``p'/(p'-1) = p``.
     """
-    if p <= 1:
+    if not p > 1:       # also refuses nan
         raise ValueError(f"the bound p/(p-1) needs p > 1, got {p}")
     if math.isinf(p):
         return 1.0

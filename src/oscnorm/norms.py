@@ -29,7 +29,8 @@ each functional checks it on entry.  Three evaluation regimes are provided:
   the 2D quadratic corner (``q = 1``, ``k = 3``), where a midpoint rule
   gives them and the upper bound is not certified.  The lower bound
   evaluates explicit families: the stopping-time family of the residual
-  density, the finest packing, and all singletons.
+  density, the finest packing where its scores are nonzero (``k = 0``;
+  at ``k >= 1`` every finest cell is fitted exactly), and all singletons.
 
 The Garsia-Rodemich functional, decreasing rearrangements, weak-``L^p``, the
 Luxemburg ``L log L`` norm, and ``sup(f** - f*)`` round out the toolkit.
@@ -43,8 +44,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .families import (CubeFamily, FamilyTables, _class_of, checked,
-                       cz_family, enumerable, family_tables, finest_family,
+from .families import (CubeFamily, _class_of, checked, cz_family,
+                       enumerable, family_tables, finest_family,
                        validate_index)
 # imported for its name alone: perfbench/tracer.py binds
 # ``oscnorm.norms.validate``; the code here calls ``checked`` and
@@ -534,8 +535,18 @@ def sparse_sup_exhaustive(f: GridFunction, params: NormParams) -> NormReport:
     scaled error, with its first cube alone as the witness; otherwise the
     witness is the DP's, or the first maximising family in bitmask order.
     """
-    tables, scaled = _sparse_setup(f, params)
+    order = _order_key(params)
     n, L, p = f.dimension, f.depth, params.p
+    tables = None
+    try:                # the scale, before the error sweep
+        if order == 1.0:
+            _require_dp_scale(n, L)
+        else:
+            tables = family_tables(n, L, order)
+    except ValueError as exc:       # the order passed: only the scale fails
+        raise ValueError(f"{exc}; use sparse_norm_bounds (--mode bounds) "
+                         "at this scale") from None
+    scaled = _scaled_flat(f, params)
     if math.isinf(p):
         # every singleton is sparse of every order
         best = int(np.argmax(scaled))
@@ -565,30 +576,11 @@ def _levels(scaled: np.ndarray, dimension: int,
     return [scaled[..., a:b] for a, b in zip(offsets, offsets[1:])]
 
 
-def _sparse_setup(f: GridFunction, params: NormParams
-                  ) -> tuple[FamilyTables | None, np.ndarray]:
-    """The ``p``-independent half of :func:`sparse_sup_exhaustive`: the
-    family table of a thinner class (``None`` at order 1, which the
-    coverage DP evaluates) and the scaled errors, breadth-first.  The
-    scale is checked before the error sweep."""
-    order = _order_key(params)
-    try:
-        if order == 1.0:
-            _require_dp_scale(f.dimension, f.depth)
-            tables = None
-        else:
-            tables = family_tables(f.dimension, f.depth, order)
-    except ValueError as exc:       # the order passed: only the scale fails
-        raise ValueError(f"{exc}; use sparse_norm_bounds (--mode bounds) "
-                         "at this scale") from None
-    return tables, _scaled_flat(f, params)
-
-
 def _sparse_sup(f: GridFunction, scaled: np.ndarray,
                 ps: tuple[float, ...]) -> list[float]:
     """The values of :func:`sparse_sup_exhaustive` at order 1 at each
     ``p`` of ``ps``, without witnesses, from the scaled errors of
-    :func:`_sparse_setup`: one :func:`sparse_sup_dp` call over the finite
+    :func:`_scaled_flat`: one :func:`sparse_sup_dp` call over the finite
     ``p``."""
     finite = [p for p in ps if not math.isinf(p)]
     values = {math.inf: float(scaled.max())}
@@ -623,7 +615,8 @@ def sparse_norm_bounds(f: GridFunction, params: NormParams) -> NormReport:
     integrals come from the 16-point midpoint rule, which can fall below
     them, and the bound is not certified.
     Lower: the best of (a) the stopping-time family of the residual density,
-    (b) the finest packing, (c) every singleton family.
+    (b) the finest packing where its scores are nonzero (``k = 0``), (c)
+    every singleton family.
     """
     order = _order_key(params)      # before any work
     setup = _bounds_setup(f, params, _scaled_flat(f, params))
@@ -675,7 +668,7 @@ def _bounds_setup(f: GridFunction, params: NormParams,
 
 
 def _bounds_at(f: GridFunction, setup: _BoundsSetup,
-               p: float) -> tuple[float, float, CubeFamily | int | None]:
+               p: float) -> tuple[float, float, CubeFamily | int]:
     """``(lower, upper, best)`` of :func:`sparse_norm_bounds` at ``p``:
     ``best`` is the candidate family attaining ``lower``, or the cube
     number of the singleton that does."""
@@ -683,7 +676,7 @@ def _bounds_at(f: GridFunction, setup: _BoundsSetup,
     params = replace(setup.params, p=p)
     scaled = setup.scaled
     lower = -math.inf
-    best: CubeFamily | int | None = None
+    best: CubeFamily | int = 0      # a singleton below always beats -inf
     for fam in setup.candidates:
         val = family_value(f, fam, params, scaled)
         if val > lower:
@@ -697,7 +690,7 @@ def _bounds_at(f: GridFunction, setup: _BoundsSetup,
     best_single = int(np.argmax(single_vals))
     if float(single_vals[best_single]) > lower:
         lower, best = float(single_vals[best_single]), best_single
-    return max(lower, 0.0), upper, best
+    return lower, upper, best
 
 
 # -- Garsia-Rodemich functional ----------------------------------------------

@@ -54,8 +54,8 @@ from .maximal import (level_integrals, lp_norm, lp_rows, maximal_cells,
                       maximal_opnorm_bound)
 from .local_poly import median_sweep
 from .norms import (NormParams, _bounds_at, _bounds_setup, _levels,
-                    _packing_value, _packing_weights, _scaled_levels,
-                    _sparse_setup, _sparse_sup, bmo_norm, llogl_rows,
+                    _packing_value, _packing_weights, _scaled_flat,
+                    _scaled_levels, _sparse_sup, bmo_norm, llogl_rows,
                     packing_dp, packing_sup_norm, sparse_sup_dp)
 # imported for their names alone: perfbench/tracer.py binds them here;
 # sv-equivalence calls their p-independent and per-p halves instead, and
@@ -393,7 +393,7 @@ def _suite_sv_equivalence(cfg: SuiteConfig) -> SuiteReport:
         sv_params = NormParams.sv(math.inf, k, q, 0.0)
         for t in range(count):
             f = GridFunction(n, L, V[(i * per + t) % cfg.trials])
-            _, scaled = _sparse_setup(f, sv_params)
+            scaled = _scaled_flat(f, sv_params)
             bounds = _bounds_setup(f, sv_params, scaled)
             # at lam = 0 the V and SV exponents are both -1/q
             pk_levels = _levels(scaled, n, L)

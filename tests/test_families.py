@@ -62,6 +62,25 @@ def test_checked_raises_one_line_where_a_built_family_breaks_its_class():
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
+@pytest.mark.parametrize("members", [
+    np.array([1, 1]),       # once classified as cube 1 twice
+    np.array([3, 1]),       # once kept out of order
+    np.array([], dtype=np.int64),   # these three once raised IndexError
+    np.array([99]), np.array([-1]),
+    np.array([0.0, 1.0]), np.array([[0, 1]]), [0, 1],
+    np.array([0, 1], dtype=np.uint64)], ids=repr)
+@pytest.mark.parametrize("call", [validate_index, checked])
+def test_malformed_index_is_refused_before_it_is_classified(members, call):
+    """Members must be a nonempty 1-D signed integer array, strictly
+    ascending and inside the tree (7 nodes at 1D L=2); anything else is
+    refused with one line, not classified or left to an ``IndexError``."""
+    with pytest.raises(ValueError) as exc:
+        call(members, 1.0, dimension=1, depth=2)
+    assert str(exc.value) == ("a cube family must be nonempty: a 1-D signed "
+                              "integer array of strictly ascending cube "
+                              "numbers in [0, 7)")
+
+
 def test_validate_weak():
     """Weak sparseness is order 1; ``"weak"`` is not a class name."""
     assert isinstance(

@@ -508,7 +508,15 @@ def test_subcell_design_has_the_bits_of_direct_averages(n, k):
 
 def simplex_l1_objective(f, c, k):
     """The objective the former ``q = 1, k >= 2`` fit reached: the best of
-    the median, ``L^2`` and certificate-LP fits, polished by Nelder-Mead."""
+    the median, ``L^2`` and certificate-LP fits, polished by Nelder-Mead.
+    The simplex's tolerances are absolute, so it runs on the values divided
+    by the power of two that brings their spread on the cube into
+    ``[0.5, 1)``, and the objective, which scales with them, is scaled
+    back; both scalings are exact."""
+    vals = f.cube_values(c)
+    spread = float(vals.max() - vals.min())
+    scale = 2.0 ** -math.frexp(spread)[1] if spread else 1.0
+    f = GridFunction(f.dimension, f.depth, f.values * scale)
     exps = _exponents(f.dimension, k)
     integrate = _l1_integrator(f.cell_block(c), c.side, exps)
 
@@ -530,7 +538,7 @@ def simplex_l1_objective(f, c, k):
                             method="Nelder-Mead",
                             options={"maxiter": 400 * len(exps),
                                      "xatol": 1e-10, "fatol": 1e-13})
-    return min(min(objs), float(res.fun))
+    return min(min(objs), float(res.fun)) / scale
 
 
 OFFSET = 1e12

@@ -117,6 +117,16 @@ def test_opnorm_bound_values():
         maximal_opnorm_bound(0.5)
 
 
+def test_opnorm_bound_refuses_nan():
+    with pytest.raises(ValueError, match="needs p > 1, got nan"):
+        maximal_opnorm_bound(math.nan)
+
+
+def test_lp_norm_refuses_nan():
+    with pytest.raises(ValueError, match="p must be >= 1, got nan"):
+        lp_norm(GridFunction(1, 2, [1.0, 2.0, 3.0, 4.0]), math.nan)
+
+
 def test_opnorm_bound_on_random_grids():
     """||M f||_p <= p/(p-1) ||f||_p, checked at p in {2, 4, 8}."""
     rng = np.random.default_rng(11)

@@ -633,8 +633,7 @@ def test_setup_and_per_p_halves_give_the_functionals_bits(n, depth, dist):
                                        1 << (n * depth), dist))
     for k, q in ((1, 1), (2, 2), (3, 2), (2, 1)):
         # the setups do not read p
-        _, scaled = norms._sparse_setup(f, NormParams.sv(math.inf, k, q,
-                                                         0.0))
+        scaled = norms._scaled_flat(f, NormParams.sv(math.inf, k, q, 0.0))
         bounds = norms._bounds_setup(f, NormParams.sv(math.inf, k, q, 0.0),
                                      scaled)
         levels = scaled_error_levels(f, NormParams.packing(math.inf, k, q,
