@@ -278,7 +278,7 @@ def validate_index(index: np.ndarray, order, *, dimension: int,
     if not (isinstance(index, np.ndarray) and index.ndim == 1
             and index.dtype.kind == "i" and index.size and index[0] >= 0
             and index[-1] < nodes and (index[1:] > index[:-1]).all()):
-        raise ValueError("a cube family must be nonempty: a 1-D signed "
+        raise ValueError("a cube family must be a nonempty 1-D signed "
                          "integer array of strictly ascending cube numbers "
                          f"in [0, {nodes})")
     one_row = np.broadcast_to(np.int64(0), index.shape)   # no allocation

@@ -76,7 +76,7 @@ def test_malformed_index_is_refused_before_it_is_classified(members, call):
     refused with one line, not classified or left to an ``IndexError``."""
     with pytest.raises(ValueError) as exc:
         call(members, 1.0, dimension=1, depth=2)
-    assert str(exc.value) == ("a cube family must be nonempty: a 1-D signed "
+    assert str(exc.value) == ("a cube family must be a nonempty 1-D signed "
                               "integer array of strictly ascending cube "
                               "numbers in [0, 7)")
 

@@ -509,13 +509,15 @@ def test_subcell_design_has_the_bits_of_direct_averages(n, k):
 def simplex_l1_objective(f, c, k):
     """The objective the former ``q = 1, k >= 2`` fit reached: the best of
     the median, ``L^2`` and certificate-LP fits, polished by Nelder-Mead.
-    The simplex's tolerances are absolute, so it runs on the values divided
-    by the power of two that brings their spread on the cube into
-    ``[0.5, 1)``, and the objective, which scales with them, is scaled
-    back; both scalings are exact."""
+    The simplex's tolerances are absolute, so where the spread of the
+    values on the cube is below ``0.5`` it runs on the values multiplied by
+    the power of two that brings the spread into ``[0.5, 1)``, and the
+    objective, which scales with them, is scaled back; both scalings are
+    exact.  A spread of ``0.5`` or more is left as it is, so the tolerances
+    never loosen."""
     vals = f.cube_values(c)
     spread = float(vals.max() - vals.min())
-    scale = 2.0 ** -math.frexp(spread)[1] if spread else 1.0
+    scale = max(1.0, 2.0 ** -math.frexp(spread)[1]) if spread else 1.0
     f = GridFunction(f.dimension, f.depth, f.values * scale)
     exps = _exponents(f.dimension, k)
     integrate = _l1_integrator(f.cell_block(c), c.side, exps)

@@ -3,9 +3,8 @@
 Run from the repository root:
 
     python3 tools/output_digests.py --seed 0
-    python3 tools/output_digests.py --seed 1 --workload oracle-suites
 
-It builds the workloads of ``perfbench/workloads.py`` (imported, not
+It builds the three workloads of ``perfbench/workloads.py`` (imported, not
 changed) in a temporary directory, runs every op once, and prints one line
 per op: the workload, the op's position and kind, and the sha256 of the
 output bytes its check returns, followed by the check's failure if any.
@@ -48,15 +47,13 @@ def digests(workload: str, seed: int) -> list[str]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workload", choices=WORKLOADS, action="append",
-                    help="repeatable; all three when omitted")
     args = ap.parse_args(argv)
     # the benchmark's thread pins, set before numpy is imported
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     failed = False
-    for workload in args.workload or WORKLOADS:
+    for workload in WORKLOADS:
         for line in digests(workload, args.seed):
             print(line, flush=True)
             failed |= "\tFAILED: " in line
