@@ -46,7 +46,6 @@ __all__ = [
     "validate",
     "validate_index",
     "checked",
-    "finest_family",
     "cz_family",
     "family_tables",
     "enumerable",
@@ -304,17 +303,6 @@ def checked(index: np.ndarray, order, *, dimension: int,
     return result
 
 
-def finest_family(dimension: int, depth: int, order) -> CubeFamily:
-    """The finest level as :func:`validate_index` returns it at ``order``,
-    built without the classifier: no finest cube contains another, so each
-    member has no parent and its own cell as its core set."""
-    _, order_val = _class_of(order)
-    offsets = level_offsets(depth, dimension)
-    index = np.arange(offsets[depth], offsets[depth + 1])
-    ones = np.ones_like(index)
-    return CubeFamily(dimension, depth, order_val, index, -ones, ones)
-
-
 # -- Calderon-Zygmund stopping time ------------------------------------------
 
 def cz_family(g: GridFunction, factor: float = 2.0) -> CubeFamily:
@@ -332,7 +320,7 @@ def cz_family(g: GridFunction, factor: float = 2.0) -> CubeFamily:
     level averages, carrying that threshold, finds every member (Lerner and
     Nazarov, *Intuitive dyadic calculus*, section 6).
     """
-    if factor <= 1.0:
+    if not factor > 1.0:        # also refuses nan
         raise ValueError(f"stopping factor must exceed 1, got {factor}")
     if np.any(g.values < 0):
         raise ValueError("stopping-time construction needs a nonnegative density")

@@ -104,6 +104,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,7 +187,9 @@ def best_fit(f: GridFunction, c: CubeId, k: int, q: int) -> PolyFit:
     f.check_cube(c)
     local, err, factor, approx = (x[0] for x in _level_fits(
         f, c.level, k, q, np.array([c.coords]), certify=True))
-    return PolyFit(c, k, q, local, float(err), float(factor), bool(approx))
+    # _level_fits checked k and q; NumPy integers are kept as Python ints
+    return PolyFit(c, int(k), int(q), local, float(err), float(factor),
+                   bool(approx))
 
 
 def poly_error(f: GridFunction, c: CubeId, k: int, q: int) -> float:
@@ -288,9 +291,14 @@ def _exponents(dimension: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _check_kq(k: int, q: int) -> None:
-    if not 0 <= k <= 3:
+    """Refuse a ``k`` or ``q`` out of range or not an integer; ``bool`` is
+    a subclass of ``int``, but ``True`` is not an order."""
+    def integral(x):
+        return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+    if not (integral(k) and 0 <= k <= 3):
         raise ValueError(f"k must lie in 0..3, got {k}")
-    if q not in (1, 2):
+    if not (integral(q) and q in (1, 2)):
         raise ValueError(f"q must be 1 or 2, got {q}")
 
 

@@ -45,16 +45,15 @@ from functools import cached_property
 import numpy as np
 
 from .families import (CubeFamily, _class_of, checked, cz_family,
-                       enumerable, family_tables, finest_family,
-                       validate_index)
+                       enumerable, family_tables, validate_index)
 # imported for its name alone: perfbench/tracer.py binds
 # ``oscnorm.norms.validate``; the code here calls ``checked`` and
 # ``validate_index``
 from .families import validate  # noqa: F401
 from .grid import (CubeId, GridFunction, _halves, _join, cube_measures,
                    level_offsets)
-from .local_poly import (PolyFit, best_fit, convention_exponent, error_levels,
-                         residual_cell_integrals)
+from .local_poly import (PolyFit, _check_kq, best_fit, convention_exponent,
+                         error_levels, residual_cell_integrals)
 # imported for its name alone: perfbench/tracer.py binds
 # ``oscnorm.norms.poly_error``; the code here calls ``error_levels``
 from .local_poly import poly_error  # noqa: F401
@@ -100,6 +99,10 @@ class NormParams:
     family_order: float | None = None
 
     def __post_init__(self):
+        _check_kq(self.k, self.q)
+        # a NumPy integer is kept as a Python int, which JSON can write
+        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "q", int(self.q))
         if not self.p >= 1.0:       # also refuses nan
             raise ValueError(f"p must be >= 1 or inf, got {self.p}")
         if not math.isfinite(self.lam):
@@ -619,30 +622,24 @@ def sparse_norm_bounds(f: GridFunction, params: NormParams) -> NormReport:
     every singleton family.
     """
     order = _order_key(params)      # before any work
-    setup = _bounds_setup(f, params, _scaled_flat(f, params))
-    lower, upper, best = _bounds_at(f, setup, params.p)
+    fit, [(lower, upper, best)] = _bounds(f, params, _scaled_flat(f, params),
+                                          (params.p,))
     if isinstance(best, int):
         best = checked(np.array([best]), order, dimension=f.dimension,
                        depth=f.depth)
     return NormReport(params, lower, upper, best,
-                      extras={"reference_fit_error": setup.fit.error})
+                      extras={"reference_fit_error": fit.error})
 
 
-@dataclass(frozen=True)
-class _BoundsSetup:
-    """The ``p``-independent half of :func:`sparse_norm_bounds`."""
-
-    params: NormParams
-    fit: PolyFit                  # the root fit P
-    maximal: GridFunction         # M_{q,lam}(f - P), cell by cell
-    scaled: np.ndarray            # scaled errors, breadth-first
-    candidates: tuple[CubeFamily, ...]
-
-
-def _bounds_setup(f: GridFunction, params: NormParams,
-                  scaled: np.ndarray) -> _BoundsSetup:
-    """Root fit, maximal function and candidate families, held with
-    ``scaled``, the flat ``scaled_error_levels(f, params)``."""
+def _bounds(f: GridFunction, params: NormParams, scaled: np.ndarray,
+            ps: tuple[float, ...]
+            ) -> tuple[PolyFit, list[tuple[float, float, CubeFamily | int]]]:
+    """The root fit ``P`` and ``(lower, upper, best)`` of
+    :func:`sparse_norm_bounds` at each ``p`` of ``ps``, from ``scaled``,
+    the flat ``scaled_error_levels(f, params)``; ``params.p`` is not read.
+    ``best`` is the candidate family attaining ``lower``, or the cube
+    number of the singleton that does.  The fit, the maximal function and
+    the candidate families are built once."""
     n, L = f.dimension, f.depth
     root = CubeId(0, (0,) * n)
     fit = best_fit(f, root, params.k, 2 if params.k >= 1 else params.q)
@@ -655,42 +652,37 @@ def _bounds_setup(f: GridFunction, params: NormParams,
         raise ValueError("the residual overflows near the float limit")
     density = GridFunction(n, L, density)   # the array is freed here
     stopping = cz_family(density, 2.0)
+    maximal = GridFunction(n, L, mvals)
+    del r_cells, mvals, density     # freed before the per-p evaluations
     if order != 1.0:
         # the stopping-time family is sparse(1); thinner classes may reject it
         stopping = validate_index(stopping.index, order, dimension=n, depth=L)
-    candidates = (stopping,) if isinstance(stopping, CubeFamily) else ()
+    candidates = [stopping] if isinstance(stopping, CubeFamily) else []
     # at k >= 1 every finest cell is fitted exactly, so the finest packing
     # scores 0 and could not set the lower side
     if scaled[-(1 << (n * L)):].any():
-        candidates += (finest_family(n, L, order),)
-    return _BoundsSetup(params, fit, GridFunction(n, L, mvals), scaled,
-                        candidates)
-
-
-def _bounds_at(f: GridFunction, setup: _BoundsSetup,
-               p: float) -> tuple[float, float, CubeFamily | int]:
-    """``(lower, upper, best)`` of :func:`sparse_norm_bounds` at ``p``:
-    ``best`` is the candidate family attaining ``lower``, or the cube
-    number of the singleton that does."""
-    upper = 2.0 * lp_norm(setup.maximal, p)
-    params = replace(setup.params, p=p)
-    scaled = setup.scaled
-    lower = -math.inf
-    best: CubeFamily | int = 0      # a singleton below always beats -inf
-    for fam in setup.candidates:
-        val = family_value(f, fam, params, scaled)
-        if val > lower:
-            lower, best = val, fam
-    # singletons are sparse of every order: no children at all
-    if math.isinf(p):
-        single_vals = scaled
-    else:
-        meas = cube_measures(f.depth, f.dimension)
-        single_vals = (scaled ** p * meas) ** (1.0 / p)
-    best_single = int(np.argmax(single_vals))
-    if float(single_vals[best_single]) > lower:
-        lower, best = float(single_vals[best_single]), best_single
-    return lower, upper, best
+        offsets = level_offsets(L, n)
+        candidates.append(checked(np.arange(offsets[L], offsets[L + 1]),
+                                  order, dimension=n, depth=L))
+    meas = cube_measures(L, n)
+    out = []
+    for p in ps:
+        upper = 2.0 * lp_norm(maximal, p)
+        at_p = replace(params, p=p)
+        lower = -math.inf
+        best: CubeFamily | int = 0      # a singleton below always beats -inf
+        for fam in candidates:
+            val = family_value(f, fam, at_p, scaled)
+            if val > lower:
+                lower, best = val, fam
+        # singletons are sparse of every order: no children at all
+        single_vals = (scaled if math.isinf(p)
+                       else (scaled ** p * meas) ** (1.0 / p))
+        best_single = int(np.argmax(single_vals))
+        if float(single_vals[best_single]) > lower:
+            lower, best = float(single_vals[best_single]), best_single
+        out.append((lower, upper, best))
+    return fit, out
 
 
 # -- Garsia-Rodemich functional ----------------------------------------------
@@ -703,7 +695,7 @@ def garo_norm(f: GridFunction, p: float) -> NormReport:
     certified lower bound, with the packing JN value as upper bound (Hoelder
     applied per packing shows the ratio never exceeds it).
     """
-    if p <= 1:
+    if not p > 1:       # also refuses nan
         raise ValueError(f"the functional needs p > 1, got {p}")
     n, L = f.dimension, f.depth
     params = NormParams.jn(p)

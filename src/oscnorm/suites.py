@@ -53,13 +53,13 @@ from .grid import GridFunction, _check_cells
 from .maximal import (level_integrals, lp_norm, lp_rows, maximal_cells,
                       maximal_opnorm_bound)
 from .local_poly import median_sweep
-from .norms import (NormParams, _bounds_at, _bounds_setup, _levels,
-                    _packing_value, _packing_weights, _scaled_flat,
-                    _scaled_levels, _sparse_sup, bmo_norm, llogl_rows,
-                    packing_dp, packing_sup_norm, sparse_sup_dp)
+from .norms import (NormParams, _bounds, _levels, _packing_value,
+                    _packing_weights, _scaled_flat, _scaled_levels,
+                    _sparse_sup, bmo_norm, llogl_rows, packing_dp,
+                    packing_sup_norm, sparse_sup_dp)
 # imported for their names alone: perfbench/tracer.py binds them here;
-# sv-equivalence calls their p-independent and per-p halves instead, and
-# no suite calls the other two
+# sv-equivalence calls the routines under them instead, and no suite calls
+# the other two
 from .norms import (garo_norm, ri_functionals,  # noqa: F401
                     sparse_norm_bounds, sparse_sup_exhaustive)
 
@@ -367,14 +367,14 @@ def _suite_sparse_jn(cfg: SuiteConfig) -> SuiteReport:
 def _suite_sv_equivalence(cfg: SuiteConfig) -> SuiteReport:
     """Factor-2 upper bound and packing-below-sparse across (k, q) choices.
 
-    Per trial and ``(k, q)`` the ``p``-independent halves of
+    Per trial and ``(k, q)`` one sweep of scaled errors serves
     ``sparse_sup_exhaustive``, ``sparse_norm_bounds`` and
-    ``packing_sup_norm`` run once: one sweep of scaled errors, shared by
-    all three (at ``lam = 0`` the packing's ``V`` exponent is the
-    ``SV`` one, ``-1/q``), and the root fit, maximal function and
-    candidate families of the bounds.  Their per-``p`` halves then give
-    the three functionals' values at each ``p``, bit for bit, without
-    building witnesses.
+    ``packing_sup_norm`` (at ``lam = 0`` the packing's ``V`` exponent is
+    the ``SV`` one, ``-1/q``).  ``norms._sparse_sup`` and ``norms._bounds``
+    take the three ``p`` in one call each, so the bounds build their root
+    fit, maximal function and candidate families once.  With the packing
+    DP per ``p`` they give the three functionals' values, bit for bit,
+    without building witnesses.
     """
     n, L = cfg.dimension, cfg.depth
     _require_oracle_scale("sv-equivalence", n, L)
@@ -389,17 +389,16 @@ def _suite_sv_equivalence(cfg: SuiteConfig) -> SuiteReport:
     rows = []
     for i, (k, q) in enumerate(kq_list):
         count = min(per, 40) if (k >= 2 and q == 1) else per
-        # the setups do not read p; each p is passed to the evaluations
+        # p is passed to each evaluation; these params do not set it
         sv_params = NormParams.sv(math.inf, k, q, 0.0)
         for t in range(count):
             f = GridFunction(n, L, V[(i * per + t) % cfg.trials])
             scaled = _scaled_flat(f, sv_params)
-            bounds = _bounds_setup(f, sv_params, scaled)
+            _, bounds = _bounds(f, sv_params, scaled, p_list)
             # at lam = 0 the V and SV exponents are both -1/q
             pk_levels = _levels(scaled, n, L)
             svs = _sparse_sup(f, scaled, p_list)
-            for p, sv in zip(p_list, svs):
-                lower, upper, _ = _bounds_at(f, bounds, p)
+            for p, sv, (lower, upper, _) in zip(p_list, svs, bounds):
                 pk = _packing_value(pk_levels, n, p)[0]
                 checks += 1
                 gap = sv - upper

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oscnorm.families import (SUBSET_NODE_CAP, CubeFamily, SparsityViolation,
                               checked, cz_family, enumerable, family_tables,
-                              finest_family, validate, validate_index)
+                              validate, validate_index)
 from oscnorm.grid import (CubeId, GridFunction, cube_index, iter_cubes,
                           level_offsets, tree_size)
 from oracles import (_enumerate_antichains, antichain_value_max,
@@ -152,33 +152,15 @@ def test_packings_are_sparse_of_every_order():
 @pytest.mark.parametrize("n, depth", [(1, 0), (1, 1), (1, 5), (2, 0), (2, 3)])
 @pytest.mark.parametrize("order", [1.0, 0.5, 0.25])
 def test_finest_family_is_the_validated_finest_level(n, depth, order):
+    """The finest level, as ``checked`` builds it for the finest-packing
+    candidate of ``sparse_norm_bounds``, lies in every class, with no
+    parents and each member's own cell as its core set."""
     offsets = level_offsets(depth, n)
-    want = validate_index(np.arange(offsets[depth], offsets[depth + 1]),
-                          order, dimension=n, depth=depth)
-    got = finest_family(n, depth, order)
-    assert isinstance(want, CubeFamily)
-    for name in ("dimension", "depth", "kind", "order"):
-        assert getattr(got, name) == getattr(want, name)
-        assert type(getattr(got, name)) is type(getattr(want, name))
-    for name in ("index", "parent", "core_counts"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("order", ["packing"])
-def test_finest_family_takes_the_class_names(order):
-    want = validate_index(np.arange(3, 7), order, dimension=1, depth=2)
-    got = finest_family(1, 2, order)
-    assert (got.kind, got.order) == (want.kind, want.order)
-    for name in ("index", "parent", "core_counts"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
-
-
-def test_finest_family_rejects_bad_order():
-    for order in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError, match="sparseness order"):
-            finest_family(1, 2, order)
+    index = np.arange(offsets[depth], offsets[depth + 1])
+    got = checked(index, order, dimension=n, depth=depth)
+    assert (got.kind, got.order) == ("sparse", order)
+    assert np.array_equal(got.index, index)
+    assert (got.parent == -1).all() and (got.core_counts == 1).all()
 
 
 def test_sparse_orders_nest_upward():
@@ -255,6 +237,13 @@ def test_stopping_time_validation():
         cz_family(g, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         cz_family(GridFunction(1, 1, [-1.0, 1.0]))
+
+
+def test_stopping_time_refuses_a_nan_factor():
+    g = GridFunction(1, 1, [1.0, 0.0])
+    with pytest.raises(ValueError,
+                       match="stopping factor must exceed 1, got nan"):
+        cz_family(g, float("nan"))
 
 
 @settings(max_examples=60, deadline=None)

@@ -68,6 +68,13 @@ witness replayed them stage by stage.  When the ``L^1``, ``k >= 2`` fits of
 digest moved: the errors of those cubes moved by at most 5.3e-16
 relative, and with ``sqrt 2 - 1`` correctly rounded the
 ``sv-equivalence-1d`` pin held (with ``math.sqrt(2) - 1`` it moved).
+The ``sv-k0-q1`` bounds digests (``k = 0``, where the finest packing is a
+candidate of the lower side) and the ``svt`` bounds digests (``lambda =
+0.5``, a fractional order) were recorded before the bounds moved from a
+setup/evaluate pair to one routine over a tuple of ``p``.  Their lower
+sides, like those of the ``sjn`` and ``sv-k2-q2`` bounds, go through
+``family_value``'s BLAS dot, whose bits depend on the BLAS kernel (ROADMAP
+item 10).
 None may move under refactors that keep the mathematics fixed.
 """
 
@@ -105,6 +112,10 @@ OPS = {
     "sjn-exact": ["--norm", "sjn", "--p", "2", "--mode", "exact"],
     "sv-exact": ["--norm", "sv", "--k", "2", "--q", "2", "--p", "2",
                  "--mode", "exact"],
+    "sv-k0-q1": ["--norm", "sv", "--k", "0", "--q", "1", "--p", "2",
+                 "--mode", "bounds"],
+    "svt": ["--norm", "svt", "--lambda", "0.5", "--p", "2", "--mode",
+            "bounds"],
 }
 
 GOLDEN = {
@@ -188,6 +199,22 @@ GOLDEN = {
         'd8e3f87077e381fe85182e6aa002348674e30392e7142c9ebe314a916a621584',
     ('2d-uniform', 'sv-exact'):
         'deabbc18d0c8799ea95cb85b42fb80a25ac0e574aa1deb67b97a555d10009eea',
+    ('1d-lognormal', 'sv-k0-q1'):
+        '4c062156231ea3215945bf0b4150fcedbacf7e1b45c99372730558d6bacda46e',
+    ('1d-lognormal', 'svt'):
+        '02e2cbfd6e9efc627fbe32a464d636771a468bd7f3e046bf0ccc27964e105172',
+    ('1d-uniform', 'sv-k0-q1'):
+        'fc8a79cf84c20c92eccef6531387334d9fd53e81d76693964c5b2e98fddb8db8',
+    ('1d-uniform', 'svt'):
+        'ccb175042890339c7bc3e632ed2b97d92a1c6800024216e5d749cd88141ca62b',
+    ('2d-lognormal', 'sv-k0-q1'):
+        '3ee4e006ee863ab149e738b62e1c7d7bddde7240c6243f475682de134ac427a4',
+    ('2d-lognormal', 'svt'):
+        '7194e89a04c042abd1d779c866098d4abda8fce84a5e7e8c33c75876e1a1f8d9',
+    ('2d-uniform', 'sv-k0-q1'):
+        '6414f56c0a5d1662df5a2d3821892df2515f50ce61b9eeb3a3f78a95971dc3d5',
+    ('2d-uniform', 'svt'):
+        '9638adab6e4dfdd407d940b33ae2cfb20059052529a2d54ce89771d7bc590d38',
 }
 
 

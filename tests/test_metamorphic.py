@@ -8,6 +8,9 @@ sparse brackets and of the Garsia-Rodemich functional commute with these
 maps.  Refining every cell into its ``2^n`` children adds cubes of zero
 oscillation, so the exact suprema keep their values.  The two sides sum in
 different orders, so they agree to rounding, checked at 1e-13 relative.
+Adding a constant leaves every ``k >= 1`` error unchanged; on values that
+stay exact under the shift, the routes that only subtract medians and
+means keep every bit, and the others agree to 1e-13 relative.
 """
 
 import numpy as np
@@ -191,3 +194,81 @@ def test_refinement_keeps_the_exact_values(seed, n, depth, dist):
     bracket = sparse_norm_bounds(g, NormParams.sjn(2.0))
     assert bracket.value_lower <= sjn * (1 + REL)
     assert sjn <= bracket.value_upper * (1 + REL)
+
+
+def _shiftable(seed, n, depth):
+    """Values ``m / 2^20``, ``m`` an integer in ``[0, 2^20)``, on the
+    ``(2^depth,) * n`` grid: shifted by an integer ``c`` with ``|c| <=
+    1024`` each needs at most 31 significant bits, so every shifted value
+    is exact.  Larger shifts lose bits in the ``L^1`` fits (CHANGES FOUND
+    47)."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2 ** 20, (1 << depth,) * n) / 2.0 ** 20
+
+
+SHIFTS = st.integers(-1024, 1024)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1), st.sampled_from([1, 2]),
+       st.integers(0, 12), SHIFTS)
+@example(0, 1, 12, 1024)
+@example(1, 2, 12, -1024)
+@example(2, 1, 3, 7)            # garo's enumeration regime
+@example(3, 2, 2, -5)           # the same, 2D
+def test_a_constant_shift_keeps_the_bits(seed, n, depth, c):
+    """``f + c`` against ``f`` on 1D L<=12 and 2D L<=6: ``jn`` and
+    ``bmo``, exact ``sjn`` and its witness, both sides of the ``sjn``
+    bounds and of ``garo`` (both regimes) and ``v`` at ``(k, q) = (2, 2)``
+    keep every bit (p=2).  Both sides of the ``sv(k=3, q=2)`` bounds agree
+    to 1e-13 relative: the upper side moved by up to 8.3e-15 in
+    measurement, from the cancellation in ``residual_cell_integrals`` at
+    ``q = 2`` (CHANGES FOUND 58)."""
+    depth = -(-depth // n)
+    values = _shiftable(seed, n, depth)
+    f, g = (GridFunction(n, depth, v.ravel()) for v in (values, values + c))
+
+    def floats(h):
+        sjn = sparse_norm_bounds(h, NormParams.sjn(2.0))
+        garo = garo_norm(h, 2.0)
+        exact = sparse_sup_exhaustive(h, NormParams.sjn(2.0))
+        return {
+            "jn": packing_sup_norm(h, NormParams.jn(2.0)).value,
+            "bmo": bmo_norm(h),
+            "v(2, 2)": packing_sup_norm(
+                h, NormParams.packing(2.0, 2, 2, 0.0)).value,
+            "sjn bounds lower": sjn.value_lower,
+            "sjn bounds upper": sjn.value_upper,
+            "garo lower": garo.value_lower,
+            "garo upper": garo.value_upper,
+            "sjn": exact.value,
+        }, exact.witness.index
+
+    (want, want_witness), (got, got_witness) = floats(f), floats(g)
+    for key in want:
+        assert got[key].hex() == want[key].hex(), key
+    assert np.array_equal(got_witness, want_witness)
+    sv32 = NormParams.sv(2.0, 3, 2, 0.0)
+    want, got = (sparse_norm_bounds(h, sv32) for h in (f, g))
+    assert _close(got.value_lower, want.value_lower), "sv(3, 2) lower"
+    assert _close(got.value_upper, want.value_upper), "sv(3, 2) upper"
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1), st.sampled_from([1, 2]),
+       st.integers(0, 8), SHIFTS)
+@example(0, 1, 8, 1024)
+@example(1, 2, 8, -1024)
+def test_a_constant_shift_keeps_the_l1_fits(seed, n, depth, c):
+    """``v`` at ``(k, q)`` = (2, 1) and (3, 1) (p=2) of ``f + c`` agrees
+    with that of ``f`` to 1e-13 relative, on 1D L<=8 and 2D L<=3 (the
+    drawn ``depth`` is scaled by 3/8, rounding up, in 2D): the ``L^1``
+    fits iterate in floating point from shifted starts, and moved by up to
+    6.0e-15 in measurement."""
+    depth = depth if n == 1 else -(-3 * depth // 8)
+    values = _shiftable(seed, n, depth)
+    f, g = (GridFunction(n, depth, v.ravel()) for v in (values, values + c))
+    for k in (2, 3):
+        params = NormParams.packing(2.0, k, 1, 0.0)
+        want, got = (packing_sup_norm(h, params).value for h in (f, g))
+        assert _close(got, want), k

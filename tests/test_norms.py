@@ -479,6 +479,46 @@ def test_functionals_refuse_a_non_finite_lambda_before_any_work(
         functional(STEP, NormParams(lam=lam, family_order=order))
 
 
+
+def test_garo_refuses_a_nan_p_for_its_own_reason():
+    """``garo_norm`` tests ``p > 1`` itself, before it builds the
+    ``NormParams`` that would refuse a NaN for another reason."""
+    with pytest.raises(ValueError,
+                       match="the functional needs p > 1, got nan"):
+        garo_norm(STEP, math.nan)
+
+
+@pytest.mark.parametrize("k, q, says", [
+    (1.5, 1, "k must lie in 0..3, got 1.5"),
+    (2.0, 1, "k must lie in 0..3, got 2.0"),
+    (True, 1, "k must lie in 0..3, got True"),
+    (4, 1, "k must lie in 0..3, got 4"),
+    (1, 1.0, "q must be 1 or 2, got 1.0"),
+    (1, True, "q must be 1 or 2, got True"),
+], ids=["k-1.5", "k-2.0", "k-True", "k-4", "q-1.0", "q-True"])
+def test_k_and_q_must_be_integers_in_range(k, q, says):
+    """A float or a bool is refused as ``k`` or ``q`` even where its value
+    is in range, by ``NormParams`` when it is built and by ``best_fit``."""
+    with pytest.raises(ValueError, match=f"^{says}$"):
+        NormParams(k=k, q=q)
+    with pytest.raises(ValueError, match=f"^{says}$"):
+        best_fit(STEP, ROOT, k, q)
+
+
+def test_numpy_integer_k_and_q_are_kept_as_python_ints():
+    """NumPy integers are accepted and stored as Python ints, so the
+    parameters write as JSON and the fit is the one of plain ints."""
+    params = NormParams.sv(2.0, np.int64(2), np.int64(2), 0.0)
+    assert (type(params.k), type(params.q)) == (int, int)
+    assert (json.dumps(params.to_json_dict())
+            == json.dumps(NormParams.sv(2.0, 2, 2, 0.0).to_json_dict()))
+    fit, want = (best_fit(STEP, ROOT, k, q) for k, q in
+                 ((np.int64(2), np.int64(1)), (2, 1)))
+    assert (type(fit.degree_bound), type(fit.q)) == (int, int)
+    assert fit.local_coeffs.tobytes() == want.local_coeffs.tobytes()
+    assert fit.error == want.error
+
+
 # -- what the result types derive -------------------------------------------
 
 def test_result_types_store_no_field_they_can_derive():
@@ -626,16 +666,15 @@ def _values(rng, size, dist):
 @pytest.mark.parametrize("n, depth", [(1, 1), (1, 2), (1, 3), (2, 1)])
 @pytest.mark.parametrize("dist", ["uniform", "lognormal", "tied"])
 def test_setup_and_per_p_halves_give_the_functionals_bits(n, depth, dist):
-    """The p-independent setups, run once, and their per-p evaluations
-    give the values of the three public functionals bit for bit, at each
-    (k, q) of sv-equivalence; the bounds name the public witness."""
+    """One sweep of scaled errors and one multi-p call each of
+    ``_sparse_sup`` and ``_bounds`` give the values of the three public
+    functionals bit for bit, at each (k, q) of sv-equivalence; the bounds
+    name the public witness."""
     f = GridFunction(n, depth, _values(np.random.default_rng(depth),
                                        1 << (n * depth), dist))
     for k, q in ((1, 1), (2, 2), (3, 2), (2, 1)):
-        # the setups do not read p
+        # the scaled errors and the bounds do not read params.p
         scaled = norms._scaled_flat(f, NormParams.sv(math.inf, k, q, 0.0))
-        bounds = norms._bounds_setup(f, NormParams.sv(math.inf, k, q, 0.0),
-                                     scaled)
         levels = scaled_error_levels(f, NormParams.packing(math.inf, k, q,
                                                            0.0))
         # at lam = 0 the packing's V scaling is the sparse SV one
@@ -645,11 +684,12 @@ def test_setup_and_per_p_halves_give_the_functionals_bits(n, depth, dist):
             assert got.tobytes() == want.tobytes()
         p_list = (1.0, 2.0, 4.0, math.inf)
         svs = norms._sparse_sup(f, scaled, p_list)
-        for p, sv_value in zip(p_list, svs):
+        _, bounds = norms._bounds(f, NormParams.sv(math.inf, k, q, 0.0),
+                                  scaled, p_list)
+        for p, sv_value, (lower, upper, best) in zip(p_list, svs, bounds):
             sv = sparse_sup_exhaustive(f, NormParams.sv(p, k, q, 0.0))
             bracket = sparse_norm_bounds(f, NormParams.sv(p, k, q, 0.0))
             pk = packing_sup_norm(f, NormParams.packing(p, k, q, 0.0))
-            lower, upper, best = norms._bounds_at(f, bounds, p)
             assert sv_value.hex() == sv.value.hex()
             assert lower.hex() == bracket.value_lower.hex()
             assert upper.hex() == bracket.value_upper.hex()
