@@ -19,8 +19,7 @@ from .grid import GridFunction, _check_cells
 
 __all__ = ["GENERATOR_NAMES", "generate", "rng_for", "batch_uniform"]
 
-GENERATOR_NAMES = ("uniform-iid", "step", "log-singularity", "indicator",
-                   "custom-file")
+GENERATOR_NAMES = ("uniform-iid", "step", "log-singularity", "indicator")
 
 
 def rng_for(seed: int, trial: int) -> np.random.Generator:
@@ -29,14 +28,10 @@ def rng_for(seed: int, trial: int) -> np.random.Generator:
 
 
 def generate(kind: str, dimension: int, depth: int, seed: int = 0,
-             trial: int = 0, path: str | None = None) -> GridFunction:
+             trial: int = 0) -> GridFunction:
     if kind not in GENERATOR_NAMES:
         raise ValueError(f"unknown generator {kind!r}; "
                          f"options: {', '.join(GENERATOR_NAMES)}")
-    if kind == "custom-file":
-        if path is None:
-            raise ValueError("generator 'custom-file' needs a file path")
-        return GridFunction.from_file(path)
     n_cells = _check_cells(dimension, depth)    # before any array is built
     if kind == "uniform-iid":
         vals = rng_for(seed, trial).uniform(0.0, 1.0, size=n_cells)

@@ -11,9 +11,13 @@ with ``q in {1, 2}``.  ``k = 0`` is the approximate-by-zero convention,
 Solvers
 -------
 One per-level table, :func:`_level_fits`, picks the route of every
-``(k, q)``: :func:`error_levels` calls it once per multi-cell level (at
-``k = 1, q = 1`` it runs :func:`median_sweep` instead), and a single cube
-is its one-row call, with the bits of the level sweep.  The
+``(k, q)``: :func:`error_levels` calls it once per multi-cell level, and a
+single cube is its one-row call.  The two routes that take every level in
+one pass up the tree, ``k = 0`` and ``k = q = 1`` (by
+:func:`median_sweep`), are :func:`sweep_errors`, batched over leading
+trial axes: :func:`error_levels` is its one-grid call there, and the
+verification suites call it on their stacked rows, all with the bits of
+the table.  The
 ``q = 1, k >= 2`` route fits a level of 1D two-cell cubes in closed form,
 every row at once; on larger cubes it reads its starts from one call of
 each level kernel per level, then still fits its rows one at a time.
@@ -115,7 +119,7 @@ from .maximal import level_integrals
 
 __all__ = ["PolyFit", "best_fit", "error_levels", "l2_level_fits",
            "median_deviations", "median_sweep", "scaled_error",
-           "convention_exponent", "mean_oscillation"]
+           "sweep_errors", "convention_exponent", "mean_oscillation"]
 
 _NEWTON_STEPS = 100  # trial steps of a Newton polish, 1D and 2D affine
 _QUAD_RULE = 16  # midpoint subdivisions per cell axis, 2D quadratic corner
@@ -202,19 +206,36 @@ def error_levels(f: GridFunction, k: int, q: int) -> list[np.ndarray]:
     """``E_k(f;Q)_q`` of every cube, one flat array per level, each with
     the bits of :func:`poly_error`."""
     _check_kq(k, q)
-    if k == 0:
-        # one sweep up the tree: blocks per level would cost O(N L)
-        dens = np.abs(f.values_nd) ** q * f.cell_measure
-        return [S.ravel() ** (1.0 / q)
-                for S in level_integrals(dens, f.dimension, f.depth)]
-    if (k, q) == (1, 1):
-        # one sweep, the finest level first; the medians are dropped
-        errs = [np.multiply(dev, f.cell_measure, out=dev) for _, dev in
-                median_sweep(f.values, f.dimension, f.depth)][::-1]
-    else:
-        errs = [_level_fits(f, lvl, k, q)[1] for lvl in range(f.depth)]
+    if k == 0 or (k, q) == (1, 1):
+        return sweep_errors(f.values, f.dimension, f.depth, k, q)
+    errs = [_level_fits(f, lvl, k, q)[1] for lvl in range(f.depth)]
     # a one-cell cube is its own constant
     return errs + [np.zeros(f.n_cells)]
+
+
+def sweep_errors(values: np.ndarray, dimension: int, depth: int, k: int,
+                 q: int) -> list[np.ndarray]:
+    """:func:`error_levels` of the routes that take every level in one
+    pass up the tree, ``k = 0`` and ``k = q = 1``, batched: ``values``
+    holds the cells flat row-major on the last axis, after any leading
+    trial axes, and each level's errors come flat on the last axis, root
+    first.  Each row has the bits of its one-grid call."""
+    n, lead = dimension, values.shape[:-1]
+    cell = 2.0 ** (-n * depth)
+    if k == 0:
+        # blocks per level would cost O(N L)
+        dens = np.abs(values) ** q * cell
+        grid = dens.reshape(*lead, *(1 << depth,) * n)
+        return [S.reshape(*lead, -1) ** (1.0 / q)
+                for S in level_integrals(grid, n, depth)]
+    if (k, q) != (1, 1):
+        raise ValueError(f"one sweep takes k = 0 or k = q = 1, got "
+                         f"k = {k}, q = {q}")
+    # the finest level first; the medians are dropped, and a one-cell
+    # cube is its own constant
+    errs = [np.multiply(dev, cell, out=dev)
+            for _, dev in median_sweep(values, n, depth)]
+    return errs[::-1] + [np.zeros(values.shape)]
 
 
 def _level_fits(f: GridFunction, level: int, k: int, q: int,

@@ -165,7 +165,8 @@ class NormParams:
 @dataclass(frozen=True)
 class NormReport:
     """A bracket ``[value_lower, value_upper]`` of a functional, exact when
-    its sides meet.  Both sides are finite."""
+    its sides meet.  Both sides, and every float of ``extras``, are
+    finite."""
 
     params: NormParams
     value_lower: float
@@ -174,8 +175,9 @@ class NormReport:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (math.isfinite(self.value_lower)
-                and math.isfinite(self.value_upper)):
+        extras = [v for v in self.extras.values() if isinstance(v, float)]
+        if not all(map(math.isfinite,
+                       [self.value_lower, self.value_upper, *extras])):
             raise ValueError("the result is not finite: the computation "
                              "overflows near the float limit")
 
@@ -243,14 +245,18 @@ def _packing_sup(f: GridFunction, params: NormParams,
                  scaled: list[np.ndarray]) -> NormReport:
     """:func:`packing_sup_norm` from the levels of
     ``scaled_error_levels(f, params)``."""
-    n, L = f.dimension, f.depth
+    n, L, p = f.dimension, f.depth, params.p
     offsets = level_offsets(L, n)
-    value, weights, child_sums = _packing_value(scaled, n, params.p)
-    if math.isinf(params.p):
+    if math.isinf(p):
+        # the largest entry, its first cube alone the witness
         per_level_max = [lvl.max() for lvl in scaled]
+        value = float(max(per_level_max))
         lvl = int(np.argmax(per_level_max))
         members = offsets[lvl:lvl + 1] + np.argmax(scaled[lvl])
     else:
+        weights = _packing_weights(scaled, n, p)
+        total, child_sums = packing_dp(weights, n)
+        value = float(total) ** (1.0 / p)
         # witness: top-down over cubes not yet covered, each taking itself
         # when its own weight ties or beats its children's best
         picks = []
@@ -263,17 +269,6 @@ def _packing_sup(f: GridFunction, params: NormParams,
         members = np.concatenate(picks)
     witness = checked(members, "packing", dimension=n, depth=L)
     return NormReport(params, value, value, witness)
-
-
-def _packing_value(scaled: list[np.ndarray], n: int, p: float):
-    """The packing supremum at ``p`` from the levels of
-    ``scaled_error_levels``, with the tree DP's level weights and child
-    sums (both ``None`` at ``p = inf``, where it is the largest entry)."""
-    if math.isinf(p):
-        return float(max(lvl.max() for lvl in scaled)), None, None
-    weights = _packing_weights(scaled, n, p)
-    total, child_sums = packing_dp(weights, n)
-    return float(total) ** (1.0 / p), weights, child_sums
 
 
 def _packing_weights(scaled: list[np.ndarray], n: int,
@@ -577,23 +572,6 @@ def _levels(scaled: np.ndarray, dimension: int,
     (views)."""
     offsets = level_offsets(depth, dimension).tolist()
     return [scaled[..., a:b] for a, b in zip(offsets, offsets[1:])]
-
-
-def _sparse_sup(f: GridFunction, scaled: np.ndarray,
-                ps: tuple[float, ...]) -> list[float]:
-    """The values of :func:`sparse_sup_exhaustive` at order 1 at each
-    ``p`` of ``ps``, without witnesses, from the scaled errors of
-    :func:`_scaled_flat`: one :func:`sparse_sup_dp` call over the finite
-    ``p``."""
-    finite = [p for p in ps if not math.isinf(p)]
-    values = {math.inf: float(scaled.max())}
-    if finite:
-        scores = np.stack([scaled ** p for p in finite])
-        core = sparse_sup_dp(_levels(scores, f.dimension, f.depth),
-                             f.dimension, weighted=False)[0]
-        values.update((p, float(c) ** (1.0 / p))
-                      for p, c in zip(finite, core))
-    return [values[p] for p in ps]
 
 
 def family_value(f: GridFunction, family: CubeFamily, params: NormParams,

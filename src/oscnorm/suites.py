@@ -5,19 +5,20 @@ relations, and reports aggregates plus named pass/fail assertions.  All the
 heavy lifting runs on stacked value matrices (one row per trial), so suites
 stay fast enough to act as calibration runs with thousands of grids.
 
-The rows go through the library's own kernels (``level_integrals``,
-``maximal_cells``, ``lp_rows``, ``median_sweep``, ``packing_dp`` on
-the library's packing weights, ``sparse_sup_dp``, ``llogl_rows``), which
-take any leading trial axes and give each row the bits of the single-grid
-call; only the final root is taken on arrays here and on scalars there.
-Wherever a suite wants only the order-1 sparse maximum of a row, the
-coverage DP gives it; ``embedding-chain`` checks the DP against the
-enumerated families on its first trials.  ``sv-equivalence`` still works
-grid by grid, since its ``L^1``, ``k = 2`` errors are one fit per cube:
-per trial and ``(k, q)`` it sweeps the scaled errors once, runs the
-``p``-independent halves of the library's three functionals on them, and
-their per-``p`` halves, the sparse one at all three ``p`` in one DP call,
-with no witnesses.
+The rows go through the library's own kernels (``sweep_errors``, the
+one-pass error sweep of ``error_levels``; ``maximal_cells``, ``lp_rows``,
+``packing_dp`` on the library's packing weights, ``sparse_sup_dp``,
+``llogl_rows``), which take any leading trial axes and give each row the
+bits of the single-grid call.  ``_packing_rows`` and ``_sparse_rows`` root
+the DP totals: on stacked rows as arrays, on one tree as NumPy scalars,
+which round like the library's Python floats.  Wherever a suite wants
+only the order-1 sparse maximum of a row, the coverage DP gives it;
+``embedding-chain`` checks the DP against the enumerated families on its
+first trials.  ``sv-equivalence`` still works grid by grid, since its
+``L^1``, ``k = 2`` errors are one fit per cube: per trial and ``(k, q)``
+it sweeps the scaled errors once and reads the library's three
+functionals off them, the bounds and the sparse suprema at all three
+``p`` in one call each, with no witnesses.
 
 The per-family checks (``sparse-jn``'s two-sided comparison,
 ``sobolev-chain``'s ``core-below-weighted`` and ``sequence-embedding``)
@@ -49,14 +50,12 @@ import numpy as np
 
 from .families import SUBSET_NODE_CAP, enumerable, family_tables
 from .generate import batch_uniform, log_singularity
-from .grid import GridFunction, _check_cells
-from .maximal import (level_integrals, lp_norm, lp_rows, maximal_cells,
-                      maximal_opnorm_bound)
-from .local_poly import median_sweep
-from .norms import (NormParams, _bounds, _levels, _packing_value,
-                    _packing_weights, _scaled_flat, _scaled_levels,
-                    _sparse_sup, bmo_norm, llogl_rows, packing_dp,
-                    packing_sup_norm, sparse_sup_dp)
+from .grid import _CELL_BITS, GridFunction, _check_cells
+from .maximal import lp_norm, lp_rows, maximal_cells, maximal_opnorm_bound
+from .local_poly import median_deviations, sweep_errors
+from .norms import (NormParams, _bounds, _levels, _packing_weights,
+                    _scaled_flat, _scaled_levels, bmo_norm, llogl_rows,
+                    packing_dp, packing_sup_norm, sparse_sup_dp)
 # imported for their names alone: perfbench/tracer.py binds them here;
 # sv-equivalence calls the routines under them instead, and no suite calls
 # the other two
@@ -145,27 +144,26 @@ def _assertion(name: str, passed: bool, detail: str) -> dict:
 
 # -- batched helpers (one row per trial) -------------------------------------
 
-def _median_levels(V: np.ndarray, n: int,
-                   L: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The lower medians and ``sum |v - median|`` of every level, root
-    first, by one :func:`median_sweep`; the one-cell level is ``(V, 0)``."""
-    return list(median_sweep(V, n, L))[::-1] + [(V, np.zeros_like(V))]
+def _packing_rows(scaled: list[np.ndarray], n: int, p: float):
+    """Per row, the packing supremum at a finite ``p`` from one scaled-error
+    array per level, cubes on the last axis, with the library's weights:
+    a NumPy scalar for one tree, which roots like Python's ``**``."""
+    total = packing_dp(_packing_weights(scaled, n, p), n)[0][()]
+    return total ** (1.0 / p)
 
 
-def _packing_rows(errors: list[np.ndarray], n: int, p: float) -> np.ndarray:
-    """Per row, ``(max over packings of sum |Q| (E(Q)/|Q|)^p)^{1/p}`` from
-    one (trials, cubes) error matrix per level, with the library's
-    weights."""
-    weights = _packing_weights(_scaled_levels(errors, n, -1.0), n, p)
-    return packing_dp(weights, n)[0] ** (1.0 / p)
-
-
-def _sparse_rows(scaled: list[np.ndarray], n: int, p: float) -> np.ndarray:
-    """Per row, the order-1 sparse supremum at a finite ``p`` from one
-    (trials, cubes) scaled-error matrix per level, by one
-    :func:`sparse_sup_dp` call."""
-    core = sparse_sup_dp([lvl ** p for lvl in scaled], n, weighted=False)[0]
-    return core ** (1.0 / p)
+def _sparse_rows(scaled: list[np.ndarray], n: int,
+                 ps: tuple[float, ...]) -> list:
+    """Per finite ``p`` of ``ps``, the order-1 sparse supremum of each row
+    from one scaled-error array per level, cubes on the last axis, by one
+    :func:`sparse_sup_dp` call over a leading ``p`` axis (none for one
+    ``p``, where stacking would only copy): a NumPy scalar for one tree,
+    which roots like Python's ``**``."""
+    stacked = len(ps) > 1
+    scores = [np.stack([lvl ** p for p in ps]) if stacked else lvl ** ps[0]
+              for lvl in scaled]
+    core = sparse_sup_dp(scores, n, weighted=False)[0]
+    return [c ** (1.0 / p) for c, p in zip(core if stacked else [core], ps)]
 
 
 def _require_oracle_scale(suite: str, n: int, L: int) -> None:
@@ -259,10 +257,9 @@ def _suite_riesz(cfg: SuiteConfig) -> SuiteReport:
     p_list = (1.0, 2.0, 4.0)
     max_rel = 0.0
     rows = []
-    dens = (np.abs(V) * cell_meas).reshape(V.shape[0], *(1 << L,) * n)
-    e0 = [S.reshape(V.shape[0], -1) for S in level_integrals(dens, n, L)]
+    scaled = _scaled_levels(sweep_errors(V, n, L, 0, 1), n, -1.0)
     for p in p_list:
-        packing = _packing_rows(e0, n, p)
+        packing = _packing_rows(scaled, n, p)
         direct = lp_rows(V, p, cell_meas)
         rel = np.abs(packing - direct) / np.maximum(direct, 1e-300)
         max_rel = max(max_rel, float(rel.max()))
@@ -297,12 +294,11 @@ def _suite_sparse_jn(cfg: SuiteConfig) -> SuiteReport:
     cell_meas = 2.0 ** (-n * L)
     tables = family_tables(n, L, 1.0)
     n_fam = tables.core_meas.shape[0]
-    med_dev = _median_levels(V, n, L)
-    e1 = [dev * cell_meas for _, dev in med_dev]
+    e1 = sweep_errors(V, n, L, 1, 1)
     scaled = np.concatenate(_scaled_levels(e1, n, -1.0), axis=1)
     # |f - m| integrated over each cell, m the root median (a zero m of
     # either sign gives the same bits)
-    r_cells = np.abs(V - med_dev[0][0]) * cell_meas
+    r_cells = np.abs(V - median_deviations(V, n, L, 0)[0]) * cell_meas
     mx = maximal_cells(r_cells, n, L, 1, 0.0)
 
     p_list = (1.0, 2.0, 4.0)
@@ -370,11 +366,11 @@ def _suite_sv_equivalence(cfg: SuiteConfig) -> SuiteReport:
     Per trial and ``(k, q)`` one sweep of scaled errors serves
     ``sparse_sup_exhaustive``, ``sparse_norm_bounds`` and
     ``packing_sup_norm`` (at ``lam = 0`` the packing's ``V`` exponent is
-    the ``SV`` one, ``-1/q``).  ``norms._sparse_sup`` and ``norms._bounds``
+    the ``SV`` one, ``-1/q``).  ``_sparse_rows`` and ``norms._bounds``
     take the three ``p`` in one call each, so the bounds build their root
-    fit, maximal function and candidate families once.  With the packing
-    DP per ``p`` they give the three functionals' values, bit for bit,
-    without building witnesses.
+    fit, maximal function and candidate families once.  With
+    ``_packing_rows`` per ``p`` they give the three functionals' values,
+    bit for bit, without building witnesses.
     """
     n, L = cfg.dimension, cfg.depth
     _require_oracle_scale("sv-equivalence", n, L)
@@ -396,10 +392,10 @@ def _suite_sv_equivalence(cfg: SuiteConfig) -> SuiteReport:
             scaled = _scaled_flat(f, sv_params)
             _, bounds = _bounds(f, sv_params, scaled, p_list)
             # at lam = 0 the V and SV exponents are both -1/q
-            pk_levels = _levels(scaled, n, L)
-            svs = _sparse_sup(f, scaled, p_list)
+            levels = _levels(scaled, n, L)
+            svs = _sparse_rows(levels, n, p_list)
             for p, sv, (lower, upper, _) in zip(p_list, svs, bounds):
-                pk = _packing_value(pk_levels, n, p)[0]
+                pk = _packing_rows(levels, n, p)
                 checks += 1
                 gap = sv - upper
                 worst = max(worst, gap)
@@ -432,7 +428,7 @@ def _suite_fractional_sv(cfg: SuiteConfig) -> SuiteReport:
     V = batch_uniform(n, L, cfg.seed, cfg.trials)
     T = V.shape[0]
     cell_meas = 2.0 ** (-n * L)
-    e1 = [dev * cell_meas for _, dev in _median_levels(V, n, L)]
+    e1 = sweep_errors(V, n, L, 1, 1)
     mean = V.mean(axis=1)
     r_cells = np.abs(V - mean[:, None]) * cell_meas
     p_list = (1.0, 2.0, 4.0)
@@ -450,7 +446,7 @@ def _suite_fractional_sv(cfg: SuiteConfig) -> SuiteReport:
         flat = np.concatenate(scaled, axis=1)
         mx = maximal_cells(r_cells, n, L, 1, lam)
         for p in p_list:
-            sv = _sparse_rows(scaled, n, p)
+            sv = _sparse_rows(scaled, n, (p,))[0]
             svt = sv if frac_t is None else _table_max(flat ** p, frac_t, p)
             bound = 2.0 * lp_rows(mx, p, cell_meas)
             viol_nest += int((svt > sv + 1e-12).sum())
@@ -476,6 +472,9 @@ def _suite_jn_extrapolation(cfg: SuiteConfig) -> SuiteReport:
     singularity, at the configured depth and two levels finer."""
     if cfg.dimension != 1:
         raise ValueError("the log-singularity comparison is 1-dimensional")
+    if cfg.depth + 2 > _CELL_BITS:      # before the first grid is built
+        raise ValueError(f"jn-extrapolation takes depth <= {_CELL_BITS - 2}:"
+                         " it also evaluates depth + 2")
     if cfg.depth < 4:
         # the ratios still converge below depth 4: 0.618 -> 0.697 from
         # depth 2 to 4 exceeds the 5% growth that depth-stability allows
@@ -546,7 +545,7 @@ def _suite_sobolev_chain(cfg: SuiteConfig) -> SuiteReport:
     T = V.shape[0]
     cell_meas = 2.0 ** (-n * L)
     tables = family_tables(n, L, 1.0)
-    e1 = [dev * cell_meas for _, dev in _median_levels(V, n, L)]
+    e1 = sweep_errors(V, n, L, 1, 1)
     # |Q|^{lam/n - 1} E_1 and |Q|^{-1} E_1 raised to the link exponents
     sq = np.concatenate(_scaled_levels(e1, n, lam / n - 1.0), axis=1) ** q
     scaled = _scaled_levels(e1, n, -1.0)
@@ -581,7 +580,7 @@ def _suite_sobolev_chain(cfg: SuiteConfig) -> SuiteReport:
         viol["sequence-embedding"] += _root_violations(
             wq, 1.0 / q, wp, 1.0 / p, wp * wp * wp, capped)
     sv_core **= 1.0 / q
-    sjn_core = _sparse_rows(scaled, n, p)
+    sjn_core = _sparse_rows(scaled, n, (p,))[0]
     wted_p_max **= 1.0 / p
     viol["sv-below-fractional-maximal"] += int(
         (sv_core > m_lam_q + 1e-10).sum())
@@ -619,7 +618,7 @@ def _suite_embedding_chain(cfg: SuiteConfig) -> SuiteReport:
     sparse = family_tables(n, L, 1.0)
     member = (pack.cube_meas > 0).astype(np.float64)
     fam_meas = pack.cube_meas.sum(axis=1)
-    e1 = [dev * cell_meas for _, dev in _median_levels(V, n, L)]
+    e1 = sweep_errors(V, n, L, 1, 1)
     e1_flat = np.concatenate(e1, axis=1)
     scaled = _scaled_levels(e1, n, -1.0)
     # the first trials' rows of every sparse family, by the library's table
@@ -638,8 +637,8 @@ def _suite_embedding_chain(cfg: SuiteConfig) -> SuiteReport:
     for p in p_list:
         dens = fam_meas ** (1.0 - 1.0 / p)
         garo = (nums / dens).max(axis=1)
-        jn = _packing_rows(e1, n, p)
-        sjn = _sparse_rows(scaled, n, p)
+        jn = _packing_rows(scaled, n, p)
+        sjn = _sparse_rows(scaled, n, (p,))[0]
         # the coverage DP against the enumerated families
         enum = ((spot_rows ** p @ sparse.core_meas.T).max(axis=1)
                 ** (1.0 / p))

@@ -19,12 +19,15 @@ from hypothesis import strategies as st
 
 from oscnorm import local_poly
 from oscnorm.grid import GridFunction
-from oscnorm.local_poly import (_column_deviations, median_deviations,
-                                median_sweep)
+from oscnorm.local_poly import (_column_deviations, _level_fits,
+                                error_levels, median_deviations,
+                                median_sweep, sweep_errors)
 from oscnorm.maximal import (chain_max, fractional_maximal, level_integrals,
                              lp_norm, lp_rows, maximal_cells, refine,
                              sibling_sums)
-from oscnorm.norms import packing_dp
+from oscnorm.norms import (NormParams, packing_dp, packing_sup_norm,
+                           scaled_error_levels, sparse_sup_exhaustive)
+from oscnorm.suites import _packing_rows, _sparse_rows
 
 SHAPES = st.sampled_from([(1, 0), (1, 1), (1, 3), (1, 6), (2, 0), (2, 1),
                           (2, 2), (2, 4)])
@@ -116,6 +119,9 @@ def _sweep_values(seed, n, depth, lead, dist):
             "ties": lambda: rng.integers(-2, 3, size).astype(float),
             "zeros": lambda: rng.choice([-0.0, 0.0, 1.0, -1.0], size),
             "negative": lambda: -rng.lognormal(0.0, 1.5, size),
+            "lognormal": lambda: rng.lognormal(0.0, 1.5, size),
+            "signed": lambda: (rng.lognormal(0.0, 1.5, size)
+                               * rng.choice([-1.0, 1.0], size)),
             "offset": lambda: rng.uniform(0.0, 1.0, size) + 1e12}[dist]()
 
 
@@ -294,3 +300,95 @@ def test_children_walk_has_the_bits_of_the_former_slicing(seed, shape, lead,
     assert len(kids) == len(want_kids) == depth
     for g, w in zip(kids, want_kids):
         assert _same_bits(g, w)
+
+
+# -- the one-pass error sweep and the suites' row suprema ---------------------
+
+SWEEP_DISTS = st.sampled_from(["uniform", "lognormal", "ties", "signed"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1),
+       st.sampled_from([(1, d) for d in range(9)]
+                       + [(2, d) for d in range(5)]),
+       st.sampled_from([(), (1,), (3,), (2, 2)]), SWEEP_DISTS,
+       st.sampled_from([(0, 1), (0, 2), (1, 1)]))
+def test_error_sweep_rows_have_the_bits_of_error_levels(seed, shape, lead,
+                                                        dist, route):
+    """Each row of the batched sweep has the bits of ``error_levels`` on
+    its grid, and each level those of the per-level route table, which a
+    single cube takes."""
+    n, depth = shape
+    k, q = route
+    V = _sweep_values(seed, n, depth, lead, dist)
+    swept = sweep_errors(V, n, depth, k, q)
+    assert len(swept) == depth + 1
+    for lvl, errs in enumerate(swept):
+        assert errs.shape == (*lead, 1 << (n * lvl))
+    for row in np.ndindex(*lead):
+        f = GridFunction(n, depth, V[row])
+        want = error_levels(f, k, q)
+        for lvl, errs in enumerate(swept):
+            assert _same_bits(errs[row], want[lvl]), lvl
+            if lvl < depth:
+                assert _same_bits(want[lvl], _level_fits(f, lvl, k, q)[1])
+
+
+def test_error_sweep_refuses_a_route_it_does_not_take():
+    for k, q in ((1, 2), (2, 1), (3, 2)):
+        with pytest.raises(ValueError, match="k = 0 or k = q = 1"):
+            sweep_errors(np.zeros(4), 1, 2, k, q)
+
+
+def _scaled(seed, n, depth, lead):
+    """Nonnegative scaled errors, one array per level, some of them tied
+    or zero."""
+    rng = np.random.default_rng(seed)
+    return [rng.choice([0.0, 0.5, 1.0, 2.0], (*lead, 1 << (n * lvl)))
+            * rng.lognormal(0.0, 1.0, (*lead, 1 << (n * lvl)))
+            for lvl in range(depth + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1),
+       st.sampled_from([(1, d) for d in range(7)]
+                       + [(2, d) for d in range(4)]),
+       st.sampled_from([(), (1,), (3,), (2, 2)]),
+       st.permutations([1.0, 1.5, 2.0, 4.0]), st.integers(1, 4))
+def test_sparse_rows_over_a_tuple_of_p_give_each_p_its_bits(seed, shape,
+                                                            lead, order,
+                                                            count):
+    """One DP call over a leading ``p`` axis gives each ``p`` the bits of
+    its one-``p`` call."""
+    n, depth = shape
+    ps = tuple(order[:count])
+    scaled = _scaled(seed, n, depth, lead)
+    stacked = _sparse_rows(scaled, n, ps)
+    assert len(stacked) == len(ps)
+    for p, got in zip(ps, stacked):
+        alone = _sparse_rows(scaled, n, (p,))
+        assert len(alone) == 1
+        assert np.shape(got) == lead
+        assert np.asarray(got).tobytes() == np.asarray(alone[0]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 16 - 1),
+       st.sampled_from([(1, d) for d in range(7)]
+                       + [(2, d) for d in range(4)]),
+       SWEEP_DISTS, st.sampled_from([(0, 1), (1, 1), (2, 2), (0, 2)]))
+def test_row_suprema_on_one_tree_have_the_functionals_bits(seed, shape,
+                                                           dist, route):
+    """On one tree the suites' row suprema, over the scaled errors of the
+    functionals, give the bits of the exact sparse and packing values."""
+    n, depth = shape
+    k, q = route
+    f = GridFunction(n, depth, _sweep_values(seed, n, depth, (), dist))
+    # at lam = 0 the packing's V scaling is the sparse SV one
+    scaled = scaled_error_levels(f, NormParams.packing(2.0, k, q, 0.0))
+    ps = (1.0, 4.0 / 3.0, 2.0, 3.0, 4.0)
+    for p, sv in zip(ps, _sparse_rows(scaled, n, ps)):
+        want = sparse_sup_exhaustive(f, NormParams.sv(p, k, q, 0.0)).value
+        assert float(sv).hex() == want.hex(), p
+        pk = packing_sup_norm(f, NormParams.packing(p, k, q, 0.0)).value
+        assert float(_packing_rows(scaled, n, p)).hex() == pk.hex(), p

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from oscnorm.cli import _NORM_FLAGS, _NORM_KEYS, _emit, main
 from oscnorm.families import CubeFamily, validate_index
 from oscnorm.grid import GridFunction, cube_index, tree_size
+from oscnorm import suites
 from oscnorm.suites import SUITE_NAMES
 
 
@@ -466,6 +467,40 @@ def test_huge_depths_are_refused_before_any_allocation(tmp_path, capsys,
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "limit 4194304" in err and len(err) < 200
+
+
+@pytest.mark.parametrize("depth, reached", [(20, True), (21, False),
+                                             (22, False)])
+def test_jn_extrapolation_refuses_a_depth_past_its_finer_grid_at_once(
+        capsys, monkeypatch, depth, reached):
+    """The suite also evaluates ``depth + 2``, so it refuses a depth past
+    20 in one line before it builds any grid; depth 20 goes on to build
+    its first."""
+    def no_grid(L):
+        raise ValueError(f"log_singularity({L})")
+
+    monkeypatch.setattr(suites, "log_singularity", no_grid)
+    code, out, err = _run(capsys, ["verify", "--suite", "jn-extrapolation",
+                                   "--depth", str(depth)])
+    assert (code, out) == (2, "")
+    assert err == ("error: log_singularity(20)\n" if reached else
+                   "error: jn-extrapolation takes depth <= 20: it also "
+                   "evaluates depth + 2\n")
+
+
+def test_compute_refuses_an_infinite_weighted_value(tmp_path):
+    """The exact sparse value of this grid is finite, but its weighted
+    value overflows: the report refuses it in its own line instead of the
+    generic JSON one."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(
+        {"dimension": 1, "depth": 2, "values": [1.6e154, 0, 0, 0]}))
+    proc = _run_module(["compute", "--input", str(path), "--norm", "sjn",
+                        "--mode", "exact"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: the result is not finite: the computation overflows near "
+        "the float limit"]
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)

@@ -1,6 +1,5 @@
 """Deterministic generators: reproducibility and exact profiles."""
 
-import json
 import math
 import tracemalloc
 
@@ -74,24 +73,15 @@ def test_log_singularity_rejects_2d():
         generate("log-singularity", 2, 2)
 
 
-def test_custom_file_round_trip(tmp_path):
-    path = tmp_path / "grid.json"
-    payload = {"dimension": 1, "depth": 1, "values": [0.25, 0.75]}
-    path.write_text(json.dumps(payload))
-    f = generate("custom-file", 1, 1, path=str(path))
-    assert f.values.tolist() == [0.25, 0.75]
-    with pytest.raises(ValueError, match="path"):
-        generate("custom-file", 1, 1)
-
-
 def test_unknown_generator():
-    with pytest.raises(ValueError, match="unknown generator"):
-        generate("gaussian", 1, 1)
+    for kind in ("gaussian", "custom-file"):
+        with pytest.raises(ValueError, match="unknown generator"):
+            generate(kind, 1, 1)
 
 
 def test_generator_names_frozen():
     assert GENERATOR_NAMES == (
-        "uniform-iid", "step", "log-singularity", "indicator", "custom-file")
+        "uniform-iid", "step", "log-singularity", "indicator")
 
 
 @pytest.mark.parametrize("seed", [

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscnorm import norms
+from oscnorm import norms, suites
 from oscnorm.families import CubeFamily, validate
 from oscnorm.grid import (CubeId, GridFunction, cube_index, iter_cubes,
                           level_offsets)
@@ -603,6 +603,22 @@ def test_functionals_refuse_a_non_finite_result():
             call()
 
 
+def test_a_report_refuses_a_non_finite_extra():
+    """The exact sparse value of this grid is finite, but the unpenalised
+    coverage pass overflows in finest-cell units, so its weighted value is
+    infinite: the report refuses it, as it refuses a non-finite side."""
+    f = GridFunction(1, 2, [1.6e154, 0.0, 0.0, 0.0])
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="^the result is not finite: "):
+        sparse_sup_exhaustive(f, NormParams.sjn(2.0))
+    params = NormParams.sjn(2.0)
+    for bad in (math.inf, math.nan, np.float64(-np.inf)):
+        with pytest.raises(ValueError, match="the result is not finite"):
+            NormReport(params, 1.0, 1.0, None, extras={"jn_value": bad})
+    assert NormReport(params, 1.0, 1.0, None,
+                      extras={"jn_value": 2.0, "count": 3}).exact
+
+
 def test_sparse_bounds_name_an_overflowing_residual():
     """The root fit of these finite values overflows: the bounds say so,
     and do not call the input values non-finite."""
@@ -666,10 +682,11 @@ def _values(rng, size, dist):
 @pytest.mark.parametrize("n, depth", [(1, 1), (1, 2), (1, 3), (2, 1)])
 @pytest.mark.parametrize("dist", ["uniform", "lognormal", "tied"])
 def test_setup_and_per_p_halves_give_the_functionals_bits(n, depth, dist):
-    """One sweep of scaled errors and one multi-p call each of
-    ``_sparse_sup`` and ``_bounds`` give the values of the three public
-    functionals bit for bit, at each (k, q) of sv-equivalence; the bounds
-    name the public witness."""
+    """One sweep of scaled errors, the suites' ``_sparse_rows`` over the
+    finite ``p`` and ``_packing_rows`` per ``p``, and one multi-p call of
+    ``_bounds`` give the values of the three public functionals bit for
+    bit, at each (k, q) of sv-equivalence; the bounds name the public
+    witness."""
     f = GridFunction(n, depth, _values(np.random.default_rng(depth),
                                        1 << (n * depth), dist))
     for k, q in ((1, 1), (2, 2), (3, 2), (2, 1)):
@@ -682,21 +699,23 @@ def test_setup_and_per_p_halves_give_the_functionals_bits(n, depth, dist):
         assert len(split) == len(levels)
         for got, want in zip(split, levels):
             assert got.tobytes() == want.tobytes()
-        p_list = (1.0, 2.0, 4.0, math.inf)
-        svs = norms._sparse_sup(f, scaled, p_list)
+        finite = (1.0, 2.0, 4.0)
+        svs = suites._sparse_rows(levels, n, finite)
         _, bounds = norms._bounds(f, NormParams.sv(math.inf, k, q, 0.0),
-                                  scaled, p_list)
-        for p, sv_value, (lower, upper, best) in zip(p_list, svs, bounds):
-            sv = sparse_sup_exhaustive(f, NormParams.sv(p, k, q, 0.0))
+                                  scaled, finite + (math.inf,))
+        for i, (p, (lower, upper, best)) in enumerate(
+                zip(finite + (math.inf,), bounds)):
             bracket = sparse_norm_bounds(f, NormParams.sv(p, k, q, 0.0))
-            pk = packing_sup_norm(f, NormParams.packing(p, k, q, 0.0))
-            assert sv_value.hex() == sv.value.hex()
             assert lower.hex() == bracket.value_lower.hex()
             assert upper.hex() == bracket.value_upper.hex()
-            assert (norms._packing_value(levels, f.dimension, p)[0].hex()
-                    == pk.value.hex())
             best_index = [best] if isinstance(best, int) else best.index
             assert bracket.witness.index.tolist() == list(best_index)
+            if i < len(finite):
+                sv = sparse_sup_exhaustive(f, NormParams.sv(p, k, q, 0.0))
+                pk = packing_sup_norm(f, NormParams.packing(p, k, q, 0.0))
+                assert float(svs[i]).hex() == sv.value.hex()
+                assert (float(suites._packing_rows(levels, n, p)).hex()
+                        == pk.value.hex())
 
 
 def test_family_value_manual():
