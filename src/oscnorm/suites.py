@@ -23,9 +23,13 @@ functionals off them, the bounds and the sparse suprema at all three
 The per-family checks (``sparse-jn``'s two-sided comparison,
 ``sobolev-chain``'s ``core-below-weighted`` and ``sequence-embedding``)
 and the thinner orders of ``fractional-sv`` multiply the rows against an
-oracle family table, in row blocks of about ``_CHUNK_BUDGET`` floats, so each product stays in
-cache.  On these rows a row's bits do not depend on the block it falls in
-(see ``_chunks`` and ``_right_factor``), so the reports do not either.
+oracle family table, in row blocks of about ``_CHUNK_BUDGET`` floats, so
+each product stays in cache.  ``_run_blocks`` splits the blocks into one
+contiguous run per CPU the process may use and works the runs on as many
+threads; each block writes only its own rows.  On these rows a row's bits
+do not depend on the block it falls in (see ``_chunks`` and
+``_right_factor``), nor on the thread that multiplies it, so the reports
+do not either.
 The products are sums of p-th powers, and the suites reduce them as such:
 a row maximum is taken before its ``1/p`` root, which is monotone, so the
 root of the maximum has the bits of the maximum of the roots.  A
@@ -41,15 +45,17 @@ configuration yields a byte-identical file.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
-import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .families import SUBSET_NODE_CAP, enumerable, family_tables
-from .generate import batch_uniform, log_singularity
+from .generate import _batch_args, batch_uniform, log_singularity
 from .grid import _CELL_BITS, GridFunction, _check_cells
 from .maximal import lp_norm, lp_rows, maximal_cells, maximal_opnorm_bound
 from .local_poly import median_deviations, sweep_errors
@@ -84,23 +90,11 @@ class SuiteConfig:
         if self.suite not in SUITE_NAMES:
             raise ValueError(f"unknown suite {self.suite!r}; "
                              f"options: {', '.join(SUITE_NAMES)}")
-        for name in ("dimension", "depth", "trials", "seed"):
-            value = getattr(self, name)
-            # bool is a subclass of int, but True/False are not sizes or seeds
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            # a NumPy integer is kept as a Python int, which JSON can write
-            object.__setattr__(self, name, int(value))
-        if self.dimension not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
-        if self.depth < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth}")
+        # a NumPy integer is kept as a Python int, which JSON can write
+        args = _batch_args(self.dimension, self.depth, self.seed, self.trials)
+        for name, value in zip(("dimension", "depth", "seed", "trials"), args):
+            object.__setattr__(self, name, value)
         _check_cells(self.dimension, self.depth)
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_json_dict(self) -> dict:
         return {"suite": self.suite, "dimension": self.dimension,
@@ -205,12 +199,59 @@ def _right_factor(table: np.ndarray, trials: int) -> np.ndarray:
     return table.T if trials == 1 else np.ascontiguousarray(table.T)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _run_blocks(body, trials: int, width: int) -> list:
+    """``body(t0, t1)`` on every block of ``_chunks(trials, width)``, the
+    results in block order.
+
+    The blocks are split into one contiguous run per CPU (no more runs than
+    blocks); this thread works through the first run and one thread per
+    other run works through the rest, so a block's product is the one the
+    serial loop makes and ``body`` writes only its own rows.  Each thread
+    runs in a copy of this context, which carries NumPy's ``errstate``.
+    After every thread has finished, the exception of the earliest failing
+    run is raised."""
+    blocks = list(_chunks(trials, width))
+    workers = min(_cpus(), len(blocks))
+    runs = [blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers]
+            for i in range(workers)]
+    results: list = [None] * workers
+    errors: list = [None] * workers
+
+    def work(i: int) -> None:
+        try:
+            results[i] = [body(t0, t1) for t0, t1 in runs[i]]
+        except BaseException as exc:    # raised again after the join
+            errors[i] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(work, i)) for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return [r for run in results for r in run]
+
+
 def _table_max(rows: np.ndarray, factor: np.ndarray, p: float) -> np.ndarray:
     """Per row, the largest entry of ``(rows @ factor) ** (1/p)``, rooted
     after the maximum."""
     out = np.empty(rows.shape[0])
-    for t0, t1 in _chunks(rows.shape[0], factor.shape[1]):
+
+    def block(t0: int, t1: int) -> None:
         out[t0:t1] = (rows[t0:t1] @ factor).max(axis=1)
+    _run_blocks(block, rows.shape[0], factor.shape[1])
     return out ** (1.0 / p)
 
 
@@ -315,16 +356,18 @@ def _suite_sparse_jn(cfg: SuiteConfig) -> SuiteReport:
         bound = 2.0 * mx_p
         r = 1.0 / p
         core_max = np.empty(T)
-        for t0, t1 in _chunks(T, n_fam):
+
+        def block(t0: int, t1: int) -> int:
             # p-th powers of the core and |Q|-weighted values
             core = sp[t0:t1] @ core_t
             wted = sp[t0:t1] @ cube_t
             core_max[t0:t1] = core.max(axis=1)
             # a cleared entry's root is at most 2^{1/p} times the core max
             capped = core_max[t0:t1].max() <= _ROOT_CAP ** p
-            two_sided_viol += _root_violations(core, r, wted, r, wted, capped)
-            two_sided_viol += _root_violations(wted, r, core, r, 2.0 * core,
-                                               capped, scale=2.0 ** r)
+            return (_root_violations(core, r, wted, r, wted, capped)
+                    + _root_violations(wted, r, core, r, 2.0 * core, capped,
+                                       scale=2.0 ** r))
+        two_sided_viol += sum(_run_blocks(block, T, n_fam))
         core_max **= r
         sjn_by_p[p] = core_max
         excess = core_max - bound
@@ -564,7 +607,8 @@ def _suite_sobolev_chain(cfg: SuiteConfig) -> SuiteReport:
     wted_p_max = np.empty(T)
     core_t = _right_factor(tables.core_meas, T)
     cube_t = _right_factor(tables.cube_meas, T)
-    for t0, t1 in _chunks(T, tables.core_meas.shape[0]):
+
+    def block(t0: int, t1: int) -> tuple[int, int]:
         # q-th and p-th powers of the core and |Q|-weighted values
         cq = sq[t0:t1] @ core_t
         wq = sq[t0:t1] @ cube_t
@@ -574,11 +618,13 @@ def _suite_sobolev_chain(cfg: SuiteConfig) -> SuiteReport:
         # a cleared entry's root is at most the largest root of cq or wp
         capped = (sv_core[t0:t1].max() <= _ROOT_CAP ** q
                   and wted_p_max[t0:t1].max() <= _ROOT_CAP ** p)
-        viol["core-below-weighted"] += _root_violations(
-            cq, 1.0 / q, wq, 1.0 / q, wq, capped)
         # wq <= wp  is  Wq <= Wp^{q/p} = Wp^3 in power space
-        viol["sequence-embedding"] += _root_violations(
-            wq, 1.0 / q, wp, 1.0 / p, wp * wp * wp, capped)
+        return (_root_violations(cq, 1.0 / q, wq, 1.0 / q, wq, capped),
+                _root_violations(wq, 1.0 / q, wp, 1.0 / p, wp * wp * wp,
+                                 capped))
+    counts = _run_blocks(block, T, tables.core_meas.shape[0])
+    viol["core-below-weighted"] += sum(c for c, _ in counts)
+    viol["sequence-embedding"] += sum(e for _, e in counts)
     sv_core **= 1.0 / q
     sjn_core = _sparse_rows(scaled, n, (p,))[0]
     wted_p_max **= 1.0 / p

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscnorm.generate import (GENERATOR_NAMES, batch_uniform, generate,
                               log_singularity, rng_for)
@@ -95,12 +97,17 @@ def test_generator_names_frozen():
     (2, 1, 1), (2, 1, 2),
     (1, 3, 2000),
     (1, 12, 50),
+    # either side of the 16-cell rule: jump-ahead, then per-row stepping
+    (1, 4, 300), (1, 5, 300),
+    (2, 2, 300), (2, 3, 40),
 ])
 def test_batch_matches_per_trial_generation(seed, dimension, depth, trials):
     mat = batch_uniform(dimension, depth, seed, trials)
     n_cells = 1 << (dimension * depth)
     assert mat.shape == (trials, n_cells)
-    rows = range(trials) if trials <= 50 else (0, trials // 2, trials - 1)
+    # every row that the jump-ahead draws, a few of the longer ones
+    rows = (range(trials) if trials <= 50 or n_cells <= 16
+            else (0, trials // 2, trials - 1))
     for t in rows:
         want = rng_for(seed, t).uniform(0.0, 1.0, n_cells)
         assert mat[t].tobytes() == want.tobytes()
@@ -114,6 +121,47 @@ def test_batch_matches_per_trial_generation(seed, dimension, depth, trials):
 def test_batch_refuses_bad_seed(seed, reason):
     with pytest.raises(ValueError, match=reason):
         batch_uniform(1, 2, seed, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**130), trials=st.integers(1, 300),
+       shape=st.sampled_from([(1, 0), (1, 1), (1, 2), (1, 3), (1, 4),
+                              (2, 1), (2, 2)]))
+def test_jump_ahead_rows_have_the_bits_of_the_generator(seed, trials, shape):
+    """Rows of at most 16 cells, drawn by jump-ahead, equal each trial's
+    own ``Generator.uniform`` bit for bit."""
+    dimension, depth = shape
+    n_cells = 1 << (dimension * depth)
+    mat = batch_uniform(dimension, depth, seed, trials)
+    for t in range(trials):
+        want = rng_for(seed, t).uniform(0.0, 1.0, n_cells)
+        assert mat[t].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dimension,depth,trials,reason", [
+    (3, 2, 2, "dimension must be 1 or 2, got 3"),
+    (0, 5, 2, "dimension must be 1 or 2, got 0"),
+    (True, 1, 2, "dimension must be an integer, got True"),
+    (1.0, 1, 2, "dimension must be an integer, got 1.0"),
+    (1, True, 2, "depth must be an integer, got True"),
+    (1, 2.0, 2, "depth must be an integer, got 2.0"),
+    (1, -1, 2, "depth must be >= 0, got -1"),
+    (1, 2, -1, "trials must be positive, got -1"),
+    (1, 2, 0, "trials must be positive, got 0"),
+    (1, 0, 0, "trials must be positive, got 0"),
+    (1, 2, 2.5, "trials must be an integer, got 2.5"),
+    (1, 2, True, "trials must be an integer, got True"),
+])
+def test_batch_refuses_bad_sizes(dimension, depth, trials, reason):
+    """Each size is checked before any array is built: neither route
+    returns an empty or misshapen batch."""
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        batch_uniform(dimension, depth, 0, trials)
+
+
+def test_batch_takes_numpy_integers():
+    got = batch_uniform(np.int64(2), np.uint8(1), np.int32(7), np.int64(3))
+    assert got.tobytes() == batch_uniform(2, 1, 7, 3).tobytes()
 
 
 def test_batch_refuses_past_cell_limit():

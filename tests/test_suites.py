@@ -1,7 +1,10 @@
 """Verification suites: small-scale runs, determinism, and config handling."""
 
 import json
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -369,3 +372,107 @@ def test_verify_refuses_an_oracle_suite_past_the_cap(capsys, suite, dim,
     assert code == 2 and out == ""
     assert err.splitlines() == [
         f"error: {suite} runs at oracle scale (<= 15 tree nodes)"]
+
+
+def _run_blocks_checked(body, trials, width, run=suites._run_blocks):
+    """``suites._run_blocks`` with the live thread count checked on both
+    sides of the call, whether it returns or raises."""
+    before = threading.active_count()
+    try:
+        return run(body, trials, width)
+    finally:
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("seed", (0, 3))
+@pytest.mark.parametrize("suite", ("sparse-jn", "sobolev-chain",
+                                   "fractional-sv"))
+def test_table_suite_reports_do_not_depend_on_the_workers(suite, seed,
+                                                          monkeypatch):
+    """With ~7-row blocks, the reports with 1, 2 and 3 workers are the
+    same bytes."""
+    monkeypatch.setattr(suites, "_CHUNK_BUDGET", 7 * 4870)
+    threads_per_call = []
+
+    def counted(body, trials, width):
+        threads = set()
+
+        def tagged(t0, t1):
+            threads.add(threading.current_thread())
+            return body(t0, t1)
+        out = _run_blocks_checked(tagged, trials, width)
+        threads_per_call.append(len(threads))
+        return out
+    monkeypatch.setattr(suites, "_run_blocks", counted)
+    cfg = SuiteConfig(suite=suite, dimension=1, depth=3, trials=300,
+                      seed=seed)
+    reports = set()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(suites, "_cpus", lambda: workers)
+        threads_per_call.clear()
+        reports.add(run_suite(cfg).to_json())
+        assert threads_per_call and set(threads_per_call) == {workers}
+    assert len(reports) == 1
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3, 16))
+def test_block_runner_returns_each_block_once_in_order(workers,
+                                                       monkeypatch):
+    """Every block runs once and its result lands in block order, also
+    with more threads than CPUs switching every microsecond."""
+    monkeypatch.setattr(suites, "_CHUNK_BUDGET", 10)
+    monkeypatch.setattr(suites, "_cpus", lambda: workers)
+    hits = np.zeros(401, np.int64)
+
+    def body(t0, t1):
+        hits[t0:t1] += 1
+        return t0, t1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _run_blocks_checked(body, 401, 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == list(suites._chunks(401, 2))
+    assert (hits == 1).all()
+    # one block starts no thread, whatever the CPU count
+    assert _run_blocks_checked(lambda t0, t1: threading.get_ident(),
+                               3, 100) == [threading.get_ident()]
+
+
+def test_block_runner_keeps_the_callers_errstate(monkeypatch):
+    """Every worker runs in the caller's ``np.errstate``: an overflow under
+    ``over="ignore"`` warns in no thread."""
+    monkeypatch.setattr(suites, "_CHUNK_BUDGET", 10)
+    monkeypatch.setattr(suites, "_cpus", lambda: 3)
+    big = np.full(4, 1e300)
+
+    def body(t0, t1):
+        assert np.isinf(big * big).all()
+        return np.geterr()["over"], threading.current_thread()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(over="ignore"):
+            got = _run_blocks_checked(body, 60, 2)
+    assert {mode for mode, _ in got} == {"ignore"}
+    assert len({thread for _, thread in got}) == 3
+
+
+@pytest.mark.parametrize("failing", ([0], [20], [55], [20, 55], [55, 40]))
+def test_block_runner_raises_the_first_worker_exception(failing,
+                                                        monkeypatch):
+    """A block that raises in any thread reaches the caller after every
+    thread is joined; of several, the earliest block's run wins.  The 12
+    blocks start at 0, 5, ..., 55, four to a run."""
+    monkeypatch.setattr(suites, "_CHUNK_BUDGET", 10)
+    monkeypatch.setattr(suites, "_cpus", lambda: 3)
+    done = []
+
+    def body(t0, t1):
+        if t0 in failing:
+            raise ValueError(f"block at {t0}")
+        done.append(t0)
+    with pytest.raises(ValueError, match=f"^block at {min(failing)}$"):
+        _run_blocks_checked(body, 60, 2)
+    # the runs that did not fail ran to their end
+    assert 0 in failing or 0 in done
